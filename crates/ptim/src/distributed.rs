@@ -32,7 +32,7 @@
 use crate::engine::HybridParams;
 use crate::laser::{external_potential, sawtooth_x, LaserPulse};
 use crate::propagate::{density_residual, StepStats};
-use crate::state::TdState;
+use crate::state::{pack_parts, unpack_parts, TdState};
 use mpisim::Comm;
 use pwdft::density::SPIN_FACTOR;
 use pwdft::hamiltonian::build_hxc_with;
@@ -635,6 +635,7 @@ pub fn dist_ptim_step(
     let mut next = DistState { phi_local: phi_p, sigma: sigma_p, time: state.time + dt };
     let mut rho_prev = rho0;
     let mut mixer = AndersonMixer::new(10, 0.6);
+    let (mut x, mut tx) = (Vec::new(), Vec::new());
 
     for it in 0..max_scf {
         stats.scf_iters = it + 1;
@@ -660,19 +661,9 @@ pub fn dist_ptim_step(
 
         // Anderson on (local Φ, replicated σ); σ mixing is identical on
         // every rank because the inputs are.
-        let pack = |phi: &Wavefunction, sigma: &CMat| -> Vec<Complex64> {
-            let mut v = Vec::with_capacity(phi.data.len() + sigma.as_slice().len());
-            v.extend_from_slice(&phi.data);
-            v.extend_from_slice(sigma.as_slice());
-            v
-        };
-        let x = pack(&next.phi_local, &next.sigma);
-        let tx = pack(&phi_new, &sigma_new);
-        let mixed = mixer.step(&x, &tx);
-        let nwf = next.phi_local.data.len();
-        next.phi_local.data.copy_from_slice(&mixed[..nwf]);
-        let n = dist.n_bands;
-        next.sigma = CMat::from_vec(n, n, mixed[nwf..].to_vec());
+        pack_parts(&next.phi_local, &next.sigma, &mut x);
+        pack_parts(&phi_new, &sigma_new, &mut tx);
+        unpack_parts(&mixer.step(&x, &tx), &mut next.phi_local, &mut next.sigma);
     }
 
     // Final constraints: Löwdin via distributed overlap + ring rotation;

@@ -190,15 +190,21 @@ impl<'s> TdEngine<'s> {
     }
 
     /// Builds a Hamiltonian using a *fixed* ACE exchange operator (the
-    /// inner-loop Hamiltonian of PT-IM-ACE).
-    pub fn hamiltonian_ace(&self, ev: &EvalPoint, ace: pwdft::AceOperator) -> Hamiltonian<'s> {
+    /// inner-loop Hamiltonian of PT-IM-ACE). The operator is shared, not
+    /// copied: pass an `Arc` to build many Hamiltonians on one ACE, or an
+    /// owned operator for a single use.
+    pub fn hamiltonian_ace(
+        &self,
+        ev: &EvalPoint,
+        ace: impl Into<Arc<pwdft::AceOperator>>,
+    ) -> Hamiltonian<'s> {
         Hamiltonian::with_backend(
             &self.sys.grid,
             &self.sys.vloc,
             &ev.vhxc,
             &ev.vext,
             self.hybrid.alpha,
-            Exchange::Ace(ace),
+            Exchange::Ace(ace.into()),
             None,
             self.backend.clone(),
         )

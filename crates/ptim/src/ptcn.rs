@@ -112,6 +112,7 @@ fn ptcn_step_once(eng: &TdEngine, state: &TdState, cfg: &PtcnConfig) -> (TdState
     let mut next =
         TdState { phi: state.phi.clone(), sigma: state.sigma.clone(), time: state.time + dt };
     let mut mixer = AndersonMixer::new(cfg.anderson_depth, cfg.anderson_beta);
+    let mut image = Wavefunction::zeros_like(&next.phi);
     let mut rho_prev = ev_n.rho;
 
     for it in 0..cfg.max_scf {
@@ -129,7 +130,6 @@ fn ptcn_step_once(eng: &TdEngine, state: &TdState, cfg: &PtcnConfig) -> (TdState
         }
         let force = pt_force(&h, &next.phi);
         // T(Φ) = rhs − (iΔt/2)(I−P)HΦ.
-        let mut image = Wavefunction::zeros_like(&next.phi);
         eng.backend.lincomb(
             Complex64::ONE,
             &rhs.data,
@@ -137,8 +137,7 @@ fn ptcn_step_once(eng: &TdEngine, state: &TdState, cfg: &PtcnConfig) -> (TdState
             &force,
             &mut image.data,
         );
-        let mixed = mixer.step(&next.phi.data, &image.data);
-        next.phi.data.copy_from_slice(&mixed);
+        next.phi.data = mixer.step(&next.phi.data, &image.data);
     }
 
     if let Some(e0) = start_err {

@@ -80,6 +80,7 @@ fn ptim_step_once(eng: &TdEngine, state: &TdState, cfg: &PtimConfig) -> (TdState
     let mut next = TdState { phi: phi_p, sigma: sigma_p, time: state.time + dt };
 
     let mut mixer = AndersonMixer::new(cfg.anderson_depth, cfg.anderson_beta);
+    let (mut x, mut tx) = (Vec::new(), Vec::new());
     let mut rho_prev = ev_n.rho;
 
     for it in 0..cfg.max_scf {
@@ -105,14 +106,9 @@ fn ptim_step_once(eng: &TdEngine, state: &TdState, cfg: &PtimConfig) -> (TdState
         }
 
         // Anderson acceleration on the stacked unknown (Alg. 1 line 8).
-        let x = next.pack();
-        let tx = {
-            let trial =
-                TdState { phi: phi_new, sigma: sigma_new, time: next.time };
-            trial.pack()
-        };
-        let mixed = mixer.step(&x, &tx);
-        next.unpack_into(&mixed);
+        next.pack_into(&mut x);
+        TdState { phi: phi_new, sigma: sigma_new, time: next.time }.pack_into(&mut tx);
+        next.unpack_into(&mixer.step(&x, &tx));
     }
 
     // Drift + precision accounting, then Alg. 1 line 13: orthogonalize

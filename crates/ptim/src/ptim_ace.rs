@@ -14,6 +14,7 @@ use crate::propagate::{
 use crate::state::TdState;
 use pwdft::mixing::AndersonMixer;
 use pwdft::AceOperator;
+use std::sync::Arc;
 
 /// PT-IM-ACE parameters.
 #[derive(Clone, Copy, Debug)]
@@ -98,6 +99,8 @@ fn ptim_ace_step_once(
     let mut next = TdState { phi: phi_p, sigma: sigma_p, time: state.time + dt };
 
     let mut ex_prev = f64::INFINITY;
+    let mut mixer = AndersonMixer::new(cfg.anderson_depth, cfg.anderson_beta);
+    let (mut x, mut tx) = (Vec::new(), Vec::new());
 
     for outer in 0..cfg.max_outer {
         stats.outer_iters = outer + 1;
@@ -107,8 +110,12 @@ fn ptim_ace_step_once(
         let (w_mid, ex_mid, fstats) = eng.exchange_images_stats(&phi_mid0, &sigma_mid0);
         stats.fock_applies += 1;
         stats.fock_skipped_weight += fstats.skipped_weight;
-        let ace_mid =
-            AceOperator::build_with_policy(eng.backend.clone(), &phi_mid0, &w_mid, gemm_stage);
+        let ace_mid = Arc::new(AceOperator::build_with_policy(
+            eng.backend.clone(),
+            &phi_mid0,
+            &w_mid,
+            gemm_stage,
+        ));
 
         // Outer convergence on the exchange energy (Fig. 4b decision).
         if (ex_mid - ex_prev).abs() < cfg.tol_ex {
@@ -117,8 +124,9 @@ fn ptim_ace_step_once(
         }
         ex_prev = ex_mid;
 
-        // Inner SCF with the frozen V_ACE.
-        let mut mixer = AndersonMixer::new(cfg.anderson_depth, cfg.anderson_beta);
+        // Inner SCF with the frozen V_ACE; each inner solve starts from
+        // an empty history.
+        mixer.reset();
         let mut rho_prev: Option<Vec<f64>> = None;
         for inner in 0..cfg.max_inner {
             stats.scf_iters += 1;
@@ -131,12 +139,11 @@ fn ptim_ace_step_once(
                 }
             }
             rho_prev = Some(ev_mid.rho.clone());
-            let h_mid = eng.hamiltonian_ace(&ev_mid, ace_mid.clone());
+            let h_mid = eng.hamiltonian_ace(&ev_mid, Arc::clone(&ace_mid));
             let (phi_new, sigma_new) = pt_update(state, &h_mid, &phi_mid, &sigma_mid, dt);
-            let x = next.pack();
-            let tx = TdState { phi: phi_new, sigma: sigma_new, time: next.time }.pack();
-            let mixed = mixer.step(&x, &tx);
-            next.unpack_into(&mixed);
+            next.pack_into(&mut x);
+            TdState { phi: phi_new, sigma: sigma_new, time: next.time }.pack_into(&mut tx);
+            next.unpack_into(&mixer.step(&x, &tx));
             let _ = inner;
         }
     }

@@ -76,21 +76,38 @@ impl TdState {
     /// for Anderson mixing). σ entries are appended after the orbital
     /// coefficients.
     pub fn pack(&self) -> Vec<pwnum::Complex64> {
-        let n = self.n_bands();
-        let mut v = Vec::with_capacity(self.phi.data.len() + n * n);
-        v.extend_from_slice(&self.phi.data);
-        v.extend_from_slice(self.sigma.as_slice());
+        let mut v = Vec::new();
+        self.pack_into(&mut v);
         v
+    }
+
+    /// [`Self::pack`] into a caller-owned buffer (overwritten), so a
+    /// fixed-point loop packs every iterate into the same allocation.
+    pub fn pack_into(&self, out: &mut Vec<pwnum::Complex64>) {
+        pack_parts(&self.phi, &self.sigma, out);
     }
 
     /// Inverse of [`Self::pack`] (keeps `time` unchanged).
     pub fn unpack_into(&mut self, v: &[pwnum::Complex64]) {
-        let nwf = self.phi.data.len();
-        let n = self.n_bands();
-        assert_eq!(v.len(), nwf + n * n);
-        self.phi.data.copy_from_slice(&v[..nwf]);
-        self.sigma = CMat::from_vec(n, n, v[nwf..].to_vec());
+        unpack_parts(v, &mut self.phi, &mut self.sigma);
     }
+}
+
+/// Flattens `(Φ, σ)` into `out` (overwritten): orbital coefficients
+/// first, then σ row-major. Shared by [`TdState`] and the rank-local
+/// state of the distributed step.
+pub(crate) fn pack_parts(phi: &Wavefunction, sigma: &CMat, out: &mut Vec<pwnum::Complex64>) {
+    out.clear();
+    out.reserve(phi.data.len() + sigma.as_slice().len());
+    out.extend_from_slice(&phi.data);
+    out.extend_from_slice(sigma.as_slice());
+}
+
+/// Inverse of [`pack_parts`], writing into the existing storage.
+pub(crate) fn unpack_parts(v: &[pwnum::Complex64], phi: &mut Wavefunction, sigma: &mut CMat) {
+    let (wf, sg) = v.split_at(phi.data.len());
+    phi.data.copy_from_slice(wf);
+    sigma.as_mut_slice().copy_from_slice(sg);
 }
 
 #[cfg(test)]
@@ -117,10 +134,15 @@ mod tests {
     fn pack_unpack_roundtrip() {
         let s = state();
         let mut t = s.clone();
-        let v = s.pack();
+        // A dirty, wrongly sized buffer: pack_into must overwrite it.
+        let mut v = vec![c64(9.0, 9.0); 3];
+        s.pack_into(&mut v);
+        assert_eq!(v, s.pack());
+        t.phi.data.fill(c64(0.0, 0.0));
+        t.sigma = CMat::zeros(4, 4);
         t.unpack_into(&v);
-        assert!(s.phi.max_abs_diff(&t.phi) < 1e-15);
-        assert!(s.sigma.max_abs_diff(&t.sigma) < 1e-15);
+        assert!(s.phi.max_abs_diff(&t.phi) == 0.0);
+        assert!(s.sigma.max_abs_diff(&t.sigma) == 0.0);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use pwnum::cmat::CMat;
 use pwnum::complex::Complex64;
 use pwnum::cvec;
 use pwnum::parallel::par_chunks_mut;
+use std::sync::Arc;
 
 /// How the exchange term enters `HΦ`.
 pub enum Exchange {
@@ -29,8 +30,9 @@ pub enum Exchange {
         /// Occupations `d_i` of the natural orbitals.
         occ: Vec<f64>,
     },
-    /// Low-rank ACE operator — two GEMMs per application.
-    Ace(AceOperator),
+    /// Low-rank ACE operator — two GEMMs per application. Shared, so
+    /// the Hamiltonians of one inner SCF loop reuse a single operator.
+    Ace(Arc<AceOperator>),
 }
 
 /// Hartree potential and energy from the density:
@@ -377,7 +379,7 @@ mod tests {
             &zeros,
             &zeros,
             0.25,
-            Exchange::Ace(ace),
+            Exchange::Ace(Arc::new(ace)),
             None,
         );
         let out_ace = ha.apply(&phi);

@@ -23,6 +23,7 @@ use crate::mixing::AndersonMixerReal;
 use crate::smearing::{occupations, KB_HARTREE};
 use crate::system::DftSystem;
 use crate::wavefunction::Wavefunction;
+use std::sync::Arc;
 
 /// SCF parameters.
 #[derive(Clone, Debug)]
@@ -244,6 +245,7 @@ pub fn scf_hybrid(
         let (ace, _w, ex_full, fstats) =
             AceOperator::build_from_fock(&fock, &sys.grid, &sys.fft, &gs.phi, &gs.occ);
         gs.fock_skipped_weight += fstats.skipped_weight;
+        let ace = Arc::new(ace);
 
         // Inner SCF with the fixed ACE operator.
         let mut mixer = AndersonMixerReal::new(cfg.mix_depth, cfg.mix_beta);
@@ -256,7 +258,7 @@ pub fn scf_hybrid(
                 &hxc.vhxc,
                 &zeros,
                 hyb.alpha,
-                Exchange::Ace(ace.clone()),
+                Exchange::Ace(Arc::clone(&ace)),
                 None,
             );
             let r = davidson(&h, &sys.grid, gs.phi.clone(), cfg.davidson_iters, cfg.davidson_tol);

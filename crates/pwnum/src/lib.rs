@@ -14,8 +14,8 @@
 //! * [`eig`] — Hermitian eigendecomposition (cyclic complex Jacobi),
 //!   used to diagonalize the occupation matrix σ (paper Eq. 11).
 //! * [`chol`] — Cholesky factorization/solves (orthonormalization,
-//!   projector inverses, ACE construction).
-//! * [`lstsq`] — regularized least squares for Anderson mixing.
+//!   projector inverses, ACE construction, the Anderson mixer's
+//!   regularized normal equations).
 //! * [`parallel`] — scoped-thread `parallel for` helpers (the OpenMP
 //!   analog of the paper's node-level parallelism).
 //! * [`backend`] — the pluggable compute-backend layer: a [`Backend`]
@@ -45,7 +45,6 @@ pub mod complex;
 pub mod cvec;
 pub mod eig;
 pub mod gemm;
-pub mod lstsq;
 pub mod parallel;
 pub mod persist;
 pub mod precision;

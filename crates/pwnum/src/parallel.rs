@@ -84,6 +84,26 @@ where
     });
 }
 
+/// Below this many element-operations, spawning threads costs more than
+/// it saves.
+const MIN_PARALLEL_ELEMS: usize = 1 << 15;
+
+/// Worker count for `items` independent work items of `work_per_item`
+/// element-operations each: one (run inline) while the whole region is
+/// below the spawn-overhead threshold, else up to one worker per item.
+///
+/// This is the work-weighted entry for regions whose item count says
+/// nothing about their size — a partition of a 20-row accumulator whose
+/// every row streams a megabyte-sized vector would look tiny to a
+/// threshold on items alone.
+pub fn workers_for(items: usize, work_per_item: usize) -> usize {
+    if items.saturating_mul(work_per_item) < MIN_PARALLEL_ELEMS {
+        1
+    } else {
+        num_threads(items)
+    }
+}
+
 /// Applies `f` to every mutable chunk of `data` (each of `chunk_len`
 /// elements, the last possibly shorter) in parallel, passing the chunk
 /// index. This is the "parallel loop over bands" idiom: a wavefunction
@@ -94,18 +114,27 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(chunk_len > 0, "chunk_len must be positive");
+    let workers = if data.len() < MIN_PARALLEL_ELEMS {
+        1
+    } else {
+        num_threads(data.len().div_ceil(chunk_len))
+    };
+    par_chunks_mut_on(workers, data, chunk_len, f);
+}
+
+/// [`par_chunks_mut`] on an explicit number of workers (clamped to the
+/// chunk count), for callers that size the region themselves with
+/// [`workers_for`]. Which worker runs which chunk never affects what
+/// `f` computes, so results do not depend on `workers`.
+pub fn par_chunks_mut_on<T, F>(workers: usize, data: &mut [T], chunk_len: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    assert!(chunk_len > 0, "chunk_len must be positive");
     let n_chunks = data.len().div_ceil(chunk_len);
-    if n_chunks <= 1 {
-        if !data.is_empty() {
-            f(0, data);
-        }
-        return;
-    }
-    // Spawning threads for small total work costs more than it saves.
-    const MIN_PARALLEL_ELEMS: usize = 1 << 15;
-    let workers =
-        if data.len() < MIN_PARALLEL_ELEMS { 1 } else { num_threads(n_chunks) };
-    if workers == 1 {
+    let workers = workers.min(n_chunks);
+    if workers <= 1 {
         for (i, c) in data.chunks_mut(chunk_len).enumerate() {
             f(i, c);
         }
@@ -191,6 +220,32 @@ mod tests {
         for (i, v) in data.iter().enumerate() {
             assert_eq!(*v, (i / 5) as u64 + 1);
         }
+    }
+
+    #[test]
+    fn chunks_mut_on_explicit_workers_visits_each_chunk_once() {
+        // 7 rows of 3 over more workers than a 21-element slice would
+        // ever get from the size threshold, and over more than rows.
+        for workers in [1, 2, 3, 16] {
+            let mut data = vec![0u64; 21];
+            par_chunks_mut_on(workers, &mut data, 3, |idx, chunk| {
+                for v in chunk.iter_mut() {
+                    *v += idx as u64 + 1;
+                }
+            });
+            for (i, v) in data.iter().enumerate() {
+                assert_eq!(*v, (i / 3) as u64 + 1, "workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn workers_for_weighs_items_by_their_work() {
+        // Few items are still a parallel region when each is heavy...
+        assert_eq!(workers_for(20, 1 << 20), num_threads(20));
+        // ...and many trivial ones are not.
+        assert_eq!(workers_for(1000, 1), 1);
+        assert_eq!(workers_for(0, usize::MAX), 1);
     }
 
     #[test]

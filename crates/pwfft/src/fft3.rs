@@ -365,8 +365,11 @@ pub(crate) fn transpose_into<T: Copy>(a: &[T], b: &mut [T], rows: usize, cols: u
         let imax = (ib + TILE).min(rows);
         for jb in (0..cols).step_by(TILE) {
             let jmax = (jb + TILE).min(cols);
-            for i in ib..imax {
-                for j in jb..jmax {
+            // Destination-contiguous inner loop: striding the *writes* by
+            // `rows` elements puts a whole tile column into one L1 set
+            // once `rows * size_of::<T>()` reaches the set period (4 KiB).
+            for j in jb..jmax {
+                for i in ib..imax {
                     b[j * rows + i] = a[i * cols + j];
                 }
             }

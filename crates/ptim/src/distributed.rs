@@ -261,15 +261,14 @@ pub fn dist_rotate(
     for step in 0..p {
         let src_rank = (comm.rank() + step) % p;
         let src_range = dist.range(src_rank);
-        // Accumulate contributions of this block's bands.
-        for (bi, gi) in src_range.clone().enumerate() {
-            let src_band = &block[bi * ng..(bi + 1) * ng];
-            for (oj, gj) in my.clone().enumerate() {
-                let w = q[(gi, gj)];
-                if w != Complex64::ZERO {
-                    pwnum::cvec::axpy(w, src_band, bands::band_mut(&mut out.data, ng, oj));
-                }
-            }
+        // Accumulate this block's bands into every local target at once:
+        // one blocked accumulate with the `src_range × my` block of Q
+        // (per target, sources still add in ascending band order).
+        if !src_range.is_empty() && n_out > 0 {
+            let q_blk = CMat::from_fn(src_range.len(), n_out, |i, j| {
+                q[(src_range.start + i, my.start + j)]
+            });
+            default_backend().rotate_acc(Complex64::ONE, &block, &q_blk, ng, &mut out.data);
         }
         if step + 1 < p {
             comm.require_alive(left, "the band-ring rotation");
@@ -593,13 +592,17 @@ pub fn dist_ptim_step(
             }
         }
         backend.recycle_buffer(work);
-        // ... plus the distributed Fock exchange.
+        // ... plus the distributed Fock exchange. Band blocks are handed
+        // back as soon as their last reader is done: 16 rank threads hold
+        // every live block 16 times over.
         if cfg.hybrid.alpha != 0.0 {
             let nat_r = nat_local.to_real_all_with(&*backend, &sys.fft);
+            drop(nat_local);
             let plan =
                 ExchangePlan { strategy: cfg.strategy, solve_cost_s: cfg.solve_cost_s };
             let vx_r =
                 dist_fock_apply(comm, &fock, dist, &nat_r, &e.values, &psi_r, plan);
+            drop(nat_r);
             stats.fock_applies += 1;
             let mut vx = Wavefunction::from_real_with(&*backend, &sys.grid, &sys.fft, vx_r);
             vx.mask(&sys.grid);
@@ -607,6 +610,7 @@ pub fn dist_ptim_step(
                 *h += x.scale(cfg.hybrid.alpha);
             }
         }
+        drop(psi_r);
         hphi_local.mask(&sys.grid);
 
         // S, Hm via the alltoallv/allreduce transpose path.
@@ -635,7 +639,6 @@ pub fn dist_ptim_step(
     let mut next = DistState { phi_local: phi_p, sigma: sigma_p, time: state.time + dt };
     let mut rho_prev = rho0;
     let mut mixer = AndersonMixer::new(10, 0.6);
-    let (mut x, mut tx) = (Vec::new(), Vec::new());
 
     for it in 0..max_scf {
         stats.scf_iters = it + 1;
@@ -661,8 +664,13 @@ pub fn dist_ptim_step(
 
         // Anderson on (local Φ, replicated σ); σ mixing is identical on
         // every rank because the inputs are.
+        // Packed per iteration, not kept: the two iterates would sit
+        // idle through the next evaluation's exchange, the step's
+        // memory peak.
+        let (mut x, mut tx) = (Vec::new(), Vec::new());
         pack_parts(&next.phi_local, &next.sigma, &mut x);
         pack_parts(&phi_new, &sigma_new, &mut tx);
+        drop((phi_new, sigma_new));
         unpack_parts(&mixer.step(&x, &tx), &mut next.phi_local, &mut next.sigma);
     }
 

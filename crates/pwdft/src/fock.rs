@@ -270,10 +270,7 @@ impl<'g> FockOperator<'g> {
         // promotes each pair tile for the round trip instead
         // (error-attribution mode, see `PrecisionPolicy`).
         let fp32 = (opts.precision.exchange.reduced() && opts.precision.fft.reduced())
-            .then(|| {
-                let (n0, n1, n2) = fft.dims();
-                Fp32Kit { fft: Fft32::new(n0, n1, n2), kg: precision::demote_real(&kernel.kg) }
-            });
+            .then(|| Fp32Kit { fft: grid.fft32(), kg: precision::demote_real(&kernel.kg) });
         FockOperator {
             grid,
             fft,

@@ -8,10 +8,10 @@
 //! optimization that does not change any numerics).
 
 use crate::lattice::Cell;
-use pwfft::Fft3;
+use pwfft::{Fft3, Fft32};
 use pwnum::complex::Complex64;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Shared memoization table of grid-sized real kernels, keyed by
 /// `(kernel family, parameter bits)`.
@@ -40,6 +40,10 @@ pub struct PwGrid {
     /// construct an operator per step stop re-evaluating
     /// transcendentals over Ng.
     kernels: KernelCache,
+    /// The grid's FFT plan sets, compiled on first request and shared
+    /// across clones like the kernels: operators are constructed per SCF
+    /// iteration, plans once per grid.
+    plans: Arc<(OnceLock<Fft3>, OnceLock<Fft32>)>,
 }
 
 /// Picks an FFT-friendly (2/3/5-smooth) grid size ≥ `min`.
@@ -115,6 +119,7 @@ impl PwGrid {
             n_pw,
             ecut,
             kernels: Arc::new(Mutex::new(HashMap::new())),
+            plans: Arc::default(),
         }
     }
 
@@ -172,9 +177,17 @@ impl PwGrid {
         self.lengths[0] * self.lengths[1] * self.lengths[2]
     }
 
-    /// FFT plan set matching this grid.
+    /// FFT plan set matching this grid (a handle to the grid's one
+    /// shared set).
     pub fn fft(&self) -> Fft3 {
-        Fft3::new(self.dims[0], self.dims[1], self.dims[2])
+        let [n0, n1, n2] = self.dims;
+        self.plans.0.get_or_init(|| Fft3::new(n0, n1, n2)).clone()
+    }
+
+    /// Single-precision plan set matching this grid, shared likewise.
+    pub fn fft32(&self) -> Fft32 {
+        let [n0, n1, n2] = self.dims;
+        self.plans.1.get_or_init(|| Fft32::new(n0, n1, n2)).clone()
     }
 
     /// Cartesian coordinates of real-space grid point `idx`.
@@ -325,6 +338,19 @@ mod tests {
         let d = g2.cached_kernel(1, 7, build);
         assert!(Arc::ptr_eq(&a, &d));
         assert_eq!(builds.get(), 3);
+    }
+
+    #[test]
+    fn plan_sets_are_compiled_once_per_grid_and_shared_across_clones() {
+        let cell = Cell::silicon_supercell(1, 1, 1);
+        let g = PwGrid::with_dims(&cell, 2.0, [4, 6, 5]);
+        let (a, a32) = (g.fft(), g.fft32());
+        assert_eq!((a.dims(), a32.dims()), ((4, 6, 5), (4, 6, 5)));
+        assert!(a.shares_plans_with(&g.fft()) && a32.shares_plans_with(&g.fft32()));
+        let clone = g.clone();
+        assert!(a.shares_plans_with(&clone.fft()) && a32.shares_plans_with(&clone.fft32()));
+        let other = PwGrid::with_dims(&cell, 2.0, [4, 6, 5]);
+        assert!(!a.shares_plans_with(&other.fft()), "another grid compiles its own");
     }
 
     #[test]

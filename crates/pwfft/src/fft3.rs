@@ -8,32 +8,39 @@
 //! multi-batch cuFFT strategy (Sec. III-B b).
 
 use crate::plan::Plan;
+use crate::tile;
 use pwnum::backend::{Backend, GridTransform};
 use pwnum::complex::Complex64;
 use pwnum::parallel::par_chunks_mut;
 use std::cell::RefCell;
+use std::sync::Arc;
 
 thread_local! {
     /// Per-thread scratch reused across FFT calls (line buffer + plan scratch).
     static SCRATCH: RefCell<Vec<Complex64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Plans for a fixed 3D grid shape.
+/// Plans for a fixed 3D grid shape (shared: cloning is one `Arc` bump).
 #[derive(Clone, Debug)]
 pub struct Fft3 {
     n0: usize,
     n1: usize,
     n2: usize,
-    plan0: Plan,
-    plan1: Plan,
-    plan2: Plan,
+    plans: Arc<[Plan; 3]>,
 }
 
 impl Fft3 {
     /// Creates plans for an `n0 x n1 x n2` grid.
     pub fn new(n0: usize, n1: usize, n2: usize) -> Self {
         assert!(n0 > 0 && n1 > 0 && n2 > 0, "grid dimensions must be positive");
-        Fft3 { n0, n1, n2, plan0: Plan::new(n0), plan1: Plan::new(n1), plan2: Plan::new(n2) }
+        Fft3 { n0, n1, n2, plans: Arc::new([Plan::new(n0), Plan::new(n1), Plan::new(n2)]) }
+    }
+
+    /// True when `other` is a handle to the same compiled plans (clones
+    /// of one set, e.g. every handle a grid's plan cache gives out).
+    #[inline]
+    pub fn shares_plans_with(&self, other: &Fft3) -> bool {
+        Arc::ptr_eq(&self.plans, &other.plans)
     }
 
     /// Total number of grid points.
@@ -61,14 +68,6 @@ impl Fft3 {
         2 * self.n0.max(self.n1).max(self.n2)
     }
 
-    /// Scratch elements required by [`Self::transform_fused`]: a
-    /// grid-sized source copy for the row-vector passes, the row
-    /// buffers of the widest pass, and 1D plan scratch.
-    #[inline]
-    pub fn scratch_len_fused(&self) -> usize {
-        self.len() + crate::plan::MAX_FAST_RADIX * self.n1 * self.n2 + self.scratch_len()
-    }
-
     fn with_scratch<R>(&self, f: impl FnOnce(&mut [Complex64]) -> R) -> R {
         let need = self.scratch_len();
         SCRATCH.with(|s| {
@@ -90,15 +89,16 @@ impl Fft3 {
     pub fn transform_with(&self, data: &mut [Complex64], scratch: &mut [Complex64], inverse: bool) {
         assert_eq!(data.len(), self.len(), "FFT3 buffer length mismatch");
         let (n0, n1, n2) = (self.n0, self.n1, self.n2);
+        let [plan0, plan1, plan2] = &*self.plans;
         {
             let scratch = &mut scratch[..self.scratch_len()];
             let (line, plan_scratch) = scratch.split_at_mut(n0.max(n1).max(n2));
             // Axis 2: contiguous lines.
             for row in data.chunks_mut(n2) {
                 if inverse {
-                    self.plan2.inverse_with(row, plan_scratch);
+                    plan2.inverse_with(row, plan_scratch);
                 } else {
-                    self.plan2.forward_with(row, plan_scratch);
+                    plan2.forward_with(row, plan_scratch);
                 }
             }
             // Axis 1: stride n2 within each i0-plane.
@@ -110,9 +110,9 @@ impl Fft3 {
                     }
                     let seg = &mut line[..n1];
                     if inverse {
-                        self.plan1.inverse_with(seg, plan_scratch);
+                        plan1.inverse_with(seg, plan_scratch);
                     } else {
-                        self.plan1.forward_with(seg, plan_scratch);
+                        plan1.forward_with(seg, plan_scratch);
                     }
                     for i1 in 0..n1 {
                         plane[i1 * n2 + i2] = line[i1];
@@ -127,9 +127,9 @@ impl Fft3 {
                 }
                 let seg = &mut line[..n0];
                 if inverse {
-                    self.plan0.inverse_with(seg, plan_scratch);
+                    plan0.inverse_with(seg, plan_scratch);
                 } else {
-                    self.plan0.forward_with(seg, plan_scratch);
+                    plan0.forward_with(seg, plan_scratch);
                 }
                 for i0 in 0..n0 {
                     data[i0 * stride + i12] = line[i0];
@@ -150,47 +150,19 @@ impl Fft3 {
         self.transform(data, true);
     }
 
-    /// Fused-pass variant of [`Self::transform_with`]: the strided
-    /// axis-1/axis-0 passes run as *row-vector* FFTs
-    /// ([`Plan::forward_rows_with`]) — every butterfly moves whole
-    /// contiguous rows, so per-line recursion/twiddle overhead is
-    /// amortized over the fast axis and the inner loops vectorize. This
-    /// is the CPU analog of the fused multi-line passes in the paper's
-    /// GPU FFT path. Results are bitwise equal to the per-line variant.
-    /// `scratch` must have at least [`Self::scratch_len_fused`] elements.
-    pub fn transform_fused(
-        &self,
-        data: &mut [Complex64],
-        scratch: &mut [Complex64],
-        inverse: bool,
-    ) {
-        assert_eq!(data.len(), self.len(), "FFT3 buffer length mismatch");
-        let (n1, n2) = (self.n1, self.n2);
-        let scratch = &mut scratch[..self.scratch_len_fused()];
-        let (rows_scratch, plan_scratch) =
-            scratch.split_at_mut(self.len() + crate::plan::MAX_FAST_RADIX * n1 * n2);
-        // Axis 2: contiguous lines, per-line 1D transforms.
-        for row in data.chunks_mut(n2) {
-            if inverse {
-                self.plan2.inverse_with(row, plan_scratch);
-            } else {
-                self.plan2.forward_with(row, plan_scratch);
-            }
-        }
-        // Axis 1: per i0-plane, one row-vector FFT over n1 rows of n2.
-        for plane in data.chunks_mut(n1 * n2) {
-            if inverse {
-                self.plan1.inverse_rows_with(plane, n2, rows_scratch);
-            } else {
-                self.plan1.forward_rows_with(plane, n2, rows_scratch);
-            }
-        }
-        // Axis 0: one row-vector FFT over n0 rows of n1*n2.
-        if inverse {
-            self.plan0.inverse_rows_with(data, n1 * n2, rows_scratch);
-        } else {
-            self.plan0.forward_rows_with(data, n1 * n2, rows_scratch);
-        }
+    /// Fused-pass variant of [`Self::transform_with`]: every axis runs
+    /// through the tile kernel (module `tile`) — 16 lines at a time
+    /// gathered straight from the grid into an L1 tile, all butterfly
+    /// levels there, one store back. The CPU analog of the fused
+    /// multi-line passes in the paper's GPU FFT path; bitwise equal to
+    /// the per-line variant. The tile is the calling thread's own, so no
+    /// scratch is passed.
+    pub fn transform_fused(&self, data: &mut [Complex64], inverse: bool) {
+        self.tiled(data, inverse, None);
+    }
+
+    fn tiled(&self, data: &mut [Complex64], inverse: bool, kernel: Option<&[f64]>) {
+        tile::transform3(self.plans.each_ref().map(|p| &p.tile), data, inverse, kernel);
     }
 
     /// The forward transform as a [`GridTransform`] pass, ready to hand
@@ -206,7 +178,7 @@ impl Fft3 {
         FftPass { fft: self, inverse: true, fused: false }
     }
 
-    /// A pass in the requested direction, using the fused row-vector
+    /// A pass in the requested direction, using the fused (tiled)
     /// variant when `backend` asks for fused grid passes.
     #[inline]
     pub fn pass_for(&self, backend: &dyn Backend, inverse: bool) -> FftPass<'_> {
@@ -275,70 +247,23 @@ impl Fft3 {
         par_chunks_mut(data, n, |_, grid| self.transform(grid, inverse));
     }
 
-    /// Scratch elements required by [`Self::convolve_grid_fused`]: one
-    /// grid-sized rotation buffer plus the widest row-vector pass.
-    #[inline]
-    pub fn scratch_len_convolve(&self) -> usize {
-        let max_plane =
-            (self.n0 * self.n1).max(self.n2 * self.n0).max(self.n1 * self.n2);
-        2 * self.len() + crate::plan::MAX_FAST_RADIX * max_plane
-    }
-
     /// The whole screened-Poisson round trip — forward 3-D FFT, `K(G)`
-    /// multiply, inverse 3-D FFT — over one grid in one fused pass.
-    ///
-    /// Instead of per-line strided passes, each axis is handled by a
-    /// *rotation*: transpose the grid so the axis becomes the row index,
-    /// then run one row-vector FFT ([`Plan::forward_rows_with`]) whose
-    /// butterflies move whole contiguous planes. Three rotations land
-    /// the spectrum back in the original `(i0,i1,i2)` layout, where the
-    /// kernel multiplies elementwise; the mirrored chain brings the
-    /// filtered grid home. Every intermediate lives in `scratch`
-    /// (≥ [`Self::scratch_len_convolve`] elements) — nothing round-trips
-    /// a pool between stages, and the contiguous row-vector butterflies
-    /// are what make this measurably faster than the strided staged
-    /// path (the CPU analog of the paper's fused GPU exchange chain).
-    ///
-    /// Transposes are exact permutations, the row-vector butterflies
-    /// perform lane-for-lane the same arithmetic as the per-line
-    /// recursion, and both directions visit the axes in the staged
-    /// order (2, 1, 0) — so results are *bitwise identical* to the
-    /// staged `forward → scale → inverse` round trip.
-    pub fn convolve_grid_fused(
-        &self,
-        grid: &mut [Complex64],
-        kernel: &[f64],
-        scratch: &mut [Complex64],
-    ) {
-        assert_eq!(grid.len(), self.len(), "FFT3 buffer length mismatch");
+    /// multiply, inverse 3-D FFT — over one grid as six tile passes: the
+    /// kernel multiply rides in the store of the last forward axis, the
+    /// `1/n` factors in the stores of the inverse axes, and nothing but
+    /// the L1 tile exists besides the grid. Both directions visit the
+    /// axes in the staged order (2, 1, 0) with the per-line arithmetic,
+    /// so results are *bitwise identical* to the staged
+    /// `forward → scale → inverse` round trip.
+    pub fn convolve_grid_fused(&self, grid: &mut [Complex64], kernel: &[f64]) {
         assert_eq!(kernel.len(), self.len(), "convolve kernel/grid length mismatch");
-        let (n0, n1, n2) = (self.n0, self.n1, self.n2);
-        let scratch = &mut scratch[..self.scratch_len_convolve()];
-        let (buf, rows_scratch) = scratch.split_at_mut(self.len());
-        // Forward: [i0,i1,i2] -> [i2,(i0,i1)] -> [i1,(i2,i0)] -> [i0,(i1,i2)].
-        transpose_into(grid, buf, n0 * n1, n2);
-        self.plan2.forward_rows_with(buf, n0 * n1, rows_scratch);
-        transpose_into(buf, grid, n2 * n0, n1);
-        self.plan1.forward_rows_with(grid, n2 * n0, rows_scratch);
-        transpose_into(grid, buf, n1 * n2, n0);
-        self.plan0.forward_rows_with(buf, n1 * n2, rows_scratch);
-        // K(G) multiply in the original (i0,i1,i2) layout.
-        for (z, &k) in buf.iter_mut().zip(kernel) {
-            *z = z.scale(k);
-        }
-        // Inverse: rotate the same way round (axis order 2, 1, 0 again,
-        // matching the staged inverse — bitwise, not just close).
-        transpose_into(buf, grid, n0 * n1, n2);
-        self.plan2.inverse_rows_with(grid, n0 * n1, rows_scratch);
-        transpose_into(grid, buf, n2 * n0, n1);
-        self.plan1.inverse_rows_with(buf, n2 * n0, rows_scratch);
-        transpose_into(buf, grid, n1 * n2, n0);
-        self.plan0.inverse_rows_with(grid, n1 * n2, rows_scratch);
+        self.tiled(grid, false, Some(kernel));
+        self.tiled(grid, true, None);
     }
 
     /// The filtered round trip as one [`GridTransform`]: the `solve`
     /// operator of [`Backend::fused_pair_solve`]. Backends that ask for
-    /// fused grid passes get the rotation-based
+    /// fused grid passes get the tiled
     /// [`Self::convolve_grid_fused`]; others run the per-line staged
     /// arithmetic inside the single pass — bitwise identical to
     /// `convolve_many_with` on that backend.
@@ -350,30 +275,6 @@ impl Fft3 {
     ) -> ConvolvePass<'f> {
         assert_eq!(kernel.len(), self.len(), "convolve kernel/grid length mismatch");
         ConvolvePass { fft: self, kernel, fused: backend.fused_grid_passes() }
-    }
-}
-
-/// Writes the `rows × cols` row-major matrix `a` transposed into `b`
-/// (`cols × rows`). A pure permutation — value-exact — tiled so both
-/// sides stay cache-resident on large grids. Shared by the fp64 and
-/// fp32 fused convolve chains.
-pub(crate) fn transpose_into<T: Copy>(a: &[T], b: &mut [T], rows: usize, cols: usize) {
-    const TILE: usize = 32;
-    debug_assert_eq!(a.len(), rows * cols);
-    debug_assert_eq!(b.len(), rows * cols);
-    for ib in (0..rows).step_by(TILE) {
-        let imax = (ib + TILE).min(rows);
-        for jb in (0..cols).step_by(TILE) {
-            let jmax = (jb + TILE).min(cols);
-            // Destination-contiguous inner loop: striding the *writes* by
-            // `rows` elements puts a whole tile column into one L1 set
-            // once `rows * size_of::<T>()` reaches the set period (4 KiB).
-            for j in jb..jmax {
-                for i in ib..imax {
-                    b[j * rows + i] = a[i * cols + j];
-                }
-            }
-        }
     }
 }
 
@@ -394,7 +295,7 @@ impl GridTransform for ConvolvePass<'_> {
 
     fn scratch_len(&self) -> usize {
         if self.fused {
-            self.fft.scratch_len_convolve()
+            0
         } else {
             self.fft.scratch_len()
         }
@@ -402,7 +303,7 @@ impl GridTransform for ConvolvePass<'_> {
 
     fn run(&self, grid: &mut [Complex64], scratch: &mut [Complex64]) {
         if self.fused {
-            self.fft.convolve_grid_fused(grid, self.kernel, scratch);
+            self.fft.convolve_grid_fused(grid, self.kernel);
         } else {
             // Staged arithmetic inside one pass: identical operation
             // sequence to forward_many → scale_by_real → inverse_many
@@ -432,7 +333,7 @@ impl GridTransform for FftPass<'_> {
 
     fn scratch_len(&self) -> usize {
         if self.fused {
-            self.fft.scratch_len_fused()
+            0
         } else {
             self.fft.scratch_len()
         }
@@ -440,7 +341,7 @@ impl GridTransform for FftPass<'_> {
 
     fn run(&self, grid: &mut [Complex64], scratch: &mut [Complex64]) {
         if self.fused {
-            self.fft.transform_fused(grid, scratch, self.inverse);
+            self.fft.transform_fused(grid, self.inverse);
         } else {
             self.fft.transform_with(grid, scratch, self.inverse);
         }
@@ -451,6 +352,13 @@ impl GridTransform for FftPass<'_> {
 mod tests {
     use super::*;
     use pwnum::complex::c64;
+
+    fn bits_eq(a: &[Complex64], b: &[Complex64]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|(x, y)| {
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()
+            })
+    }
 
     fn signal(len: usize, seed: f64) -> Vec<Complex64> {
         (0..len)
@@ -607,27 +515,51 @@ mod tests {
 
     #[test]
     fn fused_convolve_matches_staged_roundtrip_bitwise() {
-        // The rotation-based fused convolve must match the staged
-        // forward → K(G) → inverse chain bitwise: transposes are exact,
-        // row-vector butterflies are lane-exact, and both directions
-        // visit the axes in the same (2, 1, 0) order.
-        for dims in [(12usize, 12usize, 12usize), (6, 6, 6), (4, 6, 10), (8, 9, 5)] {
+        // The tiled convolve and the tiled one-direction transform must
+        // match the staged per-line forward → K(G) → inverse chain
+        // bitwise: the tile kernel is lane-exact and both directions
+        // visit the axes in the same (2, 1, 0) order. Shapes cover radix
+        // 2/3/4/5/7, partial tiles (lines % 16 != 0) and a 1-point axis.
+        for dims in [
+            (12usize, 12usize, 12usize),
+            (16, 16, 16),
+            (32, 32, 32),
+            (10, 12, 15),
+            (14, 12, 10),
+            (1, 8, 8),
+            (6, 6, 6),
+            (4, 6, 10),
+            (8, 9, 5),
+        ] {
             let fft = Fft3::new(dims.0, dims.1, dims.2);
             let n = fft.len();
             let kernel: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();
             let base = signal(n, 0.7);
             let mut staged = base.clone();
             fft.forward(&mut staged);
+            let mut fused = base.clone();
+            fft.transform_fused(&mut fused, false);
+            assert!(bits_eq(&fused, &staged), "tiled forward not bitwise on {dims:?}");
             for (z, &k) in staged.iter_mut().zip(&kernel) {
                 *z = z.scale(k);
             }
             fft.inverse(&mut staged);
             let mut fused = base.clone();
-            let mut scratch = vec![Complex64::ZERO; fft.scratch_len_convolve()];
-            fft.convolve_grid_fused(&mut fused, &kernel, &mut scratch);
-            for (a, b) in fused.iter().zip(&staged) {
-                assert_eq!(*a, *b, "fused convolve not bitwise on {dims:?}");
-            }
+            fft.convolve_grid_fused(&mut fused, &kernel);
+            assert!(bits_eq(&fused, &staged), "tiled convolve not bitwise on {dims:?}");
+            fft.transform_fused(&mut fused, true);
+            fft.inverse(&mut staged);
+            assert!(bits_eq(&fused, &staged), "tiled inverse not bitwise on {dims:?}");
+
+            // Structural guard: no grid-sized buffer behind the fused
+            // passes — the backend lends nothing, the thread's tile is
+            // O(n_max · LANES) whatever the grid size.
+            let be = pwnum::backend::by_name("blocked").unwrap();
+            assert_eq!(fft.convolve_pass(&kernel, &*be).scratch_len(), 0);
+            assert_eq!(fft.pass_for(&*be, true).scratch_len(), 0);
+            let n_max = dims.0.max(dims.1).max(dims.2);
+            let tile = fft.plans.iter().map(|p| p.tile.tile_len()).max().unwrap();
+            assert!(tile <= 4 * n_max * tile::LANES, "tile of {tile} reals on {dims:?}");
         }
     }
 

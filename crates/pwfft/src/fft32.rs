@@ -2,40 +2,40 @@
 //! the mixed-precision exchange pipeline.
 //!
 //! Mirrors [`Fft3`](crate::fft3::Fft3) over the same row-major layout:
-//! per-line passes for the contiguous axis, and (for accelerator-style
-//! backends) fused row-vector passes for the strided axes via
-//! [`Plan32::forward_rows_with`]. Batching routes through
+//! per-line passes, and (for accelerator-style backends) fused passes
+//! through the same tile kernel (module `tile`) the fp64 grids use,
+//! instantiated at `f32`. Batching routes through
 //! [`Backend::transform_batch32`], so the backend owns slab
 //! decomposition and fp32 scratch pooling exactly as it does for fp64.
 
-use crate::fft3::transpose_into;
 use crate::plan32::Plan32;
+use crate::tile;
 use pwnum::backend::{Backend, GridTransform32};
 use pwnum::precision::Complex32;
+use std::sync::Arc;
 
-/// fp32 plans for a fixed 3-D grid shape.
+/// fp32 plans for a fixed 3-D grid shape (shared: cloning is one `Arc`
+/// bump).
 #[derive(Clone, Debug)]
 pub struct Fft32 {
     n0: usize,
     n1: usize,
     n2: usize,
-    plan0: Plan32,
-    plan1: Plan32,
-    plan2: Plan32,
+    plans: Arc<[Plan32; 3]>,
 }
 
 impl Fft32 {
     /// Creates fp32 plans for an `n0 x n1 x n2` grid.
     pub fn new(n0: usize, n1: usize, n2: usize) -> Self {
         assert!(n0 > 0 && n1 > 0 && n2 > 0, "grid dimensions must be positive");
-        Fft32 {
-            n0,
-            n1,
-            n2,
-            plan0: Plan32::new(n0),
-            plan1: Plan32::new(n1),
-            plan2: Plan32::new(n2),
-        }
+        Fft32 { n0, n1, n2, plans: Arc::new([Plan32::new(n0), Plan32::new(n1), Plan32::new(n2)]) }
+    }
+
+    /// True when `other` is a handle to the same compiled plans (clones
+    /// of one set, e.g. every handle a grid's plan cache gives out).
+    #[inline]
+    pub fn shares_plans_with(&self, other: &Fft32) -> bool {
+        Arc::ptr_eq(&self.plans, &other.plans)
     }
 
     /// Total number of grid points.
@@ -63,14 +63,6 @@ impl Fft32 {
         2 * self.n0.max(self.n1).max(self.n2)
     }
 
-    /// Scratch elements required by [`Self::transform_fused`]: a plane
-    /// transpose buffer, a grid-sized source copy for the row-vector
-    /// passes, and the row buffers of the widest pass.
-    #[inline]
-    pub fn scratch_len_fused(&self) -> usize {
-        self.n1 * self.n2 + self.len() + crate::plan::MAX_FAST_RADIX * self.n1 * self.n2
-    }
-
     /// Transforms one fp32 grid in place with caller-provided scratch of
     /// at least [`Self::scratch_len`] elements (per-line passes).
     pub fn transform_with(
@@ -81,14 +73,15 @@ impl Fft32 {
     ) {
         assert_eq!(data.len(), self.len(), "FFT32 buffer length mismatch");
         let (n0, n1, n2) = (self.n0, self.n1, self.n2);
+        let [plan0, plan1, plan2] = &*self.plans;
         let scratch = &mut scratch[..self.scratch_len()];
         let (line, plan_scratch) = scratch.split_at_mut(n0.max(n1).max(n2));
         // Axis 2: contiguous lines.
         for row in data.chunks_mut(n2) {
             if inverse {
-                self.plan2.inverse_with(row, plan_scratch);
+                plan2.inverse_with(row, plan_scratch);
             } else {
-                self.plan2.forward_with(row, plan_scratch);
+                plan2.forward_with(row, plan_scratch);
             }
         }
         // Axis 1: stride n2 within each i0-plane.
@@ -100,9 +93,9 @@ impl Fft32 {
                 }
                 let seg = &mut line[..n1];
                 if inverse {
-                    self.plan1.inverse_with(seg, plan_scratch);
+                    plan1.inverse_with(seg, plan_scratch);
                 } else {
-                    self.plan1.forward_with(seg, plan_scratch);
+                    plan1.forward_with(seg, plan_scratch);
                 }
                 for i1 in 0..n1 {
                     plane[i1 * n2 + i2] = line[i1];
@@ -117,9 +110,9 @@ impl Fft32 {
             }
             let seg = &mut line[..n0];
             if inverse {
-                self.plan0.inverse_with(seg, plan_scratch);
+                plan0.inverse_with(seg, plan_scratch);
             } else {
-                self.plan0.forward_with(seg, plan_scratch);
+                plan0.forward_with(seg, plan_scratch);
             }
             for i0 in 0..n0 {
                 data[i0 * stride + i12] = line[i0];
@@ -127,64 +120,20 @@ impl Fft32 {
         }
     }
 
-    /// Fused-pass variant of [`Self::transform_with`]: *every* axis runs
-    /// as an fp32 row-vector FFT ([`Plan32::forward_rows_with`]) — whole
-    /// contiguous rows per butterfly, twice the SIMD lanes of the fp64
-    /// path. The contiguous axis 2, whose per-line transforms are
-    /// recursion-dominated at plane-wave grid sizes, is handled by a
-    /// cheap per-plane transpose so it vectorizes like the strided axes
-    /// (the CPU analog of the coalesced multi-line passes of the paper's
-    /// GPU FFT). Results are value-identical to the per-line variant
-    /// (the row-vector kernels perform the same per-lane arithmetic and
-    /// the transposes are exact). `scratch` needs at least
-    /// [`Self::scratch_len_fused`] elements.
-    pub fn transform_fused(
-        &self,
-        data: &mut [Complex32],
-        scratch: &mut [Complex32],
-        inverse: bool,
-    ) {
-        assert_eq!(data.len(), self.len(), "FFT32 buffer length mismatch");
-        let (n1, n2) = (self.n1, self.n2);
-        let scratch = &mut scratch[..self.scratch_len_fused()];
-        let (tbuf, rows_scratch) = scratch.split_at_mut(n1 * n2);
-        // Axis 2: per i0-plane, transpose to (n2, n1) so i2 becomes the
-        // slow index, one row-vector FFT over n2 rows of n1 lanes,
-        // transpose back.
-        for plane in data.chunks_mut(n1 * n2) {
-            for i1 in 0..n1 {
-                for i2 in 0..n2 {
-                    tbuf[i2 * n1 + i1] = plane[i1 * n2 + i2];
-                }
-            }
-            if inverse {
-                self.plan2.inverse_rows_with(tbuf, n1, rows_scratch);
-            } else {
-                self.plan2.forward_rows_with(tbuf, n1, rows_scratch);
-            }
-            for i2 in 0..n2 {
-                for i1 in 0..n1 {
-                    plane[i1 * n2 + i2] = tbuf[i2 * n1 + i1];
-                }
-            }
-        }
-        // Axis 1: per i0-plane, one row-vector FFT over n1 rows of n2.
-        for plane in data.chunks_mut(n1 * n2) {
-            if inverse {
-                self.plan1.inverse_rows_with(plane, n2, rows_scratch);
-            } else {
-                self.plan1.forward_rows_with(plane, n2, rows_scratch);
-            }
-        }
-        // Axis 0: one row-vector FFT over n0 rows of n1*n2.
-        if inverse {
-            self.plan0.inverse_rows_with(data, n1 * n2, rows_scratch);
-        } else {
-            self.plan0.forward_rows_with(data, n1 * n2, rows_scratch);
-        }
+    /// Fused-pass variant of [`Self::transform_with`]: every axis runs
+    /// through the tile kernel at `f32` (see
+    /// [`Fft3::transform_fused`](crate::fft3::Fft3::transform_fused)) —
+    /// twice the SIMD lanes of the fp64 path, value-identical to the
+    /// per-line variant.
+    pub fn transform_fused(&self, data: &mut [Complex32], inverse: bool) {
+        self.tiled(data, inverse, None);
     }
 
-    /// A pass in the requested direction, using the fused row-vector
+    fn tiled(&self, data: &mut [Complex32], inverse: bool, kernel: Option<&[f32]>) {
+        tile::transform3(self.plans.each_ref().map(|p| &p.tile), data, inverse, kernel);
+    }
+
+    /// A pass in the requested direction, using the fused (tiled)
     /// variant when `backend` asks for fused grid passes.
     #[inline]
     pub fn pass_for(&self, backend: &dyn Backend, inverse: bool) -> FftPass32<'_> {
@@ -222,54 +171,19 @@ impl Fft32 {
         self.inverse_many_with(backend, data, count);
     }
 
-    /// Scratch elements required by [`Self::convolve_grid_fused`].
-    #[inline]
-    pub fn scratch_len_convolve(&self) -> usize {
-        let max_plane =
-            (self.n0 * self.n1).max(self.n2 * self.n0).max(self.n1 * self.n2);
-        2 * self.len() + crate::plan::MAX_FAST_RADIX * max_plane
-    }
-
     /// fp32 twin of [`crate::fft3::Fft3::convolve_grid_fused`]: the whole
-    /// screened-Poisson round trip over one fp32 grid as three
-    /// transpose-rotated row-vector FFT passes per direction, with the
-    /// `K(G)` multiply in between — all inside `scratch`, nothing
-    /// returned to a pool mid-chain. Exact permutations plus lane-exact
-    /// row butterflies in the per-line axis order keep this value-
-    /// identical to the staged fp32 round trip.
-    pub fn convolve_grid_fused(
-        &self,
-        grid: &mut [Complex32],
-        kernel: &[f32],
-        scratch: &mut [Complex32],
-    ) {
-        assert_eq!(grid.len(), self.len(), "FFT32 buffer length mismatch");
+    /// screened-Poisson round trip over one fp32 grid as six tile
+    /// passes, `K(G)` and the `1/n` factors riding in the stores —
+    /// value-identical to the staged fp32 round trip.
+    pub fn convolve_grid_fused(&self, grid: &mut [Complex32], kernel: &[f32]) {
         assert_eq!(kernel.len(), self.len(), "convolve kernel/grid length mismatch");
-        let (n0, n1, n2) = (self.n0, self.n1, self.n2);
-        let scratch = &mut scratch[..self.scratch_len_convolve()];
-        let (buf, rows_scratch) = scratch.split_at_mut(self.len());
-        // Forward: [i0,i1,i2] -> [i2,(i0,i1)] -> [i1,(i2,i0)] -> [i0,(i1,i2)].
-        transpose_into(grid, buf, n0 * n1, n2);
-        self.plan2.forward_rows_with(buf, n0 * n1, rows_scratch);
-        transpose_into(buf, grid, n2 * n0, n1);
-        self.plan1.forward_rows_with(grid, n2 * n0, rows_scratch);
-        transpose_into(grid, buf, n1 * n2, n0);
-        self.plan0.forward_rows_with(buf, n1 * n2, rows_scratch);
-        for (z, &k) in buf.iter_mut().zip(kernel) {
-            *z = z.scale(k);
-        }
-        // Inverse: same rotation direction (axis order 2, 1, 0 again).
-        transpose_into(buf, grid, n0 * n1, n2);
-        self.plan2.inverse_rows_with(grid, n0 * n1, rows_scratch);
-        transpose_into(grid, buf, n2 * n0, n1);
-        self.plan1.inverse_rows_with(buf, n2 * n0, rows_scratch);
-        transpose_into(buf, grid, n1 * n2, n0);
-        self.plan0.inverse_rows_with(grid, n1 * n2, rows_scratch);
+        self.tiled(grid, false, Some(kernel));
+        self.tiled(grid, true, None);
     }
 
     /// The fp32 filtered round trip as one [`GridTransform32`] — the
     /// `solve` operator of [`Backend::fused_pair_solve32`]. Fused-pass
-    /// backends get the rotation-based chain; others run the staged
+    /// backends get the tiled chain; others run the staged
     /// per-line arithmetic inside the single pass.
     #[inline]
     pub fn convolve_pass<'f>(
@@ -298,7 +212,7 @@ impl GridTransform32 for FftPass32<'_> {
 
     fn scratch_len(&self) -> usize {
         if self.fused {
-            self.fft.scratch_len_fused()
+            0
         } else {
             self.fft.scratch_len()
         }
@@ -306,7 +220,7 @@ impl GridTransform32 for FftPass32<'_> {
 
     fn run(&self, grid: &mut [Complex32], scratch: &mut [Complex32]) {
         if self.fused {
-            self.fft.transform_fused(grid, scratch, self.inverse);
+            self.fft.transform_fused(grid, self.inverse);
         } else {
             self.fft.transform_with(grid, scratch, self.inverse);
         }
@@ -330,7 +244,7 @@ impl GridTransform32 for ConvolvePass32<'_> {
 
     fn scratch_len(&self) -> usize {
         if self.fused {
-            self.fft.scratch_len_convolve()
+            0
         } else {
             self.fft.scratch_len()
         }
@@ -338,7 +252,7 @@ impl GridTransform32 for ConvolvePass32<'_> {
 
     fn run(&self, grid: &mut [Complex32], scratch: &mut [Complex32]) {
         if self.fused {
-            self.fft.convolve_grid_fused(grid, self.kernel, scratch);
+            self.fft.convolve_grid_fused(grid, self.kernel);
         } else {
             self.fft.transform_with(grid, scratch, false);
             for (z, &k) in grid.iter_mut().zip(self.kernel) {
@@ -389,8 +303,7 @@ mod tests {
             let mut sa = vec![pwnum::precision::Complex32::ZERO; fft.scratch_len()];
             fft.transform_with(&mut a, &mut sa, inverse);
             let mut b = base.clone();
-            let mut sb = vec![pwnum::precision::Complex32::ZERO; fft.scratch_len_fused()];
-            fft.transform_fused(&mut b, &mut sb, inverse);
+            fft.transform_fused(&mut b, inverse);
             assert_eq!(max_abs_diff32(&a, &b), 0.0, "inverse={inverse}");
         }
     }
@@ -433,10 +346,22 @@ mod tests {
 
     #[test]
     fn fused_convolve32_is_value_identical_to_staged() {
-        // The fp32 fused convolve must equal the staged fp32 round trip
-        // exactly (fp32 primitives never differ across paths), through
-        // the ConvolvePass32 seam on both backends.
-        for dims in [(6usize, 6usize, 6usize), (4, 6, 10)] {
+        // The fp32 tiled passes must equal the staged per-line fp32
+        // round trip bit for bit (fp32 primitives never differ across
+        // paths), through the ConvolvePass32 seam on both backends and
+        // for one-direction transforms — same shapes as the fp64 test.
+        let bits = |v: &[Complex32]| -> Vec<(u32, u32)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        for dims in [
+            (12usize, 12usize, 12usize),
+            (16, 16, 16),
+            (32, 32, 32),
+            (10, 12, 15),
+            (14, 12, 10),
+            (1, 8, 8),
+            (4, 6, 10),
+        ] {
             let fft = Fft32::new(dims.0, dims.1, dims.2);
             let n = fft.len();
             let kernel: Vec<f32> =
@@ -449,20 +374,29 @@ mod tests {
                 let mut staged = base.clone();
                 fft.convolve_many_with(&*be, &mut staged, 2, &kernel);
                 let pass = fft.convolve_pass(&kernel, &*be);
-                use pwnum::backend::GridTransform32 as _;
                 let mut fused = base.clone();
-                let mut scratch =
-                    vec![pwnum::precision::Complex32::ZERO; pass.scratch_len()];
+                let mut scratch = vec![Complex32::ZERO; pass.scratch_len()];
                 for grid in fused.chunks_mut(n) {
                     pass.run(grid, &mut scratch);
                 }
                 assert_eq!(
-                    max_abs_diff32(&fused, &staged),
-                    0.0,
+                    bits(&fused),
+                    bits(&staged),
                     "{}: fp32 ConvolvePass != staged on {dims:?}",
                     be.name()
                 );
             }
+            for inverse in [false, true] {
+                let mut line = base[..n].to_vec();
+                let mut scratch = vec![Complex32::ZERO; fft.scratch_len()];
+                fft.transform_with(&mut line, &mut scratch, inverse);
+                let mut tiled = base[..n].to_vec();
+                fft.transform_fused(&mut tiled, inverse);
+                assert_eq!(bits(&tiled), bits(&line), "fp32 tiled pass on {dims:?}");
+            }
+            let n_max = dims.0.max(dims.1).max(dims.2);
+            let tile = fft.plans.iter().map(|p| p.tile.tile_len()).max().unwrap();
+            assert!(tile <= 4 * n_max * tile::LANES, "tile of {tile} reals on {dims:?}");
         }
     }
 

@@ -21,9 +21,15 @@
 //!
 //! * [`plan32`] / [`fft32`] — the single-precision twins ([`Plan32`],
 //!   [`Fft32`]): fp32 twiddles and butterflies with the same mixed-radix
-//!   structure and fused row-vector passes, feeding the mixed-precision
-//!   exchange pipeline through [`pwnum::backend::Backend::transform_batch32`]
-//!   at half the memory traffic and twice the SIMD width.
+//!   structure, feeding the mixed-precision exchange pipeline through
+//!   [`pwnum::backend::Backend::transform_batch32`] at half the memory
+//!   traffic and twice the SIMD width.
+//!
+//! * `tile` (private) — the one kernel behind every *fused* 3-D pass of
+//!   both precisions: each plan compiled into a flat schedule, 16 lines
+//!   at a time gathered from the strided grid into an L1 tile, all
+//!   butterfly levels there, one store back (DESIGN.md §11). Written
+//!   once over the real scalar; bitwise equal to the per-line plans.
 //!
 //! All grid sizes used by the physics code are 2/3/5-smooth, matching the
 //! paper's production grids (e.g. 60×90×120 for 1536 Si atoms).
@@ -33,6 +39,7 @@ pub mod fft3;
 pub mod fft32;
 pub mod plan;
 pub mod plan32;
+mod tile;
 
 pub use dist::DistFft3;
 pub use fft3::{ConvolvePass, Fft3, FftPass};

@@ -10,11 +10,8 @@
 //! `X[k] = Σ_j x[j] e^{-2πi jk/n}`; `inverse` applies the conjugate
 //! transform and scales by `1/n`, so `inverse(forward(x)) == x`.
 
+use crate::tile::Schedule;
 use pwnum::complex::{c64, Complex64};
-
-/// Largest radix handled by the stack-buffered fast kernels; larger
-/// (prime) radices fall back to heap-buffered generic DFTs.
-pub const MAX_FAST_RADIX: usize = 16;
 
 /// Precomputed plan for transforms of one length.
 #[derive(Clone, Debug)]
@@ -24,9 +21,12 @@ pub struct Plan {
     factors: Vec<usize>,
     /// Twiddle table `w[j] = exp(-2πi j / n)`.
     twiddle: Vec<Complex64>,
+    /// The same transform compiled for the tile kernel (many lines at a
+    /// time, bitwise equal to [`Self::forward_with`] per line).
+    pub(crate) tile: Schedule<f64>,
 }
 
-fn factorize(mut n: usize) -> Vec<usize> {
+pub(crate) fn factorize(mut n: usize) -> Vec<usize> {
     let mut f = Vec::new();
     // Prefer radix-4 over two radix-2 stages (fewer passes).
     while n.is_multiple_of(4) {
@@ -70,7 +70,9 @@ impl Plan {
         let twiddle: Vec<Complex64> = (0..n)
             .map(|j| Complex64::cis(-2.0 * std::f64::consts::PI * j as f64 / n as f64))
             .collect();
-        Plan { n, factors: factorize(n), twiddle }
+        let factors = factorize(n);
+        let tile = Schedule::new(&factors, &twiddle);
+        Plan { n, factors, twiddle, tile }
     }
 
     /// Transform length.
@@ -128,228 +130,6 @@ impl Plan {
         let inv_n = 1.0 / self.n as f64;
         for z in data.iter_mut() {
             *z = z.scale(inv_n);
-        }
-    }
-
-    /// Required scratch size for the `_rows_with` entry points with
-    /// `v`-element rows: a source copy of the whole `n*v` region plus up
-    /// to [`MAX_FAST_RADIX`] row buffers.
-    #[inline]
-    pub fn rows_scratch_len(&self, v: usize) -> usize {
-        (self.n + MAX_FAST_RADIX) * v
-    }
-
-    /// Forward transform of `n` *rows* of `v` contiguous elements each
-    /// (lane `l` of every row forms one length-`n` signal): the fused
-    /// multi-line pass used by accelerator-style backends for the
-    /// strided axes of 3-D grids. Every butterfly operates on whole
-    /// contiguous rows, so the per-transform recursion and twiddle
-    /// overhead is amortized over `v` lanes and the inner loops
-    /// vectorize. Results are bitwise identical to `v` separate
-    /// strided [`Self::forward_with`] transforms.
-    pub fn forward_rows_with(&self, data: &mut [Complex64], v: usize, scratch: &mut [Complex64]) {
-        self.rows_transform(data, v, scratch, false);
-    }
-
-    /// Inverse variant of [`Self::forward_rows_with`] (scaled by `1/n`).
-    pub fn inverse_rows_with(&self, data: &mut [Complex64], v: usize, scratch: &mut [Complex64]) {
-        self.rows_transform(data, v, scratch, true);
-        let inv_n = 1.0 / self.n as f64;
-        for z in data.iter_mut() {
-            *z = z.scale(inv_n);
-        }
-    }
-
-    fn rows_transform(&self, data: &mut [Complex64], v: usize, scratch: &mut [Complex64], inverse: bool) {
-        assert!(v > 0, "row width must be positive");
-        assert_eq!(data.len(), self.n * v, "rows FFT buffer length mismatch");
-        assert!(scratch.len() >= self.rows_scratch_len(v), "rows FFT scratch too small");
-        if self.n == 1 {
-            return;
-        }
-        let (src, buf) = scratch.split_at_mut(self.n * v);
-        src.copy_from_slice(data);
-        self.rec_rows(src, 1, data, self.n, 0, inverse, v, buf);
-    }
-
-    /// Row-vector analog of [`Self::rec`]: element `j` is the contiguous
-    /// row `src[j*ss*v .. j*ss*v + v]`.
-    #[allow(clippy::too_many_arguments)]
-    fn rec_rows(
-        &self,
-        src: &[Complex64],
-        ss: usize,
-        dst: &mut [Complex64],
-        n_sub: usize,
-        level: usize,
-        inverse: bool,
-        v: usize,
-        buf: &mut [Complex64],
-    ) {
-        if n_sub == 1 {
-            dst[..v].copy_from_slice(&src[..v]);
-            return;
-        }
-        let r = self.factors[level];
-        let m = n_sub / r;
-        for q in 0..r {
-            self.rec_rows(
-                &src[q * ss * v..],
-                ss * r,
-                &mut dst[q * m * v..(q + 1) * m * v],
-                m,
-                level + 1,
-                inverse,
-                v,
-                buf,
-            );
-        }
-        let tw_stride = self.n / n_sub;
-        if r <= MAX_FAST_RADIX {
-            for k in 0..m {
-                for q in 0..r {
-                    let t = self.tw(q * k * tw_stride, inverse);
-                    let srow = &dst[(q * m + k) * v..(q * m + k + 1) * v];
-                    for (b, &x) in buf[q * v..(q + 1) * v].iter_mut().zip(srow) {
-                        *b = x * t;
-                    }
-                }
-                self.butterfly_rows(&buf[..r * v], dst, k, m, v, inverse);
-            }
-        } else {
-            // Arbitrarily large prime radix: heap-buffered generic kernel.
-            let mut hbuf = vec![Complex64::ZERO; r * v];
-            for k in 0..m {
-                for q in 0..r {
-                    let t = self.tw(q * k * tw_stride, inverse);
-                    let srow = &dst[(q * m + k) * v..(q * m + k + 1) * v];
-                    for (b, &x) in hbuf[q * v..(q + 1) * v].iter_mut().zip(srow) {
-                        *b = x * t;
-                    }
-                }
-                self.generic_butterfly_rows(&hbuf, dst, k, m, v, inverse);
-            }
-        }
-    }
-
-    /// Row-vector r-point DFT of `buf`, scattered to rows `k + j*m` of
-    /// `dst` — lane-for-lane the same arithmetic as [`Self::butterfly`].
-    fn butterfly_rows(
-        &self,
-        buf: &[Complex64],
-        dst: &mut [Complex64],
-        k: usize,
-        m: usize,
-        v: usize,
-        inverse: bool,
-    ) {
-        let r = buf.len() / v;
-        let mut rows = dst.chunks_mut(v);
-        match r {
-            2 => {
-                let r0 = rows.nth(k).unwrap();
-                let r1 = rows.nth(m - 1).unwrap();
-                for l in 0..v {
-                    let (a, b) = (buf[l], buf[v + l]);
-                    r0[l] = a + b;
-                    r1[l] = a - b;
-                }
-            }
-            3 => {
-                let s3 = if inverse { 0.5 * 3f64.sqrt() } else { -0.5 * 3f64.sqrt() };
-                let r0 = rows.nth(k).unwrap();
-                let r1 = rows.nth(m - 1).unwrap();
-                let r2 = rows.nth(m - 1).unwrap();
-                let js3 = c64(0.0, s3);
-                for l in 0..v {
-                    let (a, b, c) = (buf[l], buf[v + l], buf[2 * v + l]);
-                    let t = b + c;
-                    let u = (b - c) * js3;
-                    r0[l] = a + t;
-                    r1[l] = a - t.scale(0.5) + u;
-                    r2[l] = a - t.scale(0.5) - u;
-                }
-            }
-            4 => {
-                let ji = if inverse { c64(0.0, 1.0) } else { c64(0.0, -1.0) };
-                let r0 = rows.nth(k).unwrap();
-                let r1 = rows.nth(m - 1).unwrap();
-                let r2 = rows.nth(m - 1).unwrap();
-                let r3 = rows.nth(m - 1).unwrap();
-                for l in 0..v {
-                    let (a, b, c, d) = (buf[l], buf[v + l], buf[2 * v + l], buf[3 * v + l]);
-                    let apc = a + c;
-                    let amc = a - c;
-                    let bpd = b + d;
-                    let bmd = (b - d) * ji;
-                    r0[l] = apc + bpd;
-                    r1[l] = amc + bmd;
-                    r2[l] = apc - bpd;
-                    r3[l] = amc - bmd;
-                }
-            }
-            5 => {
-                let tau = 2.0 * std::f64::consts::PI / 5.0;
-                let (c1, c2) = (tau.cos(), (2.0 * tau).cos());
-                let (mut s1, mut s2) = (tau.sin(), (2.0 * tau).sin());
-                if !inverse {
-                    s1 = -s1;
-                    s2 = -s2;
-                }
-                let r0 = rows.nth(k).unwrap();
-                let r1 = rows.nth(m - 1).unwrap();
-                let r2 = rows.nth(m - 1).unwrap();
-                let r3 = rows.nth(m - 1).unwrap();
-                let r4 = rows.nth(m - 1).unwrap();
-                let i = Complex64::I;
-                for l in 0..v {
-                    let a = buf[l];
-                    let p1 = buf[v + l] + buf[4 * v + l];
-                    let m1 = buf[v + l] - buf[4 * v + l];
-                    let p2 = buf[2 * v + l] + buf[3 * v + l];
-                    let m2 = buf[2 * v + l] - buf[3 * v + l];
-                    r0[l] = a + p1 + p2;
-                    let re1 = a + p1.scale(c1) + p2.scale(c2);
-                    let im1 = m1.scale(s1) + m2.scale(s2);
-                    let re2 = a + p1.scale(c2) + p2.scale(c1);
-                    let im2 = m1.scale(s2) - m2.scale(s1);
-                    r1[l] = re1 + i * im1;
-                    r2[l] = re2 + i * im2;
-                    r3[l] = re2 - i * im2;
-                    r4[l] = re1 - i * im1;
-                }
-            }
-            _ => self.generic_butterfly_rows(buf, dst, k, m, v, inverse),
-        }
-    }
-
-    /// Row-vector analog of [`Self::generic_butterfly`].
-    fn generic_butterfly_rows(
-        &self,
-        buf: &[Complex64],
-        dst: &mut [Complex64],
-        k: usize,
-        m: usize,
-        v: usize,
-        inverse: bool,
-    ) {
-        let r = buf.len() / v;
-        let stride_r = self.n / r;
-        let mut rows = dst.chunks_mut(v);
-        let mut row = rows.nth(k).unwrap();
-        for j in 0..r {
-            let w: Vec<Complex64> =
-                (0..r).map(|q| self.tw((q * j % r) * stride_r, inverse)).collect();
-            for (l, out) in row.iter_mut().enumerate() {
-                let mut acc = Complex64::ZERO;
-                for (q, &wq) in w.iter().enumerate() {
-                    acc += buf[q * v + l] * wq;
-                }
-                *out = acc;
-            }
-            if j + 1 < r {
-                row = rows.nth(m - 1).unwrap();
-            }
         }
     }
 

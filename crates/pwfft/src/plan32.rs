@@ -8,11 +8,12 @@
 //! the SIMD lanes per pass. Conventions match [`Plan`](crate::plan::Plan):
 //! unnormalized `forward`, `1/n`-scaled `inverse`.
 //!
-//! The per-line and row-vector (`_rows_with`) variants perform the same
-//! arithmetic per lane, so the fused passes the `Blocked` backend
-//! prefers are value-identical to the per-line passes.
+//! The per-line recursion here and the tile kernel (module `tile`)
+//! perform the same arithmetic per line, so the fused passes the
+//! `Blocked` backend prefers are value-identical to the per-line passes.
 
-use crate::plan::MAX_FAST_RADIX;
+use crate::plan::factorize;
+use crate::tile::Schedule;
 use pwnum::precision::{c32, Complex32};
 
 /// Precomputed fp32 plan for transforms of one length.
@@ -24,39 +25,9 @@ pub struct Plan32 {
     /// Twiddle table `w[j] = fl32(exp(-2πi j / n))` — evaluated in fp64,
     /// rounded once, so every twiddle carries at most half-ulp error.
     twiddle: Vec<Complex32>,
-}
-
-fn factorize(mut n: usize) -> Vec<usize> {
-    let mut f = Vec::new();
-    while n.is_multiple_of(4) {
-        f.push(4);
-        n /= 4;
-    }
-    while n.is_multiple_of(2) {
-        f.push(2);
-        n /= 2;
-    }
-    while n.is_multiple_of(3) {
-        f.push(3);
-        n /= 3;
-    }
-    while n.is_multiple_of(5) {
-        f.push(5);
-        n /= 5;
-    }
-    let mut p = 7;
-    while n > 1 {
-        while n.is_multiple_of(p) {
-            f.push(p);
-            n /= p;
-        }
-        p += 2;
-        if p * p > n && n > 1 {
-            f.push(n);
-            break;
-        }
-    }
-    f
+    /// The same transform compiled for the tile kernel (shared with the
+    /// fp64 plans; bitwise equal to [`Self::forward_with`] per line).
+    pub(crate) tile: Schedule<f32>,
 }
 
 impl Plan32 {
@@ -72,7 +43,9 @@ impl Plan32 {
                 c32(theta.cos() as f32, theta.sin() as f32)
             })
             .collect();
-        Plan32 { n, factors: factorize(n), twiddle }
+        let factors = factorize(n);
+        let tile = Schedule::new(&factors, &twiddle);
+        Plan32 { n, factors, twiddle, tile }
     }
 
     /// Transform length.
@@ -118,231 +91,6 @@ impl Plan32 {
         let inv_n = 1.0 / self.n as f32;
         for z in data.iter_mut() {
             *z = z.scale(inv_n);
-        }
-    }
-
-    /// Required scratch size for the `_rows_with` entry points with
-    /// `v`-element rows.
-    #[inline]
-    pub fn rows_scratch_len(&self, v: usize) -> usize {
-        (self.n + MAX_FAST_RADIX) * v
-    }
-
-    /// Forward transform of `n` *rows* of `v` contiguous elements each —
-    /// the fp32 fused multi-line pass mirroring
-    /// [`Plan::forward_rows_with`](crate::plan::Plan::forward_rows_with):
-    /// every butterfly moves whole contiguous rows, amortizing recursion
-    /// and twiddle overhead over `v` lanes with fp32-wide SIMD. Results
-    /// are value-identical to `v` separate strided transforms.
-    pub fn forward_rows_with(&self, data: &mut [Complex32], v: usize, scratch: &mut [Complex32]) {
-        self.rows_transform(data, v, scratch, false);
-    }
-
-    /// Inverse variant of [`Self::forward_rows_with`] (scaled by `1/n`).
-    pub fn inverse_rows_with(&self, data: &mut [Complex32], v: usize, scratch: &mut [Complex32]) {
-        self.rows_transform(data, v, scratch, true);
-        let inv_n = 1.0 / self.n as f32;
-        for z in data.iter_mut() {
-            *z = z.scale(inv_n);
-        }
-    }
-
-    fn rows_transform(
-        &self,
-        data: &mut [Complex32],
-        v: usize,
-        scratch: &mut [Complex32],
-        inverse: bool,
-    ) {
-        assert!(v > 0, "row width must be positive");
-        assert_eq!(data.len(), self.n * v, "rows FFT buffer length mismatch");
-        assert!(scratch.len() >= self.rows_scratch_len(v), "rows FFT scratch too small");
-        if self.n == 1 {
-            return;
-        }
-        let (src, buf) = scratch.split_at_mut(self.n * v);
-        src.copy_from_slice(data);
-        self.rec_rows(src, 1, data, self.n, 0, inverse, v, buf);
-    }
-
-    /// Row-vector analog of [`Self::rec`]: element `j` is the contiguous
-    /// row `src[j*ss*v .. j*ss*v + v]`.
-    #[allow(clippy::too_many_arguments)]
-    fn rec_rows(
-        &self,
-        src: &[Complex32],
-        ss: usize,
-        dst: &mut [Complex32],
-        n_sub: usize,
-        level: usize,
-        inverse: bool,
-        v: usize,
-        buf: &mut [Complex32],
-    ) {
-        if n_sub == 1 {
-            dst[..v].copy_from_slice(&src[..v]);
-            return;
-        }
-        let r = self.factors[level];
-        let m = n_sub / r;
-        for q in 0..r {
-            self.rec_rows(
-                &src[q * ss * v..],
-                ss * r,
-                &mut dst[q * m * v..(q + 1) * m * v],
-                m,
-                level + 1,
-                inverse,
-                v,
-                buf,
-            );
-        }
-        let tw_stride = self.n / n_sub;
-        if r <= MAX_FAST_RADIX {
-            for k in 0..m {
-                for q in 0..r {
-                    let t = self.tw(q * k * tw_stride, inverse);
-                    let srow = &dst[(q * m + k) * v..(q * m + k + 1) * v];
-                    for (b, &x) in buf[q * v..(q + 1) * v].iter_mut().zip(srow) {
-                        *b = x * t;
-                    }
-                }
-                self.butterfly_rows(&buf[..r * v], dst, k, m, v, inverse);
-            }
-        } else {
-            // Arbitrarily large prime radix: heap-buffered generic kernel.
-            let mut hbuf = vec![Complex32::ZERO; r * v];
-            for k in 0..m {
-                for q in 0..r {
-                    let t = self.tw(q * k * tw_stride, inverse);
-                    let srow = &dst[(q * m + k) * v..(q * m + k + 1) * v];
-                    for (b, &x) in hbuf[q * v..(q + 1) * v].iter_mut().zip(srow) {
-                        *b = x * t;
-                    }
-                }
-                self.generic_butterfly_rows(&hbuf, dst, k, m, v, inverse);
-            }
-        }
-    }
-
-    /// Row-vector r-point DFT of `buf`, scattered to rows `k + j*m` of
-    /// `dst` — lane-for-lane the same arithmetic as [`Self::butterfly`].
-    fn butterfly_rows(
-        &self,
-        buf: &[Complex32],
-        dst: &mut [Complex32],
-        k: usize,
-        m: usize,
-        v: usize,
-        inverse: bool,
-    ) {
-        let r = buf.len() / v;
-        let mut rows = dst.chunks_mut(v);
-        match r {
-            2 => {
-                let r0 = rows.nth(k).unwrap();
-                let r1 = rows.nth(m - 1).unwrap();
-                for l in 0..v {
-                    let (a, b) = (buf[l], buf[v + l]);
-                    r0[l] = a + b;
-                    r1[l] = a - b;
-                }
-            }
-            3 => {
-                let s3 = if inverse { 0.5 * 3f32.sqrt() } else { -0.5 * 3f32.sqrt() };
-                let r0 = rows.nth(k).unwrap();
-                let r1 = rows.nth(m - 1).unwrap();
-                let r2 = rows.nth(m - 1).unwrap();
-                let js3 = c32(0.0, s3);
-                for l in 0..v {
-                    let (a, b, c) = (buf[l], buf[v + l], buf[2 * v + l]);
-                    let t = b + c;
-                    let u = (b - c) * js3;
-                    r0[l] = a + t;
-                    r1[l] = a - t.scale(0.5) + u;
-                    r2[l] = a - t.scale(0.5) - u;
-                }
-            }
-            4 => {
-                let ji = if inverse { c32(0.0, 1.0) } else { c32(0.0, -1.0) };
-                let r0 = rows.nth(k).unwrap();
-                let r1 = rows.nth(m - 1).unwrap();
-                let r2 = rows.nth(m - 1).unwrap();
-                let r3 = rows.nth(m - 1).unwrap();
-                for l in 0..v {
-                    let (a, b, c, d) = (buf[l], buf[v + l], buf[2 * v + l], buf[3 * v + l]);
-                    let apc = a + c;
-                    let amc = a - c;
-                    let bpd = b + d;
-                    let bmd = (b - d) * ji;
-                    r0[l] = apc + bpd;
-                    r1[l] = amc + bmd;
-                    r2[l] = apc - bpd;
-                    r3[l] = amc - bmd;
-                }
-            }
-            5 => {
-                let tau = 2.0 * std::f32::consts::PI / 5.0;
-                let (c1, c2) = (tau.cos(), (2.0 * tau).cos());
-                let (mut s1, mut s2) = (tau.sin(), (2.0 * tau).sin());
-                if !inverse {
-                    s1 = -s1;
-                    s2 = -s2;
-                }
-                let r0 = rows.nth(k).unwrap();
-                let r1 = rows.nth(m - 1).unwrap();
-                let r2 = rows.nth(m - 1).unwrap();
-                let r3 = rows.nth(m - 1).unwrap();
-                let r4 = rows.nth(m - 1).unwrap();
-                let i = Complex32::I;
-                for l in 0..v {
-                    let a = buf[l];
-                    let p1 = buf[v + l] + buf[4 * v + l];
-                    let m1 = buf[v + l] - buf[4 * v + l];
-                    let p2 = buf[2 * v + l] + buf[3 * v + l];
-                    let m2 = buf[2 * v + l] - buf[3 * v + l];
-                    r0[l] = a + p1 + p2;
-                    let re1 = a + p1.scale(c1) + p2.scale(c2);
-                    let im1 = m1.scale(s1) + m2.scale(s2);
-                    let re2 = a + p1.scale(c2) + p2.scale(c1);
-                    let im2 = m1.scale(s2) - m2.scale(s1);
-                    r1[l] = re1 + i * im1;
-                    r2[l] = re2 + i * im2;
-                    r3[l] = re2 - i * im2;
-                    r4[l] = re1 - i * im1;
-                }
-            }
-            _ => self.generic_butterfly_rows(buf, dst, k, m, v, inverse),
-        }
-    }
-
-    /// Row-vector analog of [`Self::generic_butterfly`].
-    fn generic_butterfly_rows(
-        &self,
-        buf: &[Complex32],
-        dst: &mut [Complex32],
-        k: usize,
-        m: usize,
-        v: usize,
-        inverse: bool,
-    ) {
-        let r = buf.len() / v;
-        let stride_r = self.n / r;
-        let mut rows = dst.chunks_mut(v);
-        let mut row = rows.nth(k).unwrap();
-        for j in 0..r {
-            let w: Vec<Complex32> =
-                (0..r).map(|q| self.tw((q * j % r) * stride_r, inverse)).collect();
-            for (l, out) in row.iter_mut().enumerate() {
-                let mut acc = Complex32::ZERO;
-                for (q, &wq) in w.iter().enumerate() {
-                    acc += buf[q * v + l] * wq;
-                }
-                *out = acc;
-            }
-            if j + 1 < r {
-                row = rows.nth(m - 1).unwrap();
-            }
         }
     }
 
@@ -535,33 +283,6 @@ mod tests {
             for (a, b) in y.iter().zip(&x) {
                 assert!((*a - *b).abs() < 1e-4, "roundtrip mismatch n={n}");
             }
-        }
-    }
-
-    #[test]
-    fn rows_variant_matches_per_line() {
-        // The fused row-vector pass must agree with per-line strided
-        // transforms lane for lane (value-identical arithmetic).
-        for (n, v) in [(12, 5), (60, 7), (90, 4)] {
-            let plan = Plan32::new(n);
-            let base = demote(&signal64(n * v, 0.8));
-            // Per-line: lane l forms the strided signal base[l], base[v+l], ...
-            let mut want = base.clone();
-            let mut line = vec![Complex32::ZERO; n];
-            let mut scratch = vec![Complex32::ZERO; plan.scratch_len()];
-            for l in 0..v {
-                for j in 0..n {
-                    line[j] = want[j * v + l];
-                }
-                plan.forward_with(&mut line, &mut scratch);
-                for j in 0..n {
-                    want[j * v + l] = line[j];
-                }
-            }
-            let mut got = base.clone();
-            let mut rows_scratch = vec![Complex32::ZERO; plan.rows_scratch_len(v)];
-            plan.forward_rows_with(&mut got, v, &mut rows_scratch);
-            assert_eq!(got, want, "fused rows mismatch n={n} v={v}");
         }
     }
 }

@@ -19,9 +19,9 @@ pub struct HybridParams {
     pub alpha: f64,
     /// Screening ω (bohr⁻¹; HSE06: 0.106).
     pub omega: f64,
-    /// Fock pair-block scheduler options (occupation screening cutoff,
-    /// pairs per tile), forwarded to every exchange evaluation the
-    /// propagators trigger.
+    /// Exchange-operator options (occupation screening cutoff, precision
+    /// policy), forwarded to every exchange evaluation the propagators
+    /// trigger.
     pub fock: FockOptions,
 }
 
@@ -91,7 +91,6 @@ impl<'s> TdEngine<'s> {
         hybrid: HybridParams,
         backend: BackendHandle,
     ) -> Self {
-        hybrid.fock.precision.validate();
         let x_saw = sawtooth_x(&sys.grid);
         TdEngine {
             sys,

@@ -16,8 +16,8 @@
 //! in for MPI progress. The hidden-vs-visible split of each transfer is
 //! recorded by the runtime ([`mpisim::Stats::overlap_efficiency`]).
 //!
-//! At `grid_ranks == 1` the pair solves run through the batched
-//! pair-tile schedulers of [`FockOperator`] — the PR-3 Hermitian
+//! At `grid_ranks == 1` the pair solves run through the
+//! batched schedulers of [`FockOperator`] — the PR-3 Hermitian
 //! symmetric scheduler and the PR-4 [`pwnum::precision::PrecisionPolicy`]
 //! apply unchanged. At `grid_ranks > 1` each pair density lives in
 //! slabs and the screened-Poisson round trip runs on the distributed
@@ -268,10 +268,17 @@ pub fn ring_overlap_fock_apply(
     (out, report)
 }
 
-/// `grid_ranks == 1` block kernel: pair tiles through the operator's
+/// Source bands per batched apply of an off-diagonal block: the pending
+/// ring transfer is probed once per this many sources, so the value sets
+/// how early a completed transfer is noticed on the virtual clock
+/// (`overlap_hidden_frac`). It is a property of the overlap schedule, not
+/// of the exchange operator.
+const PROBE_BANDS: usize = 32;
+
+/// `grid_ranks == 1` block kernel: pair tasks through the operator's
 /// batched schedulers (symmetric halving on the diagonal block,
-/// per-target batches off it), so occupation screening, tile arenas and
-/// the precision policy behave exactly as in the serial operator.
+/// target-major off it), so occupation screening and the precision
+/// policy behave exactly as in the serial operator.
 #[allow(clippy::too_many_arguments)]
 fn process_block_banded(
     comm: &mut Comm,
@@ -298,13 +305,12 @@ fn process_block_banded(
         progress(comm, solve_cost_s, st.solves, pending, report);
         return;
     }
-    // Off-diagonal (or trial-target) block: tile the sources so the
+    // Off-diagonal (or trial-target) block: chunk the sources so the
     // pending ring transfer is probed between batched solves.
     let nb = occ_src.len();
-    let tile = fock.options().tile_bands;
     let mut done = 0;
     while done < nb {
-        let m = tile.min(nb - done);
+        let m = PROBE_BANDS.min(nb - done);
         let sub = &block[done * ng..(done + m) * ng];
         let (vx, st) = fock.apply_diag_stats(sub, &occ_src[done..done + m], psi_local);
         for (o, v) in out.iter_mut().zip(&vx) {

@@ -108,8 +108,8 @@ where
         return (next, stats);
     }
     // Auto-promotion: recompute the step at fp64. The discarded
-    // attempt's solves (fp32, and fp64 under the attribution half-path)
-    // stay visible in the stats so cost accounting is honest.
+    // attempt's solves stay visible in the stats so cost accounting is
+    // honest.
     let eng64 = eng.promoted();
     let (next64, mut stats64) = step(&eng64);
     stats64.precision_promotions = 1;

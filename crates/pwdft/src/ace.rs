@@ -101,10 +101,7 @@ impl AceOperator {
     /// the orbital block *itself*, the evaluation rides the Hermitian
     /// pair-symmetric scheduler under the Fock operator's
     /// [`FockOptions`](crate::fock::FockOptions) (~half the Poisson
-    /// solves, occupation-screened) — and, under the default
-    /// [`FockOptions::fused`](crate::fock::FockOptions::fused), the
-    /// fused pair-solve pipeline, so the rebuild's dominant FFT cost
-    /// gets the fused convolve for free.
+    /// solves, occupation-screened).
     ///
     /// Returns the operator, the masked exchange images `W = VxΦ`, the
     /// exchange energy `Ex`, and the scheduler stats.

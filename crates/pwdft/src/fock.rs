@@ -35,7 +35,7 @@ use pwnum::bands;
 use pwnum::cmat::CMat;
 use pwnum::complex::Complex64;
 use pwnum::cvec;
-use pwnum::precision::{self, Complex32, PrecisionPolicy};
+use pwnum::precision::{self, PrecisionPolicy};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -49,7 +49,7 @@ pub const HSE_OMEGA: f64 = 0.106;
 /// are unchanged to machine precision.
 pub const DEFAULT_OCC_CUTOFF: f64 = 1e-14;
 
-/// Tunable knobs of the Fock pair-block scheduler.
+/// Options of the exchange operator.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FockOptions {
     /// Occupation screening threshold: a pair contribution driven by
@@ -58,52 +58,21 @@ pub struct FockOptions {
     /// resulting error is bounded by the reported
     /// [`FockApplyStats::skipped_weight`] (times `max_G K(G)·‖φ‖²_∞`).
     pub occ_cutoff: f64,
-    /// Pairs per scheduler tile: one batched Poisson solve handles up to
-    /// this many pair densities, and scratch is bounded by
-    /// `tile_bands · Ng` instead of `n_occ · Ng`.
-    pub tile_bands: usize,
     /// Per-stage precision policy: with a reduced `exchange` stage the
-    /// pair densities, Poisson FFT round trips and kernel multiplies run
-    /// in fp32, and the solved `W_ij` are accumulated into the fp64
-    /// targets (two-sum compensated under
+    /// orbital blocks are demoted once per apply, the pair densities,
+    /// Poisson FFT round trips and kernel multiplies run in fp32, and the
+    /// solved `W_ij` are accumulated into the fp64 targets (two-sum
+    /// compensated under
     /// [`StagePrecision::Fp32Promoted`](pwnum::precision::StagePrecision)).
-    /// Default: all-fp64 — bit-identical to the pre-subsystem behavior.
-    /// Only the *batched* schedulers honor the reduced stages; the
-    /// per-pair distributed entry points ([`FockOperator::accumulate_pair`],
+    /// Default: all-fp64. The per-pair distributed entry points
+    /// ([`FockOperator::accumulate_pair`],
     /// [`FockOperator::accumulate_pair_sym`]) always run fp64.
     pub precision: PrecisionPolicy,
-    /// Take the fused pair-solve pipeline (default): each pair density
-    /// runs demote → forward FFT → K(G) multiply → inverse FFT →
-    /// promote-scatter in one pass over two pooled grids
-    /// ([`Backend::fused_pair_solve`](pwnum::backend::Backend::fused_pair_solve)),
-    /// instead of staging `tile_bands` pair grids through a tile arena
-    /// between the density, solve and scatter loops. Bitwise identical
-    /// to the staged scheduler (the backends' fused convolve is exact);
-    /// `false` restores the staged tile pipeline (the distributed
-    /// engines still use it for overlap batching).
-    pub fused: bool,
-    /// Construction guard: [`FockOptions`] should be built from
-    /// [`FockOptions::default`] (struct update or the `with_*` builders)
-    /// so `tile_bands` resolves through the autotuning table
-    /// ([`pwnum::tuning`]). Naming this field — the only way to write a
-    /// full literal — warns.
-    #[deprecated(
-        note = "use FockOptions::default() + struct update / with_* builders \
-                so tile_bands resolves through the pwnum tuning table"
-    )]
-    pub _bypass_tuning: (),
 }
 
 impl Default for FockOptions {
-    #[allow(deprecated)]
     fn default() -> Self {
-        FockOptions {
-            occ_cutoff: DEFAULT_OCC_CUTOFF,
-            tile_bands: pwnum::tuning::default_tile_bands(),
-            precision: PrecisionPolicy::fp64(),
-            fused: true,
-            _bypass_tuning: (),
-        }
+        FockOptions { occ_cutoff: DEFAULT_OCC_CUTOFF, precision: PrecisionPolicy::fp64() }
     }
 }
 
@@ -113,19 +82,9 @@ impl FockOptions {
         FockOptions { occ_cutoff, ..self }
     }
 
-    /// Overrides the (tuning-table-resolved) scheduler tile size.
-    pub fn with_tile_bands(self, tile_bands: usize) -> Self {
-        FockOptions { tile_bands, ..self }
-    }
-
     /// Sets the per-stage precision policy.
     pub fn with_precision(self, precision: PrecisionPolicy) -> Self {
         FockOptions { precision, ..self }
-    }
-
-    /// Enables/disables the fused pair-solve pipeline.
-    pub fn with_fused(self, fused: bool) -> Self {
-        FockOptions { fused, ..self }
     }
 }
 
@@ -261,15 +220,12 @@ impl<'g> FockOperator<'g> {
         backend: BackendHandle,
         opts: FockOptions,
     ) -> Self {
-        assert!(opts.tile_bands > 0, "FockOptions::tile_bands must be positive");
-        opts.precision.validate();
         let fft = grid.fft();
         let kernel = ScreenedKernel::hse(grid, omega);
-        // The fp32 FFT machinery exists only when the policy's fft stage
-        // is reduced too; a reduced exchange stage with an Fp64 fft stage
-        // promotes each pair tile for the round trip instead
-        // (error-attribution mode, see `PrecisionPolicy`).
-        let fp32 = (opts.precision.exchange.reduced() && opts.precision.fft.reduced())
+        let fp32 = opts
+            .precision
+            .exchange
+            .reduced()
             .then(|| Fp32Kit { fft: grid.fft32(), kg: precision::demote_real(&kernel.kg) });
         FockOperator {
             grid,
@@ -328,39 +284,14 @@ impl<'g> FockOperator<'g> {
         self.fft.dims()
     }
 
-    /// Solves the screened Poisson problem for a *batch* of pair
-    /// densities in place: `W(r) = Σ_G K(G) f_G e^{iGr}` per grid
-    /// (batched forward FFT → fused kernel multiply → batched inverse,
-    /// one filtered round trip over the tile arena).
+    /// One staged screened-Poisson round trip per grid of `pairs`, in
+    /// place: `W(r) = Σ_G K(G) f_G e^{iGr}` (batched forward FFT → kernel
+    /// multiply → batched inverse). The baseline and the per-pair
+    /// distributed entry points solve through this; the batched
+    /// schedulers go through [`Self::run_tasks`].
     fn poisson_batch(&self, pairs: &mut [Complex64], count: usize) {
         self.fft.convolve_many_with(&*self.backend, pairs, count, &self.kernel.kg);
         self.counters.add_fp64(count);
-    }
-
-    /// The fp32 twin of [`Self::poisson_batch`], driven by the
-    /// mixed-precision pair-tile scheduler.
-    fn poisson_batch32(&self, kit: &Fp32Kit, pairs: &mut [Complex32], count: usize) {
-        kit.fft.convolve_many_with(&*self.backend, pairs, count, &kit.kg);
-        self.counters.add_fp32(count);
-    }
-
-    /// Solves one fp32 pair tile at the policy's `fft` stage precision:
-    /// fp32 plans when the kit exists, otherwise promoted fp64 round
-    /// trips on the demoted tile (the error-attribution half-path).
-    /// Returns how many of the solves ran in fp32.
-    fn poisson_tile32(&self, pairs: &mut [Complex32], count: usize) -> usize {
-        match &self.fp32 {
-            Some(kit) => {
-                self.poisson_batch32(kit, pairs, count);
-                count
-            }
-            None => {
-                let mut tmp = precision::promote(pairs);
-                self.poisson_batch(&mut tmp, count);
-                precision::demote_into(&tmp, pairs);
-                0
-            }
-        }
     }
 
     /// Paper Alg. 2 — the mixed-state baseline. `phi_r` are the N orbitals
@@ -408,14 +339,11 @@ impl<'g> FockOperator<'g> {
     /// When `psi_r` *aliases* `phi_r` (ACE rebuilds, [`Self::apply_pure`],
     /// [`Self::apply_mixed_diag`]) the Hermitian pair-symmetric scheduler
     /// runs — `i ≤ j` pairs only, ~half the Poisson solves; otherwise the
-    /// asymmetric per-target batch path. Both are screened by
-    /// [`FockOptions::occ_cutoff`]. Under the default
-    /// [`FockOptions::fused`] each surviving pair runs density → Poisson
-    /// round trip → scatter in one fused pass over two pooled grids
-    /// ([`pwnum::backend::Backend::fused_pair_solve`]); with fusion off
-    /// they are tiled to [`FockOptions::tile_bands`] pairs per batched
-    /// solve through one pooled tile arena. The two pipelines are
-    /// bitwise identical.
+    /// asymmetric target-major path. Both are screened by
+    /// [`FockOptions::occ_cutoff`] and differ only in which pairs they
+    /// enumerate: every surviving pair runs density → Poisson round trip
+    /// → scatter in one pass over two pooled grids
+    /// ([`pwnum::backend::Backend::fused_pair_solve`]).
     pub fn apply_diag(
         &self,
         phi_r: &[Complex64],
@@ -443,7 +371,7 @@ impl<'g> FockOperator<'g> {
         }
     }
 
-    /// The Hermitian pair-symmetric scheduler (targets = sources): with a
+    /// The Hermitian pair-symmetric enumerator (targets = sources): with a
     /// real kernel, `W_ji = conj(W_ij)`, so each `i ≤ j` pair is solved
     /// once and scattered into both accumulators —
     /// `out_j += -d_i·W_ij⊙φ_i` and, for `i ≠ j`,
@@ -461,16 +389,22 @@ impl<'g> FockOperator<'g> {
         let mut out = vec![Complex64::ZERO; n * ng];
         let mut stats = FockApplyStats { symmetric: true, ..Default::default() };
         let cutoff = self.opts.occ_cutoff;
-        // Enumerate surviving pairs. Lexicographic (i, j) order means
-        // every target still accumulates its sources in ascending band
-        // order, matching the asymmetric path's summation order.
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(n * (n + 1) / 2);
+        // Lexicographic (i, j) order means every target still
+        // accumulates its sources in ascending band order, matching the
+        // asymmetric path's summation order.
+        let mut tasks = Vec::with_capacity(n * (n + 1) / 2);
         for i in 0..n {
             let fwd = d[i].abs() >= cutoff; // drives out_j
             for j in i..n {
                 let rev = i != j && d[j].abs() >= cutoff; // drives out_i
                 if fwd || rev {
-                    pairs.push((i as u32, j as u32));
+                    stats.contributions += usize::from(fwd) + usize::from(rev);
+                    tasks.push(PairTask {
+                        i,
+                        j,
+                        w_fwd: if fwd { -d[i] } else { 0.0 },
+                        w_rev: if rev { -d[j] } else { 0.0 },
+                    });
                     if !fwd {
                         stats.skipped_weight += d[i].abs();
                     }
@@ -484,192 +418,14 @@ impl<'g> FockOperator<'g> {
                 }
             }
         }
-        if pairs.is_empty() {
-            return (out, stats);
-        }
-        let be = &*self.backend;
-        let tile = self.opts.tile_bands.min(pairs.len());
-        if self.opts.precision.exchange.reduced() {
-            // Mixed-precision path: demote the orbital block once, form
-            // pair densities and solve the screened Poisson round trips
-            // at the fft stage's precision, and accumulate each solved
-            // W_ij into the fp64 targets (two-sum compensated under
-            // Fp32Promoted).
-            let phi32 = precision::demote(phi_r);
-            if self.opts.fused {
-                if let Some(kit) = &self.fp32 {
-                    // Fused fp32 pipeline: one pooled pair grid + one
-                    // pooled scratch arena for every pair — no demoted
-                    // tile buffer between the density, solve and
-                    // promote-scatter stages.
-                    let mut tasks = Vec::with_capacity(pairs.len());
-                    for &(i, j) in &pairs {
-                        let (i, j) = (i as usize, j as usize);
-                        let fwd = d[i].abs() >= cutoff;
-                        let rev = i != j && d[j].abs() >= cutoff;
-                        stats.contributions += usize::from(fwd) + usize::from(rev);
-                        tasks.push(PairTask {
-                            i,
-                            j,
-                            w_fwd: if fwd { -d[i] } else { 0.0 },
-                            w_rev: if rev { -d[j] } else { 0.0 },
-                        });
-                    }
-                    stats.solves += tasks.len();
-                    stats.solves_fp32 += tasks.len();
-                    let mut comp: Option<Vec<Complex64>> = self
-                        .opts
-                        .precision
-                        .exchange
-                        .compensated()
-                        .then(|| be.take_buffer(n * ng));
-                    be.fused_pair_solve32(
-                        &kit.fft.convolve_pass(&kit.kg, be),
-                        phi32.as_slice(),
-                        phi32.as_slice(),
-                        ng,
-                        &tasks,
-                        &mut out,
-                        comp.as_deref_mut(),
-                    );
-                    self.counters.add_fp32(tasks.len());
-                    if let Some(c) = comp {
-                        be.recycle_buffer(c);
-                    }
-                    return (out, stats);
-                }
-                // No fp32 FFT kit (fp64 fft stage): the promoted
-                // half-path keeps the staged tile pipeline, which
-                // amortizes the per-tile promote/demote round trip.
-            }
-            // Pooled zeroed buffer: the compensation array is output-
-            // sized and would otherwise be a fresh allocation per apply.
-            let mut comp: Option<Vec<Complex64>> = self
-                .opts
-                .precision
-                .exchange
-                .compensated()
-                .then(|| be.take_buffer(n * ng));
-            let mut arena = be.take_scratch32(tile * ng);
-            for chunk in pairs.chunks(tile) {
-                let m = chunk.len();
-                for (s, &(i, j)) in chunk.iter().enumerate() {
-                    be.hadamard_conj32(
-                        &phi32[i as usize * ng..(i as usize + 1) * ng],
-                        &phi32[j as usize * ng..(j as usize + 1) * ng],
-                        &mut arena[s * ng..(s + 1) * ng],
-                    );
-                }
-                stats.solves_fp32 += self.poisson_tile32(&mut arena[..m * ng], m);
-                stats.solves += m;
-                for (s, &(i, j)) in chunk.iter().enumerate() {
-                    let (i, j) = (i as usize, j as usize);
-                    let pair = &arena[s * ng..(s + 1) * ng];
-                    if d[i].abs() >= cutoff {
-                        be.hadamard_acc_promote(
-                            -d[i],
-                            pair,
-                            &phi32[i * ng..(i + 1) * ng],
-                            &mut out[j * ng..(j + 1) * ng],
-                            comp.as_mut().map(|c| &mut c[j * ng..(j + 1) * ng]),
-                        );
-                        stats.contributions += 1;
-                    }
-                    if i != j && d[j].abs() >= cutoff {
-                        be.hadamard_acc_promote_conj(
-                            -d[j],
-                            pair,
-                            &phi32[j * ng..(j + 1) * ng],
-                            &mut out[i * ng..(i + 1) * ng],
-                            comp.as_mut().map(|c| &mut c[i * ng..(i + 1) * ng]),
-                        );
-                        stats.contributions += 1;
-                    }
-                }
-            }
-            be.recycle_buffer32(arena);
-            if let Some(c) = comp {
-                be.recycle_buffer(c);
-            }
-            return (out, stats);
-        }
-        if self.opts.fused {
-            // Fused fp64 pipeline: per pair, density → Poisson round
-            // trip → both scatters over one pooled grid, instead of
-            // staging `tile` pair grids through the arena. Bitwise
-            // identical to the staged loop below (same elementwise
-            // kernels in the same order; the backends' fused convolve
-            // is exact against the staged round trip).
-            let mut tasks = Vec::with_capacity(pairs.len());
-            for &(i, j) in &pairs {
-                let (i, j) = (i as usize, j as usize);
-                let fwd = d[i].abs() >= cutoff;
-                let rev = i != j && d[j].abs() >= cutoff;
-                stats.contributions += usize::from(fwd) + usize::from(rev);
-                tasks.push(PairTask {
-                    i,
-                    j,
-                    w_fwd: if fwd { -d[i] } else { 0.0 },
-                    w_rev: if rev { -d[j] } else { 0.0 },
-                });
-            }
-            stats.solves += tasks.len();
-            be.fused_pair_solve(
-                &self.fft.convolve_pass(&self.kernel.kg, be),
-                phi_r,
-                phi_r,
-                ng,
-                &tasks,
-                &mut out,
-            );
-            self.counters.add_fp64(tasks.len());
-            return (out, stats);
-        }
-        // One pooled tile arena for the whole apply (contents
-        // unspecified: hadamard_conj fully writes each pair grid before
-        // the solve reads it).
-        let mut arena = be.take_scratch(tile * ng);
-        for chunk in pairs.chunks(tile) {
-            let m = chunk.len();
-            for (s, &(i, j)) in chunk.iter().enumerate() {
-                be.hadamard_conj(
-                    bands::band(phi_r, ng, i as usize),
-                    bands::band(phi_r, ng, j as usize),
-                    bands::band_mut(&mut arena, ng, s),
-                );
-            }
-            self.poisson_batch(&mut arena[..m * ng], m);
-            stats.solves += m;
-            for (s, &(i, j)) in chunk.iter().enumerate() {
-                let (i, j) = (i as usize, j as usize);
-                if d[i].abs() >= cutoff {
-                    be.hadamard_acc(
-                        Complex64::from_re(-d[i]),
-                        bands::band(&arena, ng, s),
-                        bands::band(phi_r, ng, i),
-                        bands::band_mut(&mut out, ng, j),
-                    );
-                    stats.contributions += 1;
-                }
-                if i != j && d[j].abs() >= cutoff {
-                    be.hadamard_acc_conj(
-                        Complex64::from_re(-d[j]),
-                        bands::band(&arena, ng, s),
-                        bands::band(phi_r, ng, j),
-                        bands::band_mut(&mut out, ng, i),
-                    );
-                    stats.contributions += 1;
-                }
-            }
-        }
-        be.recycle_buffer(arena);
+        self.run_tasks(phi_r, phi_r, &tasks, &mut out, &mut stats);
         (out, stats)
     }
 
-    /// The asymmetric path (distinct target block): one batched Poisson
-    /// solve per target band over the occupied sources — the paper's
-    /// multi-batch strategy (Sec. III-B b) — tiled so scratch is bounded
-    /// by the tile size instead of `n_occ · Ng`.
+    /// The asymmetric enumerator (distinct target block): every occupied
+    /// source against every target, target-major with sources ascending
+    /// — the paper's multi-batch order (Sec. III-B b) — forward scatters
+    /// only.
     fn apply_asymmetric(
         &self,
         phi_r: &[Complex64],
@@ -690,142 +446,63 @@ impl<'g> FockOperator<'g> {
             (0..n_src).filter(|&i| d[i].abs() < cutoff).map(|i| d[i].abs()).sum();
         stats.skipped_pairs = (n_src - occ.len()) * n_tgt;
         stats.skipped_weight = screened * n_tgt as f64;
-        if occ.is_empty() || n_tgt == 0 {
-            return (out, stats);
-        }
-        let be = &*self.backend;
-        let tile = self.opts.tile_bands.min(occ.len());
-        if self.opts.precision.exchange.reduced() {
-            // Mixed-precision path: demote sources and targets once,
-            // solve per-target batches at the fft stage's precision,
-            // accumulate into fp64.
-            let phi32 = precision::demote(phi_r);
-            let psi32 = precision::demote(psi_r);
-            if self.opts.fused {
-                if let Some(kit) = &self.fp32 {
-                    // Fused fp32 pipeline, forward scatters only.
-                    let mut tasks = Vec::with_capacity(occ.len() * n_tgt);
-                    for j in 0..n_tgt {
-                        for &i in &occ {
-                            tasks.push(PairTask { i, j, w_fwd: -d[i], w_rev: 0.0 });
-                        }
-                    }
-                    stats.solves += tasks.len();
-                    stats.solves_fp32 += tasks.len();
-                    stats.contributions += tasks.len();
-                    let mut comp: Option<Vec<Complex64>> = self
-                        .opts
-                        .precision
-                        .exchange
-                        .compensated()
-                        .then(|| be.take_buffer(n_tgt * ng));
-                    be.fused_pair_solve32(
-                        &kit.fft.convolve_pass(&kit.kg, be),
-                        phi32.as_slice(),
-                        psi32.as_slice(),
-                        ng,
-                        &tasks,
-                        &mut out,
-                        comp.as_deref_mut(),
-                    );
-                    self.counters.add_fp32(tasks.len());
-                    if let Some(c) = comp {
-                        be.recycle_buffer(c);
-                    }
-                    return (out, stats);
-                }
-                // fp64 fft stage: keep the staged promoted half-path.
-            }
-            let mut comp: Option<Vec<Complex64>> = self
-                .opts
-                .precision
-                .exchange
-                .compensated()
-                .then(|| be.take_buffer(n_tgt * ng));
-            let mut arena = be.take_scratch32(tile * ng);
-            for j in 0..n_tgt {
-                let pj = &psi32[j * ng..(j + 1) * ng];
-                for chunk in occ.chunks(tile) {
-                    let m = chunk.len();
-                    for (s, &i) in chunk.iter().enumerate() {
-                        be.hadamard_conj32(
-                            &phi32[i * ng..(i + 1) * ng],
-                            pj,
-                            &mut arena[s * ng..(s + 1) * ng],
-                        );
-                    }
-                    stats.solves_fp32 += self.poisson_tile32(&mut arena[..m * ng], m);
-                    stats.solves += m;
-                    for (s, &i) in chunk.iter().enumerate() {
-                        be.hadamard_acc_promote(
-                            -d[i],
-                            &arena[s * ng..(s + 1) * ng],
-                            &phi32[i * ng..(i + 1) * ng],
-                            &mut out[j * ng..(j + 1) * ng],
-                            comp.as_mut().map(|c| &mut c[j * ng..(j + 1) * ng]),
-                        );
-                        stats.contributions += 1;
-                    }
-                }
-            }
-            be.recycle_buffer32(arena);
-            if let Some(c) = comp {
-                be.recycle_buffer(c);
-            }
-            return (out, stats);
-        }
-        if self.opts.fused {
-            // Fused fp64 pipeline, forward scatters only — the task
-            // order (target-major, sources ascending) matches the
-            // staged per-target batching, so accumulation order and
-            // results are bitwise identical.
-            let mut tasks = Vec::with_capacity(occ.len() * n_tgt);
-            for j in 0..n_tgt {
-                for &i in &occ {
-                    tasks.push(PairTask { i, j, w_fwd: -d[i], w_rev: 0.0 });
-                }
-            }
-            stats.solves += tasks.len();
-            stats.contributions += tasks.len();
-            be.fused_pair_solve(
-                &self.fft.convolve_pass(&self.kernel.kg, be),
-                phi_r,
-                psi_r,
-                ng,
-                &tasks,
-                &mut out,
-            );
-            self.counters.add_fp64(tasks.len());
-            return (out, stats);
-        }
-        let mut arena = be.take_scratch(tile * ng);
+        let mut tasks = Vec::with_capacity(occ.len() * n_tgt);
         for j in 0..n_tgt {
-            let pj = bands::band(psi_r, ng, j);
-            for chunk in occ.chunks(tile) {
-                let m = chunk.len();
-                for (s, &i) in chunk.iter().enumerate() {
-                    be.hadamard_conj(
-                        bands::band(phi_r, ng, i),
-                        pj,
-                        bands::band_mut(&mut arena, ng, s),
-                    );
-                }
-                self.poisson_batch(&mut arena[..m * ng], m);
-                stats.solves += m;
-                let oj = bands::band_mut(&mut out, ng, j);
-                for (s, &i) in chunk.iter().enumerate() {
-                    be.hadamard_acc(
-                        Complex64::from_re(-d[i]),
-                        bands::band(&arena, ng, s),
-                        bands::band(phi_r, ng, i),
-                        oj,
-                    );
-                    stats.contributions += 1;
-                }
+            for &i in &occ {
+                tasks.push(PairTask { i, j, w_fwd: -d[i], w_rev: 0.0 });
             }
         }
-        be.recycle_buffer(arena);
+        stats.contributions = tasks.len();
+        self.run_tasks(phi_r, psi_r, &tasks, &mut out, &mut stats);
         (out, stats)
+    }
+
+    /// The one pair pipeline behind both enumerators: `tasks` run
+    /// strictly in order through the backend's fused pair solve — per
+    /// pair, density → Poisson round trip → scatter over two pooled
+    /// grids — at the policy's `exchange` precision. Reduced: the blocks
+    /// are demoted once (`psi_r` only when it is not `phi_r` itself),
+    /// every solve runs on the fp32 plans, and the scatters promote into
+    /// `out`, two-sum compensated through a pooled buffer under
+    /// `Fp32Promoted`.
+    fn run_tasks(
+        &self,
+        phi_r: &[Complex64],
+        psi_r: &[Complex64],
+        tasks: &[PairTask],
+        out: &mut [Complex64],
+        stats: &mut FockApplyStats,
+    ) {
+        if tasks.is_empty() {
+            return;
+        }
+        let ng = self.ng();
+        let be = &*self.backend;
+        stats.solves += tasks.len();
+        let Some(kit) = &self.fp32 else {
+            let solve = self.fft.convolve_pass(&self.kernel.kg, be);
+            be.fused_pair_solve(&solve, phi_r, psi_r, ng, tasks, out);
+            self.counters.add_fp64(tasks.len());
+            return;
+        };
+        let phi32 = precision::demote(phi_r);
+        let psi32 = (!std::ptr::eq(phi_r, psi_r)).then(|| precision::demote(psi_r));
+        let mut comp =
+            self.opts.precision.exchange.compensated().then(|| be.take_buffer(out.len()));
+        be.fused_pair_solve32(
+            &kit.fft.convolve_pass(&kit.kg, be),
+            &phi32,
+            psi32.as_deref().unwrap_or(&phi32),
+            ng,
+            tasks,
+            out,
+            comp.as_deref_mut(),
+        );
+        stats.solves_fp32 += tasks.len();
+        self.counters.add_fp32(tasks.len());
+        if let Some(c) = comp {
+            be.recycle_buffer(c);
+        }
     }
 
     /// Pure-state operator (Eq. 9): occupations `f` on the orbitals
@@ -944,6 +621,7 @@ mod tests {
     use crate::lattice::Cell;
     use crate::wavefunction::Wavefunction;
     use pwnum::eigh;
+    use pwnum::precision::Complex32;
 
     fn setup(n_bands: usize) -> (PwGrid, Fft3, Wavefunction) {
         let cell = Cell::silicon_supercell(1, 1, 1);
@@ -1081,36 +759,6 @@ mod tests {
     }
 
     #[test]
-    fn tiny_tiles_do_not_change_results() {
-        // tile_bands bounds scratch, never results: a 1-pair tile must
-        // reproduce the full-batch result bitwise (identical per-grid
-        // FFTs and accumulation order).
-        let (grid, fft, wf) = setup(4);
-        let d = vec![1.0, 0.8, 0.4, 0.1];
-        let phi_r = wf.to_real_all(&fft);
-        let be = pwnum::backend::default_backend().clone();
-        let wide = FockOperator::with_options(
-            &grid,
-            0.2,
-            be.clone(),
-            FockOptions { tile_bands: 64, ..Default::default() },
-        );
-        let narrow = FockOperator::with_options(
-            &grid,
-            0.2,
-            be,
-            FockOptions { tile_bands: 1, ..Default::default() },
-        );
-        let a = wide.apply_pure(&phi_r, &d);
-        let b = narrow.apply_pure(&phi_r, &d);
-        assert_eq!(pwnum::cvec::max_abs_diff(&a, &b), 0.0);
-        let psi = phi_r.clone();
-        let a = wide.apply_diag(&phi_r, &d, &psi);
-        let b = narrow.apply_diag(&phi_r, &d, &psi);
-        assert_eq!(pwnum::cvec::max_abs_diff(&a, &b), 0.0);
-    }
-
-    #[test]
     fn screening_reports_skipped_weight() {
         let (grid, fft, wf) = setup(4);
         let fft_ = fft;
@@ -1121,13 +769,13 @@ mod tests {
             &grid,
             0.2,
             be.clone(),
-            FockOptions { occ_cutoff: 1e-2, tile_bands: 32, ..Default::default() },
+            FockOptions::default().with_occ_cutoff(1e-2),
         );
         let exact = FockOperator::with_options(
             &grid,
             0.2,
             be,
-            FockOptions { occ_cutoff: 0.0, tile_bands: 32, ..Default::default() },
+            FockOptions::default().with_occ_cutoff(0.0),
         );
         let (vs, ss) = screened.apply_pure_stats(&phi_r, &d);
         let (ve, se) = exact.apply_pure_stats(&phi_r, &d);
@@ -1184,38 +832,6 @@ mod tests {
     }
 
     #[test]
-    fn fp64_fft_stage_attribution_half_path() {
-        // exchange reduced + fft Fp64: pair densities and accumulation
-        // stay in the fp32 storage pipeline, but the Poisson round trips
-        // run promoted on the fp64 plans — solves counted as fp64, and
-        // the result still tracks the all-fp64 apply at fp32 accuracy.
-        let (grid, fft, wf) = setup(4);
-        let d = vec![1.0, 0.8, 0.5, 0.2];
-        let phi_r = wf.to_real_all(&fft);
-        let be = pwnum::backend::default_backend().clone();
-        let policy = PrecisionPolicy {
-            fft: pwnum::precision::StagePrecision::Fp64,
-            ..PrecisionPolicy::mixed()
-        };
-        let half = FockOperator::with_options(
-            &grid,
-            0.2,
-            be,
-            FockOptions { precision: policy, ..Default::default() },
-        );
-        let exact = FockOperator::new(&grid, 0.2);
-        let (ve, _) = exact.apply_pure_stats(&phi_r, &d);
-        let (vh, sh) = half.apply_pure_stats(&phi_r, &d);
-        assert_eq!(sh.solves_fp32, 0, "fp64 fft stage must not count fp32 solves");
-        assert!(sh.solves > 0);
-        let (c64s, c32s) = half.counters().snapshot();
-        assert!(c64s > 0 && c32s == 0);
-        let scale = ve.iter().map(|z| z.abs()).fold(0.0f64, f64::max);
-        let diff = pwnum::cvec::max_abs_diff(&ve, &vh);
-        assert!(diff < 1e-4 * scale.max(1.0), "half-path drift {diff}");
-    }
-
-    #[test]
     fn compensated_and_plain_fp32_both_track_fp64() {
         // Fp32 vs Fp32Promoted: both stay within fp32 tolerance of the
         // fp64 result; the compensated variant must not be worse.
@@ -1247,101 +863,159 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_staged_schedulers_agree_bitwise() {
-        // The fused pair-solve pipeline must reproduce the staged tile
-        // scheduler bit-for-bit on both backends and both scheduler
-        // paths: same per-grid round trips, same scatter order.
+    fn apply_matches_per_pair_oracle_bitwise() {
+        // The per-pair staged round trip the distributed strategies
+        // drive (`accumulate_pair{,_sym}`), looped in scheduler order, is
+        // the oracle of the batched applies: same elementwise kernels,
+        // same scatter order, and the backends' fused convolve is exact
+        // against the staged one — so a reordered, dropped or doubled
+        // pair shows as a nonzero difference.
         let (grid, fft, wf) = setup(5);
-        let d = vec![1.0, 0.9, 0.5, 0.2, 0.05];
+        let ng = grid.len();
+        let d = [1.0, 0.9, 0.0, 0.2, 0.05];
+        let n = d.len();
         let phi_r = wf.to_real_all(&fft);
         let psi = phi_r.clone();
         for name in ["reference", "blocked"] {
-            let be = pwnum::backend::by_name(name).unwrap();
-            let fused =
-                FockOperator::with_options(&grid, 0.2, be.clone(), FockOptions::default());
-            let staged = FockOperator::with_options(
-                &grid,
-                0.2,
-                be,
-                FockOptions::default().with_fused(false),
-            );
-            let (vf, sf) = fused.apply_pure_stats(&phi_r, &d);
-            let (vs, ss) = staged.apply_pure_stats(&phi_r, &d);
-            assert_eq!((sf.solves, sf.contributions), (ss.solves, ss.contributions));
-            assert_eq!(pwnum::cvec::max_abs_diff(&vf, &vs), 0.0, "{name} symmetric");
-            let (af, saf) = fused.apply_diag_stats(&phi_r, &d, &psi);
-            let (ag, sag) = staged.apply_diag_stats(&phi_r, &d, &psi);
-            assert!(!saf.symmetric && !sag.symmetric);
-            assert_eq!((saf.solves, saf.contributions), (sag.solves, sag.contributions));
-            assert_eq!(pwnum::cvec::max_abs_diff(&af, &ag), 0.0, "{name} asymmetric");
+            let fock =
+                FockOperator::with_backend(&grid, 0.2, pwnum::backend::by_name(name).unwrap());
+            let mut pair = vec![Complex64::ZERO; ng];
+
+            // Symmetric: i ≤ j, one solve scattered into both targets.
+            let mut want = vec![Complex64::ZERO; n * ng];
+            let mut solves = 0;
+            for i in 0..n {
+                for j in i..n {
+                    if d[i] == 0.0 && d[j] == 0.0 {
+                        continue;
+                    }
+                    solves += 1;
+                    let (pi, pj) = (bands::band(&phi_r, ng, i), bands::band(&phi_r, ng, j));
+                    if i == j {
+                        let oi = bands::band_mut(&mut want, ng, i);
+                        fock.accumulate_pair(pi, pi, d[i], oi, &mut pair);
+                    } else {
+                        let (lo, hi) = want.split_at_mut(j * ng);
+                        let (oi, oj) = (bands::band_mut(lo, ng, i), &mut hi[..ng]);
+                        fock.accumulate_pair_sym(pi, pj, d[i], d[j], oj, oi, &mut pair);
+                    }
+                }
+            }
+            let (got, st) = fock.apply_pure_stats(&phi_r, &d);
+            assert!(st.symmetric);
+            assert_eq!(st.solves, solves, "{name} symmetric solves");
+            assert_eq!(pwnum::cvec::max_abs_diff(&got, &want), 0.0, "{name} symmetric");
+
+            // Asymmetric: target-major, occupied sources ascending.
+            let mut want = vec![Complex64::ZERO; n * ng];
+            let mut solves = 0;
+            for j in 0..n {
+                for i in (0..n).filter(|&i| d[i] != 0.0) {
+                    solves += 1;
+                    fock.accumulate_pair(
+                        bands::band(&phi_r, ng, i),
+                        bands::band(&psi, ng, j),
+                        d[i],
+                        bands::band_mut(&mut want, ng, j),
+                        &mut pair,
+                    );
+                }
+            }
+            let (got, st) = fock.apply_diag_stats(&phi_r, &d, &psi);
+            assert!(!st.symmetric);
+            assert_eq!((st.solves, st.contributions), (solves, solves), "{name} asymmetric");
+            assert_eq!(pwnum::cvec::max_abs_diff(&got, &want), 0.0, "{name} asymmetric");
         }
     }
 
     #[test]
     fn fused_fp32_is_value_identical_to_staged_fp32() {
-        // The fused fp32 pipeline (demote → fp32 convolve → compensated
-        // promote-scatter) reproduces the staged fp32 tile scheduler
-        // exactly: the fused convolve is value-identical and the
-        // accumulation order unchanged — so it inherits the staged
-        // path's PR-4 accuracy budget verbatim.
+        // The mixed apply against a stage-by-stage transcription of the
+        // fp32 pipeline — demote once, then per pair: fp32 density →
+        // forward FFT → ×K(G) → inverse FFT → compensated promote-scatter
+        // — in scheduler order. Exact: the fused convolve is
+        // value-identical to the staged round trip on every backend.
         let (grid, fft, wf) = setup(5);
-        let d = vec![1.0, 0.9, 0.5, 0.2, 0.05];
+        let ng = grid.len();
+        let d = [1.0, 0.9, 0.5, 0.2, 0.05];
+        let n = d.len();
         let phi_r = wf.to_real_all(&fft);
-        let be = pwnum::backend::default_backend().clone();
-        let opts = FockOptions::default().with_precision(PrecisionPolicy::mixed());
-        let fused = FockOperator::with_options(&grid, 0.2, be.clone(), opts);
-        let staged = FockOperator::with_options(&grid, 0.2, be, opts.with_fused(false));
-        let (vf, sf) = fused.apply_pure_stats(&phi_r, &d);
-        let (vs, ss) = staged.apply_pure_stats(&phi_r, &d);
-        assert_eq!(sf.solves_fp32, ss.solves_fp32);
-        assert_eq!(sf.solves_fp32, sf.solves);
-        assert_eq!(pwnum::cvec::max_abs_diff(&vf, &vs), 0.0, "fp32 symmetric");
         let psi = phi_r.clone();
-        let af = fused.apply_diag(&phi_r, &d, &psi);
-        let ag = staged.apply_diag(&phi_r, &d, &psi);
-        assert_eq!(pwnum::cvec::max_abs_diff(&af, &ag), 0.0, "fp32 asymmetric");
-    }
-
-    #[test]
-    fn fused_path_lowers_pool_peak() {
-        // Scratch high-water mark: the staged scheduler stages
-        // `tile_bands` pair grids through a pooled arena, the fused
-        // pipeline holds one pair grid + one convolve scratch — the
-        // pool peak must drop measurably on a fresh pooled backend.
-        let (grid, fft, wf) = setup(8);
-        let d = vec![1.0; 8];
-        let phi_r = wf.to_real_all(&fft);
-        let peak = |fused: bool| {
-            let be = pwnum::backend::by_name("blocked").unwrap();
-            let op = FockOperator::with_options(
+        let phi32 = precision::demote(&phi_r);
+        let fft32 = grid.fft32();
+        let band32 = |i: usize| &phi32[i * ng..(i + 1) * ng];
+        for name in ["reference", "blocked"] {
+            let be = pwnum::backend::by_name(name).unwrap();
+            let mixed = FockOperator::with_options(
                 &grid,
                 0.2,
                 be.clone(),
-                FockOptions::default().with_fused(fused),
+                FockOptions::default().with_precision(PrecisionPolicy::mixed()),
             );
-            op.apply_pure(&phi_r, &d);
-            be.pool_stats().fp64.peak_bytes
-        };
-        let fused = peak(true);
-        let staged = peak(false);
-        assert!(fused > 0 && staged > 0, "pool accounting must see both paths");
-        assert!(
-            fused * 2 < staged,
-            "fused peak {fused} B should be well under staged peak {staged} B"
-        );
+            let kg32 = precision::demote_real(mixed.kernel_table());
+            let mut pair = vec![Complex32::ZERO; ng];
+            let solve = |i: usize, j: usize, pair: &mut [Complex32]| {
+                be.hadamard_conj32(band32(i), band32(j), pair);
+                fft32.transform_fused(pair, false);
+                for (z, &k) in pair.iter_mut().zip(&kg32) {
+                    *z = z.scale(k);
+                }
+                fft32.transform_fused(pair, true);
+            };
+
+            let mut want = vec![Complex64::ZERO; n * ng];
+            let mut comp = vec![Complex64::ZERO; n * ng];
+            for i in 0..n {
+                for j in i..n {
+                    solve(i, j, &mut pair);
+                    let (oj, cj) =
+                        (bands::band_mut(&mut want, ng, j), bands::band_mut(&mut comp, ng, j));
+                    be.hadamard_acc_promote(-d[i], &pair, band32(i), oj, Some(cj));
+                    if i != j {
+                        let (oi, ci) =
+                            (bands::band_mut(&mut want, ng, i), bands::band_mut(&mut comp, ng, i));
+                        be.hadamard_acc_promote_conj(-d[j], &pair, band32(j), oi, Some(ci));
+                    }
+                }
+            }
+            let (got, st) = mixed.apply_pure_stats(&phi_r, &d);
+            assert_eq!((st.solves, st.solves_fp32), (n * (n + 1) / 2, n * (n + 1) / 2));
+            assert_eq!(pwnum::cvec::max_abs_diff(&got, &want), 0.0, "{name} fp32 symmetric");
+
+            // Asymmetric (copied target block: demotes to the same values).
+            let mut want = vec![Complex64::ZERO; n * ng];
+            let mut comp = vec![Complex64::ZERO; n * ng];
+            for j in 0..n {
+                let (oj, cj) =
+                    (bands::band_mut(&mut want, ng, j), bands::band_mut(&mut comp, ng, j));
+                for (i, &di) in d.iter().enumerate() {
+                    solve(i, j, &mut pair);
+                    be.hadamard_acc_promote(-di, &pair, band32(i), oj, Some(&mut *cj));
+                }
+            }
+            let (got, st) = mixed.apply_diag_stats(&phi_r, &d, &psi);
+            assert_eq!((st.solves, st.solves_fp32), (n * n, n * n));
+            assert_eq!(pwnum::cvec::max_abs_diff(&got, &want), 0.0, "{name} fp32 asymmetric");
+        }
     }
 
     #[test]
-    fn options_default_resolves_tile_bands_from_tuning() {
-        // The default tile size comes from the pwnum tuning table (safe
-        // fallback 32), and the builders override per knob without
-        // naming the deprecated construction-guard field.
-        let o = FockOptions::default();
-        assert_eq!(o.tile_bands, pwnum::tuning::default_tile_bands());
-        assert!(o.fused);
-        let o2 = o.with_tile_bands(7).with_fused(false).with_occ_cutoff(0.5);
-        assert_eq!((o2.tile_bands, o2.fused, o2.occ_cutoff), (7, false, 0.5));
-        assert_eq!(o2.precision, o.precision);
+    fn pool_peak_is_independent_of_band_count() {
+        // The pipeline holds one pooled pair grid (+ the solve's scratch)
+        // for the whole task list: on a fresh pooled backend the
+        // high-water mark must not grow with the number of bands.
+        let (grid, fft, wf) = setup(8);
+        let ng = grid.len();
+        let phi_r = wf.to_real_all(&fft);
+        let peak = |n: usize| {
+            let be = pwnum::backend::by_name("blocked").unwrap();
+            let op = FockOperator::with_backend(&grid, 0.2, be.clone());
+            op.apply_pure(&phi_r[..n * ng], &vec![1.0; n]);
+            be.pool_stats().fp64.peak_bytes
+        };
+        let (p4, p8) = (peak(4), peak(8));
+        assert!(p4 > 0, "pool accounting must see the pair grid");
+        assert_eq!(p4, p8, "pool peak grew with the band count");
     }
 
     #[test]

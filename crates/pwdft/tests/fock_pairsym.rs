@@ -17,10 +17,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Wraps a real backend and counts how many grids flow through
-/// `transform_batch` (and, for the fused pair-solve pipeline, how many
-/// pair tasks flow through `fused_pair_solve`) — every screened Poisson
-/// solve costs exactly two grids (forward + inverse), so `grids / 2` is
-/// the solve count.
+/// `transform_batch` and how many pair tasks flow through
+/// `fused_pair_solve{,32}` — every screened Poisson solve costs exactly
+/// two grids (forward + inverse), so `grids / 2` is the solve count.
 #[derive(Debug)]
 struct CountingBackend {
     inner: BackendHandle,
@@ -190,10 +189,6 @@ impl Backend for CountingBackend {
         self.inner.rotate_acc32(alpha, a, q, band_len, out);
     }
 
-    fn scale_by_real32(&self, k: &[f32], field: &mut [Complex32]) {
-        self.inner.scale_by_real32(k, field);
-    }
-
     fn hadamard_conj32(&self, a: &[Complex32], b: &[Complex32], out: &mut [Complex32]) {
         self.inner.hadamard_conj32(a, b, out);
     }
@@ -218,12 +213,6 @@ impl Backend for CountingBackend {
         comp: Option<&mut [Complex64]>,
     ) {
         self.inner.hadamard_acc_promote_conj(w, a, b, acc, comp);
-    }
-
-    fn transform_batch32(&self, pass: &dyn GridTransform32, data: &mut [Complex32], count: usize) {
-        // fp32 grids count toward the same FFT-volume budget.
-        self.grids.fetch_add(count, Ordering::SeqCst);
-        self.inner.transform_batch32(pass, data, count);
     }
 
     fn take_scratch32(&self, len: usize) -> Vec<Complex32> {
@@ -317,7 +306,7 @@ fn zero_cutoff_is_bitwise_identical_to_no_screening() {
             &grid,
             0.2,
             be.clone(),
-            FockOptions { occ_cutoff: cutoff, tile_bands: 8, ..Default::default() },
+            FockOptions::default().with_occ_cutoff(cutoff),
         )
     };
     // occ_cutoff = 0 keeps every pair (|d| < 0 is never true): screening
@@ -338,9 +327,9 @@ fn zero_cutoff_is_bitwise_identical_to_no_screening() {
 #[test]
 fn symmetric_apply_fft_volume_is_halved() {
     // The acceptance bound: for n occupied bands the symmetric apply
-    // performs at most n(n+1)/2 (+ tile padding — none here: partial
-    // tiles solve partial batches) Poisson solves, i.e. n(n+1) FFT grids,
-    // where the asymmetric path pays 2·n².
+    // performs at most n(n+1)/2 Poisson solves, i.e. n(n+1) FFT grids,
+    // where the asymmetric path pays 2·n² — one round trip per surviving
+    // pair, no padding volume.
     let cell = Cell::silicon_supercell(1, 1, 1);
     let grid = PwGrid::with_dims(&cell, 2.0, [6, 6, 6]);
     let fft = grid.fft();
@@ -349,36 +338,19 @@ fn symmetric_apply_fft_volume_is_halved() {
     let wf = Wavefunction::random(&grid, n, 9);
     let phi_r = wf.to_real_all(&fft);
     let pairs = n * (n + 1) / 2;
-    // The staged tile scheduler, across tile sizes (partial tiles solve
-    // partial batches — no padding volume).
-    for tile in [1usize, 3, 32] {
-        let counter = CountingBackend::new(by_name("reference").unwrap());
-        let be: BackendHandle = counter.clone();
-        let fock = FockOperator::with_options(
-            &grid,
-            0.2,
-            be,
-            FockOptions { tile_bands: tile, ..Default::default() }.with_fused(false),
-        );
-        counter.reset();
-        let (_, stats) = fock.apply_pure_stats(&phi_r, &occ);
-        assert_eq!(stats.solves, pairs, "tile {tile}");
-        assert_eq!(counter.grids(), 2 * pairs, "tile {tile}: FFT grid count");
-
-        counter.reset();
-        let psi_copy = phi_r.clone();
-        let (_, stats) = fock.apply_diag_stats(&phi_r, &occ, &psi_copy);
-        assert_eq!(stats.solves, n * n);
-        assert_eq!(counter.grids(), 2 * n * n, "tile {tile}: asymmetric FFT grid count");
-    }
-    // The fused pipeline pays exactly the same FFT volume — one round
-    // trip per surviving pair, tile-free.
     let counter = CountingBackend::new(by_name("reference").unwrap());
     let be: BackendHandle = counter.clone();
-    let fock = FockOperator::with_options(&grid, 0.2, be, FockOptions::default());
+    let fock = FockOperator::with_backend(&grid, 0.2, be);
+    counter.reset();
     let (_, stats) = fock.apply_pure_stats(&phi_r, &occ);
-    assert_eq!(stats.solves, pairs, "fused");
-    assert_eq!(counter.grids(), 2 * pairs, "fused: FFT grid count");
+    assert_eq!(stats.solves, pairs);
+    assert_eq!(counter.grids(), 2 * pairs, "FFT grid count");
+
+    counter.reset();
+    let psi_copy = phi_r.clone();
+    let (_, stats) = fock.apply_diag_stats(&phi_r, &occ, &psi_copy);
+    assert_eq!(stats.solves, n * n);
+    assert_eq!(counter.grids(), 2 * n * n, "asymmetric FFT grid count");
 }
 
 #[test]

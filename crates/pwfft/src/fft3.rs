@@ -212,11 +212,11 @@ impl Fft3 {
     /// forward transform, elementwise multiply by the real `kernel`
     /// (cycled per grid), inverse transform — all in place in `data`.
     ///
-    /// This is the screened-Poisson tile solve of the Fock exchange: the
-    /// pair-block scheduler drives it on one pooled tile arena, so the
-    /// whole round trip reuses a single buffer with no intermediate
-    /// copies, and scratch stays bounded by the backend's per-worker
-    /// arenas regardless of how many tiles flow through.
+    /// This is the staged screened-Poisson solve of the Fock exchange:
+    /// the baseline and the per-pair distributed entry points drive it
+    /// on one pair grid, so the whole round trip reuses a single buffer
+    /// with no intermediate copies (the batched schedulers use
+    /// [`Self::convolve_pass`] instead).
     pub fn convolve_many_with(
         &self,
         backend: &dyn Backend,

@@ -4,9 +4,9 @@
 //! Mirrors [`Fft3`](crate::fft3::Fft3) over the same row-major layout:
 //! per-line passes, and (for accelerator-style backends) fused passes
 //! through the same tile kernel (module `tile`) the fp64 grids use,
-//! instantiated at `f32`. Batching routes through
-//! [`Backend::transform_batch32`], so the backend owns slab
-//! decomposition and fp32 scratch pooling exactly as it does for fp64.
+//! instantiated at `f32`. The one consumer is the exchange pair solve:
+//! [`Fft32::convolve_pass`] hands the whole round trip to
+//! [`Backend::fused_pair_solve32`] as a single [`GridTransform32`].
 
 use crate::plan32::Plan32;
 use crate::tile;
@@ -133,44 +133,6 @@ impl Fft32 {
         tile::transform3(self.plans.each_ref().map(|p| &p.tile), data, inverse, kernel);
     }
 
-    /// A pass in the requested direction, using the fused (tiled)
-    /// variant when `backend` asks for fused grid passes.
-    #[inline]
-    pub fn pass_for(&self, backend: &dyn Backend, inverse: bool) -> FftPass32<'_> {
-        FftPass32 { fft: self, inverse, fused: backend.fused_grid_passes() }
-    }
-
-    /// Batched fp32 forward transform routed through a compute backend.
-    pub fn forward_many_with(&self, backend: &dyn Backend, data: &mut [Complex32], count: usize) {
-        backend.transform_batch32(&self.pass_for(backend, false), data, count);
-    }
-
-    /// Batched fp32 inverse transform routed through a compute backend.
-    pub fn inverse_many_with(&self, backend: &dyn Backend, data: &mut [Complex32], count: usize) {
-        backend.transform_batch32(&self.pass_for(backend, true), data, count);
-    }
-
-    /// Batched fp32 filtered round trip (forward → real-kernel multiply
-    /// → inverse, in place) — the screened-Poisson tile solve of the
-    /// mixed-precision Fock path, at half the memory traffic of the
-    /// fp64 round trip.
-    pub fn convolve_many_with(
-        &self,
-        backend: &dyn Backend,
-        data: &mut [Complex32],
-        count: usize,
-        kernel: &[f32],
-    ) {
-        assert_eq!(kernel.len(), self.len(), "convolve kernel/grid length mismatch");
-        assert_eq!(data.len(), count * self.len(), "FFT32 batch length mismatch");
-        if count == 0 {
-            return;
-        }
-        self.forward_many_with(backend, data, count);
-        backend.scale_by_real32(kernel, data);
-        self.inverse_many_with(backend, data, count);
-    }
-
     /// fp32 twin of [`crate::fft3::Fft3::convolve_grid_fused`]: the whole
     /// screened-Poisson round trip over one fp32 grid as six tile
     /// passes, `K(G)` and the `1/n` factors riding in the stores —
@@ -193,37 +155,6 @@ impl Fft32 {
     ) -> ConvolvePass32<'f> {
         assert_eq!(kernel.len(), self.len(), "convolve kernel/grid length mismatch");
         ConvolvePass32 { fft: self, kernel, fused: backend.fused_grid_passes() }
-    }
-}
-
-/// One direction of an [`Fft32`] as a batched fp32 transform pass — the
-/// bridge to [`Backend::transform_batch32`].
-#[derive(Clone, Copy, Debug)]
-pub struct FftPass32<'f> {
-    fft: &'f Fft32,
-    inverse: bool,
-    fused: bool,
-}
-
-impl GridTransform32 for FftPass32<'_> {
-    fn grid_len(&self) -> usize {
-        self.fft.len()
-    }
-
-    fn scratch_len(&self) -> usize {
-        if self.fused {
-            0
-        } else {
-            self.fft.scratch_len()
-        }
-    }
-
-    fn run(&self, grid: &mut [Complex32], scratch: &mut [Complex32]) {
-        if self.fused {
-            self.fft.transform_fused(grid, self.inverse);
-        } else {
-            self.fft.transform_with(grid, scratch, self.inverse);
-        }
     }
 }
 
@@ -325,7 +256,11 @@ mod tests {
             let mut want = base.clone();
             fft64.convolve_many_with(&*be, &mut want, count, &kernel64);
             let mut got = demote(&base);
-            fft32.convolve_many_with(&*be, &mut got, count, &kernel32);
+            let pass = fft32.convolve_pass(&kernel32, &*be);
+            let mut scratch = vec![Complex32::ZERO; pass.scratch_len()];
+            for grid in got.chunks_mut(n) {
+                pass.run(grid, &mut scratch);
+            }
             let up = promote(&got);
             let scale = want.iter().map(|z| z.abs()).fold(0.0f64, f64::max);
             for (a, b) in want.iter().zip(&up) {
@@ -367,12 +302,20 @@ mod tests {
             let kernel: Vec<f32> =
                 (0..n).map(|i| 1.0f32 / (1.0 + (i % 7) as f32)).collect();
             let base = demote(&signal64(n * 2, 0.9));
+            // Staged: per-line forward, K(G) multiply, per-line inverse.
+            let mut staged = base.clone();
+            let mut line_scratch = vec![Complex32::ZERO; fft.scratch_len()];
+            for grid in staged.chunks_mut(n) {
+                fft.transform_with(grid, &mut line_scratch, false);
+                for (z, &k) in grid.iter_mut().zip(&kernel) {
+                    *z = z.scale(k);
+                }
+                fft.transform_with(grid, &mut line_scratch, true);
+            }
             for be in [
                 pwnum::backend::by_name("reference").unwrap(),
                 pwnum::backend::by_name("blocked").unwrap(),
             ] {
-                let mut staged = base.clone();
-                fft.convolve_many_with(&*be, &mut staged, 2, &kernel);
                 let pass = fft.convolve_pass(&kernel, &*be);
                 let mut fused = base.clone();
                 let mut scratch = vec![Complex32::ZERO; pass.scratch_len()];
@@ -404,11 +347,12 @@ mod tests {
     fn smooth_grid_roundtrip() {
         // The paper's non-power-of-two smooth dims at reduced size.
         let fft = Fft32::new(12, 9, 10);
-        let be = pwnum::backend::by_name("blocked").unwrap();
         let base = demote(&signal64(fft.len() * 3, 0.2));
         let mut data = base.clone();
-        fft.forward_many_with(&*be, &mut data, 3);
-        fft.inverse_many_with(&*be, &mut data, 3);
+        for grid in data.chunks_mut(fft.len()) {
+            fft.transform_fused(grid, false);
+            fft.transform_fused(grid, true);
+        }
         assert!(max_abs_diff32(&base, &data) < 1e-4);
     }
 }

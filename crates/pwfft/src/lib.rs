@@ -22,7 +22,7 @@
 //! * [`plan32`] / [`fft32`] — the single-precision twins ([`Plan32`],
 //!   [`Fft32`]): fp32 twiddles and butterflies with the same mixed-radix
 //!   structure, feeding the mixed-precision exchange pipeline through
-//!   [`pwnum::backend::Backend::transform_batch32`] at half the memory
+//!   [`pwnum::backend::Backend::fused_pair_solve32`] at half the memory
 //!   traffic and twice the SIMD width.
 //!
 //! * `tile` (private) — the one kernel behind every *fused* 3-D pass of
@@ -43,6 +43,6 @@ mod tile;
 
 pub use dist::DistFft3;
 pub use fft3::{ConvolvePass, Fft3, FftPass};
-pub use fft32::{ConvolvePass32, Fft32, FftPass32};
+pub use fft32::{ConvolvePass32, Fft32};
 pub use plan::Plan;
 pub use plan32::Plan32;

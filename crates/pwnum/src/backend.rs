@@ -39,7 +39,6 @@ use crate::cvec;
 use crate::gemm::{self, packed, packed_cols, Op};
 use crate::parallel::{num_threads, par_chunks_mut, par_ranges};
 use crate::precision::{self, CMat32, Complex32};
-use crate::tuning::TunedShapes;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -206,10 +205,11 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
     ///
     /// `phi`, `psi`, and `out` are band-major with `ng` elements per
     /// band (`psi` may alias `phi` by being the same slice). Tasks run
-    /// strictly in order, and each scatter uses the same elementwise
-    /// kernels as the staged scheduler — so for a `solve` that matches
-    /// the staged transform value-for-value, the fused path is bitwise
-    /// identical to the staged one on every backend.
+    /// strictly in order, and each stage uses the same elementwise
+    /// kernels as a staged `hadamard_conj` → transform → `hadamard_acc`
+    /// sequence — so for a `solve` that matches the staged transform
+    /// value-for-value, the pipeline is bitwise identical to that
+    /// sequence on every backend.
     fn fused_pair_solve(
         &self,
         solve: &dyn GridTransform,
@@ -275,7 +275,7 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
 
     /// High-water-mark accounting of the backend's buffer pools (zeros
     /// for backends that don't pool). Tests use this to *assert* the
-    /// fused path's scratch reduction rather than claim it.
+    /// pair pipeline's scratch bound rather than claim it.
     fn pool_stats(&self) -> PoolStats {
         PoolStats::default()
     }
@@ -310,10 +310,6 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
         out: &mut [Complex32],
     );
 
-    /// fp32 elementwise real-kernel apply `field *= k` (kernel cycled
-    /// per grid) — the `K(G)·f_G` multiply of the fp32 Poisson solve.
-    fn scale_by_real32(&self, k: &[f32], field: &mut [Complex32]);
-
     /// fp32 elementwise conjugated product `out = conj(a) ⊙ b` — the
     /// pair-density kernel of the fp32 Fock path.
     fn hadamard_conj32(&self, a: &[Complex32], b: &[Complex32], out: &mut [Complex32]);
@@ -341,10 +337,6 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
         acc: &mut [Complex64],
         comp: Option<&mut [Complex64]>,
     );
-
-    /// Runs `pass` over `count` consecutive fp32 grids in `data` — the
-    /// batched fp32 3-D FFT entry point.
-    fn transform_batch32(&self, pass: &dyn GridTransform32, data: &mut [Complex32], count: usize);
 
     /// Mixed-precision twin of [`Backend::fused_pair_solve`]: the pair
     /// density is formed and solved in fp32 (operands already demoted by
@@ -608,10 +600,6 @@ impl Backend for Reference {
         }
     }
 
-    fn scale_by_real32(&self, k: &[f32], field: &mut [Complex32]) {
-        precision::scale_by_real32(k, field);
-    }
-
     fn hadamard_conj32(&self, a: &[Complex32], b: &[Complex32], out: &mut [Complex32]) {
         precision::hadamard_conj32(a, b, out);
     }
@@ -636,18 +624,6 @@ impl Backend for Reference {
         comp: Option<&mut [Complex64]>,
     ) {
         precision::hadamard_acc_promote_conj(w, a, b, acc, comp);
-    }
-
-    fn transform_batch32(&self, pass: &dyn GridTransform32, data: &mut [Complex32], count: usize) {
-        let n = pass.grid_len();
-        assert_eq!(data.len(), count * n, "transform_batch32 length mismatch");
-        let scratch_len = pass.scratch_len();
-        // Per-call scratch allocation, thread-parallel over grids — the
-        // fp32 twin of the fp64 reference batching.
-        par_chunks_mut(data, n, |_, grid| {
-            let mut scratch = vec![Complex32::ZERO; scratch_len];
-            pass.run(grid, &mut scratch);
-        });
     }
 
     fn take_scratch32(&self, len: usize) -> Vec<Complex32> {
@@ -675,7 +651,7 @@ struct BufferPool<T> {
     /// Bytes currently checked out (taken but not yet `put` back).
     outstanding_bytes: AtomicUsize,
     /// Peak of `outstanding_bytes` since construction / last reset —
-    /// the high-water mark the fused-path scratch tests assert on.
+    /// the high-water mark the pair-pipeline scratch tests assert on.
     peak_bytes: AtomicUsize,
 }
 
@@ -791,57 +767,29 @@ impl<T: Copy + Default> BufferPool<T> {
 }
 
 /// Cache-blocked, accelerator-style backend (the paper's GPU strategy
-/// transplanted to CPU threads): register blocking in GEMM and the
-/// band kernels (width autotunable, default 4), slab-decomposed batched
-/// transforms with one scratch arena per worker, and pooled buffers for
-/// allocation-free hot loops.
-#[derive(Debug)]
+/// transplanted to CPU threads): 4-wide register blocking in GEMM and
+/// the band kernels, slab-decomposed batched transforms with one scratch
+/// arena per worker, and pooled buffers for allocation-free hot loops.
+#[derive(Debug, Default)]
 pub struct Blocked {
     pool: BufferPool<Complex64>,
     pool32: BufferPool<Complex32>,
-    shapes: TunedShapes,
 }
 
-impl Default for Blocked {
-    fn default() -> Self {
-        Blocked::new()
-    }
-}
-
-/// Default column-block width of the register micro-kernel: each packed
-/// `A` row segment is read once per `NB` output columns. The autotuner
-/// may widen/narrow this per backend (see [`TunedShapes::gemm_block`]);
-/// widths only regroup output columns — each element's per-`l`
-/// accumulation order is fixed — so every width is value-identical.
+/// Column-block width of the register micro-kernel: each packed `A` row
+/// segment is read once per `NB` output columns. Blocking only regroups
+/// output columns — each element's per-`l` accumulation order is fixed —
+/// so the blocked and unblocked sums are value-identical.
 const NB: usize = 4;
-
-/// Largest register-block width the micro-kernels dispatch on.
-const MAX_NB: usize = 8;
 
 /// Grid-point threshold below which a batched transform runs inline
 /// (spawn overhead would dominate tiny batches).
 const MIN_BATCH_PARALLEL: usize = 1 << 14;
 
 impl Blocked {
-    /// Creates the backend with an empty buffer pool and the shapes the
-    /// process-wide tuning table holds for `"blocked"` (the built-in
-    /// constants when no table is loaded).
+    /// Creates the backend with an empty buffer pool.
     pub fn new() -> Self {
-        Blocked::with_shapes(crate::tuning::backend_defaults("blocked"))
-    }
-
-    /// Creates the backend with explicit tuned shapes (the autotuner's
-    /// measurement constructor). Out-of-range widths are clamped to the
-    /// dispatchable `1..=MAX_NB` range.
-    pub fn with_shapes(shapes: TunedShapes) -> Self {
-        let shapes =
-            TunedShapes { gemm_block: shapes.gemm_block.clamp(1, MAX_NB), ..shapes };
-        Blocked { pool: BufferPool::default(), pool32: BufferPool::default(), shapes }
-    }
-
-    /// The shapes this backend instance runs with.
-    pub fn shapes(&self) -> TunedShapes {
-        self.shapes
+        Blocked::default()
     }
 
     /// Number of buffers currently pooled (test/diagnostic hook).
@@ -851,11 +799,11 @@ impl Blocked {
     }
 }
 
-/// Accumulates `acc[j] += Σ_l a[l] * rows[j][l]` for up to [`MAX_NB`]
+/// Accumulates `acc[j] += Σ_l a[l] * rows[j][l]` for up to [`NB`]
 /// packed rows sharing one pass over `a` — the register micro-kernel.
-/// Widths 2/4/8 get dedicated register-resident arms (the autotuner's
-/// `gemm_block` candidates); every arm runs each element's per-`l` sum
-/// in the same order, so all widths produce identical values.
+/// The full block and the 2-wide remainder get register-resident arms;
+/// every arm runs each element's per-`l` sum in the same order, so all
+/// widths produce identical values.
 #[inline]
 fn dot_block(a: &[Complex64], rows: &[&[Complex64]], acc: &mut [Complex64]) {
     match rows.len() {
@@ -868,17 +816,6 @@ fn dot_block(a: &[Complex64], rows: &[&[Complex64]], acc: &mut [Complex64]) {
             }
             acc[0] += s0;
             acc[1] += s1;
-        }
-        8 => {
-            let mut s = [Complex64::ZERO; 8];
-            for (l, &av) in a.iter().enumerate() {
-                for (t, rj) in rows.iter().enumerate() {
-                    s[t] = av.mul_add(rj[l], s[t]);
-                }
-            }
-            for (t, sv) in s.iter().enumerate() {
-                acc[t] += *sv;
-            }
         }
         4 => {
             let (r0, r1, r2, r3) = (rows[0], rows[1], rows[2], rows[3]);
@@ -921,18 +858,6 @@ fn dotc_block(a: &[Complex64], rows: &[&[Complex64]], acc: &mut [Complex64]) {
             }
             acc[0] += s0;
             acc[1] += s1;
-        }
-        8 => {
-            let mut s = [Complex64::ZERO; 8];
-            for (l, av) in a.iter().enumerate() {
-                let ac = av.conj();
-                for (t, rj) in rows.iter().enumerate() {
-                    s[t] = ac.mul_add(rj[l], s[t]);
-                }
-            }
-            for (t, sv) in s.iter().enumerate() {
-                acc[t] += *sv;
-            }
         }
         4 => {
             let (r0, r1, r2, r3) = (rows[0], rows[1], rows[2], rows[3]);
@@ -1010,17 +935,6 @@ fn dot_block32(a: &[Complex32], rows: &[&[Complex32]], acc: &mut [Complex32]) {
             acc[0] += s0;
             acc[1] += s1;
         }
-        8 => {
-            let mut s = [Complex32::ZERO; 8];
-            for (l, &av) in a.iter().enumerate() {
-                for (t, rj) in rows.iter().enumerate() {
-                    s[t] = av.mul_add(rj[l], s[t]);
-                }
-            }
-            for (t, sv) in s.iter().enumerate() {
-                acc[t] += *sv;
-            }
-        }
         4 => {
             let (r0, r1, r2, r3) = (rows[0], rows[1], rows[2], rows[3]);
             let (mut s0, mut s1, mut s2, mut s3) =
@@ -1062,18 +976,6 @@ fn dotc_block32(a: &[Complex32], rows: &[&[Complex32]], acc: &mut [Complex32]) {
             }
             acc[0] += s0;
             acc[1] += s1;
-        }
-        8 => {
-            let mut s = [Complex32::ZERO; 8];
-            for (l, av) in a.iter().enumerate() {
-                let ac = av.conj();
-                for (t, rj) in rows.iter().enumerate() {
-                    s[t] = ac.mul_add(rj[l], s[t]);
-                }
-            }
-            for (t, sv) in s.iter().enumerate() {
-                acc[t] += *sv;
-            }
         }
         4 => {
             let (r0, r1, r2, r3) = (rows[0], rows[1], rows[2], rows[3]);
@@ -1140,15 +1042,14 @@ impl Backend for Blocked {
                 c.as_mut_slice().chunks_mut(n.max(1)).map(Mutex::new).collect();
             let ap = &*ap;
             let bp = &*bp;
-            let nb = self.shapes.gemm_block;
             par_ranges(m, |lo, hi| {
-                let mut blk: [&[Complex64]; MAX_NB] = [&[]; MAX_NB];
+                let mut blk: [&[Complex64]; NB] = [&[]; NB];
                 for (i, crow_m) in rows.iter().enumerate().take(hi).skip(lo) {
                     let arow = ap.row(i);
                     let mut crow = crow_m.lock();
                     let mut jb = 0;
                     while jb < n {
-                        let jn = (jb + nb).min(n);
+                        let jn = (jb + NB).min(n);
                         for (s, j) in (jb..jn).enumerate() {
                             blk[s] = bp.row(j);
                         }
@@ -1175,15 +1076,14 @@ impl Backend for Blocked {
         {
             let rows: Vec<Mutex<&mut [Complex64]>> =
                 s.as_mut_slice().chunks_mut(nb.max(1)).map(Mutex::new).collect();
-            let width = self.shapes.gemm_block;
             par_ranges(na, |lo, hi| {
-                let mut blk: [&[Complex64]; MAX_NB] = [&[]; MAX_NB];
+                let mut blk: [&[Complex64]; NB] = [&[]; NB];
                 for (i, row_m) in rows.iter().enumerate().take(hi).skip(lo) {
                     let ai = bands::band(a, band_len, i);
                     let mut row = row_m.lock();
                     let mut jb = 0;
                     while jb < nb {
-                        let jn = (jb + width).min(nb);
+                        let jn = (jb + NB).min(nb);
                         for (s, j) in (jb..jn).enumerate() {
                             blk[s] = bands::band(b, band_len, j);
                         }
@@ -1340,15 +1240,8 @@ impl Backend for Blocked {
         }
         // Slab decomposition: each worker claims one contiguous run of
         // grids and reuses a single pooled arena across all of them —
-        // the "multi-batch" strategy of the paper's cuFFT path. The
-        // tuned `fft_slab` caps grids per slab (finer slabs balance
-        // load at the cost of more scratch checkouts), bounded below so
-        // the spawn count stays O(workers); 0 = one slab per worker.
-        let mut per_worker = count.div_ceil(workers);
-        if self.shapes.fft_slab > 0 {
-            per_worker =
-                per_worker.min(self.shapes.fft_slab).max(count.div_ceil(workers * 4)).max(1);
-        }
+        // the "multi-batch" strategy of the paper's cuFFT path.
+        let per_worker = count.div_ceil(workers);
         std::thread::scope(|s| {
             for slab in data.chunks_mut(per_worker * n) {
                 s.spawn(|| {
@@ -1400,18 +1293,17 @@ impl Backend for Blocked {
         let n = bp.rows();
         assert_eq!(k, bp.cols(), "gemm32 inner dimension mismatch");
         let mut c = CMat32::zeros(m, n);
-        // Register blocking over output columns (tuned width); each
-        // element's sum runs in the same l order as the reference loop,
-        // so both backends produce identical values.
-        let nb = self.shapes.gemm_block;
-        let mut blk: [&[Complex32]; MAX_NB] = [&[]; MAX_NB];
+        // Register blocking over output columns; each element's sum runs
+        // in the same l order as the reference loop, so both backends
+        // produce identical values.
+        let mut blk: [&[Complex32]; NB] = [&[]; NB];
         let mut crow = vec![Complex32::ZERO; n];
         for i in 0..m {
             let arow = ap.row(i);
             crow.fill(Complex32::ZERO);
             let mut jb = 0;
             while jb < n {
-                let jn = (jb + nb).min(n);
+                let jn = (jb + NB).min(n);
                 for (s, j) in (jb..jn).enumerate() {
                     blk[s] = bp.row(j);
                 }
@@ -1435,15 +1327,14 @@ impl Backend for Blocked {
         {
             let rows: Vec<Mutex<&mut [Complex32]>> =
                 s.as_mut_slice().chunks_mut(nb.max(1)).map(Mutex::new).collect();
-            let width = self.shapes.gemm_block;
             par_ranges(na, |lo, hi| {
-                let mut blk: [&[Complex32]; MAX_NB] = [&[]; MAX_NB];
+                let mut blk: [&[Complex32]; NB] = [&[]; NB];
                 for (i, row_m) in rows.iter().enumerate().take(hi).skip(lo) {
                     let ai = &a[i * band_len..(i + 1) * band_len];
                     let mut row = row_m.lock();
                     let mut jb = 0;
                     while jb < nb {
-                        let jn = (jb + width).min(nb);
+                        let jn = (jb + NB).min(nb);
                         for (t, j) in (jb..jn).enumerate() {
                             blk[t] = &b[j * band_len..(j + 1) * band_len];
                         }
@@ -1513,20 +1404,6 @@ impl Backend for Blocked {
         });
     }
 
-    fn scale_by_real32(&self, k: &[f32], field: &mut [Complex32]) {
-        assert!(!k.is_empty(), "scale_by_real32: empty kernel");
-        assert!(
-            field.len().is_multiple_of(k.len()),
-            "scale_by_real32: field not a multiple of kernel"
-        );
-        // One fused parallel pass over the whole batch.
-        par_chunks_mut(field, k.len(), |_, chunk| {
-            for (f, &kv) in chunk.iter_mut().zip(k) {
-                *f = f.scale(kv);
-            }
-        });
-    }
-
     fn hadamard_conj32(&self, a: &[Complex32], b: &[Complex32], out: &mut [Complex32]) {
         precision::hadamard_conj32(a, b, out);
     }
@@ -1551,43 +1428,6 @@ impl Backend for Blocked {
         comp: Option<&mut [Complex64]>,
     ) {
         precision::hadamard_acc_promote_conj(w, a, b, acc, comp);
-    }
-
-    fn transform_batch32(&self, pass: &dyn GridTransform32, data: &mut [Complex32], count: usize) {
-        let n = pass.grid_len();
-        assert_eq!(data.len(), count * n, "transform_batch32 length mismatch");
-        if count == 0 {
-            return;
-        }
-        let scratch_len = pass.scratch_len();
-        let workers = if data.len() < MIN_BATCH_PARALLEL { 1 } else { num_threads(count) };
-        if workers == 1 {
-            let mut scratch = self.pool32.take_garbage(scratch_len);
-            for grid in data.chunks_mut(n) {
-                pass.run(grid, &mut scratch);
-            }
-            self.pool32.put(scratch);
-            return;
-        }
-        // Slab decomposition with one pooled fp32 arena per worker —
-        // the same multi-batch strategy (and tuned slab cap) as the
-        // fp64 path at half the memory traffic.
-        let mut per_worker = count.div_ceil(workers);
-        if self.shapes.fft_slab > 0 {
-            per_worker =
-                per_worker.min(self.shapes.fft_slab).max(count.div_ceil(workers * 4)).max(1);
-        }
-        std::thread::scope(|s| {
-            for slab in data.chunks_mut(per_worker * n) {
-                s.spawn(|| {
-                    let mut scratch = self.pool32.take_garbage(scratch_len);
-                    for grid in slab.chunks_mut(n) {
-                        pass.run(grid, &mut scratch);
-                    }
-                    self.pool32.put(scratch);
-                });
-            }
-        });
     }
 
     fn take_scratch32(&self, len: usize) -> Vec<Complex32> {
@@ -1646,21 +1486,34 @@ mod tests {
         let bl = Blocked::new();
         let a = test_mat(7, 5, 0.3);
         let at = test_mat(5, 7, 0.3);
-        let c0 = test_mat(7, 9, 2.0);
-        for (op_a, aa) in [(Op::None, &a), (Op::Trans, &at)] {
-            for op_b in [Op::None, Op::Trans, Op::ConjTrans] {
-                let bb = match op_b {
-                    Op::None => test_mat(5, 9, 1.1),
-                    _ => test_mat(9, 5, 1.1),
-                };
-                let alpha = c64(0.7, -0.2);
-                let beta = c64(-0.1, 0.4);
-                let want = r.gemm(alpha, aa, op_a, &bb, op_b, beta, Some(&c0));
-                let got = bl.gemm(alpha, aa, op_a, &bb, op_b, beta, Some(&c0));
-                assert!(
-                    want.max_abs_diff(&got) < 1e-12,
-                    "gemm mismatch for {op_a:?}/{op_b:?}"
-                );
+        // Column counts ≡ 1, 2, 3 (mod NB): every remainder arm of the
+        // register micro-kernel after the full blocks.
+        for n in [9, 10, 11] {
+            let c0 = test_mat(7, n, 2.0);
+            for (op_a, aa) in [(Op::None, &a), (Op::Trans, &at)] {
+                for op_b in [Op::None, Op::Trans, Op::ConjTrans] {
+                    let bb = match op_b {
+                        Op::None => test_mat(5, n, 1.1),
+                        _ => test_mat(n, 5, 1.1),
+                    };
+                    let alpha = c64(0.7, -0.2);
+                    let beta = c64(-0.1, 0.4);
+                    let want = r.gemm(alpha, aa, op_a, &bb, op_b, beta, Some(&c0));
+                    let got = bl.gemm(alpha, aa, op_a, &bb, op_b, beta, Some(&c0));
+                    assert!(
+                        want.max_abs_diff(&got) < 1e-12,
+                        "gemm mismatch for {op_a:?}/{op_b:?}, {n} columns"
+                    );
+                    let (a32, b32) = (CMat32::from_c64(aa), CMat32::from_c64(&bb));
+                    let alpha32 = Complex32::from_c64(alpha);
+                    let want = r.gemm32(alpha32, &a32, op_a, &b32, op_b);
+                    let got = bl.gemm32(alpha32, &a32, op_a, &b32, op_b);
+                    assert_eq!(
+                        want.max_abs_diff(&got),
+                        0.0,
+                        "gemm32 {op_a:?}/{op_b:?}, {n} columns"
+                    );
+                }
             }
         }
     }
@@ -1671,10 +1524,17 @@ mod tests {
         let bl = Blocked::new();
         let (nb, len) = (6, 37);
         let a = test_block(nb, len, 0.2);
-        let b = test_block(nb, len, 1.4);
-        let sr = r.overlap(&a, &b, len, 1.7);
-        let sb = bl.overlap(&a, &b, len, 1.7);
-        assert!(sr.max_abs_diff(&sb) < 1e-12);
+        // Column counts ≡ 1, 2, 3 (mod NB), as in the GEMM test.
+        for cols in [5, 6, 7] {
+            let b = test_block(cols, len, 1.4);
+            let sr = r.overlap(&a, &b, len, 1.7);
+            let sb = bl.overlap(&a, &b, len, 1.7);
+            assert!(sr.max_abs_diff(&sb) < 1e-12, "overlap, {cols} columns");
+            let (a32, b32) = (precision::demote(&a), precision::demote(&b));
+            let sr = r.overlap32(&a32, &b32, len, 1.7);
+            let sb = bl.overlap32(&a32, &b32, len, 1.7);
+            assert_eq!(sr.max_abs_diff(&sb), 0.0, "overlap32, {cols} columns");
+        }
 
         let q = test_mat(nb, 5, 0.9);
         let mut or_ = vec![Complex64::ZERO; len * 5];
@@ -1743,37 +1603,6 @@ mod tests {
         assert!(by_name("cuda").is_none());
         let d = default_backend();
         assert!(d.name() == "reference" || d.name() == "blocked");
-    }
-
-    #[test]
-    fn every_gemm_block_width_is_value_identical() {
-        // Block widths only regroup output columns — results must be
-        // *exactly* the default-width values, not merely close.
-        let baseline = Blocked::with_shapes(TunedShapes::default());
-        let a = test_mat(7, 13, 0.3);
-        let b = test_mat(13, 11, 1.1);
-        let alpha = c64(0.7, -0.2);
-        let want = baseline.gemm(alpha, &a, Op::None, &b, Op::None, Complex64::ZERO, None);
-        let blk_a = test_block(6, 37, 0.2);
-        let blk_b = test_block(6, 37, 1.4);
-        let want_s = baseline.overlap(&blk_a, &blk_b, 37, 1.7);
-        for width in [1usize, 2, 3, 5, 8] {
-            let bl = Blocked::with_shapes(TunedShapes {
-                gemm_block: width,
-                ..TunedShapes::default()
-            });
-            assert_eq!(bl.shapes().gemm_block, width);
-            let got = bl.gemm(alpha, &a, Op::None, &b, Op::None, Complex64::ZERO, None);
-            assert_eq!(want.max_abs_diff(&got), 0.0, "gemm width {width} changed values");
-            let got_s = bl.overlap(&blk_a, &blk_b, 37, 1.7);
-            assert_eq!(want_s.max_abs_diff(&got_s), 0.0, "overlap width {width} changed values");
-        }
-        // Out-of-range widths clamp instead of panicking.
-        let clamped = Blocked::with_shapes(TunedShapes {
-            gemm_block: 99,
-            ..TunedShapes::default()
-        });
-        assert_eq!(clamped.shapes().gemm_block, MAX_NB);
     }
 
     #[test]

@@ -29,10 +29,6 @@
 //!   kernels, two-sum-compensated fp64 accumulation, and the
 //!   [`PrecisionPolicy`] mapping pipeline stages to fp64/fp32 — the
 //!   paper's fp32 exchange/FFT playbook for throughput hardware.
-//! * [`tuning`] — the backend autotuner: per-(grid, bands, precision,
-//!   backend) shape search over GEMM block widths, FFT slab sizes, and
-//!   Fock tile sizes, persisted in a versioned JSON [`TuningTable`]
-//!   with safe fallback to the built-in constants.
 //!
 //! No external math dependencies: every routine is implemented here and
 //! validated by unit + property tests.
@@ -49,11 +45,9 @@ pub mod parallel;
 pub mod persist;
 pub mod precision;
 pub mod traced;
-pub mod tuning;
 
 pub use backend::{Backend, BackendHandle, PairTask};
 pub use cmat::CMat;
 pub use complex::{c64, Complex64};
 pub use eig::{eigh, EigH};
 pub use precision::{c32, CMat32, CVec32, Complex32, PrecisionPolicy, StagePrecision};
-pub use tuning::{TuneKey, TunedShapes, TuningTable};

@@ -1,6 +1,5 @@
-//! Durable-file primitives shared by every on-disk artifact of the
-//! workspace: the autotuning table ([`crate::tuning`]) and the
-//! checkpoint files of `ptim::resilience`.
+//! Durable-file primitives for the on-disk artifacts of the workspace
+//! (the checkpoint files of `ptim::resilience`).
 //!
 //! Two invariants matter for files a killed process may leave behind:
 //!
@@ -10,7 +9,7 @@
 //!   never a truncated mix. (POSIX `rename` within one directory is
 //!   atomic; the temp file lives next to the target so the rename never
 //!   crosses filesystems.)
-//! * **Integrity** — [`fnv1a64`] is the checksum both consumers append
+//! * **Integrity** — [`fnv1a64`] is the checksum consumers append
 //!   to (or derive from) their payloads, so a file corrupted *after* a
 //!   complete write (bit rot, manual edits) is still detected at load.
 
@@ -24,7 +23,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// 64-bit FNV-1a hash of `bytes` — the workspace's file checksum.
 /// Not cryptographic; it guards against truncation and bit corruption,
-/// which is all a checkpoint/tuning file needs.
+/// which is all a checkpoint file needs.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {

@@ -374,21 +374,6 @@ pub fn hadamard_conj32(a: &[Complex32], b: &[Complex32], out: &mut [Complex32]) 
     }
 }
 
-/// Elementwise real-kernel apply `field *= k`, cycling the kernel over
-/// consecutive `k.len()`-sized chunks — the fp32 `K(G)·f_G` multiply.
-pub fn scale_by_real32(k: &[f32], field: &mut [Complex32]) {
-    assert!(!k.is_empty(), "scale_by_real32: empty kernel");
-    assert!(
-        field.len().is_multiple_of(k.len()),
-        "scale_by_real32: field not a multiple of kernel"
-    );
-    for chunk in field.chunks_mut(k.len()) {
-        for (f, &kv) in chunk.iter_mut().zip(k) {
-            *f = f.scale(kv);
-        }
-    }
-}
-
 /// Weighted promote-accumulate `acc += w · a ⊙ b`: the fp32 operands are
 /// promoted to fp64 and the product formed in fp64, so the only error
 /// relative to the all-fp64 kernel is the fp32 rounding already present
@@ -499,24 +484,15 @@ impl StagePrecision {
 ///
 /// Stage semantics:
 ///
-/// * `exchange` — the Fock pair-tile solves: pair densities, the
+/// * `exchange` — the Fock pair solves: pair densities, the
 ///   screened-Poisson FFT round trip, and the scatter back into the
 ///   fp64 targets. Reduced modes demote the orbital block once per
-///   apply and solve every `W_ij` in fp32.
+///   apply and solve every `W_ij` on the fp32 plans.
 /// * `subspace_gemm` — the ACE apply (`ξ^Hψ` overlap + `ξ C` rotation).
-/// * `fft` — the transform precision of the reduced exchange solves:
-///   with a reduced `exchange` stage, a reduced `fft` runs the Poisson
-///   round trips on the fp32 plans (the fast path), while `Fp64`
-///   promotes each pair tile and runs the fp64 plans — an
-///   error-attribution mode separating storage/accumulation effects
-///   from transform effects. A reduced `fft` *requires* a reduced
-///   `exchange` stage ([`PrecisionPolicy::validate`] rejects the
-///   combination otherwise, since no other pipeline consumes fp32
-///   transforms yet).
-/// * `accumulation` — the propagator state updates. **Only
-///   [`StagePrecision::Fp64`] is supported**: the whole error budget of
-///   the mixed pipeline rests on accumulating into a well-conditioned
-///   fp64 state (DESIGN.md §"Precision error budget").
+///
+/// The propagator state updates always accumulate in fp64: the whole
+/// error budget of the mixed pipeline rests on a well-conditioned fp64
+/// state (DESIGN.md §"Precision error budget").
 ///
 /// `promote_drift` is the propagators' auto-promotion threshold: when a
 /// step's pre-constraint orthonormality drift exceeds it (or goes
@@ -527,10 +503,6 @@ pub struct PrecisionPolicy {
     pub exchange: StagePrecision,
     /// ACE / subspace GEMMs.
     pub subspace_gemm: StagePrecision,
-    /// Standalone batched FFT fields.
-    pub fft: StagePrecision,
-    /// Propagator accumulation (must stay [`StagePrecision::Fp64`]).
-    pub accumulation: StagePrecision,
     /// Orthonormality-drift threshold for per-step auto-promotion.
     pub promote_drift: f64,
 }
@@ -541,8 +513,6 @@ impl PrecisionPolicy {
         PrecisionPolicy {
             exchange: StagePrecision::Fp64,
             subspace_gemm: StagePrecision::Fp64,
-            fft: StagePrecision::Fp64,
-            accumulation: StagePrecision::Fp64,
             promote_drift: f64::INFINITY,
         }
     }
@@ -555,8 +525,6 @@ impl PrecisionPolicy {
         PrecisionPolicy {
             exchange: StagePrecision::Fp32Promoted,
             subspace_gemm: StagePrecision::Fp64,
-            fft: StagePrecision::Fp32,
-            accumulation: StagePrecision::Fp64,
             promote_drift: 1e-3,
         }
     }
@@ -564,7 +532,7 @@ impl PrecisionPolicy {
     /// True when any compute stage runs reduced.
     #[inline]
     pub fn any_reduced(&self) -> bool {
-        self.exchange.reduced() || self.subspace_gemm.reduced() || self.fft.reduced()
+        self.exchange.reduced() || self.subspace_gemm.reduced()
     }
 
     /// True when the propagators should monitor drift and auto-promote.
@@ -576,33 +544,7 @@ impl PrecisionPolicy {
     /// The all-fp64 policy a tripped step is recomputed under (keeps the
     /// threshold for reporting).
     pub fn promoted(&self) -> Self {
-        PrecisionPolicy {
-            exchange: StagePrecision::Fp64,
-            subspace_gemm: StagePrecision::Fp64,
-            fft: StagePrecision::Fp64,
-            accumulation: StagePrecision::Fp64,
-            promote_drift: self.promote_drift,
-        }
-    }
-
-    /// Rejects unsupported stage combinations.
-    ///
-    /// # Panics
-    /// Panics when `accumulation` is not [`StagePrecision::Fp64`], or
-    /// when `fft` is reduced without a reduced `exchange` stage.
-    pub fn validate(&self) {
-        assert!(
-            self.accumulation == StagePrecision::Fp64,
-            "PrecisionPolicy: propagator accumulation must stay Fp64 \
-             (the fp32 pipeline is only safe against a well-conditioned \
-             fp64 state; see DESIGN.md)"
-        );
-        assert!(
-            self.exchange.reduced() || !self.fft.reduced(),
-            "PrecisionPolicy: a reduced fft stage requires a reduced \
-             exchange stage (the exchange Poisson solves are the only \
-             consumer of fp32 transforms)"
-        );
+        PrecisionPolicy { promote_drift: self.promote_drift, ..Self::fp64() }
     }
 }
 
@@ -720,34 +662,12 @@ mod tests {
         let p = PrecisionPolicy::default();
         assert!(!p.any_reduced());
         assert!(!p.monitors_drift());
-        p.validate();
         let m = PrecisionPolicy::mixed();
         assert!(m.any_reduced());
         assert!(m.monitors_drift());
         assert!(m.exchange.compensated());
-        m.validate();
         let promoted = m.promoted();
         assert!(!promoted.any_reduced());
         assert_eq!(promoted.promote_drift, m.promote_drift);
-    }
-
-    #[test]
-    #[should_panic(expected = "accumulation must stay Fp64")]
-    fn reduced_accumulation_rejected() {
-        let p = PrecisionPolicy {
-            accumulation: StagePrecision::Fp32,
-            ..PrecisionPolicy::mixed()
-        };
-        p.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "requires a reduced exchange stage")]
-    fn standalone_reduced_fft_rejected() {
-        let p = PrecisionPolicy {
-            fft: StagePrecision::Fp32,
-            ..PrecisionPolicy::fp64()
-        };
-        p.validate();
     }
 }

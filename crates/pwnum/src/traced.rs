@@ -205,11 +205,6 @@ impl Backend for Traced {
         self.inner.rotate_acc32(alpha, a, q, band_len, out)
     }
 
-    fn scale_by_real32(&self, k: &[f32], field: &mut [Complex32]) {
-        let _s = pwobs::span("grid.scale_by_real32");
-        self.inner.scale_by_real32(k, field)
-    }
-
     fn hadamard_conj32(&self, a: &[Complex32], b: &[Complex32], out: &mut [Complex32]) {
         let _s = pwobs::span("grid.hadamard_conj32");
         self.inner.hadamard_conj32(a, b, out)
@@ -237,11 +232,6 @@ impl Backend for Traced {
     ) {
         let _s = pwobs::span("grid.hadamard_acc_promote_conj");
         self.inner.hadamard_acc_promote_conj(w, a, b, acc, comp)
-    }
-
-    fn transform_batch32(&self, pass: &dyn GridTransform32, data: &mut [Complex32], count: usize) {
-        let _s = pwobs::span("fft.transform_batch32");
-        self.inner.transform_batch32(pass, data, count)
     }
 
     fn fused_pair_solve32(

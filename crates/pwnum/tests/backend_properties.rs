@@ -4,7 +4,7 @@
 //! ops — the contract that makes the backend seam safe to swap.
 
 use proptest::prelude::*;
-use pwnum::backend::{by_name, BackendHandle, GridTransform, GridTransform32};
+use pwnum::backend::{by_name, BackendHandle, GridTransform};
 use pwnum::cmat::CMat;
 use pwnum::complex::{c64, Complex64};
 use pwnum::gemm::Op;
@@ -39,26 +39,6 @@ impl GridTransform for ShiftPass {
         self.n
     }
     fn run(&self, grid: &mut [Complex64], scratch: &mut [Complex64]) {
-        scratch[..self.n].copy_from_slice(grid);
-        for i in 0..self.n {
-            grid[i] = scratch[(i + 1) % self.n].scale(1.5);
-        }
-    }
-}
-
-/// fp32 twin of [`ShiftPass`] for `transform_batch32` semantics.
-struct ShiftPass32 {
-    n: usize,
-}
-
-impl GridTransform32 for ShiftPass32 {
-    fn grid_len(&self) -> usize {
-        self.n
-    }
-    fn scratch_len(&self) -> usize {
-        self.n
-    }
-    fn run(&self, grid: &mut [Complex32], scratch: &mut [Complex32]) {
         scratch[..self.n].copy_from_slice(grid);
         for i in 0..self.n {
             grid[i] = scratch[(i + 1) % self.n].scale(1.5);
@@ -267,25 +247,17 @@ proptest! {
         a in block_strategy(64),
         b in block_strategy(64),
         seed in block_strategy(64),
-        k in proptest::collection::vec(-2.0f64..2.0, 16),
         w in -2.0f64..2.0,
     ) {
         let (r, bl) = pair();
         let a32 = precision::demote(&a);
         let b32 = precision::demote(&b);
-        let k32 = precision::demote_real(&k);
 
         let mut hr = vec![Complex32::ZERO; 64];
         let mut hb = hr.clone();
         r.hadamard_conj32(&a32, &b32, &mut hr);
         bl.hadamard_conj32(&a32, &b32, &mut hb);
         prop_assert!(precision::max_abs_diff32(&hr, &hb) == 0.0, "hadamard_conj32");
-
-        let mut fr = a32.clone();
-        let mut fb = a32.clone();
-        r.scale_by_real32(&k32, &mut fr);
-        bl.scale_by_real32(&k32, &mut fb);
-        prop_assert!(precision::max_abs_diff32(&fr, &fb) == 0.0, "scale_by_real32");
 
         // Promote-accumulate into fp64 targets: plain and two-sum
         // compensated, direct and conjugated — all exact across
@@ -312,17 +284,6 @@ proptest! {
         r.hadamard_acc(Complex64::from_re(w), &a64, &b64, &mut want);
         r.hadamard_acc_promote(w, &a32, &b32, &mut got, None);
         prop_assert!(pwnum::cvec::max_abs_diff(&want, &got) == 0.0);
-    }
-
-    #[test]
-    fn transform_batch32_agrees_exactly(data in block_strategy(11 * 13)) {
-        let (r, bl) = pair();
-        let pass = ShiftPass32 { n: 13 };
-        let mut dr = precision::demote(&data);
-        let mut db = dr.clone();
-        r.transform_batch32(&pass, &mut dr, 11);
-        bl.transform_batch32(&pass, &mut db, 11);
-        prop_assert!(precision::max_abs_diff32(&dr, &db) == 0.0);
     }
 }
 

@@ -92,28 +92,31 @@ fn ptcn_step_once(eng: &TdEngine, state: &TdState, cfg: &PtcnConfig) -> (TdState
     let dv = eng.sys.grid.dv();
     let mut stats = StepStats::default();
 
-    // Constant right-hand side: Φ_n − (iΔt/2)(I−P_n)H_nΦ_n.
-    let ev_n = eng.eval(&state.phi, &state.sigma, state.time);
-    let h_n = eng.hamiltonian_dense(&ev_n);
+    // Constant right-hand side: Φ_n − (iΔt/2)(I−P_n)H_nΦ_n. Scoped: only
+    // it and the density outlive H_n, its natural orbitals and the force.
+    let (rhs, mut rho_prev) = {
+        let ev_n = eng.eval(&state.phi, &state.sigma, state.time);
+        let h_n = eng.hamiltonian_dense(&ev_n);
+        let force_n = pt_force(&h_n, &state.phi);
+        let mut rhs = Wavefunction::zeros_like(&state.phi);
+        eng.backend.lincomb(
+            Complex64::ONE,
+            &state.phi.data,
+            c64(0.0, -0.5 * dt),
+            &force_n,
+            &mut rhs.data,
+        );
+        (rhs, ev_n.rho)
+    };
     if eng.hybrid.alpha != 0.0 {
         stats.fock_applies += 1;
     }
-    let force_n = pt_force(&h_n, &state.phi);
-    let mut rhs = Wavefunction::zeros_like(&state.phi);
-    eng.backend.lincomb(
-        Complex64::ONE,
-        &state.phi.data,
-        c64(0.0, -0.5 * dt),
-        &force_n,
-        &mut rhs.data,
-    );
 
     // Fixed point on Φ_{n+1}.
     let mut next =
         TdState { phi: state.phi.clone(), sigma: state.sigma.clone(), time: state.time + dt };
     let mut mixer = AndersonMixer::new(cfg.anderson_depth, cfg.anderson_beta);
     let mut image = Wavefunction::zeros_like(&next.phi);
-    let mut rho_prev = ev_n.rho;
 
     for it in 0..cfg.max_scf {
         stats.scf_iters = it + 1;

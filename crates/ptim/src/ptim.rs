@@ -70,18 +70,22 @@ fn ptim_step_once(eng: &TdEngine, state: &TdState, cfg: &PtimConfig) -> (TdState
     let mut stats = StepStats::default();
 
     // Predictor: one explicit application of the update map with the
-    // midpoint approximated by (Φ_n, σ_n)  — Alg. 1 line 1.
-    let ev_n = eng.eval(&state.phi, &state.sigma, state.time);
-    let h_n = eng.hamiltonian_dense(&ev_n);
-    let (phi_p, sigma_p) = pt_update(state, &h_n, &state.phi, &state.sigma, dt);
+    // midpoint approximated by (Φ_n, σ_n)  — Alg. 1 line 1. Scoped: only
+    // the density outlives it, so the natural orbitals (G and real
+    // space) and the Hamiltonian's copy are freed before the SCF loop
+    // allocates its own.
+    let (mut next, mut rho_prev) = {
+        let ev_n = eng.eval(&state.phi, &state.sigma, state.time);
+        let h_n = eng.hamiltonian_dense(&ev_n);
+        let (phi, sigma) = pt_update(state, &h_n, &state.phi, &state.sigma, dt);
+        (TdState { phi, sigma, time: state.time + dt }, ev_n.rho)
+    };
     if eng.hybrid.alpha != 0.0 {
         stats.fock_applies += 1;
     }
-    let mut next = TdState { phi: phi_p, sigma: sigma_p, time: state.time + dt };
 
     let mut mixer = AndersonMixer::new(cfg.anderson_depth, cfg.anderson_beta);
     let (mut x, mut tx) = (Vec::new(), Vec::new());
-    let mut rho_prev = ev_n.rho;
 
     for it in 0..cfg.max_scf {
         stats.scf_iters = it + 1;

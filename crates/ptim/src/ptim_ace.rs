@@ -86,17 +86,22 @@ fn ptim_ace_step_once(
     let dv = eng.sys.grid.dv();
     let mut stats = StepStats::default();
 
-    // ACE at t_n (one Fock build), used for the predictor step.
-    let (w_n, _ex_n, fstats) = eng.exchange_images_stats(&state.phi, &state.sigma);
-    stats.fock_applies += 1;
-    stats.fock_skipped_weight += fstats.skipped_weight;
+    // ACE at t_n (one Fock build), used for the predictor step. Scoped:
+    // the exchange images, the operator and H_n are freed before the
+    // outer loop builds its own.
     let gemm_stage = eng.hybrid.fock.precision.subspace_gemm;
-    let ace_n =
-        AceOperator::build_with_policy(eng.backend.clone(), &state.phi, &w_n, gemm_stage);
-    let ev_n = eng.eval(&state.phi, &state.sigma, state.time);
-    let h_n = eng.hamiltonian_ace(&ev_n, ace_n);
-    let (phi_p, sigma_p) = pt_update(state, &h_n, &state.phi, &state.sigma, dt);
-    let mut next = TdState { phi: phi_p, sigma: sigma_p, time: state.time + dt };
+    let mut next = {
+        let (w_n, _ex_n, fstats) = eng.exchange_images_stats(&state.phi, &state.sigma);
+        stats.fock_applies += 1;
+        stats.fock_skipped_weight += fstats.skipped_weight;
+        let ace_n =
+            AceOperator::build_with_policy(eng.backend.clone(), &state.phi, &w_n, gemm_stage);
+        drop(w_n);
+        let ev_n = eng.eval(&state.phi, &state.sigma, state.time);
+        let h_n = eng.hamiltonian_ace(&ev_n, ace_n);
+        let (phi, sigma) = pt_update(state, &h_n, &state.phi, &state.sigma, dt);
+        TdState { phi, sigma, time: state.time + dt }
+    };
 
     let mut ex_prev = f64::INFINITY;
     let mut mixer = AndersonMixer::new(cfg.anderson_depth, cfg.anderson_beta);

@@ -342,7 +342,7 @@ impl<'g> FockOperator<'g> {
     /// asymmetric target-major path. Both are screened by
     /// [`FockOptions::occ_cutoff`] and differ only in which pairs they
     /// enumerate: every surviving pair runs density → Poisson round trip
-    /// → scatter in one pass over two pooled grids
+    /// → scatter over pooled grids, on every worker the region is worth
     /// ([`pwnum::backend::Backend::fused_pair_solve`]).
     pub fn apply_diag(
         &self,
@@ -457,10 +457,11 @@ impl<'g> FockOperator<'g> {
         (out, stats)
     }
 
-    /// The one pair pipeline behind both enumerators: `tasks` run
-    /// strictly in order through the backend's fused pair solve — per
-    /// pair, density → Poisson round trip → scatter over two pooled
-    /// grids — at the policy's `exchange` precision. Reduced: the blocks
+    /// The one pair pipeline behind both enumerators: `tasks` go through
+    /// the backend's fused pair solve — per pair, density → Poisson round
+    /// trip → scatter over pooled grids, with the result of running them
+    /// strictly in order at any thread count — at the policy's
+    /// `exchange` precision. Reduced: the blocks
     /// are demoted once (`psi_r` only when it is not `phi_r` itself),
     /// every solve runs on the fp32 plans, and the scatters promote into
     /// `out`, two-sum compensated through a pooled buffer under
@@ -869,10 +870,15 @@ mod tests {
         // the oracle of the batched applies: same elementwise kernels,
         // same scatter order, and the backends' fused convolve is exact
         // against the staged one — so a reordered, dropped or doubled
-        // pair shows as a nonzero difference.
-        let (grid, fft, wf) = setup(5);
+        // pair shows as a nonzero difference. Six bands put both task
+        // lists (20 and 30 solves of 216 points) above the inline
+        // threshold, so the pipeline runs on every worker the process
+        // has (CI repeats this suite under `PWDFT_NUM_THREADS=3`; the
+        // explicit worker-count matrix is `pwnum::backend`'s
+        // `pair_pipeline_is_bitwise_identical_at_every_worker_count`).
+        let (grid, fft, wf) = setup(6);
         let ng = grid.len();
-        let d = [1.0, 0.9, 0.0, 0.2, 0.05];
+        let d = [1.0, 0.9, 0.0, 0.2, 0.05, 0.4];
         let n = d.len();
         let phi_r = wf.to_real_all(&fft);
         let psi = phi_r.clone();
@@ -1001,10 +1007,13 @@ mod tests {
 
     #[test]
     fn pool_peak_is_independent_of_band_count() {
-        // The pipeline holds one pooled pair grid (+ the solve's scratch)
-        // for the whole task list: on a fresh pooled backend the
-        // high-water mark must not grow with the number of bands.
-        let (grid, fft, wf) = setup(8);
+        // The pipeline holds one wave of pooled pair grids (one grid on
+        // one worker) plus the solve's scratch for the whole task list:
+        // on a fresh pooled backend the high-water mark must not grow
+        // with the number of bands. 36 / 55 / 78 tasks are all beyond a
+        // wave, so this holds at every thread count (the bound in grids
+        // is asserted next to the scheduler, in `pwnum::backend`).
+        let (grid, fft, wf) = setup(12);
         let ng = grid.len();
         let phi_r = wf.to_real_all(&fft);
         let peak = |n: usize| {
@@ -1013,9 +1022,9 @@ mod tests {
             op.apply_pure(&phi_r[..n * ng], &vec![1.0; n]);
             be.pool_stats().fp64.peak_bytes
         };
-        let (p4, p8) = (peak(4), peak(8));
-        assert!(p4 > 0, "pool accounting must see the pair grid");
-        assert_eq!(p4, p8, "pool peak grew with the band count");
+        let (p8, p10, p12) = (peak(8), peak(10), peak(12));
+        assert!(p8 > 0, "pool accounting must see the pair grids");
+        assert_eq!((p8, p8), (p10, p12), "pool peak grew with the band count");
     }
 
     #[test]

@@ -9,9 +9,9 @@
 
 use crate::plan::Plan;
 use crate::tile;
-use pwnum::backend::{Backend, GridTransform};
+use pwnum::backend::{Backend, GridTransform, TRANSFORM_WORK_PER_POINT};
 use pwnum::complex::Complex64;
-use pwnum::parallel::par_chunks_mut;
+use pwnum::parallel::{par_chunks_mut_on, workers_for};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -244,7 +244,8 @@ impl Fft3 {
         // `Backend::transform_batch`.
         let _s = pwobs::span("fft.many");
         let n = self.len();
-        par_chunks_mut(data, n, |_, grid| self.transform(grid, inverse));
+        let workers = workers_for(count, n * TRANSFORM_WORK_PER_POINT);
+        par_chunks_mut_on(workers, data, n, |_, grid| self.transform(grid, inverse));
     }
 
     /// The whole screened-Poisson round trip — forward 3-D FFT, `K(G)`

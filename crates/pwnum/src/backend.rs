@@ -37,8 +37,9 @@ use crate::cmat::CMat;
 use crate::complex::Complex64;
 use crate::cvec;
 use crate::gemm::{self, packed, packed_cols, Op};
-use crate::parallel::{num_threads, par_chunks_mut, par_ranges};
+use crate::parallel::{par_chunks_mut, par_chunks_mut_on, par_ranges, workers_for};
 use crate::precision::{self, CMat32, Complex32};
+use crate::waves;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -70,6 +71,16 @@ pub trait GridTransform32: Sync {
     /// [`GridTransform32::scratch_len`] elements and may hold garbage.
     fn run(&self, grid: &mut [Complex32], scratch: &mut [Complex32]);
 }
+
+/// Element-operations (see [`workers_for`]) one grid transform costs per
+/// grid point — how FFT batches are sized as parallel regions: a 3-D
+/// transform of 12³–16³ points measures ≈ 12–14 ns per point against
+/// ≈ 0.75 ns per streamed complex multiply.
+pub const TRANSFORM_WORK_PER_POINT: usize = 16;
+
+/// Element-operations one pair task costs per grid point: the Poisson
+/// round trip (two transforms) plus the density and scatter sweeps.
+const PAIR_WORK_PER_POINT: usize = 2 * TRANSFORM_WORK_PER_POINT + 4;
 
 /// One exchange pair solve of the fused pipeline: solve the pair
 /// density `conj(phi_i) ⊙ psi_j` through the screened-Poisson transform
@@ -200,16 +211,18 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
     /// `solve` (the whole screened-Poisson round trip as one
     /// [`GridTransform`]), and scatter the solved grid into `out` band
     /// `j` (weight `w_fwd`, kernel `W_ij`) and band `i` (weight `w_rev`,
-    /// kernel `conj(W_ij)`) — all over two backend-owned scratch grids,
-    /// so no per-pair buffer survives between stages.
+    /// kernel `conj(W_ij)`) — over backend-owned scratch grids only, so
+    /// no per-pair buffer survives between stages.
     ///
     /// `phi`, `psi`, and `out` are band-major with `ng` elements per
-    /// band (`psi` may alias `phi` by being the same slice). Tasks run
-    /// strictly in order, and each stage uses the same elementwise
-    /// kernels as a staged `hadamard_conj` → transform → `hadamard_acc`
-    /// sequence — so for a `solve` that matches the staged transform
-    /// value-for-value, the pipeline is bitwise identical to that
-    /// sequence on every backend.
+    /// band (`psi` may alias `phi` by being the same slice). The result
+    /// is that of running the tasks strictly in order, each stage on the
+    /// same elementwise kernels as a staged `hadamard_conj` → transform
+    /// → `hadamard_acc` sequence — bitwise, on every backend and at
+    /// every thread count: the region is sized by [`workers_for`] and
+    /// scheduled in order-preserving waves (solves parallel over tasks,
+    /// scatters parallel over grid slices, DESIGN.md §11); on one worker
+    /// it *is* the serial loop over two pooled grids.
     fn fused_pair_solve(
         &self,
         solve: &dyn GridTransform,
@@ -223,24 +236,30 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
         assert!(phi.len().is_multiple_of(ng.max(1)), "fused_pair_solve: bad phi length");
         assert!(psi.len().is_multiple_of(ng.max(1)), "fused_pair_solve: bad psi length");
         assert!(out.len().is_multiple_of(ng.max(1)), "fused_pair_solve: bad out length");
-        let mut pair = self.take_scratch(ng);
-        let mut scratch = self.take_scratch(solve.scratch_len());
-        for t in tasks {
-            let phi_i = &phi[t.i * ng..(t.i + 1) * ng];
-            let psi_j = &psi[t.j * ng..(t.j + 1) * ng];
-            self.hadamard_conj(phi_i, psi_j, &mut pair);
-            solve.run(&mut pair, &mut scratch);
-            if t.w_fwd != 0.0 {
-                let out_j = &mut out[t.j * ng..(t.j + 1) * ng];
-                self.hadamard_acc(Complex64::from_re(t.w_fwd), &pair, phi_i, out_j);
-            }
-            if t.w_rev != 0.0 {
-                let out_i = &mut out[t.i * ng..(t.i + 1) * ng];
-                self.hadamard_acc_conj(Complex64::from_re(t.w_rev), &pair, psi_j, out_i);
-            }
-        }
-        self.recycle_buffer(scratch);
-        self.recycle_buffer(pair);
+        waves::run(
+            workers_for(tasks.len(), ng * PAIR_WORK_PER_POINT),
+            ng,
+            solve.scratch_len(),
+            tasks,
+            out,
+            None,
+            |len| self.take_scratch(len),
+            |buf| self.recycle_buffer(buf),
+            |t, pair, scratch| {
+                self.hadamard_conj(&phi[t.i * ng..][..ng], &psi[t.j * ng..][..ng], pair);
+                solve.run(pair, scratch);
+            },
+            |t, pair, r, bands| {
+                if t.w_fwd != 0.0 {
+                    let phi_i = &phi[t.i * ng..][r.clone()];
+                    self.hadamard_acc(Complex64::from_re(t.w_fwd), pair, phi_i, bands[t.j].out);
+                }
+                if t.w_rev != 0.0 {
+                    let psi_j = &psi[t.j * ng..][r];
+                    self.hadamard_acc_conj(Complex64::from_re(t.w_rev), pair, psi_j, bands[t.i].out);
+                }
+            },
+        );
     }
 
     /// Whether this backend wants *fused* (cache-tiled) strided grid
@@ -338,14 +357,13 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
         comp: Option<&mut [Complex64]>,
     );
 
-    /// Mixed-precision twin of [`Backend::fused_pair_solve`]: the pair
-    /// density is formed and solved in fp32 (operands already demoted by
-    /// the caller), and both scatters promote to the fp64 accumulator —
-    /// optionally two-sum compensated through `comp` (band-major,
-    /// parallel to `out`). No intermediate `CVec32` buffer hits the pool
-    /// between demote, FFT, kernel multiply, inverse FFT, and
-    /// promote-scatter: one pooled fp32 pair grid and one pooled fp32
-    /// scratch arena serve the whole task list.
+    /// Mixed-precision twin of [`Backend::fused_pair_solve`] — the same
+    /// wave scheduler with fp32 stages: the pair density is formed and
+    /// solved in fp32 (operands already demoted by the caller), and both
+    /// scatters promote to the fp64 accumulator — optionally two-sum
+    /// compensated through `comp` (band-major, parallel to `out`). No
+    /// intermediate `CVec32` buffer hits the pool between demote, FFT,
+    /// kernel multiply, inverse FFT, and promote-scatter.
     #[allow(clippy::too_many_arguments)]
     fn fused_pair_solve32(
         &self,
@@ -355,7 +373,7 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
         ng: usize,
         tasks: &[PairTask],
         out: &mut [Complex64],
-        mut comp: Option<&mut [Complex64]>,
+        comp: Option<&mut [Complex64]>,
     ) {
         assert_eq!(solve.grid_len(), ng, "fused_pair_solve32: solve grid length mismatch");
         assert!(phi.len().is_multiple_of(ng.max(1)), "fused_pair_solve32: bad phi length");
@@ -364,26 +382,36 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
         if let Some(c) = comp.as_deref() {
             assert_eq!(c.len(), out.len(), "fused_pair_solve32: comp/out length mismatch");
         }
-        let mut pair = self.take_scratch32(ng);
-        let mut scratch = self.take_scratch32(solve.scratch_len());
-        for t in tasks {
-            let phi_i = &phi[t.i * ng..(t.i + 1) * ng];
-            let psi_j = &psi[t.j * ng..(t.j + 1) * ng];
-            self.hadamard_conj32(phi_i, psi_j, &mut pair);
-            solve.run(&mut pair, &mut scratch);
-            if t.w_fwd != 0.0 {
-                let out_j = &mut out[t.j * ng..(t.j + 1) * ng];
-                let comp_j = comp.as_deref_mut().map(|c| &mut c[t.j * ng..(t.j + 1) * ng]);
-                self.hadamard_acc_promote(t.w_fwd, &pair, phi_i, out_j, comp_j);
-            }
-            if t.w_rev != 0.0 {
-                let out_i = &mut out[t.i * ng..(t.i + 1) * ng];
-                let comp_i = comp.as_deref_mut().map(|c| &mut c[t.i * ng..(t.i + 1) * ng]);
-                self.hadamard_acc_promote_conj(t.w_rev, &pair, psi_j, out_i, comp_i);
-            }
-        }
-        self.recycle_buffer32(scratch);
-        self.recycle_buffer32(pair);
+        waves::run(
+            workers_for(tasks.len(), ng * PAIR_WORK_PER_POINT),
+            ng,
+            solve.scratch_len(),
+            tasks,
+            out,
+            comp,
+            |len| self.take_scratch32(len),
+            |buf| self.recycle_buffer32(buf),
+            |t, pair, scratch| {
+                self.hadamard_conj32(&phi[t.i * ng..][..ng], &psi[t.j * ng..][..ng], pair);
+                solve.run(pair, scratch);
+            },
+            |t, pair, r, bands| {
+                if t.w_fwd != 0.0 {
+                    let (phi_i, tgt) = (&phi[t.i * ng..][r.clone()], &mut bands[t.j]);
+                    self.hadamard_acc_promote(t.w_fwd, pair, phi_i, tgt.out, tgt.comp.as_deref_mut());
+                }
+                if t.w_rev != 0.0 {
+                    let (psi_j, tgt) = (&psi[t.j * ng..][r], &mut bands[t.i]);
+                    self.hadamard_acc_promote_conj(
+                        t.w_rev,
+                        pair,
+                        psi_j,
+                        tgt.out,
+                        tgt.comp.as_deref_mut(),
+                    );
+                }
+            },
+        );
     }
 
     /// Hands out an fp32 buffer of `len` elements with *unspecified
@@ -516,7 +544,8 @@ impl Backend for Reference {
         let scratch_len = pass.scratch_len();
         // Per-call scratch allocation: the pre-backend semantics of one
         // independent transform at a time, thread-parallel over grids.
-        par_chunks_mut(data, n, |_, grid| {
+        let workers = workers_for(count, n * TRANSFORM_WORK_PER_POINT);
+        par_chunks_mut_on(workers, data, n.max(1), |_, grid| {
             let mut scratch = vec![Complex64::ZERO; scratch_len];
             pass.run(grid, &mut scratch);
         });
@@ -782,10 +811,6 @@ pub struct Blocked {
 /// so the blocked and unblocked sums are value-identical.
 const NB: usize = 4;
 
-/// Grid-point threshold below which a batched transform runs inline
-/// (spawn overhead would dominate tiny batches).
-const MIN_BATCH_PARALLEL: usize = 1 << 14;
-
 impl Blocked {
     /// Creates the backend with an empty buffer pool.
     pub fn new() -> Self {
@@ -1042,7 +1067,7 @@ impl Backend for Blocked {
                 c.as_mut_slice().chunks_mut(n.max(1)).map(Mutex::new).collect();
             let ap = &*ap;
             let bp = &*bp;
-            par_ranges(m, |lo, hi| {
+            par_ranges(m, n * k, |lo, hi| {
                 let mut blk: [&[Complex64]; NB] = [&[]; NB];
                 for (i, crow_m) in rows.iter().enumerate().take(hi).skip(lo) {
                     let arow = ap.row(i);
@@ -1076,7 +1101,7 @@ impl Backend for Blocked {
         {
             let rows: Vec<Mutex<&mut [Complex64]>> =
                 s.as_mut_slice().chunks_mut(nb.max(1)).map(Mutex::new).collect();
-            par_ranges(na, |lo, hi| {
+            par_ranges(na, nb * band_len, |lo, hi| {
                 let mut blk: [&[Complex64]; NB] = [&[]; NB];
                 for (i, row_m) in rows.iter().enumerate().take(hi).skip(lo) {
                     let ai = bands::band(a, band_len, i);
@@ -1120,7 +1145,8 @@ impl Backend for Blocked {
         assert_eq!(out.len(), band_len * q.cols(), "rotate_acc: bad output size");
         // Process output bands in blocks of NB: one pass over each source
         // band updates NB outputs, dividing source-read traffic by NB.
-        par_chunks_mut(out, band_len * NB, |blk_idx, oblk| {
+        let workers = workers_for(q.cols().div_ceil(NB), NB * na * band_len);
+        par_chunks_mut_on(workers, out, band_len * NB, |blk_idx, oblk| {
             let j0 = blk_idx * NB;
             let width = oblk.len() / band_len;
             for i in 0..na {
@@ -1227,31 +1253,18 @@ impl Backend for Blocked {
             return;
         }
         let scratch_len = pass.scratch_len();
-        let workers = if data.len() < MIN_BATCH_PARALLEL { 1 } else { num_threads(count) };
-        if workers == 1 {
-            // One arena reused across the whole batch (garbage-tolerant:
-            // GridTransform::run never reads scratch before writing it).
+        // Slab decomposition: each worker claims one contiguous run of
+        // grids and reuses a single pooled arena across all of them —
+        // the "multi-batch" strategy of the paper's cuFFT path
+        // (garbage-tolerant: GridTransform::run never reads scratch
+        // before writing it). One worker is one slab: the whole batch.
+        let workers = workers_for(count, n * TRANSFORM_WORK_PER_POINT);
+        par_chunks_mut_on(workers, data, (count.div_ceil(workers) * n).max(1), |_, slab| {
             let mut scratch = self.pool.take_garbage(scratch_len);
-            for grid in data.chunks_mut(n) {
+            for grid in slab.chunks_mut(n) {
                 pass.run(grid, &mut scratch);
             }
             self.pool.put(scratch);
-            return;
-        }
-        // Slab decomposition: each worker claims one contiguous run of
-        // grids and reuses a single pooled arena across all of them —
-        // the "multi-batch" strategy of the paper's cuFFT path.
-        let per_worker = count.div_ceil(workers);
-        std::thread::scope(|s| {
-            for slab in data.chunks_mut(per_worker * n) {
-                s.spawn(|| {
-                    let mut scratch = self.pool.take_garbage(scratch_len);
-                    for grid in slab.chunks_mut(n) {
-                        pass.run(grid, &mut scratch);
-                    }
-                    self.pool.put(scratch);
-                });
-            }
         });
     }
 
@@ -1327,7 +1340,7 @@ impl Backend for Blocked {
         {
             let rows: Vec<Mutex<&mut [Complex32]>> =
                 s.as_mut_slice().chunks_mut(nb.max(1)).map(Mutex::new).collect();
-            par_ranges(na, |lo, hi| {
+            par_ranges(na, nb * band_len, |lo, hi| {
                 let mut blk: [&[Complex32]; NB] = [&[]; NB];
                 for (i, row_m) in rows.iter().enumerate().take(hi).skip(lo) {
                     let ai = &a[i * band_len..(i + 1) * band_len];
@@ -1363,7 +1376,8 @@ impl Backend for Blocked {
         assert_eq!(out.len(), band_len * q.cols(), "rotate_acc32: bad output size");
         // NB output bands per pass over each source band (same
         // per-element accumulation order over i as the reference loop).
-        par_chunks_mut(out, band_len * NB, |blk_idx, oblk| {
+        let workers = workers_for(q.cols().div_ceil(NB), NB * na * band_len);
+        par_chunks_mut_on(workers, out, band_len * NB, |blk_idx, oblk| {
             let j0 = blk_idx * NB;
             let width = oblk.len() / band_len;
             for i in 0..na {
@@ -1443,6 +1457,7 @@ impl Backend for Blocked {
 mod tests {
     use super::*;
     use crate::complex::c64;
+    use crate::parallel::with_workers;
 
     fn test_mat(r: usize, c: usize, phase: f64) -> CMat {
         CMat::from_fn(r, c, |i, j| {
@@ -1684,6 +1699,231 @@ mod tests {
                 "fused != staged on {}",
                 be.name()
             );
+        }
+    }
+
+    /// The task lists `pwdft::fock`'s two enumerators produce for
+    /// weights `d` (a zero weight is a screened band): lexicographic
+    /// `i ≤ j` with both scatter weights, and target-major with the
+    /// unscreened sources ascending.
+    fn enumerate_tasks(d: &[f64], symmetric: bool) -> Vec<PairTask> {
+        let n = d.len();
+        let mut tasks = Vec::new();
+        if symmetric {
+            for i in 0..n {
+                for j in i..n {
+                    let w_rev = if i != j { -d[j] } else { 0.0 };
+                    if d[i] != 0.0 || w_rev != 0.0 {
+                        tasks.push(PairTask { i, j, w_fwd: -d[i], w_rev });
+                    }
+                }
+            }
+        } else {
+            for j in 0..n {
+                for i in (0..n).filter(|&i| d[i] != 0.0) {
+                    tasks.push(PairTask { i, j, w_fwd: -d[i], w_rev: 0.0 });
+                }
+            }
+        }
+        tasks
+    }
+
+    #[test]
+    fn pair_pipeline_is_bitwise_identical_at_every_worker_count() {
+        // workers × enumerator × precision × backend, against the
+        // one-worker run and against the per-pair staged oracle. 37 grid
+        // points split unevenly over 2, 3 and 5 slices; 54 and 90 tasks
+        // are 1.7 and 2.8 waves; band 4 is screened.
+        let (ng, nb) = (37, 10);
+        let mut d: Vec<f64> = (0..nb).map(|i| 1.0 / (1.0 + i as f64)).collect();
+        d[4] = 0.0;
+        let phi = test_block(nb, ng, 0.8);
+        let psi = test_block(nb, ng, 2.1);
+        let (phi32, psi32) = (precision::demote(&phi), precision::demote(&psi));
+        let (pass, pass32) = (ReversePass { n: ng }, ReversePass32 { n: ng });
+        for be in [&Reference as &dyn Backend, &Blocked::new() as &dyn Backend] {
+            for symmetric in [true, false] {
+                let tasks = enumerate_tasks(&d, symmetric);
+                assert_ne!(tasks.len() % waves::WAVE, 0);
+                let (tgt, tgt32) = if symmetric { (&phi, &phi32) } else { (&psi, &psi32) };
+
+                // fp64: staged oracle, then every worker count.
+                let mut want = vec![Complex64::ZERO; nb * ng];
+                let mut pair = vec![Complex64::ZERO; ng];
+                let mut scratch = vec![Complex64::ZERO; ng];
+                for t in &tasks {
+                    let (phi_i, psi_j) = (bands::band(&phi, ng, t.i), bands::band(tgt, ng, t.j));
+                    be.hadamard_conj(phi_i, psi_j, &mut pair);
+                    pass.run(&mut pair, &mut scratch);
+                    if t.w_fwd != 0.0 {
+                        let out_j = bands::band_mut(&mut want, ng, t.j);
+                        be.hadamard_acc(Complex64::from_re(t.w_fwd), &pair, phi_i, out_j);
+                    }
+                    if t.w_rev != 0.0 {
+                        let out_i = bands::band_mut(&mut want, ng, t.i);
+                        be.hadamard_acc_conj(Complex64::from_re(t.w_rev), &pair, psi_j, out_i);
+                    }
+                }
+                // fp32 plain and compensated: the one-worker run is the
+                // reference (its staged oracle is `pwdft::fock`'s
+                // `fused_fp32_is_value_identical_to_staged_fp32`).
+                let run32 = |workers: usize, compensated: bool| {
+                    let mut out = vec![Complex64::ZERO; nb * ng];
+                    let mut comp = compensated.then(|| vec![Complex64::ZERO; nb * ng]);
+                    with_workers(workers, || {
+                        be.fused_pair_solve32(
+                            &pass32,
+                            &phi32,
+                            tgt32,
+                            ng,
+                            &tasks,
+                            &mut out,
+                            comp.as_deref_mut(),
+                        )
+                    });
+                    (out, comp)
+                };
+                let want32 = [run32(1, false), run32(1, true)];
+                assert_ne!(want32[0].0, want32[1].0, "compensation must do something");
+
+                for workers in [1, 2, 3, 5] {
+                    let what = format!("{} symmetric={symmetric} workers={workers}", be.name());
+                    let mut got = vec![Complex64::ZERO; nb * ng];
+                    with_workers(workers, || {
+                        be.fused_pair_solve(&pass, &phi, tgt, ng, &tasks, &mut got)
+                    });
+                    assert_eq!(cvec::max_abs_diff(&got, &want), 0.0, "fp64 {what}");
+                    for (compensated, want) in [false, true].into_iter().zip(&want32) {
+                        let got = run32(workers, compensated);
+                        assert!(got == *want, "fp32 compensated={compensated} {what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pair_pipeline_pool_peak_is_one_wave_plus_one_arena_per_worker() {
+        let (ng, nb) = (24, 12);
+        let phi = test_block(nb, ng, 0.3);
+        let pass = ReversePass { n: ng };
+        let tasks = enumerate_tasks(&vec![1.0; nb], true);
+        assert!(tasks.len() > 2 * waves::WAVE);
+        let grid_bytes = ng * std::mem::size_of::<Complex64>();
+        for workers in [1, 2, 3, 5] {
+            let bl = Blocked::new();
+            let mut out = vec![Complex64::ZERO; nb * ng];
+            with_workers(workers, || bl.fused_pair_solve(&pass, &phi, &phi, ng, &tasks, &mut out));
+            let stats = bl.pool_stats().fp64;
+            assert_eq!(stats.outstanding_bytes, 0, "everything went back to the pool");
+            // One worker is the serial loop: one pair grid, one arena.
+            let grids = if workers == 1 { 2 } else { waves::WAVE + workers };
+            assert_eq!(stats.peak_bytes, grids * grid_bytes, "workers={workers}");
+        }
+    }
+
+    /// Panics on its `at`-th run (counted across workers).
+    struct PanickingPass {
+        n: usize,
+        at: usize,
+        runs: AtomicUsize,
+    }
+
+    impl GridTransform for PanickingPass {
+        fn grid_len(&self) -> usize {
+            self.n
+        }
+        fn scratch_len(&self) -> usize {
+            0
+        }
+        fn run(&self, _grid: &mut [Complex64], _scratch: &mut [Complex64]) {
+            let k = self.runs.fetch_add(1, Ordering::SeqCst);
+            assert!(k != self.at, "pair solve {k} blew up");
+        }
+    }
+
+    #[test]
+    fn worker_panic_ends_the_pipeline_with_the_original_message() {
+        // A panic in one worker's solve must release the siblings parked
+        // at the wave barrier and resurface on the caller — in the first
+        // wave, in a later one, and on the calling thread's own share.
+        for workers in [1, 2, 3] {
+            for at in [0, 5, 70] {
+                let (done_tx, done_rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    let (ng, nb) = (16, 12);
+                    let phi = test_block(nb, ng, 0.3);
+                    let tasks = enumerate_tasks(&vec![1.0; nb], true);
+                    let pass = PanickingPass { n: ng, at, runs: AtomicUsize::new(0) };
+                    let mut out = vec![Complex64::ZERO; nb * ng];
+                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        with_workers(workers, || {
+                            Blocked::new().fused_pair_solve(&pass, &phi, &phi, ng, &tasks, &mut out)
+                        })
+                    }));
+                    let _ = done_tx.send(result.map_err(|payload| {
+                        payload.downcast_ref::<String>().cloned().unwrap_or_default()
+                    }));
+                });
+                // The watchdog: a hang fails the test instead of wedging it.
+                let result = done_rx
+                    .recv_timeout(std::time::Duration::from_secs(30))
+                    .unwrap_or_else(|_| panic!("pipeline hung: workers={workers} at={at}"));
+                assert_eq!(
+                    result,
+                    Err(format!("pair solve {at} blew up")),
+                    "workers={workers} at={at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn threaded_regions_are_bitwise_identical_at_every_worker_count() {
+        // Every row, band block and slab is written by exactly one
+        // worker, so forcing the regions onto 2 and 3 workers (shapes
+        // far below the work threshold) must reproduce the inline
+        // result bit for bit — on both backends, fp64 and fp32.
+        let (m, k, n, len) = (7, 5, 10, 37);
+        let (a, b, c0) = (test_mat(m, k, 0.3), test_mat(k, n, 1.1), test_mat(m, n, 2.0));
+        let (alpha, beta) = (c64(0.7, -0.2), c64(-0.1, 0.4));
+        let (xa, xb) = (test_block(m, len, 0.2), test_block(n, len, 1.4));
+        let q = test_mat(m, n, 0.9);
+        let (a32, b32, q32) = (CMat32::from_c64(&a), CMat32::from_c64(&b), CMat32::from_c64(&q));
+        let (xa32, xb32) = (precision::demote(&xa), precision::demote(&xb));
+        let kernel: Vec<f64> = (0..len).map(|i| 0.5 + i as f64).collect();
+        let pass = ReversePass { n: len };
+        for be in [&Reference as &dyn Backend, &Blocked::new() as &dyn Backend] {
+            let run = |workers: usize| {
+                with_workers(workers, || {
+                    let mut rot = vec![Complex64::ZERO; n * len];
+                    be.rotate(&xa, &q, len, &mut rot);
+                    be.rotate_acc(alpha, &xa, &q, len, &mut rot);
+                    let mut lin = vec![Complex64::ZERO; n * len];
+                    be.lincomb(alpha, &xb, beta, &rot, &mut lin);
+                    be.scale_by_real(&kernel, &mut lin);
+                    be.transform_batch(&pass, &mut lin, n);
+                    let mut rot32 = precision::demote(&rot);
+                    be.rotate_acc32(Complex32::from_c64(alpha), &xa32, &q32, len, &mut rot32);
+                    (
+                        be.gemm(alpha, &a, Op::None, &b, Op::None, beta, Some(&c0)),
+                        be.overlap(&xa, &xb, len, 1.7),
+                        be.gemm32(Complex32::from_c64(alpha), &a32, Op::None, &b32, Op::None),
+                        be.overlap32(&xa32, &xb32, len, 1.7),
+                        (rot, lin, rot32),
+                    )
+                })
+            };
+            let want = run(1);
+            for workers in [2, 3] {
+                let got = run(workers);
+                let name = be.name();
+                assert_eq!(got.0.max_abs_diff(&want.0), 0.0, "gemm {name} workers={workers}");
+                assert_eq!(got.1.max_abs_diff(&want.1), 0.0, "overlap {name} workers={workers}");
+                assert_eq!(got.2.max_abs_diff(&want.2), 0.0, "gemm32 {name} workers={workers}");
+                assert_eq!(got.3.max_abs_diff(&want.3), 0.0, "overlap32 {name} workers={workers}");
+                assert!(got.4 == want.4, "band kernels {name} workers={workers}");
+            }
         }
     }
 

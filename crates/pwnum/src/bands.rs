@@ -15,7 +15,7 @@
 use crate::cmat::CMat;
 use crate::complex::Complex64;
 use crate::cvec::{axpy, dotc, zero_fill};
-use crate::parallel::{par_chunks_mut, par_ranges};
+use crate::parallel::{par_chunks_mut_on, par_ranges, workers_for};
 use parking_lot::Mutex;
 
 /// Splits a band-major buffer into per-band slices.
@@ -47,7 +47,7 @@ pub fn overlap(a: &[Complex64], b: &[Complex64], band_len: usize, scale: f64) ->
     {
         let rows: Vec<Mutex<&mut [Complex64]>> =
             s.as_mut_slice().chunks_mut(nb).map(Mutex::new).collect();
-        par_ranges(na, |lo, hi| {
+        par_ranges(na, nb * band_len, |lo, hi| {
             for (i, row_m) in rows.iter().enumerate().take(hi).skip(lo) {
                 let ai = band(a, band_len, i);
                 let mut row = row_m.lock();
@@ -68,7 +68,7 @@ pub fn rotate(a: &[Complex64], q: &CMat, band_len: usize, out: &mut [Complex64])
     let na = n_bands(a, band_len);
     assert_eq!(q.rows(), na, "rotate: Q row count must match band count");
     assert_eq!(out.len(), band_len * q.cols(), "rotate: bad output size");
-    par_chunks_mut(out, band_len, |j, oj| {
+    par_chunks_mut_on(workers_for(q.cols(), na * band_len), out, band_len, |j, oj| {
         zero_fill(oj);
         for i in 0..na {
             let qij = q[(i, j)];
@@ -90,7 +90,7 @@ pub fn rotate_acc(
     let na = n_bands(a, band_len);
     assert_eq!(q.rows(), na, "rotate_acc: Q row count must match band count");
     assert_eq!(out.len(), band_len * q.cols(), "rotate_acc: bad output size");
-    par_chunks_mut(out, band_len, |j, oj| {
+    par_chunks_mut_on(workers_for(q.cols(), na * band_len), out, band_len, |j, oj| {
         for i in 0..na {
             let w = alpha * q[(i, j)];
             if w != Complex64::ZERO {
@@ -110,13 +110,13 @@ pub fn lincomb(
 ) {
     assert_eq!(a.len(), b.len());
     assert_eq!(a.len(), out.len());
-    par_ranges(out.len(), |lo, hi| {
-        // Disjoint ranges: re-slice locally. Safe because ranges never overlap.
-        let optr = out.as_ptr() as *mut Complex64;
-        let o = unsafe { std::slice::from_raw_parts_mut(optr.add(lo), hi - lo) };
-        for (k, ov) in o.iter_mut().enumerate() {
-            let idx = lo + k;
-            *ov = ca * a[idx] + cb * b[idx];
+    // One contiguous chunk per worker.
+    let workers = workers_for(out.len(), 1);
+    let chunk_len = out.len().div_ceil(workers).max(1);
+    par_chunks_mut_on(workers, out, chunk_len, |c, o| {
+        let lo = c * chunk_len;
+        for ((ov, &av), &bv) in o.iter_mut().zip(&a[lo..]).zip(&b[lo..]) {
+            *ov = ca * av + cb * bv;
         }
     });
 }

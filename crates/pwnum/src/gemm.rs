@@ -75,7 +75,7 @@ pub fn gemm(
     {
         let rows: Vec<Mutex<&mut [Complex64]>> =
             c.as_mut_slice().chunks_mut(n).map(Mutex::new).collect();
-        par_ranges(m, |lo, hi| {
+        par_ranges(m, n * k, |lo, hi| {
             for (i, crow_m) in rows.iter().enumerate().take(hi).skip(lo) {
                 let arow = ap.row(i);
                 let mut crow = crow_m.lock();

@@ -45,6 +45,7 @@ pub mod parallel;
 pub mod persist;
 pub mod precision;
 pub mod traced;
+mod waves;
 
 pub use backend::{Backend, BackendHandle, PairTask};
 pub use cmat::CMat;

@@ -2,11 +2,23 @@
 //!
 //! This plays the role OpenMP plays in the paper's node-level code: a
 //! `parallel for` over independent chunks (bands, grid planes, matrix row
-//! blocks). We deliberately avoid a global thread-pool dependency:
-//! scoped threads keep all borrows safe without `unsafe`, and small
-//! workloads (below the `MIN_PARALLEL*` thresholds) run inline so spawn
-//! overhead never dominates tiny grids.
+//! blocks). Scoped threads keep every borrow safe without `unsafe`, and
+//! the calling thread always works as one of the region's workers, so a
+//! region on `w` workers spawns `w - 1` threads.
+//!
+//! **One sizing rule.** Every region asks [`workers_for`] how many
+//! workers its *work* — items × element-operations per item — is worth:
+//! one (run inline, nothing spawned, nothing allocated) below
+//! [`MIN_PARALLEL_ELEMS`], else up to `PWDFT_NUM_THREADS`. A threshold
+//! on the item count alone cannot tell a 32-row GEMM whose every row is
+//! 10⁵ multiply-adds from a 32-element copy; a threshold on the buffer
+//! length alone cannot tell an FFT from a scale.
+//!
+//! Which worker runs which chunk never changes what a chunk computes:
+//! every helper here hands each output chunk to exactly one worker, so
+//! results are identical at any worker count.
 
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of worker threads to use for data-parallel regions.
@@ -49,54 +61,44 @@ pub fn block_range(n_items: usize, n_parts: usize, part: usize) -> std::ops::Ran
     start..start + len
 }
 
-/// Runs `body(start, end)` over disjoint index ranges covering `0..len`,
-/// in parallel across up to `num_threads` workers.
-///
-/// `body` must be `Sync` because it is shared by all workers; disjointness
-/// of the ranges is what makes per-range mutation safe at the call site
-/// (callers split their output buffers with `chunks_mut`).
-pub fn par_ranges<F>(len: usize, body: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    if len == 0 {
-        return;
-    }
-    // Below this size, scoped-thread spawn overhead exceeds the work;
-    // run inline (tiny systems and unit tests hit this constantly).
-    const MIN_PARALLEL: usize = 4096;
-    let workers = if len < MIN_PARALLEL { 1 } else { num_threads(len) };
-    if workers == 1 {
-        body(0, len);
-        return;
-    }
-    let chunk = len.div_ceil(workers);
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let start = w * chunk;
-            let end = ((w + 1) * chunk).min(len);
-            if start >= end {
-                break;
-            }
-            let body = &body;
-            s.spawn(move || body(start, end));
-        }
-    });
+/// Below this many element-operations a region runs inline: ≈ 100 µs of
+/// serial work at the ≈ 0.75 ns a streamed complex multiply costs, five
+/// times the ≈ 18 µs one scoped-thread spawn costs (both measured on the
+/// 2-vCPU benchmark box), so a region that does go parallel recovers
+/// its spawn several times over.
+pub const MIN_PARALLEL_ELEMS: usize = 1 << 17;
+
+#[cfg(test)]
+thread_local! {
+    /// Test override of [`workers_for`] on this thread (0 = none).
+    static FORCED_WORKERS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// Below this many element-operations, spawning threads costs more than
-/// it saves.
-const MIN_PARALLEL_ELEMS: usize = 1 << 15;
+/// Runs `f` with every region opened from this thread sized to exactly
+/// `workers` (clamped to its item count), whatever its work and whatever
+/// `PWDFT_NUM_THREADS` says — how the bit-identity tests reach worker
+/// counts the box does not have, on inputs small enough to check.
+#[cfg(test)]
+pub(crate) fn with_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
+    let prev = FORCED_WORKERS.replace(workers);
+    let out = f();
+    FORCED_WORKERS.set(prev);
+    out
+}
 
 /// Worker count for `items` independent work items of `work_per_item`
 /// element-operations each: one (run inline) while the whole region is
-/// below the spawn-overhead threshold, else up to one worker per item.
+/// below [`MIN_PARALLEL_ELEMS`], else up to one worker per item.
 ///
-/// This is the work-weighted entry for regions whose item count says
-/// nothing about their size — a partition of a 20-row accumulator whose
-/// every row streams a megabyte-sized vector would look tiny to a
-/// threshold on items alone.
+/// This is the only sizing rule in the workspace. An element-operation
+/// is one streamed complex multiply-add; callers pass rows × row cost
+/// for GEMM-shaped regions, chunks × chunk length for elementwise ones,
+/// grids × (points × per-point transform cost) for FFT batches.
 pub fn workers_for(items: usize, work_per_item: usize) -> usize {
+    #[cfg(test)]
+    if FORCED_WORKERS.get() > 0 {
+        return FORCED_WORKERS.get().min(items).max(1);
+    }
     if items.saturating_mul(work_per_item) < MIN_PARALLEL_ELEMS {
         1
     } else {
@@ -104,28 +106,57 @@ pub fn workers_for(items: usize, work_per_item: usize) -> usize {
     }
 }
 
+/// Runs `body(start, end)` over balanced disjoint index ranges covering
+/// `0..len` ([`block_range`]), on [`workers_for`]`(len, work_per_item)`
+/// workers.
+///
+/// `body` must be `Sync` because it is shared by all workers; disjointness
+/// of the ranges is what makes per-range mutation safe at the call site
+/// (callers split their output buffers with `chunks_mut`).
+pub fn par_ranges<F>(len: usize, work_per_item: usize, body: F)
+where
+    F: Fn(usize, usize) + Sync,
+{
+    if len == 0 {
+        return;
+    }
+    let workers = workers_for(len, work_per_item);
+    if workers == 1 {
+        return body(0, len);
+    }
+    let run = |w: usize| {
+        let r = block_range(len, workers, w);
+        body(r.start, r.end);
+    };
+    std::thread::scope(|s| {
+        for w in 1..workers {
+            let run = &run;
+            s.spawn(move || run(w));
+        }
+        run(0);
+    });
+}
+
 /// Applies `f` to every mutable chunk of `data` (each of `chunk_len`
 /// elements, the last possibly shorter) in parallel, passing the chunk
-/// index. This is the "parallel loop over bands" idiom: a wavefunction
-/// array laid out band-major is processed band-by-band.
+/// index — the "parallel loop over bands" idiom for *elementwise* bodies
+/// (one element-operation per element). Bodies that do more per element
+/// size themselves with [`workers_for`] and call [`par_chunks_mut_on`].
 pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(chunk_len > 0, "chunk_len must be positive");
-    let workers = if data.len() < MIN_PARALLEL_ELEMS {
-        1
-    } else {
-        num_threads(data.len().div_ceil(chunk_len))
-    };
+    let workers = workers_for(data.len().div_ceil(chunk_len), chunk_len);
     par_chunks_mut_on(workers, data, chunk_len, f);
 }
 
 /// [`par_chunks_mut`] on an explicit number of workers (clamped to the
 /// chunk count), for callers that size the region themselves with
-/// [`workers_for`]. Which worker runs which chunk never affects what
-/// `f` computes, so results do not depend on `workers`.
+/// [`workers_for`]. Workers claim chunks dynamically; which worker runs
+/// which chunk never affects what `f` computes, so results do not depend
+/// on `workers`.
 pub fn par_chunks_mut_on<T, F>(workers: usize, data: &mut [T], chunk_len: usize, f: F)
 where
     T: Send,
@@ -140,34 +171,25 @@ where
         }
         return;
     }
+    // One-shot hand-off cells so each worker can claim chunks dynamically
+    // (load balancing for uneven per-chunk costs and a disturbed core).
+    let slots: Vec<Mutex<Option<&mut [T]>>> =
+        data.chunks_mut(chunk_len).map(|c| Mutex::new(Some(c))).collect();
+    // Relaxed: the counter only hands out indices; each chunk travels
+    // through its slot's mutex.
     let counter = AtomicUsize::new(0);
-    // Collect raw chunk boundaries up front so each worker can claim chunks
-    // dynamically (load balancing for uneven per-band costs).
-    let chunks: Vec<&mut [T]> = data.chunks_mut(chunk_len).collect();
-    let slots: Vec<parking_slot::Slot<T>> = chunks
-        .into_iter()
-        .map(|c| parking_slot::Slot(std::sync::Mutex::new(Some(c))))
-        .collect();
+    let run = || loop {
+        let i = counter.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = slots.get(i) else { break };
+        let chunk = slot.lock().take().expect("chunk claimed twice");
+        f(i, chunk);
+    };
     std::thread::scope(|s| {
-        for _ in 0..workers {
-            let counter = &counter;
-            let slots = &slots;
-            let f = &f;
-            s.spawn(move || loop {
-                let i = counter.fetch_add(1, Ordering::Relaxed);
-                if i >= slots.len() {
-                    break;
-                }
-                let chunk = slots[i].0.lock().unwrap().take().expect("chunk claimed twice");
-                f(i, chunk);
-            });
+        for _ in 1..workers {
+            s.spawn(run);
         }
+        run();
     });
-}
-
-mod parking_slot {
-    //! One-shot hand-off cell used by the dynamic scheduler above.
-    pub struct Slot<'a, T>(pub std::sync::Mutex<Option<&'a mut [T]>>);
 }
 
 /// Parallel map over indices `0..len`, collecting results in order.
@@ -194,18 +216,22 @@ mod tests {
 
     #[test]
     fn ranges_cover_everything_once() {
-        let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
-        par_ranges(1000, |a, b| {
-            for i in a..b {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        for workers in [1, 2, 3, 7] {
+            let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
+            with_workers(workers, || {
+                par_ranges(1000, 1, |a, b| {
+                    for hit in &hits[a..b] {
+                        hit.fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "workers={workers}");
+        }
     }
 
     #[test]
     fn ranges_empty_is_noop() {
-        par_ranges(0, |_, _| panic!("must not be called"));
+        par_ranges(0, usize::MAX, |_, _| panic!("must not be called"));
     }
 
     #[test]
@@ -246,6 +272,12 @@ mod tests {
         // ...and many trivial ones are not.
         assert_eq!(workers_for(1000, 1), 1);
         assert_eq!(workers_for(0, usize::MAX), 1);
+        // The same region on either side of the threshold.
+        assert_eq!(workers_for(32, MIN_PARALLEL_ELEMS / 32 - 1), 1);
+        assert_eq!(workers_for(32, MIN_PARALLEL_ELEMS / 32), num_threads(32));
+        // The test override wins over both, clamped to the item count.
+        assert_eq!(with_workers(5, || workers_for(1000, 1)), 5);
+        assert_eq!(with_workers(5, || workers_for(3, usize::MAX)), 3);
     }
 
     #[test]

@@ -1,6 +1,11 @@
 //! Band-parallel PT-IM over the [`mpisim`] runtime — the paper's
 //! distributed implementation (Sec. III-A, IV-B).
 //!
+//! [`dist_ptim_step`] runs the PT-IM body of the serial
+//! [`crate::ptim::ptim_step`] on this rank's band block; this module
+//! supplies only what the layout changes (the distributed overlap,
+//! rotation, density and Fock exchange below) and the σ accounting.
+//!
 //! Data layout follows Fig. 1: the wavefunction block Φ is distributed by
 //! *band index*; overlap matrices are formed by transposing to
 //! *grid-point* distribution with `MPI_Alltoallv` and reducing partial
@@ -29,20 +34,19 @@
 //! Φ\*HΦ) live in node-shared SHM windows (Sec. IV-B3) to cut their
 //! footprint to `1/ranks-per-node`.
 
-use crate::engine::HybridParams;
-use crate::laser::{external_potential, sawtooth_x, LaserPulse};
-use crate::propagate::{density_residual, StepStats};
-use crate::state::{pack_parts, unpack_parts, TdState};
+use crate::engine::{EvalPoint, HybridParams, TdEngine};
+use crate::laser::LaserPulse;
+use crate::propagate::StepStats;
+use crate::ptim::PtimConfig;
+use crate::space::{ptim_body, BandSpace};
+use crate::state::TdState;
 use mpisim::Comm;
-use pwdft::density::SPIN_FACTOR;
-use pwdft::hamiltonian::build_hxc_with;
-use pwdft::mixing::AndersonMixer;
+use pwdft::density::{density_diag, NaturalOrbitals};
+use pwdft::hamiltonian::Exchange;
 use pwdft::{DftSystem, FockOperator, Wavefunction};
 use pwnum::backend::default_backend;
-use pwnum::bands;
-use pwnum::chol::solve_hpd;
 use pwnum::cmat::CMat;
-use pwnum::complex::{c64, Complex64};
+use pwnum::complex::Complex64;
 use pwnum::eigh;
 
 /// Wavefunction-exchange strategy for the distributed Fock operator.
@@ -279,9 +283,9 @@ pub fn dist_rotate(
     out
 }
 
-/// Distributed mixed-state density from natural orbitals: local partial
-/// sums + `allreduce` (the hierarchical shm-staged variant when
-/// `node_aware`).
+/// Distributed mixed-state density from natural orbitals: the serial
+/// density of the local bands + `allreduce` (the hierarchical
+/// shm-staged variant when `node_aware`).
 pub fn dist_density(
     comm: &mut Comm,
     sys: &DftSystem,
@@ -289,18 +293,7 @@ pub fn dist_density(
     occ_local: &[f64],
     node_aware: bool,
 ) -> Vec<f64> {
-    let ng = sys.grid.len();
-    let real = nat_local.to_real_all(&sys.fft);
-    let mut rho = vec![0.0f64; ng];
-    for (i, &d) in occ_local.iter().enumerate() {
-        if d.abs() < 1e-15 {
-            continue;
-        }
-        let band = bands::band(&real, ng, i);
-        for (r, z) in rho.iter_mut().zip(band) {
-            *r += SPIN_FACTOR * d * z.norm_sqr();
-        }
-    }
+    let rho = density_diag(&sys.grid, &sys.fft, nat_local, occ_local);
     if node_aware {
         comm.hier_allreduce(rho)
     } else {
@@ -319,12 +312,12 @@ pub fn dist_density(
 /// `i ≤ j` pair halving: both ends of each local pair live on this
 /// rank, so one Poisson solve feeds both accumulators. Off-diagonal
 /// blocks keep the one-sided loop (the swapped contribution belongs to
-/// the remote owner). Note [`dist_ptim_step`]'s dense path applies Vx
-/// to *trial* vectors distinct from the natural orbitals, so it stays
-/// on the asymmetric path by construction; the halving engages for
-/// self-applied callers (serial equivalents: `apply_pure`/ACE
-/// rebuilds). Occupation screening follows the operator's
-/// [`FockOptions`](pwdft::FockOptions).
+/// the remote owner). [`dist_ptim_step`]'s H apply passes the midpoint
+/// block as targets and its natural orbitals as sources — two buffers —
+/// so the step runs the asymmetric path; no distributed caller applies
+/// the operator to its own sources yet (the serial equivalents are
+/// `apply_pure` and ACE rebuilds). Occupation screening follows the
+/// operator's [`FockOptions`](pwdft::FockOptions).
 ///
 /// `plan` is the strategy plus the modeled per-solve compute cost (a
 /// bare [`ExchangeStrategy`] still works and charges nothing); with a
@@ -500,8 +493,77 @@ pub fn dist_fock_apply(
     out
 }
 
-/// One distributed PT-IM time step (dense diagonalized exchange),
-/// algorithmically identical to the serial [`crate::ptim::ptim_step`].
+/// Anderson history depth of the distributed step's mixer.
+const ANDERSON_DEPTH: usize = 10;
+/// Anderson damping of the distributed step's mixer.
+const ANDERSON_BETA: f64 = 0.6;
+
+/// This rank's band block over the communicator: the band space the
+/// distributed step runs the one PT-IM body on.
+struct Banded<'c, 'a> {
+    comm: &'c mut Comm,
+    dist: &'a BandDistribution,
+    cfg: &'a DistConfig,
+    fock: FockOperator<'a>,
+}
+
+impl BandSpace for Banded<'_, '_> {
+    fn evaluate(&mut self, eng: &TdEngine, phi: &Wavefunction, sigma: &CMat, t: f64) -> EvalPoint {
+        // σ diagonalized (replicated), the block rotated around the ring,
+        // the density reduced over ranks.
+        let e = eigh(sigma);
+        let nat = dist_rotate(self.comm, self.dist, phi, &e.vectors);
+        let occ: Vec<f64> = self.dist.range(self.comm.rank()).map(|g| e.values[g]).collect();
+        let rho = dist_density(self.comm, eng.sys, &nat, &occ, self.cfg.use_shm);
+        eng.point(NaturalOrbitals { phi: nat, occ: e.values, q: e.vectors }, rho, t)
+    }
+
+    fn apply_h(&mut self, eng: &TdEngine, mut ev: EvalPoint, phi: &Wavefunction) -> Wavefunction {
+        // Blocks go back as soon as their last reader is done: 16 rank
+        // threads hold every live block 16 times over.
+        ev.nat.phi.data = Vec::new();
+        let mut hphi = eng.hamiltonian(&ev.vhxc, &ev.vext, Exchange::None).apply(phi);
+        if eng.hybrid.alpha == 0.0 {
+            return hphi;
+        }
+        // ... plus α·(masked Vx) from the distributed exchange.
+        let (sys, be, cfg) = (eng.sys, &*eng.backend, self.cfg);
+        let psi_r = phi.to_real_all_with(be, &sys.fft);
+        let plan = ExchangePlan { strategy: cfg.strategy, solve_cost_s: cfg.solve_cost_s };
+        let vx_r =
+            dist_fock_apply(self.comm, &self.fock, self.dist, &ev.nat_r, &ev.nat.occ, &psi_r, plan);
+        drop((ev, psi_r));
+        let mut vx = Wavefunction::from_real_with(be, &sys.grid, &sys.fft, vx_r);
+        vx.mask(&sys.grid);
+        for (h, x) in hphi.data.iter_mut().zip(&vx.data) {
+            *h += x.scale(eng.hybrid.alpha);
+        }
+        hphi.mask(&sys.grid);
+        hphi
+    }
+
+    fn overlap(&mut self, a: &Wavefunction, b: &Wavefunction) -> CMat {
+        dist_overlap(self.comm, self.dist, a, b)
+    }
+
+    fn rotate(&mut self, phi: &Wavefunction, q: &CMat) -> Wavefunction {
+        dist_rotate(self.comm, self.dist, phi, q)
+    }
+
+    fn rotate_sub(&mut self, phi: &Wavefunction, q: &CMat, out: &mut Wavefunction) {
+        // The ring-ordered rotation into a zeroed block, then subtracted:
+        // accumulating in place would reorder the sum.
+        let rot = dist_rotate(self.comm, self.dist, phi, q);
+        for (o, r) in out.data.iter_mut().zip(&rot.data) {
+            *o -= *r;
+        }
+    }
+}
+
+/// One distributed PT-IM time step (dense diagonalized exchange): the
+/// PT-IM body of the serial [`crate::ptim::ptim_step`] on this rank's
+/// band block, each rank mixing its (local Φ, σ) with Anderson depth 10
+/// and damping 0.6.
 ///
 /// Resilience: drive the outer loop with [`Comm::begin_step`] so injected
 /// faults ([`mpisim::FaultPlan`]) fire at the intended application step.
@@ -509,6 +571,8 @@ pub fn dist_fock_apply(
 /// [`Comm::require_alive`], so a crashed rank surfaces on the survivors
 /// as an attributed `peer rank terminated` panic naming the dead rank,
 /// the requiring rank, the operation, and the step — never a deadlock.
+/// A non-finite block on any rank ends the step on every rank with a NaN
+/// state: the replicated midpoint overlap fails everywhere at once.
 #[allow(clippy::too_many_arguments)]
 pub fn dist_ptim_step(
     comm: &mut Comm,
@@ -522,15 +586,6 @@ pub fn dist_ptim_step(
     tol_rho: f64,
 ) -> (DistState, StepStats) {
     let _s = pwobs::span("step.dist");
-    let ng = sys.grid.len();
-    let ne = SPIN_FACTOR * state.sigma.trace().re;
-    let dv = sys.grid.dv();
-    let x_saw = sawtooth_x(&sys.grid);
-    let backend = default_backend().clone();
-    let fock =
-        FockOperator::with_options(&sys.grid, cfg.hybrid.omega, backend.clone(), cfg.hybrid.fock);
-    let t_mid = state.time + 0.5 * dt;
-    let mut stats = StepStats::default();
 
     // Memory accounting for the non-scalable square matrices
     // (Sec. IV-B3): either one SHM window per node or a private copy per
@@ -549,163 +604,22 @@ pub fn dist_ptim_step(
         comm.alloc_private(16 * n * n);
     }
 
-    // The fixed-point map evaluated on the current local iterate.
-    let update = |comm: &mut Comm,
-                  phi_mid_local: &Wavefunction,
-                  sigma_mid: &CMat,
-                  stats: &mut StepStats|
-     -> (Wavefunction, CMat, Vec<f64>) {
-        // Natural orbitals: diagonalize σ (replicated) and rotate the
-        // distributed block (ring).
-        let e = eigh(sigma_mid);
-        let nat_local = dist_rotate(comm, dist, phi_mid_local, &e.vectors);
-        let my = dist.range(comm.rank());
-        let occ_local: Vec<f64> = my.clone().map(|g| e.values[g]).collect();
-
-        // Density and local potentials (replicated after allreduce).
-        let rho = dist_density(comm, sys, &nat_local, &occ_local, cfg.use_shm);
-        let hxc = build_hxc_with(&*backend, &sys.grid, &sys.fft, &rho);
-        let mut vext = vec![0.0; ng];
-        external_potential(&x_saw, laser.field(t_mid), &mut vext);
-        let vtot: Vec<f64> = sys
-            .vloc
-            .iter()
-            .zip(&hxc.vhxc)
-            .zip(&vext)
-            .map(|((a, b), c)| a + b + c)
-            .collect();
-
-        // H Φ_mid on local bands: kinetic + local potential, with the
-        // local-potential product and FFT batched through the backend.
-        let mut hphi_local = Wavefunction::zeros_like(phi_mid_local);
-        let psi_r = phi_mid_local.to_real_all_with(&*backend, &sys.fft);
-        let mut work = backend.take_buffer_copy(&psi_r);
-        backend.scale_by_real(&vtot, &mut work);
-        sys.fft.forward_many_with(&*backend, &mut work, phi_mid_local.n_bands);
-        for b in 0..phi_mid_local.n_bands {
-            let wband = &work[b * ng..(b + 1) * ng];
-            let src = phi_mid_local.band(b);
-            let dst = hphi_local.band_mut(b);
-            for ((o, w), (&g2, c)) in dst.iter_mut().zip(wband).zip(sys.grid.g2.iter().zip(src))
-            {
-                *o = *w + c.scale(0.5 * g2);
-            }
-        }
-        backend.recycle_buffer(work);
-        // ... plus the distributed Fock exchange. Band blocks are handed
-        // back as soon as their last reader is done: 16 rank threads hold
-        // every live block 16 times over.
-        if cfg.hybrid.alpha != 0.0 {
-            let nat_r = nat_local.to_real_all_with(&*backend, &sys.fft);
-            drop(nat_local);
-            let plan =
-                ExchangePlan { strategy: cfg.strategy, solve_cost_s: cfg.solve_cost_s };
-            let vx_r =
-                dist_fock_apply(comm, &fock, dist, &nat_r, &e.values, &psi_r, plan);
-            drop(nat_r);
-            stats.fock_applies += 1;
-            let mut vx = Wavefunction::from_real_with(&*backend, &sys.grid, &sys.fft, vx_r);
-            vx.mask(&sys.grid);
-            for (h, x) in hphi_local.data.iter_mut().zip(&vx.data) {
-                *h += x.scale(cfg.hybrid.alpha);
-            }
-        }
-        drop(psi_r);
-        hphi_local.mask(&sys.grid);
-
-        // S, Hm via the alltoallv/allreduce transpose path.
-        let s = dist_overlap(comm, dist, phi_mid_local, phi_mid_local);
-        let hm = dist_overlap(comm, dist, phi_mid_local, &hphi_local).hermitian_part();
-
-        // (I − P̃)HΦ: coefficients C = S⁻¹ Hm, correction via ring rotate.
-        let c = solve_hpd(&s, &hm).expect("midpoint overlap positive definite");
-        let corr = dist_rotate(comm, dist, phi_mid_local, &c);
-        let mut phi_next = Wavefunction::zeros_like(&state.phi_local);
-        for i in 0..phi_next.data.len() {
-            let upd = hphi_local.data[i] - corr.data[i];
-            phi_next.data[i] = state.phi_local.data[i] + c64(0.0, -dt) * upd;
-        }
-
-        // σ update (replicated, deterministic).
-        let comm_hm = hm.commutator(sigma_mid);
-        let mut sigma_next = state.sigma.clone();
-        sigma_next.axpy(c64(0.0, -dt), &comm_hm);
-
-        (phi_next, sigma_next, rho)
-    };
-
-    // Predictor.
-    let (phi_p, sigma_p, rho0) = update(comm, &state.phi_local, &state.sigma, &mut stats);
-    let mut next = DistState { phi_local: phi_p, sigma: sigma_p, time: state.time + dt };
-    let mut rho_prev = rho0;
-    let mut mixer = AndersonMixer::new(10, 0.6);
-
-    for it in 0..max_scf {
-        stats.scf_iters = it + 1;
-        // Midpoint.
-        let mut phi_mid = Wavefunction::zeros_like(&state.phi_local);
-        backend.lincomb(
-            Complex64::from_re(0.5),
-            &state.phi_local.data,
-            Complex64::from_re(0.5),
-            &next.phi_local.data,
-            &mut phi_mid.data,
-        );
-        let sigma_mid =
-            state.sigma.add(&next.sigma).scaled(Complex64::from_re(0.5)).hermitian_part();
-
-        let (phi_new, sigma_new, rho_mid) = update(comm, &phi_mid, &sigma_mid, &mut stats);
-        stats.residual = density_residual(&rho_mid, &rho_prev, dv, ne);
-        rho_prev = rho_mid;
-        if it > 0 && stats.residual < tol_rho {
-            stats.converged = true;
-            break;
-        }
-
-        // Anderson on (local Φ, replicated σ); σ mixing is identical on
-        // every rank because the inputs are.
-        // Packed per iteration, not kept: the two iterates would sit
-        // idle through the next evaluation's exchange, the step's
-        // memory peak.
-        let (mut x, mut tx) = (Vec::new(), Vec::new());
-        pack_parts(&next.phi_local, &next.sigma, &mut x);
-        pack_parts(&phi_new, &sigma_new, &mut tx);
-        drop((phi_new, sigma_new));
-        unpack_parts(&mixer.step(&x, &tx), &mut next.phi_local, &mut next.sigma);
-    }
-
-    // Final constraints: Löwdin via distributed overlap + ring rotation;
-    // σ conjugate-symmetrized.
-    let s = dist_overlap(comm, dist, &next.phi_local, &next.phi_local);
-    let es = eigh(&s);
-    let n = dist.n_bands;
-    let mut m = CMat::zeros(n, n);
-    for i in 0..n {
-        assert!(es.values[i] > 1e-14, "singular overlap in Löwdin step");
-        let w = 1.0 / es.values[i].sqrt();
-        for r in 0..n {
-            m[(r, i)] = es.vectors[(r, i)].scale(w);
-        }
-    }
-    let q = backend.gemm(
-        Complex64::ONE,
-        &m,
-        pwnum::gemm::Op::None,
-        &es.vectors,
-        pwnum::gemm::Op::ConjTrans,
-        Complex64::ZERO,
-        None,
-    );
-    next.phi_local = dist_rotate(comm, dist, &next.phi_local, &q);
-    next.sigma = next.sigma.hermitian_part();
-    (next, stats)
+    let eng = TdEngine::new(sys, laser.clone(), cfg.hybrid);
+    let mut space = Banded { comm, dist, cfg, fock: eng.fock_operator() };
+    let (anderson_depth, anderson_beta) = (ANDERSON_DEPTH, ANDERSON_BETA);
+    let fp = PtimConfig { dt, max_scf, tol_rho, anderson_depth, anderson_beta };
+    let prev = (&state.phi_local, &state.sigma);
+    let (next, stats) = ptim_body(&eng, &mut space, prev, state.time, &fp, None);
+    (DistState { phi_local: next.phi, sigma: next.sigma, time: next.time }, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::propagate::density_residual;
     use mpisim::{Cluster, NetworkModel};
     use pwdft::Cell;
+    use pwnum::complex::c64;
 
     fn fixture() -> (DftSystem, TdState) {
         let sys = DftSystem::with_dims(Cell::silicon_supercell(1, 1, 1), 2.0, [6, 6, 6]);
@@ -917,6 +831,48 @@ mod tests {
                 assert!(*res < 1e-6, "p={p}: density mismatch {res}");
                 assert!(*sig_diff < 1e-6, "p={p}: sigma mismatch {sig_diff}");
             }
+        }
+    }
+
+    #[test]
+    fn poisoned_block_ends_the_step_non_finite_on_every_rank() {
+        // A NaN in one rank's bands reaches the replicated midpoint
+        // overlap, so every rank fails the PT map together and returns a
+        // NaN state: no panic, and no rank left waiting in a collective.
+        for alpha in [0.0, 0.25] {
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let (sys, st) = fixture();
+                let hybrid = HybridParams { alpha, omega: 0.2, ..Default::default() };
+                let cfg = DistConfig {
+                    strategy: ExchangeStrategy::RingOverlap,
+                    hybrid,
+                    ..Default::default()
+                };
+                let out = Cluster::ideal(2).run(|c| {
+                    let dist = BandDistribution::new(4, c.size());
+                    let mut local = scatter_state(c, &st, &dist);
+                    if c.rank() == 1 {
+                        local.phi_local.data[3].re = f64::NAN;
+                    }
+                    let laser = LaserPulse::off();
+                    let (next, stats) =
+                        dist_ptim_step(c, &sys, &laser, &cfg, &dist, &local, 0.2, 4, 1e-9);
+                    let all_nan = next
+                        .phi_local
+                        .data
+                        .iter()
+                        .chain(next.sigma.as_slice())
+                        .all(|z| z.re.is_nan() && z.im.is_nan());
+                    all_nan && stats.residual.is_nan() && !stats.converged
+                });
+                let _ = done_tx.send(out.into_iter().map(|(ok, _)| ok).collect::<Vec<_>>());
+            });
+            // The watchdog: a hang fails the test instead of wedging it.
+            let ranks = done_rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("α={alpha}: a rank panicked or hung"));
+            assert_eq!(ranks, vec![true, true], "α={alpha}: every rank must return a NaN state");
         }
     }
 

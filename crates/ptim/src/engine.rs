@@ -59,7 +59,9 @@ pub struct TdEngine<'s> {
     x_saw: Vec<f64>,
 }
 
-/// Everything derived from one `(Φ, σ, t)` evaluation point.
+/// Everything derived from one `(Φ, σ, t)` evaluation point. In the
+/// distributed step the orbitals are this rank's bands; occupations,
+/// `Q`, density and potentials are complete on every rank.
 pub struct EvalPoint {
     /// Natural orbitals and occupations of σ.
     pub nat: NaturalOrbitals,
@@ -153,17 +155,32 @@ impl<'s> TdEngine<'s> {
         let be = &*self.backend;
         let nat = natural_orbitals_with(be, phi, sigma);
         let rho = density_from_natural_with(be, &self.sys.grid, &self.sys.fft, &nat);
-        let hxc = build_hxc_with(be, &self.sys.grid, &self.sys.fft, &rho);
-        let nat_r = nat.phi.to_real_all_with(be, &self.sys.fft);
-        EvalPoint {
-            nat,
-            nat_r,
-            rho,
-            vhxc: hxc.vhxc,
-            vext: self.vext_at(t),
-            e_hartree: hxc.e_hartree,
-            e_xc: hxc.e_xc,
-        }
+        self.point(nat, rho, t)
+    }
+
+    /// The evaluation point of natural orbitals with their density at
+    /// time `t`: adds the real-space orbitals, potentials and energies.
+    pub(crate) fn point(&self, nat: NaturalOrbitals, rho: Vec<f64>, t: f64) -> EvalPoint {
+        let nat_r = nat.phi.to_real_all_with(&*self.backend, &self.sys.fft);
+        let hxc = build_hxc_with(&*self.backend, &self.sys.grid, &self.sys.fft, &rho);
+        let (vhxc, vext, e_hartree, e_xc) = (hxc.vhxc, self.vext_at(t), hxc.e_hartree, hxc.e_xc);
+        EvalPoint { nat, nat_r, rho, vhxc, vext, e_hartree, e_xc }
+    }
+
+    /// The Hamiltonian at the potentials `(vhxc, vext)` with the given
+    /// exchange term; a dense term brings the engine's Fock operator.
+    pub(crate) fn hamiltonian(&self, vhxc: &[f64], vext: &[f64], x: Exchange) -> Hamiltonian<'s> {
+        let fock = matches!(x, Exchange::Dense { .. }).then(|| self.fock_operator());
+        Hamiltonian::with_backend(
+            &self.sys.grid,
+            &self.sys.vloc,
+            vhxc,
+            vext,
+            self.hybrid.alpha,
+            x,
+            fock,
+            self.backend.clone(),
+        )
     }
 
     /// Builds the dense-exchange Hamiltonian at an evaluation point.
@@ -175,17 +192,7 @@ impl<'s> TdEngine<'s> {
         } else {
             Exchange::None
         };
-        let fock = if self.hybrid.alpha != 0.0 { Some(self.fock_operator()) } else { None };
-        Hamiltonian::with_backend(
-            &self.sys.grid,
-            &self.sys.vloc,
-            &ev.vhxc,
-            &ev.vext,
-            self.hybrid.alpha,
-            exchange,
-            fock,
-            self.backend.clone(),
-        )
+        self.hamiltonian(&ev.vhxc, &ev.vext, exchange)
     }
 
     /// Builds a Hamiltonian using a *fixed* ACE exchange operator (the
@@ -197,16 +204,7 @@ impl<'s> TdEngine<'s> {
         ev: &EvalPoint,
         ace: impl Into<Arc<pwdft::AceOperator>>,
     ) -> Hamiltonian<'s> {
-        Hamiltonian::with_backend(
-            &self.sys.grid,
-            &self.sys.vloc,
-            &ev.vhxc,
-            &ev.vext,
-            self.hybrid.alpha,
-            Exchange::Ace(ace.into()),
-            None,
-            self.backend.clone(),
-        )
+        self.hamiltonian(&ev.vhxc, &ev.vext, Exchange::Ace(ace.into()))
     }
 
     /// Full exchange images `W = VxΦ` for the state (used to build ACE).

@@ -16,7 +16,8 @@
 //! * [`distributed`] — band-parallel PT-IM over [`mpisim`] with the
 //!   paper's wavefunction-exchange strategies (Bcast, ring, asynchronous
 //!   ring, and the ring-pipelined overlapped exchange) and SHM-backed
-//!   σ/overlap matrices.
+//!   σ/overlap matrices. It runs the one PT-IM body of [`ptim`], written
+//!   once over a crate-private band-space interface.
 //! * [`grid2d`] — the hierarchical 2-D parallelization subsystem: the
 //!   band×grid [`grid2d::ProcessGrid`], slab ownership
 //!   ([`grid2d::GridDistribution`] + `pwfft::dist`), and the
@@ -42,6 +43,7 @@ pub mod ptim;
 pub mod ptim_ace;
 pub mod resilience;
 pub mod rk4;
+mod space;
 pub mod state;
 
 pub use engine::{HybridParams, TdEngine};

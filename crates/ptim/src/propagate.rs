@@ -1,13 +1,13 @@
 //! Shared propagation primitives: the PT-IM update map (Eq. 6) and
 //! step statistics.
 
+use crate::space::{poisoned, pt_map, Serial};
 use crate::state::TdState;
 use pwdft::hamiltonian::Hamiltonian;
 use pwdft::Wavefunction;
 use pwnum::backend::{default_backend, Backend};
-use pwnum::chol::solve_hpd;
 use pwnum::cmat::CMat;
-use pwnum::complex::{c64, Complex64};
+use pwnum::complex::Complex64;
 
 /// Per-step cost/convergence statistics (the quantities the paper's
 /// Fig. 9 discussion tracks: SCF counts and Fock-operator applications).
@@ -124,21 +124,19 @@ where
 /// The midpoint `(Φ, σ)` of two states (Eq. 4), on the process default
 /// backend.
 pub fn midpoint(a: &TdState, b: &TdState) -> (Wavefunction, CMat) {
-    midpoint_with(&**default_backend(), a, b)
+    midpoint_parts(&**default_backend(), (&a.phi, &a.sigma), (&b.phi, &b.sigma))
 }
 
-/// [`midpoint`] on an explicit compute backend.
-pub fn midpoint_with(backend: &dyn Backend, a: &TdState, b: &TdState) -> (Wavefunction, CMat) {
-    let mut phi = Wavefunction::zeros_like(&a.phi);
-    backend.lincomb(
-        Complex64::from_re(0.5),
-        &a.phi.data,
-        Complex64::from_re(0.5),
-        &b.phi.data,
-        &mut phi.data,
-    );
-    let sigma = a.sigma.add(&b.sigma).scaled(Complex64::from_re(0.5)).hermitian_part();
-    (phi, sigma)
+/// [`midpoint`] of two `(Φ, σ)` blocks on an explicit compute backend.
+pub(crate) fn midpoint_parts(
+    backend: &dyn Backend,
+    a: (&Wavefunction, &CMat),
+    b: (&Wavefunction, &CMat),
+) -> (Wavefunction, CMat) {
+    let mut phi = Wavefunction::zeros_like(a.0);
+    let half = Complex64::from_re(0.5);
+    backend.lincomb(half, &a.0.data, half, &b.0.data, &mut phi.data);
+    (phi, a.1.add(b.1).scaled(half).hermitian_part())
 }
 
 /// One application of the PT-IM update map (Eq. 6):
@@ -149,7 +147,10 @@ pub fn midpoint_with(backend: &dyn Backend, a: &TdState, b: &TdState) -> (Wavefu
 /// ```
 ///
 /// `h` must be the Hamiltonian at the midpoint time/density. Exactly one
-/// `HΦ` (hence one Fock application in dense mode) is performed.
+/// `HΦ` (hence one Fock application in dense mode) is performed. This is
+/// the serial instance of the one PT map every PT-IM step runs; when the
+/// midpoint overlap is not positive definite (a non-finite `Φ_mid`) the
+/// result is NaN-filled rather than a panic.
 pub fn pt_update(
     prev: &TdState,
     h: &Hamiltonian,
@@ -158,34 +159,10 @@ pub fn pt_update(
     dt: f64,
 ) -> (Wavefunction, CMat) {
     let _s = pwobs::span("gemm.pt_update");
-    let ng = phi_mid.ng;
     let be = &*h.backend;
-    let hphi = h.apply(phi_mid);
-    let s = phi_mid.overlap_with(be, phi_mid);
-    let hm = phi_mid.overlap_with(be, &hphi).hermitian_part();
-
-    // (I − P̃) H Φ_mid with P̃ = Φ_mid S⁻¹ Φ_mid^H:
-    // correction coefficients C = S⁻¹ (Φ_mid^H H Φ_mid).
-    let c = solve_hpd(&s, &hm).expect("midpoint overlap must stay positive definite");
-    let mut update = hphi.data;
-    be.rotate_acc(Complex64::from_re(-1.0), &phi_mid.data, &c, ng, &mut update);
-
-    // Φ_{n+1} = Φ_n − iΔt · update.
-    let mut phi_next = Wavefunction::zeros_like(&prev.phi);
-    be.lincomb(
-        Complex64::ONE,
-        &prev.phi.data,
-        c64(0.0, -dt),
-        &update,
-        &mut phi_next.data,
-    );
-
-    // σ_{n+1} = σ_n − iΔt [Hm, σ_mid].
-    let comm = hm.commutator(sigma_mid);
-    let mut sigma_next = prev.sigma.clone();
-    sigma_next.axpy(c64(0.0, -dt), &comm);
-
-    (phi_next, sigma_next)
+    let prev = (&prev.phi, &prev.sigma);
+    pt_map(&mut Serial(be), be, prev, (phi_mid, sigma_mid), h.apply(phi_mid), dt)
+        .unwrap_or_else(|| poisoned(prev.0, prev.1))
 }
 
 /// Relative L1 difference between two densities (per electron).

@@ -7,11 +7,9 @@
 //! before the ACE optimization.
 
 use crate::engine::TdEngine;
-use crate::propagate::{
-    density_residual, midpoint_with, pt_update, step_with_drift_guard, StepStats,
-};
+use crate::propagate::{monitor_active, pool_peak_bytes, step_with_drift_guard, StepStats};
+use crate::space::{ptim_body, Serial};
 use crate::state::TdState;
-use pwdft::mixing::AndersonMixer;
 
 /// PT-IM fixed-point parameters.
 #[derive(Clone, Copy, Debug)]
@@ -49,81 +47,22 @@ impl PtimConfig {
     }
 }
 
-/// One PT-IM time step with dense (diagonalized) Fock exchange. Under a
-/// reduced precision policy the step runs the drift monitor and may be
-/// recomputed at fp64 (see
-/// [`step_with_drift_guard`]).
+/// One PT-IM time step with dense (diagonalized) Fock exchange: the one
+/// PT-IM body on the whole block, plus the solve and pool accounting.
+/// Under a reduced precision policy the step runs the drift monitor and
+/// may be recomputed at fp64 (see [`step_with_drift_guard`]).
 pub fn ptim_step(eng: &TdEngine, state: &TdState, cfg: &PtimConfig) -> (TdState, StepStats) {
-    step_with_drift_guard(eng, |e| ptim_step_once(e, state, cfg))
-}
-
-/// One unguarded PT-IM step (the drift monitor wraps this).
-fn ptim_step_once(eng: &TdEngine, state: &TdState, cfg: &PtimConfig) -> (TdState, StepStats) {
-    let _s = pwobs::span("step.ptim");
-    let solve_snap = eng.counters.snapshot();
-    let start_err = crate::propagate::monitor_active(eng)
-        .then(|| state.orthonormality_error());
-    let dt = cfg.dt;
-    let t_mid = state.time + 0.5 * dt;
-    let ne = state.electron_count();
-    let dv = eng.sys.grid.dv();
-    let mut stats = StepStats::default();
-
-    // Predictor: one explicit application of the update map with the
-    // midpoint approximated by (Φ_n, σ_n)  — Alg. 1 line 1. Scoped: only
-    // the density outlives it, so the natural orbitals (G and real
-    // space) and the Hamiltonian's copy are freed before the SCF loop
-    // allocates its own.
-    let (mut next, mut rho_prev) = {
-        let ev_n = eng.eval(&state.phi, &state.sigma, state.time);
-        let h_n = eng.hamiltonian_dense(&ev_n);
-        let (phi, sigma) = pt_update(state, &h_n, &state.phi, &state.sigma, dt);
-        (TdState { phi, sigma, time: state.time + dt }, ev_n.rho)
-    };
-    if eng.hybrid.alpha != 0.0 {
-        stats.fock_applies += 1;
-    }
-
-    let mut mixer = AndersonMixer::new(cfg.anderson_depth, cfg.anderson_beta);
-    let (mut x, mut tx) = (Vec::new(), Vec::new());
-
-    for it in 0..cfg.max_scf {
-        stats.scf_iters = it + 1;
-        // Midpoint quantities (Eq. 4-5).
-        let (phi_mid, sigma_mid) = midpoint_with(&*eng.backend, state, &next);
-        let ev_mid = eng.eval(&phi_mid, &sigma_mid, t_mid);
-
-        // Convergence: change of the midpoint density between iterations
-        // (paper Alg. 1 line 11: "density change sufficiently small").
-        stats.residual = density_residual(&ev_mid.rho, &rho_prev, dv, ne);
-        rho_prev = ev_mid.rho.clone();
-        if it > 0 && stats.residual < cfg.tol_rho {
-            stats.converged = true;
-            break;
-        }
-
-        // Update map (Eq. 6) — one HΦ, hence one VxΦ in hybrid mode.
-        let h_mid = eng.hamiltonian_dense(&ev_mid);
-        let (phi_new, sigma_new) = pt_update(state, &h_mid, &phi_mid, &sigma_mid, dt);
-        if eng.hybrid.alpha != 0.0 {
-            stats.fock_applies += 1;
-        }
-
-        // Anderson acceleration on the stacked unknown (Alg. 1 line 8).
-        next.pack_into(&mut x);
-        TdState { phi: phi_new, sigma: sigma_new, time: next.time }.pack_into(&mut tx);
-        next.unpack_into(&mixer.step(&x, &tx));
-    }
-
-    // Drift + precision accounting, then Alg. 1 line 13: orthogonalize
-    // Φ, conjugate-symmetrize σ.
-    if let Some(e0) = start_err {
-        stats.orthonormality_drift = (next.orthonormality_error() - e0).max(0.0);
-    }
-    (stats.fock_solves_fp64, stats.fock_solves_fp32) = eng.counters.since(solve_snap);
-    stats.pool_peak_bytes = crate::propagate::pool_peak_bytes(eng);
-    next.enforce_constraints();
-    (next, stats)
+    step_with_drift_guard(eng, |eng| {
+        let _s = pwobs::span("step.ptim");
+        let solve_snap = eng.counters.snapshot();
+        let start_err = monitor_active(eng).then(|| state.orthonormality_error());
+        let prev = (&state.phi, &state.sigma);
+        let (next, mut stats) =
+            ptim_body(eng, &mut Serial(&*eng.backend), prev, state.time, cfg, start_err);
+        (stats.fock_solves_fp64, stats.fock_solves_fp32) = eng.counters.since(solve_snap);
+        stats.pool_peak_bytes = pool_peak_bytes(eng);
+        (next, stats)
+    })
 }
 
 #[cfg(test)]

@@ -9,8 +9,9 @@
 
 use crate::engine::TdEngine;
 use crate::propagate::{
-    density_residual, midpoint_with, pt_update, step_with_drift_guard, StepStats,
+    density_residual, midpoint_parts, pt_update, step_with_drift_guard, StepStats,
 };
+use crate::space::{finish, Serial};
 use crate::state::TdState;
 use pwdft::mixing::AndersonMixer;
 use pwdft::AceOperator;
@@ -84,6 +85,7 @@ fn ptim_ace_step_once(
     let t_mid = state.time + 0.5 * dt;
     let ne = state.electron_count();
     let dv = eng.sys.grid.dv();
+    let (be, start) = (&*eng.backend, (&state.phi, &state.sigma));
     let mut stats = StepStats::default();
 
     // ACE at t_n (one Fock build), used for the predictor step. Scoped:
@@ -111,7 +113,7 @@ fn ptim_ace_step_once(
         stats.outer_iters = outer + 1;
         // Rebuild the midpoint ACE operator from the current iterate
         // (one Fock build per outer iteration).
-        let (phi_mid0, sigma_mid0) = midpoint_with(&*eng.backend, state, &next);
+        let (phi_mid0, sigma_mid0) = midpoint_parts(be, start, (&next.phi, &next.sigma));
         let (w_mid, ex_mid, fstats) = eng.exchange_images_stats(&phi_mid0, &sigma_mid0);
         stats.fock_applies += 1;
         stats.fock_skipped_weight += fstats.skipped_weight;
@@ -135,7 +137,7 @@ fn ptim_ace_step_once(
         let mut rho_prev: Option<Vec<f64>> = None;
         for inner in 0..cfg.max_inner {
             stats.scf_iters += 1;
-            let (phi_mid, sigma_mid) = midpoint_with(&*eng.backend, state, &next);
+            let (phi_mid, sigma_mid) = midpoint_parts(be, start, (&next.phi, &next.sigma));
             let ev_mid = eng.eval(&phi_mid, &sigma_mid, t_mid);
             if let Some(prev) = &rho_prev {
                 stats.residual = density_residual(&ev_mid.rho, prev, dv, ne);
@@ -153,12 +155,9 @@ fn ptim_ace_step_once(
         }
     }
 
-    if let Some(e0) = start_err {
-        stats.orthonormality_drift = (next.orthonormality_error() - e0).max(0.0);
-    }
     (stats.fock_solves_fp64, stats.fock_solves_fp32) = eng.counters.since(solve_snap);
     stats.pool_peak_bytes = crate::propagate::pool_peak_bytes(eng);
-    next.enforce_constraints();
+    finish(&mut Serial(be), be, &mut next, start_err, &mut stats);
     (next, stats)
 }
 

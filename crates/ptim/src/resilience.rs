@@ -769,18 +769,26 @@ mod tests {
 
     #[test]
     fn poisoned_state_exhausts_the_ladder() {
+        // A NaN state must walk the whole ladder and come back as an
+        // error — for PT-IM that means the PT map's failed midpoint
+        // solve ends the step as a NaN state instead of panicking.
         let (sys, mut st) = fixture();
         st.phi.data[0] = Complex64 { re: f64::NAN, im: 0.0 };
-        let eng = TdEngine::new(
-            &sys,
-            LaserPulse::off(),
-            HybridParams { alpha: 0.0, omega: 0.1, ..Default::default() },
-        );
-        let prop = Propagator::Rk4(Rk4Config { dt: 0.05 });
-        let Err(err) = step_with_recovery(&eng, &st, &prop, &RecoveryPolicy::default()) else {
-            panic!("NaN input cannot be recovered by retries");
-        };
-        assert!(err.attempts >= 3, "ladder must try halvings: {}", err.attempts);
+        let ptim = Propagator::Ptim(PtimConfig { dt: 0.05, ..Default::default() });
+        for (alpha, prop) in
+            [(0.0, Propagator::Rk4(Rk4Config { dt: 0.05 })), (0.0, ptim), (0.25, ptim)]
+        {
+            let eng = TdEngine::new(
+                &sys,
+                LaserPulse::off(),
+                HybridParams { alpha, omega: 0.1, ..Default::default() },
+            );
+            let Err(err) = step_with_recovery(&eng, &st, &prop, &RecoveryPolicy::default()) else {
+                panic!("{} α={alpha}: NaN input cannot be recovered by retries", prop.name())
+            };
+            let name = prop.name();
+            assert!(err.attempts >= 3, "{name} α={alpha}: ladder must try halvings: {}", err.attempts);
+        }
     }
 
     #[test]

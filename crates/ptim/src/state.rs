@@ -63,15 +63,6 @@ impl TdState {
         s.max_abs_diff(&CMat::identity(self.n_bands()))
     }
 
-    /// Enforces the constraints the paper applies at the end of each
-    /// PT-IM step (Alg. 1 line 13): Löwdin-orthonormalize Φ and
-    /// conjugate-symmetrize σ.
-    pub fn enforce_constraints(&mut self) {
-        let _s = pwobs::span("gemm.constraints");
-        self.phi.orthonormalize_lowdin();
-        self.sigma = self.sigma.hermitian_part();
-    }
-
     /// Flattens `(Φ, σ)` into one complex vector (the fixed-point unknown
     /// for Anderson mixing). σ entries are appended after the orbital
     /// coefficients.
@@ -84,30 +75,19 @@ impl TdState {
     /// [`Self::pack`] into a caller-owned buffer (overwritten), so a
     /// fixed-point loop packs every iterate into the same allocation.
     pub fn pack_into(&self, out: &mut Vec<pwnum::Complex64>) {
-        pack_parts(&self.phi, &self.sigma, out);
+        out.clear();
+        out.reserve(self.phi.data.len() + self.sigma.as_slice().len());
+        out.extend_from_slice(&self.phi.data);
+        out.extend_from_slice(self.sigma.as_slice());
     }
 
-    /// Inverse of [`Self::pack`] (keeps `time` unchanged).
+    /// Inverse of [`Self::pack`] (keeps `time` unchanged), writing into
+    /// the existing storage.
     pub fn unpack_into(&mut self, v: &[pwnum::Complex64]) {
-        unpack_parts(v, &mut self.phi, &mut self.sigma);
+        let (wf, sg) = v.split_at(self.phi.data.len());
+        self.phi.data.copy_from_slice(wf);
+        self.sigma.as_mut_slice().copy_from_slice(sg);
     }
-}
-
-/// Flattens `(Φ, σ)` into `out` (overwritten): orbital coefficients
-/// first, then σ row-major. Shared by [`TdState`] and the rank-local
-/// state of the distributed step.
-pub(crate) fn pack_parts(phi: &Wavefunction, sigma: &CMat, out: &mut Vec<pwnum::Complex64>) {
-    out.clear();
-    out.reserve(phi.data.len() + sigma.as_slice().len());
-    out.extend_from_slice(&phi.data);
-    out.extend_from_slice(sigma.as_slice());
-}
-
-/// Inverse of [`pack_parts`], writing into the existing storage.
-pub(crate) fn unpack_parts(v: &[pwnum::Complex64], phi: &mut Wavefunction, sigma: &mut CMat) {
-    let (wf, sg) = v.split_at(phi.data.len());
-    phi.data.copy_from_slice(wf);
-    sigma.as_mut_slice().copy_from_slice(sg);
 }
 
 #[cfg(test)]
@@ -154,7 +134,9 @@ mod tests {
         pwnum::cvec::axpy(c64(0.1, -0.05), &b0, s.phi.band_mut(1));
         assert!(s.orthonormality_error() > 1e-3);
         assert!(s.sigma_hermiticity_error() > 1e-3);
-        s.enforce_constraints();
+        let be = pwnum::backend::default_backend();
+        let mut stats = crate::StepStats::default();
+        crate::space::finish(&mut crate::space::Serial(&**be), &**be, &mut s, None, &mut stats);
         assert!(s.orthonormality_error() < 1e-9);
         assert!(s.sigma_hermiticity_error() < 1e-15);
     }

@@ -1,6 +1,12 @@
 //! Distributed-vs-serial equivalence at the full time-step level, across
 //! exchange strategies, rank counts and the SHM toggle — the correctness
 //! backbone behind every performance claim in the reproduction.
+//!
+//! Both sides run the one PT-IM body, so they differ only in reduction
+//! order and in the mixer: each rank mixes its own (local Φ, σ), which
+//! takes a different path to the same fixed point. Both therefore solve
+//! to `tol_rho` 1e-12, two decades below the 1e-10 the states are
+//! compared at; at 1e-10 the two would stop on iterates ≈ 1e-10 apart.
 
 use pwdft_repro::mpisim::{Cluster, NetworkModel};
 use pwdft_repro::ptim::distributed::{
@@ -23,7 +29,7 @@ fn fixture() -> (DftSystem, TdState) {
 
 fn serial_reference(sys: &DftSystem, st: &TdState, hyb: HybridParams, dt: f64) -> (Vec<f64>, CMat) {
     let eng = TdEngine::new(sys, LaserPulse::off(), hyb);
-    let cfg = PtimConfig { dt, max_scf: 30, tol_rho: 1e-10, anderson_depth: 10, anderson_beta: 0.6 };
+    let cfg = PtimConfig { dt, max_scf: 40, tol_rho: 1e-12, anderson_depth: 10, anderson_beta: 0.6 };
     let (next, stats) = ptim_step(&eng, st, &cfg);
     assert!(stats.converged);
     let rho = eng.eval(&next.phi, &next.sigma, next.time).rho;
@@ -45,7 +51,7 @@ fn run_distributed(
         let dist = BandDistribution::new(6, c.size());
         let local = scatter_state(c, st, &dist);
         let cfg = DistConfig { strategy, use_shm, hybrid: hyb, ..Default::default() };
-        let (next, stats) = dist_ptim_step(c, sys, &laser, &cfg, &dist, &local, dt, 30, 1e-10);
+        let (next, stats) = dist_ptim_step(c, sys, &laser, &cfg, &dist, &local, dt, 40, 1e-12);
         let full = gather_state(c, &next, &dist);
         let eng = TdEngine::new(sys, LaserPulse::off(), hyb);
         let rho = eng.eval(&full.phi, &full.sigma, full.time).rho;
@@ -75,8 +81,9 @@ fn every_strategy_matches_serial_semilocal() {
             run_distributed(&sys, &st, hyb, dt, 3, 2, strategy, false);
         assert!(conv, "{strategy:?} did not converge");
         let d = rho_diff(&rho, &rho_ref, sys.grid.dv());
-        assert!(d < 1e-7, "{strategy:?}: density diff {d}");
-        assert!(sigma.max_abs_diff(&sigma_ref) < 1e-7, "{strategy:?}: σ mismatch");
+        let ds = sigma.max_abs_diff(&sigma_ref);
+        assert!(d < 1e-10, "{strategy:?}: density diff {d:e}");
+        assert!(ds < 1e-10, "{strategy:?}: σ diff {ds:e}");
     }
 }
 
@@ -90,8 +97,9 @@ fn hybrid_distributed_matches_serial() {
         run_distributed(&sys, &st, hyb, dt, 2, 2, ExchangeStrategy::Ring, true);
     assert!(conv);
     let d = rho_diff(&rho, &rho_ref, sys.grid.dv());
-    assert!(d < 1e-7, "hybrid distributed density diff {d}");
-    assert!(sigma.max_abs_diff(&sigma_ref) < 1e-7);
+    let ds = sigma.max_abs_diff(&sigma_ref);
+    assert!(d < 1e-10, "hybrid distributed density diff {d:e}");
+    assert!(ds < 1e-10, "hybrid distributed σ diff {ds:e}");
 }
 
 #[test]
@@ -110,18 +118,22 @@ fn shm_toggle_does_not_change_physics() {
 #[test]
 fn rank_count_does_not_change_physics() {
     let (sys, st) = fixture();
-    let hyb = HybridParams { alpha: 0.0, omega: 0.2, ..Default::default() };
     let dt = 0.4;
-    let mut results = Vec::new();
-    for p in [1usize, 2, 3, 6] {
-        let (rho, sigma, conv) =
-            run_distributed(&sys, &st, hyb, dt, p, 2, ExchangeStrategy::Ring, false);
-        assert!(conv, "p={p}");
-        results.push((rho, sigma));
-    }
-    for (rho, sigma) in &results[1..] {
-        assert!(rho_diff(rho, &results[0].0, sys.grid.dv()) < 1e-8);
-        assert!(sigma.max_abs_diff(&results[0].1) < 1e-8);
+    for alpha in [0.0, 0.25] {
+        let hyb = HybridParams { alpha, omega: 0.2, ..Default::default() };
+        let mut results = Vec::new();
+        for p in [1usize, 2, 3, 6] {
+            let (rho, sigma, conv) =
+                run_distributed(&sys, &st, hyb, dt, p, 2, ExchangeStrategy::Ring, false);
+            assert!(conv, "α={alpha} p={p}");
+            results.push((p, rho, sigma));
+        }
+        for (p, rho, sigma) in &results[1..] {
+            let d = rho_diff(rho, &results[0].1, sys.grid.dv());
+            let ds = sigma.max_abs_diff(&results[0].2);
+            assert!(d < 1e-10, "α={alpha} p={p}: density diff {d:e}");
+            assert!(ds < 1e-10, "α={alpha} p={p}: σ diff {ds:e}");
+        }
     }
 }
 
@@ -137,8 +149,9 @@ fn hybrid_ring_overlap_matches_serial() {
         run_distributed(&sys, &st, hyb, dt, 3, 2, ExchangeStrategy::RingOverlap, true);
     assert!(conv);
     let d = rho_diff(&rho, &rho_ref, sys.grid.dv());
-    assert!(d < 1e-7, "hybrid RingOverlap density diff {d}");
-    assert!(sigma.max_abs_diff(&sigma_ref) < 1e-7);
+    let ds = sigma.max_abs_diff(&sigma_ref);
+    assert!(d < 1e-10, "hybrid RingOverlap density diff {d:e}");
+    assert!(ds < 1e-10, "hybrid RingOverlap σ diff {ds:e}");
 }
 
 #[test]

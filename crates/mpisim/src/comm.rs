@@ -13,7 +13,7 @@
 //!
 //! ## Scheduling: O(active ranks) event loop
 //!
-//! A rank blocked in `recv`/`wait`/`waitany` parks on its inbox's
+//! A rank blocked in `recv`/`wait` parks on its inbox's
 //! condition variable instead of polling. A sender's `Comm::post`
 //! delivers the envelope under the inbox lock, bumps the doorbell
 //! sequence number, and notifies — so each delivery wakes only the one
@@ -143,8 +143,7 @@ impl Drop for AliveGuard {
 }
 
 /// Handle for a pending nonblocking operation, completed with
-/// [`Comm::wait`]/[`Comm::waitany`] and probed (non-consuming) with
-/// [`Comm::test`].
+/// [`Comm::wait`].
 #[must_use = "nonblocking operations must be completed with Comm::wait"]
 pub enum Request {
     /// A posted receive; completed (and timed) by `wait`.
@@ -542,107 +541,6 @@ impl Comm {
         }
     }
 
-    /// Non-consuming completion probe (the `MPI_Test` analog, minus the
-    /// consume-on-success): `true` when completing the request now would
-    /// not block — for a posted receive, the message is delivered *and*
-    /// its virtual arrival time is at or before the current clock. Costs
-    /// no virtual time; the request stays valid and must still be
-    /// completed with [`Comm::wait`]/[`Comm::waitany`]. This is the
-    /// progress hook the ring-pipelined exchange calls between pair
-    /// tiles, standing in for the progress an MPI implementation makes
-    /// inside `MPI_Test` polling loops.
-    pub fn test(&mut self, req: &Request) -> bool {
-        match req {
-            Request::Send => true,
-            Request::Recv { src, tag, .. } => {
-                {
-                    let inbox = &self.fabric.inboxes[self.rank];
-                    let mut st = lock_state(inbox);
-                    Self::drain_arrived(&mut st, &mut self.pending);
-                }
-                self.pending[*src]
-                    .iter()
-                    .find(|e| e.tag == *tag)
-                    .is_some_and(|env| env.arrival <= self.clock)
-            }
-        }
-    }
-
-    /// Completes exactly one of `reqs` (the `MPI_Waitany` analog):
-    /// removes the completed request from the vector and returns its
-    /// original index plus the payload (`None` for sends, which complete
-    /// immediately). Among posted receives the earliest delivered virtual
-    /// arrival wins; blocked time is charged to `Wait` and the overlap
-    /// metric is updated exactly as in [`Comm::wait`]. Parks on the
-    /// inbox doorbell between deliveries — no polling — and fails loudly
-    /// once every awaited peer has terminated without delivering.
-    ///
-    /// Panics when `reqs` is empty.
-    pub fn waitany<T: Payload>(&mut self, reqs: &mut Vec<Request>) -> (usize, Option<T>) {
-        let _s = pwobs::span("comm.waitany");
-        assert!(!reqs.is_empty(), "waitany needs at least one request");
-        if let Some(i) = reqs.iter().position(|r| matches!(r, Request::Send)) {
-            let Request::Send = reqs.remove(i) else { unreachable!() };
-            return (i, None);
-        }
-        let inbox = &self.fabric.inboxes[self.rank];
-        let mut st = lock_state(inbox);
-        loop {
-            Self::drain_arrived(&mut st, &mut self.pending);
-            // Find the delivered receive with the earliest arrival.
-            let mut best: Option<(usize, f64)> = None;
-            for (i, req) in reqs.iter().enumerate() {
-                let Request::Recv { src, tag, .. } = req else {
-                    unreachable!("sends handled above")
-                };
-                if let Some(env) = self.pending[*src].iter().find(|e| e.tag == *tag) {
-                    if best.is_none_or(|(_, a)| env.arrival < a) {
-                        best = Some((i, env.arrival));
-                    }
-                }
-            }
-            if let Some((i, _)) = best {
-                drop(st);
-                let Request::Recv { src, tag, posted_compute } = reqs.remove(i) else {
-                    unreachable!()
-                };
-                let before = self.clock;
-                let env = self.take_env(src, tag, Category::Wait);
-                self.account_overlap(&env, before, posted_compute);
-                return (i, Some(Self::downcast(env)));
-            }
-            // Nothing delivered anywhere. If every awaited source is dead
-            // (see `take` for the ordering argument), fail loudly like
-            // the blocking path does instead of parking forever.
-            let hopeless = reqs.iter().all(|req| {
-                let Request::Recv { src, .. } = req else { unreachable!() };
-                !self.fabric.alive[*src].load(Ordering::SeqCst)
-            });
-            if hopeless {
-                drop(st);
-                let dead: Vec<String> = reqs
-                    .iter()
-                    .map(|req| {
-                        let Request::Recv { src, tag, .. } = req else { unreachable!() };
-                        format!("rank {} (node {}, tag {:#x})", src, self.node_of(*src), tag)
-                    })
-                    .collect();
-                panic!(
-                    "peer rank terminated while messages were expected: every peer awaited by rank {} (node {}) in a Wait died undelivered — {}{}",
-                    self.rank,
-                    self.node(),
-                    dead.join(", "),
-                    self.step_ctx()
-                );
-            }
-            let seq = st.seq;
-            while st.seq == seq {
-                st = inbox.bell.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-            self.stats.sched_wakeups += 1;
-        }
-    }
-
     /// Splits a completed nonblocking message's wire time into the
     /// visible part (what the wait just blocked for) and the hidden part
     /// — transfer that elapsed behind *computation* performed since the
@@ -905,131 +803,6 @@ mod tests {
         assert_eq!(out[0].0, vec![20]);
         assert_eq!(out[1].0, vec![0]);
         assert_eq!(out[2].0, vec![10]);
-    }
-
-    #[test]
-    fn test_probe_is_nonconsuming() {
-        let out = Cluster::ideal(2).run(|c| {
-            if c.rank() == 0 {
-                c.send(1, 5, vec![1.5f64, 2.5]);
-                true
-            } else {
-                let req = c.irecv(0, 5);
-                // Ideal network: arrival == 0 <= clock, so the probe turns
-                // true as soon as the message is physically delivered.
-                while !c.test(&req) {
-                    std::thread::yield_now();
-                }
-                // Non-consuming: probing again still succeeds, and the
-                // request can still be completed normally.
-                assert!(c.test(&req));
-                let v: Vec<f64> = c.wait(req).expect("payload");
-                v == vec![1.5, 2.5]
-            }
-        });
-        assert!(out[1].0);
-    }
-
-    #[test]
-    fn test_probe_respects_virtual_arrival() {
-        // 1 MB at 1 GB/s: arrival is 1 ms in the future, so the probe
-        // stays false until computation advances the clock past it.
-        let net = NetworkModel {
-            topology: crate::topology::Topology::FullyConnected,
-            hop_latency: 0.0,
-            sw_overhead: 0.0,
-            bandwidth: 1e9,
-            shm_bandwidth: f64::INFINITY,
-            shm_latency: 0.0,
-        };
-        let out = Cluster::new(2, 1, net).run(|c| {
-            if c.rank() == 0 {
-                c.send(1, 3, vec![0u8; 1_000_000]);
-                (true, 0.0)
-            } else {
-                let req = c.irecv(0, 3);
-                // Before any modeled compute the message cannot have
-                // arrived in virtual time, delivered or not.
-                let early = c.test(&req);
-                c.compute(2e-3); // clock now past the 1 ms arrival
-                while !c.test(&req) {
-                    std::thread::yield_now();
-                }
-                let _ = c.wait::<Vec<u8>>(req).expect("payload");
-                // Fully hidden: the wait itself blocked for no time.
-                (early, c.stats.time(Category::Wait))
-            }
-        });
-        assert!(!out[1].0 .0, "probe must be false before the virtual arrival");
-        assert!(out[1].0 .1 < 1e-12, "wait after overlap must be free");
-        assert!(out[1].1.stats.overlap_efficiency() > 0.999);
-    }
-
-    #[test]
-    fn waitany_completes_earliest_arrival_first() {
-        let net = NetworkModel {
-            topology: crate::topology::Topology::FullyConnected,
-            hop_latency: 0.0,
-            sw_overhead: 0.0,
-            bandwidth: 1e9,
-            shm_bandwidth: 1e9,
-            shm_latency: 0.0,
-        };
-        let out = Cluster::new(2, 1, net).run(|c| {
-            if c.rank() == 0 {
-                c.send(1, 10, vec![0u8; 1_000_000]); // arrives at 1 ms
-                c.send(1, 11, vec![7u8; 1_000]); // arrives at ~1 µs
-                c.send(1, 12, vec![0u8]); // flag
-                vec![]
-            } else {
-                // Draining the flag first forces both data envelopes into
-                // the pending queue, making the race-free ordering
-                // deterministic.
-                let _ = c.recv::<Vec<u8>>(0, 12);
-                let mut reqs = vec![c.irecv(0, 10), c.irecv(0, 11)];
-                let (i1, p1) = c.waitany::<Vec<u8>>(&mut reqs);
-                let (i2, p2) = c.waitany::<Vec<u8>>(&mut reqs);
-                assert!(reqs.is_empty());
-                vec![
-                    (i1, p1.expect("first payload").len()),
-                    (i2, p2.expect("second payload").len()),
-                ]
-            }
-        });
-        // The small message (index 1 in the original vec) completes first.
-        assert_eq!(out[1].0[0], (1, 1_000));
-        assert_eq!(out[1].0[1], (0, 1_000_000));
-    }
-
-    #[test]
-    fn waitany_completes_sends_immediately() {
-        let out = Cluster::ideal(2).run(|c| {
-            if c.rank() == 0 {
-                let mut reqs = vec![c.irecv(1, 2), c.isend(1, 1, vec![5u64])];
-                let (i, p) = c.waitany::<Vec<u64>>(&mut reqs);
-                assert_eq!((i, p), (1, None), "send completes first, no payload");
-                let (i, p) = c.waitany::<Vec<u64>>(&mut reqs);
-                assert_eq!(i, 0);
-                p.expect("recv payload")
-            } else {
-                let v = c.recv::<Vec<u64>>(0, 1);
-                c.send(0, 2, v.clone());
-                v
-            }
-        });
-        assert_eq!(out[0].0, vec![5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "peer rank terminated")]
-    fn waitany_panics_when_peer_exits_without_sending() {
-        Cluster::ideal(2).run(|c| {
-            if c.rank() == 1 {
-                let mut reqs = vec![c.irecv(0, 99)];
-                let _ = c.waitany::<Vec<f64>>(&mut reqs);
-            }
-            // Rank 0 returns immediately, flagging itself dead.
-        });
     }
 
     #[test]

@@ -119,7 +119,7 @@ pub struct Stats {
     /// (for the memory-saving comparison of Sec. IV-B3).
     pub unshared_equivalent_bytes: u64,
     /// Total wire time of messages completed through nonblocking waits
-    /// (`wait`/`waitany`): the sum of each message's full transfer time.
+    /// (`wait`): the sum of each message's full transfer time.
     pub overlap_total_s: f64,
     /// The part of `overlap_total_s` that was *hidden* behind computation
     /// — transfer time that had already elapsed on the virtual clock when

@@ -264,8 +264,9 @@ pub fn step_time(pf: &Platform, w: &Workload, nodes: usize, variant: Variant) ->
                     b.comm.wait = outer * wait;
                 }
                 Variant::AceOverlap => {
-                    // Ring-pipelined exchange with MPI_Test progress
-                    // probes between pair tiles: the async-progress
+                    // Ring-pipelined exchange whose posted transfer
+                    // progresses behind the solves on its own (as on the
+                    // simulator's virtual clock): the async-progress
                     // visibility floor (WAIT_VISIBLE_FRACTION) is gone;
                     // the visible wait is exactly the closed-form
                     // excess of crate::comm::ring_overlap_time.

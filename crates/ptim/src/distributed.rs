@@ -9,38 +9,42 @@
 //! Data layout follows Fig. 1: the wavefunction block Φ is distributed by
 //! *band index*; overlap matrices are formed by transposing to
 //! *grid-point* distribution with `MPI_Alltoallv` and reducing partial
-//! N×N products with `MPI_Allreduce`. The distributed Fock exchange
-//! circulates source bands among ranks with one of the paper's three
-//! strategies:
+//! N×N products with `MPI_Allreduce`. [`dist_rotate`] and the
+//! distributed Fock exchange circulate band blocks among ranks on the one
+//! ring driver of [`crate::grid2d`]; the exchange picks its transport
+//! with one of the paper's strategies:
 //!
 //! * [`ExchangeStrategy::Bcast`] — baseline: every band block is
 //!   broadcast from its owner (Fig. 5a);
 //! * [`ExchangeStrategy::Ring`] — neighbor point-to-point rotation
 //!   (`MPI_Sendrecv`, Fig. 5b);
-//! * [`ExchangeStrategy::AsyncRing`] — nonblocking rotation overlapping
-//!   the Poisson solves with communication (`MPI_Isend/Irecv/Wait`,
+//! * [`ExchangeStrategy::AsyncRing`] — nonblocking rotation: the next
+//!   block's `isend`/`irecv` are posted before the current block's
+//!   Poisson solves and completed after them (`MPI_Isend/Irecv/Wait`,
 //!   Fig. 5c);
 //! * [`ExchangeStrategy::RingOverlap`] — the hierarchical subsystem's
-//!   ring-pipelined exchange ([`crate::grid2d`]): double-buffered
-//!   `isend`/`irecv` posted before the pair-tile solves, `MPI_Test`-style
-//!   progress probes between tiles, solves routed through the batched
-//!   pair schedulers (symmetric halving + precision policy), and the
-//!   hidden/visible transfer split recorded as the overlap-efficiency
-//!   metric ([`mpisim::Stats::overlap_efficiency`]).
+//!   entry point ([`crate::grid2d::ring_overlap_fock_apply`]); on this
+//!   flat `p × 1` grid it is the `AsyncRing` schedule, bit for bit.
 //!
-//! All strategies produce the same physics (unit-tested against the serial
-//! code); they differ in which timing category the virtual clock charges —
-//! exactly Table I. Optionally the replicated square matrices (σ, Φ\*Φ,
+//! Every strategy runs the same block kernel: one batched apply of the
+//! operator per arriving block (symmetric halving on the self-applied
+//! diagonal block, precision policy honored), so all produce the same
+//! physics (unit-tested against the serial code) and differ only in
+//! which timing category the virtual clock charges — exactly Table I.
+//! Nonblocking transfers record their hidden/visible split as the
+//! overlap-efficiency metric ([`mpisim::Stats::overlap_efficiency`]).
+//! Optionally the replicated square matrices (σ, Φ\*Φ,
 //! Φ\*HΦ) live in node-shared SHM windows (Sec. IV-B3) to cut their
 //! footprint to `1/ranks-per-node`.
 
 use crate::engine::{EvalPoint, HybridParams, TdEngine};
+use crate::grid2d::{circulate, ring_fock_apply, ProcessGrid, Transport};
 use crate::laser::LaserPulse;
 use crate::propagate::StepStats;
 use crate::ptim::PtimConfig;
 use crate::space::{ptim_body, BandSpace};
 use crate::state::TdState;
-use mpisim::Comm;
+use mpisim::{Comm, Tag};
 use pwdft::density::{density_diag, NaturalOrbitals};
 use pwdft::hamiltonian::Exchange;
 use pwdft::{DftSystem, FockOperator, Wavefunction};
@@ -60,8 +64,8 @@ pub enum ExchangeStrategy {
     AsyncRing,
     /// Ring-pipelined overlapped exchange via the hierarchical
     /// [`crate::grid2d`] subsystem: transfers posted before each block's
-    /// pair-tile solves, progress probes between tiles, batched
-    /// policy-aware schedulers, per-transfer hidden/visible accounting.
+    /// pair solves, per-transfer hidden/visible accounting. On the flat
+    /// band ring the same schedule as [`ExchangeStrategy::AsyncRing`].
     RingOverlap,
 }
 
@@ -240,15 +244,17 @@ pub fn dist_overlap(
     CMat::from_vec(n, n, reduced)
 }
 
+/// Tag base of [`dist_rotate`]'s block transfers.
+const ROTATE_TAG: Tag = 7_000;
+
 /// Distributed subspace rotation `out_j = Σ_i φ_i Q[i][j]` for locally
-/// owned `j`, circulating source blocks around the ring.
+/// owned `j`, circulating source blocks around the ring (`sendrecv`).
 pub fn dist_rotate(
     comm: &mut Comm,
     dist: &BandDistribution,
     phi_local: &Wavefunction,
     q: &CMat,
 ) -> Wavefunction {
-    let p = comm.size();
     let ng = phi_local.ng;
     let my = dist.range(comm.rank());
     let n_out = my.len();
@@ -258,13 +264,9 @@ pub fn dist_rotate(
         ip_scale: phi_local.ip_scale,
         data: vec![Complex64::ZERO; n_out * ng],
     };
-
-    let right = (comm.rank() + 1) % p;
-    let left = (comm.rank() + p - 1) % p;
-    let mut block = phi_local.data.clone();
-    for step in 0..p {
-        let src_rank = (comm.rank() + step) % p;
-        let src_range = dist.range(src_rank);
+    let ring = ProcessGrid::new(comm.size(), comm.size());
+    circulate(comm, &ring, &phi_local.data, Transport::Sendrecv, ROTATE_TAG, |_, src, block| {
+        let src_range = dist.range(src);
         // Accumulate this block's bands into every local target at once:
         // one blocked accumulate with the `src_range × my` block of Q
         // (per target, sources still add in ascending band order).
@@ -272,14 +274,9 @@ pub fn dist_rotate(
             let q_blk = CMat::from_fn(src_range.len(), n_out, |i, j| {
                 q[(src_range.start + i, my.start + j)]
             });
-            default_backend().rotate_acc(Complex64::ONE, &block, &q_blk, ng, &mut out.data);
+            default_backend().rotate_acc(Complex64::ONE, block, &q_blk, ng, &mut out.data);
         }
-        if step + 1 < p {
-            comm.require_alive(left, "the band-ring rotation");
-            comm.require_alive(right, "the band-ring rotation");
-            block = comm.sendrecv(left, right, 7_000 + step as u64, block);
-        }
-    }
+    });
     out
 }
 
@@ -305,26 +302,28 @@ pub fn dist_density(
 /// the (natural-orbital) source bands with the chosen strategy. Returns
 /// the result in real space.
 ///
-/// When the local targets *alias* the local source block (pass the
-/// same slice for `nat_r_local` and `psi_r_local` — the self-applied
-/// case a distributed ACE rebuild performs), the diagonal block — the
-/// step where a rank processes its own bands — uses the Hermitian
-/// `i ≤ j` pair halving: both ends of each local pair live on this
-/// rank, so one Poisson solve feeds both accumulators. Off-diagonal
-/// blocks keep the one-sided loop (the swapped contribution belongs to
-/// the remote owner). [`dist_ptim_step`]'s H apply passes the midpoint
-/// block as targets and its natural orbitals as sources — two buffers —
-/// so the step runs the asymmetric path; no distributed caller applies
-/// the operator to its own sources yet (the serial equivalents are
-/// `apply_pure` and ACE rebuilds). Occupation screening follows the
-/// operator's [`FockOptions`](pwdft::FockOptions).
+/// Every strategy runs the same block kernel on each arriving source
+/// block: one batched apply of `fock` against the local targets, so
+/// occupation screening and the operator's precision policy
+/// ([`FockOptions`](pwdft::FockOptions)) hold on every strategy. When the
+/// local targets *alias* the local source block (pass the same slice for
+/// `nat_r_local` and `psi_r_local` — the self-applied case a distributed
+/// ACE rebuild performs), the diagonal block — the step where a rank
+/// processes its own bands — uses the Hermitian `i ≤ j` pair halving:
+/// both ends of each local pair live on this rank, so one Poisson solve
+/// feeds both accumulators. Off-diagonal blocks stay one-sided (the
+/// swapped contribution belongs to the remote owner). [`dist_ptim_step`]'s
+/// H apply passes the midpoint block as targets and its natural orbitals
+/// as sources — two buffers — so the step runs the asymmetric path; no
+/// distributed caller applies the operator to its own sources yet (the
+/// serial equivalents are `apply_pure` and ACE rebuilds).
 ///
 /// `plan` is the strategy plus the modeled per-solve compute cost (a
 /// bare [`ExchangeStrategy`] still works and charges nothing); with a
-/// nonzero cost the virtual clock advances between transfers, which is
-/// what lets the nonblocking strategies hide wire time. Each pair solve
-/// counts toward the charge on every strategy, so simulated strategy
-/// comparisons stay apples-to-apples.
+/// nonzero cost the virtual clock advances by each block's solves before
+/// the next transfer completes, which is what lets the nonblocking
+/// strategies hide wire time. The charge is the same on every strategy,
+/// so simulated strategy comparisons stay apples-to-apples.
 pub fn dist_fock_apply(
     comm: &mut Comm,
     fock: &FockOperator,
@@ -335,162 +334,25 @@ pub fn dist_fock_apply(
     plan: impl Into<ExchangePlan>,
 ) -> Vec<Complex64> {
     let plan: ExchangePlan = plan.into();
-    let p = comm.size();
-    let ng = fock.ng();
-    let my_rank = comm.rank();
-    let n_local_tgt = psi_r_local.len() / ng;
-    let cutoff = fock.options().occ_cutoff;
-    let symmetric = nat_r_local.as_ptr() == psi_r_local.as_ptr()
-        && nat_r_local.len() == psi_r_local.len();
-
-    if plan.strategy == ExchangeStrategy::RingOverlap {
-        // The hierarchical subsystem's exchange on a degenerate 2-D grid
-        // (every rank its own band group): double-buffered transfers,
-        // tile-level progress probes, batched policy-aware schedulers.
-        let pgrid = crate::grid2d::ProcessGrid::new(p, p);
-        let (out, _report) = crate::grid2d::ring_overlap_fock_apply(
-            comm,
-            fock,
-            &pgrid,
-            dist,
-            None,
-            nat_r_local,
-            occ,
-            psi_r_local,
-            plan.solve_cost_s,
-        );
-        return out;
-    }
-
-    let mut out = vec![Complex64::ZERO; psi_r_local.len()];
-    // Pooled on the blocked backend (contents unspecified — fully
-    // rewritten per pair): the ring inner loop stays allocation-free.
-    let mut pair = fock.backend().take_scratch(ng);
-
-    // Returns the number of pair solves the block cost, so the caller
-    // can charge the modeled compute to the virtual clock.
-    let process_block = |block: &[Complex64],
-                         src_rank: usize,
-                         out: &mut [Complex64],
-                         pair: &mut [Complex64]|
-     -> usize {
-        let mut solves = 0usize;
-        let src_range = dist.range(src_rank);
-        if symmetric && src_rank == my_rank {
-            // Diagonal block: i ≤ j halving over the local pair set
-            // (`block` is the circulating copy of the local bands, so
-            // sources and targets are bitwise the same vectors).
-            let nb = src_range.len();
-            for bi in 0..nb {
-                let di = occ[src_range.start + bi];
-                let di_on = di.abs() >= cutoff;
-                let src_i = &block[bi * ng..(bi + 1) * ng];
-                if di_on {
-                    let oi = &mut out[bi * ng..(bi + 1) * ng];
-                    fock.accumulate_pair(src_i, src_i, di, oi, pair);
-                    solves += 1;
-                }
-                for bj in bi + 1..nb {
-                    let dj = occ[src_range.start + bj];
-                    let dj_on = dj.abs() >= cutoff;
-                    if !di_on && !dj_on {
-                        continue;
-                    }
-                    let src_j = &block[bj * ng..(bj + 1) * ng];
-                    let (lo, hi) = out.split_at_mut(bj * ng);
-                    let oi = &mut lo[bi * ng..(bi + 1) * ng];
-                    let oj = &mut hi[..ng];
-                    if di_on && dj_on {
-                        fock.accumulate_pair_sym(src_i, src_j, di, dj, oj, oi, pair);
-                    } else if di_on {
-                        fock.accumulate_pair(src_i, src_j, di, oj, pair);
-                    } else {
-                        fock.accumulate_pair(src_j, src_i, dj, oi, pair);
-                    }
-                    solves += 1;
-                }
-            }
-            return solves;
-        }
-        for (bi, gi) in src_range.clone().enumerate() {
-            let d = occ[gi];
-            if d.abs() < cutoff {
-                continue;
-            }
-            let src_band = &block[bi * ng..(bi + 1) * ng];
-            for j in 0..n_local_tgt {
-                let tgt = &psi_r_local[j * ng..(j + 1) * ng];
-                let oj = &mut out[j * ng..(j + 1) * ng];
-                fock.accumulate_pair(src_band, tgt, d, oj, pair);
-                solves += 1;
-            }
-        }
-        solves
+    let transport = match plan.strategy {
+        ExchangeStrategy::Bcast => Transport::Bcast,
+        ExchangeStrategy::Ring => Transport::Sendrecv,
+        ExchangeStrategy::AsyncRing | ExchangeStrategy::RingOverlap => Transport::Nonblocking,
     };
-
-    // Charges the block's modeled Poisson compute to the virtual clock.
-    let charge = |comm: &mut Comm, solves: usize| {
-        if plan.solve_cost_s > 0.0 && solves > 0 {
-            comm.compute(plan.solve_cost_s * solves as f64);
-        }
-    };
-
-    match plan.strategy {
-        ExchangeStrategy::Bcast => {
-            // Fig. 5(a): every rank broadcasts its block in turn.
-            for root in 0..p {
-                comm.require_alive(root, "the exchange broadcast");
-                let payload =
-                    if comm.rank() == root { Some(nat_r_local.to_vec()) } else { None };
-                let block = comm.bcast(root, payload);
-                let solves = process_block(&block, root, &mut out, &mut pair);
-                charge(comm, solves);
-            }
-        }
-        ExchangeStrategy::Ring => {
-            // Fig. 5(b): synchronous neighbor rotation.
-            let right = (comm.rank() + 1) % p;
-            let left = (comm.rank() + p - 1) % p;
-            let mut block = nat_r_local.to_vec();
-            for step in 0..p {
-                let src_rank = (comm.rank() + step) % p;
-                let solves = process_block(&block, src_rank, &mut out, &mut pair);
-                charge(comm, solves);
-                if step + 1 < p {
-                    comm.require_alive(left, "the exchange ring rotation");
-                    comm.require_alive(right, "the exchange ring rotation");
-                    block = comm.sendrecv(left, right, 8_000 + step as u64, block);
-                }
-            }
-        }
-        ExchangeStrategy::AsyncRing => {
-            // Fig. 5(c): post the transfer of the *next* block, compute on
-            // the current one, then wait — overlap hides transfer time.
-            let right = (comm.rank() + 1) % p;
-            let left = (comm.rank() + p - 1) % p;
-            let mut block = nat_r_local.to_vec();
-            for step in 0..p {
-                let src_rank = (comm.rank() + step) % p;
-                let pending = if step + 1 < p {
-                    comm.require_alive(left, "the async exchange ring");
-                    comm.require_alive(right, "the async exchange ring");
-                    let rreq = comm.irecv(right, 9_000 + step as u64);
-                    let _s = comm.isend(left, 9_000 + step as u64, block.clone());
-                    Some(rreq)
-                } else {
-                    None
-                };
-                let solves = process_block(&block, src_rank, &mut out, &mut pair);
-                charge(comm, solves);
-                if let Some(req) = pending {
-                    block = comm.wait(req).expect("ring block");
-                }
-            }
-        }
-        ExchangeStrategy::RingOverlap => unreachable!("handled above"),
-    }
-    fock.backend().recycle_buffer(pair);
-    out
+    let ring = ProcessGrid::new(comm.size(), comm.size());
+    let (vx, _report) = ring_fock_apply(
+        comm,
+        fock,
+        &ring,
+        dist,
+        None,
+        nat_r_local,
+        occ,
+        psi_r_local,
+        transport,
+        plan.solve_cost_s,
+    );
+    vx
 }
 
 /// Anderson history depth of the distributed step's mixer.
@@ -894,6 +756,8 @@ mod tests {
         let phi_r = st.phi.to_real_all(&sys.fft);
         let ng = sys.grid.len();
 
+        // A block's one solve (2 µs) covers part of its ≈ 5.5 µs transfer,
+        // so the nonblocking strategies both hide and wait.
         let run = |strategy: ExchangeStrategy| {
             let nat_r = nat_r.clone();
             let phi_r = phi_r.clone();
@@ -905,30 +769,30 @@ mod tests {
                 let fock = FockOperator::new(&sys_ref.grid, 0.2);
                 let nat_local = nat_r[my.start * ng..my.end * ng].to_vec();
                 let psi_local = phi_r[my.start * ng..my.end * ng].to_vec();
-                let _ = dist_fock_apply(
-                    c,
-                    &fock,
-                    &dist,
-                    &nat_local,
-                    &e_values,
-                    &psi_local,
-                    strategy,
-                );
-                (
-                    c.stats.time(Category::Bcast),
-                    c.stats.time(Category::Sendrecv),
-                    c.stats.time(Category::Wait),
-                )
+                let plan = ExchangePlan { strategy, solve_cost_s: 2e-6 };
+                let _ = dist_fock_apply(c, &fock, &dist, &nat_local, &e_values, &psi_local, plan);
+                let (s, wait) = (&c.stats, c.stats.time(Category::Wait));
+                let categories = (s.time(Category::Bcast), s.time(Category::Sendrecv), wait);
+                (categories, [c.now(), wait, s.overlap_hidden_s, s.overlap_total_s])
             });
             out.into_iter().map(|(t, _)| t).collect::<Vec<_>>()
         };
 
         let bcast = run(ExchangeStrategy::Bcast);
-        assert!(bcast.iter().any(|(b, s, w)| *b > 0.0 && *s == 0.0 && *w == 0.0));
+        assert!(bcast.iter().any(|((b, s, w), _)| *b > 0.0 && *s == 0.0 && *w == 0.0));
         let ring = run(ExchangeStrategy::Ring);
-        assert!(ring.iter().all(|(b, s, _)| *b == 0.0 && *s > 0.0));
+        assert!(ring.iter().all(|((b, s, _), _)| *b == 0.0 && *s > 0.0));
         let async_ring = run(ExchangeStrategy::AsyncRing);
-        assert!(async_ring.iter().all(|(b, s, w)| *b == 0.0 && *s == 0.0 && *w > 0.0));
+        assert!(async_ring.iter().all(|((b, s, w), _)| *b == 0.0 && *s == 0.0 && *w > 0.0));
+        assert!(async_ring.iter().all(|(_, [.., hidden, _])| *hidden > 0.0));
+        // On the flat ring RingOverlap is AsyncRing's schedule: the same
+        // categories and, per rank, the same clock, Wait and overlap split
+        // to the bit.
+        let ring_overlap = run(ExchangeStrategy::RingOverlap);
+        for (rank, (a, o)) in async_ring.iter().zip(&ring_overlap).enumerate() {
+            assert_eq!(o.0, a.0, "rank {rank}: timing categories");
+            assert_eq!(o.1.map(f64::to_bits), a.1.map(f64::to_bits), "rank {rank}: {:?}", o.1);
+        }
     }
 
     #[test]

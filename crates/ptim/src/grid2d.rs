@@ -1,4 +1,5 @@
-//! Hierarchical 2-D parallelization: a band×grid process grid with a
+//! Hierarchical 2-D parallelization: a band×grid process grid, the one
+//! ring driver every band-block circulation runs on, and the
 //! ring-pipelined, communication-overlapped distributed Fock exchange.
 //!
 //! The flat band-parallel layer ([`crate::distributed`]) assigns whole
@@ -11,20 +12,31 @@
 //! [`pwfft::dist`]). Exchange then circulates band blocks between
 //! corresponding grid ranks of neighboring band groups — messages shrink
 //! by the grid-rank factor — and every transfer is posted nonblocking
-//! (`isend`/`irecv`) *before* the current block's pair-tile Poisson
-//! solves run, with [`mpisim::Comm::test`] probes between tiles standing
-//! in for MPI progress. The hidden-vs-visible split of each transfer is
-//! recorded by the runtime ([`mpisim::Stats::overlap_efficiency`]).
+//! (`isend`/`irecv`) *before* the current block's Poisson solves run and
+//! completed with `wait` after them. The hidden-vs-visible split of each
+//! transfer is recorded by the runtime
+//! ([`mpisim::Stats::overlap_efficiency`]).
 //!
-//! At `grid_ranks == 1` the pair solves run through the
-//! batched schedulers of [`FockOperator`] — the PR-3 Hermitian
-//! symmetric scheduler and the PR-4 [`pwnum::precision::PrecisionPolicy`]
-//! apply unchanged. At `grid_ranks > 1` each pair density lives in
-//! slabs and the screened-Poisson round trip runs on the distributed
+//! **One ring driver.** The crate-private `circulate` is the only loop
+//! that moves band blocks between ranks: it runs a block kernel once per
+//! band group's block and brings the next block by one of the paper's
+//! three transports (Fig. 5) — a broadcast from the owner, a blocking
+//! neighbor `sendrecv` after the kernel, or `irecv`/`isend` posted before
+//! the kernel and a `wait` after it. `dist_rotate` and every
+//! [`ExchangeStrategy`](crate::distributed::ExchangeStrategy) run on it;
+//! on the flat `p × 1` grid `AsyncRing` and `RingOverlap` are the same
+//! schedule.
+//!
+//! **Two block kernels.** At `grid_ranks == 1` a block is one batched
+//! apply of [`FockOperator`]: the Hermitian pair-symmetric one on the
+//! self-applied diagonal block, the target-major one elsewhere, so the
+//! [`pwnum::precision::PrecisionPolicy`] applies unchanged. At
+//! `grid_ranks > 1` each pair density lives in slabs and the
+//! screened-Poisson round trip is a collective solve on the row's
 //! [`DistFft3`] (fp64; the slab path is precision-policy-neutral).
 
 use crate::distributed::BandDistribution;
-use mpisim::{Comm, Request};
+use mpisim::{Comm, Tag};
 use pwdft::FockOperator;
 use pwfft::DistFft3;
 use pwnum::complex::Complex64;
@@ -96,6 +108,83 @@ impl ProcessGrid {
     }
 }
 
+/// How [`circulate`] brings a rank its next band block: the three
+/// patterns of the paper's ring-based method (Fig. 5).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Transport {
+    /// Step `k` broadcasts band group `k`'s block from its owner
+    /// (Fig. 5a).
+    Bcast,
+    /// The kernel runs, then the blocking neighbor exchange
+    /// (`MPI_Sendrecv`, Fig. 5b).
+    Sendrecv,
+    /// The next block's `irecv`/`isend` are posted before the kernel and
+    /// completed with `wait` after it (`MPI_Isend/Irecv/Wait`, Fig. 5c).
+    Nonblocking,
+}
+
+/// The one band-block circulation loop: runs `kernel(comm, src_group,
+/// block)` once for every band group's block, `local` being this rank's.
+/// The ring transports visit `my_group, my_group + 1, …`, sending to
+/// [`ProcessGrid::ring_send_to`] and receiving from
+/// [`ProcessGrid::ring_recv_from`] on tag `tag + step`; `Bcast` visits
+/// groups `0, 1, …` and needs `grid_ranks == 1`. Every peer a transfer
+/// depends on is checked with [`Comm::require_alive`] first, so a crashed
+/// rank surfaces on the survivors as an attributed error naming it and
+/// the step, never as a deadlock.
+pub(crate) fn circulate(
+    comm: &mut Comm,
+    pgrid: &ProcessGrid,
+    local: &[Complex64],
+    transport: Transport,
+    tag: Tag,
+    mut kernel: impl FnMut(&mut Comm, usize, &[Complex64]),
+) {
+    let groups = pgrid.band_groups;
+    let (my_group, _) = pgrid.coords(comm.rank());
+    let send_to = pgrid.ring_send_to(comm.rank());
+    let recv_from = pgrid.ring_recv_from(comm.rank());
+    let require_peers = |comm: &Comm| {
+        comm.require_alive(send_to, "the band-block ring");
+        comm.require_alive(recv_from, "the band-block ring");
+    };
+    debug_assert!(transport != Transport::Bcast || pgrid.grid_ranks == 1, "whole blocks only");
+    let mut block = local.to_vec();
+    for step in 0..groups {
+        let src_group = (my_group + step) % groups;
+        let more = step + 1 < groups;
+        let tag = tag + step as Tag;
+        match transport {
+            Transport::Bcast => {
+                comm.require_alive(step, "the band-block broadcast");
+                let root_block = comm.bcast(step, (step == my_group).then(|| local.to_vec()));
+                kernel(comm, step, &root_block);
+            }
+            Transport::Sendrecv => {
+                kernel(comm, src_group, &block);
+                if more {
+                    require_peers(comm);
+                    block = comm.sendrecv(send_to, recv_from, tag, block);
+                }
+            }
+            Transport::Nonblocking => {
+                // Double-buffered handoff: the next block's transfer is
+                // in flight while the kernel works on this one.
+                let pending = more.then(|| {
+                    require_peers(comm);
+                    let req = comm.irecv(recv_from, tag);
+                    let _sent = comm.isend(send_to, tag, block.clone());
+                    req
+                });
+                kernel(comm, src_group, &block);
+                if let Some(req) = pending {
+                    block = comm.wait(req).expect("ring block payload");
+                }
+            }
+        }
+    }
+}
+
 /// Balanced contiguous ownership of grid items over the ranks of a grid
 /// communicator — the [`BandDistribution`] partner for the grid
 /// dimension. `n_items` is whatever the caller decomposes: raw grid
@@ -143,29 +232,18 @@ pub struct RingOverlapReport {
     /// `grid_ranks == 1` path, where solves run through the operator's
     /// batched serial FFTs).
     pub dist_fft_lines: u64,
-    /// `test` probes issued between pair tiles to progress the pending
-    /// ring transfer.
-    pub probes: usize,
 }
 
-/// Charges `solves` worth of modeled Poisson compute to the virtual
-/// clock and probes the pending ring transfer — the progress hook
-/// between pair tiles.
-fn progress(
-    comm: &mut Comm,
-    solve_cost_s: f64,
-    solves: usize,
-    pending: Option<&Request>,
-    report: &mut RingOverlapReport,
-) {
+/// Charges `solves` pair solves of modeled Poisson compute to the
+/// virtual clock (nothing at zero cost).
+fn charge(comm: &mut Comm, solve_cost_s: f64, solves: usize) {
     if solve_cost_s > 0.0 && solves > 0 {
         comm.compute(solve_cost_s * solves as f64);
     }
-    if let Some(req) = pending {
-        let _ = comm.test(req);
-        report.probes += 1;
-    }
 }
+
+/// Tag base of the exchange ring's block transfers.
+const EXCHANGE_TAG: Tag = 10_000;
 
 /// Ring-pipelined, communication-overlapped distributed Fock exchange
 /// `VxΨ` on the 2-D process grid.
@@ -176,11 +254,11 @@ fn progress(
 /// the targets in the same layout. When `psi_local` aliases `nat_local`
 /// (the self-applied ACE-rebuild case) the diagonal block runs the
 /// Hermitian `i ≤ j` pair halving. Each ring step posts the next block's
-/// `isend`/`irecv` *before* solving the current block's pair tiles,
-/// probing the receive between tiles ([`Comm::test`]) and completing it
-/// with [`Comm::wait`] — the hidden share of every transfer lands in
-/// [`mpisim::Stats::overlap_hidden_s`]. `solve_cost_s` is the modeled
-/// compute seconds charged per pair solve (0 ⇒ data plane only).
+/// `isend`/`irecv` *before* solving the current block's pairs and
+/// completes the receive with [`Comm::wait`] after them — the hidden
+/// share of every transfer lands in [`mpisim::Stats::overlap_hidden_s`].
+/// `solve_cost_s` is the modeled compute seconds charged per pair solve
+/// (0 ⇒ data plane only).
 ///
 /// Pass `dfft: None` for `grid_ranks == 1` (pure band ring; pair solves
 /// go through the policy-aware batched schedulers of `fock`), or the
@@ -197,7 +275,37 @@ pub fn ring_overlap_fock_apply(
     psi_local: &[Complex64],
     solve_cost_s: f64,
 ) -> (Vec<Complex64>, RingOverlapReport) {
-    let _s = pwobs::span("xch.ring_overlap");
+    ring_fock_apply(
+        comm,
+        fock,
+        pgrid,
+        bands,
+        dfft,
+        nat_local,
+        occ,
+        psi_local,
+        Transport::Nonblocking,
+        solve_cost_s,
+    )
+}
+
+/// [`ring_overlap_fock_apply`] over any [`Transport`]: the distributed
+/// Fock exchange of every
+/// [`ExchangeStrategy`](crate::distributed::ExchangeStrategy).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn ring_fock_apply(
+    comm: &mut Comm,
+    fock: &FockOperator,
+    pgrid: &ProcessGrid,
+    bands: &BandDistribution,
+    dfft: Option<&DistFft3>,
+    nat_local: &[Complex64],
+    occ: &[f64],
+    psi_local: &[Complex64],
+    transport: Transport,
+    solve_cost_s: f64,
+) -> (Vec<Complex64>, RingOverlapReport) {
+    let _s = pwobs::span("xch.ring");
     assert_eq!(pgrid.size(), comm.size(), "process grid does not match the communicator");
     assert_eq!(bands.n_ranks, pgrid.band_groups, "band distribution must span band groups");
     let (my_group, my_grid_rank) = pgrid.coords(comm.rank());
@@ -213,114 +321,44 @@ pub fn ring_overlap_fock_apply(
 
     let mut out = vec![Complex64::ZERO; psi_local.len()];
     let mut report = RingOverlapReport::default();
-    let send_to = pgrid.ring_send_to(comm.rank());
-    let recv_from = pgrid.ring_recv_from(comm.rank());
-    let groups = pgrid.band_groups;
-    let mut block = nat_local.to_vec();
-
-    for step in 0..groups {
-        let src_group = (my_group + step) % groups;
-        let src_range = bands.range(src_group);
-        // Double-buffered handoff: post the next block's transfer before
-        // touching this block's pair tiles.
-        let pending = if step + 1 < groups {
-            comm.require_alive(recv_from, "the ring-overlap exchange");
-            comm.require_alive(send_to, "the ring-overlap exchange");
-            let rreq = comm.irecv(recv_from, 10_000 + step as u64);
-            let _sreq = comm.isend(send_to, 10_000 + step as u64, block.clone());
-            Some(rreq)
-        } else {
-            None
-        };
+    circulate(comm, pgrid, nat_local, transport, EXCHANGE_TAG, |comm, src_group, block| {
+        let occ_src = &occ[bands.range(src_group)];
         let diag_symmetric = symmetric && src_group == my_group;
-        match dfft {
-            None => process_block_banded(
-                comm,
-                fock,
-                &block,
-                &occ[src_range],
-                psi_local,
-                diag_symmetric,
-                &mut out,
-                solve_cost_s,
-                pending.as_ref(),
-                &mut report,
-            ),
-            Some(d) => process_block_slab(
-                comm,
-                fock,
-                d,
-                &block,
-                &occ[src_range],
-                psi_local,
-                bands.count(my_group),
-                diag_symmetric,
-                &mut out,
-                solve_cost_s,
-                pending.as_ref(),
-                &mut report,
-            ),
-        }
-        if let Some(req) = pending {
-            block = comm.wait(req).expect("ring block payload");
-        }
-    }
+        let Some(d) = dfft else {
+            // The `grid_ranks == 1` block kernel: one batched apply — the
+            // Hermitian pair-symmetric one when both ends of every pair
+            // live here (the self-applied diagonal block), target-major
+            // otherwise — so occupation screening and the precision
+            // policy behave exactly as in the serial operator; the
+            // block's modeled compute is charged once, after it.
+            let (vx, st) = if diag_symmetric {
+                fock.apply_pure_stats(block, occ_src)
+            } else {
+                fock.apply_diag_stats(block, occ_src, psi_local)
+            };
+            for (o, v) in out.iter_mut().zip(&vx) {
+                *o += *v;
+            }
+            report.solves += st.solves;
+            report.solves_fp32 += st.solves_fp32;
+            charge(comm, solve_cost_s, st.solves);
+            return;
+        };
+        process_block_slab(
+            comm,
+            fock,
+            d,
+            block,
+            occ_src,
+            psi_local,
+            bands.count(my_group),
+            diag_symmetric,
+            &mut out,
+            solve_cost_s,
+            &mut report,
+        );
+    });
     (out, report)
-}
-
-/// Source bands per batched apply of an off-diagonal block: the pending
-/// ring transfer is probed once per this many sources, so the value sets
-/// how early a completed transfer is noticed on the virtual clock
-/// (`overlap_hidden_frac`). It is a property of the overlap schedule, not
-/// of the exchange operator.
-const PROBE_BANDS: usize = 32;
-
-/// `grid_ranks == 1` block kernel: pair tasks through the operator's
-/// batched schedulers (symmetric halving on the diagonal block,
-/// target-major off it), so occupation screening and the precision
-/// policy behave exactly as in the serial operator.
-#[allow(clippy::too_many_arguments)]
-fn process_block_banded(
-    comm: &mut Comm,
-    fock: &FockOperator,
-    block: &[Complex64],
-    occ_src: &[f64],
-    psi_local: &[Complex64],
-    diag_symmetric: bool,
-    out: &mut [Complex64],
-    solve_cost_s: f64,
-    pending: Option<&Request>,
-    report: &mut RingOverlapReport,
-) {
-    let ng = fock.ng();
-    if diag_symmetric {
-        // Both ends of every local pair live here: one Hermitian
-        // pair-symmetric apply over the whole block.
-        let (vx, st) = fock.apply_pure_stats(block, occ_src);
-        for (o, v) in out.iter_mut().zip(&vx) {
-            *o += *v;
-        }
-        report.solves += st.solves;
-        report.solves_fp32 += st.solves_fp32;
-        progress(comm, solve_cost_s, st.solves, pending, report);
-        return;
-    }
-    // Off-diagonal (or trial-target) block: chunk the sources so the
-    // pending ring transfer is probed between batched solves.
-    let nb = occ_src.len();
-    let mut done = 0;
-    while done < nb {
-        let m = PROBE_BANDS.min(nb - done);
-        let sub = &block[done * ng..(done + m) * ng];
-        let (vx, st) = fock.apply_diag_stats(sub, &occ_src[done..done + m], psi_local);
-        for (o, v) in out.iter_mut().zip(&vx) {
-            *o += *v;
-        }
-        report.solves += st.solves;
-        report.solves_fp32 += st.solves_fp32;
-        progress(comm, solve_cost_s, st.solves, pending, report);
-        done += m;
-    }
 }
 
 /// `grid_ranks > 1` block kernel: each pair density is formed slab-wise,
@@ -346,7 +384,6 @@ fn process_block_slab(
     diag_symmetric: bool,
     out: &mut [Complex64],
     solve_cost_s: f64,
-    pending: Option<&Request>,
     report: &mut RingOverlapReport,
 ) {
     let slab = dfft.local_len(dfft.group_index(comm.rank()));
@@ -364,7 +401,7 @@ fn process_block_slab(
                  report: &mut RingOverlapReport| {
         dfft.convolve_slab(comm, pair, kernel);
         report.solves += 1;
-        progress(comm, solve_cost_s, 1, pending, report);
+        charge(comm, solve_cost_s, 1);
     };
 
     if diag_symmetric {

@@ -1,7 +1,8 @@
 //! Correctness and overlap acceptance for the hierarchical 2-D
 //! parallelization subsystem: the `RingOverlap` exchange must match the
 //! serial Fock operator to ≤ 1e-10 on both backends, under the fp32
-//! precision policy, at non-power-of-two rank counts, on a genuine
+//! precision policy (as must every other strategy), at non-power-of-two
+//! rank counts, on a genuine
 //! band×grid 2-D layout — with solve/FFT counters pinned — and hide
 //! ≥ 50% of the exchange communication at 16 simulated ranks.
 
@@ -179,9 +180,37 @@ fn ring_overlap_honors_fp32_precision_policy() {
                 );
                 assert_eq!(*solves, N_BANDS * dist_count(N_BANDS, p, rank));
             }
+            // Every strategy through the step's entry point runs the same
+            // policy-aware block kernel: none may fall back to fp64.
+            for strategy in STRATEGIES {
+                let out = Cluster::ideal(p).run(|c| {
+                    let dist = BandDistribution::new(N_BANDS, c.size());
+                    let my = dist.range(c.rank());
+                    let fock = FockOperator::with_options(&f.sys.grid, 0.2, be.clone(), opts);
+                    let nat_local = f.nat_r[my.start * ng..my.end * ng].to_vec();
+                    let psi_local = f.psi_r[my.start * ng..my.end * ng].to_vec();
+                    let vx =
+                        dist_fock_apply(c, &fock, &dist, &nat_local, &f.occ, &psi_local, strategy);
+                    max_abs_diff(&vx, &serial[my.start * ng..my.end * ng])
+                });
+                for (rank, (d, _)) in out.iter().enumerate() {
+                    assert!(
+                        *d < 1e-10,
+                        "{} {strategy:?} p={p} rank={rank}: fp32-policy mismatch {d}",
+                        be.name()
+                    );
+                }
+            }
         }
     }
 }
+
+const STRATEGIES: [ExchangeStrategy; 4] = [
+    ExchangeStrategy::Bcast,
+    ExchangeStrategy::Ring,
+    ExchangeStrategy::AsyncRing,
+    ExchangeStrategy::RingOverlap,
+];
 
 fn dist_count(n: usize, p: usize, rank: usize) -> usize {
     BandDistribution::new(n, p).count(rank)

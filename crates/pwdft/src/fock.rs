@@ -64,9 +64,8 @@ pub struct FockOptions {
     /// solved `W_ij` are accumulated into the fp64 targets (two-sum
     /// compensated under
     /// [`StagePrecision::Fp32Promoted`](pwnum::precision::StagePrecision)).
-    /// Default: all-fp64. The per-pair distributed entry points
-    /// ([`FockOperator::accumulate_pair`],
-    /// [`FockOperator::accumulate_pair_sym`]) always run fp64.
+    /// Default: all-fp64. The baseline
+    /// ([`FockOperator::apply_mixed_baseline`]) always runs fp64.
     pub precision: PrecisionPolicy,
 }
 
@@ -286,9 +285,9 @@ impl<'g> FockOperator<'g> {
 
     /// One staged screened-Poisson round trip per grid of `pairs`, in
     /// place: `W(r) = Σ_G K(G) f_G e^{iGr}` (batched forward FFT → kernel
-    /// multiply → batched inverse). The baseline and the per-pair
-    /// distributed entry points solve through this; the batched
-    /// schedulers go through [`Self::run_tasks`].
+    /// multiply → batched inverse). The baseline (and the test-only
+    /// per-pair oracle) solve through this; the batched schedulers go
+    /// through [`Self::run_tasks`].
     fn poisson_batch(&self, pairs: &mut [Complex64], count: usize) {
         self.fft.convolve_many_with(&*self.backend, pairs, count, &self.kernel.kg);
         self.counters.add_fp64(count);
@@ -547,12 +546,13 @@ impl<'g> FockOperator<'g> {
         (out, stats)
     }
 
-    /// One weighted pair contribution — the innermost kernel the
-    /// *distributed* Fock evaluation drives directly as source bands
-    /// arrive over the network:
+    /// One weighted pair contribution through the staged fp64 round
+    /// trip — the per-pair oracle the batched applies are checked
+    /// against bit for bit (`apply_matches_per_pair_oracle_bitwise`):
     /// `out -= weight · src ⊙ Poisson[conj(src) ⊙ tgt]`.
     /// `pair` is caller-provided scratch of length Ng.
-    pub fn accumulate_pair(
+    #[cfg(test)]
+    fn accumulate_pair(
         &self,
         src: &[Complex64],
         tgt: &[Complex64],
@@ -566,13 +566,14 @@ impl<'g> FockOperator<'g> {
         be.hadamard_acc(Complex64::from_re(-weight), pair, src, out);
     }
 
-    /// The pair-symmetric twin of [`Self::accumulate_pair`] for the
-    /// distributed diagonal-block halving: one Poisson solve of
+    /// The pair-symmetric twin of [`Self::accumulate_pair`], the oracle
+    /// of the symmetric apply: one Poisson solve of
     /// `W = Poisson[conj(φ_i) ⊙ φ_j]` scattered into both targets —
     /// `out_j -= w_i · W ⊙ φ_i` and `out_i -= w_j · conj(W) ⊙ φ_j`.
     /// `pair` is caller-provided scratch of length Ng.
+    #[cfg(test)]
     #[allow(clippy::too_many_arguments)]
-    pub fn accumulate_pair_sym(
+    fn accumulate_pair_sym(
         &self,
         src_i: &[Complex64],
         src_j: &[Complex64],
@@ -865,9 +866,9 @@ mod tests {
 
     #[test]
     fn apply_matches_per_pair_oracle_bitwise() {
-        // The per-pair staged round trip the distributed strategies
-        // drive (`accumulate_pair{,_sym}`), looped in scheduler order, is
-        // the oracle of the batched applies: same elementwise kernels,
+        // The per-pair staged round trip (`accumulate_pair{,_sym}`),
+        // looped in scheduler order, is the oracle of the batched
+        // applies: same elementwise kernels,
         // same scatter order, and the backends' fused convolve is exact
         // against the staged one — so a reordered, dropped or doubled
         // pair shows as a nonzero difference. Six bands put both task

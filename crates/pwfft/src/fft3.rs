@@ -213,8 +213,8 @@ impl Fft3 {
     /// (cycled per grid), inverse transform — all in place in `data`.
     ///
     /// This is the staged screened-Poisson solve of the Fock exchange:
-    /// the baseline and the per-pair distributed entry points drive it
-    /// on one pair grid, so the whole round trip reuses a single buffer
+    /// the baseline and the per-pair test oracle drive it on one pair
+    /// grid, so the whole round trip reuses a single buffer
     /// with no intermediate copies (the batched schedulers use
     /// [`Self::convolve_pass`] instead).
     pub fn convolve_many_with(

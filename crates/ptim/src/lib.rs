@@ -6,18 +6,19 @@
 //! * [`ptim`] — the PT-IM propagator (paper Alg. 1): implicit midpoint in
 //!   the parallel-transport gauge, fixed point solved with Anderson
 //!   mixing, dense (σ-diagonalized) Fock exchange.
-//! * [`ptim_ace`] — PT-IM-ACE (Fig. 4b): double SCF loop with frozen
-//!   low-rank ACE exchange in the inner loop.
+//! * [`ptim_ace`] — PT-IM-ACE (Fig. 4b): double SCF loop whose predictor
+//!   and inner loop are PT-IM's, with frozen low-rank ACE exchange.
 //! * [`rk4`] — the RK4 reference propagator (Fig. 7 baseline).
 //! * [`ptcn`] — the pure-state PT-CN predecessor (JCTC 2018), kept as a
-//!   baseline; a test demonstrates its mixed-state failure mode.
+//!   baseline on PT-IM's projection; a test demonstrates its mixed-state
+//!   failure mode.
 //! * [`laser`] — the 380 nm pulse and the length-gauge sawtooth operator.
 //! * [`observables`] — dipole/energy/σ trajectory recording (Figs. 7, 8).
 //! * [`distributed`] — band-parallel PT-IM over [`mpisim`] with the
 //!   paper's wavefunction-exchange strategies (Bcast, ring, asynchronous
 //!   ring, and the ring-pipelined overlapped exchange) and SHM-backed
-//!   σ/overlap matrices. It runs the one PT-IM body of [`ptim`], written
-//!   once over a crate-private band-space interface.
+//!   σ/overlap matrices. It runs the one PT-IM body of [`ptim`] on this
+//!   rank's band block.
 //! * [`grid2d`] — the hierarchical 2-D parallelization subsystem: the
 //!   band×grid [`grid2d::ProcessGrid`], slab ownership
 //!   ([`grid2d::GridDistribution`] + `pwfft::dist`), and the
@@ -27,6 +28,12 @@
 //!   atomically written snapshots of `(Φ, σ, t)`), the step-level
 //!   recovery ladder (fp64 promotion → dt halving → checkpoint restore),
 //!   and the resilient run driver (DESIGN.md §12).
+//!
+//! All four propagators run in one step envelope (solve and pool
+//! accounting, the NaN-input guard, the fp32 drift guard). The PT ones
+//! are written over a crate-private band-space interface holding one PT
+//! projection, one PT map, one midpoint fixed point and one Löwdin step;
+//! DESIGN.md §3 tables which propagator uses which.
 //!
 //! Everything is exercised against invariants (trace/Hermiticity of σ,
 //! orthonormality, energy conservation, gauge invariance) and against the
@@ -49,7 +56,7 @@ pub mod state;
 pub use engine::{HybridParams, TdEngine};
 pub use laser::LaserPulse;
 pub use observables::Recorder;
-pub use propagate::{step_with_drift_guard, StepStats};
+pub use propagate::StepStats;
 pub use resilience::{
     step_with_recovery, Checkpoint, CheckpointError, CheckpointMeta, CheckpointPolicy,
     Propagator, RecoveryPolicy,

@@ -1,7 +1,9 @@
-//! Shared propagation primitives: the PT-IM update map (Eq. 6) and
-//! step statistics.
+//! Shared propagation primitives: the step envelope every serial
+//! propagator runs in, the public PT-IM update map (Eq. 6) and step
+//! statistics.
 
-use crate::space::{poisoned, pt_map, Serial};
+use crate::engine::TdEngine;
+use crate::space::{failed, pt_map, Serial};
 use crate::state::TdState;
 use pwdft::hamiltonian::Hamiltonian;
 use pwdft::Wavefunction;
@@ -28,6 +30,9 @@ pub struct StepStats {
     /// step's exchange evaluations (Σ of
     /// [`FockApplyStats::skipped_weight`](pwdft::FockApplyStats) — the
     /// error-bound handle of DESIGN.md §3; 0 at the default cutoff).
+    /// Filled only by PT-IM-ACE's ACE builds: the dense applies of the
+    /// other propagators go through `Hamiltonian::apply`, which drops
+    /// its `FockApplyStats`, so they report 0 at any cutoff.
     pub fock_skipped_weight: f64,
     /// Screened Poisson solves performed in fp64 during this step
     /// (snapshot delta of the engine's shared
@@ -63,55 +68,48 @@ pub struct StepStats {
     pub pool_peak_bytes: usize,
 }
 
-/// Backend pool high-water mark (fp64 + fp32 arenas, bytes) — the value
-/// every propagator stamps into [`StepStats::pool_peak_bytes`].
-pub(crate) fn pool_peak_bytes(eng: &crate::engine::TdEngine<'_>) -> usize {
-    let ps = eng.backend.pool_stats();
-    ps.fp64.peak_bytes + ps.fp32.peak_bytes
-}
-
-/// True when the engine's policy asks the propagators to measure the
-/// per-step orthonormality drift (two extra band overlaps per step —
-/// skipped entirely for all-fp64 and semilocal runs).
-pub(crate) fn monitor_active(eng: &crate::engine::TdEngine<'_>) -> bool {
-    eng.hybrid.alpha != 0.0 && eng.hybrid.fock.precision.monitors_drift()
-}
-
-/// Runs one propagator step under the engine's precision policy with
-/// the per-step drift monitor: when the policy reduces the exchange
-/// stage and the step's pre-constraint orthonormality drift exceeds
-/// [`PrecisionPolicy::promote_drift`](pwnum::precision::PrecisionPolicy)
-/// (or goes non-finite — the NaN guard), the whole step is recomputed
-/// on an all-fp64 engine and reported via
-/// [`StepStats::precision_promotions`].
-///
-/// The monitor is a guardrail against *catastrophic* fp32 failures
-/// (blow-ups, NaNs from degenerate pair solves); routine fp32 rounding
-/// sits orders of magnitude below the default threshold (DESIGN.md
-/// §"Precision error budget").
-pub fn step_with_drift_guard<'s, F>(
-    eng: &crate::engine::TdEngine<'s>,
-    step: F,
-) -> (TdState, StepStats)
-where
-    F: Fn(&crate::engine::TdEngine<'s>) -> (TdState, StepStats),
-{
+/// The step envelope of the four serial propagators, around
+/// `body(engine, start_err)`. A non-finite `state` is the [`failed`] step
+/// at once: no `eigh` of a NaN σ, no ACE build. Otherwise: the step span,
+/// the solve snapshot, `start_err` (the starting orthonormality error,
+/// when a hybrid run's reduced exchange stage is monitored), the body,
+/// the solve counts and the pool peak — under the drift guard, which
+/// recomputes the whole step on an all-fp64 engine when the drift is
+/// above [`PrecisionPolicy::promote_drift`](pwnum::precision::PrecisionPolicy)
+/// or non-finite. The guard is for *catastrophic* fp32 failures; routine
+/// fp32 rounding sits orders of magnitude below the default threshold
+/// (DESIGN.md §"Precision error budget").
+pub(crate) fn step_envelope<'s>(
+    eng: &TdEngine<'s>,
+    state: &TdState,
+    dt: f64,
+    span: &'static str,
+    body: impl Fn(&TdEngine<'s>, Option<f64>) -> (TdState, StepStats),
+) -> (TdState, StepStats) {
+    if !state.all_finite() {
+        return failed((&state.phi, &state.sigma), state.time + dt, StepStats::default());
+    }
+    let monitors = |e: &TdEngine| e.hybrid.alpha != 0.0 && e.hybrid.fock.precision.monitors_drift();
+    let step = |eng: &TdEngine<'s>| {
+        let _s = pwobs::span(span);
+        let solve_snap = eng.counters.snapshot();
+        let start_err = monitors(eng).then(|| state.orthonormality_error());
+        let (next, mut stats) = body(eng, start_err);
+        (stats.fock_solves_fp64, stats.fock_solves_fp32) = eng.counters.since(solve_snap);
+        let ps = eng.backend.pool_stats();
+        stats.pool_peak_bytes = ps.fp64.peak_bytes + ps.fp32.peak_bytes;
+        (next, stats)
+    };
     let _s = pwobs::span("step.guard");
     let (next, stats) = step(eng);
-    let policy = eng.hybrid.fock.precision;
-    if eng.hybrid.alpha == 0.0 || !policy.monitors_drift() {
-        return (next, stats);
-    }
-    let tripped = !stats.orthonormality_drift.is_finite()
-        || stats.orthonormality_drift > policy.promote_drift;
-    if !tripped {
+    // Not tripped: a finite drift at or under the threshold.
+    if !monitors(eng) || stats.orthonormality_drift <= eng.hybrid.fock.precision.promote_drift {
         return (next, stats);
     }
     // Auto-promotion: recompute the step at fp64. The discarded
     // attempt's solves stay visible in the stats so cost accounting is
     // honest.
-    let eng64 = eng.promoted();
-    let (next64, mut stats64) = step(&eng64);
+    let (next64, mut stats64) = step(&eng.promoted());
     stats64.precision_promotions = 1;
     stats64.fock_solves_fp32 += stats.fock_solves_fp32;
     stats64.fock_solves_fp64 += stats.fock_solves_fp64;
@@ -147,10 +145,11 @@ pub(crate) fn midpoint_parts(
 /// ```
 ///
 /// `h` must be the Hamiltonian at the midpoint time/density. Exactly one
-/// `HΦ` (hence one Fock application in dense mode) is performed. This is
-/// the serial instance of the one PT map every PT-IM step runs; when the
-/// midpoint overlap is not positive definite (a non-finite `Φ_mid`) the
-/// result is NaN-filled rather than a panic.
+/// `HΦ` (hence one Fock application in dense mode) is performed. The
+/// propagators run this PT map inside their fixed point; this public
+/// Eq. 6 entry is what `ptim/tests/properties.rs` property-tests. When
+/// the midpoint overlap is not positive definite (a non-finite `Φ_mid`)
+/// the result is NaN-filled rather than a panic.
 pub fn pt_update(
     prev: &TdState,
     h: &Hamiltonian,
@@ -161,8 +160,11 @@ pub fn pt_update(
     let _s = pwobs::span("gemm.pt_update");
     let be = &*h.backend;
     let prev = (&prev.phi, &prev.sigma);
-    pt_map(&mut Serial(be), be, prev, (phi_mid, sigma_mid), h.apply(phi_mid), dt)
-        .unwrap_or_else(|| poisoned(prev.0, prev.1))
+    let map = pt_map(&mut Serial(be), be, prev, (phi_mid, sigma_mid), h.apply(phi_mid), dt);
+    map.unwrap_or_else(|| {
+        let (nan, _) = failed(prev, f64::NAN, StepStats::default());
+        (nan.phi, nan.sigma)
+    })
 }
 
 /// Relative L1 difference between two densities (per electron).

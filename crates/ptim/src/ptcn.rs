@@ -8,20 +8,21 @@
 //!     = Φ_n − (iΔt/2)(I − P_n) H_n Φ_n
 //! ```
 //!
-//! It assumes a **pure state** (σ = I on the occupied manifold): there is
-//! no occupation-matrix dynamics at all. That is exactly the limitation
-//! the paper's introduction names — "the current PT-CN scheme is only
-//! applicable for systems with band gaps" — and the reason PT-IM exists.
-//! A regression test below demonstrates the failure: for a
-//! fractionally-occupied σ, PT-CN (which freezes σ) diverges from the RK4
-//! reference while PT-IM tracks it.
+//! with PT-IM's projection `(I − P)HΦ` (`space::pt_project`) and Löwdin
+//! step (`space::finish`); its fixed point is its own, over Φ alone and
+//! with no midpoint. It assumes a **pure state** (σ = I on the occupied
+//! manifold): no occupation-matrix dynamics at all — the limitation the
+//! paper's introduction names ("the current PT-CN scheme is only
+//! applicable for systems with band gaps") and the reason PT-IM exists.
+//! A test below shows PT-CN (σ frozen) diverging from RK4 for a
+//! fractionally-occupied σ while PT-IM tracks it.
 
 use crate::engine::TdEngine;
-use crate::propagate::{density_residual, step_with_drift_guard, StepStats};
+use crate::propagate::{density_residual, step_envelope, StepStats};
+use crate::space::{failed, finish, pt_project, BandSpace, Serial};
 use crate::state::TdState;
 use pwdft::mixing::AndersonMixer;
 use pwdft::Wavefunction;
-use pwnum::chol::solve_hpd;
 use pwnum::complex::{c64, Complex64};
 
 /// PT-CN parameters.
@@ -51,105 +52,55 @@ impl Default for PtcnConfig {
     }
 }
 
-impl PtcnConfig {
-    /// The same configuration with a different time step — how the
-    /// recovery ladder builds its halved-dt retries.
-    pub fn with_dt(mut self, dt: f64) -> Self {
-        self.dt = dt;
-        self
-    }
-}
-
-/// `(I − P) H Φ` with `P = Φ (Φ^HΦ)⁻¹ Φ^H` — the parallel-transport
-/// residual force on the orbital block.
-fn pt_force(h: &pwdft::Hamiltonian, phi: &Wavefunction) -> Vec<Complex64> {
-    let ng = phi.ng;
-    let be = &*h.backend;
-    let hphi = h.apply(phi);
-    let s = phi.overlap_with(be, phi);
-    let hm = phi.overlap_with(be, &hphi).hermitian_part();
-    let c = solve_hpd(&s, &hm).expect("overlap must remain positive definite");
-    let mut force = hphi.data;
-    be.rotate_acc(Complex64::from_re(-1.0), &phi.data, &c, ng, &mut force);
-    force
-}
-
-/// One PT-CN step. The occupation matrix is carried along *unchanged*
-/// (the scheme has no σ dynamics — its defining limitation). Under a
-/// reduced precision policy the step runs the drift monitor.
+/// One PT-CN step inside the step envelope. σ is carried along
+/// *unchanged* (the scheme has no σ dynamics — its defining limitation);
+/// a failed PT projection ends the step at once with NaN Φ/σ.
 pub fn ptcn_step(eng: &TdEngine, state: &TdState, cfg: &PtcnConfig) -> (TdState, StepStats) {
-    step_with_drift_guard(eng, |e| ptcn_step_once(e, state, cfg))
-}
+    step_envelope(eng, state, cfg.dt, "step.ptcn", |eng, start_err| {
+        let (be, dt, dv, ne) = (&*eng.backend, cfg.dt, eng.sys.grid.dv(), state.electron_count());
+        let (space, mut stats) = (&mut Serial(be), StepStats::default());
+        let fail = |stats| failed((&state.phi, &state.sigma), state.time + dt, stats);
+        // `base − (iΔt/2)(I − P)HΦ` with the dense H at `ev`; `None` when
+        // the PT projection fails.
+        let half_step =
+            |space: &mut Serial, ev, phi: &Wavefunction, base: &Wavefunction, st: &mut StepStats| {
+                st.fock_applies += usize::from(eng.hybrid.alpha != 0.0);
+                let hphi = space.apply_h(eng, ev, phi);
+                let (force, _) = pt_project(space, phi, hphi)?;
+                let mut out = Wavefunction::zeros_like(phi);
+                let coef = c64(0.0, -0.5 * dt);
+                be.lincomb(Complex64::ONE, &base.data, coef, &force.data, &mut out.data);
+                Some(out)
+            };
 
-/// One unguarded PT-CN step (the drift monitor wraps this).
-fn ptcn_step_once(eng: &TdEngine, state: &TdState, cfg: &PtcnConfig) -> (TdState, StepStats) {
-    let _s = pwobs::span("step.ptcn");
-    let solve_snap = eng.counters.snapshot();
-    let start_err = crate::propagate::monitor_active(eng)
-        .then(|| state.orthonormality_error());
-    let dt = cfg.dt;
-    let ne = state.electron_count();
-    let dv = eng.sys.grid.dv();
-    let mut stats = StepStats::default();
+        // Constant right-hand side: Φ_n − (iΔt/2)(I−P_n)H_nΦ_n.
+        let mut ev = space.evaluate(eng, &state.phi, &state.sigma, state.time);
+        let mut rho_prev = std::mem::take(&mut ev.rho);
+        let Some(rhs) = half_step(space, ev, &state.phi, &state.phi, &mut stats) else {
+            return fail(stats);
+        };
 
-    // Constant right-hand side: Φ_n − (iΔt/2)(I−P_n)H_nΦ_n. Scoped: only
-    // it and the density outlive H_n, its natural orbitals and the force.
-    let (rhs, mut rho_prev) = {
-        let ev_n = eng.eval(&state.phi, &state.sigma, state.time);
-        let h_n = eng.hamiltonian_dense(&ev_n);
-        let force_n = pt_force(&h_n, &state.phi);
-        let mut rhs = Wavefunction::zeros_like(&state.phi);
-        eng.backend.lincomb(
-            Complex64::ONE,
-            &state.phi.data,
-            c64(0.0, -0.5 * dt),
-            &force_n,
-            &mut rhs.data,
-        );
-        (rhs, ev_n.rho)
-    };
-    if eng.hybrid.alpha != 0.0 {
-        stats.fock_applies += 1;
-    }
-
-    // Fixed point on Φ_{n+1}.
-    let mut next =
-        TdState { phi: state.phi.clone(), sigma: state.sigma.clone(), time: state.time + dt };
-    let mut mixer = AndersonMixer::new(cfg.anderson_depth, cfg.anderson_beta);
-    let mut image = Wavefunction::zeros_like(&next.phi);
-
-    for it in 0..cfg.max_scf {
-        stats.scf_iters = it + 1;
-        let ev = eng.eval(&next.phi, &state.sigma, state.time + dt);
-        stats.residual = density_residual(&ev.rho, &rho_prev, dv, ne);
-        rho_prev = ev.rho.clone();
-        if it > 0 && stats.residual < cfg.tol_rho {
-            stats.converged = true;
-            break;
+        // Fixed point on Φ_{n+1}: T(Φ) = rhs − (iΔt/2)(I−P)HΦ.
+        let mut next =
+            TdState { phi: state.phi.clone(), sigma: state.sigma.clone(), time: state.time + dt };
+        let mut mixer = AndersonMixer::new(cfg.anderson_depth, cfg.anderson_beta);
+        for it in 0..cfg.max_scf {
+            stats.scf_iters = it + 1;
+            let mut ev = space.evaluate(eng, &next.phi, &state.sigma, state.time + dt);
+            stats.residual = density_residual(&ev.rho, &rho_prev, dv, ne);
+            rho_prev = std::mem::take(&mut ev.rho);
+            if it > 0 && stats.residual < cfg.tol_rho {
+                stats.converged = true;
+                break;
+            }
+            let Some(image) = half_step(space, ev, &next.phi, &rhs, &mut stats) else {
+                return fail(stats);
+            };
+            next.phi.data = mixer.step(&next.phi.data, &image.data);
         }
-        let h = eng.hamiltonian_dense(&ev);
-        if eng.hybrid.alpha != 0.0 {
-            stats.fock_applies += 1;
-        }
-        let force = pt_force(&h, &next.phi);
-        // T(Φ) = rhs − (iΔt/2)(I−P)HΦ.
-        eng.backend.lincomb(
-            Complex64::ONE,
-            &rhs.data,
-            c64(0.0, -0.5 * dt),
-            &force,
-            &mut image.data,
-        );
-        next.phi.data = mixer.step(&next.phi.data, &image.data);
-    }
-
-    if let Some(e0) = start_err {
-        stats.orthonormality_drift = (next.orthonormality_error() - e0).max(0.0);
-    }
-    (stats.fock_solves_fp64, stats.fock_solves_fp32) = eng.counters.since(solve_snap);
-    stats.pool_peak_bytes = crate::propagate::pool_peak_bytes(eng);
-    next.phi.orthonormalize_lowdin();
-    (next, stats)
+        finish(space, be, &mut next, start_err, &mut stats);
+        (next, stats)
+    })
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! before the ACE optimization.
 
 use crate::engine::TdEngine;
-use crate::propagate::{monitor_active, pool_peak_bytes, step_with_drift_guard, StepStats};
+use crate::propagate::{step_envelope, StepStats};
 use crate::space::{ptim_body, Serial};
 use crate::state::TdState;
 
@@ -38,30 +38,12 @@ impl Default for PtimConfig {
     }
 }
 
-impl PtimConfig {
-    /// The same configuration with a different time step — how the
-    /// recovery ladder builds its halved-dt retries.
-    pub fn with_dt(mut self, dt: f64) -> Self {
-        self.dt = dt;
-        self
-    }
-}
-
 /// One PT-IM time step with dense (diagonalized) Fock exchange: the one
-/// PT-IM body on the whole block, plus the solve and pool accounting.
-/// Under a reduced precision policy the step runs the drift monitor and
-/// may be recomputed at fp64 (see [`step_with_drift_guard`]).
+/// PT-IM body on the whole block, inside the step envelope.
 pub fn ptim_step(eng: &TdEngine, state: &TdState, cfg: &PtimConfig) -> (TdState, StepStats) {
-    step_with_drift_guard(eng, |eng| {
-        let _s = pwobs::span("step.ptim");
-        let solve_snap = eng.counters.snapshot();
-        let start_err = monitor_active(eng).then(|| state.orthonormality_error());
+    step_envelope(eng, state, cfg.dt, "step.ptim", |eng, start_err| {
         let prev = (&state.phi, &state.sigma);
-        let (next, mut stats) =
-            ptim_body(eng, &mut Serial(&*eng.backend), prev, state.time, cfg, start_err);
-        (stats.fock_solves_fp64, stats.fock_solves_fp32) = eng.counters.since(solve_snap);
-        stats.pool_peak_bytes = pool_peak_bytes(eng);
-        (next, stats)
+        ptim_body(eng, &mut Serial(&*eng.backend), prev, state.time, cfg, start_err)
     })
 }
 

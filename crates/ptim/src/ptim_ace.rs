@@ -2,19 +2,19 @@
 //!
 //! The expensive Fock operator is evaluated only when an ACE operator is
 //! (re)built: once at `t_n` and once per outer iteration at the midpoint.
-//! The inner SCF then iterates the PT-IM fixed point with the *frozen*
-//! low-rank `V_ACE` — each inner `HΦ` costs two thin GEMMs instead of N²
-//! Poisson solves. The paper reports the Fock count dropping from ~25 to
-//! ~5 per step (5 outer × ~13 inner on the 384-atom system).
+//! The predictor and inner SCF are PT-IM's own (`space::Midpoint`) with
+//! the *frozen* low-rank `V_ACE` as the H apply — each inner `HΦ` costs
+//! two thin GEMMs instead of N² Poisson solves. The paper reports the
+//! Fock count dropping from ~25 to ~5 per step (5 outer × ~13 inner).
 
 use crate::engine::TdEngine;
-use crate::propagate::{
-    density_residual, midpoint_parts, pt_update, step_with_drift_guard, StepStats,
-};
-use crate::space::{finish, Serial};
+use crate::propagate::{midpoint_parts, step_envelope, StepStats};
+use crate::ptim::PtimConfig;
+use crate::space::{HApply, Midpoint, Serial};
 use crate::state::TdState;
 use pwdft::mixing::AndersonMixer;
-use pwdft::AceOperator;
+use pwdft::{AceOperator, Wavefunction};
+use pwnum::cmat::CMat;
 use std::sync::Arc;
 
 /// PT-IM-ACE parameters.
@@ -51,114 +51,66 @@ impl Default for PtimAceConfig {
     }
 }
 
-impl PtimAceConfig {
-    /// The same configuration with a different time step — how the
-    /// recovery ladder builds its halved-dt retries.
-    pub fn with_dt(mut self, dt: f64) -> Self {
-        self.dt = dt;
-        self
-    }
-}
-
-/// One PT-IM-ACE time step (Fig. 4b). Under a reduced precision policy
-/// the step runs the drift monitor.
+/// One PT-IM-ACE time step (Fig. 4b) inside the step envelope: PT-IM's
+/// predictor and midpoint loop on a frozen ACE, rebuilt at the midpoint
+/// until `E_x` settles (`tol_ex`). A failed PT map ends the step at once.
 pub fn ptim_ace_step(
     eng: &TdEngine,
     state: &TdState,
     cfg: &PtimAceConfig,
 ) -> (TdState, StepStats) {
-    step_with_drift_guard(eng, |e| ptim_ace_step_once(e, state, cfg))
+    step_envelope(eng, state, cfg.dt, "step.ptim_ace", |eng, start_err| {
+        assert!(eng.hybrid.alpha != 0.0, "PT-IM-ACE requires a hybrid functional");
+        let (dt, max_scf, tol_rho) = (cfg.dt, cfg.max_inner, cfg.tol_rho);
+        let (anderson_depth, anderson_beta) = (cfg.anderson_depth, cfg.anderson_beta);
+        let inner = PtimConfig { dt, max_scf, tol_rho, anderson_depth, anderson_beta };
+        let (be, prev, time) = (&*eng.backend, (&state.phi, &state.sigma), state.time);
+        let (space, stats) = (&mut Serial(be), StepStats::default());
+        let mut step = Midpoint { eng, space, prev, time, cfg: &inner, stats };
+
+        // The predictor on the t_n ACE: its exchange images are freed
+        // before the evaluation, the operator before the outer loop.
+        let (h_n, _) = frozen_ace(eng, prev, &mut step.stats);
+        let Some((mut next, _)) = step.predictor(&h_n) else { return step.end(None, start_err) };
+        drop(h_n);
+
+        let mut ex_prev = f64::INFINITY;
+        let mut mixer = AndersonMixer::new(anderson_depth, anderson_beta);
+        for outer in 0..cfg.max_outer {
+            step.stats.outer_iters = outer + 1;
+            let mid = midpoint_parts(be, prev, (&next.phi, &next.sigma));
+            let (h_mid, ex_mid) = frozen_ace(eng, (&mid.0, &mid.1), &mut step.stats);
+            // Outer convergence on the exchange energy (Fig. 4b decision).
+            if (ex_mid - ex_prev).abs() < cfg.tol_ex {
+                step.stats.converged = true;
+                break;
+            }
+            ex_prev = ex_mid;
+            // Inner SCF on the frozen V_ACE, from an empty history and no
+            // previous density; its convergence is not the step's.
+            mixer.reset();
+            if step.fixed_point(&mut next, &mut mixer, None, &h_mid).is_none() {
+                return step.end(None, start_err);
+            }
+        }
+        step.end(Some(next), start_err)
+    })
 }
 
-/// One unguarded PT-IM-ACE step (the drift monitor wraps this).
-fn ptim_ace_step_once(
+/// One Fock build (counted in `fock_applies`): the exchange images of
+/// `(Φ, σ)` compressed into ACE, returned as the frozen H apply — two
+/// thin GEMMs per `HΦ` — with the exchange energy.
+fn frozen_ace<'b>(
     eng: &TdEngine,
-    state: &TdState,
-    cfg: &PtimAceConfig,
-) -> (TdState, StepStats) {
-    let _s = pwobs::span("step.ptim_ace");
-    assert!(eng.hybrid.alpha != 0.0, "PT-IM-ACE requires a hybrid functional");
-    let solve_snap = eng.counters.snapshot();
-    let start_err = crate::propagate::monitor_active(eng)
-        .then(|| state.orthonormality_error());
-    let dt = cfg.dt;
-    let t_mid = state.time + 0.5 * dt;
-    let ne = state.electron_count();
-    let dv = eng.sys.grid.dv();
-    let (be, start) = (&*eng.backend, (&state.phi, &state.sigma));
-    let mut stats = StepStats::default();
-
-    // ACE at t_n (one Fock build), used for the predictor step. Scoped:
-    // the exchange images, the operator and H_n are freed before the
-    // outer loop builds its own.
+    (phi, sigma): (&Wavefunction, &CMat),
+    stats: &mut StepStats,
+) -> (Box<HApply<'static, Serial<'b>>>, f64) {
+    let (w, ex, fstats) = eng.exchange_images_stats(phi, sigma);
+    stats.fock_applies += 1;
+    stats.fock_skipped_weight += fstats.skipped_weight;
     let gemm_stage = eng.hybrid.fock.precision.subspace_gemm;
-    let mut next = {
-        let (w_n, _ex_n, fstats) = eng.exchange_images_stats(&state.phi, &state.sigma);
-        stats.fock_applies += 1;
-        stats.fock_skipped_weight += fstats.skipped_weight;
-        let ace_n =
-            AceOperator::build_with_policy(eng.backend.clone(), &state.phi, &w_n, gemm_stage);
-        drop(w_n);
-        let ev_n = eng.eval(&state.phi, &state.sigma, state.time);
-        let h_n = eng.hamiltonian_ace(&ev_n, ace_n);
-        let (phi, sigma) = pt_update(state, &h_n, &state.phi, &state.sigma, dt);
-        TdState { phi, sigma, time: state.time + dt }
-    };
-
-    let mut ex_prev = f64::INFINITY;
-    let mut mixer = AndersonMixer::new(cfg.anderson_depth, cfg.anderson_beta);
-    let (mut x, mut tx) = (Vec::new(), Vec::new());
-
-    for outer in 0..cfg.max_outer {
-        stats.outer_iters = outer + 1;
-        // Rebuild the midpoint ACE operator from the current iterate
-        // (one Fock build per outer iteration).
-        let (phi_mid0, sigma_mid0) = midpoint_parts(be, start, (&next.phi, &next.sigma));
-        let (w_mid, ex_mid, fstats) = eng.exchange_images_stats(&phi_mid0, &sigma_mid0);
-        stats.fock_applies += 1;
-        stats.fock_skipped_weight += fstats.skipped_weight;
-        let ace_mid = Arc::new(AceOperator::build_with_policy(
-            eng.backend.clone(),
-            &phi_mid0,
-            &w_mid,
-            gemm_stage,
-        ));
-
-        // Outer convergence on the exchange energy (Fig. 4b decision).
-        if (ex_mid - ex_prev).abs() < cfg.tol_ex {
-            stats.converged = true;
-            break;
-        }
-        ex_prev = ex_mid;
-
-        // Inner SCF with the frozen V_ACE; each inner solve starts from
-        // an empty history.
-        mixer.reset();
-        let mut rho_prev: Option<Vec<f64>> = None;
-        for inner in 0..cfg.max_inner {
-            stats.scf_iters += 1;
-            let (phi_mid, sigma_mid) = midpoint_parts(be, start, (&next.phi, &next.sigma));
-            let ev_mid = eng.eval(&phi_mid, &sigma_mid, t_mid);
-            if let Some(prev) = &rho_prev {
-                stats.residual = density_residual(&ev_mid.rho, prev, dv, ne);
-                if stats.residual < cfg.tol_rho {
-                    break;
-                }
-            }
-            rho_prev = Some(ev_mid.rho.clone());
-            let h_mid = eng.hamiltonian_ace(&ev_mid, Arc::clone(&ace_mid));
-            let (phi_new, sigma_new) = pt_update(state, &h_mid, &phi_mid, &sigma_mid, dt);
-            next.pack_into(&mut x);
-            TdState { phi: phi_new, sigma: sigma_new, time: next.time }.pack_into(&mut tx);
-            next.unpack_into(&mixer.step(&x, &tx));
-            let _ = inner;
-        }
-    }
-
-    (stats.fock_solves_fp64, stats.fock_solves_fp32) = eng.counters.since(solve_snap);
-    stats.pool_peak_bytes = crate::propagate::pool_peak_bytes(eng);
-    finish(&mut Serial(be), be, &mut next, start_err, &mut stats);
-    (next, stats)
+    let ace = Arc::new(AceOperator::build_with_policy(eng.backend.clone(), phi, &w, gemm_stage));
+    (Box::new(move |eng, _, ev, phi, _| eng.hamiltonian_ace(&ev, Arc::clone(&ace)).apply(phi)), ex)
 }
 
 #[cfg(test)]

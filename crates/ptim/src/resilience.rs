@@ -15,9 +15,9 @@
 //!   uninterrupted run (asserted in `tests/checkpoint_restart.rs`).
 //! * **Recovery ladder** ([`step_with_recovery`]) — on a non-finite step
 //!   result, retry promoted to all-fp64, then with halved dt
-//!   (2 substeps at dt/2, 4 at dt/4, …), before giving up. The existing
-//!   fp32 drift guard ([`crate::step_with_drift_guard`]) remains the
-//!   inner rung; this ladder catches what it cannot.
+//!   (2 substeps at dt/2, 4 at dt/4, …), before giving up. The fp32
+//!   drift guard of every propagator's step envelope remains the inner
+//!   rung; this ladder catches what it cannot.
 //! * **Run driver** ([`run`]) — steps a [`Propagator`], writes
 //!   checkpoints on the policy cadence, and on ladder exhaustion
 //!   restores from the newest loadable checkpoint (once per failing
@@ -353,12 +353,14 @@ impl Propagator {
 
     /// The same propagator with a different time step.
     pub fn with_dt(&self, dt: f64) -> Propagator {
-        match self {
-            Propagator::Ptim(cfg) => Propagator::Ptim(cfg.with_dt(dt)),
-            Propagator::Ptcn(cfg) => Propagator::Ptcn(cfg.with_dt(dt)),
-            Propagator::PtimAce(cfg) => Propagator::PtimAce(cfg.with_dt(dt)),
-            Propagator::Rk4(cfg) => Propagator::Rk4(cfg.with_dt(dt)),
+        let mut prop = *self;
+        match &mut prop {
+            Propagator::Ptim(PtimConfig { dt: d, .. })
+            | Propagator::Ptcn(PtcnConfig { dt: d, .. })
+            | Propagator::PtimAce(PtimAceConfig { dt: d, .. })
+            | Propagator::Rk4(Rk4Config { dt: d }) => *d = dt,
         }
+        prop
     }
 
     /// Stable one-byte tag stored in checkpoints.
@@ -770,24 +772,39 @@ mod tests {
     #[test]
     fn poisoned_state_exhausts_the_ladder() {
         // A NaN state must walk the whole ladder and come back as an
-        // error — for PT-IM that means the PT map's failed midpoint
-        // solve ends the step as a NaN state instead of panicking.
-        let (sys, mut st) = fixture();
-        st.phi.data[0] = Complex64 { re: f64::NAN, im: 0.0 };
+        // error from every propagator — never a panic in `eigh`, the ACE
+        // Cholesky or the PT projection's solve. A NaN Φ and a NaN σ.
+        let (sys, st) = fixture();
+        let mut nan_phi = st.clone();
+        nan_phi.phi.data[0] = Complex64 { re: f64::NAN, im: 0.0 };
+        let mut nan_sigma = st;
+        nan_sigma.sigma[(1, 1)] = Complex64 { re: f64::NAN, im: 0.0 };
         let ptim = Propagator::Ptim(PtimConfig { dt: 0.05, ..Default::default() });
-        for (alpha, prop) in
-            [(0.0, Propagator::Rk4(Rk4Config { dt: 0.05 })), (0.0, ptim), (0.25, ptim)]
-        {
+        let ptcn = Propagator::Ptcn(PtcnConfig { dt: 0.05, ..Default::default() });
+        let ace = Propagator::PtimAce(PtimAceConfig { dt: 0.05, ..Default::default() });
+        let rk4 = Propagator::Rk4(Rk4Config { dt: 0.05 });
+        let mut cases = vec![
+            ("Φ", &nan_phi, 0.0, rk4),
+            ("Φ", &nan_phi, 0.0, ptim),
+            ("Φ", &nan_phi, 0.25, ptim),
+            ("Φ", &nan_phi, 0.0, ptcn),
+            ("Φ", &nan_phi, 0.25, ptcn),
+            ("Φ", &nan_phi, 0.25, ace),
+        ];
+        for (alpha, prop) in [(0.0, rk4), (0.0, ptim), (0.0, ptcn), (0.25, ace)] {
+            cases.push(("σ", &nan_sigma, alpha, prop));
+        }
+        for (what, state, alpha, prop) in cases {
             let eng = TdEngine::new(
                 &sys,
                 LaserPulse::off(),
                 HybridParams { alpha, omega: 0.1, ..Default::default() },
             );
-            let Err(err) = step_with_recovery(&eng, &st, &prop, &RecoveryPolicy::default()) else {
-                panic!("{} α={alpha}: NaN input cannot be recovered by retries", prop.name())
-            };
             let name = prop.name();
-            assert!(err.attempts >= 3, "{name} α={alpha}: ladder must try halvings: {}", err.attempts);
+            let Err(err) = step_with_recovery(&eng, state, &prop, &RecoveryPolicy::default()) else {
+                panic!("{name} α={alpha} NaN {what}: NaN input cannot be recovered by retries")
+            };
+            assert!(err.attempts >= 3, "{name} α={alpha} NaN {what}: ladder must try halvings");
         }
     }
 

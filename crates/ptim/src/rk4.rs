@@ -7,7 +7,7 @@
 //! the paper uses Δt 100× smaller than PT-IM's 50 as.
 
 use crate::engine::TdEngine;
-use crate::propagate::{step_with_drift_guard, StepStats};
+use crate::propagate::{step_envelope, StepStats};
 use crate::state::TdState;
 use pwdft::Wavefunction;
 use pwnum::complex::{c64, Complex64};
@@ -17,15 +17,6 @@ use pwnum::complex::{c64, Complex64};
 pub struct Rk4Config {
     /// Time step (a.u.). Paper: 0.5 as ≈ 0.0207 a.u.
     pub dt: f64,
-}
-
-impl Rk4Config {
-    /// The same configuration with a different time step — how the
-    /// recovery ladder builds its halved-dt retries.
-    pub fn with_dt(mut self, dt: f64) -> Self {
-        self.dt = dt;
-        self
-    }
 }
 
 /// Derivative `f(t, Φ) = −i H(t, P[Φ, σ]) Φ` at fixed σ.
@@ -52,60 +43,45 @@ fn axpy_block(eng: &TdEngine, alpha: f64, x: &Wavefunction, y: &Wavefunction) ->
 }
 
 /// One RK4 step; returns the new state and step statistics
-/// (4 Hamiltonian applications = 4 Fock evaluations in hybrid mode).
-/// Under a reduced precision policy the step runs the drift monitor.
+/// (4 Hamiltonian applications = 4 Fock evaluations in hybrid mode),
+/// inside the step envelope.
 pub fn rk4_step(eng: &TdEngine, state: &TdState, cfg: &Rk4Config) -> (TdState, StepStats) {
-    step_with_drift_guard(eng, |e| rk4_step_once(e, state, cfg))
-}
+    step_envelope(eng, state, cfg.dt, "step.rk4", |eng, start_err| {
+        let (dt, t) = (cfg.dt, state.time);
+        let k1 = derivative(eng, &state.phi, state, t);
+        let phi2 = axpy_block(eng, 0.5 * dt, &k1, &state.phi);
+        let k2 = derivative(eng, &phi2, state, t + 0.5 * dt);
+        let phi3 = axpy_block(eng, 0.5 * dt, &k2, &state.phi);
+        let k3 = derivative(eng, &phi3, state, t + 0.5 * dt);
+        let phi4 = axpy_block(eng, dt, &k3, &state.phi);
+        let k4 = derivative(eng, &phi4, state, t + dt);
 
-/// One unguarded RK4 step (the drift monitor wraps this).
-fn rk4_step_once(eng: &TdEngine, state: &TdState, cfg: &Rk4Config) -> (TdState, StepStats) {
-    let _s = pwobs::span("step.rk4");
-    let solve_snap = eng.counters.snapshot();
-    let start_err = crate::propagate::monitor_active(eng)
-        .then(|| state.orthonormality_error());
-    let dt = cfg.dt;
-    let t = state.time;
+        let mut phi_next = state.phi.clone();
+        for (((o, a), b), (c, d)) in phi_next
+            .data
+            .iter_mut()
+            .zip(&k1.data)
+            .zip(&k4.data)
+            .zip(k2.data.iter().zip(&k3.data))
+        {
+            *o += (*a + *b + (*c + *d).scale(2.0)).scale(dt / 6.0);
+        }
 
-    let k1 = derivative(eng, &state.phi, state, t);
-    let phi2 = axpy_block(eng, 0.5 * dt, &k1, &state.phi);
-    let k2 = derivative(eng, &phi2, state, t + 0.5 * dt);
-    let phi3 = axpy_block(eng, 0.5 * dt, &k2, &state.phi);
-    let k3 = derivative(eng, &phi3, state, t + 0.5 * dt);
-    let phi4 = axpy_block(eng, dt, &k3, &state.phi);
-    let k4 = derivative(eng, &phi4, state, t + dt);
-
-    let mut phi_next = state.phi.clone();
-    for (((o, a), b), (c, d)) in phi_next
-        .data
-        .iter_mut()
-        .zip(&k1.data)
-        .zip(&k4.data)
-        .zip(k2.data.iter().zip(&k3.data))
-    {
-        *o += (*a + *b + (*c + *d).scale(2.0)).scale(dt / 6.0);
-    }
-
-    let fock = if eng.hybrid.alpha != 0.0 { 4 } else { 0 };
-    let next = TdState { phi: phi_next, sigma: state.sigma.clone(), time: t + dt };
-    let (fp64s, fp32s) = eng.counters.since(solve_snap);
-    let stats = StepStats {
-        fock_applies: fock,
-        converged: true,
-        // RK4 never re-orthonormalizes, so the step's *increase* in
-        // orthonormality error is the drift signal — the state's own
-        // (cumulative) error would eventually trip the monitor from
-        // ordinary integration drift on long runs. Measured only when
-        // the monitor is active.
-        orthonormality_drift: start_err
-            .map(|e0| (next.orthonormality_error() - e0).max(0.0))
-            .unwrap_or(0.0),
-        fock_solves_fp64: fp64s,
-        fock_solves_fp32: fp32s,
-        pool_peak_bytes: crate::propagate::pool_peak_bytes(eng),
-        ..Default::default()
-    };
-    (next, stats)
+        let next = TdState { phi: phi_next, sigma: state.sigma.clone(), time: t + dt };
+        let stats = StepStats {
+            fock_applies: if eng.hybrid.alpha != 0.0 { 4 } else { 0 },
+            converged: true,
+            // RK4 never re-orthonormalizes, so the step's *increase* in
+            // orthonormality error is the drift signal — the state's own
+            // (cumulative) error would eventually trip the monitor from
+            // ordinary integration drift on long runs.
+            orthonormality_drift: start_err
+                .map(|e0| (next.orthonormality_error() - e0).max(0.0))
+                .unwrap_or(0.0),
+            ..Default::default()
+        };
+        (next, stats)
+    })
 }
 
 #[cfg(test)]

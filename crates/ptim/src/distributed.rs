@@ -46,8 +46,7 @@ use crate::space::{ptim_body, BandSpace};
 use crate::state::TdState;
 use mpisim::{Comm, Tag};
 use pwdft::density::{density_diag, NaturalOrbitals};
-use pwdft::hamiltonian::Exchange;
-use pwdft::{DftSystem, FockOperator, Wavefunction};
+use pwdft::{DftSystem, FockApplyStats, FockOperator, Wavefunction};
 use pwnum::backend::default_backend;
 use pwnum::cmat::CMat;
 use pwnum::complex::Complex64;
@@ -380,15 +379,14 @@ impl BandSpace for Banded<'_, '_> {
         eng.point(NaturalOrbitals { phi: nat, occ: e.values, q: e.vectors }, rho, t)
     }
 
-    fn apply_h(&mut self, eng: &TdEngine, mut ev: EvalPoint, phi: &Wavefunction) -> Wavefunction {
-        // Blocks go back as soon as their last reader is done: 16 rank
-        // threads hold every live block 16 times over.
-        ev.nat.phi.data = Vec::new();
-        let mut hphi = eng.hamiltonian(&ev.vhxc, &ev.vext, Exchange::None).apply(phi);
-        if eng.hybrid.alpha == 0.0 {
-            return hphi;
-        }
-        // ... plus α·(masked Vx) from the distributed exchange.
+    fn exchange(
+        &mut self,
+        eng: &TdEngine,
+        ev: EvalPoint,
+        phi: &Wavefunction,
+    ) -> (Wavefunction, FockApplyStats) {
+        // The local targets against the circulating natural orbitals;
+        // the ring reports no screened weight.
         let (sys, be, cfg) = (eng.sys, &*eng.backend, self.cfg);
         let psi_r = phi.to_real_all_with(be, &sys.fft);
         let plan = ExchangePlan { strategy: cfg.strategy, solve_cost_s: cfg.solve_cost_s };
@@ -397,11 +395,7 @@ impl BandSpace for Banded<'_, '_> {
         drop((ev, psi_r));
         let mut vx = Wavefunction::from_real_with(be, &sys.grid, &sys.fft, vx_r);
         vx.mask(&sys.grid);
-        for (h, x) in hphi.data.iter_mut().zip(&vx.data) {
-            *h += x.scale(eng.hybrid.alpha);
-        }
-        hphi.mask(&sys.grid);
-        hphi
+        (vx, FockApplyStats::default())
     }
 
     fn overlap(&mut self, a: &Wavefunction, b: &Wavefunction) -> CMat {

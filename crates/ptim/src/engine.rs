@@ -7,9 +7,10 @@ use pwdft::density::{density_from_natural_with, natural_orbitals_with, NaturalOr
 use pwdft::energy::{external_energy, kinetic_energy, EnergyBreakdown};
 use pwdft::fock::SolveCounters;
 use pwdft::hamiltonian::{build_hxc_with, Exchange, Hamiltonian};
-use pwdft::{DftSystem, FockOperator, FockOptions, Wavefunction};
+use pwdft::{DftSystem, FockApplyStats, FockOperator, FockOptions, Wavefunction};
 use pwnum::backend::{default_backend, BackendHandle};
 use pwnum::cmat::CMat;
+use pwnum::Complex64;
 use std::sync::Arc;
 
 /// Hybrid-functional parameters for the dynamics.
@@ -184,8 +185,11 @@ impl<'s> TdEngine<'s> {
     }
 
     /// Builds the dense-exchange Hamiltonian at an evaluation point.
-    /// Every `apply` of the result performs one full `VxΦ` (the paper's
-    /// expensive operation).
+    /// Every `apply` of the result performs one full `VxΨ` (the paper's
+    /// expensive operation) on an arbitrary block Ψ: the asymmetric,
+    /// N²-solve enumerator. The propagators apply H only to the block the
+    /// point was evaluated at, and take the pair-symmetric self-image form
+    /// of that apply instead (DESIGN.md §3).
     pub fn hamiltonian_dense(&self, ev: &EvalPoint) -> Hamiltonian<'s> {
         let exchange = if self.hybrid.alpha != 0.0 {
             Exchange::Dense { nat_r: ev.nat_r.clone(), occ: ev.nat.occ.clone() }
@@ -220,25 +224,37 @@ impl<'s> TdEngine<'s> {
     }
 
     /// [`Self::exchange_images`] also returning the scheduler's
-    /// [`FockApplyStats`](pwdft::FockApplyStats), so callers with a
+    /// [`FockApplyStats`], so callers with a
     /// nonzero screening cutoff can read the dropped weight
     /// (`skipped_weight`) and bound the approximation error.
     pub fn exchange_images_stats(
         &self,
         phi: &Wavefunction,
         sigma: &CMat,
-    ) -> (Wavefunction, f64, pwdft::FockApplyStats) {
+    ) -> (Wavefunction, f64, FockApplyStats) {
         let be = &*self.backend;
-        let fock = self.fock_operator();
         let nat = natural_orbitals_with(be, phi, sigma);
         let nat_r = nat.phi.to_real_all_with(be, &self.sys.fft);
-        let (vx_nat, stats) = fock.apply_pure_stats(&nat_r, &nat.occ);
+        self.images(&nat, &nat_r)
+    }
+
+    /// The masked images `W = VxΦ` of the block `Φ = Φ̃Qᴴ` whose natural
+    /// orbitals are `nat` (`nat_r` in real space), with `E_x` and the
+    /// apply's stats: one pair-symmetric apply on `Φ̃`, then one real-space
+    /// rotation by `Qᴴ` (DESIGN.md §3).
+    pub(crate) fn images(
+        &self,
+        nat: &NaturalOrbitals,
+        nat_r: &[Complex64],
+    ) -> (Wavefunction, f64, FockApplyStats) {
+        let be = &*self.backend;
+        let fock = self.fock_operator();
+        let (vx_nat, stats) = fock.apply_pure_stats(nat_r, &nat.occ);
         // Exchange energy in the natural basis: Ex = Σ d_i <φ̃_i|Vx|φ̃_i>.
-        let ex = fock.exchange_energy(&nat_r, &nat.occ, &vx_nat, self.sys.grid.dv());
+        let ex = fock.exchange_energy(nat_r, &nat.occ, &vx_nat, self.sys.grid.dv());
         // Rotate the images back to the original orbital gauge.
-        let ng = self.sys.grid.len();
-        let mut vx_r = vec![pwnum::Complex64::ZERO; vx_nat.len()];
-        be.rotate(&vx_nat, &nat.q.herm(), ng, &mut vx_r);
+        let mut vx_r = vec![Complex64::ZERO; vx_nat.len()];
+        be.rotate(&vx_nat, &nat.q.herm(), self.sys.grid.len(), &mut vx_r);
         let mut w = Wavefunction::from_real_with(be, &self.sys.grid, &self.sys.fft, vx_r);
         w.mask(&self.sys.grid);
         (w, ex, stats)
@@ -255,15 +271,12 @@ impl<'s> TdEngine<'s> {
             * self.sys.grid.dv()
     }
 
-    /// Total energy of a state (hartree). One full Fock evaluation when
-    /// hybrid exchange is active.
+    /// Total energy of a state (hartree). One pair-symmetric Fock
+    /// evaluation when hybrid exchange is active.
     pub fn total_energy(&self, state: &TdState) -> EnergyBreakdown {
         let ev = self.eval(&state.phi, &state.sigma, state.time);
         let exact_exchange = if self.hybrid.alpha != 0.0 {
-            let fock = self.fock_operator();
-            let vx_nat = fock.apply_diag(&ev.nat_r, &ev.nat.occ, &ev.nat_r);
-            self.hybrid.alpha
-                * fock.exchange_energy(&ev.nat_r, &ev.nat.occ, &vx_nat, self.sys.grid.dv())
+            self.hybrid.alpha * self.images(&ev.nat, &ev.nat_r).1
         } else {
             0.0
         };

@@ -19,7 +19,7 @@
 
 use crate::engine::TdEngine;
 use crate::propagate::{density_residual, step_envelope, StepStats};
-use crate::space::{failed, finish, pt_project, BandSpace, Serial};
+use crate::space::{apply_h, failed, finish, pt_project, BandSpace, Serial};
 use crate::state::TdState;
 use pwdft::mixing::AndersonMixer;
 use pwdft::Wavefunction;
@@ -64,8 +64,7 @@ pub fn ptcn_step(eng: &TdEngine, state: &TdState, cfg: &PtcnConfig) -> (TdState,
         // the PT projection fails.
         let half_step =
             |space: &mut Serial, ev, phi: &Wavefunction, base: &Wavefunction, st: &mut StepStats| {
-                st.fock_applies += usize::from(eng.hybrid.alpha != 0.0);
-                let hphi = space.apply_h(eng, ev, phi);
+                let hphi = apply_h(eng, space, ev, phi, st);
                 let (force, _) = pt_project(space, phi, hphi)?;
                 let mut out = Wavefunction::zeros_like(phi);
                 let coef = c64(0.0, -0.5 * dt);

@@ -8,6 +8,7 @@
 
 use crate::engine::TdEngine;
 use crate::propagate::{step_envelope, StepStats};
+use crate::space::{apply_h, BandSpace, Serial};
 use crate::state::TdState;
 use pwdft::Wavefunction;
 use pwnum::complex::{c64, Complex64};
@@ -19,11 +20,18 @@ pub struct Rk4Config {
     pub dt: f64,
 }
 
-/// Derivative `f(t, Φ) = −i H(t, P[Φ, σ]) Φ` at fixed σ.
-fn derivative(eng: &TdEngine, phi: &Wavefunction, state: &TdState, t: f64) -> Wavefunction {
-    let ev = eng.eval(phi, &state.sigma, t);
-    let h = eng.hamiltonian_dense(&ev);
-    let mut hphi = h.apply(phi);
+/// Derivative `f(t, Φ) = −i H(t, P[Φ, σ]) Φ` at fixed σ: the dense H
+/// apply at the point Φ itself, its exchange charged to `stats`.
+fn derivative(
+    eng: &TdEngine,
+    phi: &Wavefunction,
+    state: &TdState,
+    t: f64,
+    stats: &mut StepStats,
+) -> Wavefunction {
+    let space = &mut Serial(&*eng.backend);
+    let ev = space.evaluate(eng, phi, &state.sigma, t);
+    let mut hphi = apply_h(eng, space, ev, phi, stats);
     for z in hphi.data.iter_mut() {
         *z *= c64(0.0, -1.0);
     }
@@ -48,13 +56,14 @@ fn axpy_block(eng: &TdEngine, alpha: f64, x: &Wavefunction, y: &Wavefunction) ->
 pub fn rk4_step(eng: &TdEngine, state: &TdState, cfg: &Rk4Config) -> (TdState, StepStats) {
     step_envelope(eng, state, cfg.dt, "step.rk4", |eng, start_err| {
         let (dt, t) = (cfg.dt, state.time);
-        let k1 = derivative(eng, &state.phi, state, t);
+        let mut stats = StepStats { converged: true, ..Default::default() };
+        let k1 = derivative(eng, &state.phi, state, t, &mut stats);
         let phi2 = axpy_block(eng, 0.5 * dt, &k1, &state.phi);
-        let k2 = derivative(eng, &phi2, state, t + 0.5 * dt);
+        let k2 = derivative(eng, &phi2, state, t + 0.5 * dt, &mut stats);
         let phi3 = axpy_block(eng, 0.5 * dt, &k2, &state.phi);
-        let k3 = derivative(eng, &phi3, state, t + 0.5 * dt);
+        let k3 = derivative(eng, &phi3, state, t + 0.5 * dt, &mut stats);
         let phi4 = axpy_block(eng, dt, &k3, &state.phi);
-        let k4 = derivative(eng, &phi4, state, t + dt);
+        let k4 = derivative(eng, &phi4, state, t + dt, &mut stats);
 
         let mut phi_next = state.phi.clone();
         for (((o, a), b), (c, d)) in phi_next
@@ -68,18 +77,12 @@ pub fn rk4_step(eng: &TdEngine, state: &TdState, cfg: &Rk4Config) -> (TdState, S
         }
 
         let next = TdState { phi: phi_next, sigma: state.sigma.clone(), time: t + dt };
-        let stats = StepStats {
-            fock_applies: if eng.hybrid.alpha != 0.0 { 4 } else { 0 },
-            converged: true,
-            // RK4 never re-orthonormalizes, so the step's *increase* in
-            // orthonormality error is the drift signal — the state's own
-            // (cumulative) error would eventually trip the monitor from
-            // ordinary integration drift on long runs.
-            orthonormality_drift: start_err
-                .map(|e0| (next.orthonormality_error() - e0).max(0.0))
-                .unwrap_or(0.0),
-            ..Default::default()
-        };
+        // RK4 never re-orthonormalizes, so the step's *increase* in
+        // orthonormality error is the drift signal — the state's own
+        // (cumulative) error would eventually trip the monitor from
+        // ordinary integration drift on long runs.
+        stats.orthonormality_drift =
+            start_err.map(|e0| (next.orthonormality_error() - e0).max(0.0)).unwrap_or(0.0);
         (next, stats)
     })
 }

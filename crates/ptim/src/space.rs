@@ -1,16 +1,18 @@
 //! One PT fixed point over a band subspace (DESIGN.md §3). A
 //! [`BandSpace`] is the layout of a step's band block — the whole block
 //! on one process ([`Serial`]) or one rank's block over a communicator
-//! (`distributed::Banded`); the PT projection, PT map (Eq. 6), predictor,
-//! Anderson-mixed midpoint loop and Löwdin step are written once, here.
+//! (`distributed::Banded`); the dense H apply, PT projection, PT map
+//! (Eq. 6), predictor, Anderson-mixed midpoint loop and Löwdin step are
+//! written once, here.
 
 use crate::engine::{EvalPoint, TdEngine};
 use crate::propagate::{density_residual, midpoint_parts, StepStats};
 use crate::ptim::PtimConfig;
 use crate::state::TdState;
 use pwdft::density::SPIN_FACTOR;
+use pwdft::hamiltonian::Exchange;
 use pwdft::mixing::AndersonMixer;
-use pwdft::Wavefunction;
+use pwdft::{FockApplyStats, Wavefunction};
 use pwnum::backend::Backend;
 use pwnum::chol::solve_hpd;
 use pwnum::cmat::CMat;
@@ -24,8 +26,15 @@ pub(crate) trait BandSpace {
     /// Natural orbitals, density and potentials at `(Φ, σ, t)` — split
     /// from the H apply so a converged iteration never pays for one.
     fn evaluate(&mut self, eng: &TdEngine, phi: &Wavefunction, sigma: &CMat, t: f64) -> EvalPoint;
-    /// `HΦ` at an evaluated point, cutoff-masked.
-    fn apply_h(&mut self, eng: &TdEngine, ev: EvalPoint, phi: &Wavefunction) -> Wavefunction;
+    /// The cutoff-masked exchange images `W = VxΦ` of the block `phi`
+    /// that `ev` was evaluated at, with the apply's statistics — the
+    /// exchange term of [`apply_h`].
+    fn exchange(
+        &mut self,
+        eng: &TdEngine,
+        ev: EvalPoint,
+        phi: &Wavefunction,
+    ) -> (Wavefunction, FockApplyStats);
     /// `AᴴB` over every band of the space.
     fn overlap(&mut self, a: &Wavefunction, b: &Wavefunction) -> CMat;
     /// `ΦQ`.
@@ -42,8 +51,16 @@ impl BandSpace for Serial<'_> {
         eng.eval(phi, sigma, t)
     }
 
-    fn apply_h(&mut self, eng: &TdEngine, ev: EvalPoint, phi: &Wavefunction) -> Wavefunction {
-        eng.hamiltonian_dense(&ev).apply(phi)
+    fn exchange(
+        &mut self,
+        eng: &TdEngine,
+        ev: EvalPoint,
+        _phi: &Wavefunction,
+    ) -> (Wavefunction, FockApplyStats) {
+        // `phi` is the block `ev` was evaluated at, so Φ = Φ̃Qᴴ and
+        // VxΦ = (VxΦ̃)Qᴴ: the images of its own natural orbitals.
+        let (w, _, stats) = eng.images(&ev.nat, &ev.nat_r);
+        (w, stats)
     }
 
     fn overlap(&mut self, a: &Wavefunction, b: &Wavefunction) -> CMat {
@@ -63,6 +80,35 @@ impl BandSpace for Serial<'_> {
 /// exchange it performs to the step's statistics.
 pub(crate) type HApply<'a, S> =
     dyn Fn(&TdEngine, &mut S, EvalPoint, &Wavefunction, &mut StepStats) -> Wavefunction + 'a;
+
+/// The dense H apply `HΦ` at the point `ev` evaluated at `phi`,
+/// cutoff-masked: the local Hamiltonian, plus α·W from the space's
+/// [`BandSpace::exchange`], then the mask. The exchange counts one
+/// `fock_applies` and its screened weight when α ≠ 0.
+pub(crate) fn apply_h<S: BandSpace>(
+    eng: &TdEngine,
+    space: &mut S,
+    mut ev: EvalPoint,
+    phi: &Wavefunction,
+    stats: &mut StepStats,
+) -> Wavefunction {
+    // Blocks go back as soon as their last reader is done: 16 rank
+    // threads hold every live block 16 times over.
+    ev.nat.phi.data = Vec::new();
+    let mut hphi = eng.hamiltonian(&ev.vhxc, &ev.vext, Exchange::None).apply(phi);
+    let alpha = eng.hybrid.alpha;
+    if alpha == 0.0 {
+        return hphi;
+    }
+    let (w, fstats) = space.exchange(eng, ev, phi);
+    stats.fock_applies += 1;
+    stats.fock_skipped_weight += fstats.skipped_weight;
+    for (h, x) in hphi.data.iter_mut().zip(&w.data) {
+        *h += x.scale(alpha);
+    }
+    hphi.mask(&eng.sys.grid);
+    hphi
+}
 
 /// The parallel-transport projection `(I − P)HΦ = HΦ − Φ S⁻¹Hm`, with
 /// `S = ΦᴴΦ`, returned with `Hm = ΦᴴHΦ`. `None` when `S` is not positive
@@ -200,8 +246,8 @@ impl<S: BandSpace> Midpoint<'_, '_, S> {
 }
 
 /// One PT-IM step (Alg. 1) of the block `prev = (Φ_n, σ_n)` at `time`:
-/// the predictor, the midpoint loop and [`finish`] on the dense H apply
-/// (one `VxΦ` each, counted, when α ≠ 0). A failed PT map ends it at once.
+/// the predictor, the midpoint loop and [`finish`] on the dense
+/// [`apply_h`]. A failed PT map ends it at once.
 pub(crate) fn ptim_body<S: BandSpace>(
     eng: &TdEngine,
     space: &mut S,
@@ -210,10 +256,7 @@ pub(crate) fn ptim_body<S: BandSpace>(
     cfg: &PtimConfig,
     start_err: Option<f64>,
 ) -> (TdState, StepStats) {
-    let dense: &HApply<S> = &|eng, space, ev, phi, stats| {
-        stats.fock_applies += usize::from(eng.hybrid.alpha != 0.0);
-        space.apply_h(eng, ev, phi)
-    };
+    let dense: &HApply<S> = &apply_h;
     let mut step = Midpoint { eng, space, prev, time, cfg, stats: StepStats::default() };
     let Some((mut next, rho)) = step.predictor(dense) else { return step.end(None, start_err) };
     let mut mixer = AndersonMixer::new(cfg.anderson_depth, cfg.anderson_beta);
@@ -251,4 +294,97 @@ pub(crate) fn finish<S: BandSpace>(
         be.gemm(Complex64::ONE, &m, Op::None, &es.vectors, Op::ConjTrans, Complex64::ZERO, None);
     next.phi = space.rotate(&next.phi, &q);
     next.sigma = next.sigma.hermitian_part();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::HybridParams;
+    use crate::laser::LaserPulse;
+    use crate::ptcn::{ptcn_step, PtcnConfig};
+    use crate::ptim::ptim_step;
+    use crate::rk4::{rk4_step, Rk4Config};
+    use pwdft::{Cell, DftSystem, FockOptions};
+    use pwnum::backend::by_name;
+    use pwnum::precision::PrecisionPolicy;
+
+    fn fixture(occ: &[f64]) -> (DftSystem, TdState) {
+        let sys = DftSystem::with_dims(Cell::silicon_supercell(1, 1, 1), 2.0, [6, 6, 6]);
+        let mut phi = Wavefunction::random(&sys.grid, occ.len(), 31);
+        phi.orthonormalize_lowdin();
+        (sys, TdState { phi, sigma: CMat::from_real_diag(occ), time: 0.0 })
+    }
+
+    fn hybrid(fock: FockOptions) -> HybridParams {
+        HybridParams { alpha: 0.25, omega: 0.2, fock }
+    }
+
+    fn ptim_cfg() -> PtimConfig {
+        PtimConfig { dt: 0.5, max_scf: 10, tol_rho: 1e-7, ..Default::default() }
+    }
+
+    #[test]
+    fn self_image_apply_matches_generic_dense_apply() {
+        // A non-diagonal σ, so the natural orbitals are a genuine rotation.
+        let (sys, mut st) = fixture(&[0.9, 0.6, 0.3, 0.1]);
+        for (i, j, z) in [(0, 2, c64(0.12, 0.05)), (1, 3, c64(-0.04, 0.03)), (0, 1, c64(0.07, 0.0))] {
+            st.sigma[(i, j)] = z;
+            st.sigma[(j, i)] = z.conj();
+        }
+        let laser = LaserPulse { e0: 0.05, omega: 0.15, t_center: 0.3, t_width: 0.5 };
+        for (policy, tol) in [(PrecisionPolicy::fp64(), 1e-12), (PrecisionPolicy::mixed(), 1e-6)] {
+            for name in ["reference", "blocked"] {
+                let be = by_name(name).unwrap();
+                let fock = FockOptions::default().with_precision(policy);
+                let eng = TdEngine::with_backend(&sys, laser.clone(), hybrid(fock), be);
+                let ev = eng.eval(&st.phi, &st.sigma, 0.3);
+                assert!(ev.nat.q.max_abs_diff(&CMat::identity(4)) > 0.1, "Q is the identity");
+                let generic = eng.hamiltonian_dense(&ev).apply(&st.phi);
+                let mut stats = StepStats::default();
+                let own = apply_h(&eng, &mut Serial(&*eng.backend), ev, &st.phi, &mut stats);
+                let scale = generic.data.iter().map(|z| z.abs()).fold(0.0, f64::max);
+                let rel = own.max_abs_diff(&generic) / scale;
+                assert!(rel <= tol, "{name} {policy:?}: relative difference {rel:e} > {tol:e}");
+                assert_eq!(stats.fock_applies, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn dense_propagators_run_pair_symmetric_solves() {
+        // n(n+1)/2 solves per exchange apply, not the asymmetric n².
+        let (sys, st) = fixture(&[1.0, 0.6, 0.4]);
+        let pairs = 3 * 4 / 2;
+        let eng = TdEngine::new(&sys, LaserPulse::off(), hybrid(FockOptions::default()));
+        let ptcn_cfg = PtcnConfig { dt: 0.5, max_scf: 10, ..Default::default() };
+        for (name, (_, stats)) in [
+            ("ptim", ptim_step(&eng, &st, &ptim_cfg())),
+            ("ptcn", ptcn_step(&eng, &st, &ptcn_cfg)),
+            ("rk4", rk4_step(&eng, &st, &Rk4Config { dt: 0.02 })),
+        ] {
+            assert!(stats.fock_applies > 1, "{name}: {} applies", stats.fock_applies);
+            assert_eq!(stats.fock_solves_fp64, stats.fock_applies * pairs, "{name}");
+        }
+    }
+
+    #[test]
+    fn dense_propagators_report_screened_weight() {
+        // A cutoff of 0.1 screens the 0.01 band of every apply; cutoff 0
+        // screens nothing.
+        let (sys, st) = fixture(&[1.0, 0.6, 0.01]);
+        let weights = |cutoff| {
+            let fock = FockOptions::default().with_occ_cutoff(cutoff);
+            let eng = TdEngine::new(&sys, LaserPulse::off(), hybrid(fock));
+            let ptcn_cfg = PtcnConfig { dt: 0.5, max_scf: 10, ..Default::default() };
+            [
+                ptim_step(&eng, &st, &ptim_cfg()).1.fock_skipped_weight,
+                ptcn_step(&eng, &st, &ptcn_cfg).1.fock_skipped_weight,
+                rk4_step(&eng, &st, &Rk4Config { dt: 0.02 }).1.fock_skipped_weight,
+            ]
+        };
+        for (screened, exact) in weights(0.1).into_iter().zip(weights(0.0)) {
+            assert!(screened > 0.0, "screened weight {screened}");
+            assert_eq!(exact, 0.0);
+        }
+    }
 }

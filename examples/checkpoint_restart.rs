@@ -79,8 +79,9 @@ fn main() {
 
     // The failure side: a NaN-poisoned state climbs the recovery ladder
     // (fp64 rerun, then 2/4 substeps at dt/2, dt/4) and reports cleanly.
-    // RK4 propagates the NaN to a non-finite result the ladder can see
-    // (the implicit propagators would abort inside their linear solves).
+    // Every propagator's step envelope returns a NaN state at once for a
+    // non-finite input, so each rung fails the ladder's finiteness check;
+    // RK4 is simply the cheapest step to retry.
     let mut poisoned = st.clone();
     poisoned.phi.data[0] = Complex64 { re: f64::NAN, im: 0.0 };
     let rk4 = Propagator::Rk4(Rk4Config { dt: 0.05 });

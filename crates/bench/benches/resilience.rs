@@ -109,7 +109,7 @@ fn measure(interval: u64) -> Row {
 }
 
 fn main() {
-    let rows = vec![measure(5), measure(10)];
+    let rows = [measure(5), measure(10)];
     let mut json = String::from("{\n  \"benchmarks\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };

@@ -224,10 +224,11 @@ impl Comm {
         self.alltoallv_group(&members, chunks)
     }
 
-    /// Personalized all-to-all restricted to a rank group (the
-    /// sub-communicator transpose of the 2-D band×grid layout): `members`
-    /// lists the group's world ranks in slab order — identical on every
-    /// member — and `chunks[i]` is sent to `members[i]`. Returns the
+    /// Personalized all-to-all restricted to a rank group (a
+    /// sub-communicator transpose; the world-sized case is the band↔grid
+    /// transpose of the distributed overlap): `members` lists the group's
+    /// world ranks in one order — identical on every member — and
+    /// `chunks[i]` is sent to `members[i]`. Returns the
     /// chunks received, indexed by group position. Pairwise exchange,
     /// `members.len() - 1` rounds; disjoint groups can run concurrently
     /// (tags are salted by the group's first member, and the rank pairs

@@ -371,9 +371,7 @@ mod tests {
         s.overlap_total_s = 4.0;
         s.overlap_hidden_s = 3.0;
         assert!((s.overlap_efficiency() - 0.75).abs() < 1e-15);
-        let mut other = Stats::default();
-        other.overlap_total_s = 8.0;
-        other.overlap_hidden_s = 1.0;
+        let other = Stats { overlap_total_s: 8.0, overlap_hidden_s: 1.0, ..Default::default() };
         s.merge_max(&other);
         assert!((s.overlap_total_s - 8.0).abs() < 1e-15);
         assert!((s.overlap_hidden_s - 3.0).abs() < 1e-15);

@@ -42,9 +42,9 @@ pub enum Variant {
     /// + asynchronous ring overlap (Sec. IV-B2).
     AceAsync,
     /// + ring-pipelined overlapped exchange with test-driven progress
-    ///   (the hierarchical 2-D subsystem's `RingOverlap` strategy): the
-    ///   async-progress visibility floor disappears, leaving only the
-    ///   excess of each transfer over its covering Poisson compute.
+    ///   (the `RingOverlap` strategy): the async-progress visibility
+    ///   floor disappears, leaving only the excess of each transfer over
+    ///   its covering Poisson compute.
     AceOverlap,
 }
 

@@ -10,9 +10,9 @@
 //! *band index*; overlap matrices are formed by transposing to
 //! *grid-point* distribution with `MPI_Alltoallv` and reducing partial
 //! N×N products with `MPI_Allreduce`. [`dist_rotate`] and the
-//! distributed Fock exchange circulate band blocks among ranks on the one
-//! ring driver of [`crate::grid2d`]; the exchange picks its transport
-//! with one of the paper's strategies:
+//! distributed Fock exchange circulate band blocks among ranks on one
+//! ring driver (the crate-private band-block ring); the exchange picks
+//! its transport with one of the paper's strategies:
 //!
 //! * [`ExchangeStrategy::Bcast`] — baseline: every band block is
 //!   broadcast from its owner (Fig. 5a);
@@ -22,9 +22,8 @@
 //!   block's `isend`/`irecv` are posted before the current block's
 //!   Poisson solves and completed after them (`MPI_Isend/Irecv/Wait`,
 //!   Fig. 5c);
-//! * [`ExchangeStrategy::RingOverlap`] — the hierarchical subsystem's
-//!   entry point ([`crate::grid2d::ring_overlap_fock_apply`]); on this
-//!   flat `p × 1` grid it is the `AsyncRing` schedule, bit for bit.
+//! * [`ExchangeStrategy::RingOverlap`] — the ring-pipelined overlapped
+//!   exchange: the `AsyncRing` schedule, bit for bit.
 //!
 //! Every strategy runs the same block kernel: one batched apply of the
 //! operator per arriving block (symmetric halving on the self-applied
@@ -38,7 +37,7 @@
 //! footprint to `1/ranks-per-node`.
 
 use crate::engine::{EvalPoint, HybridParams, TdEngine};
-use crate::grid2d::{circulate, ring_fock_apply, ProcessGrid, Transport};
+use crate::grid2d::{circulate, ring_fock_apply, Transport};
 use crate::laser::LaserPulse;
 use crate::propagate::StepStats;
 use crate::ptim::PtimConfig;
@@ -51,6 +50,7 @@ use pwnum::backend::default_backend;
 use pwnum::cmat::CMat;
 use pwnum::complex::Complex64;
 use pwnum::eigh;
+use pwnum::parallel::block_range;
 
 /// Wavefunction-exchange strategy for the distributed Fock operator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,10 +61,9 @@ pub enum ExchangeStrategy {
     Ring,
     /// Asynchronous ring with communication/computation overlap (Fig. 5c).
     AsyncRing,
-    /// Ring-pipelined overlapped exchange via the hierarchical
-    /// [`crate::grid2d`] subsystem: transfers posted before each block's
-    /// pair solves, per-transfer hidden/visible accounting. On the flat
-    /// band ring the same schedule as [`ExchangeStrategy::AsyncRing`].
+    /// Ring-pipelined overlapped exchange: transfers posted before each
+    /// block's pair solves, per-transfer hidden/visible accounting. The
+    /// same schedule as [`ExchangeStrategy::AsyncRing`].
     RingOverlap,
 }
 
@@ -87,8 +86,7 @@ impl From<ExchangeStrategy> for ExchangePlan {
     }
 }
 
-/// Contiguous band distribution over ranks (or, in the 2-D layout, over
-/// band groups).
+/// Contiguous band distribution over ranks.
 #[derive(Clone, Debug)]
 pub struct BandDistribution {
     /// Total bands N.
@@ -109,10 +107,10 @@ impl BandDistribution {
         self.range(rank).len()
     }
 
-    /// Global band range owned by `rank` (the shared balanced partition,
-    /// same formula as [`crate::grid2d::GridDistribution`]).
+    /// Global band range owned by `rank` (the shared balanced partition
+    /// [`block_range`], as [`dist_overlap`]'s grid-point ranges).
     pub fn range(&self, rank: usize) -> std::ops::Range<usize> {
-        pwnum::parallel::block_range(self.n_bands, self.n_ranks, rank)
+        block_range(self.n_bands, self.n_ranks, rank)
     }
 }
 
@@ -189,8 +187,8 @@ pub fn gather_state(comm: &mut Comm, st: &DistState, dist: &BandDistribution) ->
 /// Distributed overlap `S = A^H B` (full N×N, replicated result):
 /// band→grid transpose via `alltoallv`, local partial GEMM over the grid
 /// slice, then `allreduce` — the paper's Fig. 1 workflow. Grid-point
-/// ownership comes from the shared
-/// [`GridDistribution`](crate::grid2d::GridDistribution) (Fig. 1 right).
+/// ownership is the shared balanced partition [`block_range`] (Fig. 1
+/// right).
 pub fn dist_overlap(
     comm: &mut Comm,
     dist: &BandDistribution,
@@ -200,14 +198,13 @@ pub fn dist_overlap(
     let p = comm.size();
     let ng = a_local.ng;
     let n = dist.n_bands;
-    let gdist = crate::grid2d::GridDistribution::new(ng, p);
-    let my_grid = gdist.range(comm.rank());
+    let my_grid = block_range(ng, p, comm.rank());
 
     // Transpose both blocks to grid-point distribution.
     let transpose = |comm: &mut Comm, w: &Wavefunction| -> Vec<Vec<Complex64>> {
         let chunks: Vec<Vec<Complex64>> = (0..p)
             .map(|r| {
-                let gr = gdist.range(r);
+                let gr = block_range(ng, p, r);
                 let mut c = Vec::with_capacity(w.n_bands * gr.len());
                 for b in 0..w.n_bands {
                     c.extend_from_slice(&w.band(b)[gr.clone()]);
@@ -263,8 +260,7 @@ pub fn dist_rotate(
         ip_scale: phi_local.ip_scale,
         data: vec![Complex64::ZERO; n_out * ng],
     };
-    let ring = ProcessGrid::new(comm.size(), comm.size());
-    circulate(comm, &ring, &phi_local.data, Transport::Sendrecv, ROTATE_TAG, |_, src, block| {
+    circulate(comm, &phi_local.data, Transport::Sendrecv, ROTATE_TAG, |_, src, block| {
         let src_range = dist.range(src);
         // Accumulate this block's bands into every local target at once:
         // one blocked accumulate with the `src_range × my` block of Q
@@ -299,7 +295,9 @@ pub fn dist_density(
 
 /// Distributed Fock exchange `VxΨ` on the local target bands, circulating
 /// the (natural-orbital) source bands with the chosen strategy. Returns
-/// the result in real space.
+/// the result in real space and this rank's [`FockApplyStats`], summed
+/// over the blocks it processed: summed over ranks, the solve, screening
+/// and skipped-weight counts are the serial apply's.
 ///
 /// Every strategy runs the same block kernel on each arriving source
 /// block: one batched apply of `fock` against the local targets, so
@@ -331,27 +329,14 @@ pub fn dist_fock_apply(
     occ: &[f64],
     psi_r_local: &[Complex64],
     plan: impl Into<ExchangePlan>,
-) -> Vec<Complex64> {
+) -> (Vec<Complex64>, FockApplyStats) {
     let plan: ExchangePlan = plan.into();
     let transport = match plan.strategy {
         ExchangeStrategy::Bcast => Transport::Bcast,
         ExchangeStrategy::Ring => Transport::Sendrecv,
         ExchangeStrategy::AsyncRing | ExchangeStrategy::RingOverlap => Transport::Nonblocking,
     };
-    let ring = ProcessGrid::new(comm.size(), comm.size());
-    let (vx, _report) = ring_fock_apply(
-        comm,
-        fock,
-        &ring,
-        dist,
-        None,
-        nat_r_local,
-        occ,
-        psi_r_local,
-        transport,
-        plan.solve_cost_s,
-    );
-    vx
+    ring_fock_apply(comm, fock, dist, nat_r_local, occ, psi_r_local, transport, plan.solve_cost_s)
 }
 
 /// Anderson history depth of the distributed step's mixer.
@@ -385,17 +370,16 @@ impl BandSpace for Banded<'_, '_> {
         ev: EvalPoint,
         phi: &Wavefunction,
     ) -> (Wavefunction, FockApplyStats) {
-        // The local targets against the circulating natural orbitals;
-        // the ring reports no screened weight.
+        // The local targets against the circulating natural orbitals.
         let (sys, be, cfg) = (eng.sys, &*eng.backend, self.cfg);
         let psi_r = phi.to_real_all_with(be, &sys.fft);
         let plan = ExchangePlan { strategy: cfg.strategy, solve_cost_s: cfg.solve_cost_s };
-        let vx_r =
+        let (vx_r, stats) =
             dist_fock_apply(self.comm, &self.fock, self.dist, &ev.nat_r, &ev.nat.occ, &psi_r, plan);
         drop((ev, psi_r));
         let mut vx = Wavefunction::from_real_with(be, &sys.grid, &sys.fft, vx_r);
         vx.mask(&sys.grid);
-        (vx, FockApplyStats::default())
+        (vx, stats)
     }
 
     fn overlap(&mut self, a: &Wavefunction, b: &Wavefunction) -> CMat {
@@ -576,7 +560,7 @@ mod tests {
                 let fock = FockOperator::new(&sys.grid, 0.2);
                 let nat_local_r = nat_r[my.start * ng..my.end * ng].to_vec();
                 let psi_local_r = phi_r[my.start * ng..my.end * ng].to_vec();
-                let vx = dist_fock_apply(
+                let (vx, _) = dist_fock_apply(
                     c,
                     &fock,
                     &dist,
@@ -621,7 +605,7 @@ mod tests {
                     let fock = FockOperator::new(&sys.grid, 0.2);
                     let nat_local_r = nat_r[my.start * ng..my.end * ng].to_vec();
                     // Targets ARE the sources: pass the same slice.
-                    let vx = dist_fock_apply(
+                    let (vx, _) = dist_fock_apply(
                         c,
                         &fock,
                         &dist,

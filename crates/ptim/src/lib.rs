@@ -18,12 +18,10 @@
 //!   paper's wavefunction-exchange strategies (Bcast, ring, asynchronous
 //!   ring, and the ring-pipelined overlapped exchange) and SHM-backed
 //!   σ/overlap matrices. It runs the one PT-IM body of [`ptim`] on this
-//!   rank's band block.
-//! * [`grid2d`] — the hierarchical 2-D parallelization subsystem: the
-//!   band×grid [`grid2d::ProcessGrid`], slab ownership
-//!   ([`grid2d::GridDistribution`] + `pwfft::dist`), and the
-//!   ring-pipelined communication-overlapped Fock exchange behind
-//!   [`distributed::ExchangeStrategy::RingOverlap`].
+//!   rank's band block. Band blocks move between ranks on one
+//!   crate-private ring driver (`grid2d`, the band-block ring), which
+//!   also runs the Fock exchange of every
+//!   [`distributed::ExchangeStrategy`].
 //! * [`resilience`] — checkpoint/restart (versioned, checksummed,
 //!   atomically written snapshots of `(Φ, σ, t)`), the step-level
 //!   recovery ladder (fp64 promotion → dt halving → checkpoint restore),
@@ -41,7 +39,7 @@
 
 pub mod distributed;
 pub mod engine;
-pub mod grid2d;
+mod grid2d;
 pub mod laser;
 pub mod observables;
 pub mod propagate;

@@ -30,9 +30,10 @@ pub struct StepStats {
     /// step's exchange evaluations (Σ of
     /// [`FockApplyStats::skipped_weight`](pwdft::FockApplyStats) — the
     /// error-bound handle of DESIGN.md §3; 0 at the default cutoff).
-    /// Filled by every serial propagator: PT-IM-ACE's ACE builds and the
-    /// dense applies of PT-IM, PT-CN and RK4. `dist_ptim_step` reports 0:
-    /// its ring exchange does not carry the weight.
+    /// Filled by every propagator: PT-IM-ACE's ACE builds, the dense
+    /// applies of PT-IM, PT-CN and RK4, and the ring exchange of
+    /// `dist_ptim_step`, where it is this rank's share (summed over
+    /// ranks, the serial weight).
     pub fock_skipped_weight: f64,
     /// Screened Poisson solves performed in fp64 during this step
     /// (snapshot delta of the engine's shared

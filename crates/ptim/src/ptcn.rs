@@ -160,7 +160,7 @@ mod tests {
         let d_cn = dipole_after(&eng, |eng| {
             let mut s = st.clone();
             for _ in 0..n {
-                let (next, _) = ptcn_step(&eng, &s, &PtcnConfig { dt, ..Default::default() });
+                let (next, _) = ptcn_step(eng, &s, &PtcnConfig { dt, ..Default::default() });
                 s = next;
             }
             s
@@ -169,7 +169,7 @@ mod tests {
             let mut s = st.clone();
             for _ in 0..n {
                 let (next, _) = ptim_step(
-                    &eng,
+                    eng,
                     &s,
                     &PtimConfig { dt, max_scf: 40, tol_rho: 1e-9, ..Default::default() },
                 );
@@ -201,7 +201,7 @@ mod tests {
         let d_ref = dipole_after(&eng, |eng| {
             let mut s = st.clone();
             for _ in 0..n * 25 {
-                let (next, _) = rk4_step(&eng, &s, &Rk4Config { dt: dt / 25.0 });
+                let (next, _) = rk4_step(eng, &s, &Rk4Config { dt: dt / 25.0 });
                 s = next;
             }
             s
@@ -210,7 +210,7 @@ mod tests {
             let mut s = st.clone();
             for _ in 0..n {
                 let (next, _) = ptim_step(
-                    &eng,
+                    eng,
                     &s,
                     &PtimConfig { dt, max_scf: 40, tol_rho: 1e-9, ..Default::default() },
                 );
@@ -221,7 +221,7 @@ mod tests {
         let d_cn = dipole_after(&eng, |eng| {
             let mut s = st.clone();
             for _ in 0..n {
-                let (next, _) = ptcn_step(&eng, &s, &PtcnConfig { dt, ..Default::default() });
+                let (next, _) = ptcn_step(eng, &s, &PtcnConfig { dt, ..Default::default() });
                 s = next;
             }
             s

@@ -1,17 +1,14 @@
-//! Correctness and overlap acceptance for the hierarchical 2-D
-//! parallelization subsystem: the `RingOverlap` exchange must match the
-//! serial Fock operator to ≤ 1e-10 on both backends, under the fp32
-//! precision policy (as must every other strategy), at non-power-of-two
-//! rank counts, on a genuine
-//! band×grid 2-D layout — with solve/FFT counters pinned — and hide
-//! ≥ 50% of the exchange communication at 16 simulated ranks.
+//! Correctness and overlap acceptance for the ring-pipelined overlapped
+//! exchange: `RingOverlap` must match the serial Fock operator to
+//! ≤ 1e-10 on both backends, under the fp32 precision policy (as must
+//! every other strategy) and at non-power-of-two rank counts — with its
+//! solve counts pinned — and hide ≥ 50% of the exchange communication at
+//! 16 simulated ranks.
 
 use mpisim::{Cluster, NetworkModel, Topology};
 use ptim::distributed::{dist_fock_apply, BandDistribution, ExchangePlan, ExchangeStrategy};
-use ptim::grid2d::{ring_overlap_fock_apply, scatter_slab, ProcessGrid};
 use pwdft::fock::FockOptions;
 use pwdft::{Cell, DftSystem, FockOperator, Wavefunction};
-use pwfft::DistFft3;
 use pwnum::backend::{by_name, BackendHandle};
 use pwnum::cmat::CMat;
 use pwnum::complex::c64;
@@ -65,7 +62,7 @@ fn ring_overlap_matches_serial_asymmetric_on_both_backends() {
                 let fock = FockOperator::with_backend(&f.sys.grid, 0.2, be.clone());
                 let nat_local = f.nat_r[my.start * ng..my.end * ng].to_vec();
                 let psi_local = f.psi_r[my.start * ng..my.end * ng].to_vec();
-                let vx = dist_fock_apply(
+                let (vx, _) = dist_fock_apply(
                     c,
                     &fock,
                     &dist,
@@ -95,23 +92,20 @@ fn ring_overlap_symmetric_halving_matches_apply_pure_with_solve_counts() {
             let dist = BandDistribution::new(N_BANDS, c.size());
             let my = dist.range(c.rank());
             let fock = FockOperator::new(&f.sys.grid, 0.2);
-            let pgrid = ProcessGrid::new(c.size(), c.size());
             let nat_local = f.nat_r[my.start * ng..my.end * ng].to_vec();
             // Targets ARE the sources: the diagonal block must take the
             // Hermitian i ≤ j halving.
-            let (vx, report) = ring_overlap_fock_apply(
+            let (vx, stats) = dist_fock_apply(
                 c,
                 &fock,
-                &pgrid,
                 &dist,
-                None,
                 &nat_local,
                 &f.occ,
                 &nat_local,
-                0.0,
+                ExchangeStrategy::RingOverlap,
             );
             let want = &serial[my.start * ng..my.end * ng];
-            (max_abs_diff(&vx, want), report.solves)
+            (max_abs_diff(&vx, want), stats.solves)
         });
         // Expected solves: i ≤ j halving on every diagonal block, full
         // nb_src × nb_tgt on every off-diagonal block (no screening:
@@ -150,22 +144,19 @@ fn ring_overlap_honors_fp32_precision_policy() {
                 let dist = BandDistribution::new(N_BANDS, c.size());
                 let my = dist.range(c.rank());
                 let fock = FockOperator::with_options(&f.sys.grid, 0.2, be.clone(), opts);
-                let pgrid = ProcessGrid::new(c.size(), c.size());
                 let nat_local = f.nat_r[my.start * ng..my.end * ng].to_vec();
                 let psi_local = f.psi_r[my.start * ng..my.end * ng].to_vec();
-                let (vx, report) = ring_overlap_fock_apply(
+                let (vx, stats) = dist_fock_apply(
                     c,
                     &fock,
-                    &pgrid,
                     &dist,
-                    None,
                     &nat_local,
                     &f.occ,
                     &psi_local,
-                    0.0,
+                    ExchangeStrategy::RingOverlap,
                 );
                 let want = &serial[my.start * ng..my.end * ng];
-                (max_abs_diff(&vx, want), report.solves, report.solves_fp32)
+                (max_abs_diff(&vx, want), stats.solves, stats.solves_fp32)
             });
             for (rank, ((d, solves, solves32), _)) in out.iter().enumerate() {
                 assert!(
@@ -189,7 +180,7 @@ fn ring_overlap_honors_fp32_precision_policy() {
                     let fock = FockOperator::with_options(&f.sys.grid, 0.2, be.clone(), opts);
                     let nat_local = f.nat_r[my.start * ng..my.end * ng].to_vec();
                     let psi_local = f.psi_r[my.start * ng..my.end * ng].to_vec();
-                    let vx =
+                    let (vx, _) =
                         dist_fock_apply(c, &fock, &dist, &nat_local, &f.occ, &psi_local, strategy);
                     max_abs_diff(&vx, &serial[my.start * ng..my.end * ng])
                 });
@@ -214,142 +205,6 @@ const STRATEGIES: [ExchangeStrategy; 4] = [
 
 fn dist_count(n: usize, p: usize, rank: usize) -> usize {
     BandDistribution::new(n, p).count(rank)
-}
-
-#[test]
-fn two_d_grid_matches_serial_with_fft_counters() {
-    // Genuine band×grid layouts, including a non-power-of-two world
-    // size (6 = 3 groups × 2 grid ranks). Pair solves run on the
-    // slab-distributed FFT; results must still match the serial
-    // operator, and the distributed-FFT line counter must show 2 grid
-    // sweeps (forward + inverse) per solve.
-    let f = fixture();
-    let ng = f.sys.grid.len();
-    let (n0, n1, n2) = (6, 6, 6);
-    let fock = FockOperator::new(&f.sys.grid, 0.2);
-    let serial_asym = fock.apply_diag(&f.nat_r, &f.occ, &f.psi_r);
-    let serial_sym = fock.apply_pure(&f.nat_r, &f.occ);
-    for (groups, grid_ranks) in [(2usize, 2usize), (3, 2), (2, 3)] {
-        let p = groups * grid_ranks;
-        for symmetric in [false, true] {
-            let serial = if symmetric { &serial_sym } else { &serial_asym };
-            let out = Cluster::ideal(p).run(|c| {
-                let pgrid = ProcessGrid::new(c.size(), groups);
-                let (bg, _) = pgrid.coords(c.rank());
-                let dist = BandDistribution::new(N_BANDS, groups);
-                let fock = FockOperator::new(&f.sys.grid, 0.2);
-                let dfft = DistFft3::new(n0, n1, n2, pgrid.row_members(bg));
-                let nat_local =
-                    scatter_slab(&f.nat_r, ng, &pgrid, &dist, Some(&dfft), c.rank());
-                let psi_local =
-                    scatter_slab(&f.psi_r, ng, &pgrid, &dist, Some(&dfft), c.rank());
-                let (vx, report) = if symmetric {
-                    ring_overlap_fock_apply(
-                        c,
-                        &fock,
-                        &pgrid,
-                        &dist,
-                        Some(&dfft),
-                        &nat_local,
-                        &f.occ,
-                        &nat_local,
-                        0.0,
-                    )
-                } else {
-                    ring_overlap_fock_apply(
-                        c,
-                        &fock,
-                        &pgrid,
-                        &dist,
-                        Some(&dfft),
-                        &nat_local,
-                        &f.occ,
-                        &psi_local,
-                        0.0,
-                    )
-                };
-                // Serial slice for this rank: its group's bands, its slab.
-                let want = scatter_slab(serial, ng, &pgrid, &dist, Some(&dfft), c.rank());
-                (max_abs_diff(&vx, &want), report.solves, report.dist_fft_lines)
-            });
-            for (rank, ((d, _, _), _)) in out.iter().enumerate() {
-                assert!(
-                    *d < 1e-10,
-                    "groups={groups} grid={grid_ranks} sym={symmetric} rank={rank}: {d}"
-                );
-            }
-            // FFT-counter assertion: every row performs the same solve
-            // sequence, and the row-summed line count per solve is the
-            // full 3-D sweep twice (forward + inverse).
-            let pgrid = ProcessGrid::new(p, groups);
-            for bg in 0..groups {
-                let row = pgrid.row_members(bg);
-                let row_solves = out[row[0]].0 .1;
-                for &r in &row {
-                    assert_eq!(out[r].0 .1, row_solves, "row must share the solve count");
-                }
-                let row_lines: u64 = row.iter().map(|&r| out[r].0 .2).sum();
-                // One 3-D sweep, summed over the row: n0·n1 axis-2 lines,
-                // n0·n2 axis-1 lines, n1·n2 axis-0 lines.
-                let lines_per_sweep = (n0 * n1 + n0 * n2 + n1 * n2) as u64;
-                assert_eq!(
-                    row_lines,
-                    2 * lines_per_sweep * row_solves as u64,
-                    "groups={groups} bg={bg}: FFT line count"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn ring_overlap_matches_serial_at_64_and_96_ranks() {
-    // Paper-scale rank counts on genuine band×grid 2-D layouts: 64
-    // ranks (8 groups × 8 grid ranks) and 96 ranks (12 × 8 — a
-    // non-power-of-two world size). Packed 4 ranks per node, every
-    // row's slab transposes route through the hierarchical group
-    // all-to-all (each 8-rank row spans 2 nodes), and the whole run
-    // executes under the O(active ranks) event loop — this is the
-    // scaling regression for both.
-    let sys = DftSystem::with_dims(Cell::silicon_supercell(1, 1, 1), 2.0, [8, 8, 8]);
-    let n_bands = 16;
-    let ng = sys.grid.len();
-    let (n0, n1, n2) = (8, 8, 8);
-    let phi = Wavefunction::random(&sys.grid, n_bands, 11);
-    let nat_r = phi.to_real_all(&sys.fft);
-    let psi = Wavefunction::random(&sys.grid, n_bands, 12);
-    let psi_r = psi.to_real_all(&sys.fft);
-    let occ: Vec<f64> = (0..n_bands).map(|i| 1.0 / (1.0 + 0.2 * i as f64)).collect();
-    let fock = FockOperator::new(&sys.grid, 0.2);
-    let serial = fock.apply_diag(&nat_r, &occ, &psi_r);
-    for (groups, grid_ranks) in [(8usize, 8usize), (12, 8)] {
-        let p = groups * grid_ranks;
-        let out = Cluster::new(p, 4, NetworkModel::ideal()).run(|c| {
-            let pgrid = ProcessGrid::new(c.size(), groups);
-            let (bg, _) = pgrid.coords(c.rank());
-            let dist = BandDistribution::new(n_bands, groups);
-            let fock = FockOperator::new(&sys.grid, 0.2);
-            let dfft = DistFft3::new(n0, n1, n2, pgrid.row_members(bg));
-            let nat_local = scatter_slab(&nat_r, ng, &pgrid, &dist, Some(&dfft), c.rank());
-            let psi_local = scatter_slab(&psi_r, ng, &pgrid, &dist, Some(&dfft), c.rank());
-            let (vx, _) = ring_overlap_fock_apply(
-                c,
-                &fock,
-                &pgrid,
-                &dist,
-                Some(&dfft),
-                &nat_local,
-                &occ,
-                &psi_local,
-                0.0,
-            );
-            let want = scatter_slab(&serial, ng, &pgrid, &dist, Some(&dfft), c.rank());
-            max_abs_diff(&vx, &want)
-        });
-        for (rank, (d, _)) in out.iter().enumerate() {
-            assert!(*d < 1e-10, "p={p} ({groups}×{grid_ranks}) rank={rank}: mismatch {d}");
-        }
-    }
 }
 
 #[test]

@@ -391,7 +391,7 @@ mod tests {
         let alpha = Complex64::new(0.3, -1.2);
         let mut psi2 = psi.clone();
         for z in psi2.data.iter_mut() {
-            *z = *z * alpha;
+            *z *= alpha;
         }
         let mut v2 = vec![Complex64::ZERO; psi.data.len()];
         ace.apply_add(&psi2, 1.0, &mut v2);

@@ -185,13 +185,8 @@ mod tests {
         let mut kin: Vec<f64> =
             grid.g2.iter().zip(&grid.mask).filter(|(_, &m)| m).map(|(g, _)| 0.5 * g).collect();
         kin.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for i in 0..5 {
-            assert!(
-                (r.eigs[i] - kin[i]).abs() < 1e-6,
-                "state {i}: {} vs {}",
-                r.eigs[i],
-                kin[i]
-            );
+        for (i, (e, k)) in r.eigs.iter().zip(&kin).take(5).enumerate() {
+            assert!((e - k).abs() < 1e-6, "state {i}: {e} vs {k}");
         }
         assert!(r.residual < 1e-6);
     }

@@ -269,18 +269,14 @@ impl<'g> FockOperator<'g> {
         &self.opts
     }
 
-    /// The screened kernel table `K(G)` per grid point — the full-grid
-    /// array a grid-decomposed (slab) Poisson solve slices its owned
-    /// planes out of.
+    /// The screened kernel table `K(G)` per grid point, in the FFT's
+    /// row-major order: what every screened-Poisson solve multiplies by.
+    /// The fp32 pipeline demotes it once per operator, and a standalone
+    /// convolve (one forward FFT, `K(G)` multiply, one inverse) can reuse
+    /// it without building pair densities.
     #[inline]
     pub fn kernel_table(&self) -> &[f64] {
         &self.kernel.kg
-    }
-
-    /// Grid dimensions `(n0, n1, n2)` of the operator's FFT mesh.
-    #[inline]
-    pub fn grid_dims(&self) -> (usize, usize, usize) {
-        self.fft.dims()
     }
 
     /// One staged screened-Poisson round trip per grid of `pairs`, in

@@ -285,7 +285,7 @@ mod tests {
         // Our grid rule may differ by smooth rounding; the paper's grid is
         // 60x90x120 = 648,000 points. Accept the same order.
         let ng = g.len();
-        assert!(ng >= 300_000 && ng <= 1_400_000, "Ng = {ng}");
+        assert!((300_000..=1_400_000).contains(&ng), "Ng = {ng}");
     }
 
     #[test]
@@ -309,9 +309,9 @@ mod tests {
         let r0 = g.r_coord(0);
         assert_eq!(r0, [0.0, 0.0, 0.0]);
         let rlast = g.r_coord(g.len() - 1);
-        for d in 0..3 {
-            assert!(rlast[d] < cell.lengths[d]);
-            assert!(rlast[d] > 0.5 * cell.lengths[d]);
+        for (r, len) in rlast.iter().zip(cell.lengths) {
+            assert!(*r < len);
+            assert!(*r > 0.5 * len);
         }
     }
 

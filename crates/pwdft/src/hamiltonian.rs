@@ -270,10 +270,10 @@ mod tests {
             .collect();
         let (vh, _) = hartree_potential(&grid, &fft, &rho);
         let scale = 4.0 * std::f64::consts::PI / (g1 * g1);
-        for i in 0..grid.len() {
+        for (i, v) in vh.iter().enumerate() {
             let r = grid.r_coord(i);
             let expect = scale * (g1 * r[0]).cos();
-            assert!((vh[i] - expect).abs() < 1e-9, "point {i}: {} vs {expect}", vh[i]);
+            assert!((v - expect).abs() < 1e-9, "point {i}: {v} vs {expect}");
         }
     }
 

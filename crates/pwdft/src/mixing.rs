@@ -476,17 +476,16 @@ mod tests {
 
     /// Linear fixed point T(x) = A x + b with spectral radius < 1.
     fn linear_map(x: &[Complex64]) -> Vec<Complex64> {
-        let n = x.len();
-        let mut out = vec![Complex64::ZERO; n];
-        for i in 0..n {
-            let mut acc = c64(0.1 * (i as f64 + 1.0), 0.05);
-            for (j, xj) in x.iter().enumerate() {
-                let a = 0.5 / (1.0 + (i as f64 - j as f64).abs());
-                acc += xj.scale(a * 0.6);
-            }
-            out[i] = acc;
-        }
-        out
+        (0..x.len())
+            .map(|i| {
+                let mut acc = c64(0.1 * (i as f64 + 1.0), 0.05);
+                for (j, xj) in x.iter().enumerate() {
+                    let a = 0.5 / (1.0 + (i as f64 - j as f64).abs());
+                    acc += xj.scale(a * 0.6);
+                }
+                acc
+            })
+            .collect()
     }
 
     fn residual_norm(x: &[Complex64]) -> f64 {

@@ -13,12 +13,6 @@
 //!   [`pwnum::backend::Backend`] own slab decomposition and scratch
 //!   reuse (DESIGN.md §3).
 //!
-//! * [`dist`] — the slab-decomposed distributed 3-D transform
-//!   ([`DistFft3`]) over an [`mpisim`] rank group: axis-2/axis-1 passes
-//!   local to each rank's plane slab, the Z-pass via a group-scoped
-//!   `alltoallv` transpose. Bitwise identical to the serial [`Fft3`] —
-//!   the grid dimension of the hierarchical 2-D parallelization.
-//!
 //! * [`plan32`] / [`fft32`] — the single-precision twins ([`Plan32`],
 //!   [`Fft32`]): fp32 twiddles and butterflies with the same mixed-radix
 //!   structure, feeding the mixed-precision exchange pipeline through
@@ -34,14 +28,12 @@
 //! All grid sizes used by the physics code are 2/3/5-smooth, matching the
 //! paper's production grids (e.g. 60×90×120 for 1536 Si atoms).
 
-pub mod dist;
 pub mod fft3;
 pub mod fft32;
 pub mod plan;
 pub mod plan32;
 mod tile;
 
-pub use dist::DistFft3;
 pub use fft3::{ConvolvePass, Fft3, FftPass};
 pub use fft32::{ConvolvePass32, Fft32};
 pub use plan::Plan;

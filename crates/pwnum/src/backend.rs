@@ -1961,8 +1961,8 @@ mod tests {
         ];
         let mut out_r = vec![Complex64::ZERO; nb * ng];
         let mut out_b = vec![Complex64::ZERO; nb * ng];
-        Reference.fused_pair_solve32(&pass, &phi, &phi, ng, &tasks, &mut out_r, None);
-        Blocked::new().fused_pair_solve32(&pass, &phi, &phi, ng, &tasks, &mut out_b, None);
+        Reference.fused_pair_solve32(&pass, phi, phi, ng, &tasks, &mut out_r, None);
+        Blocked::new().fused_pair_solve32(&pass, phi, phi, ng, &tasks, &mut out_b, None);
         // fp32 primitives must agree exactly across backends.
         assert_eq!(cvec::max_abs_diff(&out_r, &out_b), 0.0);
         assert!(out_r.iter().any(|z| *z != Complex64::ZERO));
@@ -1970,7 +1970,7 @@ mod tests {
         let mut out_c = vec![Complex64::ZERO; nb * ng];
         let mut comp = vec![Complex64::ZERO; nb * ng];
         Blocked::new()
-            .fused_pair_solve32(&pass, &phi, &phi, ng, &tasks, &mut out_c, Some(&mut comp));
+            .fused_pair_solve32(&pass, phi, phi, ng, &tasks, &mut out_c, Some(&mut comp));
         assert!(cvec::max_abs_diff(&out_c, &out_b) < 1e-6);
     }
 }

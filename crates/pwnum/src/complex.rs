@@ -383,7 +383,7 @@ mod tests {
 
     #[test]
     fn sum_over_iterator() {
-        let v = vec![c64(1.0, 1.0); 10];
+        let v = [c64(1.0, 1.0); 10];
         let s: Complex64 = v.iter().sum();
         assert_eq!(s, c64(10.0, 10.0));
     }

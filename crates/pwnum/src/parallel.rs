@@ -48,9 +48,9 @@ pub fn num_threads(max: usize) -> usize {
 /// `0..n_items` exactly.
 ///
 /// This is the single source of truth for every 1-D ownership map in the
-/// workspace — band ranges over ranks, grid-point ranges for the
-/// band↔grid transpose, and FFT slab planes in `pwfft`'s distributed
-/// transform — so the layers can never disagree about who owns what.
+/// workspace — band ranges over ranks and grid-point ranges for the
+/// band↔grid transpose — so the layers can never disagree about who owns
+/// what.
 pub fn block_range(n_items: usize, n_parts: usize, part: usize) -> std::ops::Range<usize> {
     assert!(n_parts > 0, "block_range needs at least one part");
     assert!(part < n_parts, "part {part} out of {n_parts}");

@@ -32,7 +32,7 @@ fn main() {
         let mut real = state.phi.to_real_all(fft);
         for band in real.chunks_mut(ng) {
             for (z, &xi) in band.iter_mut().zip(&x) {
-                *z = *z * Complex64::cis(kick * xi);
+                *z *= Complex64::cis(kick * xi);
             }
         }
         state.phi = pwdft_repro::pwdft::Wavefunction::from_real(&sys.grid, fft, real);

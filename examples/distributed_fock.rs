@@ -1,5 +1,5 @@
 //! Distributed Fock exchange demo: the wavefunction exchange strategies
-//! (Bcast / Ring / AsyncRing / the hierarchical RingOverlap) running for
+//! (Bcast / Ring / AsyncRing / the ring-pipelined RingOverlap) running for
 //! real on the mpisim runtime, with identical physics and different
 //! communication profiles. A modeled per-solve compute cost is charged to
 //! the virtual clock so the nonblocking strategies have work to hide
@@ -85,7 +85,7 @@ fn main() {
             let nat_local = nat_r[my.start * ng..my.end * ng].to_vec();
             let psi_local = phi_r[my.start * ng..my.end * ng].to_vec();
             let plan = ExchangePlan { strategy, solve_cost_s: solve_cost };
-            let vx =
+            let (vx, _) =
                 dist_fock_apply(c, &fock, &dist, &nat_local, &values, &psi_local, plan);
             let want = &serial_ref[my.start * ng..my.end * ng];
             let err = pwdft_repro::pwnum::cvec::max_abs_diff(&vx, want);
@@ -125,6 +125,6 @@ fn main() {
     }
     println!("\nall strategies compute identical physics; the virtual-clock network");
     println!("model shows the Bcast→Ring→Async communication migration of the");
-    println!("paper's Table I (Sec. IV-B), and the hierarchical RingOverlap exchange");
+    println!("paper's Table I (Sec. IV-B), and the ring-pipelined RingOverlap exchange");
     println!("hiding its remaining transfers behind the pair Poisson solves.");
 }

@@ -33,8 +33,8 @@ fn main() {
             }
         };
         println!(
-            "{:>7} {:>10} {:>10} {:>10} {:>10} {:>10}  {}",
-            "nodes", "BL", "Diag", "ACE", "Ring", "Async", "comm% (Async)"
+            "{:>7} {:>10} {:>10} {:>10} {:>10} {:>10}  comm% (Async)",
+            "nodes", "BL", "Diag", "ACE", "Ring", "Async"
         );
         for nodes in nodes_list {
             let times: Vec<f64> =

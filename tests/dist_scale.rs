@@ -47,7 +47,7 @@ fn ring_overlap_fock_matches_serial_at_128_ranks() {
         let fock = FockOperator::new(&sys_ref.grid, 0.2);
         let nat_local = nat_ref[my.start * ng..my.end * ng].to_vec();
         let psi_local = psi_ref[my.start * ng..my.end * ng].to_vec();
-        let vx = dist_fock_apply(
+        let (vx, _) = dist_fock_apply(
             c,
             &fock,
             &dist,

@@ -10,10 +10,13 @@
 
 use pwdft_repro::mpisim::{Cluster, NetworkModel};
 use pwdft_repro::ptim::distributed::{
-    dist_ptim_step, gather_state, scatter_state, BandDistribution, DistConfig, ExchangeStrategy,
+    dist_fock_apply, dist_ptim_step, gather_state, scatter_state, BandDistribution, DistConfig,
+    ExchangeStrategy,
 };
 use pwdft_repro::ptim::{ptim_step, HybridParams, LaserPulse, PtimConfig, TdEngine, TdState};
-use pwdft_repro::pwdft::{Cell, DftSystem, Wavefunction};
+use pwdft_repro::pwdft::fock::FockOptions;
+use pwdft_repro::pwdft::{Cell, DftSystem, FockApplyStats, FockOperator, Wavefunction};
+use pwdft_repro::pwnum::backend::default_backend;
 use pwdft_repro::pwnum::cmat::CMat;
 use pwdft_repro::pwnum::{c64, eigh};
 
@@ -41,8 +44,7 @@ fn run_distributed(
     st: &TdState,
     hyb: HybridParams,
     dt: f64,
-    p: usize,
-    rpn: usize,
+    (p, rpn): (usize, usize),
     strategy: ExchangeStrategy,
     use_shm: bool,
 ) -> (Vec<f64>, CMat, bool) {
@@ -78,7 +80,7 @@ fn every_strategy_matches_serial_semilocal() {
         ExchangeStrategy::RingOverlap,
     ] {
         let (rho, sigma, conv) =
-            run_distributed(&sys, &st, hyb, dt, 3, 2, strategy, false);
+            run_distributed(&sys, &st, hyb, dt, (3, 2), strategy, false);
         assert!(conv, "{strategy:?} did not converge");
         let d = rho_diff(&rho, &rho_ref, sys.grid.dv());
         let ds = sigma.max_abs_diff(&sigma_ref);
@@ -94,7 +96,7 @@ fn hybrid_distributed_matches_serial() {
     let dt = 0.3;
     let (rho_ref, sigma_ref) = serial_reference(&sys, &st, hyb, dt);
     let (rho, sigma, conv) =
-        run_distributed(&sys, &st, hyb, dt, 2, 2, ExchangeStrategy::Ring, true);
+        run_distributed(&sys, &st, hyb, dt, (2, 2), ExchangeStrategy::Ring, true);
     assert!(conv);
     let d = rho_diff(&rho, &rho_ref, sys.grid.dv());
     let ds = sigma.max_abs_diff(&sigma_ref);
@@ -108,9 +110,9 @@ fn shm_toggle_does_not_change_physics() {
     let hyb = HybridParams { alpha: 0.0, omega: 0.2, ..Default::default() };
     let dt = 0.5;
     let (rho_a, sigma_a, _) =
-        run_distributed(&sys, &st, hyb, dt, 4, 4, ExchangeStrategy::Ring, true);
+        run_distributed(&sys, &st, hyb, dt, (4, 4), ExchangeStrategy::Ring, true);
     let (rho_b, sigma_b, _) =
-        run_distributed(&sys, &st, hyb, dt, 4, 4, ExchangeStrategy::Ring, false);
+        run_distributed(&sys, &st, hyb, dt, (4, 4), ExchangeStrategy::Ring, false);
     assert!(rho_diff(&rho_a, &rho_b, sys.grid.dv()) < 1e-12);
     assert!(sigma_a.max_abs_diff(&sigma_b) < 1e-12);
 }
@@ -124,7 +126,7 @@ fn rank_count_does_not_change_physics() {
         let mut results = Vec::new();
         for p in [1usize, 2, 3, 6] {
             let (rho, sigma, conv) =
-                run_distributed(&sys, &st, hyb, dt, p, 2, ExchangeStrategy::Ring, false);
+                run_distributed(&sys, &st, hyb, dt, (p, 2), ExchangeStrategy::Ring, false);
             assert!(conv, "α={alpha} p={p}");
             results.push((p, rho, sigma));
         }
@@ -146,7 +148,7 @@ fn hybrid_ring_overlap_matches_serial() {
     let dt = 0.3;
     let (rho_ref, sigma_ref) = serial_reference(&sys, &st, hyb, dt);
     let (rho, sigma, conv) =
-        run_distributed(&sys, &st, hyb, dt, 3, 2, ExchangeStrategy::RingOverlap, true);
+        run_distributed(&sys, &st, hyb, dt, (3, 2), ExchangeStrategy::RingOverlap, true);
     assert!(conv);
     let d = rho_diff(&rho, &rho_ref, sys.grid.dv());
     let ds = sigma.max_abs_diff(&sigma_ref);
@@ -159,7 +161,7 @@ fn sigma_spectrum_stays_physical_distributed() {
     let (sys, st) = fixture();
     let hyb = HybridParams { alpha: 0.25, omega: 0.2, ..Default::default() };
     let (_, sigma, _) =
-        run_distributed(&sys, &st, hyb, 0.4, 2, 2, ExchangeStrategy::AsyncRing, true);
+        run_distributed(&sys, &st, hyb, 0.4, (2, 2), ExchangeStrategy::AsyncRing, true);
     let e = eigh(&sigma);
     // The implicit-midpoint update preserves the σ spectrum to O(Δt³)
     // per step, not exactly; allow that integrator-level tolerance.
@@ -168,4 +170,59 @@ fn sigma_spectrum_stays_physical_distributed() {
     }
     let trace: f64 = e.values.iter().sum();
     assert!((trace - 3.4).abs() < 1e-8, "trace {trace}");
+}
+
+#[test]
+fn ring_exchange_reports_the_serial_screened_weight() {
+    // A cutoff between the two smallest occupations (0.2, ≈ 0.05) screens
+    // the tail of the finite-T state. Summed over ranks, the ring's
+    // per-rank stats must be the serial apply's, on every strategy.
+    let (sys, st) = fixture();
+    let fock_opts = FockOptions { occ_cutoff: 0.1, ..Default::default() };
+    let e = eigh(&st.sigma);
+    let nat_r = st.phi.rotated(&e.vectors).to_real_all(&sys.fft);
+    let psi_r = st.phi.to_real_all(&sys.fft);
+    let ng = sys.grid.len();
+    let fock = || FockOperator::with_options(&sys.grid, 0.2, default_backend().clone(), fock_opts);
+    let (_, serial) = fock().apply_diag_stats(&nat_r, &e.values, &psi_r);
+    assert!(serial.skipped_pairs > 0 && serial.skipped_weight > 0.0, "{serial:?}");
+    for strategy in [
+        ExchangeStrategy::Bcast,
+        ExchangeStrategy::Ring,
+        ExchangeStrategy::AsyncRing,
+        ExchangeStrategy::RingOverlap,
+    ] {
+        for p in [2usize, 3, 4] {
+            let out = Cluster::ideal(p).run(|c| {
+                let dist = BandDistribution::new(6, c.size());
+                let my = dist.range(c.rank());
+                let local = my.start * ng..my.end * ng;
+                let (nat, psi) = (&nat_r[local.clone()], &psi_r[local]);
+                dist_fock_apply(c, &fock(), &dist, nat, &e.values, psi, strategy).1
+            });
+            let sum = out.iter().fold(FockApplyStats::default(), |mut acc, (st, _)| {
+                acc.solves += st.solves;
+                acc.skipped_pairs += st.skipped_pairs;
+                acc.skipped_weight += st.skipped_weight;
+                acc
+            });
+            assert_eq!(sum.solves, serial.solves, "{strategy:?} p={p}");
+            assert_eq!(sum.skipped_pairs, serial.skipped_pairs, "{strategy:?} p={p}");
+            let rel = (sum.skipped_weight - serial.skipped_weight).abs() / serial.skipped_weight;
+            assert!(rel <= 1e-12, "{strategy:?} p={p}: skipped weight off by {rel:e}");
+        }
+    }
+
+    // The distributed step carries the ring's weight into its StepStats.
+    let hybrid = HybridParams { alpha: 0.25, omega: 0.2, fock: fock_opts };
+    let cfg = DistConfig { strategy: ExchangeStrategy::RingOverlap, hybrid, ..Default::default() };
+    let laser = LaserPulse::off();
+    let out = Cluster::ideal(3).run(|c| {
+        let dist = BandDistribution::new(6, c.size());
+        let local = scatter_state(c, &st, &dist);
+        dist_ptim_step(c, &sys, &laser, &cfg, &dist, &local, 0.3, 40, 1e-12).1.fock_skipped_weight
+    });
+    for (rank, (weight, _)) in out.iter().enumerate() {
+        assert!(*weight > 0.0, "rank {rank}: dist_ptim_step reported no screened weight");
+    }
 }

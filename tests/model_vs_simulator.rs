@@ -163,7 +163,7 @@ fn async_ring_overlap_reduces_visible_time() {
 
 #[test]
 fn overlap_schedule_prediction_tracks_measured_ring_overlap_step() {
-    // Calibration gate for the hierarchical subsystem: the overlap-aware
+    // Calibration gate for the ring-pipelined exchange: the overlap-aware
     // closed form (`perfmodel::comm::ring_overlap_time`) must predict the
     // mpisim-measured RingOverlap exchange time on the bench topology
     // (the `dist_overlap` bench network) within 20%, at every bench rank

@@ -20,7 +20,7 @@ fn umbrella_reexports_all_six_crates() {
 
     let cell = pwdft_repro::pwdft::Cell::silicon_supercell(1, 1, 1);
     let sys = pwdft_repro::pwdft::DftSystem::with_dims(cell, 2.0, [6, 6, 6]);
-    assert!(sys.grid.len() > 0);
+    assert!(!sys.grid.is_empty());
 
     let pulse = pwdft_repro::ptim::LaserPulse::paper_pulse(0.01, 10.0);
     assert!(pulse.field(0.0).is_finite());

@@ -50,6 +50,14 @@ impl<T: Clone + Send + 'static> Payload for Vec<T> {
     }
 }
 
+/// A shared block: sending a clone moves no data, so a sender that
+/// still reads its block after posting it holds one copy, not two.
+impl<T: Send + Sync + 'static> Payload for std::sync::Arc<[T]> {
+    fn byte_len(&self) -> usize {
+        self.len() * std::mem::size_of::<T>()
+    }
+}
+
 impl Payload for () {
     fn byte_len(&self) -> usize {
         0

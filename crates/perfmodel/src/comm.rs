@@ -130,6 +130,28 @@ pub fn hier_allreduce_time(pf: &Platform, p: usize, bytes: f64) -> f64 {
     intra + inter
 }
 
+/// Two-level all-gather of per-rank blocks of `block_bytes`: members
+/// stage through the node window, node leaders ring the per-node blocks
+/// over the network (`nodes − 1` steps of a length header and the data),
+/// and the assembled result fans back out through the window, with six
+/// node barriers. Mirrors `mpisim::Comm::hier_allgatherv`; below the
+/// hierarchy threshold it is the flat ring [`allgatherv_time`].
+pub fn hier_allgatherv_time(pf: &Platform, p: usize, block_bytes: f64) -> f64 {
+    let rpn = pf.ranks_per_node.max(1);
+    if rpn <= 1 || p <= rpn {
+        return allgatherv_time(pf, p, block_bytes);
+    }
+    let nodes = p.div_ceil(rpn);
+    let node_bytes = rpn as f64 * block_bytes;
+    let all_bytes = p as f64 * block_bytes;
+    let intra = shm_access(pf, block_bytes)
+        + shm_access(pf, node_bytes)
+        + 2.0 * shm_access(pf, all_bytes)
+        + 12.0 * pf.shm_latency;
+    let inter = (nodes - 1) as f64 * (2.0 * pf.net_latency + node_bytes / pf.net_bw);
+    intra + inter
+}
+
 /// Two-level all-to-all where each rank scatters `bytes_total` over the
 /// other ranks: same-node chunks move directly through shared memory;
 /// remote chunks bundle up to the node leader, cross the network as one
@@ -199,6 +221,40 @@ pub fn hier_ring_overlap_time(
     }
     let edge = ring_edge_time(pf, p, block_bytes);
     p as f64 * compute_per_block + (p - 1) as f64 * (edge - compute_per_block).max(0.0)
+}
+
+/// Node-contiguous *half* ring: the self-applied exchange, where each
+/// unordered pair of the `p` band blocks is met once. The owner's
+/// diagonal phase and `⌊p/2⌋` visiting-block phases share `compute`
+/// seconds of solves; each hop's block transfer hides behind its phase
+/// as in [`hier_ring_overlap_time`], and so does each partial image,
+/// which follows its block one hop behind. The last image returns to its
+/// owner, `⌊p/2⌋` ranks away, behind the second half of the owner's
+/// diagonal phase; only the excess stays visible.
+pub fn hier_half_ring_overlap_time(
+    pf: &Platform,
+    p: usize,
+    block_bytes: f64,
+    compute: f64,
+) -> f64 {
+    if p <= 1 {
+        return compute;
+    }
+    let hops = p / 2;
+    let phase = compute / (hops + 1) as f64;
+    let edge = ring_edge_time(pf, p, block_bytes);
+    let hidden = (hops + 1) as f64 * phase + hops as f64 * (edge - phase).max(0.0);
+    hidden + (image_return_time(pf, p, block_bytes) - 0.5 * phase).max(0.0)
+}
+
+/// The half ring's image return: `⌊p/2⌋` ranks back to the owner, inside
+/// one node only when the whole ring is.
+fn image_return_time(pf: &Platform, p: usize, image_bytes: f64) -> f64 {
+    if pf.ranks_per_node.max(1) >= p {
+        pf.shm_latency + image_bytes / pf.shm_bw
+    } else {
+        pf.net_latency + image_bytes / pf.net_bw
+    }
 }
 
 #[cfg(test)]

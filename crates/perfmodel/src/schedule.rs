@@ -13,8 +13,9 @@
 //! volumes match the paper's Table I magnitudes.
 
 use crate::comm::{
-    allreduce_time, alltoallv_time, bcast_time, hier_allreduce_time, hier_alltoallv_time,
-    hier_ring_overlap_time, hier_ring_time, ring_time,
+    allreduce_time, alltoallv_time, bcast_time, hier_allgatherv_time, hier_allreduce_time,
+    hier_alltoallv_time, hier_half_ring_overlap_time, hier_ring_overlap_time, hier_ring_time,
+    ring_time,
 };
 use crate::platform::Platform;
 use crate::workload::Workload;
@@ -320,11 +321,15 @@ pub struct DistStepShape {
 /// exchange compute — **not** the physical kernel workload of
 /// [`step_time`] (the simulated step's host-side math costs no virtual
 /// time). Per fixed-point evaluation the step runs: two ring rotations
-/// (natural orbitals + subspace correction), one ρ all-reduce, the
-/// overlapped exchange ring, and two overlap builds (four band→grid
+/// (natural orbitals, subspace correction), one ρ all-reduce, the
+/// overlapped exchange, and two overlap builds (four band→grid
 /// transposes + two N×N all-reduces); the final Löwdin pass adds one
-/// more overlap build and rotation. All rings are node-contiguous, so
-/// their dependency chains mix intra- and inter-node edges
+/// more overlap build and rotation. With a band on every rank
+/// (`n_bands ≥ p`) the exchange is the self-applied half ring, plus the
+/// all-gather of every rank's eigenvector columns (`Q̂`) and a third
+/// rotation (the images back by `Q̂⁻¹`); with band-less ranks it is the
+/// target-major full ring. All rings are node-contiguous, so their
+/// dependency chains mix intra- and inter-node edges
 /// ([`crate::comm::ring_edge_time`]).
 pub fn dist_step_sim_time(pf: &Platform, shape: &DistStepShape) -> f64 {
     let DistStepShape { p, n_bands, ng, solve_cost_s, max_scf } = *shape;
@@ -335,15 +340,21 @@ pub fn dist_step_sim_time(pf: &Platform, shape: &DistStepShape) -> f64 {
     // grids, 16 bytes per point; blocks are empty on band-less ranks).
     let block_bytes = 16.0 * n * ng as f64 / p as f64;
 
-    // Subspace rotations: 2 per evaluation + the final Löwdin rotation.
-    let rotations = 2.0 * n_updates + 1.0;
-    let t_rotate = hier_ring_time(pf, p, block_bytes);
+    // Overlapped exchange, paced by the busiest rank's pair solves: on
+    // the half ring with the Q̂ gather and one more rotation, or on the
+    // full ring (n_src × nb_max pairs spread over the p ring phases).
+    let (t_fock, t_q_hat, rotations_per_eval) = if n_bands >= p {
+        let solves = (0..p).map(|r| half_ring_solves(n_bands, p, r)).fold(0.0, f64::max);
+        let t_fock = hier_half_ring_overlap_time(pf, p, block_bytes, solves * solve_cost_s);
+        (t_fock, hier_allgatherv_time(pf, p, 16.0 * n * nb_max), 3.0)
+    } else {
+        let compute_per_block = n * nb_max * solve_cost_s / p as f64;
+        (hier_ring_overlap_time(pf, p, block_bytes, compute_per_block), 0.0, 2.0)
+    };
 
-    // Overlapped exchange: every evaluation circulates the natural
-    // orbitals once; the busiest rank solves n_src × nb_max pairs spread
-    // over the p ring phases.
-    let compute_per_block = n * nb_max * solve_cost_s / p as f64;
-    let t_fock = hier_ring_overlap_time(pf, p, block_bytes, compute_per_block);
+    // Subspace rotations per evaluation + the final Löwdin rotation.
+    let rotations = rotations_per_eval * n_updates + 1.0;
+    let t_rotate = hier_ring_time(pf, p, block_bytes);
 
     // Overlap builds: 2 per evaluation (S, Hm) + the final Löwdin S.
     // Each transposes both operand blocks (band→grid alltoallv of the
@@ -356,14 +367,35 @@ pub fn dist_step_sim_time(pf: &Platform, shape: &DistStepShape) -> f64 {
     let t_rho = hier_allreduce_time(pf, p, 8.0 * ng as f64);
 
     rotations * t_rotate
-        + n_updates * t_fock
+        + n_updates * (t_fock + t_q_hat)
         + overlaps * (2.0 * t_transpose + t_mat_reduce)
         + n_updates * t_rho
+}
+
+/// Pair solves rank `r` of `p` performs in one self-applied half-ring
+/// exchange of `n` bands dealt out in balanced contiguous blocks: its
+/// diagonal block's `i ≤ j` pairs plus every pair with the blocks of the
+/// `⌊p/2⌋` ranks ahead, half of them with the last when `p` is even.
+fn half_ring_solves(n: usize, p: usize, r: usize) -> f64 {
+    let count = |r: usize| (n / p + usize::from(r < n % p)) as f64;
+    let nb = count(r);
+    let cross: f64 = (1..=p / 2)
+        .map(|d| if 2 * d == p { 0.5 } else { 1.0 } * nb * count((r + d) % p))
+        .sum();
+    nb * (nb + 1.0) / 2.0 + cross
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn half_ring_solves_sum_to_the_pair_symmetric_count() {
+        for (n, p) in [(64, 16), (64, 128), (7, 3), (7, 4), (5, 16), (1, 1)] {
+            let total: f64 = (0..p).map(|r| half_ring_solves(n, p, r)).sum();
+            assert_eq!(total, (n * (n + 1) / 2) as f64, "n={n} p={p}");
+        }
+    }
 
     fn breakdowns(pf: &Platform, atoms: usize, nodes: usize) -> Vec<(Variant, StepBreakdown)> {
         let w = Workload::silicon(atoms);

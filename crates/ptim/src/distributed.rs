@@ -25,11 +25,14 @@
 //! * [`ExchangeStrategy::RingOverlap`] — the ring-pipelined overlapped
 //!   exchange: the `AsyncRing` schedule, bit for bit.
 //!
-//! Every strategy runs the same block kernel: one batched apply of the
-//! operator per arriving block (symmetric halving on the self-applied
-//! diagonal block, precision policy honored), so all produce the same
-//! physics (unit-tested against the serial code) and differ only in
-//! which timing category the virtual clock charges — exactly Table I.
+//! Every strategy runs the same block kernels — the target-major apply
+//! of [`dist_fock_apply`], or the pair-symmetric half ring of
+//! [`dist_fock_apply_pure`] that the step's H apply runs on its own
+//! natural orbitals when every rank holds a band (precision policy
+//! honored either way) — so all
+//! produce the same physics (unit-tested against the serial code) and
+//! differ only in which timing category the virtual clock charges —
+//! exactly Table I.
 //! Nonblocking transfers record their hidden/visible split as the
 //! overlap-efficiency metric ([`mpisim::Stats::overlap_efficiency`]).
 //! Optionally the replicated square matrices (σ, Φ\*Φ,
@@ -37,7 +40,7 @@
 //! footprint to `1/ranks-per-node`.
 
 use crate::engine::{EvalPoint, HybridParams, TdEngine};
-use crate::grid2d::{circulate, ring_fock_apply, Transport};
+use crate::grid2d::{circulate, half_ring_fock_apply, ring_fock_apply, Transport};
 use crate::laser::LaserPulse;
 use crate::propagate::StepStats;
 use crate::ptim::PtimConfig;
@@ -47,10 +50,12 @@ use mpisim::{Comm, Tag};
 use pwdft::density::{density_diag, NaturalOrbitals};
 use pwdft::{DftSystem, FockApplyStats, FockOperator, Wavefunction};
 use pwnum::backend::default_backend;
+use pwnum::chol::solve_hpd;
 use pwnum::cmat::CMat;
 use pwnum::complex::Complex64;
 use pwnum::eigh;
 use pwnum::parallel::block_range;
+use std::sync::Arc;
 
 /// Wavefunction-exchange strategy for the distributed Fock operator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,6 +70,17 @@ pub enum ExchangeStrategy {
     /// block's pair solves, per-transfer hidden/visible accounting. The
     /// same schedule as [`ExchangeStrategy::AsyncRing`].
     RingOverlap,
+}
+
+impl ExchangeStrategy {
+    /// The ring transport the strategy runs on.
+    fn transport(self) -> Transport {
+        match self {
+            ExchangeStrategy::Bcast => Transport::Bcast,
+            ExchangeStrategy::Ring => Transport::Sendrecv,
+            ExchangeStrategy::AsyncRing | ExchangeStrategy::RingOverlap => Transport::Nonblocking,
+        }
+    }
 }
 
 /// How one distributed Fock exchange runs: the strategy plus the modeled
@@ -251,16 +267,24 @@ pub fn dist_rotate(
     phi_local: &Wavefunction,
     q: &CMat,
 ) -> Wavefunction {
-    let ng = phi_local.ng;
+    let data = rotate_bands(comm, dist, &phi_local.data, phi_local.ng, q);
+    Wavefunction { n_bands: dist.count(comm.rank()), data, ..*phi_local }
+}
+
+/// [`dist_rotate`] of band-major blocks of `len`-point bands (G-space
+/// coefficients or real-space grids alike).
+fn rotate_bands(
+    comm: &mut Comm,
+    dist: &BandDistribution,
+    local: &[Complex64],
+    len: usize,
+    q: &CMat,
+) -> Vec<Complex64> {
     let my = dist.range(comm.rank());
     let n_out = my.len();
-    let mut out = Wavefunction {
-        n_bands: n_out,
-        ng,
-        ip_scale: phi_local.ip_scale,
-        data: vec![Complex64::ZERO; n_out * ng],
-    };
-    circulate(comm, &phi_local.data, Transport::Sendrecv, ROTATE_TAG, |_, src, block| {
+    let mut out = vec![Complex64::ZERO; n_out * len];
+    let hops = comm.size() - 1;
+    circulate(comm, Arc::from(local), Transport::Sendrecv, ROTATE_TAG, hops, |_, src, block| {
         let src_range = dist.range(src);
         // Accumulate this block's bands into every local target at once:
         // one blocked accumulate with the `src_range × my` block of Q
@@ -269,7 +293,7 @@ pub fn dist_rotate(
             let q_blk = CMat::from_fn(src_range.len(), n_out, |i, j| {
                 q[(src_range.start + i, my.start + j)]
             });
-            default_backend().rotate_acc(Complex64::ONE, block, &q_blk, ng, &mut out.data);
+            default_backend().rotate_acc(Complex64::ONE, block, &q_blk, len, &mut out);
         }
     });
     out
@@ -300,20 +324,12 @@ pub fn dist_density(
 /// and skipped-weight counts are the serial apply's.
 ///
 /// Every strategy runs the same block kernel on each arriving source
-/// block: one batched apply of `fock` against the local targets, so
-/// occupation screening and the operator's precision policy
-/// ([`FockOptions`](pwdft::FockOptions)) hold on every strategy. When the
-/// local targets *alias* the local source block (pass the same slice for
-/// `nat_r_local` and `psi_r_local` — the self-applied case a distributed
-/// ACE rebuild performs), the diagonal block — the step where a rank
-/// processes its own bands — uses the Hermitian `i ≤ j` pair halving:
-/// both ends of each local pair live on this rank, so one Poisson solve
-/// feeds both accumulators. Off-diagonal blocks stay one-sided (the
-/// swapped contribution belongs to the remote owner). [`dist_ptim_step`]'s
-/// H apply passes the midpoint block as targets and its natural orbitals
-/// as sources — two buffers — so the step runs the asymmetric path; no
-/// distributed caller applies the operator to its own sources yet (the
-/// serial equivalents are `apply_pure` and ACE rebuilds).
+/// block: one batched target-major apply of `fock` against the local
+/// targets (`n²` solves summed over ranks), so occupation screening and
+/// the operator's precision policy ([`FockOptions`](pwdft::FockOptions))
+/// hold on every strategy. The targets are another block than the
+/// sources even when the slices alias; the operator applied to its own
+/// sources is [`dist_fock_apply_pure`].
 ///
 /// `plan` is the strategy plus the modeled per-solve compute cost (a
 /// bare [`ExchangeStrategy`] still works and charges nothing); with a
@@ -331,12 +347,74 @@ pub fn dist_fock_apply(
     plan: impl Into<ExchangePlan>,
 ) -> (Vec<Complex64>, FockApplyStats) {
     let plan: ExchangePlan = plan.into();
-    let transport = match plan.strategy {
-        ExchangeStrategy::Bcast => Transport::Bcast,
-        ExchangeStrategy::Ring => Transport::Sendrecv,
-        ExchangeStrategy::AsyncRing | ExchangeStrategy::RingOverlap => Transport::Nonblocking,
-    };
-    ring_fock_apply(comm, fock, dist, nat_r_local, occ, psi_r_local, transport, plan.solve_cost_s)
+    let (transport, cost) = (plan.strategy.transport(), plan.solve_cost_s);
+    ring_fock_apply(comm, fock, dist, nat_r_local, occ, psi_r_local, transport, cost)
+}
+
+/// The distributed [`FockOperator::apply_pure`]: `VxΦ̃` of this rank's
+/// own natural orbitals `nat_r_local` (real space, band-major; `occ` the
+/// global occupations), with this rank's [`FockApplyStats`] — what
+/// [`dist_ptim_step`]'s H apply runs when every rank holds a band.
+///
+/// The targets are the sources, so the apply runs on the half ring: each
+/// source block travels `⌈(p−1)/2⌉` hops instead of `p − 1`, and each
+/// pair of bands is solved once, on one of its two owners, and scattered
+/// into both — this rank's image and a partial image of the visiting
+/// block, which goes back to its owner. Summed over ranks the solves,
+/// screened pairs and screened weight are the serial `apply_pure`'s
+/// `n(n+1)/2` (the weight to rounding); the three ring strategies return
+/// the same bits, `Bcast` the same values to rounding. `plan` as in
+/// [`dist_fock_apply`].
+pub fn dist_fock_apply_pure(
+    comm: &mut Comm,
+    fock: &FockOperator,
+    dist: &BandDistribution,
+    nat_r_local: &[Complex64],
+    occ: &[f64],
+    plan: impl Into<ExchangePlan>,
+) -> (Vec<Complex64>, FockApplyStats) {
+    let plan: ExchangePlan = plan.into();
+    let (transport, cost) = (plan.strategy.transport(), plan.solve_cost_s);
+    half_ring_fock_apply(comm, fock, dist, nat_r_local.to_vec(), occ, transport, cost)
+}
+
+/// The inverse of the rotation `Q̂` that built the circulated natural
+/// orbitals `Φ̃ = ΦQ̂`, replicated: column block `s` of `Q̂` holds rank
+/// `s`'s eigenvectors of its own σ copy (`q` here), gathered once. Each
+/// rank mixes its own σ copy, so after a step that stops short of its
+/// fixed point the copies differ (by ≈ 1e-6 on `dist_ring16`) and no one
+/// rank's `Qᴴ` inverts `Q̂`; `Φ = Φ̃Q̂⁻¹` holds regardless. With one σ
+/// everywhere `Q̂ = Q` and `Q̂⁻¹ = Qᴴ` to rounding. A non-finite `Q̂` (a
+/// NaN σ) gives `Qᴴ`, so the NaN travels on to the step's health check.
+fn natural_inverse(comm: &mut Comm, dist: &BandDistribution, q: &CMat) -> CMat {
+    let (n, mine) = (q.rows(), dist.range(comm.rank()));
+    let cols: Vec<Complex64> = (0..n).flat_map(|k| mine.clone().map(move |i| q[(k, i)])).collect();
+    let blocks = comm.hier_allgatherv(cols);
+    let mut q_hat = CMat::zeros(n, n);
+    for (s, block) in blocks.iter().enumerate() {
+        let range = dist.range(s);
+        for k in 0..n {
+            for (c, i) in range.clone().enumerate() {
+                q_hat[(k, i)] = block[k * range.len() + c];
+            }
+        }
+    }
+    // Q̂⁻¹ = (Q̂ᴴQ̂)⁻¹Q̂ᴴ.
+    let q_hat_h = q_hat.herm();
+    solve_hpd(&q_hat_h.matmul(&q_hat), &q_hat_h).unwrap_or_else(|_| q.herm())
+}
+
+/// Whether the step's H apply runs self-applied on the half ring
+/// ([`dist_fock_apply_pure`]) or target-major on the full ring
+/// ([`dist_fock_apply`]): the half ring when every rank holds a band.
+/// With band-less ranks the far half of the half ring carries few bands,
+/// so the busiest rank's solves shrink little (not at all from `p = 2n`),
+/// while the image return, the `Q̂` gather and the rotation back still
+/// cost every hop's latency: on the simulated Fugaku net the half ring
+/// wins at every measured `p ≤ 1.5n` and loses at every measured
+/// `p ≥ 1.9n` (DESIGN.md §9).
+fn self_applied(dist: &BandDistribution) -> bool {
+    dist.n_bands >= dist.n_ranks
 }
 
 /// Anderson history depth of the distributed step's mixer.
@@ -367,16 +445,37 @@ impl BandSpace for Banded<'_, '_> {
     fn exchange(
         &mut self,
         eng: &TdEngine,
-        ev: EvalPoint,
+        mut ev: EvalPoint,
         phi: &Wavefunction,
     ) -> (Wavefunction, FockApplyStats) {
-        // The local targets against the circulating natural orbitals.
         let (sys, be, cfg) = (eng.sys, &*eng.backend, self.cfg);
-        let psi_r = phi.to_real_all_with(be, &sys.fft);
-        let plan = ExchangePlan { strategy: cfg.strategy, solve_cost_s: cfg.solve_cost_s };
-        let (vx_r, stats) =
-            dist_fock_apply(self.comm, &self.fock, self.dist, &ev.nat_r, &ev.nat.occ, &psi_r, plan);
-        drop((ev, psi_r));
+        let (vx_r, stats) = if self_applied(self.dist) {
+            // The images of this rank's own natural orbitals on the half
+            // ring (which takes the real-space orbitals over as its
+            // buffer), rotated back to the block's gauge around the ring:
+            // VxΦ = (VxΦ̃)Q̂⁻¹, Q̂⁻¹ = Qᴴ wherever σ is one matrix.
+            let nat_r = std::mem::take(&mut ev.nat_r);
+            let (vx_nat, stats) = half_ring_fock_apply(
+                self.comm,
+                &self.fock,
+                self.dist,
+                nat_r,
+                &ev.nat.occ,
+                cfg.strategy.transport(),
+                cfg.solve_cost_s,
+            );
+            let back = natural_inverse(self.comm, self.dist, &ev.nat.q);
+            drop(ev);
+            (rotate_bands(self.comm, self.dist, &vx_nat, sys.grid.len(), &back), stats)
+        } else {
+            // The local targets against the circulating natural orbitals.
+            let psi_r = phi.to_real_all_with(be, &sys.fft);
+            let plan = ExchangePlan { strategy: cfg.strategy, solve_cost_s: cfg.solve_cost_s };
+            let out =
+                dist_fock_apply(self.comm, &self.fock, self.dist, &ev.nat_r, &ev.nat.occ, &psi_r, plan);
+            drop((ev, psi_r));
+            out
+        };
         let mut vx = Wavefunction::from_real_with(be, &sys.grid, &sys.fft, vx_r);
         vx.mask(&sys.grid);
         (vx, stats)
@@ -449,7 +548,9 @@ pub fn dist_ptim_step(
     let (anderson_depth, anderson_beta) = (ANDERSON_DEPTH, ANDERSON_BETA);
     let fp = PtimConfig { dt, max_scf, tol_rho, anderson_depth, anderson_beta };
     let prev = (&state.phi_local, &state.sigma);
-    let (next, stats) = ptim_body(&eng, &mut space, prev, state.time, &fp, None);
+    let solve_snap = eng.counters.snapshot();
+    let (next, mut stats) = ptim_body(&eng, &mut space, prev, state.time, &fp, None);
+    (stats.fock_solves_fp64, stats.fock_solves_fp32) = eng.counters.since(solve_snap);
     (DistState { phi_local: next.phi, sigma: next.sigma, time: next.time }, stats)
 }
 
@@ -581,9 +682,9 @@ mod tests {
 
     #[test]
     fn symmetric_dist_fock_halves_diagonal_blocks_and_matches_serial() {
-        // Self-applied case (ACE rebuild): local targets alias the local
-        // source block, so each rank's diagonal block runs the i ≤ j
-        // pair halving. Must match the serial pair-symmetric apply.
+        // Self-applied case: each rank's diagonal block runs the i ≤ j
+        // pair halving and each cross-block pair is solved once on the
+        // half ring. Must match the serial pair-symmetric apply.
         let (sys, st) = fixture();
         let e = eigh(&st.sigma);
         let nat = st.phi.rotated(&e.vectors);
@@ -604,16 +705,9 @@ mod tests {
                     let my = dist.range(c.rank());
                     let fock = FockOperator::new(&sys.grid, 0.2);
                     let nat_local_r = nat_r[my.start * ng..my.end * ng].to_vec();
-                    // Targets ARE the sources: pass the same slice.
-                    let (vx, _) = dist_fock_apply(
-                        c,
-                        &fock,
-                        &dist,
-                        &nat_local_r,
-                        &e.values,
-                        &nat_local_r,
-                        strategy,
-                    );
+                    // The operator on its own sources: the half ring.
+                    let (vx, _) =
+                        dist_fock_apply_pure(c, &fock, &dist, &nat_local_r, &e.values, strategy);
                     let want = &serial[my.start * ng..my.end * ng];
                     pwnum::cvec::max_abs_diff(&vx, want)
                 });
@@ -671,6 +765,45 @@ mod tests {
                 assert!(*res < 1e-6, "p={p}: density mismatch {res}");
                 assert!(*sig_diff < 1e-6, "p={p}: sigma mismatch {sig_diff}");
             }
+        }
+    }
+
+    #[test]
+    fn exchange_inverts_every_ranks_own_natural_rotation() {
+        // Each rank mixes its own σ copy, so mid-step the copies differ and
+        // so do the eigenvector columns each rank rotates its block by
+        // (together Q̂). With σ_r = V_r σ V_rᴴ on rank r (one spectrum,
+        // rotations 1e-6·r apart) the half-ring exchange must still be VxΦ:
+        // the target-major apply of the same natural orbitals to Φ itself.
+        // Rotating back by Q̂⁻¹ gets there; any one rank's Qᴴ is ≈ 1e-6 off.
+        let (sys, st) = fixture();
+        let hyb = HybridParams { alpha: 0.25, omega: 0.2, ..Default::default() };
+        let k = eigh(&CMat::from_fn(4, 4, |i, j| c64((i + j) as f64, i as f64 - j as f64)));
+        let out = Cluster::ideal(3).run(|c| {
+            let eps = 1e-6 * c.rank() as f64;
+            let phase: Vec<Complex64> = k.values.iter().map(|l| c64((eps * l).cos(), (eps * l).sin())).collect();
+            let v = CMat::from_fn(4, 4, |i, j| {
+                (0..4).fold(Complex64::ZERO, |acc, m| acc + k.vectors[(i, m)] * phase[m] * k.vectors[(j, m)].conj())
+            });
+            let sigma = v.matmul(&st.sigma).matmul(&v.herm());
+            let dist = BandDistribution::new(4, c.size());
+            assert!(self_applied(&dist));
+            let phi = scatter_state(c, &st, &dist).phi_local;
+            let eng = TdEngine::new(&sys, LaserPulse::off(), hyb);
+            let cfg = DistConfig { strategy: ExchangeStrategy::RingOverlap, hybrid: hyb, ..Default::default() };
+            let mut space = Banded { comm: c, dist: &dist, cfg: &cfg, fock: eng.fock_operator() };
+            let ev = space.evaluate(&eng, &phi, &sigma, 0.0);
+            let psi_r = phi.to_real_all(&sys.fft);
+            let (want_r, _) =
+                dist_fock_apply(space.comm, &space.fock, &dist, &ev.nat_r, &ev.nat.occ, &psi_r, cfg.strategy);
+            let (got, _) = space.exchange(&eng, ev, &phi);
+            let mut want = Wavefunction::from_real(&sys.grid, &sys.fft, want_r);
+            want.mask(&sys.grid);
+            let scale = want.data.iter().map(|z| z.abs()).fold(0.0, f64::max);
+            pwnum::cvec::max_abs_diff(&got.data, &want.data) / scale
+        });
+        for (rank, (rel, _)) in out.iter().enumerate() {
+            assert!(*rel < 1e-10, "rank {rank}: VxΦ off by {rel:e}");
         }
     }
 
@@ -735,8 +868,9 @@ mod tests {
         let ng = sys.grid.len();
 
         // A block's one solve (2 µs) covers part of its ≈ 5.5 µs transfer,
-        // so the nonblocking strategies both hide and wait.
-        let run = |strategy: ExchangeStrategy| {
+        // so the nonblocking strategies both hide and wait; the same holds
+        // for the operator on its own sources (`pure`), on the half ring.
+        let run = |strategy: ExchangeStrategy, pure: bool| {
             let nat_r = nat_r.clone();
             let phi_r = phi_r.clone();
             let e_values = e.values.clone();
@@ -748,7 +882,11 @@ mod tests {
                 let nat_local = nat_r[my.start * ng..my.end * ng].to_vec();
                 let psi_local = phi_r[my.start * ng..my.end * ng].to_vec();
                 let plan = ExchangePlan { strategy, solve_cost_s: 2e-6 };
-                let _ = dist_fock_apply(c, &fock, &dist, &nat_local, &e_values, &psi_local, plan);
+                let _ = if pure {
+                    dist_fock_apply_pure(c, &fock, &dist, &nat_local, &e_values, plan)
+                } else {
+                    dist_fock_apply(c, &fock, &dist, &nat_local, &e_values, &psi_local, plan)
+                };
                 let (s, wait) = (&c.stats, c.stats.time(Category::Wait));
                 let categories = (s.time(Category::Bcast), s.time(Category::Sendrecv), wait);
                 (categories, [c.now(), wait, s.overlap_hidden_s, s.overlap_total_s])
@@ -756,20 +894,23 @@ mod tests {
             out.into_iter().map(|(t, _)| t).collect::<Vec<_>>()
         };
 
-        let bcast = run(ExchangeStrategy::Bcast);
-        assert!(bcast.iter().any(|((b, s, w), _)| *b > 0.0 && *s == 0.0 && *w == 0.0));
-        let ring = run(ExchangeStrategy::Ring);
-        assert!(ring.iter().all(|((b, s, _), _)| *b == 0.0 && *s > 0.0));
-        let async_ring = run(ExchangeStrategy::AsyncRing);
-        assert!(async_ring.iter().all(|((b, s, w), _)| *b == 0.0 && *s == 0.0 && *w > 0.0));
-        assert!(async_ring.iter().all(|(_, [.., hidden, _])| *hidden > 0.0));
-        // On the flat ring RingOverlap is AsyncRing's schedule: the same
-        // categories and, per rank, the same clock, Wait and overlap split
-        // to the bit.
-        let ring_overlap = run(ExchangeStrategy::RingOverlap);
-        for (rank, (a, o)) in async_ring.iter().zip(&ring_overlap).enumerate() {
-            assert_eq!(o.0, a.0, "rank {rank}: timing categories");
-            assert_eq!(o.1.map(f64::to_bits), a.1.map(f64::to_bits), "rank {rank}: {:?}", o.1);
+        for pure in [false, true] {
+            let bcast = run(ExchangeStrategy::Bcast, pure);
+            assert!(bcast.iter().any(|((b, s, w), _)| *b > 0.0 && *s == 0.0 && *w == 0.0));
+            let ring = run(ExchangeStrategy::Ring, pure);
+            assert!(ring.iter().all(|((b, s, _), _)| *b == 0.0 && *s > 0.0));
+            let async_ring = run(ExchangeStrategy::AsyncRing, pure);
+            assert!(async_ring.iter().all(|((b, s, w), _)| *b == 0.0 && *s == 0.0 && *w > 0.0));
+            assert!(async_ring.iter().all(|(_, [.., hidden, _])| *hidden > 0.0));
+            // On the flat ring RingOverlap is AsyncRing's schedule: the
+            // same categories and, per rank, the same clock, Wait and
+            // overlap split to the bit.
+            let ring_overlap = run(ExchangeStrategy::RingOverlap, pure);
+            for (rank, (a, o)) in async_ring.iter().zip(&ring_overlap).enumerate() {
+                assert_eq!(o.0, a.0, "pure {pure} rank {rank}: timing categories");
+                let bits = |t: [f64; 4]| t.map(f64::to_bits);
+                assert_eq!(bits(o.1), bits(a.1), "pure {pure} rank {rank}: {:?}", o.1);
+            }
         }
     }
 

@@ -37,11 +37,14 @@ pub struct StepStats {
     pub fock_skipped_weight: f64,
     /// Screened Poisson solves performed in fp64 during this step
     /// (snapshot delta of the engine's shared
-    /// [`SolveCounters`](pwdft::fock::SolveCounters)).
+    /// [`SolveCounters`](pwdft::fock::SolveCounters)). In
+    /// `dist_ptim_step` it is this rank's share, as for
+    /// `fock_skipped_weight` (summed over ranks, the step's solves).
     pub fock_solves_fp64: usize,
     /// Screened Poisson solves performed in fp32 during this step —
     /// the per-step precision count of the mixed pipeline. After an
-    /// auto-promotion this still includes the discarded fp32 work.
+    /// auto-promotion this still includes the discarded fp32 work. This
+    /// rank's share in `dist_ptim_step`.
     pub fock_solves_fp32: usize,
     /// The step's *increase* in the propagated orbitals' orthonormality
     /// error, measured before the end-of-step constraints — the drift

@@ -2,16 +2,19 @@
 //! exchange: `RingOverlap` must match the serial Fock operator to
 //! ≤ 1e-10 on both backends, under the fp32 precision policy (as must
 //! every other strategy) and at non-power-of-two rank counts — with its
-//! solve counts pinned — and hide ≥ 50% of the exchange communication at
-//! 16 simulated ranks.
+//! solve counts pinned, and on the self-applied half ring the serial
+//! pair-symmetric apply's statistics — and hide ≥ 50% of the exchange
+//! communication at 16 simulated ranks.
 
 use mpisim::{Cluster, NetworkModel, Topology};
-use ptim::distributed::{dist_fock_apply, BandDistribution, ExchangePlan, ExchangeStrategy};
+use ptim::distributed::{
+    dist_fock_apply, dist_fock_apply_pure, BandDistribution, ExchangePlan, ExchangeStrategy,
+};
 use pwdft::fock::FockOptions;
-use pwdft::{Cell, DftSystem, FockOperator, Wavefunction};
+use pwdft::{Cell, DftSystem, FockApplyStats, FockOperator, Wavefunction};
 use pwnum::backend::{by_name, BackendHandle};
 use pwnum::cmat::CMat;
-use pwnum::complex::c64;
+use pwnum::complex::{c64, Complex64};
 use pwnum::cvec::max_abs_diff;
 use pwnum::eigh;
 use pwnum::precision::PrecisionPolicy;
@@ -83,48 +86,74 @@ fn ring_overlap_matches_serial_asymmetric_on_both_backends() {
 
 #[test]
 fn ring_overlap_symmetric_halving_matches_apply_pure_with_solve_counts() {
+    // The operator on its own sources: summed over ranks, the half ring
+    // solves, screens and counts exactly the serial pair-symmetric apply's
+    // pairs (n(n+1)/2 solves unscreened), and its images are the serial
+    // ones — on every strategy, at odd, even and ragged rank counts and
+    // with band-less ranks (p > n), with and without screening, at both
+    // precisions on both backends. The three ring strategies agree to the
+    // bit.
     let f = fixture();
     let ng = f.sys.grid.len();
-    let fock = FockOperator::new(&f.sys.grid, 0.2);
-    let serial = fock.apply_pure(&f.nat_r, &f.occ);
-    for p in [2usize, 3] {
-        let out = Cluster::ideal(p).run(|c| {
-            let dist = BandDistribution::new(N_BANDS, c.size());
-            let my = dist.range(c.rank());
-            let fock = FockOperator::new(&f.sys.grid, 0.2);
-            let nat_local = f.nat_r[my.start * ng..my.end * ng].to_vec();
-            // Targets ARE the sources: the diagonal block must take the
-            // Hermitian i ≤ j halving.
-            let (vx, stats) = dist_fock_apply(
-                c,
-                &fock,
-                &dist,
-                &nat_local,
-                &f.occ,
-                &nat_local,
-                ExchangeStrategy::RingOverlap,
-            );
-            let want = &serial[my.start * ng..my.end * ng];
-            (max_abs_diff(&vx, want), stats.solves)
-        });
-        // Expected solves: i ≤ j halving on every diagonal block, full
-        // nb_src × nb_tgt on every off-diagonal block (no screening:
-        // every occupation is above the cutoff).
-        let dist = BandDistribution::new(N_BANDS, p);
-        let mut want_solves = 0usize;
-        for r in 0..p {
-            let nb = dist.count(r);
-            want_solves += nb * (nb + 1) / 2; // diagonal block
-            for s in 0..p {
-                if s != r {
-                    want_solves += dist.count(s) * nb; // sources s → targets r
+    let max_abs = |v: &[Complex64]| v.iter().map(|z| z.abs()).fold(0.0, f64::max);
+    for (precision, tol) in [(PrecisionPolicy::fp64(), 1e-12), (PrecisionPolicy::mixed(), 1e-6)] {
+        for be in backends() {
+            // 0.15 screens the band of occupation 0.1.
+            for occ_cutoff in [0.0, 0.15] {
+                let opts = FockOptions { occ_cutoff, precision };
+                let fock = || FockOperator::with_options(&f.sys.grid, 0.2, be.clone(), opts);
+                let (serial, want) = fock().apply_pure_stats(&f.nat_r, &f.occ);
+                if occ_cutoff == 0.0 {
+                    assert_eq!(want.solves, N_BANDS * (N_BANDS + 1) / 2, "{want:?}");
+                } else {
+                    assert!(want.skipped_pairs > 0 && want.skipped_weight > 0.0, "{want:?}");
+                }
+                let scale = max_abs(&serial);
+                for p in [1usize, 2, 3, 4, 5, 16] {
+                    let mut ring_bits: Option<Vec<Vec<u64>>> = None;
+                    for strategy in [
+                        ExchangeStrategy::Bcast,
+                        ExchangeStrategy::Ring,
+                        ExchangeStrategy::AsyncRing,
+                        ExchangeStrategy::RingOverlap,
+                    ] {
+                        let case = format!(
+                            "{precision:?} {} cutoff {occ_cutoff} {strategy:?} p={p}",
+                            be.name()
+                        );
+                        let out = Cluster::ideal(p).run(|c| {
+                            let dist = BandDistribution::new(N_BANDS, c.size());
+                            let my = dist.range(c.rank());
+                            let nat_local = &f.nat_r[my.start * ng..my.end * ng];
+                            let (vx, stats) =
+                                dist_fock_apply_pure(c, &fock(), &dist, nat_local, &f.occ, strategy);
+                            let d = max_abs_diff(&vx, &serial[my.start * ng..my.end * ng]);
+                            let bits = vx.iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()]);
+                            (d, stats, bits.collect::<Vec<u64>>())
+                        });
+                        let mut sum = FockApplyStats::default();
+                        for (rank, ((d, stats, _), _)) in out.iter().enumerate() {
+                            assert!(*d <= tol * scale, "{case} rank={rank}: mismatch {d}");
+                            if precision == PrecisionPolicy::fp64() {
+                                assert!(*d < 1e-10, "{case} rank={rank}: symmetric mismatch {d}");
+                            }
+                            sum += *stats;
+                        }
+                        assert_eq!(sum.solves, want.solves, "{case}: solve count");
+                        assert_eq!(sum.solves_fp32, want.solves_fp32, "{case}");
+                        assert_eq!(sum.skipped_pairs, want.skipped_pairs, "{case}");
+                        assert_eq!(sum.contributions, want.contributions, "{case}");
+                        let rel = (sum.skipped_weight - want.skipped_weight).abs()
+                            / want.skipped_weight.max(f64::MIN_POSITIVE);
+                        assert!(rel <= 1e-12, "{case}: skipped weight off by {rel:e}");
+                        if strategy != ExchangeStrategy::Bcast {
+                            let bits: Vec<Vec<u64>> = out.into_iter().map(|((_, _, b), _)| b).collect();
+                            let first = ring_bits.get_or_insert_with(|| bits.clone());
+                            assert!(*first == bits, "{case}: images differ from Ring's bits");
+                        }
+                    }
                 }
             }
-        }
-        let got_solves: usize = out.iter().map(|((_, s), _)| *s).sum();
-        assert_eq!(got_solves, want_solves, "p={p}: solve count");
-        for (rank, ((d, _), _)) in out.iter().enumerate() {
-            assert!(*d < 1e-10, "p={p} rank={rank}: symmetric mismatch {d}");
         }
     }
 }

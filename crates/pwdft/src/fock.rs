@@ -109,6 +109,18 @@ pub struct FockApplyStats {
     pub solves_fp32: usize,
 }
 
+impl std::ops::AddAssign for FockApplyStats {
+    /// Accumulates another apply's counts (applies split over blocks).
+    fn add_assign(&mut self, st: FockApplyStats) {
+        self.solves += st.solves;
+        self.contributions += st.contributions;
+        self.skipped_pairs += st.skipped_pairs;
+        self.skipped_weight += st.skipped_weight;
+        self.symmetric |= st.symmetric;
+        self.solves_fp32 += st.solves_fp32;
+    }
+}
+
 /// Process-shared precision counters: total screened-Poisson solves by
 /// precision, accumulated atomically by every [`FockOperator`] handed
 /// the same `Arc`. The propagators snapshot these around a step to
@@ -378,43 +390,85 @@ impl<'g> FockOperator<'g> {
         phi_r: &[Complex64],
         d: &[f64],
     ) -> (Vec<Complex64>, FockApplyStats) {
-        let ng = self.ng();
-        let n = bands::n_bands(phi_r, ng);
-        assert_eq!(d.len(), n);
-        let mut out = vec![Complex64::ZERO; n * ng];
-        let mut stats = FockApplyStats { symmetric: true, ..Default::default() };
-        let cutoff = self.opts.occ_cutoff;
+        let n = bands::n_bands(phi_r, self.ng());
+        let mut out = vec![Complex64::ZERO; phi_r.len()];
         // Lexicographic (i, j) order means every target still
         // accumulates its sources in ascending band order, matching the
         // asymmetric path's summation order.
-        let mut tasks = Vec::with_capacity(n * (n + 1) / 2);
-        for i in 0..n {
-            let fwd = d[i].abs() >= cutoff; // drives out_j
-            for j in i..n {
-                let rev = i != j && d[j].abs() >= cutoff; // drives out_i
-                if fwd || rev {
-                    stats.contributions += usize::from(fwd) + usize::from(rev);
-                    tasks.push(PairTask {
-                        i,
-                        j,
-                        w_fwd: if fwd { -d[i] } else { 0.0 },
-                        w_rev: if rev { -d[j] } else { 0.0 },
-                    });
-                    if !fwd {
-                        stats.skipped_weight += d[i].abs();
-                    }
-                    if i != j && !rev {
-                        stats.skipped_weight += d[j].abs();
-                    }
-                } else {
-                    stats.skipped_pairs += 1;
-                    stats.skipped_weight +=
-                        d[i].abs() + if i != j { d[j].abs() } else { 0.0 };
-                }
-            }
-        }
-        self.run_tasks(phi_r, phi_r, &tasks, &mut out, &mut stats);
+        let pairs = (0..n).flat_map(|i| (i..n).map(move |j| (i, j)));
+        let stats = self.run_pairs(phi_r, d, pairs, &mut out);
         (out, stats)
+    }
+
+    /// The screened task of the source pair `(i, j)` of a pair-symmetric
+    /// enumeration: `d_i` drives `out_j` and, unless `i == j`, `d_j`
+    /// drives `out_i`. Each dropped contribution adds its weight to
+    /// `stats`; a pair whose both sides are dropped is never solved
+    /// (`None`).
+    fn screen_pair(
+        &self,
+        i: usize,
+        j: usize,
+        d: &[f64],
+        stats: &mut FockApplyStats,
+    ) -> Option<PairTask> {
+        let cutoff = self.opts.occ_cutoff;
+        let fwd = d[i].abs() >= cutoff; // drives out_j
+        let rev = i != j && d[j].abs() >= cutoff; // drives out_i
+        stats.skipped_weight += if fwd { 0.0 } else { d[i].abs() }
+            + if i == j || rev { 0.0 } else { d[j].abs() };
+        if !(fwd || rev) {
+            stats.skipped_pairs += 1;
+            return None;
+        }
+        stats.contributions += usize::from(fwd) + usize::from(rev);
+        Some(PairTask {
+            i,
+            j,
+            w_fwd: if fwd { -d[i] } else { 0.0 },
+            w_rev: if rev { -d[j] } else { 0.0 },
+        })
+    }
+
+    /// The pair-symmetric apply restricted to the source pairs `pairs`,
+    /// accumulated into `out` (laid out as `phi_r`): each `(i, j)` is
+    /// solved once as `W = Poisson[conj(φ_i) ⊙ φ_j]` and scattered into
+    /// `out_j` (driven by `d_i`) and, unless `i == j`, `out_i` (driven by
+    /// `d_j`), screened and counted as [`Self::apply_pure_stats`] screens
+    /// and counts it. A self-applied apply split over band blocks runs on
+    /// this: the pairs within each block, and between two blocks held
+    /// back to back in one buffer, each listed once and oriented as the
+    /// whole apply orients them (`i` first in the band order, so each
+    /// pair grid has the same bits at either precision) — together
+    /// exactly the solves, screening and counts of one apply.
+    pub fn apply_pairs_stats(
+        &self,
+        phi_r: &[Complex64],
+        d: &[f64],
+        pairs: impl IntoIterator<Item = (usize, usize)>,
+        out: &mut [Complex64],
+    ) -> FockApplyStats {
+        let _s = pwobs::span("xch.apply");
+        self.run_pairs(phi_r, d, pairs, out)
+    }
+
+    /// [`Self::apply_pairs_stats`] without its span.
+    fn run_pairs(
+        &self,
+        phi_r: &[Complex64],
+        d: &[f64],
+        pairs: impl IntoIterator<Item = (usize, usize)>,
+        out: &mut [Complex64],
+    ) -> FockApplyStats {
+        assert_eq!(d.len(), bands::n_bands(phi_r, self.ng()));
+        assert_eq!(out.len(), phi_r.len());
+        let mut stats = FockApplyStats { symmetric: true, ..Default::default() };
+        // At most every pair of the set, reserved once.
+        let n = d.len();
+        let mut tasks = Vec::with_capacity(n * (n + 1) / 2);
+        tasks.extend(pairs.into_iter().filter_map(|(i, j)| self.screen_pair(i, j, d, &mut stats)));
+        self.run_tasks(phi_r, phi_r, &tasks, out, &mut stats);
+        stats
     }
 
     /// The asymmetric enumerator (distinct target block): every occupied

@@ -18,6 +18,7 @@ use pwdft_repro::pwdft::fock::FockOptions;
 use pwdft_repro::pwdft::{Cell, DftSystem, FockApplyStats, FockOperator, Wavefunction};
 use pwdft_repro::pwnum::backend::default_backend;
 use pwdft_repro::pwnum::cmat::CMat;
+use pwdft_repro::pwnum::precision::PrecisionPolicy;
 use pwdft_repro::pwnum::{c64, eigh};
 
 fn fixture() -> (DftSystem, TdState) {
@@ -28,6 +29,15 @@ fn fixture() -> (DftSystem, TdState) {
     sigma[(1, 3)] = c64(0.04, -0.01);
     sigma[(3, 1)] = c64(0.04, 0.01);
     (sys, TdState { phi, sigma, time: 0.0 })
+}
+
+/// [`fixture`]'s system with `n` orthonormal bands and a diagonal σ of
+/// occupations spread from 1 down to 0.05.
+fn fixture_with_bands(sys: &DftSystem, n: usize) -> TdState {
+    let mut phi = Wavefunction::random(&sys.grid, n, 23);
+    phi.orthonormalize_lowdin();
+    let occ: Vec<f64> = (0..n).map(|i| 1.0 - 0.95 * i as f64 / (n - 1) as f64).collect();
+    TdState { phi, sigma: CMat::from_real_diag(&occ), time: 0.0 }
 }
 
 fn serial_reference(sys: &DftSystem, st: &TdState, hyb: HybridParams, dt: f64) -> (Vec<f64>, CMat) {
@@ -50,7 +60,7 @@ fn run_distributed(
 ) -> (Vec<f64>, CMat, bool) {
     let laser = LaserPulse::off();
     let out = Cluster::new(p, rpn, NetworkModel::ideal()).run(move |c| {
-        let dist = BandDistribution::new(6, c.size());
+        let dist = BandDistribution::new(st.phi.n_bands, c.size());
         let local = scatter_state(c, st, &dist);
         let cfg = DistConfig { strategy, use_shm, hybrid: hyb, ..Default::default() };
         let (next, stats) = dist_ptim_step(c, sys, &laser, &cfg, &dist, &local, dt, 40, 1e-12);
@@ -102,6 +112,38 @@ fn hybrid_distributed_matches_serial() {
     let ds = sigma.max_abs_diff(&sigma_ref);
     assert!(d < 1e-10, "hybrid distributed density diff {d:e}");
     assert!(ds < 1e-10, "hybrid distributed σ diff {ds:e}");
+}
+
+#[test]
+fn distributed_step_matches_serial_at_4_and_16_ranks_both_precisions() {
+    // The exchange through the full hybrid time step. With a band on
+    // every rank (6 bands on 4 ranks, 16 on 16) it runs on the half ring,
+    // each cross pair solved in the serial orientation; with band-less
+    // ranks (6 bands on 16) target-major on the full ring. fp64 agrees to
+    // 1e-10 everywhere. The mixed pipeline demotes the natural orbitals to
+    // fp32, and the ring-ordered rotation that builds them rounds apart
+    // from the serial GEMM in the last fp64 bit, which flips a few fp32
+    // roundings: 4e-12 at 4 ranks, 1.1e-10 at 16 (half ring), 9.5e-10 on
+    // the full ring, whose fp32 solves also take the other orientation.
+    let (sys, six) = fixture();
+    let sixteen = fixture_with_bands(&sys, 16);
+    let dt = 0.3;
+    for precision in [PrecisionPolicy::fp64(), PrecisionPolicy::mixed()] {
+        let fock = FockOptions::default().with_precision(precision);
+        let hyb = HybridParams { alpha: 0.25, omega: 0.2, fock };
+        for (st, ranks, mixed_tol) in [(&six, (4, 2), 1e-10), (&sixteen, (16, 4), 2e-9), (&six, (16, 4), 2e-9)] {
+            let case = format!("{precision:?} {} bands {ranks:?}", st.phi.n_bands);
+            let tol = if precision == PrecisionPolicy::fp64() { 1e-10 } else { mixed_tol };
+            let (rho_ref, sigma_ref) = serial_reference(&sys, st, hyb, dt);
+            let (rho, sigma, conv) =
+                run_distributed(&sys, st, hyb, dt, ranks, ExchangeStrategy::RingOverlap, true);
+            assert!(conv, "{case}");
+            let d = rho_diff(&rho, &rho_ref, sys.grid.dv());
+            let ds = sigma.max_abs_diff(&sigma_ref);
+            assert!(d < tol, "{case}: density diff {d:e}");
+            assert!(ds < tol, "{case}: σ diff {ds:e}");
+        }
+    }
 }
 
 #[test]
@@ -213,16 +255,54 @@ fn ring_exchange_reports_the_serial_screened_weight() {
         }
     }
 
-    // The distributed step carries the ring's weight into its StepStats.
+    // The distributed step carries the ring's weight into its StepStats,
+    // each rank its share: summed over ranks it is the serial step's, with
+    // a band on every rank (p = 3) and with band-less ranks (p = 8).
+    // The predictor and one corrector: later iterates differ by the
+    // per-rank mixing (≈ 1e-6), and so would their screened weights.
     let hybrid = HybridParams { alpha: 0.25, omega: 0.2, fock: fock_opts };
+    let eng = TdEngine::new(&sys, LaserPulse::off(), hybrid);
+    let fp = PtimConfig { dt: 0.3, max_scf: 1, tol_rho: 0.0, anderson_depth: 10, anderson_beta: 0.6 };
+    let (_, serial) = ptim_step(&eng, &st, &fp);
+    assert!(serial.fock_applies == 2 && serial.fock_skipped_weight > 0.0, "{serial:?}");
     let cfg = DistConfig { strategy: ExchangeStrategy::RingOverlap, hybrid, ..Default::default() };
     let laser = LaserPulse::off();
-    let out = Cluster::ideal(3).run(|c| {
-        let dist = BandDistribution::new(6, c.size());
-        let local = scatter_state(c, &st, &dist);
-        dist_ptim_step(c, &sys, &laser, &cfg, &dist, &local, 0.3, 40, 1e-12).1.fock_skipped_weight
-    });
-    for (rank, (weight, _)) in out.iter().enumerate() {
-        assert!(*weight > 0.0, "rank {rank}: dist_ptim_step reported no screened weight");
+    for p in [3usize, 8] {
+        let out = Cluster::ideal(p).run(|c| {
+            let dist = BandDistribution::new(6, c.size());
+            let local = scatter_state(c, &st, &dist);
+            dist_ptim_step(c, &sys, &laser, &cfg, &dist, &local, fp.dt, fp.max_scf, fp.tol_rho).1
+        });
+        assert!(out.iter().all(|(stats, _)| stats.fock_applies == serial.fock_applies), "p={p}");
+        let weight: f64 = out.iter().map(|(stats, _)| stats.fock_skipped_weight).sum();
+        let rel = (weight - serial.fock_skipped_weight).abs() / serial.fock_skipped_weight;
+        assert!(rel <= 1e-12, "p={p}: step's screened weight off by {rel:e}");
+    }
+}
+
+#[test]
+fn dist_ptim_step_solves_each_pair_once_per_apply() {
+    // Summed over ranks, every dense apply of the distributed step solves
+    // the serial pair-symmetric n(n+1)/2 pairs on the half ring (a band on
+    // every rank) and n² on the full ring (band-less ranks), on every
+    // strategy, and the step reports them.
+    let (sys, st) = fixture();
+    let laser = LaserPulse::off();
+    let hybrid = HybridParams { alpha: 0.25, omega: 0.2, ..Default::default() };
+    for strategy in [ExchangeStrategy::Bcast, ExchangeStrategy::Ring, ExchangeStrategy::RingOverlap] {
+        for p in [2usize, 4, 16] {
+            let cfg = DistConfig { strategy, hybrid, ..Default::default() };
+            let out = Cluster::ideal(p).run(|c| {
+                let dist = BandDistribution::new(6, c.size());
+                let local = scatter_state(c, &st, &dist);
+                dist_ptim_step(c, &sys, &laser, &cfg, &dist, &local, 0.3, 3, 0.0).1
+            });
+            let applies = out[0].0.fock_applies;
+            assert_eq!(applies, 4, "{strategy:?} p={p}: predictor + 3 correctors");
+            let solves: usize = out.iter().map(|(stats, _)| stats.fock_solves_fp64).sum();
+            let per_apply = if p <= 6 { 6 * 7 / 2 } else { 6 * 6 };
+            assert_eq!(solves, applies * per_apply, "{strategy:?} p={p}");
+            assert!(out.iter().all(|(stats, _)| stats.fock_solves_fp32 == 0));
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! Backend-comparison smoke bench: `Reference` vs `Blocked` on the two
 //! primitives the paper's hot path is made of — the Fock `apply_diag`
 //! (batched Poisson solves) and the N×N subspace GEMM — plus the batched
-//! 3-D FFT they are built from.
+//! 3-D FFT they are built from and, in the JSON artifact, the band
+//! overlap and accumulating rotation at the `ace_fp64` shape.
 //!
 //! Besides the criterion output, `main` writes `BENCH_backend.json` with
 //! median per-iteration times and the Blocked-over-Reference speedups
@@ -143,6 +144,28 @@ fn main() {
             })
             .collect();
         rows.push(("subspace_gemm_128".into(), times[0], times[1]));
+    }
+    {
+        // The band ops at `ace_fp64`'s shape: 32 bands of 16³ points.
+        let (nb, len) = (32, 16 * 16 * 16);
+        let phi: Vec<Complex64> =
+            (0..nb * len).map(|k| c64((k as f64 * 0.13).sin(), (k as f64 * 0.07).cos())).collect();
+        let q = test_mat(nb, 0.9);
+        let times: Vec<f64> = backends()
+            .iter()
+            .map(|be| {
+                median_secs(15, || {
+                    black_box(be.overlap(&phi, &phi, len, 0.5));
+                })
+            })
+            .collect();
+        rows.push(("band_overlap_32x16cube".into(), times[0], times[1]));
+        let mut out = phi.clone();
+        let times: Vec<f64> = backends()
+            .iter()
+            .map(|be| median_secs(15, || be.rotate_acc(c64(0.5, 0.0), &phi, &q, len, &mut out)))
+            .collect();
+        rows.push(("band_rotate_acc_32x16cube".into(), times[0], times[1]));
     }
     {
         let fft = pwfft::Fft3::new(20, 20, 20);

@@ -14,18 +14,19 @@
 //! * [`Reference`] — the original scalar/threaded kernels, unchanged,
 //!   called through the trait. This is the "ARM-style" per-call path.
 //! * [`Blocked`] — the accelerator-style path mirroring the paper's GPU
-//!   strategy (Sec. III-B): a cache-blocked GEMM micro-kernel that reads
-//!   each packed `A` panel row once per four output columns, band kernels
-//!   with the same 4-wide register blocking, batched grid transforms that
-//!   reuse one scratch arena per worker across the whole batch instead of
-//!   allocating per transform, and a thread-safe [buffer pool]
+//!   strategy (Sec. III-B): one register-tiled micro-kernel over packed
+//!   panels behind GEMM, overlap and rotation in both precisions
+//!   (`tiled`), batched grid transforms that reuse one scratch arena per
+//!   worker across the whole batch instead of allocating per transform,
+//!   and a thread-safe [buffer pool]
 //!   (`Backend::take_buffer`) that makes the Fock/ACE inner loops
 //!   allocation-free in steady state.
 //!
 //! Both backends must agree to ≤ 1e-10 on every primitive; the property
 //! suite `tests/backend_properties.rs` enforces this, and the FFT suite
 //! in `pwfft` cross-checks batched transforms on the paper's
-//! non-power-of-two 2/3/5-smooth grids.
+//! non-power-of-two 2/3/5-smooth grids. The GEMM, band and fp32 kernels
+//! agree bit for bit (this module's tests compare `to_bits`).
 //!
 //! Higher layers hold a [`BackendHandle`] (`Arc<dyn Backend>`); call
 //! sites without an explicit handle use [`default_backend`], selectable
@@ -37,8 +38,9 @@ use crate::cmat::CMat;
 use crate::complex::Complex64;
 use crate::cvec;
 use crate::gemm::{self, packed, packed_cols, Op};
-use crate::parallel::{par_chunks_mut, par_chunks_mut_on, par_ranges, workers_for};
+use crate::parallel::{par_chunks_mut, par_chunks_mut_on, workers_for};
 use crate::precision::{self, CMat32, Complex32};
+use crate::tiled;
 use crate::waves;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -675,7 +677,7 @@ impl Backend for Reference {
 /// line-sized ask; `put` drops buffers beyond the count and byte caps
 /// rather than growing without bound.
 #[derive(Debug)]
-struct BufferPool<T> {
+pub(crate) struct BufferPool<T> {
     slots: Mutex<Vec<Vec<T>>>,
     /// Bytes currently checked out (taken but not yet `put` back).
     outstanding_bytes: AtomicUsize,
@@ -703,7 +705,7 @@ const POOL_CAP: usize = 64;
 const POOL_CAP_BYTES: usize = 1 << 30;
 
 impl<T: Copy + Default> BufferPool<T> {
-    fn take(&self, len: usize) -> Vec<T> {
+    pub(crate) fn take(&self, len: usize) -> Vec<T> {
         let mut buf = self.take_empty(len);
         buf.resize(len, T::default());
         buf
@@ -712,7 +714,7 @@ impl<T: Copy + Default> BufferPool<T> {
     /// Like [`Self::take`] but the contents are unspecified (recycled
     /// values or zeros) — for scratch whose every element is written
     /// before being read, avoiding the O(len) zero fill per checkout.
-    fn take_garbage(&self, len: usize) -> Vec<T> {
+    pub(crate) fn take_garbage(&self, len: usize) -> Vec<T> {
         let mut buf = self.lookup(len).unwrap_or_else(|| Vec::with_capacity(len));
         self.note_checkout(&buf);
         if buf.len() < len {
@@ -769,7 +771,7 @@ impl<T: Copy + Default> BufferPool<T> {
         best.map(|i| slots.swap_remove(i))
     }
 
-    fn put(&self, buf: Vec<T>) {
+    pub(crate) fn put(&self, buf: Vec<T>) {
         if buf.capacity() == 0 {
             return;
         }
@@ -796,19 +798,21 @@ impl<T: Copy + Default> BufferPool<T> {
 }
 
 /// Cache-blocked, accelerator-style backend (the paper's GPU strategy
-/// transplanted to CPU threads): 4-wide register blocking in GEMM and
-/// the band kernels, slab-decomposed batched transforms with one scratch
-/// arena per worker, and pooled buffers for allocation-free hot loops.
+/// transplanted to CPU threads): a register-tiled micro-kernel for GEMM
+/// and the band kernels (`tiled`), slab-decomposed batched transforms
+/// with one scratch arena per worker, and pooled buffers for
+/// allocation-free hot loops.
 #[derive(Debug, Default)]
 pub struct Blocked {
     pool: BufferPool<Complex64>,
     pool32: BufferPool<Complex32>,
+    /// Packed panels of the subspace kernel ([`tiled`]), per precision.
+    pack: BufferPool<f64>,
+    pack32: BufferPool<f32>,
 }
 
-/// Column-block width of the register micro-kernel: each packed `A` row
-/// segment is read once per `NB` output columns. Blocking only regroups
-/// output columns — each element's per-`l` accumulation order is fixed —
-/// so the blocked and unblocked sums are value-identical.
+/// Unroll width of [`Blocked`]'s `hadamard_acc_conj`: four independent
+/// elements per sweep, each with the reference kernel's arithmetic.
 const NB: usize = 4;
 
 impl Blocked {
@@ -821,94 +825,6 @@ impl Blocked {
     #[cfg(test)]
     fn pooled(&self) -> usize {
         self.pool.len()
-    }
-}
-
-/// Accumulates `acc[j] += Σ_l a[l] * rows[j][l]` for up to [`NB`]
-/// packed rows sharing one pass over `a` — the register micro-kernel.
-/// The full block and the 2-wide remainder get register-resident arms;
-/// every arm runs each element's per-`l` sum in the same order, so all
-/// widths produce identical values.
-#[inline]
-fn dot_block(a: &[Complex64], rows: &[&[Complex64]], acc: &mut [Complex64]) {
-    match rows.len() {
-        2 => {
-            let (r0, r1) = (rows[0], rows[1]);
-            let (mut s0, mut s1) = (Complex64::ZERO, Complex64::ZERO);
-            for (l, &av) in a.iter().enumerate() {
-                s0 = av.mul_add(r0[l], s0);
-                s1 = av.mul_add(r1[l], s1);
-            }
-            acc[0] += s0;
-            acc[1] += s1;
-        }
-        4 => {
-            let (r0, r1, r2, r3) = (rows[0], rows[1], rows[2], rows[3]);
-            let (mut s0, mut s1, mut s2, mut s3) =
-                (Complex64::ZERO, Complex64::ZERO, Complex64::ZERO, Complex64::ZERO);
-            for (l, &av) in a.iter().enumerate() {
-                s0 = av.mul_add(r0[l], s0);
-                s1 = av.mul_add(r1[l], s1);
-                s2 = av.mul_add(r2[l], s2);
-                s3 = av.mul_add(r3[l], s3);
-            }
-            acc[0] += s0;
-            acc[1] += s1;
-            acc[2] += s2;
-            acc[3] += s3;
-        }
-        m => {
-            for (j, rj) in rows.iter().enumerate().take(m) {
-                let mut s = Complex64::ZERO;
-                for (l, &av) in a.iter().enumerate() {
-                    s = av.mul_add(rj[l], s);
-                }
-                acc[j] += s;
-            }
-        }
-    }
-}
-
-/// Conjugating variant of [`dot_block`]: `acc[j] += Σ_l conj(a[l]) * rows[j][l]`.
-#[inline]
-fn dotc_block(a: &[Complex64], rows: &[&[Complex64]], acc: &mut [Complex64]) {
-    match rows.len() {
-        2 => {
-            let (r0, r1) = (rows[0], rows[1]);
-            let (mut s0, mut s1) = (Complex64::ZERO, Complex64::ZERO);
-            for (l, av) in a.iter().enumerate() {
-                let ac = av.conj();
-                s0 = ac.mul_add(r0[l], s0);
-                s1 = ac.mul_add(r1[l], s1);
-            }
-            acc[0] += s0;
-            acc[1] += s1;
-        }
-        4 => {
-            let (r0, r1, r2, r3) = (rows[0], rows[1], rows[2], rows[3]);
-            let (mut s0, mut s1, mut s2, mut s3) =
-                (Complex64::ZERO, Complex64::ZERO, Complex64::ZERO, Complex64::ZERO);
-            for (l, av) in a.iter().enumerate() {
-                let ac = av.conj();
-                s0 = ac.mul_add(r0[l], s0);
-                s1 = ac.mul_add(r1[l], s1);
-                s2 = ac.mul_add(r2[l], s2);
-                s3 = ac.mul_add(r3[l], s3);
-            }
-            acc[0] += s0;
-            acc[1] += s1;
-            acc[2] += s2;
-            acc[3] += s3;
-        }
-        m => {
-            for (j, rj) in rows.iter().enumerate().take(m) {
-                let mut s = Complex64::ZERO;
-                for (l, av) in a.iter().enumerate() {
-                    s = av.conj().mul_add(rj[l], s);
-                }
-                acc[j] += s;
-            }
-        }
     }
 }
 
@@ -940,92 +856,6 @@ fn packed32_cols(b: &CMat32, op: Op) -> std::borrow::Cow<'_, CMat32> {
         Op::Trans => Cow::Borrowed(b),
         Op::ConjTrans => {
             Cow::Owned(CMat32::from_fn(b.rows(), b.cols(), |j, l| b[(j, l)].conj()))
-        }
-    }
-}
-
-/// fp32 twin of [`dot_block`]: `acc[j] += Σ_l a[l] * rows[j][l]`, each
-/// output element accumulated sequentially over `l` — the same
-/// per-element order as a naive loop, so blocking never changes values.
-#[inline]
-fn dot_block32(a: &[Complex32], rows: &[&[Complex32]], acc: &mut [Complex32]) {
-    match rows.len() {
-        2 => {
-            let (r0, r1) = (rows[0], rows[1]);
-            let (mut s0, mut s1) = (Complex32::ZERO, Complex32::ZERO);
-            for (l, &av) in a.iter().enumerate() {
-                s0 = av.mul_add(r0[l], s0);
-                s1 = av.mul_add(r1[l], s1);
-            }
-            acc[0] += s0;
-            acc[1] += s1;
-        }
-        4 => {
-            let (r0, r1, r2, r3) = (rows[0], rows[1], rows[2], rows[3]);
-            let (mut s0, mut s1, mut s2, mut s3) =
-                (Complex32::ZERO, Complex32::ZERO, Complex32::ZERO, Complex32::ZERO);
-            for (l, &av) in a.iter().enumerate() {
-                s0 = av.mul_add(r0[l], s0);
-                s1 = av.mul_add(r1[l], s1);
-                s2 = av.mul_add(r2[l], s2);
-                s3 = av.mul_add(r3[l], s3);
-            }
-            acc[0] += s0;
-            acc[1] += s1;
-            acc[2] += s2;
-            acc[3] += s3;
-        }
-        m => {
-            for (j, rj) in rows.iter().enumerate().take(m) {
-                let mut s = Complex32::ZERO;
-                for (l, &av) in a.iter().enumerate() {
-                    s = av.mul_add(rj[l], s);
-                }
-                acc[j] += s;
-            }
-        }
-    }
-}
-
-/// Conjugating fp32 variant: `acc[j] += Σ_l conj(a[l]) * rows[j][l]`.
-#[inline]
-fn dotc_block32(a: &[Complex32], rows: &[&[Complex32]], acc: &mut [Complex32]) {
-    match rows.len() {
-        2 => {
-            let (r0, r1) = (rows[0], rows[1]);
-            let (mut s0, mut s1) = (Complex32::ZERO, Complex32::ZERO);
-            for (l, av) in a.iter().enumerate() {
-                let ac = av.conj();
-                s0 = ac.mul_add(r0[l], s0);
-                s1 = ac.mul_add(r1[l], s1);
-            }
-            acc[0] += s0;
-            acc[1] += s1;
-        }
-        4 => {
-            let (r0, r1, r2, r3) = (rows[0], rows[1], rows[2], rows[3]);
-            let (mut s0, mut s1, mut s2, mut s3) =
-                (Complex32::ZERO, Complex32::ZERO, Complex32::ZERO, Complex32::ZERO);
-            for (l, av) in a.iter().enumerate() {
-                let ac = av.conj();
-                s0 = ac.mul_add(r0[l], s0);
-                s1 = ac.mul_add(r1[l], s1);
-                s2 = ac.mul_add(r2[l], s2);
-                s3 = ac.mul_add(r3[l], s3);
-            }
-            acc[0] += s0;
-            acc[1] += s1;
-            acc[2] += s2;
-            acc[3] += s3;
-        }
-        m => {
-            for (j, rj) in rows.iter().enumerate().take(m) {
-                let mut s = Complex32::ZERO;
-                for (l, av) in a.iter().enumerate() {
-                    s = av.conj().mul_add(rj[l], s);
-                }
-                acc[j] += s;
-            }
         }
     }
 }
@@ -1062,35 +892,20 @@ impl Backend for Blocked {
             assert_eq!((c0.rows(), c0.cols()), (m, n), "gemm C dimension mismatch");
         }
         let mut c = CMat::zeros(m, n);
-        {
-            let rows: Vec<Mutex<&mut [Complex64]>> =
-                c.as_mut_slice().chunks_mut(n.max(1)).map(Mutex::new).collect();
-            let ap = &*ap;
-            let bp = &*bp;
-            par_ranges(m, n * k, |lo, hi| {
-                let mut blk: [&[Complex64]; NB] = [&[]; NB];
-                for (i, crow_m) in rows.iter().enumerate().take(hi).skip(lo) {
-                    let arow = ap.row(i);
-                    let mut crow = crow_m.lock();
-                    let mut jb = 0;
-                    while jb < n {
-                        let jn = (jb + NB).min(n);
-                        for (s, j) in (jb..jn).enumerate() {
-                            blk[s] = bp.row(j);
-                        }
-                        dot_block(arow, &blk[..jn - jb], &mut crow[jb..jn]);
-                        jb = jn;
-                    }
-                    for (j, cv) in crow.iter_mut().enumerate() {
-                        let mut v = *cv * alpha;
-                        if let Some(c0) = c0 {
-                            v += beta * c0[(i, j)];
-                        }
-                        *cv = v;
-                    }
+        tiled::product::<f64, false>(
+            &self.pack,
+            (m, n, k),
+            |i| ap.row(i),
+            |l, j| bp[(j, l)],
+            |i, j, s| {
+                let mut v = s * alpha;
+                if let Some(c0) = c0 {
+                    v += beta * c0[(i, j)];
                 }
-            });
-        }
+                v
+            },
+            c.as_mut_slice(),
+        );
         c
     }
 
@@ -1098,29 +913,14 @@ impl Backend for Blocked {
         let na = bands::n_bands(a, band_len);
         let nb = bands::n_bands(b, band_len);
         let mut s = CMat::zeros(na, nb);
-        {
-            let rows: Vec<Mutex<&mut [Complex64]>> =
-                s.as_mut_slice().chunks_mut(nb.max(1)).map(Mutex::new).collect();
-            par_ranges(na, nb * band_len, |lo, hi| {
-                let mut blk: [&[Complex64]; NB] = [&[]; NB];
-                for (i, row_m) in rows.iter().enumerate().take(hi).skip(lo) {
-                    let ai = bands::band(a, band_len, i);
-                    let mut row = row_m.lock();
-                    let mut jb = 0;
-                    while jb < nb {
-                        let jn = (jb + NB).min(nb);
-                        for (s, j) in (jb..jn).enumerate() {
-                            blk[s] = bands::band(b, band_len, j);
-                        }
-                        dotc_block(ai, &blk[..jn - jb], &mut row[jb..jn]);
-                        jb = jn;
-                    }
-                    for v in row.iter_mut() {
-                        *v = v.scale(scale);
-                    }
-                }
-            });
-        }
+        tiled::product::<f64, true>(
+            &self.pack,
+            (na, nb, band_len),
+            |i| bands::band(a, band_len, i),
+            |l, j| b[j * band_len + l],
+            |_, _, v| v.scale(scale),
+            s.as_mut_slice(),
+        );
         s
     }
 
@@ -1129,7 +929,7 @@ impl Backend for Blocked {
         assert_eq!(q.rows(), na, "rotate: Q row count must match band count");
         assert_eq!(out.len(), band_len * q.cols(), "rotate: bad output size");
         cvec::zero_fill(out);
-        self.rotate_acc(Complex64::ONE, a, q, band_len, out);
+        tiled::rotate(&self.pack, a, band_len, |i, j| q[(i, j)], out);
     }
 
     fn rotate_acc(
@@ -1143,46 +943,7 @@ impl Backend for Blocked {
         let na = bands::n_bands(a, band_len);
         assert_eq!(q.rows(), na, "rotate_acc: Q row count must match band count");
         assert_eq!(out.len(), band_len * q.cols(), "rotate_acc: bad output size");
-        // Process output bands in blocks of NB: one pass over each source
-        // band updates NB outputs, dividing source-read traffic by NB.
-        let workers = workers_for(q.cols().div_ceil(NB), NB * na * band_len);
-        par_chunks_mut_on(workers, out, band_len * NB, |blk_idx, oblk| {
-            let j0 = blk_idx * NB;
-            let width = oblk.len() / band_len;
-            for i in 0..na {
-                let ai = bands::band(a, band_len, i);
-                let mut w = [Complex64::ZERO; NB];
-                let mut any = false;
-                for s in 0..width {
-                    w[s] = alpha * q[(i, j0 + s)];
-                    any |= w[s] != Complex64::ZERO;
-                }
-                if !any {
-                    continue;
-                }
-                match width {
-                    4 => {
-                        let (o0, rest) = oblk.split_at_mut(band_len);
-                        let (o1, rest) = rest.split_at_mut(band_len);
-                        let (o2, o3) = rest.split_at_mut(band_len);
-                        let (w0, w1, w2, w3) = (w[0], w[1], w[2], w[3]);
-                        for (l, &av) in ai.iter().enumerate() {
-                            o0[l] = av.mul_add(w0, o0[l]);
-                            o1[l] = av.mul_add(w1, o1[l]);
-                            o2[l] = av.mul_add(w2, o2[l]);
-                            o3[l] = av.mul_add(w3, o3[l]);
-                        }
-                    }
-                    _ => {
-                        for (s, oj) in oblk.chunks_mut(band_len).enumerate() {
-                            if w[s] != Complex64::ZERO {
-                                cvec::axpy(w[s], ai, oj);
-                            }
-                        }
-                    }
-                }
-            }
-        });
+        tiled::rotate(&self.pack, a, band_len, |i, j| alpha * q[(i, j)], out);
     }
 
     fn lincomb(
@@ -1227,8 +988,7 @@ impl Backend for Blocked {
         assert_eq!(a.len(), acc.len(), "hadamard_acc_conj output length mismatch");
         // 4-wide unrolled body (same per-element math as the reference
         // kernel, so both backends are bitwise identical): four
-        // independent accumulator chains per sweep, mirroring the
-        // register blocking of `dot_block`.
+        // independent accumulator chains per sweep.
         let n = a.len();
         let head = n - n % NB;
         let mut l = 0;
@@ -1306,27 +1066,14 @@ impl Backend for Blocked {
         let n = bp.rows();
         assert_eq!(k, bp.cols(), "gemm32 inner dimension mismatch");
         let mut c = CMat32::zeros(m, n);
-        // Register blocking over output columns; each element's sum runs
-        // in the same l order as the reference loop, so both backends
-        // produce identical values.
-        let mut blk: [&[Complex32]; NB] = [&[]; NB];
-        let mut crow = vec![Complex32::ZERO; n];
-        for i in 0..m {
-            let arow = ap.row(i);
-            crow.fill(Complex32::ZERO);
-            let mut jb = 0;
-            while jb < n {
-                let jn = (jb + NB).min(n);
-                for (s, j) in (jb..jn).enumerate() {
-                    blk[s] = bp.row(j);
-                }
-                dot_block32(arow, &blk[..jn - jb], &mut crow[jb..jn]);
-                jb = jn;
-            }
-            for (j, cv) in crow.iter().enumerate() {
-                c[(i, j)] = *cv * alpha;
-            }
-        }
+        tiled::product::<f32, false>(
+            &self.pack32,
+            (m, n, k),
+            |i| ap.row(i),
+            |l, j| bp[(j, l)],
+            |_, _, s| s * alpha,
+            c.as_mut_slice(),
+        );
         c
     }
 
@@ -1334,32 +1081,14 @@ impl Backend for Blocked {
         let na = n_bands32(a, band_len);
         let nb = n_bands32(b, band_len);
         let mut s = CMat32::zeros(na, nb);
-        // Row-parallel like the fp64 twin: rows are independent and each
-        // element's per-l summation order is unchanged, so the result
-        // stays exactly equal to the reference loop.
-        {
-            let rows: Vec<Mutex<&mut [Complex32]>> =
-                s.as_mut_slice().chunks_mut(nb.max(1)).map(Mutex::new).collect();
-            par_ranges(na, nb * band_len, |lo, hi| {
-                let mut blk: [&[Complex32]; NB] = [&[]; NB];
-                for (i, row_m) in rows.iter().enumerate().take(hi).skip(lo) {
-                    let ai = &a[i * band_len..(i + 1) * band_len];
-                    let mut row = row_m.lock();
-                    let mut jb = 0;
-                    while jb < nb {
-                        let jn = (jb + NB).min(nb);
-                        for (t, j) in (jb..jn).enumerate() {
-                            blk[t] = &b[j * band_len..(j + 1) * band_len];
-                        }
-                        dotc_block32(ai, &blk[..jn - jb], &mut row[jb..jn]);
-                        jb = jn;
-                    }
-                    for v in row.iter_mut() {
-                        *v = v.scale(scale);
-                    }
-                }
-            });
-        }
+        tiled::product::<f32, true>(
+            &self.pack32,
+            (na, nb, band_len),
+            |i| &a[i * band_len..(i + 1) * band_len],
+            |l, j| b[j * band_len + l],
+            |_, _, v| v.scale(scale),
+            s.as_mut_slice(),
+        );
         s
     }
 
@@ -1374,48 +1103,7 @@ impl Backend for Blocked {
         let na = n_bands32(a, band_len);
         assert_eq!(q.rows(), na, "rotate_acc32: Q row count must match band count");
         assert_eq!(out.len(), band_len * q.cols(), "rotate_acc32: bad output size");
-        // NB output bands per pass over each source band (same
-        // per-element accumulation order over i as the reference loop).
-        let workers = workers_for(q.cols().div_ceil(NB), NB * na * band_len);
-        par_chunks_mut_on(workers, out, band_len * NB, |blk_idx, oblk| {
-            let j0 = blk_idx * NB;
-            let width = oblk.len() / band_len;
-            for i in 0..na {
-                let ai = &a[i * band_len..(i + 1) * band_len];
-                let mut w = [Complex32::ZERO; NB];
-                let mut any = false;
-                for s in 0..width {
-                    w[s] = alpha * q[(i, j0 + s)];
-                    any |= w[s] != Complex32::ZERO;
-                }
-                if !any {
-                    continue;
-                }
-                match width {
-                    4 => {
-                        let (o0, rest) = oblk.split_at_mut(band_len);
-                        let (o1, rest) = rest.split_at_mut(band_len);
-                        let (o2, o3) = rest.split_at_mut(band_len);
-                        let (w0, w1, w2, w3) = (w[0], w[1], w[2], w[3]);
-                        for (l, &av) in ai.iter().enumerate() {
-                            o0[l] = av.mul_add(w0, o0[l]);
-                            o1[l] = av.mul_add(w1, o1[l]);
-                            o2[l] = av.mul_add(w2, o2[l]);
-                            o3[l] = av.mul_add(w3, o3[l]);
-                        }
-                    }
-                    _ => {
-                        for (s, oj) in oblk.chunks_mut(band_len).enumerate() {
-                            if w[s] != Complex32::ZERO {
-                                for (o, &av) in oj.iter_mut().zip(ai) {
-                                    *o = av.mul_add(w[s], *o);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        });
+        tiled::rotate(&self.pack32, a, band_len, |i, j| alpha * q[(i, j)], out);
     }
 
     fn hadamard_conj32(&self, a: &[Complex32], b: &[Complex32], out: &mut [Complex32]) {
@@ -1495,73 +1183,127 @@ mod tests {
         }
     }
 
+    /// Every element's IEEE bits, so equality tells −0.0 from +0.0 and
+    /// compares NaNs.
+    fn bits(z: &[Complex64]) -> Vec<[u64; 2]> {
+        z.iter().map(|v| [v.re.to_bits(), v.im.to_bits()]).collect()
+    }
+
+    fn bits32(z: &[Complex32]) -> Vec<[u32; 2]> {
+        z.iter().map(|v| [v.re.to_bits(), v.im.to_bits()]).collect()
+    }
+
+    /// A matrix that is `rows × cols` after `op`.
+    fn op_mat(op: Op, rows: usize, cols: usize, phase: f64) -> CMat {
+        match op {
+            Op::None => test_mat(rows, cols, phase),
+            Op::Trans | Op::ConjTrans => test_mat(cols, rows, phase),
+        }
+    }
+
     #[test]
     fn backends_agree_on_gemm_all_ops() {
-        let r = Reference;
-        let bl = Blocked::new();
-        let a = test_mat(7, 5, 0.3);
-        let at = test_mat(5, 7, 0.3);
-        // Column counts ≡ 1, 2, 3 (mod NB): every remainder arm of the
-        // register micro-kernel after the full blocks.
-        for n in [9, 10, 11] {
-            let c0 = test_mat(7, n, 2.0);
-            for (op_a, aa) in [(Op::None, &a), (Op::Trans, &at)] {
-                for op_b in [Op::None, Op::Trans, Op::ConjTrans] {
-                    let bb = match op_b {
-                        Op::None => test_mat(5, n, 1.1),
-                        _ => test_mat(n, 5, 1.1),
-                    };
-                    let alpha = c64(0.7, -0.2);
-                    let beta = c64(-0.1, 0.4);
-                    let want = r.gemm(alpha, aa, op_a, &bb, op_b, beta, Some(&c0));
-                    let got = bl.gemm(alpha, aa, op_a, &bb, op_b, beta, Some(&c0));
-                    assert!(
-                        want.max_abs_diff(&got) < 1e-12,
-                        "gemm mismatch for {op_a:?}/{op_b:?}, {n} columns"
-                    );
-                    let (a32, b32) = (CMat32::from_c64(aa), CMat32::from_c64(&bb));
-                    let alpha32 = Complex32::from_c64(alpha);
-                    let want = r.gemm32(alpha32, &a32, op_a, &b32, op_b);
-                    let got = bl.gemm32(alpha32, &a32, op_a, &b32, op_b);
-                    assert_eq!(
-                        want.max_abs_diff(&got),
-                        0.0,
-                        "gemm32 {op_a:?}/{op_b:?}, {n} columns"
-                    );
+        // Bit for bit on every edge of the register tile: rows ≡ 0..MR−1
+        // (mod MR) against columns ≡ 0..NR−1 (mod NR), inner dimensions
+        // inside one panel and across a panel boundary, every Op pair,
+        // α and β ≠ 1, fp64 and fp32.
+        use tiled::{KC, MR, NR};
+        let (r, bl) = (Reference, Blocked::new());
+        let ops = [Op::None, Op::Trans, Op::ConjTrans];
+        let (alpha, beta) = (c64(0.7, -0.2), c64(-0.1, 0.4));
+        let alpha32 = Complex32::from_c64(alpha);
+        for (m, n, k) in (MR..2 * MR).flat_map(|m| (NR..2 * NR).map(move |n| (m, n))).flat_map(
+            |(m, n)| [1, 5, KC + 1].map(|k| (m, n, k)),
+        ) {
+            let c0 = test_mat(m, n, 2.0);
+            for (op_a, op_b) in ops.into_iter().flat_map(|oa| ops.map(|ob| (oa, ob))) {
+                let (aa, bb) = (op_mat(op_a, m, k, 0.3), op_mat(op_b, k, n, 1.1));
+                let what = format!("{op_a:?}/{op_b:?} {m}×{n}×{k}");
+                for c0 in [Some(&c0), None] {
+                    let want = r.gemm(alpha, &aa, op_a, &bb, op_b, beta, c0);
+                    let got = bl.gemm(alpha, &aa, op_a, &bb, op_b, beta, c0);
+                    assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "gemm {what}");
                 }
+                let (a32, b32) = (CMat32::from_c64(&aa), CMat32::from_c64(&bb));
+                let want = r.gemm32(alpha32, &a32, op_a, &b32, op_b);
+                let got = bl.gemm32(alpha32, &a32, op_a, &b32, op_b);
+                assert_eq!(bits32(got.as_slice()), bits32(want.as_slice()), "gemm32 {what}");
             }
         }
     }
 
     #[test]
     fn backends_agree_on_band_ops() {
-        let r = Reference;
-        let bl = Blocked::new();
-        let (nb, len) = (6, 37);
-        let a = test_block(nb, len, 0.2);
-        // Column counts ≡ 1, 2, 3 (mod NB), as in the GEMM test.
-        for cols in [5, 6, 7] {
-            let b = test_block(cols, len, 1.4);
-            let sr = r.overlap(&a, &b, len, 1.7);
-            let sb = bl.overlap(&a, &b, len, 1.7);
-            assert!(sr.max_abs_diff(&sb) < 1e-12, "overlap, {cols} columns");
-            let (a32, b32) = (precision::demote(&a), precision::demote(&b));
-            let sr = r.overlap32(&a32, &b32, len, 1.7);
-            let sb = bl.overlap32(&a32, &b32, len, 1.7);
-            assert_eq!(sr.max_abs_diff(&sb), 0.0, "overlap32, {cols} columns");
-        }
-
-        let q = test_mat(nb, 5, 0.9);
-        let mut or_ = vec![Complex64::ZERO; len * 5];
-        let mut ob = or_.clone();
-        r.rotate(&a, &q, len, &mut or_);
-        bl.rotate(&a, &q, len, &mut ob);
-        assert!(cvec::max_abs_diff(&or_, &ob) < 1e-12);
-
+        // Bit for bit on every tile edge: na ≡ 0..MR−1 (mod MR) against
+        // nb ≡ 0..NR−1 (mod NR) bands, band lengths around one and two
+        // panels (the rotation's tile rows, ≡ 0..MR−1 too), scale and α
+        // ≠ 1, a zero weight beside nonzero ones and −0.0 in the
+        // accumulated output, fp64 and fp32.
+        use tiled::{KC, MR, NR};
+        let (r, bl) = (Reference, Blocked::new());
         let alpha = c64(0.3, -1.1);
-        r.rotate_acc(alpha, &a, &q, len, &mut or_);
-        bl.rotate_acc(alpha, &a, &q, len, &mut ob);
-        assert!(cvec::max_abs_diff(&or_, &ob) < 1e-12);
+        let alpha32 = Complex32::from_c64(alpha);
+        for len in [1, KC - 1, KC, KC + 1, KC + 2, 2 * KC + 3] {
+            for (na, nb) in (MR..2 * MR).flat_map(|na| (NR..2 * NR).map(move |nb| (na, nb))) {
+                let what = format!("{na}×{nb} bands of {len}");
+                let (a, b) = (test_block(na, len, 0.2), test_block(nb, len, 1.4));
+                let (want, got) = (r.overlap(&a, &b, len, 1.7), bl.overlap(&a, &b, len, 1.7));
+                assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "overlap {what}");
+                let (a32, b32) = (precision::demote(&a), precision::demote(&b));
+                let want = r.overlap32(&a32, &b32, len, 1.7);
+                let got = bl.overlap32(&a32, &b32, len, 1.7);
+                assert_eq!(bits32(got.as_slice()), bits32(want.as_slice()), "overlap32 {what}");
+
+                let mut q = test_mat(na, nb, 0.9);
+                q[(1, 2)] = Complex64::ZERO;
+                let mut out = test_block(nb, len, 2.5);
+                out[len + len / 2] = c64(-0.0, -0.0);
+                let (mut or_, mut ob) = (out.clone(), out.clone());
+                r.rotate(&a, &q, len, &mut or_);
+                bl.rotate(&a, &q, len, &mut ob);
+                assert_eq!(bits(&ob), bits(&or_), "rotate {what}");
+                let (mut or_, mut ob) = (out.clone(), out.clone());
+                r.rotate_acc(alpha, &a, &q, len, &mut or_);
+                bl.rotate_acc(alpha, &a, &q, len, &mut ob);
+                assert_eq!(bits(&ob), bits(&or_), "rotate_acc {what}");
+                let q32 = CMat32::from_c64(&q);
+                let (mut or_, mut ob) = (precision::demote(&out), precision::demote(&out));
+                r.rotate_acc32(alpha32, &a32, &q32, len, &mut or_);
+                bl.rotate_acc32(alpha32, &a32, &q32, len, &mut ob);
+                assert_eq!(bits32(&ob), bits32(&or_), "rotate_acc32 {what}");
+            }
+        }
+    }
+
+    #[test]
+    fn rotation_skips_each_zero_weight_per_column() {
+        // A NaN source band whose weight is zero in one column of a tile
+        // whose other columns weigh it: the reference skips that step, so
+        // that column stays finite and its neighbours go NaN — on both
+        // backends, bit for bit, in both precisions.
+        let (na, len) = (3, 9);
+        let mut a = test_block(na, len, 0.2);
+        a[len..2 * len].fill(c64(f64::NAN, 0.0));
+        let mut q = test_mat(na, 4, 0.9);
+        q[(1, 2)] = Complex64::ZERO;
+        let alpha = c64(0.3, -1.1);
+        let out = test_block(4, len, 2.5);
+        let runs = [&Reference as &dyn Backend, &Blocked::new() as &dyn Backend].map(|be| {
+            let mut rot = out.clone();
+            be.rotate(&a, &q, len, &mut rot);
+            let mut acc = out.clone();
+            be.rotate_acc(alpha, &a, &q, len, &mut acc);
+            let mut acc32 = precision::demote(&out);
+            let (a32, q32) = (precision::demote(&a), CMat32::from_c64(&q));
+            be.rotate_acc32(Complex32::from_c64(alpha), &a32, &q32, len, &mut acc32);
+            (bits(&rot), bits(&acc), bits32(&acc32), rot)
+        });
+        assert_eq!(runs[1].0, runs[0].0, "rotate");
+        assert_eq!(runs[1].1, runs[0].1, "rotate_acc");
+        assert_eq!(runs[1].2, runs[0].2, "rotate_acc32");
+        let rot = &runs[1].3;
+        assert!(bands::band(rot, len, 2).iter().all(|z| z.is_finite()), "zero weight skipped");
+        assert!(bands::band(rot, len, 1).iter().all(|z| z.is_nan()), "nonzero weight applied");
     }
 
     #[test]
@@ -1880,11 +1622,12 @@ mod tests {
 
     #[test]
     fn threaded_regions_are_bitwise_identical_at_every_worker_count() {
-        // Every row, band block and slab is written by exactly one
-        // worker, so forcing the regions onto 2 and 3 workers (shapes
-        // far below the work threshold) must reproduce the inline
-        // result bit for bit — on both backends, fp64 and fp32.
-        let (m, k, n, len) = (7, 5, 10, 37);
+        // Every output tile, grid part and slab is written by exactly
+        // one worker, so forcing the regions onto 2 and 3 workers (shapes
+        // far below the work threshold; three column blocks, three grid
+        // panels) must reproduce the inline result bit for bit — on both
+        // backends, fp64 and fp32.
+        let (m, k, n, len) = (7, 5, 10, 2 * tiled::KC + 3);
         let (a, b, c0) = (test_mat(m, k, 0.3), test_mat(k, n, 1.1), test_mat(m, n, 2.0));
         let (alpha, beta) = (c64(0.7, -0.2), c64(-0.1, 0.4));
         let (xa, xb) = (test_block(m, len, 0.2), test_block(n, len, 1.4));
@@ -1918,12 +1661,44 @@ mod tests {
             for workers in [2, 3] {
                 let got = run(workers);
                 let name = be.name();
-                assert_eq!(got.0.max_abs_diff(&want.0), 0.0, "gemm {name} workers={workers}");
-                assert_eq!(got.1.max_abs_diff(&want.1), 0.0, "overlap {name} workers={workers}");
-                assert_eq!(got.2.max_abs_diff(&want.2), 0.0, "gemm32 {name} workers={workers}");
-                assert_eq!(got.3.max_abs_diff(&want.3), 0.0, "overlap32 {name} workers={workers}");
-                assert!(got.4 == want.4, "band kernels {name} workers={workers}");
+                let what = format!("{name} workers={workers}");
+                assert_eq!(bits(got.0.as_slice()), bits(want.0.as_slice()), "gemm {what}");
+                assert_eq!(bits(got.1.as_slice()), bits(want.1.as_slice()), "overlap {what}");
+                assert_eq!(bits32(got.2.as_slice()), bits32(want.2.as_slice()), "gemm32 {what}");
+                assert_eq!(bits32(got.3.as_slice()), bits32(want.3.as_slice()), "overlap32 {what}");
+                let ((rot, lin, rot32), (rot_w, lin_w, rot32_w)) = (&got.4, &want.4);
+                assert_eq!(bits(rot), bits(rot_w), "rotate, rotate_acc {what}");
+                assert_eq!(bits(lin), bits(lin_w), "lincomb, scale, transform {what}");
+                assert_eq!(bits32(rot32), bits32(rot32_w), "rotate_acc32 {what}");
             }
+        }
+    }
+
+    #[test]
+    fn pack_scratch_is_bounded_per_worker() {
+        // The subspace kernel's scratch grows with the worker count,
+        // never with the band length: the overlap holds its partial
+        // chains plus one panel per worker, the rotation its packed
+        // weights plus one source tile per worker.
+        use tiled::{KC, MR, NR};
+        let (nb, len, f) = (3 * NR, 4 * KC, std::mem::size_of::<f64>());
+        let a = test_block(nb, len, 0.2);
+        let q = test_mat(nb, nb, 0.9);
+        for workers in [1, 2, 3] {
+            let bl = Blocked::new();
+            with_workers(workers, || bl.overlap(&a, &a, len, 1.0));
+            let (partial, panel) = (3 * nb.div_ceil(MR) * MR * 2 * NR * f, KC * 2 * NR * f);
+            let stats = bl.pack.stats();
+            assert_eq!(stats.outstanding_bytes, 0, "overlap, workers={workers}");
+            assert!(stats.peak_bytes <= partial + workers * panel, "overlap, workers={workers}");
+
+            let bl = Blocked::new();
+            let mut out = a.clone();
+            with_workers(workers, || bl.rotate_acc(c64(0.5, 0.0), &a, &q, len, &mut out));
+            let (weights, tile) = (3 * nb * 2 * NR * f, nb * 2 * MR * f);
+            let stats = bl.pack.stats();
+            assert_eq!(stats.outstanding_bytes, 0, "rotate_acc, workers={workers}");
+            assert!(stats.peak_bytes <= weights + workers * tile, "rotate_acc, workers={workers}");
         }
     }
 

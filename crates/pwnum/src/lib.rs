@@ -22,8 +22,10 @@
 //!   trait owning the hot primitives (GEMM, band ops, elementwise
 //!   kernel products, batched grid transforms, buffer pool) with
 //!   [`backend::Reference`] (the scalar/threaded kernels above) and
-//!   [`backend::Blocked`] (cache-blocked, accelerator-style)
-//!   implementations — the swap-in seam for SIMD/GPU ports.
+//!   [`backend::Blocked`] (cache-blocked, accelerator-style, its GEMM
+//!   and band ops one register-tiled micro-kernel in the private
+//!   `tiled` module) implementations — the swap-in seam for SIMD/GPU
+//!   ports.
 //! * [`precision`] — the mixed-precision subsystem: the `Complex32`
 //!   scalar with `CVec32`/`CMat32` storage, demote/promote conversion
 //!   kernels, two-sum-compensated fp64 accumulation, and the
@@ -45,6 +47,7 @@ pub mod parallel;
 pub mod persist;
 pub mod precision;
 pub mod traced;
+mod tiled;
 mod waves;
 
 pub use backend::{Backend, BackendHandle, PairTask};

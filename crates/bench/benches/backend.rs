@@ -2,7 +2,9 @@
 //! primitives the paper's hot path is made of — the Fock `apply_diag`
 //! (batched Poisson solves) and the N×N subspace GEMM — plus the batched
 //! 3-D FFT they are built from and, in the JSON artifact, the band
-//! overlap and accumulating rotation at the `ace_fp64` shape.
+//! overlap and accumulating rotation at the `ace_fp64` shape. Both
+//! backends run the same tile-kernel pass per grid, so the batched FFT
+//! rows compare only the batching (per grid vs per slab).
 //!
 //! Besides the criterion output, `main` writes `BENCH_backend.json` with
 //! median per-iteration times and the Blocked-over-Reference speedups
@@ -10,15 +12,16 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use pwdft::{Cell, DftSystem, FockOperator, Wavefunction};
-use pwdft_bench::{backend_for_platform, median_secs};
-use pwnum::backend::{by_name, BackendHandle};
+use pwdft_bench::median_secs;
+use pwnum::backend::{BackendHandle, Blocked, Reference};
 use pwnum::cmat::CMat;
 use pwnum::complex::{c64, Complex64};
 use pwnum::gemm::Op;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn backends() -> [BackendHandle; 2] {
-    [by_name("reference").unwrap(), by_name("blocked").unwrap()]
+    [Arc::new(Reference), Arc::new(Blocked::new())]
 }
 
 fn test_mat(n: usize, phase: f64) -> CMat {
@@ -187,10 +190,6 @@ fn main() {
         rows.push(("batched_fft_16x20cube".into(), times[0], times[1]));
     }
 
-    // Platform→backend mapping sanity (the ARM-vs-GPU split).
-    let arm = backend_for_platform(&perfmodel::platform::Platform::fugaku_arm());
-    let gpu = backend_for_platform(&perfmodel::platform::Platform::gpu_a100());
-
     let mut json = String::from("{\n  \"benchmarks\": [\n");
     for (i, (name, t_ref, t_blk)) in rows.iter().enumerate() {
         json.push_str(&format!(
@@ -200,11 +199,7 @@ fn main() {
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
-    json.push_str(&format!(
-        "  ],\n  \"platform_backends\": {{\"arm\": \"{}\", \"gpu\": \"{}\"}}\n}}\n",
-        arm.name(),
-        gpu.name()
-    ));
+    json.push_str("  ]\n}\n");
     std::fs::write("BENCH_backend.json", &json).expect("write BENCH_backend.json");
     println!("\nwrote BENCH_backend.json:\n{json}");
 }

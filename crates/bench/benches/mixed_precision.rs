@@ -19,7 +19,8 @@ use ptim::{rk4_step, HybridParams, LaserPulse, Rk4Config, TdEngine, TdState};
 use pwdft::fock::FockOptions;
 use pwdft::smearing::{occupations, KB_HARTREE};
 use pwdft::{Cell, DftSystem, FockOperator, PwGrid, Wavefunction};
-use pwdft_bench::{backend_for_platform, median_secs, precision_for_platform};
+use pwdft_bench::{median_secs, precision_for_platform};
+use pwnum::backend::default_backend;
 use pwnum::cmat::CMat;
 use pwnum::precision::PrecisionPolicy;
 use std::hint::black_box;
@@ -43,11 +44,11 @@ fn measure(grid: &PwGrid, n: usize, iters: usize) -> SpeedRow {
     let (_, occ) = occupations(&eigs, n as f64, kt);
     let wf = Wavefunction::random(grid, n, 3);
     let phi_r = wf.to_real_all(&fft);
-    // The accelerator platform default: Blocked backend + mixed policy
-    // (fp32 exchange); the fp64 side runs the same backend so the ratio
-    // isolates precision.
+    // The product backend under the accelerator platform's mixed
+    // policy (fp32 exchange); the fp64 side runs the same backend so the
+    // ratio isolates precision.
     let gpu = Platform::gpu_a100();
-    let be = backend_for_platform(&gpu);
+    let be = default_backend().clone();
     let policy = precision_for_platform(&gpu);
     assert!(policy.exchange.reduced(), "GPU platform default must reduce exchange");
     let fp64 = FockOperator::with_backend(grid, 0.106, be.clone());

@@ -7,7 +7,6 @@
 use mpisim::Cluster;
 use perfmodel::platform::Platform;
 use pwdft::{scf_hybrid, scf_lda, Cell, DftSystem, GroundState, HybridConfig, ScfConfig};
-use pwnum::backend::{by_name, BackendHandle};
 use pwnum::precision::PrecisionPolicy;
 
 /// Harness options parsed from the command line.
@@ -62,16 +61,6 @@ pub fn prepare_ground_state(
     } else {
         gs
     }
-}
-
-/// Maps a modeled platform to the compute backend that mirrors its
-/// execution style — the paper's ARM-vs-GPU split: the A64FX path runs
-/// the per-call scalar/threaded kernels (`reference`), while the GPU
-/// path batches kernels behind the accelerator-style `blocked` backend
-/// (multi-batch FFTs, pooled buffers; Sec. III-B).
-pub fn backend_for_platform(platform: &Platform) -> BackendHandle {
-    let name = if platform.accelerator { "blocked" } else { "reference" };
-    by_name(name).expect("built-in backend")
 }
 
 /// Maps a modeled platform to its default precision policy — the

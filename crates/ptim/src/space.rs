@@ -305,7 +305,8 @@ mod tests {
     use crate::ptim::ptim_step;
     use crate::rk4::{rk4_step, Rk4Config};
     use pwdft::{Cell, DftSystem, FockOptions};
-    use pwnum::backend::by_name;
+    use pwnum::backend::{BackendHandle, Blocked, Reference};
+    use std::sync::Arc;
     use pwnum::precision::PrecisionPolicy;
 
     fn fixture(occ: &[f64]) -> (DftSystem, TdState) {
@@ -333,8 +334,9 @@ mod tests {
         }
         let laser = LaserPulse { e0: 0.05, omega: 0.15, t_center: 0.3, t_width: 0.5 };
         for (policy, tol) in [(PrecisionPolicy::fp64(), 1e-12), (PrecisionPolicy::mixed(), 1e-6)] {
-            for name in ["reference", "blocked"] {
-                let be = by_name(name).unwrap();
+            let backends: [BackendHandle; 2] = [Arc::new(Reference), Arc::new(Blocked::new())];
+            for be in backends {
+                let name = be.name();
                 let fock = FockOptions::default().with_precision(policy);
                 let eng = TdEngine::with_backend(&sys, laser.clone(), hybrid(fock), be);
                 let ev = eng.eval(&st.phi, &st.sigma, 0.3);

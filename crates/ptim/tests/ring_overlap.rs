@@ -12,12 +12,13 @@ use ptim::distributed::{
 };
 use pwdft::fock::FockOptions;
 use pwdft::{Cell, DftSystem, FockApplyStats, FockOperator, Wavefunction};
-use pwnum::backend::{by_name, BackendHandle};
+use pwnum::backend::{BackendHandle, Blocked, Reference};
 use pwnum::cmat::CMat;
 use pwnum::complex::{c64, Complex64};
 use pwnum::cvec::max_abs_diff;
 use pwnum::eigh;
 use pwnum::precision::PrecisionPolicy;
+use std::sync::Arc;
 
 const N_BANDS: usize = 6;
 
@@ -47,7 +48,7 @@ fn fixture() -> Fixture {
 }
 
 fn backends() -> [BackendHandle; 2] {
-    [by_name("reference").unwrap(), by_name("blocked").unwrap()]
+    [Arc::new(Reference), Arc::new(Blocked::new())]
 }
 
 #[test]

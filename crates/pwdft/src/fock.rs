@@ -530,7 +530,7 @@ impl<'g> FockOperator<'g> {
         let be = &*self.backend;
         stats.solves += tasks.len();
         let Some(kit) = &self.fp32 else {
-            let solve = self.fft.convolve_pass(&self.kernel.kg, be);
+            let solve = self.fft.convolve_pass(&self.kernel.kg);
             be.fused_pair_solve(&solve, phi_r, psi_r, ng, tasks, out);
             self.counters.add_fp64(tasks.len());
             return;
@@ -540,7 +540,7 @@ impl<'g> FockOperator<'g> {
         let mut comp =
             self.opts.precision.exchange.compensated().then(|| be.take_buffer(out.len()));
         be.fused_pair_solve32(
-            &kit.fft.convolve_pass(&kit.kg, be),
+            &kit.fft.convolve_pass(&kit.kg),
             &phi32,
             psi32.as_deref().unwrap_or(&phi32),
             ng,
@@ -674,6 +674,11 @@ mod tests {
     use crate::wavefunction::Wavefunction;
     use pwnum::eigh;
     use pwnum::precision::Complex32;
+
+    /// The oracle backend and the product backend, bare.
+    fn oracle_and_product() -> [BackendHandle; 2] {
+        [Arc::new(pwnum::backend::Reference), Arc::new(pwnum::backend::Blocked::new())]
+    }
 
     fn setup(n_bands: usize) -> (PwGrid, Fft3, Wavefunction) {
         let cell = Cell::silicon_supercell(1, 1, 1);
@@ -933,9 +938,9 @@ mod tests {
         let n = d.len();
         let phi_r = wf.to_real_all(&fft);
         let psi = phi_r.clone();
-        for name in ["reference", "blocked"] {
-            let fock =
-                FockOperator::with_backend(&grid, 0.2, pwnum::backend::by_name(name).unwrap());
+        for be in oracle_and_product() {
+            let name = be.name();
+            let fock = FockOperator::with_backend(&grid, 0.2, be);
             let mut pair = vec![Complex64::ZERO; ng];
 
             // Symmetric: i ≤ j, one solve scattered into both targets.
@@ -1001,8 +1006,8 @@ mod tests {
         let phi32 = precision::demote(&phi_r);
         let fft32 = grid.fft32();
         let band32 = |i: usize| &phi32[i * ng..(i + 1) * ng];
-        for name in ["reference", "blocked"] {
-            let be = pwnum::backend::by_name(name).unwrap();
+        for be in oracle_and_product() {
+            let name = be.name();
             let mixed = FockOperator::with_options(
                 &grid,
                 0.2,
@@ -1059,16 +1064,15 @@ mod tests {
     #[test]
     fn pool_peak_is_independent_of_band_count() {
         // The pipeline holds one wave of pooled pair grids (one grid on
-        // one worker) plus the solve's scratch for the whole task list:
-        // on a fresh pooled backend the high-water mark must not grow
-        // with the number of bands. 36 / 55 / 78 tasks are all beyond a
-        // wave, so this holds at every thread count (the bound in grids
+        // one worker) for the whole task list: on a fresh pooled backend
+        // the high-water mark must not grow with the number of bands.
+        // 36 / 55 / 78 tasks are all beyond a wave, so this holds at every thread count (the bound in grids
         // is asserted next to the scheduler, in `pwnum::backend`).
         let (grid, fft, wf) = setup(12);
         let ng = grid.len();
         let phi_r = wf.to_real_all(&fft);
         let peak = |n: usize| {
-            let be = pwnum::backend::by_name("blocked").unwrap();
+            let be: BackendHandle = Arc::new(pwnum::backend::Blocked::new());
             let op = FockOperator::with_backend(&grid, 0.2, be.clone());
             op.apply_pure(&phi_r[..n * ng], &vec![1.0; n]);
             be.pool_stats().fp64.peak_bytes

@@ -7,7 +7,9 @@
 
 use pwdft::fock::{FockOptions, ScreenedKernel};
 use pwdft::{Cell, FockOperator, PwGrid, Wavefunction};
-use pwnum::backend::{by_name, Backend, BackendHandle, GridTransform, GridTransform32, PairTask};
+use pwnum::backend::{
+    Backend, BackendHandle, Blocked, GridTransform, GridTransform32, PairTask, Reference,
+};
 use pwnum::cmat::CMat;
 use pwnum::complex::Complex64;
 use pwnum::precision::{CMat32, Complex32};
@@ -143,10 +145,6 @@ impl Backend for CountingBackend {
         self.inner.fused_pair_solve32(solve, phi, psi, ng, tasks, out, comp);
     }
 
-    fn fused_grid_passes(&self) -> bool {
-        self.inner.fused_grid_passes()
-    }
-
     fn take_buffer(&self, len: usize) -> Vec<Complex64> {
         self.inner.take_buffer(len)
     }
@@ -255,8 +253,9 @@ fn pair_symmetric_agrees_with_asymmetric_on_mixed_states() {
         vec![1.0, 0.9, 0.4, 0.0, 0.0, 0.0],     // zero-occupation tail
         vec![0.8; 6],                           // fully degenerate
     ];
-    for be_name in ["reference", "blocked"] {
-        let be = by_name(be_name).unwrap();
+    let backends: [BackendHandle; 2] = [Arc::new(Reference), Arc::new(Blocked::new())];
+    for be in backends {
+        let be_name = be.name();
         let fock = FockOperator::with_backend(&grid, 0.2, be.clone());
         for (k, occ) in occupation_sets.iter().enumerate() {
             let wf = Wavefunction::random(&grid, occ.len(), 100 + k as u64);
@@ -284,8 +283,8 @@ fn backends_agree_on_pair_symmetric_apply() {
     let occ = vec![1.0, 1.0, 0.7, 0.3, 0.0];
     let wf = Wavefunction::random(&grid, occ.len(), 41);
     let phi_r = wf.to_real_all(&fft);
-    let f_ref = FockOperator::with_backend(&grid, 0.15, by_name("reference").unwrap());
-    let f_blk = FockOperator::with_backend(&grid, 0.15, by_name("blocked").unwrap());
+    let f_ref = FockOperator::with_backend(&grid, 0.15, Arc::new(Reference));
+    let f_blk = FockOperator::with_backend(&grid, 0.15, Arc::new(Blocked::new()));
     let a = f_ref.apply_pure(&phi_r, &occ);
     let b = f_blk.apply_pure(&phi_r, &occ);
     let d = rel_diff(&a, &b);
@@ -300,7 +299,7 @@ fn zero_cutoff_is_bitwise_identical_to_no_screening() {
     let occ = vec![1.0, 0.6, 0.0, 0.0];
     let wf = Wavefunction::random(&grid, occ.len(), 55);
     let phi_r = wf.to_real_all(&fft);
-    let be = by_name("reference").unwrap();
+    let be: BackendHandle = Arc::new(Reference);
     let mk = |cutoff: f64| {
         FockOperator::with_options(
             &grid,
@@ -338,7 +337,7 @@ fn symmetric_apply_fft_volume_is_halved() {
     let wf = Wavefunction::random(&grid, n, 9);
     let phi_r = wf.to_real_all(&fft);
     let pairs = n * (n + 1) / 2;
-    let counter = CountingBackend::new(by_name("reference").unwrap());
+    let counter = CountingBackend::new(Arc::new(Reference));
     let be: BackendHandle = counter.clone();
     let fock = FockOperator::with_backend(&grid, 0.2, be);
     counter.reset();

@@ -3,22 +3,23 @@
 //! Grid layout: index `(i0, i1, i2) -> (i0*n1 + i1)*n2 + i2` (axis 2
 //! fastest). Wavefunctions and densities in `pwdft` live on such grids;
 //! the Fock exchange operator performs two 3D transforms per orbital pair,
-//! which makes [`Fft3::forward_many`] (batched, thread-parallel) the
-//! hottest path in the whole code — it is the Rust analog of the paper's
-//! multi-batch cuFFT strategy (Sec. III-B b).
+//! which makes [`Fft3::convolve_pass`] (one screened-Poisson round trip,
+//! batched over pairs by [`Backend::fused_pair_solve`]) the hottest path
+//! in the whole code — the Rust analog of the paper's multi-batch cuFFT
+//! strategy (Sec. III-B b).
+//!
+//! Every transform runs one way: each axis through the tile kernel
+//! (module `tile`) — 16 lines at a time gathered straight from the grid
+//! into the calling thread's L1 tile, all butterfly levels there, one
+//! store back. The CPU analog of the fused multi-line passes in the
+//! paper's GPU FFT path; bitwise equal to a per-line 1-D [`Plan`] sweep
+//! over the three axes (the test oracle).
 
 use crate::plan::Plan;
 use crate::tile;
-use pwnum::backend::{Backend, GridTransform, TRANSFORM_WORK_PER_POINT};
+use pwnum::backend::{Backend, GridTransform};
 use pwnum::complex::Complex64;
-use pwnum::parallel::{par_chunks_mut_on, workers_for};
-use std::cell::RefCell;
 use std::sync::Arc;
-
-thread_local! {
-    /// Per-thread scratch reused across FFT calls (line buffer + plan scratch).
-    static SCRATCH: RefCell<Vec<Complex64>> = const { RefCell::new(Vec::new()) };
-}
 
 /// Plans for a fixed 3D grid shape (shared: cloning is one `Arc` bump).
 #[derive(Clone, Debug)]
@@ -61,102 +62,20 @@ impl Fft3 {
         (self.n0, self.n1, self.n2)
     }
 
-    /// Scratch elements required by the `_with` entry points
-    /// (line buffer + 1D plan scratch).
-    #[inline]
-    pub fn scratch_len(&self) -> usize {
-        2 * self.n0.max(self.n1).max(self.n2)
-    }
-
-    fn with_scratch<R>(&self, f: impl FnOnce(&mut [Complex64]) -> R) -> R {
-        let need = self.scratch_len();
-        SCRATCH.with(|s| {
-            let mut s = s.borrow_mut();
-            if s.len() < need {
-                s.resize(need, Complex64::ZERO);
-            }
-            f(&mut s[..need])
-        })
-    }
-
-    fn transform(&self, data: &mut [Complex64], inverse: bool) {
-        self.with_scratch(|scratch| self.transform_with(data, scratch, inverse));
-    }
-
-    /// Transforms one grid in place using caller-provided scratch of at
-    /// least [`Self::scratch_len`] elements — the allocation-free entry
-    /// point batched backends drive with a reused arena.
-    pub fn transform_with(&self, data: &mut [Complex64], scratch: &mut [Complex64], inverse: bool) {
-        assert_eq!(data.len(), self.len(), "FFT3 buffer length mismatch");
-        let (n0, n1, n2) = (self.n0, self.n1, self.n2);
-        let [plan0, plan1, plan2] = &*self.plans;
-        {
-            let scratch = &mut scratch[..self.scratch_len()];
-            let (line, plan_scratch) = scratch.split_at_mut(n0.max(n1).max(n2));
-            // Axis 2: contiguous lines.
-            for row in data.chunks_mut(n2) {
-                if inverse {
-                    plan2.inverse_with(row, plan_scratch);
-                } else {
-                    plan2.forward_with(row, plan_scratch);
-                }
-            }
-            // Axis 1: stride n2 within each i0-plane.
-            for i0 in 0..n0 {
-                let plane = &mut data[i0 * n1 * n2..(i0 + 1) * n1 * n2];
-                for i2 in 0..n2 {
-                    for i1 in 0..n1 {
-                        line[i1] = plane[i1 * n2 + i2];
-                    }
-                    let seg = &mut line[..n1];
-                    if inverse {
-                        plan1.inverse_with(seg, plan_scratch);
-                    } else {
-                        plan1.forward_with(seg, plan_scratch);
-                    }
-                    for i1 in 0..n1 {
-                        plane[i1 * n2 + i2] = line[i1];
-                    }
-                }
-            }
-            // Axis 0: stride n1*n2.
-            let stride = n1 * n2;
-            for i12 in 0..stride {
-                for i0 in 0..n0 {
-                    line[i0] = data[i0 * stride + i12];
-                }
-                let seg = &mut line[..n0];
-                if inverse {
-                    plan0.inverse_with(seg, plan_scratch);
-                } else {
-                    plan0.forward_with(seg, plan_scratch);
-                }
-                for i0 in 0..n0 {
-                    data[i0 * stride + i12] = line[i0];
-                }
-            }
-        }
-    }
-
     /// Forward 3D transform, in place (unnormalized).
     pub fn forward(&self, data: &mut [Complex64]) {
         let _s = pwobs::span("fft.forward");
-        self.transform(data, false);
+        self.transform_fused(data, false);
     }
 
     /// Inverse 3D transform, in place (normalized by `1/len`).
     pub fn inverse(&self, data: &mut [Complex64]) {
         let _s = pwobs::span("fft.inverse");
-        self.transform(data, true);
+        self.transform_fused(data, true);
     }
 
-    /// Fused-pass variant of [`Self::transform_with`]: every axis runs
-    /// through the tile kernel (module `tile`) — 16 lines at a time
-    /// gathered straight from the grid into an L1 tile, all butterfly
-    /// levels there, one store back. The CPU analog of the fused
-    /// multi-line passes in the paper's GPU FFT path; bitwise equal to
-    /// the per-line variant. The tile is the calling thread's own, so no
-    /// scratch is passed.
+    /// Transforms one grid in place, every axis through the tile kernel.
+    /// The tile is the calling thread's own, so no scratch is passed.
     pub fn transform_fused(&self, data: &mut [Complex64], inverse: bool) {
         self.tiled(data, inverse, None);
     }
@@ -165,47 +84,23 @@ impl Fft3 {
         tile::transform3(self.plans.each_ref().map(|p| &p.tile), data, inverse, kernel);
     }
 
-    /// The forward transform as a [`GridTransform`] pass, ready to hand
-    /// to [`Backend::transform_batch`].
+    /// One direction of the transform as a [`GridTransform`] pass, ready
+    /// to hand to [`Backend::transform_batch`].
     #[inline]
-    pub fn forward_pass(&self) -> FftPass<'_> {
-        FftPass { fft: self, inverse: false, fused: false }
+    pub fn pass(&self, inverse: bool) -> FftPass<'_> {
+        FftPass { fft: self, inverse }
     }
 
-    /// The inverse transform as a [`GridTransform`] pass.
-    #[inline]
-    pub fn inverse_pass(&self) -> FftPass<'_> {
-        FftPass { fft: self, inverse: true, fused: false }
-    }
-
-    /// A pass in the requested direction, using the fused (tiled)
-    /// variant when `backend` asks for fused grid passes.
-    #[inline]
-    pub fn pass_for(&self, backend: &dyn Backend, inverse: bool) -> FftPass<'_> {
-        FftPass { fft: self, inverse, fused: backend.fused_grid_passes() }
-    }
-
-    /// Forward-transforms `count` consecutive grids in `data`, in parallel
-    /// across threads (batched FFT).
-    pub fn forward_many(&self, data: &mut [Complex64], count: usize) {
-        self.many(data, count, false);
-    }
-
-    /// Inverse-transforms `count` consecutive grids, in parallel.
-    pub fn inverse_many(&self, data: &mut [Complex64], count: usize) {
-        self.many(data, count, true);
-    }
-
-    /// Batched forward transform routed through a compute [`Backend`]
-    /// (the backend owns slab decomposition, scratch reuse, and the
-    /// per-line vs tiled pass style).
+    /// Batched forward transform of `count` consecutive grids, routed
+    /// through a compute [`Backend`] (the backend owns the slab
+    /// decomposition and thread count).
     pub fn forward_many_with(&self, backend: &dyn Backend, data: &mut [Complex64], count: usize) {
-        backend.transform_batch(&self.pass_for(backend, false), data, count);
+        backend.transform_batch(&self.pass(false), data, count);
     }
 
     /// Batched inverse transform routed through a compute [`Backend`].
     pub fn inverse_many_with(&self, backend: &dyn Backend, data: &mut [Complex64], count: usize) {
-        backend.transform_batch(&self.pass_for(backend, true), data, count);
+        backend.transform_batch(&self.pass(true), data, count);
     }
 
     /// Batched filtered round trip over `count` consecutive grids:
@@ -234,20 +129,6 @@ impl Fft3 {
         self.inverse_many_with(backend, data, count);
     }
 
-    fn many(&self, data: &mut [Complex64], count: usize, inverse: bool) {
-        assert_eq!(data.len(), count * self.len(), "FFT3 batch length mismatch");
-        if count == 0 {
-            return;
-        }
-        // Spanned here rather than through a backend: this is the
-        // thread-pool batched path that does not route via
-        // `Backend::transform_batch`.
-        let _s = pwobs::span("fft.many");
-        let n = self.len();
-        let workers = workers_for(count, n * TRANSFORM_WORK_PER_POINT);
-        par_chunks_mut_on(workers, data, n, |_, grid| self.transform(grid, inverse));
-    }
-
     /// The whole screened-Poisson round trip — forward 3-D FFT, `K(G)`
     /// multiply, inverse 3-D FFT — over one grid as six tile passes: the
     /// kernel multiply rides in the store of the last forward axis, the
@@ -262,20 +143,41 @@ impl Fft3 {
         self.tiled(grid, true, None);
     }
 
-    /// The filtered round trip as one [`GridTransform`]: the `solve`
-    /// operator of [`Backend::fused_pair_solve`]. Backends that ask for
-    /// fused grid passes get the tiled
-    /// [`Self::convolve_grid_fused`]; others run the per-line staged
-    /// arithmetic inside the single pass — bitwise identical to
-    /// `convolve_many_with` on that backend.
+    /// The filtered round trip ([`Self::convolve_grid_fused`]) as one
+    /// [`GridTransform`]: the `solve` operator of
+    /// [`Backend::fused_pair_solve`] — bitwise identical to
+    /// `convolve_many_with`.
     #[inline]
-    pub fn convolve_pass<'f>(
-        &'f self,
-        kernel: &'f [f64],
-        backend: &dyn Backend,
-    ) -> ConvolvePass<'f> {
+    pub fn convolve_pass<'f>(&'f self, kernel: &'f [f64]) -> ConvolvePass<'f> {
         assert_eq!(kernel.len(), self.len(), "convolve kernel/grid length mismatch");
-        ConvolvePass { fft: self, kernel, fused: backend.fused_grid_passes() }
+        ConvolvePass { fft: self, kernel }
+    }
+
+    /// The per-line 3-D driver: one 1-D [`Plan`] call per line of each
+    /// axis, in the tile kernel's (2, 1, 0) order — the oracle the
+    /// bitwise tests compare the tile kernel against.
+    #[cfg(test)]
+    fn per_line(&self, data: &mut [Complex64], inverse: bool) {
+        assert_eq!(data.len(), self.len(), "FFT3 buffer length mismatch");
+        let (n0, n1, n2) = (self.n0, self.n1, self.n2);
+        let [plan0, plan1, plan2] = &*self.plans;
+        let mut scratch = vec![Complex64::ZERO; n0.max(n1).max(n2)];
+        // Gathers the line at `base` (element spacing `stride`),
+        // transforms it and stores it back.
+        let mut line = |plan: &Plan, base: usize, stride: usize| {
+            let mut seg: Vec<_> = (0..plan.len()).map(|k| data[base + k * stride]).collect();
+            if inverse {
+                plan.inverse_with(&mut seg, &mut scratch);
+            } else {
+                plan.forward_with(&mut seg, &mut scratch);
+            }
+            for (k, z) in seg.into_iter().enumerate() {
+                data[base + k * stride] = z;
+            }
+        };
+        (0..n0 * n1).for_each(|row| line(plan2, row * n2, 1));
+        (0..n0 * n2).for_each(|i| line(plan1, (i / n2) * n1 * n2 + i % n2, n2));
+        (0..n1 * n2).for_each(|i12| line(plan0, i12, n1 * n2));
     }
 }
 
@@ -286,7 +188,6 @@ impl Fft3 {
 pub struct ConvolvePass<'f> {
     fft: &'f Fft3,
     kernel: &'f [f64],
-    fused: bool,
 }
 
 impl GridTransform for ConvolvePass<'_> {
@@ -294,27 +195,8 @@ impl GridTransform for ConvolvePass<'_> {
         self.fft.len()
     }
 
-    fn scratch_len(&self) -> usize {
-        if self.fused {
-            0
-        } else {
-            self.fft.scratch_len()
-        }
-    }
-
-    fn run(&self, grid: &mut [Complex64], scratch: &mut [Complex64]) {
-        if self.fused {
-            self.fft.convolve_grid_fused(grid, self.kernel);
-        } else {
-            // Staged arithmetic inside one pass: identical operation
-            // sequence to forward_many → scale_by_real → inverse_many
-            // on a non-fused backend, hence bitwise identical results.
-            self.fft.transform_with(grid, scratch, false);
-            for (z, &k) in grid.iter_mut().zip(self.kernel) {
-                *z = z.scale(k);
-            }
-            self.fft.transform_with(grid, scratch, true);
-        }
+    fn run(&self, grid: &mut [Complex64]) {
+        self.fft.convolve_grid_fused(grid, self.kernel);
     }
 }
 
@@ -324,7 +206,6 @@ impl GridTransform for ConvolvePass<'_> {
 pub struct FftPass<'f> {
     fft: &'f Fft3,
     inverse: bool,
-    fused: bool,
 }
 
 impl GridTransform for FftPass<'_> {
@@ -332,27 +213,20 @@ impl GridTransform for FftPass<'_> {
         self.fft.len()
     }
 
-    fn scratch_len(&self) -> usize {
-        if self.fused {
-            0
-        } else {
-            self.fft.scratch_len()
-        }
-    }
-
-    fn run(&self, grid: &mut [Complex64], scratch: &mut [Complex64]) {
-        if self.fused {
-            self.fft.transform_fused(grid, self.inverse);
-        } else {
-            self.fft.transform_with(grid, scratch, self.inverse);
-        }
+    fn run(&self, grid: &mut [Complex64]) {
+        self.fft.transform_fused(grid, self.inverse);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pwnum::backend::{BackendHandle, Blocked, Reference};
     use pwnum::complex::c64;
+
+    fn backends() -> [BackendHandle; 2] {
+        [Arc::new(Reference), Arc::new(Blocked::new())]
+    }
 
     fn bits_eq(a: &[Complex64], b: &[Complex64]) -> bool {
         a.len() == b.len()
@@ -488,10 +362,7 @@ mod tests {
             }
         }
         let base = signal(n * count, 0.7);
-        for be in [
-            pwnum::backend::by_name("reference").unwrap(),
-            pwnum::backend::by_name("blocked").unwrap(),
-        ] {
+        for be in backends() {
             let mut got = base.clone();
             fft.convolve_many_with(&*be, &mut got, count, &kernel);
             let mut want = base.clone();
@@ -516,11 +387,13 @@ mod tests {
 
     #[test]
     fn fused_convolve_matches_staged_roundtrip_bitwise() {
-        // The tiled convolve and the tiled one-direction transform must
-        // match the staged per-line forward → K(G) → inverse chain
-        // bitwise: the tile kernel is lane-exact and both directions
-        // visit the axes in the same (2, 1, 0) order. Shapes cover radix
-        // 2/3/4/5/7, partial tiles (lines % 16 != 0) and a 1-point axis.
+        // The tiled convolve and the tiled one-direction transforms must
+        // match the per-line forward → K(G) → inverse chain bitwise: the
+        // tile kernel is lane-exact and both directions visit the axes
+        // in the same (2, 1, 0) order. Shapes cover radix 2/3/4/5/7,
+        // partial tiles (lines % 16 != 0), a 1-point axis, the
+        // 2/3/5-smooth batch shapes of `tests/properties.rs` and the
+        // paper's 60×90×120 production grid.
         for dims in [
             (12usize, 12usize, 12usize),
             (16, 16, 16),
@@ -531,33 +404,35 @@ mod tests {
             (6, 6, 6),
             (4, 6, 10),
             (8, 9, 5),
+            (6, 10, 15),
+            (9, 12, 5),
+            (10, 18, 12),
+            (15, 4, 9),
+            (20, 6, 10),
+            (60, 90, 120),
         ] {
             let fft = Fft3::new(dims.0, dims.1, dims.2);
             let n = fft.len();
             let kernel: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();
             let base = signal(n, 0.7);
             let mut staged = base.clone();
-            fft.forward(&mut staged);
+            fft.per_line(&mut staged, false);
             let mut fused = base.clone();
-            fft.transform_fused(&mut fused, false);
+            fft.forward(&mut fused);
             assert!(bits_eq(&fused, &staged), "tiled forward not bitwise on {dims:?}");
             for (z, &k) in staged.iter_mut().zip(&kernel) {
                 *z = z.scale(k);
             }
-            fft.inverse(&mut staged);
+            fft.per_line(&mut staged, true);
             let mut fused = base.clone();
             fft.convolve_grid_fused(&mut fused, &kernel);
             assert!(bits_eq(&fused, &staged), "tiled convolve not bitwise on {dims:?}");
-            fft.transform_fused(&mut fused, true);
-            fft.inverse(&mut staged);
+            fft.inverse(&mut fused);
+            fft.per_line(&mut staged, true);
             assert!(bits_eq(&fused, &staged), "tiled inverse not bitwise on {dims:?}");
 
-            // Structural guard: no grid-sized buffer behind the fused
-            // passes — the backend lends nothing, the thread's tile is
-            // O(n_max · LANES) whatever the grid size.
-            let be = pwnum::backend::by_name("blocked").unwrap();
-            assert_eq!(fft.convolve_pass(&kernel, &*be).scratch_len(), 0);
-            assert_eq!(fft.pass_for(&*be, true).scratch_len(), 0);
+            // Structural guard: no grid-sized buffer behind the passes —
+            // the thread's tile is O(n_max · LANES) whatever the grid.
             let n_max = dims.0.max(dims.1).max(dims.2);
             let tile = fft.plans.iter().map(|p| p.tile.tile_len()).max().unwrap();
             assert!(tile <= 4 * n_max * tile::LANES, "tile of {tile} reals on {dims:?}");
@@ -566,50 +441,42 @@ mod tests {
 
     #[test]
     fn convolve_pass_is_bitwise_with_staged_per_backend() {
-        // Through the GridTransform seam: on each backend, running the
-        // ConvolvePass built *for that backend* must reproduce that
-        // backend's convolve_many_with bitwise — the property the fused
-        // pair-solve scheduler relies on.
+        // Through the GridTransform seam: running the ConvolvePass must
+        // reproduce each backend's convolve_many_with bitwise — the
+        // property the fused pair-solve scheduler relies on.
         let fft = Fft3::new(12, 12, 12);
         let n = fft.len();
         let kernel: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();
         let base = signal(n * 2, 0.3);
-        for be in [
-            pwnum::backend::by_name("reference").unwrap(),
-            pwnum::backend::by_name("blocked").unwrap(),
-        ] {
+        let pass = fft.convolve_pass(&kernel);
+        let mut fused = base.clone();
+        fused.chunks_mut(n).for_each(|grid| pass.run(grid));
+        for be in backends() {
             let mut staged = base.clone();
             fft.convolve_many_with(&*be, &mut staged, 2, &kernel);
-            let pass = fft.convolve_pass(&kernel, &*be);
-            let mut fused = base.clone();
-            let mut scratch = vec![Complex64::ZERO; pass.scratch_len()];
-            for grid in fused.chunks_mut(n) {
-                pass.run(grid, &mut scratch);
-            }
-            for (a, b) in fused.iter().zip(&staged) {
-                assert_eq!(*a, *b, "{}: ConvolvePass != staged convolve", be.name());
-            }
+            assert!(bits_eq(&fused, &staged), "{}: ConvolvePass != staged convolve", be.name());
         }
     }
 
     #[test]
     fn batched_matches_sequential() {
-        let fft = Fft3::new(4, 4, 4);
+        // Bitwise at any thread count: 7 grids of 1800 points are above
+        // the parallel threshold, so the backends split the batch over
+        // every worker the process has.
+        let fft = Fft3::new(10, 12, 15);
         let count = 7;
-        let mut batch = signal(fft.len() * count, 0.2);
-        let mut seq = batch.clone();
-        fft.forward_many(&mut batch, count);
-        for grid in seq.chunks_mut(fft.len()) {
-            fft.forward(grid);
-        }
-        for (a, b) in batch.iter().zip(&seq) {
-            assert!((*a - *b).abs() < 1e-12);
-        }
-        // Inverse batch returns to the start.
-        fft.inverse_many(&mut batch, count);
         let orig = signal(fft.len() * count, 0.2);
-        for (a, b) in batch.iter().zip(&orig) {
-            assert!((*a - *b).abs() < 1e-10);
+        let mut seq = orig.clone();
+        seq.chunks_mut(fft.len()).for_each(|grid| fft.forward(grid));
+        for be in backends() {
+            let mut batch = orig.clone();
+            fft.forward_many_with(&*be, &mut batch, count);
+            assert!(bits_eq(&batch, &seq), "{}: batched forward", be.name());
+            // Inverse batch returns to the start.
+            fft.inverse_many_with(&*be, &mut batch, count);
+            for (a, b) in batch.iter().zip(&orig) {
+                assert!((*a - *b).abs() < 1e-10);
+            }
         }
     }
 }

@@ -2,15 +2,16 @@
 //! the mixed-precision exchange pipeline.
 //!
 //! Mirrors [`Fft3`](crate::fft3::Fft3) over the same row-major layout:
-//! per-line passes, and (for accelerator-style backends) fused passes
-//! through the same tile kernel (module `tile`) the fp64 grids use,
-//! instantiated at `f32`. The one consumer is the exchange pair solve:
-//! [`Fft32::convolve_pass`] hands the whole round trip to
+//! every pass runs through the same tile kernel (module `tile`) the fp64
+//! grids use, instantiated at `f32`. The one consumer is the exchange
+//! pair solve: [`Fft32::convolve_pass`] hands the whole round trip to
 //! [`Backend::fused_pair_solve32`] as a single [`GridTransform32`].
+//!
+//! [`Backend::fused_pair_solve32`]: pwnum::backend::Backend::fused_pair_solve32
 
 use crate::plan32::Plan32;
 use crate::tile;
-use pwnum::backend::{Backend, GridTransform32};
+use pwnum::backend::GridTransform32;
 use pwnum::precision::Complex32;
 use std::sync::Arc;
 
@@ -56,75 +57,11 @@ impl Fft32 {
         (self.n0, self.n1, self.n2)
     }
 
-    /// Scratch elements required by [`Self::transform_with`]
-    /// (line buffer + 1D plan scratch).
-    #[inline]
-    pub fn scratch_len(&self) -> usize {
-        2 * self.n0.max(self.n1).max(self.n2)
-    }
-
-    /// Transforms one fp32 grid in place with caller-provided scratch of
-    /// at least [`Self::scratch_len`] elements (per-line passes).
-    pub fn transform_with(
-        &self,
-        data: &mut [Complex32],
-        scratch: &mut [Complex32],
-        inverse: bool,
-    ) {
-        assert_eq!(data.len(), self.len(), "FFT32 buffer length mismatch");
-        let (n0, n1, n2) = (self.n0, self.n1, self.n2);
-        let [plan0, plan1, plan2] = &*self.plans;
-        let scratch = &mut scratch[..self.scratch_len()];
-        let (line, plan_scratch) = scratch.split_at_mut(n0.max(n1).max(n2));
-        // Axis 2: contiguous lines.
-        for row in data.chunks_mut(n2) {
-            if inverse {
-                plan2.inverse_with(row, plan_scratch);
-            } else {
-                plan2.forward_with(row, plan_scratch);
-            }
-        }
-        // Axis 1: stride n2 within each i0-plane.
-        for i0 in 0..n0 {
-            let plane = &mut data[i0 * n1 * n2..(i0 + 1) * n1 * n2];
-            for i2 in 0..n2 {
-                for i1 in 0..n1 {
-                    line[i1] = plane[i1 * n2 + i2];
-                }
-                let seg = &mut line[..n1];
-                if inverse {
-                    plan1.inverse_with(seg, plan_scratch);
-                } else {
-                    plan1.forward_with(seg, plan_scratch);
-                }
-                for i1 in 0..n1 {
-                    plane[i1 * n2 + i2] = line[i1];
-                }
-            }
-        }
-        // Axis 0: stride n1*n2.
-        let stride = n1 * n2;
-        for i12 in 0..stride {
-            for i0 in 0..n0 {
-                line[i0] = data[i0 * stride + i12];
-            }
-            let seg = &mut line[..n0];
-            if inverse {
-                plan0.inverse_with(seg, plan_scratch);
-            } else {
-                plan0.forward_with(seg, plan_scratch);
-            }
-            for i0 in 0..n0 {
-                data[i0 * stride + i12] = line[i0];
-            }
-        }
-    }
-
-    /// Fused-pass variant of [`Self::transform_with`]: every axis runs
-    /// through the tile kernel at `f32` (see
+    /// Transforms one fp32 grid in place, every axis through the tile
+    /// kernel at `f32` (see
     /// [`Fft3::transform_fused`](crate::fft3::Fft3::transform_fused)) —
-    /// twice the SIMD lanes of the fp64 path, value-identical to the
-    /// per-line variant.
+    /// twice the SIMD lanes of the fp64 path, value-identical to a
+    /// per-line 1-D [`Plan32`] sweep.
     pub fn transform_fused(&self, data: &mut [Complex32], inverse: bool) {
         self.tiled(data, inverse, None);
     }
@@ -143,29 +80,50 @@ impl Fft32 {
         self.tiled(grid, true, None);
     }
 
-    /// The fp32 filtered round trip as one [`GridTransform32`] — the
-    /// `solve` operator of [`Backend::fused_pair_solve32`]. Fused-pass
-    /// backends get the tiled chain; others run the staged
-    /// per-line arithmetic inside the single pass.
+    /// The fp32 filtered round trip ([`Self::convolve_grid_fused`]) as
+    /// one [`GridTransform32`] — the `solve` operator of
+    /// `Backend::fused_pair_solve32`.
     #[inline]
-    pub fn convolve_pass<'f>(
-        &'f self,
-        kernel: &'f [f32],
-        backend: &dyn Backend,
-    ) -> ConvolvePass32<'f> {
+    pub fn convolve_pass<'f>(&'f self, kernel: &'f [f32]) -> ConvolvePass32<'f> {
         assert_eq!(kernel.len(), self.len(), "convolve kernel/grid length mismatch");
-        ConvolvePass32 { fft: self, kernel, fused: backend.fused_grid_passes() }
+        ConvolvePass32 { fft: self, kernel }
+    }
+
+    /// The per-line 3-D driver: one 1-D [`Plan32`] call per line of each
+    /// axis, in the tile kernel's (2, 1, 0) order — the oracle the
+    /// bitwise tests compare the tile kernel against.
+    #[cfg(test)]
+    fn per_line(&self, data: &mut [Complex32], inverse: bool) {
+        assert_eq!(data.len(), self.len(), "FFT32 buffer length mismatch");
+        let (n0, n1, n2) = (self.n0, self.n1, self.n2);
+        let [plan0, plan1, plan2] = &*self.plans;
+        let mut scratch = vec![Complex32::ZERO; n0.max(n1).max(n2)];
+        // Gathers the line at `base` (element spacing `stride`),
+        // transforms it and stores it back.
+        let mut line = |plan: &Plan32, base: usize, stride: usize| {
+            let mut seg: Vec<_> = (0..plan.len()).map(|k| data[base + k * stride]).collect();
+            if inverse {
+                plan.inverse_with(&mut seg, &mut scratch);
+            } else {
+                plan.forward_with(&mut seg, &mut scratch);
+            }
+            for (k, z) in seg.into_iter().enumerate() {
+                data[base + k * stride] = z;
+            }
+        };
+        (0..n0 * n1).for_each(|row| line(plan2, row * n2, 1));
+        (0..n0 * n2).for_each(|i| line(plan1, (i / n2) * n1 * n2 + i % n2, n2));
+        (0..n1 * n2).for_each(|i12| line(plan0, i12, n1 * n2));
     }
 }
 
 /// The fp32 screened-Poisson round trip as a single [`GridTransform32`]
 /// — what the fused fp32 pair-solve pipeline hands to
-/// [`Backend::fused_pair_solve32`].
+/// `Backend::fused_pair_solve32`.
 #[derive(Clone, Copy, Debug)]
 pub struct ConvolvePass32<'f> {
     fft: &'f Fft32,
     kernel: &'f [f32],
-    fused: bool,
 }
 
 impl GridTransform32 for ConvolvePass32<'_> {
@@ -173,24 +131,8 @@ impl GridTransform32 for ConvolvePass32<'_> {
         self.fft.len()
     }
 
-    fn scratch_len(&self) -> usize {
-        if self.fused {
-            0
-        } else {
-            self.fft.scratch_len()
-        }
-    }
-
-    fn run(&self, grid: &mut [Complex32], scratch: &mut [Complex32]) {
-        if self.fused {
-            self.fft.convolve_grid_fused(grid, self.kernel);
-        } else {
-            self.fft.transform_with(grid, scratch, false);
-            for (z, &k) in grid.iter_mut().zip(self.kernel) {
-                *z = z.scale(k);
-            }
-            self.fft.transform_with(grid, scratch, true);
-        }
+    fn run(&self, grid: &mut [Complex32]) {
+        self.fft.convolve_grid_fused(grid, self.kernel);
     }
 }
 
@@ -198,6 +140,7 @@ impl GridTransform32 for ConvolvePass32<'_> {
 mod tests {
     use super::*;
     use crate::fft3::Fft3;
+    use pwnum::backend::{BackendHandle, Blocked, Reference};
     use pwnum::precision::{demote, demote_real, max_abs_diff32, promote};
 
     fn signal64(len: usize, seed: f64) -> Vec<pwnum::Complex64> {
@@ -216,8 +159,7 @@ mod tests {
         let mut y64 = x.clone();
         fft64.forward(&mut y64);
         let mut y32 = demote(&x);
-        let mut scratch = vec![pwnum::precision::Complex32::ZERO; fft32.scratch_len()];
-        fft32.transform_with(&mut y32, &mut scratch, false);
+        fft32.transform_fused(&mut y32, false);
         let up = promote(&y32);
         let scale = y64.iter().map(|z| z.abs()).fold(0.0f64, f64::max);
         for (a, b) in y64.iter().zip(&up) {
@@ -231,8 +173,7 @@ mod tests {
         let base = demote(&signal64(fft.len(), 1.2));
         for inverse in [false, true] {
             let mut a = base.clone();
-            let mut sa = vec![pwnum::precision::Complex32::ZERO; fft.scratch_len()];
-            fft.transform_with(&mut a, &mut sa, inverse);
+            fft.per_line(&mut a, inverse);
             let mut b = base.clone();
             fft.transform_fused(&mut b, inverse);
             assert_eq!(max_abs_diff32(&a, &b), 0.0, "inverse={inverse}");
@@ -248,20 +189,14 @@ mod tests {
         let kernel64: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + (i % 7) as f64)).collect();
         let kernel32 = demote_real(&kernel64);
         let base = signal64(n * count, 0.7);
-        let mut refr: Option<Vec<pwnum::precision::Complex32>> = None;
-        for be in [
-            pwnum::backend::by_name("reference").unwrap(),
-            pwnum::backend::by_name("blocked").unwrap(),
-        ] {
+        let mut got = demote(&base);
+        let pass = fft32.convolve_pass(&kernel32);
+        got.chunks_mut(n).for_each(|grid| pass.run(grid));
+        let up = promote(&got);
+        let backends: [BackendHandle; 2] = [Arc::new(Reference), Arc::new(Blocked::new())];
+        for be in backends {
             let mut want = base.clone();
             fft64.convolve_many_with(&*be, &mut want, count, &kernel64);
-            let mut got = demote(&base);
-            let pass = fft32.convolve_pass(&kernel32, &*be);
-            let mut scratch = vec![Complex32::ZERO; pass.scratch_len()];
-            for grid in got.chunks_mut(n) {
-                pass.run(grid, &mut scratch);
-            }
-            let up = promote(&got);
             let scale = want.iter().map(|z| z.abs()).fold(0.0f64, f64::max);
             for (a, b) in want.iter().zip(&up) {
                 assert!(
@@ -270,12 +205,6 @@ mod tests {
                     be.name()
                 );
             }
-            // Both backends produce identical fp32 results (per-line and
-            // fused passes are value-identical).
-            match &refr {
-                None => refr = Some(got),
-                Some(r) => assert_eq!(max_abs_diff32(r, &got), 0.0, "backend mismatch"),
-            }
         }
     }
 
@@ -283,8 +212,8 @@ mod tests {
     fn fused_convolve32_is_value_identical_to_staged() {
         // The fp32 tiled passes must equal the staged per-line fp32
         // round trip bit for bit (fp32 primitives never differ across
-        // paths), through the ConvolvePass32 seam on both backends and
-        // for one-direction transforms — same shapes as the fp64 test.
+        // paths), through the ConvolvePass32 seam and for one-direction
+        // transforms — shapes as in the fp64 test.
         let bits = |v: &[Complex32]| -> Vec<(u32, u32)> {
             v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
         };
@@ -304,35 +233,20 @@ mod tests {
             let base = demote(&signal64(n * 2, 0.9));
             // Staged: per-line forward, K(G) multiply, per-line inverse.
             let mut staged = base.clone();
-            let mut line_scratch = vec![Complex32::ZERO; fft.scratch_len()];
             for grid in staged.chunks_mut(n) {
-                fft.transform_with(grid, &mut line_scratch, false);
+                fft.per_line(grid, false);
                 for (z, &k) in grid.iter_mut().zip(&kernel) {
                     *z = z.scale(k);
                 }
-                fft.transform_with(grid, &mut line_scratch, true);
+                fft.per_line(grid, true);
             }
-            for be in [
-                pwnum::backend::by_name("reference").unwrap(),
-                pwnum::backend::by_name("blocked").unwrap(),
-            ] {
-                let pass = fft.convolve_pass(&kernel, &*be);
-                let mut fused = base.clone();
-                let mut scratch = vec![Complex32::ZERO; pass.scratch_len()];
-                for grid in fused.chunks_mut(n) {
-                    pass.run(grid, &mut scratch);
-                }
-                assert_eq!(
-                    bits(&fused),
-                    bits(&staged),
-                    "{}: fp32 ConvolvePass != staged on {dims:?}",
-                    be.name()
-                );
-            }
+            let pass = fft.convolve_pass(&kernel);
+            let mut fused = base.clone();
+            fused.chunks_mut(n).for_each(|grid| pass.run(grid));
+            assert_eq!(bits(&fused), bits(&staged), "fp32 ConvolvePass != staged on {dims:?}");
             for inverse in [false, true] {
                 let mut line = base[..n].to_vec();
-                let mut scratch = vec![Complex32::ZERO; fft.scratch_len()];
-                fft.transform_with(&mut line, &mut scratch, inverse);
+                fft.per_line(&mut line, inverse);
                 let mut tiled = base[..n].to_vec();
                 fft.transform_fused(&mut tiled, inverse);
                 assert_eq!(bits(&tiled), bits(&line), "fp32 tiled pass on {dims:?}");

@@ -33,7 +33,6 @@ static A: CountingAlloc = CountingAlloc;
 fn warm_fused_convolve_allocates_nothing() {
     // 14 = 2·7: the radix-7 level takes the O(r²) prime kernel.
     let (n0, n1, n2) = (14, 12, 10);
-    let be = pwnum::backend::by_name("blocked").unwrap();
     let fft = pwfft::Fft3::new(n0, n1, n2);
     let fft32 = pwfft::Fft32::new(n0, n1, n2);
     let n = fft.len();
@@ -42,19 +41,18 @@ fn warm_fused_convolve_allocates_nothing() {
     let mut grid: Vec<pwnum::Complex64> =
         (0..n).map(|j| pwnum::c64((j as f64 * 0.3).sin(), (j as f64 * 0.7).cos())).collect();
     let mut grid32 = demote(&grid);
-    let pass = fft.convolve_pass(&kernel, &*be);
-    let pass32 = fft32.convolve_pass(&kernel32, &*be);
-    assert_eq!((pass.scratch_len(), pass32.scratch_len()), (0, 0));
+    let pass = fft.convolve_pass(&kernel);
+    let pass32 = fft32.convolve_pass(&kernel32);
 
     // Warm-up: the thread's tiles grow once, recorder state settles.
     pwobs::set_enabled(false);
-    pass.run(&mut grid, &mut []);
-    pass32.run(&mut grid32, &mut []);
+    pass.run(&mut grid);
+    pass32.run(&mut grid32);
 
     let before = ALLOCS.load(Ordering::Relaxed);
     for _ in 0..8 {
-        pass.run(&mut grid, &mut []);
-        pass32.run(&mut grid32, &mut []);
+        pass.run(&mut grid);
+        pass32.run(&mut grid32);
     }
     let after = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(after - before, 0, "warm fused convolve allocated");

@@ -5,33 +5,32 @@
 //! algorithm schedules. This module is the Rust analog of that seam: a
 //! [`Backend`] trait owning every hot primitive — GEMM, the band-block
 //! kernels (overlap / rotate / lincomb), elementwise kernel×field
-//! products, and batched grid transforms with reusable scratch — so a
-//! platform-specific implementation is *one type*, not a rewrite of the
-//! physics layers.
+//! products, and batched grid transforms — so a platform-specific
+//! implementation is *one type*, not a rewrite of the physics layers.
 //!
 //! Two implementations ship here:
 //!
-//! * [`Reference`] — the original scalar/threaded kernels, unchanged,
-//!   called through the trait. This is the "ARM-style" per-call path.
-//! * [`Blocked`] — the accelerator-style path mirroring the paper's GPU
+//! * [`Blocked`] — the product backend, mirroring the paper's GPU
 //!   strategy (Sec. III-B): one register-tiled micro-kernel over packed
 //!   panels behind GEMM, overlap and rotation in both precisions
-//!   (`tiled`), batched grid transforms that reuse one scratch arena per
-//!   worker across the whole batch instead of allocating per transform,
-//!   and a thread-safe [buffer pool]
-//!   (`Backend::take_buffer`) that makes the Fock/ACE inner loops
-//!   allocation-free in steady state.
+//!   (`tiled`), slab-decomposed batched grid transforms, and a
+//!   thread-safe [buffer pool] (`Backend::take_buffer`) that makes the
+//!   Fock/ACE inner loops allocation-free in steady state.
+//! * [`Reference`] — the oracle: the plain scalar/threaded kernels,
+//!   called through the trait, that `tests/backend_properties.rs` and
+//!   the physics suites compare [`Blocked`] against. No product path
+//!   runs it; it is public because integration tests cannot see
+//!   `#[cfg(test)]` items.
 //!
 //! Both backends must agree to ≤ 1e-10 on every primitive; the property
 //! suite `tests/backend_properties.rs` enforces this, and the FFT suite
 //! in `pwfft` cross-checks batched transforms on the paper's
 //! non-power-of-two 2/3/5-smooth grids. The GEMM, band and fp32 kernels
-//! agree bit for bit (this module's tests compare `to_bits`).
+//! and the grid transforms agree bit for bit (the tests compare
+//! `to_bits`).
 //!
 //! Higher layers hold a [`BackendHandle`] (`Arc<dyn Backend>`); call
-//! sites without an explicit handle use [`default_backend`], selectable
-//! at runtime via the `PWDFT_BACKEND` environment variable
-//! (`reference` | `blocked`).
+//! sites without an explicit handle use [`default_backend`].
 
 use crate::bands;
 use crate::cmat::CMat;
@@ -49,16 +48,13 @@ use std::sync::{Arc, OnceLock};
 /// One grid-sized pass of a batched transform (e.g. a forward or inverse
 /// 3-D FFT over one grid). `pwfft` implements this for its plans; keeping
 /// the trait here (below the FFT crate in the DAG) lets [`Backend`] own
-/// the *batching strategy* — slab decomposition, scratch reuse, thread
-/// count — without depending on any particular transform.
+/// the *batching strategy* — slab decomposition and thread count —
+/// without depending on any particular transform.
 pub trait GridTransform: Sync {
     /// Number of elements in one grid.
     fn grid_len(&self) -> usize;
-    /// Scratch elements required by one [`GridTransform::run`] call.
-    fn scratch_len(&self) -> usize;
-    /// Transforms one grid in place. `scratch` has at least
-    /// [`GridTransform::scratch_len`] elements and may hold garbage.
-    fn run(&self, grid: &mut [Complex64], scratch: &mut [Complex64]);
+    /// Transforms one grid in place.
+    fn run(&self, grid: &mut [Complex64]);
 }
 
 /// Single-precision twin of [`GridTransform`]: one pass of a batched
@@ -67,11 +63,8 @@ pub trait GridTransform: Sync {
 pub trait GridTransform32: Sync {
     /// Number of elements in one grid.
     fn grid_len(&self) -> usize;
-    /// Scratch elements required by one [`GridTransform32::run`] call.
-    fn scratch_len(&self) -> usize;
-    /// Transforms one grid in place. `scratch` has at least
-    /// [`GridTransform32::scratch_len`] elements and may hold garbage.
-    fn run(&self, grid: &mut [Complex32], scratch: &mut [Complex32]);
+    /// Transforms one grid in place.
+    fn run(&self, grid: &mut [Complex32]);
 }
 
 /// Element-operations (see [`workers_for`]) one grid transform costs per
@@ -205,7 +198,7 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
 
     /// Runs `pass` over `count` consecutive grids in `data` — the batched
     /// 3-D FFT entry point. The backend owns the batching strategy (how
-    /// grids map to workers and how scratch is provisioned).
+    /// grids map to workers).
     fn transform_batch(&self, pass: &dyn GridTransform, data: &mut [Complex64], count: usize);
 
     /// The fused exchange pair-solve pipeline: for each [`PairTask`],
@@ -224,7 +217,7 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
     /// every thread count: the region is sized by [`workers_for`] and
     /// scheduled in order-preserving waves (solves parallel over tasks,
     /// scatters parallel over grid slices, DESIGN.md §11); on one worker
-    /// it *is* the serial loop over two pooled grids.
+    /// it *is* the serial loop over one pooled grid.
     fn fused_pair_solve(
         &self,
         solve: &dyn GridTransform,
@@ -241,15 +234,14 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
         waves::run(
             workers_for(tasks.len(), ng * PAIR_WORK_PER_POINT),
             ng,
-            solve.scratch_len(),
             tasks,
             out,
             None,
             |len| self.take_scratch(len),
             |buf| self.recycle_buffer(buf),
-            |t, pair, scratch| {
+            |t, pair| {
                 self.hadamard_conj(&phi[t.i * ng..][..ng], &psi[t.j * ng..][..ng], pair);
-                solve.run(pair, scratch);
+                solve.run(pair);
             },
             |t, pair, r, bands| {
                 if t.w_fwd != 0.0 {
@@ -262,16 +254,6 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
                 }
             },
         );
-    }
-
-    /// Whether this backend wants *fused* (cache-tiled) strided grid
-    /// passes when a transform offers both styles. Accelerator-style
-    /// backends return `true`: the tiled variant moves several strided
-    /// lines per memory sweep, the analog of the coalesced multi-line
-    /// passes of the paper's GPU FFT path. Per-line and tiled variants
-    /// are required to be bitwise identical.
-    fn fused_grid_passes(&self) -> bool {
-        false
     }
 
     /// Hands out a zeroed buffer of `len` elements. [`Blocked`] serves
@@ -387,15 +369,14 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
         waves::run(
             workers_for(tasks.len(), ng * PAIR_WORK_PER_POINT),
             ng,
-            solve.scratch_len(),
             tasks,
             out,
             comp,
             |len| self.take_scratch32(len),
             |buf| self.recycle_buffer32(buf),
-            |t, pair, scratch| {
+            |t, pair| {
                 self.hadamard_conj32(&phi[t.i * ng..][..ng], &psi[t.j * ng..][..ng], pair);
-                solve.run(pair, scratch);
+                solve.run(pair);
             },
             |t, pair, r, bands| {
                 if t.w_fwd != 0.0 {
@@ -427,40 +408,23 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
 /// Shared, clonable handle to a backend.
 pub type BackendHandle = Arc<dyn Backend>;
 
-/// The process-wide default backend, selected once from the
-/// `PWDFT_BACKEND` environment variable (`reference` or `blocked`;
-/// default `blocked`). Layers that are not handed an explicit
-/// [`BackendHandle`] route through this.
+/// The process-wide product backend: [`Blocked`], wrapped in the
+/// [`crate::traced::Traced`] observability decorator. Layers that are
+/// not handed an explicit [`BackendHandle`] route through this.
 ///
-/// The handle is wrapped in the [`crate::traced::Traced`] observability
-/// decorator, so every primitive carries a `pwobs` span — a single
-/// relaxed atomic load per call while the recorder is disabled.
+/// Every primitive carries a `pwobs` span — a single relaxed atomic
+/// load per call while the recorder is disabled.
 pub fn default_backend() -> &'static BackendHandle {
     static DEFAULT: OnceLock<BackendHandle> = OnceLock::new();
-    DEFAULT.get_or_init(|| match std::env::var("PWDFT_BACKEND") {
-        Ok(name) => by_name(&name).unwrap_or_else(|| {
-            panic!("PWDFT_BACKEND={name:?} is not a known backend (reference|blocked)")
-        }),
-        Err(_) => crate::traced::Traced::wrap(Arc::new(Blocked::new())),
-    })
-}
-
-/// Looks a backend up by name (`"reference"` or `"blocked"`), wrapped
-/// in the observability decorator (see [`default_backend`]).
-pub fn by_name(name: &str) -> Option<BackendHandle> {
-    let inner: BackendHandle = match name {
-        "reference" => Arc::new(Reference),
-        "blocked" => Arc::new(Blocked::new()),
-        _ => return None,
-    };
-    Some(crate::traced::Traced::wrap(inner))
+    DEFAULT.get_or_init(|| crate::traced::Traced::wrap(Arc::new(Blocked::new())))
 }
 
 // ---------------------------------------------------------------------
 // Reference backend
 // ---------------------------------------------------------------------
 
-/// The original scalar/threaded kernels, called through the trait.
+/// The oracle backend: the plain scalar/threaded kernels, called
+/// through the trait — what the test suites compare [`Blocked`] against.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Reference;
 
@@ -543,14 +507,9 @@ impl Backend for Reference {
     fn transform_batch(&self, pass: &dyn GridTransform, data: &mut [Complex64], count: usize) {
         let n = pass.grid_len();
         assert_eq!(data.len(), count * n, "transform_batch length mismatch");
-        let scratch_len = pass.scratch_len();
-        // Per-call scratch allocation: the pre-backend semantics of one
-        // independent transform at a time, thread-parallel over grids.
+        // One independent transform at a time, thread-parallel over grids.
         let workers = workers_for(count, n * TRANSFORM_WORK_PER_POINT);
-        par_chunks_mut_on(workers, data, n.max(1), |_, grid| {
-            let mut scratch = vec![Complex64::ZERO; scratch_len];
-            pass.run(grid, &mut scratch);
-        });
+        par_chunks_mut_on(workers, data, n.max(1), |_, grid| pass.run(grid));
     }
 
     fn take_buffer(&self, len: usize) -> Vec<Complex64> {
@@ -790,17 +749,12 @@ impl<T: Copy + Default> BufferPool<T> {
             slots.push(buf);
         }
     }
-
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.slots.lock().len()
-    }
 }
 
-/// Cache-blocked, accelerator-style backend (the paper's GPU strategy
-/// transplanted to CPU threads): a register-tiled micro-kernel for GEMM
-/// and the band kernels (`tiled`), slab-decomposed batched transforms
-/// with one scratch arena per worker, and pooled buffers for
+/// The product backend: cache-blocked and accelerator-style (the
+/// paper's GPU strategy transplanted to CPU threads) — a register-tiled
+/// micro-kernel for GEMM and the band kernels (`tiled`),
+/// slab-decomposed batched transforms, and pooled buffers for
 /// allocation-free hot loops.
 #[derive(Debug, Default)]
 pub struct Blocked {
@@ -811,20 +765,10 @@ pub struct Blocked {
     pack32: BufferPool<f32>,
 }
 
-/// Unroll width of [`Blocked`]'s `hadamard_acc_conj`: four independent
-/// elements per sweep, each with the reference kernel's arithmetic.
-const NB: usize = 4;
-
 impl Blocked {
     /// Creates the backend with an empty buffer pool.
     pub fn new() -> Self {
         Blocked::default()
-    }
-
-    /// Number of buffers currently pooled (test/diagnostic hook).
-    #[cfg(test)]
-    fn pooled(&self) -> usize {
-        self.pool.len()
     }
 }
 
@@ -984,26 +928,7 @@ impl Backend for Blocked {
         b: &[Complex64],
         acc: &mut [Complex64],
     ) {
-        assert_eq!(a.len(), b.len(), "hadamard_acc_conj length mismatch");
-        assert_eq!(a.len(), acc.len(), "hadamard_acc_conj output length mismatch");
-        // 4-wide unrolled body (same per-element math as the reference
-        // kernel, so both backends are bitwise identical): four
-        // independent accumulator chains per sweep.
-        let n = a.len();
-        let head = n - n % NB;
-        let mut l = 0;
-        while l < head {
-            let (a0, a1, a2, a3) = (a[l], a[l + 1], a[l + 2], a[l + 3]);
-            let (b0, b1, b2, b3) = (b[l], b[l + 1], b[l + 2], b[l + 3]);
-            acc[l] = (a0.conj() * b0).mul_add(w, acc[l]);
-            acc[l + 1] = (a1.conj() * b1).mul_add(w, acc[l + 1]);
-            acc[l + 2] = (a2.conj() * b2).mul_add(w, acc[l + 2]);
-            acc[l + 3] = (a3.conj() * b3).mul_add(w, acc[l + 3]);
-            l += NB;
-        }
-        for i in head..n {
-            acc[i] = (a[i].conj() * b[i]).mul_add(w, acc[i]);
-        }
+        cvec::hadamard_acc_conj(w, a, b, acc);
     }
 
     fn transform_batch(&self, pass: &dyn GridTransform, data: &mut [Complex64], count: usize) {
@@ -1012,24 +937,13 @@ impl Backend for Blocked {
         if count == 0 {
             return;
         }
-        let scratch_len = pass.scratch_len();
         // Slab decomposition: each worker claims one contiguous run of
-        // grids and reuses a single pooled arena across all of them —
-        // the "multi-batch" strategy of the paper's cuFFT path
-        // (garbage-tolerant: GridTransform::run never reads scratch
-        // before writing it). One worker is one slab: the whole batch.
+        // grids — the "multi-batch" strategy of the paper's cuFFT path.
+        // One worker is one slab: the whole batch.
         let workers = workers_for(count, n * TRANSFORM_WORK_PER_POINT);
         par_chunks_mut_on(workers, data, (count.div_ceil(workers) * n).max(1), |_, slab| {
-            let mut scratch = self.pool.take_garbage(scratch_len);
-            for grid in slab.chunks_mut(n) {
-                pass.run(grid, &mut scratch);
-            }
-            self.pool.put(scratch);
+            slab.chunks_mut(n).for_each(|grid| pass.run(grid));
         });
-    }
-
-    fn fused_grid_passes(&self) -> bool {
-        true
     }
 
     fn take_buffer(&self, len: usize) -> Vec<Complex64> {
@@ -1163,7 +1077,7 @@ mod tests {
     }
 
     /// A cheap non-FFT transform for exercising the batching machinery:
-    /// reverse the grid through scratch, then scale by 2.
+    /// reverse the grid, then scale by 2.
     struct ReversePass {
         n: usize,
     }
@@ -1172,14 +1086,9 @@ mod tests {
         fn grid_len(&self) -> usize {
             self.n
         }
-        fn scratch_len(&self) -> usize {
-            self.n
-        }
-        fn run(&self, grid: &mut [Complex64], scratch: &mut [Complex64]) {
-            scratch[..self.n].copy_from_slice(grid);
-            for (g, s) in grid.iter_mut().zip(scratch[..self.n].iter().rev()) {
-                *g = s.scale(2.0);
-            }
+        fn run(&self, grid: &mut [Complex64]) {
+            grid.reverse();
+            grid.iter_mut().for_each(|g| *g = g.scale(2.0));
         }
     }
 
@@ -1323,21 +1232,17 @@ mod tests {
     }
 
     #[test]
-    fn transform_batch_matches_sequential_and_reuses_pool() {
-        let bl = Blocked::new();
+    fn transform_batch_matches_sequential() {
         let pass = ReversePass { n: 10 };
         let count = 9;
         let data0 = test_block(count, 10, 0.8);
-        let mut batched = data0.clone();
-        bl.transform_batch(&pass, &mut batched, count);
-        let mut seq = data0;
-        let mut scratch = vec![Complex64::ZERO; 10];
-        for grid in seq.chunks_mut(10) {
-            pass.run(grid, &mut scratch);
+        let mut seq = data0.clone();
+        seq.chunks_mut(10).for_each(|grid| pass.run(grid));
+        for be in [&Reference as &dyn Backend, &Blocked::new() as &dyn Backend] {
+            let mut batched = data0.clone();
+            be.transform_batch(&pass, &mut batched, count);
+            assert_eq!(bits(&batched), bits(&seq), "{}", be.name());
         }
-        assert!(cvec::max_abs_diff(&batched, &seq) < 1e-15);
-        // The arena(s) went back to the pool.
-        assert!(bl.pooled() >= 1);
     }
 
     #[test]
@@ -1354,12 +1259,9 @@ mod tests {
     }
 
     #[test]
-    fn by_name_and_default() {
-        assert_eq!(by_name("reference").unwrap().name(), "reference");
-        assert_eq!(by_name("blocked").unwrap().name(), "blocked");
-        assert!(by_name("cuda").is_none());
-        let d = default_backend();
-        assert!(d.name() == "reference" || d.name() == "blocked");
+    fn default_backend_is_blocked() {
+        assert_eq!(default_backend().name(), "blocked");
+        assert!(std::ptr::eq(default_backend(), default_backend()), "one process-wide handle");
     }
 
     #[test]
@@ -1412,12 +1314,11 @@ mod tests {
 
             let mut staged = vec![Complex64::ZERO; nb * ng];
             let mut pair = vec![Complex64::ZERO; ng];
-            let mut scratch = vec![Complex64::ZERO; pass.scratch_len()];
             for t in &tasks {
                 let phi_i = &phi[t.i * ng..(t.i + 1) * ng];
                 let phi_j = &phi[t.j * ng..(t.j + 1) * ng];
                 be.hadamard_conj(phi_i, phi_j, &mut pair);
-                pass.run(&mut pair, &mut scratch);
+                pass.run(&mut pair);
                 if t.w_fwd != 0.0 {
                     be.hadamard_acc(
                         Complex64::from_re(t.w_fwd),
@@ -1492,11 +1393,10 @@ mod tests {
                 // fp64: staged oracle, then every worker count.
                 let mut want = vec![Complex64::ZERO; nb * ng];
                 let mut pair = vec![Complex64::ZERO; ng];
-                let mut scratch = vec![Complex64::ZERO; ng];
                 for t in &tasks {
                     let (phi_i, psi_j) = (bands::band(&phi, ng, t.i), bands::band(tgt, ng, t.j));
                     be.hadamard_conj(phi_i, psi_j, &mut pair);
-                    pass.run(&mut pair, &mut scratch);
+                    pass.run(&mut pair);
                     if t.w_fwd != 0.0 {
                         let out_j = bands::band_mut(&mut want, ng, t.j);
                         be.hadamard_acc(Complex64::from_re(t.w_fwd), &pair, phi_i, out_j);
@@ -1545,7 +1445,7 @@ mod tests {
     }
 
     #[test]
-    fn pair_pipeline_pool_peak_is_one_wave_plus_one_arena_per_worker() {
+    fn pair_pipeline_pool_peak_is_one_wave_of_grids() {
         let (ng, nb) = (24, 12);
         let phi = test_block(nb, ng, 0.3);
         let pass = ReversePass { n: ng };
@@ -1558,8 +1458,8 @@ mod tests {
             with_workers(workers, || bl.fused_pair_solve(&pass, &phi, &phi, ng, &tasks, &mut out));
             let stats = bl.pool_stats().fp64;
             assert_eq!(stats.outstanding_bytes, 0, "everything went back to the pool");
-            // One worker is the serial loop: one pair grid, one arena.
-            let grids = if workers == 1 { 2 } else { waves::WAVE + workers };
+            // One worker is the serial loop over one pair grid.
+            let grids = if workers == 1 { 1 } else { waves::WAVE };
             assert_eq!(stats.peak_bytes, grids * grid_bytes, "workers={workers}");
         }
     }
@@ -1575,10 +1475,7 @@ mod tests {
         fn grid_len(&self) -> usize {
             self.n
         }
-        fn scratch_len(&self) -> usize {
-            0
-        }
-        fn run(&self, _grid: &mut [Complex64], _scratch: &mut [Complex64]) {
+        fn run(&self, _grid: &mut [Complex64]) {
             let k = self.runs.fetch_add(1, Ordering::SeqCst);
             assert!(k != self.at, "pair solve {k} blew up");
         }
@@ -1711,14 +1608,9 @@ mod tests {
         fn grid_len(&self) -> usize {
             self.n
         }
-        fn scratch_len(&self) -> usize {
-            self.n
-        }
-        fn run(&self, grid: &mut [Complex32], scratch: &mut [Complex32]) {
-            scratch[..self.n].copy_from_slice(grid);
-            for (g, s) in grid.iter_mut().zip(scratch[..self.n].iter().rev()) {
-                *g = s.scale(2.0);
-            }
+        fn run(&self, grid: &mut [Complex32]) {
+            grid.reverse();
+            grid.iter_mut().for_each(|g| *g = g.scale(2.0));
         }
     }
 

@@ -20,12 +20,13 @@
 //!   analog of the paper's node-level parallelism).
 //! * [`backend`] — the pluggable compute-backend layer: a [`Backend`]
 //!   trait owning the hot primitives (GEMM, band ops, elementwise
-//!   kernel products, batched grid transforms, buffer pool) with
-//!   [`backend::Reference`] (the scalar/threaded kernels above) and
-//!   [`backend::Blocked`] (cache-blocked, accelerator-style, its GEMM
-//!   and band ops one register-tiled micro-kernel in the private
-//!   `tiled` module) implementations — the swap-in seam for SIMD/GPU
-//!   ports.
+//!   kernel products, batched grid transforms, buffer pool) with two
+//!   implementations: [`backend::Blocked`], the product backend
+//!   (cache-blocked, accelerator-style, its GEMM and band ops one
+//!   register-tiled micro-kernel in the private `tiled` module), and
+//!   [`backend::Reference`], the oracle the tests compare it against
+//!   (the scalar/threaded kernels above) — the swap-in seam for
+//!   SIMD/GPU ports.
 //! * [`precision`] — the mixed-precision subsystem: the `Complex32`
 //!   scalar with `CVec32`/`CMat32` storage, demote/promote conversion
 //!   kernels, two-sum-compensated fp64 accumulation, and the

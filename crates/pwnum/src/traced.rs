@@ -155,10 +155,6 @@ impl Backend for Traced {
         self.inner.fused_pair_solve(solve, phi, psi, ng, tasks, out)
     }
 
-    fn fused_grid_passes(&self) -> bool {
-        self.inner.fused_grid_passes()
-    }
-
     fn take_buffer(&self, len: usize) -> Vec<Complex64> {
         self.inner.take_buffer(len)
     }
@@ -261,16 +257,14 @@ impl Backend for Traced {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::by_name;
+    use crate::backend::{Blocked, Reference};
     use crate::complex::c64;
 
     #[test]
     fn traced_forwards_identity_and_results() {
-        // `by_name` wraps; compare against bare implementations.
-        let traced = by_name("reference").unwrap();
-        let bare: BackendHandle = Arc::new(crate::backend::Reference);
+        let bare: BackendHandle = Arc::new(Reference);
+        let traced = Traced::wrap(bare.clone());
         assert_eq!(traced.name(), "reference");
-        assert_eq!(traced.fused_grid_passes(), bare.fused_grid_passes());
 
         let vals =
             [[c64(1.0, 2.0), c64(0.5, -1.0)], [c64(-1.0, 0.0), c64(2.0, 0.25)]];
@@ -292,7 +286,7 @@ mod tests {
         assert_eq!(out_t, out_b);
 
         // Pool plumbing forwards to the wrapped backend.
-        let blocked = by_name("blocked").unwrap();
+        let blocked = Traced::wrap(Arc::new(Blocked::new()));
         let buf = blocked.take_buffer(128);
         blocked.recycle_buffer(buf);
         assert!(blocked.pool_stats().fp64.peak_bytes > 0);

@@ -169,9 +169,9 @@ impl Drop for PoisonOnPanic<'_> {
 ///
 /// * `take(len)` / `put(buf)` — the backend's scratch pool; called on
 ///   the calling thread only. The run holds `min(wave, tasks)` pair
-///   grids of `ng` elements plus one `scratch_len` arena per worker.
-/// * `solve(task, pair, scratch)` — fills `pair` with the solved pair
-///   grid of `task`.
+///   grids of `ng` elements.
+/// * `solve(task, pair)` — fills `pair` with the solved pair grid of
+///   `task`.
 /// * `scatter(task, pair_slice, range, bands)` — applies the task's
 ///   scatters restricted to grid points `range`: `pair_slice` is that
 ///   range of the solved grid, `bands[b]` that range of output band `b`.
@@ -180,13 +180,12 @@ impl Drop for PoisonOnPanic<'_> {
 pub(crate) fn run<T: Send + Sync>(
     workers: usize,
     ng: usize,
-    scratch_len: usize,
     tasks: &[PairTask],
     out: &mut [Complex64],
     comp: Option<&mut [Complex64]>,
     take: impl Fn(usize) -> Vec<T>,
     put: impl Fn(Vec<T>),
-    solve: impl Fn(&PairTask, &mut [T], &mut [T]) + Sync,
+    solve: impl Fn(&PairTask, &mut [T]) + Sync,
     scatter: impl Fn(&PairTask, &[T], Range<usize>, &mut [BandSlice<'_>]) + Sync,
 ) {
     if tasks.is_empty() {
@@ -196,14 +195,13 @@ pub(crate) fn run<T: Send + Sync>(
     let wave = if workers == 1 { 1 } else { WAVE };
     let grids: Vec<RwLock<Vec<T>>> =
         (0..wave.min(tasks.len())).map(|_| RwLock::new(take(ng))).collect();
-    let mut scratch: Vec<Vec<T>> = (0..workers).map(|_| take(scratch_len)).collect();
     let mut views = split_bands(out, comp, ng, workers);
 
     let barrier = WaveBarrier::new(workers);
     // Relaxed: the counter only hands out task indices; the grids travel
     // through their locks and the phases through the barrier.
     let next = AtomicUsize::new(0);
-    let worker = |w: usize, scratch: &mut [T], bands: &mut [BandSlice<'_>]| {
+    let worker = |w: usize, bands: &mut [BandSlice<'_>]| {
         let _poison = PoisonOnPanic(&barrier);
         let slice = block_range(ng, workers, w);
         for (n, wave_tasks) in tasks.chunks(wave).enumerate() {
@@ -211,7 +209,7 @@ pub(crate) fn run<T: Send + Sync>(
             while let Ok(k) = next.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |k| {
                 (k < end).then_some(k + 1)
             }) {
-                solve(&tasks[k], &mut grids[k - base].write(), scratch);
+                solve(&tasks[k], &mut grids[k - base].write());
             }
             if !barrier.wait() {
                 return;
@@ -225,17 +223,16 @@ pub(crate) fn run<T: Send + Sync>(
         }
     };
 
-    let mut jobs = scratch.iter_mut().zip(views.iter_mut()).enumerate();
-    let (_, (scratch0, bands0)) = jobs.next().expect("at least one worker");
+    let mut jobs = views.iter_mut().enumerate();
+    let (_, bands0) = jobs.next().expect("at least one worker");
     if workers == 1 {
-        worker(0, scratch0, bands0);
+        worker(0, bands0);
     } else {
         std::thread::scope(|s| {
             let worker = &worker;
-            let spawned: Vec<_> = jobs
-                .map(|(w, (scratch, bands))| s.spawn(move || worker(w, scratch, bands)))
-                .collect();
-            worker(0, scratch0, bands0);
+            let spawned: Vec<_> =
+                jobs.map(|(w, bands)| s.spawn(move || worker(w, bands))).collect();
+            worker(0, bands0);
             for handle in spawned {
                 if let Err(payload) = handle.join() {
                     std::panic::resume_unwind(payload);
@@ -244,7 +241,7 @@ pub(crate) fn run<T: Send + Sync>(
         });
     }
     drop(views);
-    grids.into_iter().map(RwLock::into_inner).chain(scratch).for_each(put);
+    grids.into_iter().map(RwLock::into_inner).for_each(put);
 }
 
 #[cfg(test)]

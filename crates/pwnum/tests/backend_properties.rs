@@ -4,14 +4,15 @@
 //! ops — the contract that makes the backend seam safe to swap.
 
 use proptest::prelude::*;
-use pwnum::backend::{by_name, BackendHandle, GridTransform};
+use pwnum::backend::{BackendHandle, Blocked, GridTransform, Reference};
 use pwnum::cmat::CMat;
 use pwnum::complex::{c64, Complex64};
 use pwnum::gemm::Op;
 use pwnum::precision::{self, c32, CMat32, Complex32};
+use std::sync::Arc;
 
 fn pair() -> (BackendHandle, BackendHandle) {
-    (by_name("reference").unwrap(), by_name("blocked").unwrap())
+    (Arc::new(Reference), Arc::new(Blocked::new()))
 }
 
 fn cmat_strategy(rows: usize, cols: usize) -> impl Strategy<Value = CMat> {
@@ -25,8 +26,8 @@ fn block_strategy(n: usize) -> impl Strategy<Value = Vec<Complex64>> {
         .prop_map(|v| v.into_iter().map(|(re, im)| c64(re, im)).collect())
 }
 
-/// A non-FFT grid pass (cyclic shift by 1 through scratch, scaled) for
-/// exercising `transform_batch` semantics independently of `pwfft`.
+/// A non-FFT grid pass (cyclic shift by 1, scaled) for exercising
+/// `transform_batch` semantics independently of `pwfft`.
 struct ShiftPass {
     n: usize,
 }
@@ -35,14 +36,9 @@ impl GridTransform for ShiftPass {
     fn grid_len(&self) -> usize {
         self.n
     }
-    fn scratch_len(&self) -> usize {
-        self.n
-    }
-    fn run(&self, grid: &mut [Complex64], scratch: &mut [Complex64]) {
-        scratch[..self.n].copy_from_slice(grid);
-        for i in 0..self.n {
-            grid[i] = scratch[(i + 1) % self.n].scale(1.5);
-        }
+    fn run(&self, grid: &mut [Complex64]) {
+        grid.rotate_left(1);
+        grid.iter_mut().for_each(|g| *g = g.scale(1.5));
     }
 }
 

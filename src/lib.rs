@@ -8,10 +8,11 @@
 //!
 //! * [`pwnum`] — complex arithmetic, dense linear algebra, and the
 //!   pluggable compute-backend layer ([`pwnum::backend`]) every hot
-//!   primitive dispatches through (`Reference` scalar/threaded vs
-//!   `Blocked` accelerator-style, mirroring the paper's ARM/GPU split),
-//! * [`pwfft`] — mixed-radix FFTs over plane-wave grids with
-//!   backend-routed batched transforms,
+//!   primitive dispatches through (the product runs the
+//!   accelerator-style `Blocked`; the scalar/threaded `Reference` is
+//!   the test oracle),
+//! * [`pwfft`] — mixed-radix FFTs over plane-wave grids, every 3-D
+//!   pass one L1-tiled kernel, with backend-routed batched transforms,
 //! * [`mpisim`] — a thread-backed MPI-like runtime with a virtual-clock
 //!   network model,
 //! * [`pwdft`] — the plane-wave Kohn–Sham DFT substrate (Hamiltonian,

@@ -13,10 +13,11 @@ use pwdft_repro::ptim::{
     TdState,
 };
 use pwdft_repro::pwdft::{Cell, DftSystem, Wavefunction};
-use pwdft_repro::pwnum::backend::by_name;
+use pwdft_repro::pwnum::backend::{BackendHandle, Blocked, Reference};
 use pwdft_repro::pwnum::cmat::CMat;
 use pwdft_repro::pwnum::precision::PrecisionPolicy;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 const STEPS: u64 = 4;
 const INTERVAL: u64 = 2;
@@ -48,9 +49,8 @@ fn state_diff(a: &TdState, b: &TdState) -> f64 {
 /// Runs `prop` for [`STEPS`] uninterrupted, then again with an
 /// interruption right after the first checkpoint and a restore from
 /// disk; asserts the two final states agree bitwise.
-fn assert_bitwise_restart(backend: &str, hyb: HybridParams, prop: &Propagator, tag: &str) {
+fn assert_bitwise_restart(be: BackendHandle, hyb: HybridParams, prop: &Propagator, tag: &str) {
     let (sys, st) = fixture();
-    let be = by_name(backend).expect("known backend");
     let laser = LaserPulse { e0: 0.02, omega: 0.15, t_center: 2.0, t_width: 1.0 };
     let recovery = RecoveryPolicy::default();
 
@@ -101,9 +101,11 @@ fn restart_is_bitwise_for_all_propagators_on_both_backends() {
         ),
         (Propagator::Rk4(Rk4Config { dt: 0.05 }), "rk4"),
     ];
-    for backend in ["reference", "blocked"] {
+    let backends: [BackendHandle; 2] = [Arc::new(Reference), Arc::new(Blocked::new())];
+    for be in backends {
         for (prop, name) in &props {
-            assert_bitwise_restart(backend, hyb, prop, &format!("{backend}_{name}"));
+            let tag = format!("{}_{name}", be.name());
+            assert_bitwise_restart(be.clone(), hyb, prop, &tag);
         }
     }
 }
@@ -120,7 +122,7 @@ fn restart_is_bitwise_under_mixed_precision() {
         tol_rho: 1e-8,
         ..Default::default()
     });
-    assert_bitwise_restart("blocked", hyb, &prop, "blocked_mixed");
+    assert_bitwise_restart(Arc::new(Blocked::new()), hyb, &prop, "blocked_mixed");
 }
 
 #[test]

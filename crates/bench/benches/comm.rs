@@ -70,10 +70,10 @@ fn bench_collectives(c: &mut Criterion) {
                     .run(|comm| black_box(comm.allreduce(vec![1.0f64; n])[0]))
             })
         });
-        g.bench_with_input(BenchmarkId::new("allreduce_node_aware", p), &p, |b, &p| {
+        g.bench_with_input(BenchmarkId::new("hier_allreduce", p), &p, |b, &p| {
             b.iter(|| {
                 Cluster::new(p, 2, NetworkModel::ideal())
-                    .run(|comm| black_box(comm.allreduce_node_aware(vec![1.0f64; n])[0]))
+                    .run(|comm| black_box(comm.hier_allreduce(vec![1.0f64; n])[0]))
             })
         });
         g.bench_with_input(BenchmarkId::new("alltoallv", p), &p, |b, &p| {

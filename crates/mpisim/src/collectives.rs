@@ -6,7 +6,7 @@
 //! Every internal message is attributed to the collective's own timing
 //! category, matching how the paper reports Table I.
 
-use crate::comm::{tag_internal, Comm, Payload, TAG_ALLGATHERV, TAG_ALLTOALLV, TAG_BCAST, TAG_GATHER, TAG_REDUCE};
+use crate::comm::{tag_internal, Comm, Payload, TAG_ALLGATHERV, TAG_ALLTOALLV, TAG_BCAST, TAG_REDUCE};
 use crate::stats::Category;
 
 /// Element-wise reducible payloads for `allreduce`.
@@ -128,137 +128,36 @@ impl Comm {
         self.bcast_cat(0, if rank == 0 { Some(acc) } else { None }, Category::Allreduce)
     }
 
-    /// Node-aware all-reduce mirroring the shared-memory optimization of
-    /// Fig. 6(b): intra-node reduction to the node leader, inter-node
-    /// all-reduce among leaders only, then intra-node broadcast.
-    pub fn allreduce_node_aware<T: Reducible>(&mut self, value: T) -> T {
-        let rpn = self.ranks_per_node();
-        if rpn == 1 || self.size() <= rpn {
-            return self.allreduce(value);
-        }
-        let leader = self.node_leader();
-        let tag_up = tag_internal(TAG_REDUCE, 100, self.node() as u64);
-        let tag_down = tag_internal(TAG_REDUCE, 101, self.node() as u64);
-        if self.rank() == leader {
-            let mut acc = value;
-            let members: Vec<usize> = self.node_ranks().skip(1).collect();
-            for r in members {
-                let env = self.take_env(r, tag_up, Category::Allreduce);
-                let other = *env
-                    .payload
-                    .downcast::<T>()
-                    .unwrap_or_else(|_| panic!("allreduce type mismatch"));
-                acc.combine(&other);
-            }
-            // Inter-node phase among leaders: emulate a binomial pattern
-            // over node indices with direct messages.
-            let n_nodes = self.size().div_ceil(rpn);
-            let my_node = self.node();
-            let mut mask = 1usize;
-            let mut round = 200u64;
-            while mask < n_nodes {
-                let tag = tag_internal(TAG_REDUCE, round, 0);
-                if my_node & mask != 0 {
-                    let dst = (my_node - mask) * rpn;
-                    let bytes = acc.byte_len();
-                    self.post(dst, tag, Box::new(acc.clone()), bytes);
-                    break;
-                } else if my_node + mask < n_nodes {
-                    let src = (my_node + mask) * rpn;
-                    let env = self.take_env(src, tag, Category::Allreduce);
-                    let other = *env
-                        .payload
-                        .downcast::<T>()
-                        .unwrap_or_else(|_| panic!("allreduce type mismatch"));
-                    acc.combine(&other);
-                }
-                mask <<= 1;
-                round += 1;
-            }
-            // Binomial broadcast from node 0's leader down the leader tree.
-            let mut mask = 1usize;
-            let mut round = 300u64;
-            while mask < n_nodes {
-                let tag = tag_internal(TAG_REDUCE, round, 0);
-                if my_node < mask {
-                    let dst_node = my_node + mask;
-                    if dst_node < n_nodes {
-                        let bytes = acc.byte_len();
-                        self.post(dst_node * rpn, tag, Box::new(acc.clone()), bytes);
-                    }
-                } else if my_node < 2 * mask {
-                    let src = (my_node - mask) * rpn;
-                    let env = self.take_env(src, tag, Category::Allreduce);
-                    acc = *env
-                        .payload
-                        .downcast::<T>()
-                        .unwrap_or_else(|_| panic!("allreduce type mismatch"));
-                }
-                mask <<= 1;
-                round += 1;
-            }
-            // Intra-node broadcast.
-            let members: Vec<usize> = self.node_ranks().skip(1).collect();
-            for r in members {
-                let bytes = acc.byte_len();
-                self.post(r, tag_down, Box::new(acc.clone()), bytes);
-            }
-            acc
-        } else {
-            let bytes = value.byte_len();
-            self.post(leader, tag_up, Box::new(value), bytes);
-            let env = self.take_env(leader, tag_down, Category::Allreduce);
-            *env.payload
-                .downcast::<T>()
-                .unwrap_or_else(|_| panic!("allreduce type mismatch"))
-        }
-    }
-
     /// Personalized all-to-all: `chunks[d]` is sent to rank `d`; returns
     /// the vector of chunks received (indexed by source). Pairwise
-    /// exchange, `p-1` rounds — the world-sized special case of
-    /// [`Comm::alltoallv_group`].
+    /// exchange, `p-1` rounds.
     pub fn alltoallv<T: Send + Clone + 'static>(&mut self, chunks: Vec<Vec<T>>) -> Vec<Vec<T>> {
         let _s = pwobs::span("comm.alltoallv");
-        let members: Vec<usize> = (0..self.size()).collect();
-        self.alltoallv_group(&members, chunks)
+        self.pairwise_alltoallv(chunks)
     }
 
-    /// Personalized all-to-all restricted to a rank group (a
-    /// sub-communicator transpose; the world-sized case is the band↔grid
-    /// transpose of the distributed overlap): `members` lists the group's
-    /// world ranks in one order — identical on every member — and
-    /// `chunks[i]` is sent to `members[i]`. Returns the
-    /// chunks received, indexed by group position. Pairwise exchange,
-    /// `members.len() - 1` rounds; disjoint groups can run concurrently
-    /// (tags are salted by the group's first member, and the rank pairs
-    /// never cross group boundaries).
-    pub fn alltoallv_group<T: Send + Clone + 'static>(
+    /// [`Comm::alltoallv`] without its span: the flat arm of
+    /// [`Comm::alltoallv_auto`].
+    pub(crate) fn pairwise_alltoallv<T: Send + Clone + 'static>(
         &mut self,
-        members: &[usize],
         mut chunks: Vec<Vec<T>>,
     ) -> Vec<Vec<T>> {
-        let g = members.len();
-        assert_eq!(chunks.len(), g, "alltoallv_group needs one chunk per member");
-        let me = members
-            .iter()
-            .position(|&r| r == self.rank())
-            .expect("alltoallv_group caller must be a group member");
-        let mut out: Vec<Vec<T>> = (0..g).map(|_| Vec::new()).collect();
+        let (p, me) = (self.size(), self.rank());
+        assert_eq!(chunks.len(), p, "alltoallv needs one chunk per rank");
+        let mut out: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
         out[me] = std::mem::take(&mut chunks[me]);
-        let salt = members[0] as u64;
-        for k in 1..g {
-            let dst = (me + k) % g;
-            let src = (me + g - k) % g;
-            let tag = tag_internal(TAG_ALLTOALLV, k as u64, salt);
+        for k in 1..p {
+            let dst = (me + k) % p;
+            let src = (me + p - k) % p;
+            let tag = tag_internal(TAG_ALLTOALLV, k as u64, 0);
             let payload = std::mem::take(&mut chunks[dst]);
             let bytes = payload.byte_len();
-            self.post(members[dst], tag, Box::new(payload), bytes);
-            let env = self.take_env(members[src], tag, Category::Alltoallv);
+            self.post(dst, tag, Box::new(payload), bytes);
+            let env = self.take_env(src, tag, Category::Alltoallv);
             out[src] = *env
                 .payload
                 .downcast::<Vec<T>>()
-                .unwrap_or_else(|_| panic!("alltoallv_group type mismatch"));
+                .unwrap_or_else(|_| panic!("alltoallv type mismatch"));
         }
         out
     }
@@ -289,33 +188,11 @@ impl Comm {
         }
         out
     }
-
-    /// Gather to `root`: returns `Some(all chunks)` on the root.
-    pub fn gather<T: Send + Clone + 'static>(&mut self, root: usize, mine: Vec<T>) -> Option<Vec<Vec<T>>> {
-        let p = self.size();
-        let tag = tag_internal(TAG_GATHER, 0, root as u64);
-        if self.rank() == root {
-            let mut out: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-            out[root] = mine;
-            for r in (0..p).filter(|&r| r != root) {
-                let env = self.take_env(r, tag, Category::Allgatherv);
-                out[r] = *env
-                    .payload
-                    .downcast::<Vec<T>>()
-                    .unwrap_or_else(|_| panic!("gather type mismatch"));
-            }
-            Some(out)
-        } else {
-            let bytes = mine.byte_len();
-            self.post(root, tag, Box::new(mine), bytes);
-            None
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::comm::{Cluster, Comm};
+    use crate::comm::Cluster;
     use crate::stats::Category;
     use crate::topology::NetworkModel;
 
@@ -347,18 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_node_aware_matches_flat() {
-        for (p, rpn) in [(8, 4), (8, 2), (12, 4), (6, 3), (7, 4)] {
-            let out = Cluster::new(p, rpn, NetworkModel::ideal())
-                .run(|c| c.allreduce_node_aware(vec![c.rank() as f64 + 0.5]));
-            let expect = (p * (p - 1)) as f64 / 2.0 + 0.5 * p as f64;
-            for (v, _) in &out {
-                assert!((v[0] - expect).abs() < 1e-12, "p={p} rpn={rpn} got {}", v[0]);
-            }
-        }
-    }
-
-    #[test]
     fn alltoallv_transposes() {
         let p = 4;
         let out = Cluster::ideal(p).run(|c| {
@@ -374,46 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn alltoallv_group_transposes_within_disjoint_rows() {
-        // 2 disjoint groups of 3 ranks exchange concurrently; each must
-        // see exactly its own group's chunks, in group order.
-        let p = 6;
-        let out = Cluster::ideal(p).run(|c| {
-            let members: Vec<usize> =
-                if c.rank() < 3 { vec![0, 1, 2] } else { vec![3, 4, 5] };
-            let chunks: Vec<Vec<u64>> = members
-                .iter()
-                .map(|&d| vec![(c.rank() * 100 + d) as u64])
-                .collect();
-            c.alltoallv_group(&members, chunks)
-        });
-        for (rank, (recv, _)) in out.iter().enumerate() {
-            let members: [usize; 3] = if rank < 3 { [0, 1, 2] } else { [3, 4, 5] };
-            assert_eq!(recv.len(), 3);
-            for (pos, chunk) in recv.iter().enumerate() {
-                assert_eq!(chunk, &vec![(members[pos] * 100 + rank) as u64], "rank {rank}");
-            }
-        }
-    }
-
-    #[test]
-    fn alltoallv_group_of_all_matches_alltoallv() {
-        let p = 4;
-        let out = Cluster::ideal(p).run(|c| {
-            let make = |c: &Comm| -> Vec<Vec<u64>> {
-                (0..p).map(|d| vec![(c.rank() * 10 + d) as u64, 42]).collect()
-            };
-            let members: Vec<usize> = (0..p).collect();
-            let grouped = c.alltoallv_group(&members, make(c));
-            let flat = c.alltoallv(make(c));
-            grouped == flat
-        });
-        for (same, _) in &out {
-            assert!(same);
-        }
-    }
-
-    #[test]
     fn allgatherv_collects_in_rank_order() {
         let p = 5;
         let out = Cluster::ideal(p).run(|c| {
@@ -425,22 +250,6 @@ mod tests {
             for (src, chunk) in recv.iter().enumerate() {
                 let expect: Vec<u64> = (0..=src as u64).collect();
                 assert_eq!(chunk, &expect);
-            }
-        }
-    }
-
-    #[test]
-    fn gather_reaches_root() {
-        let p = 6;
-        let out = Cluster::ideal(p).run(|c| c.gather(2, vec![c.rank() as u64]));
-        for (rank, (res, _)) in out.iter().enumerate() {
-            if rank == 2 {
-                let all = res.as_ref().expect("root gets data");
-                for (src, chunk) in all.iter().enumerate() {
-                    assert_eq!(chunk, &vec![src as u64]);
-                }
-            } else {
-                assert!(res.is_none());
             }
         }
     }

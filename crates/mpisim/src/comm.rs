@@ -624,8 +624,7 @@ pub(crate) const TAG_BCAST: u64 = 3;
 pub(crate) const TAG_REDUCE: u64 = 4;
 pub(crate) const TAG_ALLTOALLV: u64 = 5;
 pub(crate) const TAG_ALLGATHERV: u64 = 6;
-pub(crate) const TAG_GATHER: u64 = 8;
-pub(crate) const TAG_HIER_REDUCE: u64 = 9;
+pub(crate) const TAG_HIER_ALLREDUCE: u64 = 9;
 pub(crate) const TAG_HIER_GATHER: u64 = 10;
 pub(crate) const TAG_HIER_A2A: u64 = 11;
 

@@ -25,7 +25,7 @@
 //! window per (kind, element type, length). Window ids live in the
 //! `1 << 63` space; user window ids should stay below that.
 
-use crate::comm::{tag_internal, Comm, Payload, TAG_HIER_A2A, TAG_HIER_GATHER, TAG_HIER_REDUCE};
+use crate::comm::{tag_internal, Comm, Payload, TAG_HIER_A2A, TAG_HIER_ALLREDUCE, TAG_HIER_GATHER};
 use crate::stats::Category;
 use std::any::TypeId;
 use std::collections::hash_map::DefaultHasher;
@@ -45,7 +45,7 @@ const KIND_AG_OUT_LENS: u64 = 4;
 const KIND_AG_OUT_DATA: u64 = 5;
 
 // Tag-round bases for the leader-staged all-to-all phases (each phase
-// adds a group index < 0x1000).
+// adds a rank or node index < 0x1000).
 const A2A_DIRECT: u64 = 0;
 const A2A_UP_HDR: u64 = 0x1000;
 const A2A_UP_DATA: u64 = 0x2000;
@@ -67,9 +67,9 @@ fn hier_window_id<T: 'static>(kind: u64, len: usize) -> u64 {
 impl Comm {
     /// Binomial reduce-to-index-0 over `n_idx` participants addressed
     /// through `rank_of` (identity for a flat world reduce, node-leader
-    /// lookup for the inter-node phase). Returns `true` on the index-0
-    /// holder of the result. Combination order is fixed by the tree, so
-    /// results are deterministic.
+    /// lookup for the inter-node phase); index 0 ends up holding the
+    /// result. Combination order is fixed by the tree, so results are
+    /// deterministic.
     fn binomial_reduce_by<T: HierElem + AddAssign>(
         &mut self,
         my_idx: usize,
@@ -78,16 +78,16 @@ impl Comm {
         acc: &mut Vec<T>,
         round_base: u64,
         cat: Category,
-    ) -> bool {
+    ) {
         let mut mask = 1usize;
         let mut round = round_base;
         while mask < n_idx {
-            let tag = tag_internal(TAG_HIER_REDUCE, round, 0);
+            let tag = tag_internal(TAG_HIER_ALLREDUCE, round, 0);
             if my_idx & mask != 0 {
                 let dst = rank_of(my_idx - mask);
                 let bytes = acc.byte_len();
                 self.post(dst, tag, Box::new(acc.clone()), bytes);
-                return false;
+                return;
             } else if my_idx + mask < n_idx {
                 let src = rank_of(my_idx + mask);
                 let env = self.take_env(src, tag, cat);
@@ -102,7 +102,6 @@ impl Comm {
             mask <<= 1;
             round += 1;
         }
-        my_idx == 0
     }
 
     /// Binomial broadcast from index 0 over the same index space.
@@ -118,7 +117,7 @@ impl Comm {
         let mut mask = 1usize;
         let mut round = round_base;
         while mask < n_idx {
-            let tag = tag_internal(TAG_HIER_REDUCE, round, 0);
+            let tag = tag_internal(TAG_HIER_ALLREDUCE, round, 0);
             if my_idx < mask {
                 let dst_idx = my_idx + mask;
                 if dst_idx < n_idx {
@@ -140,9 +139,9 @@ impl Comm {
     /// Intra-node reduction of `v` into the node leader, staged through
     /// a shared window (members write slices, leader combines in slot
     /// order — deterministic). On return, the leader's `v` holds the
-    /// node sum; member copies are unchanged. Must be followed by the
-    /// leader writing a result and a read-back, or by
-    /// [`Comm::node_barrier_cat`] alone when only the leader continues.
+    /// node sum; member copies are unchanged. Must be followed by
+    /// [`Comm::node_bcast_shm`], whose trailing barrier releases the
+    /// window.
     fn node_reduce_shm<T: HierElem + AddAssign>(&mut self, v: &mut [T], cat: Category) {
         let node_first = self.node_leader();
         let node_size = self.node_ranks().len();
@@ -229,66 +228,6 @@ impl Comm {
         }
         self.node_bcast_shm(&mut acc, cat);
         acc
-    }
-
-    /// Hierarchical reduce (element-wise sum) to `root`: intra-node
-    /// reduction to the leaders, binomial reduce over node leaders
-    /// (remapped so `root`'s node is the tree root), and an intra-node
-    /// hand-off when `root` is not its node's leader. Returns the sum on
-    /// `root`, `None` elsewhere.
-    pub fn hier_reduce<T: HierElem + AddAssign>(
-        &mut self,
-        root: usize,
-        v: Vec<T>,
-    ) -> Option<Vec<T>> {
-        let p = self.size();
-        let cat = Category::Allreduce;
-        let mut acc = v;
-        if p == 1 {
-            return Some(acc);
-        }
-        if !self.hierarchical() {
-            let rel = (self.rank() + p - root) % p;
-            let holder =
-                self.binomial_reduce_by(rel, p, &|i| (i + root) % p, &mut acc, 0, cat);
-            return holder.then_some(acc);
-        }
-        self.node_reduce_shm(&mut acc, cat);
-        // Window release: node_reduce_shm readers are done once the
-        // leader combined; members leave through this barrier.
-        self.node_barrier_cat(cat);
-        let rpn = self.ranks_per_node();
-        let n_nodes = p.div_ceil(rpn);
-        let root_node = self.node_of(root);
-        let deliver_tag = tag_internal(TAG_HIER_REDUCE, 0x200, root as u64);
-        if self.rank() == self.node_leader() {
-            let rel_node = (self.node() + n_nodes - root_node) % n_nodes;
-            let holder = self.binomial_reduce_by(
-                rel_node,
-                n_nodes,
-                &|i| ((i + root_node) % n_nodes) * rpn,
-                &mut acc,
-                0,
-                cat,
-            );
-            if holder {
-                if self.rank() == root {
-                    return Some(acc);
-                }
-                let bytes = acc.byte_len();
-                self.post(root, deliver_tag, Box::new(acc), bytes);
-                return None;
-            }
-            return None;
-        }
-        if self.rank() == root {
-            let env = self.take_env(self.node_leader(), deliver_tag, cat);
-            return Some(*env
-                .payload
-                .downcast::<Vec<T>>()
-                .unwrap_or_else(|_| panic!("hier reduce type mismatch")));
-        }
-        None
     }
 
     /// Hierarchical all-gather with per-rank sizes: node members stage
@@ -432,100 +371,60 @@ impl Comm {
         out
     }
 
-    /// Group-scoped all-to-all with leader aggregation: same-node chunks
+    /// Personalized all-to-all with leader aggregation: same-node chunks
     /// go direct; remote chunks funnel member → node leader (intra),
     /// leader → leader as one bundled message pair per node pair
     /// (inter), then leader → destination member (intra). Cuts the
-    /// inter-node message count from `O(g²)` to `O(nodes²)`. Unlike the
-    /// shm-staged collectives this one is pure point-to-point, so it
-    /// works for groups that share nodes with other concurrently
-    /// communicating groups (intra-node hops still ride the
-    /// shared-memory pricing of [`crate::NetworkModel`]).
-    pub fn hier_alltoallv_group<T: Send + Clone + 'static>(
+    /// inter-node message count from `O(p²)` to `O(nodes²)`. Unlike the
+    /// shm-staged collectives this one is pure point-to-point (intra-node
+    /// hops ride the shared-memory pricing of [`crate::NetworkModel`]).
+    pub fn hier_alltoallv<T: Send + Clone + 'static>(
         &mut self,
-        members: &[usize],
         mut chunks: Vec<Vec<T>>,
     ) -> Vec<Vec<T>> {
-        let g = members.len();
-        assert_eq!(chunks.len(), g, "hier_alltoallv_group needs one chunk per member");
-        assert!(g < 0x1000, "hier_alltoallv_group supports at most 4095 members");
-        let me = members
-            .iter()
-            .position(|&r| r == self.rank())
-            .expect("hier_alltoallv_group caller must be a group member");
-        let salt = members[0] as u64;
+        let (p, me, rpn) = (self.size(), self.rank(), self.ranks_per_node());
+        assert_eq!(chunks.len(), p, "hier_alltoallv needs one chunk per rank");
+        assert!(p < 0x1000, "hier_alltoallv supports at most 4095 ranks");
         let cat = Category::Alltoallv;
+        let tag = |base: u64, i: usize| tag_internal(TAG_HIER_A2A, base + i as u64, 0);
+        let (n_nodes, my_node) = (p.div_ceil(rpn), self.node());
+        let locals = self.node_ranks();
+        let leader = self.node_leader();
+        let i_am_leader = me == leader;
 
-        // Group topology: distinct nodes (ascending) and the member
-        // indices they host (ascending — members of one node need not be
-        // contiguous in `members`).
-        let member_node: Vec<usize> = members.iter().map(|&r| self.node_of(r)).collect();
-        let mut nodes = member_node.clone();
-        nodes.sort_unstable();
-        nodes.dedup();
-        let node_members: Vec<Vec<usize>> = nodes
-            .iter()
-            .map(|&nd| (0..g).filter(|&i| member_node[i] == nd).collect())
-            .collect();
-        let my_np = nodes
-            .binary_search(&self.node())
-            .expect("own node must appear in the group topology");
-        let locals = node_members[my_np].clone();
-        let leader_gidx = locals[0];
-        let i_am_leader = me == leader_gidx;
-
-        let mut out: Vec<Vec<T>> = (0..g).map(|_| Vec::new()).collect();
+        let mut out: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
         out[me] = std::mem::take(&mut chunks[me]);
 
         // Phase A sends: same-node chunks go direct (intra-node wire).
-        for &dst in &locals {
+        for dst in locals.clone() {
             if dst == me {
                 continue;
             }
             let payload = std::mem::take(&mut chunks[dst]);
             let bytes = payload.byte_len();
-            let tag = tag_internal(TAG_HIER_A2A, A2A_DIRECT + me as u64, salt);
-            self.post(members[dst], tag, Box::new(payload), bytes);
+            self.post(dst, tag(A2A_DIRECT, me), Box::new(payload), bytes);
         }
 
         // Phase B1 sends: members bundle every remote chunk up to their
         // node leader (header: [dst, len] pairs; data: concatenation).
-        let bundle_remote = |chunks: &mut Vec<Vec<T>>| -> (Vec<u64>, Vec<T>) {
-            let mut hdr = Vec::new();
-            let mut data = Vec::new();
-            for dst in 0..g {
-                if member_node[dst] == member_node[me] || dst == me {
-                    continue;
-                }
-                let chunk = std::mem::take(&mut chunks[dst]);
-                hdr.push(dst as u64);
-                hdr.push(chunk.len() as u64);
-                data.extend(chunk);
-            }
-            (hdr, data)
-        };
-        let own_bundle = bundle_remote(&mut chunks);
+        let mut own_hdr = Vec::new();
+        let mut own_data = Vec::new();
+        for dst in (0..p).filter(|d| !locals.contains(d)) {
+            let chunk = std::mem::take(&mut chunks[dst]);
+            own_hdr.push(dst as u64);
+            own_hdr.push(chunk.len() as u64);
+            own_data.extend(chunk);
+        }
         if !i_am_leader {
-            let (hdr, data) = own_bundle;
-            let hb = hdr.byte_len();
-            self.post(
-                members[leader_gidx],
-                tag_internal(TAG_HIER_A2A, A2A_UP_HDR + me as u64, salt),
-                Box::new(hdr),
-                hb,
-            );
-            let db = data.byte_len();
-            self.post(
-                members[leader_gidx],
-                tag_internal(TAG_HIER_A2A, A2A_UP_DATA + me as u64, salt),
-                Box::new(data),
-                db,
-            );
+            let hb = own_hdr.byte_len();
+            self.post(leader, tag(A2A_UP_HDR, me), Box::new(own_hdr), hb);
+            let db = own_data.byte_len();
+            self.post(leader, tag(A2A_UP_DATA, me), Box::new(own_data), db);
         } else {
             // Leader: collect local bundles, regroup per destination
             // node, exchange one bundled pair per node pair, scatter.
-            // Entries: (src_gidx, dst_gidx, chunk), member order then
-            // header order — deterministic.
+            // Entries: (src, dst, chunk), member order then header order
+            // — deterministic.
             let mut entries: Vec<(usize, usize, Vec<T>)> = Vec::new();
             let push_bundle = |entries: &mut Vec<(usize, usize, Vec<T>)>,
                                src: usize,
@@ -539,28 +438,17 @@ impl Comm {
                 }
                 debug_assert!(data.is_empty(), "bundle data not fully consumed");
             };
-            {
-                let (hdr, data) = own_bundle;
-                push_bundle(&mut entries, me, hdr, data);
-            }
-            for &m in &locals {
+            push_bundle(&mut entries, me, own_hdr, own_data);
+            for m in locals.clone() {
                 if m == me {
                     continue;
                 }
-                let env = self.take_env(
-                    members[m],
-                    tag_internal(TAG_HIER_A2A, A2A_UP_HDR + m as u64, salt),
-                    cat,
-                );
+                let env = self.take_env(m, tag(A2A_UP_HDR, m), cat);
                 let hdr = *env
                     .payload
                     .downcast::<Vec<u64>>()
                     .unwrap_or_else(|_| panic!("hier alltoall header type mismatch"));
-                let env = self.take_env(
-                    members[m],
-                    tag_internal(TAG_HIER_A2A, A2A_UP_DATA + m as u64, salt),
-                    cat,
-                );
+                let env = self.take_env(m, tag(A2A_UP_DATA, m), cat);
                 let data = *env
                     .payload
                     .downcast::<Vec<T>>()
@@ -569,60 +457,33 @@ impl Comm {
             }
 
             // Phase B2: one (header, data) pair per destination node.
-            for (np, dst_members) in node_members.iter().enumerate() {
-                if np == my_np {
-                    continue;
-                }
+            for node in (0..n_nodes).filter(|&nd| nd != my_node) {
                 let mut hdr = Vec::new();
                 let mut data = Vec::new();
                 for (src, dst, chunk) in &entries {
-                    if member_node[*dst] == nodes[np] {
+                    if dst / rpn == node {
                         hdr.push(*src as u64);
                         hdr.push(*dst as u64);
                         hdr.push(chunk.len() as u64);
                         data.extend(chunk.iter().cloned());
                     }
                 }
-                let dst_leader = members[dst_members[0]];
                 let hb = hdr.byte_len();
-                self.post(
-                    dst_leader,
-                    tag_internal(TAG_HIER_A2A, A2A_X_HDR + my_np as u64, salt),
-                    Box::new(hdr),
-                    hb,
-                );
+                self.post(node * rpn, tag(A2A_X_HDR, my_node), Box::new(hdr), hb);
                 let db = data.byte_len();
-                self.post(
-                    dst_leader,
-                    tag_internal(TAG_HIER_A2A, A2A_X_DATA + my_np as u64, salt),
-                    Box::new(data),
-                    db,
-                );
+                self.post(node * rpn, tag(A2A_X_DATA, my_node), Box::new(data), db);
             }
 
             // Receive every other leader's bundle; bucket per local dst.
             let mut buckets: Vec<Vec<(usize, Vec<T>)>> =
                 (0..locals.len()).map(|_| Vec::new()).collect();
-            let slot_of = |dst: usize| locals.iter().position(|&l| l == dst).expect("local dst");
-            for np in 0..nodes.len() {
-                if np == my_np {
-                    continue;
-                }
-                let src_leader = members[node_members[np][0]];
-                let env = self.take_env(
-                    src_leader,
-                    tag_internal(TAG_HIER_A2A, A2A_X_HDR + np as u64, salt),
-                    cat,
-                );
+            for node in (0..n_nodes).filter(|&nd| nd != my_node) {
+                let env = self.take_env(node * rpn, tag(A2A_X_HDR, node), cat);
                 let hdr = *env
                     .payload
                     .downcast::<Vec<u64>>()
                     .unwrap_or_else(|_| panic!("hier alltoall header type mismatch"));
-                let env = self.take_env(
-                    src_leader,
-                    tag_internal(TAG_HIER_A2A, A2A_X_DATA + np as u64, salt),
-                    cat,
-                );
+                let env = self.take_env(node * rpn, tag(A2A_X_DATA, node), cat);
                 let mut data = *env
                     .payload
                     .downcast::<Vec<T>>()
@@ -635,56 +496,38 @@ impl Comm {
                     if dst == me {
                         out[src] = chunk;
                     } else {
-                        buckets[slot_of(dst)].push((src, chunk));
+                        buckets[dst - leader].push((src, chunk));
                     }
                 }
             }
 
             // Phase B3: scatter the buckets to the local members.
-            for (slot, &m) in locals.iter().enumerate() {
+            for (m, bucket) in locals.clone().zip(&buckets) {
                 if m == me {
                     continue;
                 }
                 let mut hdr = Vec::new();
                 let mut data = Vec::new();
-                for (src, chunk) in &buckets[slot] {
+                for (src, chunk) in bucket {
                     hdr.push(*src as u64);
                     hdr.push(chunk.len() as u64);
                     data.extend(chunk.iter().cloned());
                 }
                 let hb = hdr.byte_len();
-                self.post(
-                    members[m],
-                    tag_internal(TAG_HIER_A2A, A2A_DOWN_HDR + m as u64, salt),
-                    Box::new(hdr),
-                    hb,
-                );
+                self.post(m, tag(A2A_DOWN_HDR, m), Box::new(hdr), hb);
                 let db = data.byte_len();
-                self.post(
-                    members[m],
-                    tag_internal(TAG_HIER_A2A, A2A_DOWN_DATA + m as u64, salt),
-                    Box::new(data),
-                    db,
-                );
+                self.post(m, tag(A2A_DOWN_DATA, m), Box::new(data), db);
             }
         }
 
         if !i_am_leader {
             // Receive this member's share of the remote traffic.
-            let env = self.take_env(
-                members[leader_gidx],
-                tag_internal(TAG_HIER_A2A, A2A_DOWN_HDR + me as u64, salt),
-                cat,
-            );
+            let env = self.take_env(leader, tag(A2A_DOWN_HDR, me), cat);
             let hdr = *env
                 .payload
                 .downcast::<Vec<u64>>()
                 .unwrap_or_else(|_| panic!("hier alltoall header type mismatch"));
-            let env = self.take_env(
-                members[leader_gidx],
-                tag_internal(TAG_HIER_A2A, A2A_DOWN_DATA + me as u64, salt),
-                cat,
-            );
+            let env = self.take_env(leader, tag(A2A_DOWN_DATA, me), cat);
             let mut data = *env
                 .payload
                 .downcast::<Vec<T>>()
@@ -697,15 +540,11 @@ impl Comm {
         }
 
         // Phase A receives (posted at the very start by every peer).
-        for &src in &locals {
+        for src in locals {
             if src == me {
                 continue;
             }
-            let env = self.take_env(
-                members[src],
-                tag_internal(TAG_HIER_A2A, A2A_DIRECT + src as u64, salt),
-                cat,
-            );
+            let env = self.take_env(src, tag(A2A_DIRECT, src), cat);
             out[src] = *env
                 .payload
                 .downcast::<Vec<T>>()
@@ -714,33 +553,19 @@ impl Comm {
         out
     }
 
-    /// Dispatches a group all-to-all to the hierarchical algorithm when
-    /// the group both spans several nodes *and* co-locates members on at
-    /// least one node (otherwise leader aggregation has nothing to
-    /// aggregate and the flat pairwise exchange is used).
-    pub fn alltoallv_group_auto<T: Send + Clone + 'static>(
-        &mut self,
-        members: &[usize],
-        chunks: Vec<Vec<T>>,
-    ) -> Vec<Vec<T>> {
-        if self.ranks_per_node() > 1 {
-            let mut nodes: Vec<usize> = members.iter().map(|&r| self.node_of(r)).collect();
-            nodes.sort_unstable();
-            nodes.dedup();
-            if nodes.len() > 1 && nodes.len() < members.len() {
-                return self.hier_alltoallv_group(members, chunks);
-            }
-        }
-        self.alltoallv_group(members, chunks)
-    }
-
-    /// World-sized [`Comm::alltoallv_group_auto`].
+    /// Personalized all-to-all on the run's topology: [`Comm::hier_alltoallv`]
+    /// when the ranks span several nodes and share at least one
+    /// (otherwise leader aggregation has nothing to aggregate), the flat
+    /// pairwise exchange of [`Comm::alltoallv`] otherwise.
     pub fn alltoallv_auto<T: Send + Clone + 'static>(
         &mut self,
         chunks: Vec<Vec<T>>,
     ) -> Vec<Vec<T>> {
-        let members: Vec<usize> = (0..self.size()).collect();
-        self.alltoallv_group_auto(&members, chunks)
+        if self.hierarchical() {
+            self.hier_alltoallv(chunks)
+        } else {
+            self.pairwise_alltoallv(chunks)
+        }
     }
 }
 
@@ -768,25 +593,6 @@ mod tests {
     }
 
     #[test]
-    fn hier_reduce_delivers_only_to_root() {
-        for (p, rpn) in SHAPES {
-            for root in [0, p - 1, p / 2] {
-                let out = Cluster::new(p, rpn, NetworkModel::ideal())
-                    .run(move |c| c.hier_reduce(root, vec![c.rank() as u64, 1]));
-                for (rank, (v, _)) in out.iter().enumerate() {
-                    if rank == root {
-                        let v = v.as_ref().expect("root holds the sum");
-                        assert_eq!(v[0], (p * (p - 1) / 2) as u64, "p={p} rpn={rpn} root={root}");
-                        assert_eq!(v[1], p as u64);
-                    } else {
-                        assert!(v.is_none(), "rank {rank} must not hold a result");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn hier_allgatherv_collects_in_rank_order() {
         for (p, rpn) in SHAPES {
             let out = Cluster::new(p, rpn, NetworkModel::ideal()).run(|c| {
@@ -805,47 +611,22 @@ mod tests {
     }
 
     #[test]
-    fn hier_alltoallv_group_transposes() {
+    fn hier_alltoallv_transposes() {
         for (p, rpn) in SHAPES {
             let out = Cluster::new(p, rpn, NetworkModel::ideal()).run(|c| {
-                let members: Vec<usize> = (0..p).collect();
                 let chunks: Vec<Vec<u64>> = (0..p)
                     .map(|d| (0..=d).map(|k| (c.rank() * 1000 + d * 10 + k) as u64).collect())
                     .collect();
-                c.hier_alltoallv_group(&members, chunks)
+                // The topology dispatch must deliver the same transpose.
+                [c.hier_alltoallv(chunks.clone()), c.alltoallv_auto(chunks)]
             });
-            for (rank, (recv, _)) in out.iter().enumerate() {
-                for (src, chunk) in recv.iter().enumerate() {
+            for (rank, (recvs, _)) in out.iter().enumerate() {
+                for (src, chunks) in recvs[0].iter().zip(&recvs[1]).enumerate() {
                     let expect: Vec<u64> =
                         (0..=rank).map(|k| (src * 1000 + rank * 10 + k) as u64).collect();
-                    assert_eq!(chunk, &expect, "p={p} rpn={rpn} rank={rank} src={src}");
+                    assert_eq!(chunks.0, &expect, "p={p} rpn={rpn} rank={rank} src={src}");
+                    assert_eq!(chunks.1, &expect, "auto: p={p} rpn={rpn} rank={rank} src={src}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn hier_alltoallv_subgroup_with_noncontiguous_members() {
-        // A group of every other rank: members 0,2,4,6 over 2 nodes of 4
-        // — leaders aggregate across a group that does not align with
-        // node boundaries.
-        let p = 8;
-        let members = [0usize, 2, 4, 6];
-        let out = Cluster::new(p, 4, NetworkModel::ideal()).run(|c| {
-            if !members.contains(&c.rank()) {
-                return None;
-            }
-            let chunks: Vec<Vec<u64>> = members
-                .iter()
-                .map(|&d| vec![(c.rank() * 10 + d) as u64])
-                .collect();
-            Some(c.hier_alltoallv_group(&members, chunks))
-        });
-        for (gi, &rank) in members.iter().enumerate() {
-            let recv = out[rank].0.as_ref().expect("member result");
-            assert_eq!(recv.len(), members.len());
-            for (gj, chunk) in recv.iter().enumerate() {
-                assert_eq!(chunk, &vec![(members[gj] * 10 + rank) as u64], "gi={gi}");
             }
         }
     }
@@ -856,10 +637,9 @@ mod tests {
         let rpn = 4;
         let run = |hier: bool| {
             Cluster::new(p, rpn, NetworkModel::ideal()).run(move |c| {
-                let members: Vec<usize> = (0..p).collect();
                 let chunks: Vec<Vec<u64>> = (0..p).map(|d| vec![d as u64; 8]).collect();
                 let _ = if hier {
-                    c.hier_alltoallv_group(&members, chunks)
+                    c.hier_alltoallv(chunks)
                 } else {
                     c.alltoallv(chunks)
                 };
@@ -985,8 +765,7 @@ mod tests {
         let out = Cluster::new(8, 4, net).run(|c| {
             let _ = c.hier_allreduce(vec![1.0f64; 1000]);
             let _ = c.hier_allgatherv(vec![1.0f64; 100]);
-            let members: Vec<usize> = (0..8).collect();
-            let _ = c.hier_alltoallv_group(&members, (0..8).map(|_| vec![0.0f64; 50]).collect());
+            let _ = c.hier_alltoallv((0..8).map(|_| vec![0.0f64; 50]).collect());
             (
                 c.stats.time(Category::Allreduce),
                 c.stats.time(Category::Allgatherv),

@@ -50,7 +50,7 @@ proptest! {
         });
         let aware = Cluster::new(p, rpn, NetworkModel::ideal()).run(|c| {
             let mine: Vec<f64> = data.iter().map(|x| x + c.rank() as f64).collect();
-            c.allreduce_node_aware(mine)
+            c.hier_allreduce(mine)
         });
         for ((a, _), (b, _)) in flat.iter().zip(&aware) {
             for (x, y) in a.iter().zip(b) {

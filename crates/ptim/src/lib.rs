@@ -9,9 +9,6 @@
 //! * [`ptim_ace`] — PT-IM-ACE (Fig. 4b): double SCF loop whose predictor
 //!   and inner loop are PT-IM's, with frozen low-rank ACE exchange.
 //! * [`rk4`] — the RK4 reference propagator (Fig. 7 baseline).
-//! * [`ptcn`] — the pure-state PT-CN predecessor (JCTC 2018), kept as a
-//!   baseline on PT-IM's projection; a test demonstrates its mixed-state
-//!   failure mode.
 //! * [`laser`] — the 380 nm pulse and the length-gauge sawtooth operator.
 //! * [`observables`] — dipole/energy/σ trajectory recording (Figs. 7, 8).
 //! * [`distributed`] — band-parallel PT-IM over [`mpisim`] with the
@@ -27,11 +24,11 @@
 //!   recovery ladder (fp64 promotion → dt halving → checkpoint restore),
 //!   and the resilient run driver (DESIGN.md §12).
 //!
-//! All four propagators run in one step envelope (solve and pool
+//! All three propagators run in one step envelope (solve and pool
 //! accounting, the NaN-input guard, the fp32 drift guard). The PT ones
 //! are written over a crate-private band-space interface holding one PT
-//! projection, one PT map, one midpoint fixed point and one Löwdin step;
-//! DESIGN.md §3 tables which propagator uses which.
+//! map (projection included), one midpoint fixed point and one Löwdin
+//! step; DESIGN.md §3 tables which propagator uses which.
 //!
 //! Everything is exercised against invariants (trace/Hermiticity of σ,
 //! orthonormality, energy conservation, gauge invariance) and against the
@@ -43,7 +40,6 @@ mod grid2d;
 pub mod laser;
 pub mod observables;
 pub mod propagate;
-pub mod ptcn;
 pub mod ptim;
 pub mod ptim_ace;
 pub mod resilience;
@@ -59,7 +55,6 @@ pub use resilience::{
     step_with_recovery, Checkpoint, CheckpointError, CheckpointMeta, CheckpointPolicy,
     Propagator, RecoveryPolicy,
 };
-pub use ptcn::{ptcn_step, PtcnConfig};
 pub use ptim::{ptim_step, PtimConfig};
 pub use ptim_ace::{ptim_ace_step, PtimAceConfig};
 pub use rk4::{rk4_step, Rk4Config};

@@ -31,7 +31,7 @@ pub struct StepStats {
     /// [`FockApplyStats::skipped_weight`](pwdft::FockApplyStats) — the
     /// error-bound handle of DESIGN.md §3; 0 at the default cutoff).
     /// Filled by every propagator: PT-IM-ACE's ACE builds, the dense
-    /// applies of PT-IM, PT-CN and RK4, and the ring exchange of
+    /// applies of PT-IM and RK4, and the ring exchange of
     /// `dist_ptim_step`, where it is this rank's share (summed over
     /// ranks, the serial weight).
     pub fock_skipped_weight: f64,
@@ -72,7 +72,7 @@ pub struct StepStats {
     pub pool_peak_bytes: usize,
 }
 
-/// The step envelope of the four serial propagators, around
+/// The step envelope of the three serial propagators, around
 /// `body(engine, start_err)`. A non-finite `state` is the [`failed`] step
 /// at once: no `eigh` of a NaN σ, no ACE build. Otherwise: the step span,
 /// the solve snapshot, `start_err` (the starting orthonormality error,

@@ -31,7 +31,6 @@
 use crate::engine::TdEngine;
 use crate::laser::LaserPulse;
 use crate::propagate::StepStats;
-use crate::ptcn::{ptcn_step, PtcnConfig};
 use crate::ptim::{ptim_step, PtimConfig};
 use crate::ptim_ace::{ptim_ace_step, PtimAceConfig};
 use crate::rk4::{rk4_step, Rk4Config};
@@ -316,14 +315,12 @@ impl Checkpoint {
 }
 
 /// A propagator choice with its configuration — the unit the resilience
-/// layer snapshots, halves, and replays uniformly across all four
+/// layer snapshots, halves, and replays uniformly across all three
 /// integrators.
 #[derive(Clone, Copy, Debug)]
 pub enum Propagator {
     /// PT-IM with dense Fock exchange (paper Alg. 1).
     Ptim(PtimConfig),
-    /// Pure-state PT-CN baseline.
-    Ptcn(PtcnConfig),
     /// PT-IM-ACE (double SCF loop, Fig. 4b).
     PtimAce(PtimAceConfig),
     /// RK4 reference.
@@ -335,7 +332,6 @@ impl Propagator {
     pub fn step(&self, eng: &TdEngine, state: &TdState) -> (TdState, StepStats) {
         match self {
             Propagator::Ptim(cfg) => ptim_step(eng, state, cfg),
-            Propagator::Ptcn(cfg) => ptcn_step(eng, state, cfg),
             Propagator::PtimAce(cfg) => ptim_ace_step(eng, state, cfg),
             Propagator::Rk4(cfg) => rk4_step(eng, state, cfg),
         }
@@ -345,7 +341,6 @@ impl Propagator {
     pub fn dt(&self) -> f64 {
         match self {
             Propagator::Ptim(cfg) => cfg.dt,
-            Propagator::Ptcn(cfg) => cfg.dt,
             Propagator::PtimAce(cfg) => cfg.dt,
             Propagator::Rk4(cfg) => cfg.dt,
         }
@@ -356,18 +351,18 @@ impl Propagator {
         let mut prop = *self;
         match &mut prop {
             Propagator::Ptim(PtimConfig { dt: d, .. })
-            | Propagator::Ptcn(PtcnConfig { dt: d, .. })
             | Propagator::PtimAce(PtimAceConfig { dt: d, .. })
             | Propagator::Rk4(Rk4Config { dt: d }) => *d = dt,
         }
         prop
     }
 
-    /// Stable one-byte tag stored in checkpoints.
+    /// Stable one-byte tag stored in checkpoints. Tag 1 is retired (it
+    /// was the pure-state PT-CN baseline) and is never reassigned, so a
+    /// file keeps naming the propagator that wrote it.
     pub fn kind(&self) -> u8 {
         match self {
             Propagator::Ptim(_) => 0,
-            Propagator::Ptcn(_) => 1,
             Propagator::PtimAce(_) => 2,
             Propagator::Rk4(_) => 3,
         }
@@ -377,7 +372,6 @@ impl Propagator {
     pub fn name(&self) -> &'static str {
         match self {
             Propagator::Ptim(_) => "ptim",
-            Propagator::Ptcn(_) => "ptcn",
             Propagator::PtimAce(_) => "ptim-ace",
             Propagator::Rk4(_) => "rk4",
         }
@@ -667,6 +661,10 @@ mod tests {
         let ck = Checkpoint::load(&path, &st).unwrap();
         assert_eq!(ck.meta.step, 42);
         assert_eq!(ck.meta.propagator, prop.kind());
+        // The tags checkpoint files store; 1 (PT-CN) is retired.
+        let ace = Propagator::PtimAce(PtimAceConfig::default());
+        let rk4 = Propagator::Rk4(Rk4Config { dt: 0.1 });
+        assert_eq!([prop.kind(), ace.kind(), rk4.kind()], [0, 2, 3]);
         assert_eq!(ck.meta.dt.to_bits(), prop.dt().to_bits());
         assert_eq!(ck.meta.laser, [0.1, 0.2, 3.0, 1.5]);
         assert_eq!(ck.state.time.to_bits(), st.time.to_bits());
@@ -780,18 +778,15 @@ mod tests {
         let mut nan_sigma = st;
         nan_sigma.sigma[(1, 1)] = Complex64 { re: f64::NAN, im: 0.0 };
         let ptim = Propagator::Ptim(PtimConfig { dt: 0.05, ..Default::default() });
-        let ptcn = Propagator::Ptcn(PtcnConfig { dt: 0.05, ..Default::default() });
         let ace = Propagator::PtimAce(PtimAceConfig { dt: 0.05, ..Default::default() });
         let rk4 = Propagator::Rk4(Rk4Config { dt: 0.05 });
         let mut cases = vec![
             ("Φ", &nan_phi, 0.0, rk4),
             ("Φ", &nan_phi, 0.0, ptim),
             ("Φ", &nan_phi, 0.25, ptim),
-            ("Φ", &nan_phi, 0.0, ptcn),
-            ("Φ", &nan_phi, 0.25, ptcn),
             ("Φ", &nan_phi, 0.25, ace),
         ];
-        for (alpha, prop) in [(0.0, rk4), (0.0, ptim), (0.0, ptcn), (0.25, ace)] {
+        for (alpha, prop) in [(0.0, rk4), (0.0, ptim), (0.25, ace)] {
             cases.push(("σ", &nan_sigma, alpha, prop));
         }
         for (what, state, alpha, prop) in cases {

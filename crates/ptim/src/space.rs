@@ -1,9 +1,9 @@
 //! One PT fixed point over a band subspace (DESIGN.md §3). A
 //! [`BandSpace`] is the layout of a step's band block — the whole block
 //! on one process ([`Serial`]) or one rank's block over a communicator
-//! (`distributed::Banded`); the dense H apply, PT projection, PT map
-//! (Eq. 6), predictor, Anderson-mixed midpoint loop and Löwdin step are
-//! written once, here.
+//! (`distributed::Banded`); the dense H apply, PT map (Eq. 6, with its
+//! projection), predictor, Anderson-mixed midpoint loop and Löwdin step
+//! are written once, here.
 
 use crate::engine::{EvalPoint, TdEngine};
 use crate::propagate::{density_residual, midpoint_parts, StepStats};
@@ -110,22 +110,6 @@ pub(crate) fn apply_h<S: BandSpace>(
     hphi
 }
 
-/// The parallel-transport projection `(I − P)HΦ = HΦ − Φ S⁻¹Hm`, with
-/// `S = ΦᴴΦ`, returned with `Hm = ΦᴴHΦ`. `None` when `S` is not positive
-/// definite (a non-finite or collapsed Φ); `S` is replicated, so every
-/// rank of a band space agrees.
-pub(crate) fn pt_project<S: BandSpace>(
-    space: &mut S,
-    phi: &Wavefunction,
-    mut hphi: Wavefunction,
-) -> Option<(Wavefunction, CMat)> {
-    let s = space.overlap(phi, phi);
-    let hm = space.overlap(phi, &hphi).hermitian_part();
-    let c = solve_hpd(&s, &hm).ok()?;
-    space.rotate_sub(phi, &c, &mut hphi);
-    Some((hphi, hm))
-}
-
 /// The PT-IM update map (Eq. 6) given `HΦ_mid`:
 ///
 /// ```text
@@ -133,18 +117,24 @@ pub(crate) fn pt_project<S: BandSpace>(
 /// σ_{n+1} = σ_n − iΔt [Hm, σ_mid]
 /// ```
 ///
-/// `None` when the [`pt_project`]ion fails.
+/// with the parallel-transport projection `(I − P)HΦ = HΦ − Φ S⁻¹Hm`,
+/// `S = ΦᴴΦ` and `Hm = ΦᴴHΦ` at the midpoint. `None` when `S` is not
+/// positive definite (a non-finite or collapsed Φ); `S` is replicated,
+/// so every rank of a band space agrees.
 pub(crate) fn pt_map<S: BandSpace>(
     space: &mut S,
     be: &dyn Backend,
     prev: (&Wavefunction, &CMat),
     mid: (&Wavefunction, &CMat),
-    hphi: Wavefunction,
+    mut hphi: Wavefunction,
     dt: f64,
 ) -> Option<(Wavefunction, CMat)> {
-    let (force, hm) = pt_project(space, mid.0, hphi)?;
+    let s = space.overlap(mid.0, mid.0);
+    let hm = space.overlap(mid.0, &hphi).hermitian_part();
+    let c = solve_hpd(&s, &hm).ok()?;
+    space.rotate_sub(mid.0, &c, &mut hphi);
     let mut phi = Wavefunction::zeros_like(prev.0);
-    be.lincomb(Complex64::ONE, &prev.0.data, c64(0.0, -dt), &force.data, &mut phi.data);
+    be.lincomb(Complex64::ONE, &prev.0.data, c64(0.0, -dt), &hphi.data, &mut phi.data);
     let mut sigma = prev.1.clone();
     sigma.axpy(c64(0.0, -dt), &hm.commutator(mid.1));
     Some((phi, sigma))
@@ -301,7 +291,6 @@ mod tests {
     use super::*;
     use crate::engine::HybridParams;
     use crate::laser::LaserPulse;
-    use crate::ptcn::{ptcn_step, PtcnConfig};
     use crate::ptim::ptim_step;
     use crate::rk4::{rk4_step, Rk4Config};
     use pwdft::{Cell, DftSystem, FockOptions};
@@ -358,10 +347,8 @@ mod tests {
         let (sys, st) = fixture(&[1.0, 0.6, 0.4]);
         let pairs = 3 * 4 / 2;
         let eng = TdEngine::new(&sys, LaserPulse::off(), hybrid(FockOptions::default()));
-        let ptcn_cfg = PtcnConfig { dt: 0.5, max_scf: 10, ..Default::default() };
         for (name, (_, stats)) in [
             ("ptim", ptim_step(&eng, &st, &ptim_cfg())),
-            ("ptcn", ptcn_step(&eng, &st, &ptcn_cfg)),
             ("rk4", rk4_step(&eng, &st, &Rk4Config { dt: 0.02 })),
         ] {
             assert!(stats.fock_applies > 1, "{name}: {} applies", stats.fock_applies);
@@ -377,10 +364,8 @@ mod tests {
         let weights = |cutoff| {
             let fock = FockOptions::default().with_occ_cutoff(cutoff);
             let eng = TdEngine::new(&sys, LaserPulse::off(), hybrid(fock));
-            let ptcn_cfg = PtcnConfig { dt: 0.5, max_scf: 10, ..Default::default() };
             [
                 ptim_step(&eng, &st, &ptim_cfg()).1.fock_skipped_weight,
-                ptcn_step(&eng, &st, &ptcn_cfg).1.fock_skipped_weight,
                 rk4_step(&eng, &st, &Rk4Config { dt: 0.02 }).1.fock_skipped_weight,
             ]
         };

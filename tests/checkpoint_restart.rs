@@ -1,7 +1,7 @@
 //! Checkpoint/restart fidelity (DESIGN.md §12): a run interrupted at a
 //! checkpoint and restored from disk must continue **bitwise identical**
 //! to the uninterrupted run — across both compute backends, under the
-//! mixed-precision policy, and for all four propagators — and the loader
+//! mixed-precision policy, and for all three propagators — and the loader
 //! must reject corrupt, truncated, version-bumped, and wrong-shape files.
 
 use pwdft_repro::ptim::resilience::{
@@ -9,8 +9,7 @@ use pwdft_repro::ptim::resilience::{
     CHECKPOINT_VERSION,
 };
 use pwdft_repro::ptim::{
-    HybridParams, LaserPulse, PtcnConfig, PtimAceConfig, PtimConfig, Rk4Config, TdEngine,
-    TdState,
+    HybridParams, LaserPulse, PtimAceConfig, PtimConfig, Rk4Config, TdEngine, TdState,
 };
 use pwdft_repro::pwdft::{Cell, DftSystem, Wavefunction};
 use pwdft_repro::pwnum::backend::{BackendHandle, Blocked, Reference};
@@ -81,14 +80,10 @@ fn assert_bitwise_restart(be: BackendHandle, hyb: HybridParams, prop: &Propagato
 #[test]
 fn restart_is_bitwise_for_all_propagators_on_both_backends() {
     let hyb = HybridParams { alpha: 0.25, omega: 0.2, ..Default::default() };
-    let props: [(Propagator, &str); 4] = [
+    let props: [(Propagator, &str); 3] = [
         (
             Propagator::Ptim(PtimConfig { dt: 0.3, max_scf: 20, tol_rho: 1e-8, ..Default::default() }),
             "ptim",
-        ),
-        (
-            Propagator::Ptcn(PtcnConfig { dt: 0.3, max_scf: 20, tol_rho: 1e-8, ..Default::default() }),
-            "ptcn",
         ),
         (
             Propagator::PtimAce(PtimAceConfig {

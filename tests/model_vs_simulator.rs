@@ -251,7 +251,7 @@ fn node_aware_allreduce_cheaper_on_simulator_too() {
         c.stats.time(Category::Allreduce)
     });
     let aware = Cluster::new(p, 4, net.clone()).run(move |c| {
-        let _ = c.allreduce_node_aware(vec![1.0f64; n]);
+        let _ = c.hier_allreduce(vec![1.0f64; n]);
         c.stats.time(Category::Allreduce)
     });
     let t_flat = flat.iter().map(|(t, _)| *t).fold(0.0f64, f64::max);

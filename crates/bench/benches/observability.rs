@@ -1,8 +1,9 @@
 //! Observability overhead bench: the `pwobs` recorder must be free when
 //! disabled and near-free when enabled (DESIGN.md §13 overhead budget).
 //!
-//! Measures, on a hybrid PT-IM step (Blocked backend via the `Traced`
-//! decorator, 8³ grid, dense exchange):
+//! Measures, on a hybrid PT-IM step (the process default `Blocked`
+//! backend, whose primitives open their own spans; 8³ grid, dense
+//! exchange):
 //!
 //! * `enabled_overhead_frac` — the relative step-time cost of running
 //!   with the recorder enabled. Disabled and enabled samples are
@@ -95,7 +96,7 @@ fn main() {
          \"span_records\": {span_records}, \"timeline_events\": {event_count}}},\n    \
          {{\"name\": \"observability_disabled_span\", \"mode\": 2, \
          \"disabled_span_ns\": {disabled_span_ns:.3}}}\n  ],\n  \
-         \"backend\": \"blocked+traced\", \"grid\": \"8x8x8\", \"bands\": 4, \
+         \"backend\": \"blocked\", \"grid\": \"8x8x8\", \"bands\": 4, \
          \"propagator\": \"ptim\", \"alpha\": 0.25, \"pairs\": {PAIRS}\n}}\n"
     );
     std::fs::write("BENCH_observability.json", &json).expect("write BENCH_observability.json");

@@ -76,10 +76,6 @@ impl<T: Copy + Default + Send + Sync + 'static> ShmWindow<T> {
         f(&self.buf.read())
     }
 
-    /// Runs `f` with a write view of the whole window (single writer).
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut [T]) -> R) -> R {
-        f(&mut self.buf.write())
-    }
 }
 
 impl Comm {

@@ -261,37 +261,6 @@ impl Stats {
             }
         });
     }
-
-    /// Merges another rank's stats (used for cluster-wide maxima/averages).
-    pub fn merge_max(&mut self, other: &Stats) {
-        for (c, t) in &other.time {
-            let e = self.time.entry(*c).or_insert(0.0);
-            *e = e.max(*t);
-        }
-        for (c, n) in &other.count {
-            let e = self.count.entry(*c).or_insert(0);
-            *e = (*e).max(*n);
-        }
-        self.bytes_sent = self.bytes_sent.max(other.bytes_sent);
-        self.intra_bytes = self.intra_bytes.max(other.intra_bytes);
-        self.inter_bytes = self.inter_bytes.max(other.inter_bytes);
-        self.intra_msgs = self.intra_msgs.max(other.intra_msgs);
-        self.inter_msgs = self.inter_msgs.max(other.inter_msgs);
-        self.intra_wire_s = self.intra_wire_s.max(other.intra_wire_s);
-        self.inter_wire_s = self.inter_wire_s.max(other.inter_wire_s);
-        self.shm_staged_bytes = self.shm_staged_bytes.max(other.shm_staged_bytes);
-        self.sched_wakeups = self.sched_wakeups.max(other.sched_wakeups);
-        self.private_bytes = self.private_bytes.max(other.private_bytes);
-        self.shm_bytes = self.shm_bytes.max(other.shm_bytes);
-        self.unshared_equivalent_bytes =
-            self.unshared_equivalent_bytes.max(other.unshared_equivalent_bytes);
-        self.overlap_total_s = self.overlap_total_s.max(other.overlap_total_s);
-        self.overlap_hidden_s = self.overlap_hidden_s.max(other.overlap_hidden_s);
-        self.faults_dropped = self.faults_dropped.max(other.faults_dropped);
-        self.faults_delayed = self.faults_delayed.max(other.faults_delayed);
-        self.faults_duplicated = self.faults_duplicated.max(other.faults_duplicated);
-        self.fault_delay_s = self.fault_delay_s.max(other.fault_delay_s);
-    }
 }
 
 /// Format an `f64` for JSON (non-finite values become `null`).
@@ -353,28 +322,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_takes_maxima() {
-        let mut a = Stats::default();
-        a.add_time(Category::Sendrecv, 1.0);
-        let mut b = Stats::default();
-        b.add_time(Category::Sendrecv, 3.0);
-        b.bytes_sent = 10;
-        a.merge_max(&b);
-        assert!((a.time(Category::Sendrecv) - 3.0).abs() < 1e-15);
-        assert_eq!(a.bytes_sent, 10);
-    }
-
-    #[test]
     fn overlap_efficiency_bounds() {
         let mut s = Stats::default();
         assert_eq!(s.overlap_efficiency(), 0.0, "no messages => 0");
         s.overlap_total_s = 4.0;
         s.overlap_hidden_s = 3.0;
         assert!((s.overlap_efficiency() - 0.75).abs() < 1e-15);
-        let other = Stats { overlap_total_s: 8.0, overlap_hidden_s: 1.0, ..Default::default() };
-        s.merge_max(&other);
-        assert!((s.overlap_total_s - 8.0).abs() < 1e-15);
-        assert!((s.overlap_hidden_s - 3.0).abs() < 1e-15);
     }
 
     #[test]

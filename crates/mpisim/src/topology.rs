@@ -144,19 +144,6 @@ impl NetworkModel {
         }
     }
 
-    /// Fat-tree GPU cluster without NVLink/GPUDirect (staged through host,
-    /// ~12.5 GB/s effective per NIC, higher software overhead).
-    pub fn gpu_cluster(_nodes: usize) -> Self {
-        NetworkModel {
-            topology: Topology::FatTree { radix: 16 },
-            hop_latency: 0.5e-6,
-            sw_overhead: 2.5e-6,
-            bandwidth: 1.25e10,
-            shm_bandwidth: 6.4e10, // PCIe-staged intra-node
-            shm_latency: 1.0e-6,
-        }
-    }
-
     /// Wall-clock cost of moving `bytes` from node `a` to node `b`.
     pub fn transfer_time(&self, node_a: usize, node_b: usize, bytes: usize) -> f64 {
         if node_a == node_b {

@@ -7,7 +7,7 @@ use crate::space::{failed, pt_map, Serial};
 use crate::state::TdState;
 use pwdft::hamiltonian::Hamiltonian;
 use pwdft::Wavefunction;
-use pwnum::backend::{default_backend, Backend};
+use pwnum::bands;
 use pwnum::cmat::CMat;
 use pwnum::complex::Complex64;
 
@@ -66,7 +66,7 @@ pub struct StepStats {
     pub recovery_restores: usize,
     /// High-water mark of the backend buffer pools (fp64 + fp32 arenas,
     /// bytes) as of the end of this step — the engine-lifetime peak from
-    /// [`Backend::pool_stats`], not
+    /// [`Backend::pool_stats`](pwnum::backend::Backend::pool_stats), not
     /// a per-step delta (pools only grow, so the last step's value is
     /// the run's working-set peak).
     pub pool_peak_bytes: usize,
@@ -123,21 +123,19 @@ pub(crate) fn step_envelope<'s>(
     (next64, stats64)
 }
 
-/// The midpoint `(Φ, σ)` of two states (Eq. 4), on the process default
-/// backend.
+/// The midpoint `(Φ, σ)` of two states (Eq. 4).
 pub fn midpoint(a: &TdState, b: &TdState) -> (Wavefunction, CMat) {
-    midpoint_parts(&**default_backend(), (&a.phi, &a.sigma), (&b.phi, &b.sigma))
+    midpoint_parts((&a.phi, &a.sigma), (&b.phi, &b.sigma))
 }
 
-/// [`midpoint`] of two `(Φ, σ)` blocks on an explicit compute backend.
+/// [`midpoint`] of two `(Φ, σ)` blocks.
 pub(crate) fn midpoint_parts(
-    backend: &dyn Backend,
     a: (&Wavefunction, &CMat),
     b: (&Wavefunction, &CMat),
 ) -> (Wavefunction, CMat) {
     let mut phi = Wavefunction::zeros_like(a.0);
     let half = Complex64::from_re(0.5);
-    backend.lincomb(half, &a.0.data, half, &b.0.data, &mut phi.data);
+    bands::lincomb(half, &a.0.data, half, &b.0.data, &mut phi.data);
     (phi, a.1.add(b.1).scaled(half).hermitian_part())
 }
 
@@ -164,7 +162,7 @@ pub fn pt_update(
     let _s = pwobs::span("gemm.pt_update");
     let be = &*h.backend;
     let prev = (&prev.phi, &prev.sigma);
-    let map = pt_map(&mut Serial(be), be, prev, (phi_mid, sigma_mid), h.apply(phi_mid), dt);
+    let map = pt_map(&mut Serial(be), prev, (phi_mid, sigma_mid), h.apply(phi_mid), dt);
     map.unwrap_or_else(|| {
         let (nan, _) = failed(prev, f64::NAN, StepStats::default());
         (nan.phi, nan.sigma)
@@ -233,7 +231,7 @@ mod tests {
         let (phi_next, _) = pt_update(&st, &h, &st.phi, &st.sigma, 0.05);
         // Components of (Φ_{n+1} − Φ_n) inside span(Φ_n) must vanish.
         let mut diff = Wavefunction::zeros_like(&st.phi);
-        default_backend().lincomb(
+        bands::lincomb(
             Complex64::ONE,
             &phi_next.data,
             Complex64::from_re(-1.0),

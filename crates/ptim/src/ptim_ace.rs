@@ -78,7 +78,7 @@ pub fn ptim_ace_step(
         let mut mixer = AndersonMixer::new(anderson_depth, anderson_beta);
         for outer in 0..cfg.max_outer {
             step.stats.outer_iters = outer + 1;
-            let mid = midpoint_parts(be, prev, (&next.phi, &next.sigma));
+            let mid = midpoint_parts(prev, (&next.phi, &next.sigma));
             let (h_mid, ex_mid) = frozen_ace(eng, (&mid.0, &mid.1), &mut step.stats);
             // Outer convergence on the exchange energy (Fig. 4b decision).
             if (ex_mid - ex_prev).abs() < cfg.tol_ex {

@@ -11,6 +11,7 @@ use crate::propagate::{step_envelope, StepStats};
 use crate::space::{apply_h, BandSpace, Serial};
 use crate::state::TdState;
 use pwdft::Wavefunction;
+use pwnum::bands;
 use pwnum::complex::{c64, Complex64};
 
 /// RK4 step size configuration.
@@ -38,9 +39,9 @@ fn derivative(
     hphi
 }
 
-fn axpy_block(eng: &TdEngine, alpha: f64, x: &Wavefunction, y: &Wavefunction) -> Wavefunction {
+fn axpy_block(alpha: f64, x: &Wavefunction, y: &Wavefunction) -> Wavefunction {
     let mut out = Wavefunction::zeros_like(y);
-    eng.backend.lincomb(
+    bands::lincomb(
         Complex64::from_re(alpha),
         &x.data,
         Complex64::ONE,
@@ -58,11 +59,11 @@ pub fn rk4_step(eng: &TdEngine, state: &TdState, cfg: &Rk4Config) -> (TdState, S
         let (dt, t) = (cfg.dt, state.time);
         let mut stats = StepStats { converged: true, ..Default::default() };
         let k1 = derivative(eng, &state.phi, state, t, &mut stats);
-        let phi2 = axpy_block(eng, 0.5 * dt, &k1, &state.phi);
+        let phi2 = axpy_block(0.5 * dt, &k1, &state.phi);
         let k2 = derivative(eng, &phi2, state, t + 0.5 * dt, &mut stats);
-        let phi3 = axpy_block(eng, 0.5 * dt, &k2, &state.phi);
+        let phi3 = axpy_block(0.5 * dt, &k2, &state.phi);
         let k3 = derivative(eng, &phi3, state, t + 0.5 * dt, &mut stats);
-        let phi4 = axpy_block(eng, dt, &k3, &state.phi);
+        let phi4 = axpy_block(dt, &k3, &state.phi);
         let k4 = derivative(eng, &phi4, state, t + dt, &mut stats);
 
         let mut phi_next = state.phi.clone();

@@ -14,6 +14,7 @@ use pwdft::hamiltonian::Exchange;
 use pwdft::mixing::AndersonMixer;
 use pwdft::{FockApplyStats, Wavefunction};
 use pwnum::backend::Backend;
+use pwnum::bands;
 use pwnum::chol::solve_hpd;
 use pwnum::cmat::CMat;
 use pwnum::complex::{c64, Complex64};
@@ -123,7 +124,6 @@ pub(crate) fn apply_h<S: BandSpace>(
 /// so every rank of a band space agrees.
 pub(crate) fn pt_map<S: BandSpace>(
     space: &mut S,
-    be: &dyn Backend,
     prev: (&Wavefunction, &CMat),
     mid: (&Wavefunction, &CMat),
     mut hphi: Wavefunction,
@@ -134,7 +134,7 @@ pub(crate) fn pt_map<S: BandSpace>(
     let c = solve_hpd(&s, &hm).ok()?;
     space.rotate_sub(mid.0, &c, &mut hphi);
     let mut phi = Wavefunction::zeros_like(prev.0);
-    be.lincomb(Complex64::ONE, &prev.0.data, c64(0.0, -dt), &hphi.data, &mut phi.data);
+    bands::lincomb(Complex64::ONE, &prev.0.data, c64(0.0, -dt), &hphi.data, &mut phi.data);
     let mut sigma = prev.1.clone();
     sigma.axpy(c64(0.0, -dt), &hm.commutator(mid.1));
     Some((phi, sigma))
@@ -187,11 +187,11 @@ impl<S: BandSpace> Midpoint<'_, '_, S> {
         mut rho_prev: Option<Vec<f64>>,
         apply: &HApply<S>,
     ) -> Option<bool> {
-        let (be, dv) = (&*self.eng.backend, self.eng.sys.grid.dv());
+        let dv = self.eng.sys.grid.dv();
         let (ne, t_mid) = (SPIN_FACTOR * self.prev.1.trace().re, self.time + 0.5 * self.cfg.dt);
         for it in 0..self.cfg.max_scf {
             self.stats.scf_iters += 1;
-            let (phi_mid, sigma_mid) = midpoint_parts(be, self.prev, (&next.phi, &next.sigma));
+            let (phi_mid, sigma_mid) = midpoint_parts(self.prev, (&next.phi, &next.sigma));
             let mut ev = self.space.evaluate(self.eng, &phi_mid, &sigma_mid, t_mid);
             // Alg. 1 line 11: the midpoint density stopped changing.
             if let Some(rho) = &rho_prev {
@@ -231,7 +231,7 @@ impl<S: BandSpace> Midpoint<'_, '_, S> {
     ) -> Option<(Wavefunction, CMat)> {
         let _s = pwobs::span("gemm.pt_update");
         let hphi = apply(self.eng, self.space, ev, mid.0, &mut self.stats);
-        pt_map(self.space, &*self.eng.backend, self.prev, mid, hphi, self.cfg.dt)
+        pt_map(self.space, self.prev, mid, hphi, self.cfg.dt)
     }
 }
 

@@ -326,11 +326,11 @@ impl<'g> FockOperator<'g> {
                 let pi = bands::band(phi_r, ng, i);
                 for j in 0..n {
                     let pj = bands::band(phi_r, ng, j);
-                    be.hadamard_conj(pk, pj, &mut pair);
+                    cvec::hadamard_conj(pk, pj, &mut pair);
                     self.poisson_batch(&mut pair, 1);
                     let oj = bands::band_mut(&mut out, ng, j);
                     // Vx φ_j -= σ_ik · W_kj ⊙ φ_i   (Eq. 10 sign).
-                    be.hadamard_acc(-sik, &pair, pi, oj);
+                    cvec::hadamard_acc(-sik, &pair, pi, oj);
                 }
             }
         }
@@ -610,10 +610,9 @@ impl<'g> FockOperator<'g> {
         out: &mut [Complex64],
         pair: &mut [Complex64],
     ) {
-        let be = &*self.backend;
-        be.hadamard_conj(src, tgt, pair);
+        cvec::hadamard_conj(src, tgt, pair);
         self.poisson_batch(pair, 1);
-        be.hadamard_acc(Complex64::from_re(-weight), pair, src, out);
+        cvec::hadamard_acc(Complex64::from_re(-weight), pair, src, out);
     }
 
     /// The pair-symmetric twin of [`Self::accumulate_pair`], the oracle
@@ -633,11 +632,10 @@ impl<'g> FockOperator<'g> {
         out_i: &mut [Complex64],
         pair: &mut [Complex64],
     ) {
-        let be = &*self.backend;
-        be.hadamard_conj(src_i, src_j, pair);
+        cvec::hadamard_conj(src_i, src_j, pair);
         self.poisson_batch(pair, 1);
-        be.hadamard_acc(Complex64::from_re(-w_i), pair, src_i, out_j);
-        be.hadamard_acc_conj(Complex64::from_re(-w_j), pair, src_j, out_i);
+        cvec::hadamard_acc(Complex64::from_re(-w_i), pair, src_i, out_j);
+        cvec::hadamard_acc_conj(Complex64::from_re(-w_j), pair, src_j, out_i);
     }
 
     /// Exchange energy `E_x = Σ_i d_i <φ̃_i|Vx|φ̃_i>` (real, ≤ 0), given
@@ -1017,7 +1015,7 @@ mod tests {
             let kg32 = precision::demote_real(mixed.kernel_table());
             let mut pair = vec![Complex32::ZERO; ng];
             let solve = |i: usize, j: usize, pair: &mut [Complex32]| {
-                be.hadamard_conj32(band32(i), band32(j), pair);
+                precision::hadamard_conj32(band32(i), band32(j), pair);
                 fft32.transform_fused(pair, false);
                 for (z, &k) in pair.iter_mut().zip(&kg32) {
                     *z = z.scale(k);
@@ -1032,11 +1030,11 @@ mod tests {
                     solve(i, j, &mut pair);
                     let (oj, cj) =
                         (bands::band_mut(&mut want, ng, j), bands::band_mut(&mut comp, ng, j));
-                    be.hadamard_acc_promote(-d[i], &pair, band32(i), oj, Some(cj));
+                    precision::hadamard_acc_promote(-d[i], &pair, band32(i), oj, Some(cj));
                     if i != j {
                         let (oi, ci) =
                             (bands::band_mut(&mut want, ng, i), bands::band_mut(&mut comp, ng, i));
-                        be.hadamard_acc_promote_conj(-d[j], &pair, band32(j), oi, Some(ci));
+                        precision::hadamard_acc_promote_conj(-d[j], &pair, band32(j), oi, Some(ci));
                     }
                 }
             }
@@ -1052,7 +1050,7 @@ mod tests {
                     (bands::band_mut(&mut want, ng, j), bands::band_mut(&mut comp, ng, j));
                 for (i, &di) in d.iter().enumerate() {
                     solve(i, j, &mut pair);
-                    be.hadamard_acc_promote(-di, &pair, band32(i), oj, Some(&mut *cj));
+                    precision::hadamard_acc_promote(-di, &pair, band32(i), oj, Some(&mut *cj));
                 }
             }
             let (got, st) = mixed.apply_diag_stats(&phi_r, &d, &psi);

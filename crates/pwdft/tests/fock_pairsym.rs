@@ -79,39 +79,6 @@ impl Backend for CountingBackend {
         self.inner.rotate_acc(alpha, a, q, band_len, out);
     }
 
-    fn lincomb(
-        &self,
-        ca: Complex64,
-        a: &[Complex64],
-        cb: Complex64,
-        b: &[Complex64],
-        out: &mut [Complex64],
-    ) {
-        self.inner.lincomb(ca, a, cb, b, out);
-    }
-
-    fn scale_by_real(&self, k: &[f64], field: &mut [Complex64]) {
-        self.inner.scale_by_real(k, field);
-    }
-
-    fn hadamard_conj(&self, a: &[Complex64], b: &[Complex64], out: &mut [Complex64]) {
-        self.inner.hadamard_conj(a, b, out);
-    }
-
-    fn hadamard_acc(&self, w: Complex64, a: &[Complex64], b: &[Complex64], acc: &mut [Complex64]) {
-        self.inner.hadamard_acc(w, a, b, acc);
-    }
-
-    fn hadamard_acc_conj(
-        &self,
-        w: Complex64,
-        a: &[Complex64],
-        b: &[Complex64],
-        acc: &mut [Complex64],
-    ) {
-        self.inner.hadamard_acc_conj(w, a, b, acc);
-    }
-
     fn transform_batch(&self, pass: &dyn GridTransform, data: &mut [Complex64], count: usize) {
         self.grids.fetch_add(count, Ordering::SeqCst);
         self.inner.transform_batch(pass, data, count);
@@ -185,32 +152,6 @@ impl Backend for CountingBackend {
         out: &mut [Complex32],
     ) {
         self.inner.rotate_acc32(alpha, a, q, band_len, out);
-    }
-
-    fn hadamard_conj32(&self, a: &[Complex32], b: &[Complex32], out: &mut [Complex32]) {
-        self.inner.hadamard_conj32(a, b, out);
-    }
-
-    fn hadamard_acc_promote(
-        &self,
-        w: f64,
-        a: &[Complex32],
-        b: &[Complex32],
-        acc: &mut [Complex64],
-        comp: Option<&mut [Complex64]>,
-    ) {
-        self.inner.hadamard_acc_promote(w, a, b, acc, comp);
-    }
-
-    fn hadamard_acc_promote_conj(
-        &self,
-        w: f64,
-        a: &[Complex32],
-        b: &[Complex32],
-        acc: &mut [Complex64],
-        comp: Option<&mut [Complex64]>,
-    ) {
-        self.inner.hadamard_acc_promote_conj(w, a, b, acc, comp);
     }
 
     fn take_scratch32(&self, len: usize) -> Vec<Complex32> {

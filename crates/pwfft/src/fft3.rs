@@ -125,7 +125,7 @@ impl Fft3 {
             return;
         }
         self.forward_many_with(backend, data, count);
-        backend.scale_by_real(kernel, data);
+        pwnum::cvec::scale_by_real(kernel, data);
         self.inverse_many_with(backend, data, count);
     }
 

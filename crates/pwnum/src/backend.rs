@@ -3,10 +3,13 @@
 //! The paper's core engineering story is one rt-TDDFT code driving two
 //! radically different platforms (ARM many-core and GPU) with the same
 //! algorithm schedules. This module is the Rust analog of that seam: a
-//! [`Backend`] trait owning every hot primitive — GEMM, the band-block
-//! kernels (overlap / rotate / lincomb), elementwise kernel×field
-//! products, and batched grid transforms — so a platform-specific
-//! implementation is *one type*, not a rewrite of the physics layers.
+//! [`Backend`] trait owning the hot primitives whose schedule is
+//! platform-specific — GEMM, the band-block overlap and rotations, batched
+//! grid transforms, the fused exchange pair pipelines and the buffer pools
+//! — so a platform-specific implementation is *one type*, not a rewrite
+//! of the physics layers. Streaming elementwise kernels with one obvious
+//! loop (band linear combinations, Hadamard products, the kernel×field
+//! multiply) are free functions in [`bands`], [`cvec`] and [`precision`].
 //!
 //! Two implementations ship here:
 //!
@@ -15,7 +18,10 @@
 //!   panels behind GEMM, overlap and rotation in both precisions
 //!   (`tiled`), slab-decomposed batched grid transforms, and a
 //!   thread-safe [buffer pool] (`Backend::take_buffer`) that makes the
-//!   Fock/ACE inner loops allocation-free in steady state.
+//!   Fock/ACE inner loops allocation-free in steady state. Its compute
+//!   primitives open the `pwobs` spans (`gemm.*`, `fft.transform_batch`)
+//!   that attribute time per kernel — one relaxed atomic load per call
+//!   while the recorder is disabled.
 //! * [`Reference`] — the oracle: the plain scalar/threaded kernels,
 //!   called through the trait, that `tests/backend_properties.rs` and
 //!   the physics suites compare [`Blocked`] against. No product path
@@ -37,7 +43,7 @@ use crate::cmat::CMat;
 use crate::complex::Complex64;
 use crate::cvec;
 use crate::gemm::{self, packed, packed_cols, Op};
-use crate::parallel::{par_chunks_mut, par_chunks_mut_on, workers_for};
+use crate::parallel::{par_chunks_mut_on, workers_for};
 use crate::precision::{self, CMat32, Complex32};
 use crate::tiled;
 use crate::waves;
@@ -159,43 +165,6 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
         out: &mut [Complex64],
     );
 
-    /// Band-wise linear combination `out = ca*a + cb*b`
-    /// (see [`bands::lincomb`]).
-    fn lincomb(
-        &self,
-        ca: Complex64,
-        a: &[Complex64],
-        cb: Complex64,
-        b: &[Complex64],
-        out: &mut [Complex64],
-    );
-
-    /// Elementwise real-kernel apply `field *= k`, cycling the kernel
-    /// over consecutive `k.len()`-sized chunks of `field` (the
-    /// `K(G)·f_G` multiply of the screened Poisson solve, applied to a
-    /// whole FFT batch in one call). `field.len()` must be a multiple of
-    /// `k.len()`.
-    fn scale_by_real(&self, k: &[f64], field: &mut [Complex64]);
-
-    /// Elementwise conjugated product `out = conj(a) ⊙ b` — the
-    /// pair-density kernel of the Fock operator.
-    fn hadamard_conj(&self, a: &[Complex64], b: &[Complex64], out: &mut [Complex64]);
-
-    /// Weighted elementwise accumulate `acc += w · a ⊙ b`.
-    fn hadamard_acc(&self, w: Complex64, a: &[Complex64], b: &[Complex64], acc: &mut [Complex64]);
-
-    /// Weighted conjugated accumulate `acc += w · conj(a) ⊙ b` — the
-    /// swapped-side scatter of the pair-symmetric Fock scheduler: a real
-    /// screened kernel gives `W_ji = conj(W_ij)`, so one solved pair grid
-    /// updates both target bands, the second through this primitive.
-    fn hadamard_acc_conj(
-        &self,
-        w: Complex64,
-        a: &[Complex64],
-        b: &[Complex64],
-        acc: &mut [Complex64],
-    );
-
     /// Runs `pass` over `count` consecutive grids in `data` — the batched
     /// 3-D FFT entry point. The backend owns the batching strategy (how
     /// grids map to workers).
@@ -212,12 +181,16 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
     /// `phi`, `psi`, and `out` are band-major with `ng` elements per
     /// band (`psi` may alias `phi` by being the same slice). The result
     /// is that of running the tasks strictly in order, each stage on the
-    /// same elementwise kernels as a staged `hadamard_conj` → transform
-    /// → `hadamard_acc` sequence — bitwise, on every backend and at
-    /// every thread count: the region is sized by [`workers_for`] and
-    /// scheduled in order-preserving waves (solves parallel over tasks,
-    /// scatters parallel over grid slices, DESIGN.md §11); on one worker
-    /// it *is* the serial loop over one pooled grid.
+    /// same elementwise kernels as a staged [`cvec::hadamard_conj`] →
+    /// transform → [`cvec::hadamard_acc`] sequence — bitwise, on every
+    /// backend and at every thread count: the region is sized by
+    /// [`workers_for`] and scheduled in order-preserving waves (solves
+    /// parallel over tasks, scatters parallel over grid slices, DESIGN.md
+    /// §11); on one worker it *is* the serial loop over one pooled grid.
+    ///
+    /// The whole pipeline is one `xch.fused_pair_solve` span (the
+    /// elementwise kernels carry none), so its self time is the paper's
+    /// exchange component.
     fn fused_pair_solve(
         &self,
         solve: &dyn GridTransform,
@@ -227,6 +200,8 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
         tasks: &[PairTask],
         out: &mut [Complex64],
     ) {
+        let _s = pwobs::span("xch.fused_pair_solve");
+        pwobs::counter_add("xch.pair_tasks", tasks.len() as u64);
         assert_eq!(solve.grid_len(), ng, "fused_pair_solve: solve grid length mismatch");
         assert!(phi.len().is_multiple_of(ng.max(1)), "fused_pair_solve: bad phi length");
         assert!(psi.len().is_multiple_of(ng.max(1)), "fused_pair_solve: bad psi length");
@@ -240,17 +215,17 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
             |len| self.take_scratch(len),
             |buf| self.recycle_buffer(buf),
             |t, pair| {
-                self.hadamard_conj(&phi[t.i * ng..][..ng], &psi[t.j * ng..][..ng], pair);
+                cvec::hadamard_conj(&phi[t.i * ng..][..ng], &psi[t.j * ng..][..ng], pair);
                 solve.run(pair);
             },
             |t, pair, r, bands| {
                 if t.w_fwd != 0.0 {
                     let phi_i = &phi[t.i * ng..][r.clone()];
-                    self.hadamard_acc(Complex64::from_re(t.w_fwd), pair, phi_i, bands[t.j].out);
+                    cvec::hadamard_acc(Complex64::from_re(t.w_fwd), pair, phi_i, bands[t.j].out);
                 }
                 if t.w_rev != 0.0 {
                     let psi_j = &psi[t.j * ng..][r];
-                    self.hadamard_acc_conj(Complex64::from_re(t.w_rev), pair, psi_j, bands[t.i].out);
+                    cvec::hadamard_acc_conj(Complex64::from_re(t.w_rev), pair, psi_j, bands[t.i].out);
                 }
             },
         );
@@ -313,41 +288,14 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
         out: &mut [Complex32],
     );
 
-    /// fp32 elementwise conjugated product `out = conj(a) ⊙ b` — the
-    /// pair-density kernel of the fp32 Fock path.
-    fn hadamard_conj32(&self, a: &[Complex32], b: &[Complex32], out: &mut [Complex32]);
-
-    /// Weighted promote-accumulate `acc += w · a ⊙ b`: fp32 operands,
-    /// fp64 products and accumulation, optionally two-sum compensated
-    /// via `comp` (see [`precision::hadamard_acc_promote`]).
-    fn hadamard_acc_promote(
-        &self,
-        w: f64,
-        a: &[Complex32],
-        b: &[Complex32],
-        acc: &mut [Complex64],
-        comp: Option<&mut [Complex64]>,
-    );
-
-    /// Conjugated variant of [`Backend::hadamard_acc_promote`]:
-    /// `acc += w · conj(a) ⊙ b` — the swapped-side scatter of the
-    /// pair-symmetric scheduler in fp32.
-    fn hadamard_acc_promote_conj(
-        &self,
-        w: f64,
-        a: &[Complex32],
-        b: &[Complex32],
-        acc: &mut [Complex64],
-        comp: Option<&mut [Complex64]>,
-    );
-
     /// Mixed-precision twin of [`Backend::fused_pair_solve`] — the same
     /// wave scheduler with fp32 stages: the pair density is formed and
     /// solved in fp32 (operands already demoted by the caller), and both
     /// scatters promote to the fp64 accumulator — optionally two-sum
     /// compensated through `comp` (band-major, parallel to `out`). No
     /// intermediate `CVec32` buffer hits the pool between demote, FFT,
-    /// kernel multiply, inverse FFT, and promote-scatter.
+    /// kernel multiply, inverse FFT, and promote-scatter. One
+    /// `xch.fused_pair_solve32` span, like the fp64 pipeline.
     #[allow(clippy::too_many_arguments)]
     fn fused_pair_solve32(
         &self,
@@ -359,6 +307,8 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
         out: &mut [Complex64],
         comp: Option<&mut [Complex64]>,
     ) {
+        let _s = pwobs::span("xch.fused_pair_solve32");
+        pwobs::counter_add("xch.pair_tasks_fp32", tasks.len() as u64);
         assert_eq!(solve.grid_len(), ng, "fused_pair_solve32: solve grid length mismatch");
         assert!(phi.len().is_multiple_of(ng.max(1)), "fused_pair_solve32: bad phi length");
         assert!(psi.len().is_multiple_of(ng.max(1)), "fused_pair_solve32: bad psi length");
@@ -375,23 +325,19 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
             |len| self.take_scratch32(len),
             |buf| self.recycle_buffer32(buf),
             |t, pair| {
-                self.hadamard_conj32(&phi[t.i * ng..][..ng], &psi[t.j * ng..][..ng], pair);
+                precision::hadamard_conj32(&phi[t.i * ng..][..ng], &psi[t.j * ng..][..ng], pair);
                 solve.run(pair);
             },
             |t, pair, r, bands| {
                 if t.w_fwd != 0.0 {
                     let (phi_i, tgt) = (&phi[t.i * ng..][r.clone()], &mut bands[t.j]);
-                    self.hadamard_acc_promote(t.w_fwd, pair, phi_i, tgt.out, tgt.comp.as_deref_mut());
+                    let comp = tgt.comp.as_deref_mut();
+                    precision::hadamard_acc_promote(t.w_fwd, pair, phi_i, tgt.out, comp);
                 }
                 if t.w_rev != 0.0 {
                     let (psi_j, tgt) = (&psi[t.j * ng..][r], &mut bands[t.i]);
-                    self.hadamard_acc_promote_conj(
-                        t.w_rev,
-                        pair,
-                        psi_j,
-                        tgt.out,
-                        tgt.comp.as_deref_mut(),
-                    );
+                    let comp = tgt.comp.as_deref_mut();
+                    precision::hadamard_acc_promote_conj(t.w_rev, pair, psi_j, tgt.out, comp);
                 }
             },
         );
@@ -408,15 +354,11 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
 /// Shared, clonable handle to a backend.
 pub type BackendHandle = Arc<dyn Backend>;
 
-/// The process-wide product backend: [`Blocked`], wrapped in the
-/// [`crate::traced::Traced`] observability decorator. Layers that are
-/// not handed an explicit [`BackendHandle`] route through this.
-///
-/// Every primitive carries a `pwobs` span — a single relaxed atomic
-/// load per call while the recorder is disabled.
+/// The process-wide product backend, [`Blocked`]. Layers that are not
+/// handed an explicit [`BackendHandle`] route through this.
 pub fn default_backend() -> &'static BackendHandle {
     static DEFAULT: OnceLock<BackendHandle> = OnceLock::new();
-    DEFAULT.get_or_init(|| crate::traced::Traced::wrap(Arc::new(Blocked::new())))
+    DEFAULT.get_or_init(|| Arc::new(Blocked::new()))
 }
 
 // ---------------------------------------------------------------------
@@ -463,45 +405,6 @@ impl Backend for Reference {
         out: &mut [Complex64],
     ) {
         bands::rotate_acc(alpha, a, q, band_len, out);
-    }
-
-    fn lincomb(
-        &self,
-        ca: Complex64,
-        a: &[Complex64],
-        cb: Complex64,
-        b: &[Complex64],
-        out: &mut [Complex64],
-    ) {
-        bands::lincomb(ca, a, cb, b, out);
-    }
-
-    fn scale_by_real(&self, k: &[f64], field: &mut [Complex64]) {
-        assert!(!k.is_empty(), "scale_by_real: empty kernel");
-        assert!(field.len().is_multiple_of(k.len()), "scale_by_real: field not a multiple of kernel");
-        for chunk in field.chunks_mut(k.len()) {
-            for (f, &kv) in chunk.iter_mut().zip(k) {
-                *f = f.scale(kv);
-            }
-        }
-    }
-
-    fn hadamard_conj(&self, a: &[Complex64], b: &[Complex64], out: &mut [Complex64]) {
-        cvec::hadamard_conj(a, b, out);
-    }
-
-    fn hadamard_acc(&self, w: Complex64, a: &[Complex64], b: &[Complex64], acc: &mut [Complex64]) {
-        cvec::hadamard_acc(w, a, b, acc);
-    }
-
-    fn hadamard_acc_conj(
-        &self,
-        w: Complex64,
-        a: &[Complex64],
-        b: &[Complex64],
-        acc: &mut [Complex64],
-    ) {
-        cvec::hadamard_acc_conj(w, a, b, acc);
     }
 
     fn transform_batch(&self, pass: &dyn GridTransform, data: &mut [Complex64], count: usize) {
@@ -588,32 +491,6 @@ impl Backend for Reference {
                 }
             }
         }
-    }
-
-    fn hadamard_conj32(&self, a: &[Complex32], b: &[Complex32], out: &mut [Complex32]) {
-        precision::hadamard_conj32(a, b, out);
-    }
-
-    fn hadamard_acc_promote(
-        &self,
-        w: f64,
-        a: &[Complex32],
-        b: &[Complex32],
-        acc: &mut [Complex64],
-        comp: Option<&mut [Complex64]>,
-    ) {
-        precision::hadamard_acc_promote(w, a, b, acc, comp);
-    }
-
-    fn hadamard_acc_promote_conj(
-        &self,
-        w: f64,
-        a: &[Complex32],
-        b: &[Complex32],
-        acc: &mut [Complex64],
-        comp: Option<&mut [Complex64]>,
-    ) {
-        precision::hadamard_acc_promote_conj(w, a, b, acc, comp);
     }
 
     fn take_scratch32(&self, len: usize) -> Vec<Complex32> {
@@ -827,6 +704,7 @@ impl Backend for Blocked {
         beta: Complex64,
         c0: Option<&CMat>,
     ) -> CMat {
+        let _s = pwobs::span("gemm.gemm");
         let ap = packed(a, op_a);
         let bp = packed_cols(b, op_b);
         let (m, k) = (ap.rows(), ap.cols());
@@ -854,6 +732,7 @@ impl Backend for Blocked {
     }
 
     fn overlap(&self, a: &[Complex64], b: &[Complex64], band_len: usize, scale: f64) -> CMat {
+        let _s = pwobs::span("gemm.overlap");
         let na = bands::n_bands(a, band_len);
         let nb = bands::n_bands(b, band_len);
         let mut s = CMat::zeros(na, nb);
@@ -869,6 +748,7 @@ impl Backend for Blocked {
     }
 
     fn rotate(&self, a: &[Complex64], q: &CMat, band_len: usize, out: &mut [Complex64]) {
+        let _s = pwobs::span("gemm.rotate");
         let na = bands::n_bands(a, band_len);
         assert_eq!(q.rows(), na, "rotate: Q row count must match band count");
         assert_eq!(out.len(), band_len * q.cols(), "rotate: bad output size");
@@ -884,54 +764,15 @@ impl Backend for Blocked {
         band_len: usize,
         out: &mut [Complex64],
     ) {
+        let _s = pwobs::span("gemm.rotate_acc");
         let na = bands::n_bands(a, band_len);
         assert_eq!(q.rows(), na, "rotate_acc: Q row count must match band count");
         assert_eq!(out.len(), band_len * q.cols(), "rotate_acc: bad output size");
         tiled::rotate(&self.pack, a, band_len, |i, j| alpha * q[(i, j)], out);
     }
 
-    fn lincomb(
-        &self,
-        ca: Complex64,
-        a: &[Complex64],
-        cb: Complex64,
-        b: &[Complex64],
-        out: &mut [Complex64],
-    ) {
-        // Memory-bound: the reference loop is already optimal.
-        bands::lincomb(ca, a, cb, b, out);
-    }
-
-    fn scale_by_real(&self, k: &[f64], field: &mut [Complex64]) {
-        assert!(!k.is_empty(), "scale_by_real: empty kernel");
-        assert!(field.len().is_multiple_of(k.len()), "scale_by_real: field not a multiple of kernel");
-        // One fused parallel pass over the whole batch.
-        par_chunks_mut(field, k.len(), |_, chunk| {
-            for (f, &kv) in chunk.iter_mut().zip(k) {
-                *f = f.scale(kv);
-            }
-        });
-    }
-
-    fn hadamard_conj(&self, a: &[Complex64], b: &[Complex64], out: &mut [Complex64]) {
-        cvec::hadamard_conj(a, b, out);
-    }
-
-    fn hadamard_acc(&self, w: Complex64, a: &[Complex64], b: &[Complex64], acc: &mut [Complex64]) {
-        cvec::hadamard_acc(w, a, b, acc);
-    }
-
-    fn hadamard_acc_conj(
-        &self,
-        w: Complex64,
-        a: &[Complex64],
-        b: &[Complex64],
-        acc: &mut [Complex64],
-    ) {
-        cvec::hadamard_acc_conj(w, a, b, acc);
-    }
-
     fn transform_batch(&self, pass: &dyn GridTransform, data: &mut [Complex64], count: usize) {
+        let _s = pwobs::span("fft.transform_batch");
         let n = pass.grid_len();
         assert_eq!(data.len(), count * n, "transform_batch length mismatch");
         if count == 0 {
@@ -974,6 +815,7 @@ impl Backend for Blocked {
     }
 
     fn gemm32(&self, alpha: Complex32, a: &CMat32, op_a: Op, b: &CMat32, op_b: Op) -> CMat32 {
+        let _s = pwobs::span("gemm.gemm32");
         let ap = packed32(a, op_a);
         let bp = packed32_cols(b, op_b);
         let (m, k) = (ap.rows(), ap.cols());
@@ -992,6 +834,7 @@ impl Backend for Blocked {
     }
 
     fn overlap32(&self, a: &[Complex32], b: &[Complex32], band_len: usize, scale: f32) -> CMat32 {
+        let _s = pwobs::span("gemm.overlap32");
         let na = n_bands32(a, band_len);
         let nb = n_bands32(b, band_len);
         let mut s = CMat32::zeros(na, nb);
@@ -1014,36 +857,11 @@ impl Backend for Blocked {
         band_len: usize,
         out: &mut [Complex32],
     ) {
+        let _s = pwobs::span("gemm.rotate_acc32");
         let na = n_bands32(a, band_len);
         assert_eq!(q.rows(), na, "rotate_acc32: Q row count must match band count");
         assert_eq!(out.len(), band_len * q.cols(), "rotate_acc32: bad output size");
         tiled::rotate(&self.pack32, a, band_len, |i, j| alpha * q[(i, j)], out);
-    }
-
-    fn hadamard_conj32(&self, a: &[Complex32], b: &[Complex32], out: &mut [Complex32]) {
-        precision::hadamard_conj32(a, b, out);
-    }
-
-    fn hadamard_acc_promote(
-        &self,
-        w: f64,
-        a: &[Complex32],
-        b: &[Complex32],
-        acc: &mut [Complex64],
-        comp: Option<&mut [Complex64]>,
-    ) {
-        precision::hadamard_acc_promote(w, a, b, acc, comp);
-    }
-
-    fn hadamard_acc_promote_conj(
-        &self,
-        w: f64,
-        a: &[Complex32],
-        b: &[Complex32],
-        acc: &mut [Complex64],
-        comp: Option<&mut [Complex64]>,
-    ) {
-        precision::hadamard_acc_promote_conj(w, a, b, acc, comp);
     }
 
     fn take_scratch32(&self, len: usize) -> Vec<Complex32> {
@@ -1217,17 +1035,14 @@ mod tests {
 
     #[test]
     fn scale_by_real_cycles_kernel_over_batch() {
-        let r = Reference;
-        let bl = Blocked::new();
+        // The kernel multiply of the batched Poisson solve: one kernel
+        // cycled over every grid of the batch.
         let k = [2.0, 3.0, 4.0];
         let base = test_block(1, 12, 0.5);
-        let mut fr = base.clone();
-        let mut fb = base.clone();
-        r.scale_by_real(&k, &mut fr);
-        bl.scale_by_real(&k, &mut fb);
-        assert!(cvec::max_abs_diff(&fr, &fb) < 1e-15);
-        for (i, (v, orig)) in fr.iter().zip(&base).enumerate() {
-            assert!((*v - orig.scale(k[i % 3])).abs() < 1e-15);
+        let mut field = base.clone();
+        cvec::scale_by_real(&k, &mut field);
+        for (i, (v, orig)) in field.iter().zip(&base).enumerate() {
+            assert_eq!(*v, orig.scale(k[i % 3]));
         }
     }
 
@@ -1317,10 +1132,10 @@ mod tests {
             for t in &tasks {
                 let phi_i = &phi[t.i * ng..(t.i + 1) * ng];
                 let phi_j = &phi[t.j * ng..(t.j + 1) * ng];
-                be.hadamard_conj(phi_i, phi_j, &mut pair);
+                cvec::hadamard_conj(phi_i, phi_j, &mut pair);
                 pass.run(&mut pair);
                 if t.w_fwd != 0.0 {
-                    be.hadamard_acc(
+                    cvec::hadamard_acc(
                         Complex64::from_re(t.w_fwd),
                         &pair,
                         phi_i,
@@ -1328,7 +1143,7 @@ mod tests {
                     );
                 }
                 if t.w_rev != 0.0 {
-                    be.hadamard_acc_conj(
+                    cvec::hadamard_acc_conj(
                         Complex64::from_re(t.w_rev),
                         &pair,
                         phi_j,
@@ -1395,15 +1210,15 @@ mod tests {
                 let mut pair = vec![Complex64::ZERO; ng];
                 for t in &tasks {
                     let (phi_i, psi_j) = (bands::band(&phi, ng, t.i), bands::band(tgt, ng, t.j));
-                    be.hadamard_conj(phi_i, psi_j, &mut pair);
+                    cvec::hadamard_conj(phi_i, psi_j, &mut pair);
                     pass.run(&mut pair);
                     if t.w_fwd != 0.0 {
                         let out_j = bands::band_mut(&mut want, ng, t.j);
-                        be.hadamard_acc(Complex64::from_re(t.w_fwd), &pair, phi_i, out_j);
+                        cvec::hadamard_acc(Complex64::from_re(t.w_fwd), &pair, phi_i, out_j);
                     }
                     if t.w_rev != 0.0 {
                         let out_i = bands::band_mut(&mut want, ng, t.i);
-                        be.hadamard_acc_conj(Complex64::from_re(t.w_rev), &pair, psi_j, out_i);
+                        cvec::hadamard_acc_conj(Complex64::from_re(t.w_rev), &pair, psi_j, out_i);
                     }
                 }
                 // fp32 plain and compensated: the one-worker run is the
@@ -1540,8 +1355,8 @@ mod tests {
                     be.rotate(&xa, &q, len, &mut rot);
                     be.rotate_acc(alpha, &xa, &q, len, &mut rot);
                     let mut lin = vec![Complex64::ZERO; n * len];
-                    be.lincomb(alpha, &xb, beta, &rot, &mut lin);
-                    be.scale_by_real(&kernel, &mut lin);
+                    bands::lincomb(alpha, &xb, beta, &rot, &mut lin);
+                    cvec::scale_by_real(&kernel, &mut lin);
                     be.transform_batch(&pass, &mut lin, n);
                     let mut rot32 = precision::demote(&rot);
                     be.rotate_acc32(Complex32::from_c64(alpha), &xa32, &q32, len, &mut rot32);

@@ -100,7 +100,9 @@ pub fn rotate_acc(
     });
 }
 
-/// Linear combination of two blocks: `out = ca*a + cb*b`, band-wise.
+/// Linear combination of two blocks: `out = ca*a + cb*b`, band-wise —
+/// memory-bound, so one streaming loop split into one contiguous chunk
+/// per worker is the schedule on every platform (`gemm.lincomb` span).
 pub fn lincomb(
     ca: Complex64,
     a: &[Complex64],
@@ -108,6 +110,7 @@ pub fn lincomb(
     b: &[Complex64],
     out: &mut [Complex64],
 ) {
+    let _s = pwobs::span("gemm.lincomb");
     assert_eq!(a.len(), b.len());
     assert_eq!(a.len(), out.len());
     // One contiguous chunk per worker.

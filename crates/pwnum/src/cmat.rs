@@ -109,12 +109,6 @@ impl CMat {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutable borrow of row `r`.
-    #[inline(always)]
-    pub fn row_mut(&mut self, r: usize) -> &mut [Complex64] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Conjugate transpose `A^H`.
     pub fn herm(&self) -> CMat {
         CMat::from_fn(self.cols, self.rows, |r, c| self[(c, r)].conj())

@@ -7,6 +7,7 @@
 //! out of the loops.
 
 use crate::complex::Complex64;
+use crate::parallel::par_chunks_mut;
 
 /// `y += a * x` (complex axpy).
 #[inline]
@@ -135,6 +136,22 @@ pub fn diag_mul(d: &[f64], x: &mut [Complex64]) {
         xi.re *= *di;
         xi.im *= *di;
     }
+}
+
+/// Real-kernel apply `field *= k`, cycling the kernel over consecutive
+/// `k.len()`-sized chunks of `field` — the `K(G)·f_G` multiply of the
+/// screened Poisson solve, applied to a whole FFT batch in one parallel
+/// pass (one chunk is one worker's unit, so the thread count moves no
+/// bit). `field.len()` must be a multiple of `k.len()`.
+pub fn scale_by_real(k: &[f64], field: &mut [Complex64]) {
+    let _s = pwobs::span("grid.scale_by_real");
+    assert!(!k.is_empty(), "scale_by_real: empty kernel");
+    assert!(field.len().is_multiple_of(k.len()), "scale_by_real: field not a multiple of kernel");
+    par_chunks_mut(field, k.len(), |_, chunk| {
+        for (f, &kv) in chunk.iter_mut().zip(k) {
+            *f = f.scale(kv);
+        }
+    });
 }
 
 /// Copies `src` into `dst`.

@@ -19,14 +19,15 @@
 //! * [`parallel`] — scoped-thread `parallel for` helpers (the OpenMP
 //!   analog of the paper's node-level parallelism).
 //! * [`backend`] — the pluggable compute-backend layer: a [`Backend`]
-//!   trait owning the hot primitives (GEMM, band ops, elementwise
-//!   kernel products, batched grid transforms, buffer pool) with two
-//!   implementations: [`backend::Blocked`], the product backend
-//!   (cache-blocked, accelerator-style, its GEMM and band ops one
-//!   register-tiled micro-kernel in the private `tiled` module), and
-//!   [`backend::Reference`], the oracle the tests compare it against
-//!   (the scalar/threaded kernels above) — the swap-in seam for
-//!   SIMD/GPU ports.
+//!   trait owning the hot primitives whose schedule is platform-specific
+//!   (GEMM, band overlap/rotations, batched grid transforms, the fused
+//!   exchange pair pipelines, buffer pool) with two implementations:
+//!   [`backend::Blocked`], the product backend (cache-blocked,
+//!   accelerator-style, its GEMM and band ops one register-tiled
+//!   micro-kernel in the private `tiled` module; it opens the `gemm.*`
+//!   and `fft.*` spans), and [`backend::Reference`], the oracle the
+//!   tests compare it against (the scalar/threaded kernels above) — the
+//!   swap-in seam for SIMD/GPU ports.
 //! * [`precision`] — the mixed-precision subsystem: the `Complex32`
 //!   scalar with `CVec32`/`CMat32` storage, demote/promote conversion
 //!   kernels, two-sum-compensated fp64 accumulation, and the
@@ -47,7 +48,6 @@ pub mod gemm;
 pub mod parallel;
 pub mod persist;
 pub mod precision;
-pub mod traced;
 mod tiled;
 mod waves;
 

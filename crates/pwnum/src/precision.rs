@@ -24,10 +24,11 @@
 //!   with the drift threshold the propagators' auto-promotion monitor
 //!   trips on.
 //!
-//! The scalar kernels here are the *reference* implementations; the
-//! [`Backend`](crate::backend::Backend) trait exposes them as
-//! dispatchable primitives with a register-blocked `Blocked` variant
-//! that must agree bitwise (same per-element arithmetic order).
+//! The elementwise kernels here are the stages of the fused fp32 pair
+//! pipeline ([`Backend::fused_pair_solve32`](crate::backend::Backend::fused_pair_solve32)),
+//! called directly on every backend; the fp32 GEMM, overlap and
+//! rotation are `Backend` methods whose `Reference` and `Blocked`
+//! bodies must agree bitwise (same per-element arithmetic order).
 
 use crate::complex::Complex64;
 use std::fmt;
@@ -361,7 +362,7 @@ pub fn max_abs_diff32(a: &[Complex32], b: &[Complex32]) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// fp32 compute kernels (reference implementations)
+// fp32 elementwise kernels (the stages of `Backend::fused_pair_solve32`)
 // ---------------------------------------------------------------------
 
 /// Elementwise conjugated product `out = conj(a) ⊙ b` in fp32 — the

@@ -1,14 +1,18 @@
 //! Backend-equivalence property suite: the `Reference` and `Blocked`
 //! compute backends must agree to ≤ 1e-10 on every primitive of the
 //! [`pwnum::backend::Backend`] trait, for arbitrary shapes and operand
-//! ops — the contract that makes the backend seam safe to swap.
+//! ops — the contract that makes the backend seam safe to swap. The
+//! elementwise kernels both backends share (`bands::lincomb`, the
+//! `cvec` / `precision` Hadamard kernels, `cvec::scale_by_real`) are
+//! free functions; their identities are checked here too.
 
 use proptest::prelude::*;
 use pwnum::backend::{BackendHandle, Blocked, GridTransform, Reference};
 use pwnum::cmat::CMat;
 use pwnum::complex::{c64, Complex64};
+use pwnum::cvec;
 use pwnum::gemm::Op;
-use pwnum::precision::{self, c32, CMat32, Complex32};
+use pwnum::precision::{self, c32, CMat32};
 use std::sync::Arc;
 
 fn pair() -> (BackendHandle, BackendHandle) {
@@ -110,47 +114,18 @@ proptest! {
     fn lincomb_and_elementwise_agree(
         a in block_strategy(64),
         b in block_strategy(64),
-        k in proptest::collection::vec(-2.0f64..2.0, 16),
+        seed in block_strategy(64),
         w in (-2.0f64..2.0, -2.0f64..2.0),
     ) {
-        let (r, bl) = pair();
-        let ca = c64(0.4, -0.7);
-        let cb = c64(-1.1, 0.2);
-        let mut out_r = vec![Complex64::ZERO; 64];
-        let mut out_b = out_r.clone();
-        r.lincomb(ca, &a, cb, &b, &mut out_r);
-        bl.lincomb(ca, &a, cb, &b, &mut out_b);
-        prop_assert!(pwnum::cvec::max_abs_diff(&out_r, &out_b) < 1e-12);
-
-        // Kernel apply cycles over the batch identically.
-        let mut fr = a.clone();
-        let mut fb = a.clone();
-        r.scale_by_real(&k, &mut fr);
-        bl.scale_by_real(&k, &mut fb);
-        prop_assert!(pwnum::cvec::max_abs_diff(&fr, &fb) < 1e-12);
-
+        // The conjugated accumulate (the pair-symmetric Fock scatter) is
+        // the conjugate-argument twin of hadamard_acc.
         let w = c64(w.0, w.1);
-        let mut hr = out_r.clone();
-        let mut hb = out_r.clone();
-        r.hadamard_conj(&a, &b, &mut hr);
-        bl.hadamard_conj(&a, &b, &mut hb);
-        prop_assert!(pwnum::cvec::max_abs_diff(&hr, &hb) < 1e-12);
-        r.hadamard_acc(w, &a, &b, &mut hr);
-        bl.hadamard_acc(w, &a, &b, &mut hb);
-        prop_assert!(pwnum::cvec::max_abs_diff(&hr, &hb) < 1e-12);
-        // Conjugated accumulate (pair-symmetric Fock scatter): the
-        // blocked 4-wide unroll keeps per-element math identical, so the
-        // two backends agree bitwise.
-        r.hadamard_acc_conj(w, &a, &b, &mut hr);
-        bl.hadamard_acc_conj(w, &a, &b, &mut hb);
-        prop_assert!(pwnum::cvec::max_abs_diff(&hr, &hb) == 0.0);
-        // And it is the conjugate-argument twin of hadamard_acc.
         let ac: Vec<Complex64> = a.iter().map(|z| z.conj()).collect();
-        let mut got = out_r.clone();
-        let mut href = out_r.clone();
-        r.hadamard_acc_conj(w, &a, &b, &mut got);
-        r.hadamard_acc(w, &ac, &b, &mut href);
-        prop_assert!(pwnum::cvec::max_abs_diff(&got, &href) < 1e-12);
+        let mut got = seed.clone();
+        let mut want = seed;
+        cvec::hadamard_acc_conj(w, &a, &b, &mut got);
+        cvec::hadamard_acc(w, &ac, &b, &mut want);
+        prop_assert!(cvec::max_abs_diff(&got, &want) < 1e-12);
     }
 
     #[test]
@@ -245,41 +220,17 @@ proptest! {
         seed in block_strategy(64),
         w in -2.0f64..2.0,
     ) {
-        let (r, bl) = pair();
-        let a32 = precision::demote(&a);
-        let b32 = precision::demote(&b);
-
-        let mut hr = vec![Complex32::ZERO; 64];
-        let mut hb = hr.clone();
-        r.hadamard_conj32(&a32, &b32, &mut hr);
-        bl.hadamard_conj32(&a32, &b32, &mut hb);
-        prop_assert!(precision::max_abs_diff32(&hr, &hb) == 0.0, "hadamard_conj32");
-
-        // Promote-accumulate into fp64 targets: plain and two-sum
-        // compensated, direct and conjugated — all exact across
-        // backends.
-        let mut acc_r = seed.clone();
-        let mut acc_b = seed.clone();
-        r.hadamard_acc_promote(w, &a32, &b32, &mut acc_r, None);
-        bl.hadamard_acc_promote(w, &a32, &b32, &mut acc_b, None);
-        prop_assert!(pwnum::cvec::max_abs_diff(&acc_r, &acc_b) == 0.0);
-
-        let mut comp_r = vec![Complex64::ZERO; 64];
-        let mut comp_b = comp_r.clone();
-        r.hadamard_acc_promote_conj(w, &a32, &b32, &mut acc_r, Some(&mut comp_r));
-        bl.hadamard_acc_promote_conj(w, &a32, &b32, &mut acc_b, Some(&mut comp_b));
-        prop_assert!(pwnum::cvec::max_abs_diff(&acc_r, &acc_b) == 0.0);
-        prop_assert!(pwnum::cvec::max_abs_diff(&comp_r, &comp_b) == 0.0);
-
         // The promote kernels degenerate to the fp64 kernels on
         // fp32-exact inputs.
+        let a32 = precision::demote(&a);
+        let b32 = precision::demote(&b);
         let a64 = precision::promote(&a32);
         let b64 = precision::promote(&b32);
         let mut want = seed.clone();
         let mut got = seed;
-        r.hadamard_acc(Complex64::from_re(w), &a64, &b64, &mut want);
-        r.hadamard_acc_promote(w, &a32, &b32, &mut got, None);
-        prop_assert!(pwnum::cvec::max_abs_diff(&want, &got) == 0.0);
+        cvec::hadamard_acc(Complex64::from_re(w), &a64, &b64, &mut want);
+        precision::hadamard_acc_promote(w, &a32, &b32, &mut got, None);
+        prop_assert!(cvec::max_abs_diff(&want, &got) == 0.0);
     }
 }
 

@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pwdft::{Cell, DftSystem, FockOperator, Wavefunction};
 use pwfft::Fft3;
+use pwnum::chol::solve_hpd;
 use pwnum::cmat::{random_hermitian, CMat};
 use pwnum::complex::{c64, Complex64};
 use pwnum::eigh;
@@ -107,14 +108,28 @@ fn bench_ace(c: &mut Criterion) {
 
 fn bench_linalg(c: &mut Criterion) {
     let mut g = c.benchmark_group("subspace_linalg");
-    // σ diagonalization at Fig. 7 scale (24 states) and larger.
-    for n in [24usize, 48] {
+    // σ diagonalization at Fig. 7 scale (24 states), at dist_ring16's
+    // 64 bands, and at the 256 bands of the paper-shaped distributed step.
+    for n in [24usize, 64, 256] {
         let mut seed = 3u64;
         let a = random_hermitian(n, || lcg(&mut seed));
         g.bench_with_input(BenchmarkId::new("eigh", n), &n, |b, _| {
             b.iter(|| eigh(black_box(&a)))
         });
     }
+    // The projector solve of `pt_map` / `natural_inverse`: an HPD 64 × 64
+    // system with 64 right-hand sides.
+    let n = 64;
+    let mut seed = 5u64;
+    let mut s = random_hermitian(n, || lcg(&mut seed));
+    s = s.herm().matmul(&s);
+    for i in 0..n {
+        s[(i, i)] += Complex64::from_re(n as f64);
+    }
+    let rhs = random_hermitian(n, || lcg(&mut seed));
+    g.bench_with_input(BenchmarkId::new("solve_hpd", n), &n, |b, _| {
+        b.iter(|| solve_hpd(black_box(&s), black_box(&rhs)))
+    });
     // Overlap of wavefunction blocks (the Φ*Φ of the paper).
     let sys = DftSystem::with_dims(Cell::silicon_supercell(1, 1, 1), 2.0, [8, 8, 8]);
     let wf = Wavefunction::random(&sys.grid, 16, 9);

@@ -28,6 +28,7 @@ impl std::error::Error for NotPositiveDefinite {}
 
 /// Computes the lower-triangular Cholesky factor `L` with `A = L L^H`.
 pub fn cholesky(a: &CMat) -> Result<CMat, NotPositiveDefinite> {
+    let _s = pwobs::span("gemm.cholesky");
     assert!(a.is_square(), "cholesky requires a square matrix");
     let n = a.rows();
     let mut l = CMat::zeros(n, n);
@@ -88,17 +89,44 @@ pub fn solve_lower_herm(l: &CMat, b: &[Complex64]) -> Vec<Complex64> {
 
 /// Solves the HPD system `A X = B` (with `B` given column-wise as a
 /// matrix) through one Cholesky factorization.
+///
+/// Both triangular passes run over whole rows of the row-major `X`, every
+/// right-hand side at once; each element sees the same operations in the
+/// same order as [`solve_lower`] then [`solve_lower_herm`] on its column.
 pub fn solve_hpd(a: &CMat, b: &CMat) -> Result<CMat, NotPositiveDefinite> {
+    let _s = pwobs::span("gemm.solve_hpd");
     let l = cholesky(a)?;
     let n = a.rows();
-    let mut x = CMat::zeros(n, b.cols());
-    for j in 0..b.cols() {
-        let col: Vec<Complex64> = (0..n).map(|i| b[(i, j)]).collect();
-        let y = solve_lower(&l, &col);
-        let z = solve_lower_herm(&l, &y);
-        for i in 0..n {
-            x[(i, j)] = z[i];
+    assert_eq!(b.rows(), n, "solve_hpd: right-hand side has the wrong row count");
+    let m = b.cols();
+    let mut x = b.clone();
+    if m == 0 {
+        // No right-hand side (and `chunks_exact` needs a non-zero width).
+        return Ok(x);
+    }
+    let xs = x.as_mut_slice();
+    // L Y = B: x_i −= l_ik·x_k for k ascending, then x_i /= l_ii.
+    for i in 0..n {
+        let (done, rest) = xs.split_at_mut(i * m);
+        let xi = &mut rest[..m];
+        for (k, xk) in done.chunks_exact(m).enumerate() {
+            let lik = l[(i, k)];
+            xi.iter_mut().zip(xk).for_each(|(y, &z)| *y -= lik * z);
         }
+        let lii = l[(i, i)];
+        xi.iter_mut().for_each(|y| *y /= lii);
+    }
+    // Lᴴ X = Y: x_i −= conj(l_ki)·x_k for k ascending from i + 1, then
+    // x_i /= conj(l_ii).
+    for i in (0..n).rev() {
+        let (head, solved) = xs.split_at_mut((i + 1) * m);
+        let xi = &mut head[i * m..];
+        for (k, xk) in (i + 1..n).zip(solved.chunks_exact(m)) {
+            let lki = l[(k, i)].conj();
+            xi.iter_mut().zip(xk).for_each(|(y, &z)| *y -= lki * z);
+        }
+        let lii = l[(i, i)].conj();
+        xi.iter_mut().for_each(|y| *y /= lii);
     }
     Ok(x)
 }
@@ -139,6 +167,41 @@ mod tests {
             a[(i, i)] += Complex64::from_re(n as f64);
         }
         a
+    }
+
+    /// The column-at-a-time body `solve_hpd` replaced: gathers each
+    /// right-hand side and runs the two vector solves on it.
+    fn solve_hpd_columns(a: &CMat, b: &CMat) -> Result<CMat, NotPositiveDefinite> {
+        let l = cholesky(a)?;
+        let n = a.rows();
+        let mut x = CMat::zeros(n, b.cols());
+        for j in 0..b.cols() {
+            let col: Vec<Complex64> = (0..n).map(|i| b[(i, j)]).collect();
+            let y = solve_lower(&l, &col);
+            let z = solve_lower_herm(&l, &y);
+            for i in 0..n {
+                x[(i, j)] = z[i];
+            }
+        }
+        Ok(x)
+    }
+
+    #[test]
+    fn row_wise_solve_matches_the_column_oracle_bit_for_bit() {
+        for (n, m) in [(10, 0), (1, 1), (10, 10), (32, 5), (64, 64), (128, 1), (128, 128)] {
+            let a = hpd(n, 0.7);
+            let b = CMat::from_fn(n, m, |r, c| {
+                c64((r as f64 * 0.37 - c as f64).sin(), (c as f64 * 0.11 + r as f64).cos())
+            });
+            let (x, want) = (solve_hpd(&a, &b).unwrap(), solve_hpd_columns(&a, &b).unwrap());
+            let bits = |x: &CMat| {
+                x.as_slice()
+                    .iter()
+                    .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&x), bits(&want), "n={n} m={m}");
+        }
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! * [`gemm`] — op-aware matrix products with thread parallelism.
 //! * [`bands`] — tall-and-skinny kernels over band-major wavefunction
 //!   blocks (overlap `Φ^HΦ`, rotations `ΦQ`).
-//! * [`eig`] — Hermitian eigendecomposition (cyclic complex Jacobi),
-//!   used to diagonalize the occupation matrix σ (paper Eq. 11).
+//! * [`eig`] — Hermitian eigendecomposition (Householder tridiagonal
+//!   reduction + implicit-shift QL, phase-gauged eigenvectors), used to
+//!   diagonalize the occupation matrix σ (paper Eq. 11).
 //! * [`chol`] — Cholesky factorization/solves (orthonormalization,
 //!   projector inverses, ACE construction, the Anderson mixer's
 //!   regularized normal equations).

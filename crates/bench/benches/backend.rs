@@ -36,7 +36,7 @@ fn test_mat(n: usize, phase: f64) -> CMat {
 fn fock_fixture() -> (DftSystem, Vec<Complex64>, Vec<f64>) {
     let sys = DftSystem::with_dims(Cell::silicon_supercell(1, 1, 1), 2.0, [20, 20, 20]);
     let phi = Wavefunction::random(&sys.grid, 8, 3);
-    let phi_r = phi.to_real_all(&sys.fft);
+    let phi_r = phi.to_real_all(&sys.grid);
     let occ = vec![1.0, 1.0, 0.9, 0.8, 0.6, 0.4, 0.2, 0.1];
     (sys, phi_r, occ)
 }

@@ -29,12 +29,11 @@ struct Row {
 /// screening cutoff (pure halving); wide ladders push a high-energy tail
 /// below it, adding the finite-temperature screening cut.
 fn measure(grid: &PwGrid, n: usize, spacing: f64, opts: FockOptions, iters: usize) -> Row {
-    let fft = grid.fft();
     let kt = KB_HARTREE * 8000.0;
     let eigs: Vec<f64> = (0..n).map(|i| -0.5 * spacing * n as f64 + spacing * i as f64).collect();
     let (_, occ) = occupations(&eigs, n as f64, kt);
     let wf = Wavefunction::random(grid, n, 3);
-    let phi_r = wf.to_real_all(&fft);
+    let phi_r = wf.to_real_all(grid);
     let psi_copy = phi_r.clone(); // distinct pointer → asymmetric baseline
     let fock = FockOperator::with_options(grid, 0.106, default_backend().clone(), opts);
 

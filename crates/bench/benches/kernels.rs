@@ -61,9 +61,9 @@ fn bench_fock(c: &mut Criterion) {
             )
         };
         let fock = FockOperator::new(&sys.grid, 0.106);
-        let phi_r = phi.to_real_all(&sys.fft);
+        let phi_r = phi.to_real_all(&sys.grid);
         let nat = pwdft::density::natural_orbitals(&phi, &sigma);
-        let nat_r = nat.phi.to_real_all(&sys.fft);
+        let nat_r = nat.phi.to_real_all(&sys.grid);
 
         g.bench_with_input(
             BenchmarkId::new("baseline_triple_loop", n_bands),
@@ -87,10 +87,9 @@ fn bench_ace(c: &mut Criterion) {
     let phi = Wavefunction::random(&sys.grid, n_bands, 13);
     let occ = vec![1.0; n_bands];
     let fock = FockOperator::new(&sys.grid, 0.106);
-    let phi_r = phi.to_real_all(&sys.fft);
+    let phi_r = phi.to_real_all(&sys.grid);
     let vx = fock.apply_diag(&phi_r, &occ, &phi_r);
-    let mut w = Wavefunction::from_real(&sys.grid, &sys.fft, vx);
-    w.mask(&sys.grid);
+    let w = Wavefunction::from_real(&sys.grid, vx);
     let ace = pwdft::AceOperator::build(&phi, &w);
 
     g.bench_function("dense_vx", |b| {

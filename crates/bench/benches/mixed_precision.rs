@@ -38,12 +38,11 @@ struct SpeedRow {
 /// One head-to-head `apply_pure` measurement at `n` bands on the
 /// Blocked backend (the accelerator path the mixed policy targets).
 fn measure(grid: &PwGrid, n: usize, iters: usize) -> SpeedRow {
-    let fft = grid.fft();
     let kt = KB_HARTREE * 8000.0;
     let eigs: Vec<f64> = (0..n).map(|i| -0.0025 * n as f64 + 0.005 * i as f64).collect();
     let (_, occ) = occupations(&eigs, n as f64, kt);
     let wf = Wavefunction::random(grid, n, 3);
-    let phi_r = wf.to_real_all(&fft);
+    let phi_r = wf.to_real_all(grid);
     // The product backend under the accelerator platform's mixed
     // policy (fp32 exchange); the fp64 side runs the same backend so the
     // ratio isolates precision.

@@ -80,7 +80,6 @@ fn bench_density(c: &mut Criterion) {
         b.iter(|| {
             pwdft::density::density_mixed_baseline(
                 &sys.grid,
-                &sys.fft,
                 black_box(&phi),
                 black_box(&sigma),
             )
@@ -89,7 +88,7 @@ fn bench_density(c: &mut Criterion) {
     g.bench_function("diagonalized", |b| {
         b.iter(|| {
             let nat = pwdft::density::natural_orbitals(black_box(&phi), black_box(&sigma));
-            pwdft::density::density_from_natural(&sys.grid, &sys.fft, &nat)
+            pwdft::density::density_from_natural(&sys.grid, &nat)
         })
     });
     g.finish();

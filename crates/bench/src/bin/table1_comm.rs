@@ -88,8 +88,8 @@ fn measured_cross_check() {
     );
     let e = eigh(&sigma);
     let nat = phi.rotated(&e.vectors);
-    let nat_r = nat.to_real_all(&sys.fft);
-    let phi_r = phi.to_real_all(&sys.fft);
+    let nat_r = nat.to_real_all(&sys.grid);
+    let phi_r = phi.to_real_all(&sys.grid);
     let ng = sys.grid.len();
 
     let net = NetworkModel {

@@ -83,7 +83,8 @@ pub fn precision_for_platform(platform: &Platform) -> PrecisionPolicy {
 // root integration tests: the *real* `dist_ptim_step` (RingOverlap
 // exchange, SHM-backed σ, hierarchical collectives) on a Fugaku-like
 // network, timed on the mpisim virtual clock, next to the two-level
-// closed-form prediction (`perfmodel::dist_step_sim_time`).
+// closed-form prediction (`perfmodel::dist_step_sim_time_pw`, which
+// prices the G-space messages at the system's plane-wave count).
 // ---------------------------------------------------------------------------
 
 /// Ranks per node in the scaling runs (one rank per A64FX CMG).
@@ -137,17 +138,23 @@ pub fn dist_scale_platform() -> Platform {
     pf
 }
 
-/// Closed-form prediction for one scaling point.
+/// The scaling system: Si8 at Ecut 2 Ha on the [`DIST_SCALE_DIMS`] grid.
+fn dist_scale_system() -> DftSystem {
+    DftSystem::with_dims(Cell::silicon_supercell(1, 1, 1), 2.0, DIST_SCALE_DIMS)
+}
+
+/// Closed-form prediction for one scaling point, its G-space messages
+/// priced at the scaling system's plane-wave count.
 pub fn dist_scale_model_s(p: usize, n_bands: usize) -> f64 {
-    let ng = DIST_SCALE_DIMS.iter().product();
+    let grid = dist_scale_system().grid;
     let shape = perfmodel::DistStepShape {
         p,
         n_bands,
-        ng,
+        ng: grid.len(),
         solve_cost_s: DIST_SCALE_SOLVE_COST_S,
         max_scf: DIST_SCALE_MAX_SCF,
     };
-    perfmodel::dist_step_sim_time(&dist_scale_platform(), &shape)
+    perfmodel::dist_step_sim_time_pw(&dist_scale_platform(), &shape, grid.n_pw())
 }
 
 /// Runs one real `dist_ptim_step` at `p` simulated ranks and returns the
@@ -168,7 +175,7 @@ pub fn measure_dist_step_stats(p: usize, n_bands: usize) -> (f64, Vec<mpisim::Ra
     use ptim::state::TdState;
     use pwnum::cmat::CMat;
 
-    let sys = DftSystem::with_dims(Cell::silicon_supercell(1, 1, 1), 2.0, DIST_SCALE_DIMS);
+    let sys = dist_scale_system();
     let mut phi = pwdft::Wavefunction::random(&sys.grid, n_bands, 7);
     phi.orthonormalize_lowdin();
     // Finite-temperature-style occupations, all above the Fock cutoff.

@@ -429,14 +429,15 @@ impl Comm {
             let push_bundle = |entries: &mut Vec<(usize, usize, Vec<T>)>,
                                src: usize,
                                hdr: Vec<u64>,
-                               mut data: Vec<T>| {
+                               data: Vec<T>| {
+                let mut rest = &data[..];
                 for pair in hdr.chunks(2) {
                     let (dst, len) = (pair[0] as usize, pair[1] as usize);
-                    let rest = data.split_off(len);
-                    let chunk = std::mem::replace(&mut data, rest);
-                    entries.push((src, dst, chunk));
+                    let (chunk, tail) = rest.split_at(len);
+                    entries.push((src, dst, chunk.to_vec()));
+                    rest = tail;
                 }
-                debug_assert!(data.is_empty(), "bundle data not fully consumed");
+                debug_assert!(rest.is_empty(), "bundle data not fully consumed");
             };
             push_bundle(&mut entries, me, own_hdr, own_data);
             for m in locals.clone() {
@@ -484,15 +485,17 @@ impl Comm {
                     .downcast::<Vec<u64>>()
                     .unwrap_or_else(|_| panic!("hier alltoall header type mismatch"));
                 let env = self.take_env(node * rpn, tag(A2A_X_DATA, node), cat);
-                let mut data = *env
+                let data = *env
                     .payload
                     .downcast::<Vec<T>>()
                     .unwrap_or_else(|_| panic!("hier alltoall type mismatch"));
+                let mut rest = &data[..];
                 for triple in hdr.chunks(3) {
                     let (src, dst, len) =
                         (triple[0] as usize, triple[1] as usize, triple[2] as usize);
-                    let rest = data.split_off(len);
-                    let chunk = std::mem::replace(&mut data, rest);
+                    let (head, tail) = rest.split_at(len);
+                    let chunk = head.to_vec();
+                    rest = tail;
                     if dst == me {
                         out[src] = chunk;
                     } else {
@@ -528,14 +531,16 @@ impl Comm {
                 .downcast::<Vec<u64>>()
                 .unwrap_or_else(|_| panic!("hier alltoall header type mismatch"));
             let env = self.take_env(leader, tag(A2A_DOWN_DATA, me), cat);
-            let mut data = *env
+            let data = *env
                 .payload
                 .downcast::<Vec<T>>()
                 .unwrap_or_else(|_| panic!("hier alltoall type mismatch"));
+            let mut rest = &data[..];
             for pair in hdr.chunks(2) {
                 let (src, len) = (pair[0] as usize, pair[1] as usize);
-                let rest = data.split_off(len);
-                out[src] = std::mem::replace(&mut data, rest);
+                let (chunk, tail) = rest.split_at(len);
+                out[src] = chunk.to_vec();
+                rest = tail;
             }
         }
 
@@ -626,6 +631,25 @@ mod tests {
                         (0..=rank).map(|k| (src * 1000 + rank * 10 + k) as u64).collect();
                     assert_eq!(chunks.0, &expect, "p={p} rpn={rpn} rank={rank} src={src}");
                     assert_eq!(chunks.1, &expect, "auto: p={p} rpn={rpn} rank={rank} src={src}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hier_alltoallv_returns_chunks_without_spare_capacity() {
+        // Chunks cut from a received bundle are copied out at their own
+        // length: none holds the rest of the bundle.
+        for (p, rpn) in SHAPES {
+            let out = Cluster::new(p, rpn, NetworkModel::ideal()).run(|c| {
+                let chunks: Vec<Vec<u64>> = (0..p).map(|d| vec![d as u64; d + 3]).collect();
+                let recv = c.hier_alltoallv(chunks);
+                recv.iter().map(|ch| (ch.len(), ch.capacity())).collect::<Vec<_>>()
+            });
+            for (rank, (sizes, _)) in out.iter().enumerate() {
+                for (src, &(len, cap)) in sizes.iter().enumerate() {
+                    assert_eq!(len, rank + 3, "p={p} rpn={rpn} rank={rank} src={src}");
+                    assert_eq!(cap, len, "p={p} rpn={rpn} rank={rank} src={src}");
                 }
             }
         }

@@ -31,6 +31,7 @@ pub mod workload;
 pub use platform::Platform;
 pub use scaling::{parallel_efficiency, strong_scaling, weak_scaling, ScalePoint};
 pub use schedule::{
-    dist_step_sim_time, step_time, CommBreakdown, DistStepShape, StepBreakdown, Variant,
+    dist_step_sim_time, dist_step_sim_time_pw, step_time, CommBreakdown, DistStepShape,
+    StepBreakdown, Variant,
 };
 pub use workload::Workload;

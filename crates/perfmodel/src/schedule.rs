@@ -331,42 +331,58 @@ pub struct DistStepShape {
 /// target-major full ring. All rings are node-contiguous, so their
 /// dependency chains mix intra- and inter-node edges
 /// ([`crate::comm::ring_edge_time`]).
+///
+/// Every band block is priced at the full grid here: this is
+/// [`dist_step_sim_time_pw`] with one plane wave per grid point.
 pub fn dist_step_sim_time(pf: &Platform, shape: &DistStepShape) -> f64 {
+    dist_step_sim_time_pw(pf, shape, shape.ng)
+}
+
+/// [`dist_step_sim_time`] for bands stored on a cutoff sphere of `n_pw`
+/// plane waves: the G-space messages — the Φ rotations and the
+/// band→grid transposes of the overlap builds — carry `n_pw` points per
+/// band, while the exchange ring, the rotation of its real-space images
+/// back and the density all-reduce carry the `ng`-point grid.
+pub fn dist_step_sim_time_pw(pf: &Platform, shape: &DistStepShape, n_pw: usize) -> f64 {
     let DistStepShape { p, n_bands, ng, solve_cost_s, max_scf } = *shape;
     let n_updates = (max_scf + 1) as f64;
     let n = n_bands as f64;
     let nb_max = n_bands.div_ceil(p) as f64;
-    // Average circulating ring block (bands travel as full complex
-    // grids, 16 bytes per point; blocks are empty on band-less ranks).
+    // Average circulating ring block, 16 bytes per complex point (blocks
+    // are empty on band-less ranks): real-space grids for the exchange,
+    // sphere coefficients for the G-space rotations.
     let block_bytes = 16.0 * n * ng as f64 / p as f64;
+    let pw_block_bytes = 16.0 * n * n_pw as f64 / p as f64;
 
     // Overlapped exchange, paced by the busiest rank's pair solves: on
-    // the half ring with the Q̂ gather and one more rotation, or on the
-    // full ring (n_src × nb_max pairs spread over the p ring phases).
-    let (t_fock, t_q_hat, rotations_per_eval) = if n_bands >= p {
+    // the half ring with the Q̂ gather and the real-space rotation of the
+    // images back, or on the full ring (n_src × nb_max pairs spread over
+    // the p ring phases).
+    let (t_fock, t_q_hat, grid_rotations_per_eval) = if n_bands >= p {
         let solves = (0..p).map(|r| half_ring_solves(n_bands, p, r)).fold(0.0, f64::max);
         let t_fock = hier_half_ring_overlap_time(pf, p, block_bytes, solves * solve_cost_s);
-        (t_fock, hier_allgatherv_time(pf, p, 16.0 * n * nb_max), 3.0)
+        (t_fock, hier_allgatherv_time(pf, p, 16.0 * n * nb_max), 1.0)
     } else {
         let compute_per_block = n * nb_max * solve_cost_s / p as f64;
-        (hier_ring_overlap_time(pf, p, block_bytes, compute_per_block), 0.0, 2.0)
+        (hier_ring_overlap_time(pf, p, block_bytes, compute_per_block), 0.0, 0.0)
     };
 
-    // Subspace rotations per evaluation + the final Löwdin rotation.
-    let rotations = rotations_per_eval * n_updates + 1.0;
-    let t_rotate = hier_ring_time(pf, p, block_bytes);
+    // G-space rotations: two per evaluation (natural orbitals, subspace
+    // correction) + the final Löwdin rotation.
+    let t_rotations = (2.0 * n_updates + 1.0) * hier_ring_time(pf, p, pw_block_bytes)
+        + grid_rotations_per_eval * n_updates * hier_ring_time(pf, p, block_bytes);
 
     // Overlap builds: 2 per evaluation (S, Hm) + the final Löwdin S.
     // Each transposes both operand blocks (band→grid alltoallv of the
     // busiest rank's local bands) and reduces one N×N partial product.
     let overlaps = 2.0 * n_updates + 1.0;
-    let t_transpose = hier_alltoallv_time(pf, p, 16.0 * nb_max * ng as f64);
+    let t_transpose = hier_alltoallv_time(pf, p, 16.0 * nb_max * n_pw as f64);
     let t_mat_reduce = hier_allreduce_time(pf, p, 16.0 * n * n);
 
     // Density: one real-grid all-reduce per evaluation.
     let t_rho = hier_allreduce_time(pf, p, 8.0 * ng as f64);
 
-    rotations * t_rotate
+    t_rotations
         + n_updates * (t_fock + t_q_hat)
         + overlaps * (2.0 * t_transpose + t_mat_reduce)
         + n_updates * t_rho
@@ -394,6 +410,21 @@ mod tests {
         for (n, p) in [(64, 16), (64, 128), (7, 3), (7, 4), (5, 16), (1, 1)] {
             let total: f64 = (0..p).map(|r| half_ring_solves(n, p, r)).sum();
             assert_eq!(total, (n * (n + 1) / 2) as f64, "n={n} p={p}");
+        }
+    }
+
+    #[test]
+    fn sphere_storage_prices_only_the_g_space_messages_smaller() {
+        let pf = Platform::fugaku_arm();
+        for p in [4, 16, 128] {
+            let shape = DistStepShape { p, n_bands: 64, ng: 4096, solve_cost_s: 2e-5, max_scf: 1 };
+            let full = dist_step_sim_time(&pf, &shape);
+            assert_eq!(full, dist_step_sim_time_pw(&pf, &shape, shape.ng));
+            let sphere = dist_step_sim_time_pw(&pf, &shape, 587);
+            assert!(sphere < full, "p={p}: {sphere} vs {full}");
+            // The exchange ring and the density stay at the full grid.
+            let none = dist_step_sim_time_pw(&pf, &shape, 0);
+            assert!(none > 0.0 && none < sphere, "p={p}");
         }
     }
 

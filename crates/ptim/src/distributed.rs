@@ -48,7 +48,7 @@ use crate::space::{ptim_body, BandSpace};
 use crate::state::TdState;
 use mpisim::{Comm, Tag};
 use pwdft::density::{density_diag, NaturalOrbitals};
-use pwdft::{DftSystem, FockApplyStats, FockOperator, Wavefunction};
+use pwdft::{DftSystem, FockApplyStats, FockOperator, PwGrid, Wavefunction};
 use pwnum::backend::default_backend;
 use pwnum::chol::solve_hpd;
 use pwnum::cmat::CMat;
@@ -202,25 +202,29 @@ pub fn gather_state(comm: &mut Comm, st: &DistState, dist: &BandDistribution) ->
 
 /// Distributed overlap `S = A^H B` (full N×N, replicated result):
 /// band→grid transpose via `alltoallv`, local partial GEMM over the grid
-/// slice, then `allreduce` — the paper's Fig. 1 workflow. Grid-point
-/// ownership is the shared balanced partition [`block_range`] (Fig. 1
-/// right).
+/// slice, then `allreduce` — the paper's Fig. 1 workflow. Rank `r` owns
+/// the sphere points whose FFT-grid index lies in the shared balanced
+/// partition [`block_range`] of `grid` (Fig. 1 right): each partial then
+/// sums, in order, the nonzero terms of the same grid block, so the
+/// result does not depend on how many points the sphere drops.
 pub fn dist_overlap(
     comm: &mut Comm,
     dist: &BandDistribution,
+    grid: &PwGrid,
     a_local: &Wavefunction,
     b_local: &Wavefunction,
 ) -> CMat {
     let p = comm.size();
-    let ng = a_local.ng;
     let n = dist.n_bands;
-    let my_grid = block_range(ng, p, comm.rank());
+    assert_eq!(a_local.ng, grid.n_pw(), "blocks must hold the grid's sphere");
+    let part = |r: usize| grid.sphere_range(block_range(grid.len(), p, r));
+    let my_part = part(comm.rank());
 
     // Transpose both blocks to grid-point distribution.
     let transpose = |comm: &mut Comm, w: &Wavefunction| -> Vec<Vec<Complex64>> {
         let chunks: Vec<Vec<Complex64>> = (0..p)
             .map(|r| {
-                let gr = block_range(ng, p, r);
+                let gr = part(r);
                 let mut c = Vec::with_capacity(w.n_bands * gr.len());
                 for b in 0..w.n_bands {
                     c.extend_from_slice(&w.band(b)[gr.clone()]);
@@ -234,7 +238,7 @@ pub fn dist_overlap(
     let b_t = transpose(comm, b_local);
 
     // Assemble (N x ng_local) band-major buffers ordered by global band.
-    let glen = my_grid.len();
+    let glen = my_part.len();
     let assemble = |parts: &[Vec<Complex64>]| -> Vec<Complex64> {
         let mut out = vec![Complex64::ZERO; n * glen];
         for (src, part) in parts.iter().enumerate() {
@@ -309,7 +313,7 @@ pub fn dist_density(
     occ_local: &[f64],
     node_aware: bool,
 ) -> Vec<f64> {
-    let rho = density_diag(&sys.grid, &sys.fft, nat_local, occ_local);
+    let rho = density_diag(&sys.grid, nat_local, occ_local);
     if node_aware {
         comm.hier_allreduce(rho)
     } else {
@@ -427,6 +431,7 @@ const ANDERSON_BETA: f64 = 0.6;
 struct Banded<'c, 'a> {
     comm: &'c mut Comm,
     dist: &'a BandDistribution,
+    grid: &'a PwGrid,
     cfg: &'a DistConfig,
     fock: FockOperator<'a>,
 }
@@ -469,20 +474,18 @@ impl BandSpace for Banded<'_, '_> {
             (rotate_bands(self.comm, self.dist, &vx_nat, sys.grid.len(), &back), stats)
         } else {
             // The local targets against the circulating natural orbitals.
-            let psi_r = phi.to_real_all_with(be, &sys.fft);
+            let psi_r = phi.to_real_all_with(be, &sys.grid);
             let plan = ExchangePlan { strategy: cfg.strategy, solve_cost_s: cfg.solve_cost_s };
             let out =
                 dist_fock_apply(self.comm, &self.fock, self.dist, &ev.nat_r, &ev.nat.occ, &psi_r, plan);
             drop((ev, psi_r));
             out
         };
-        let mut vx = Wavefunction::from_real_with(be, &sys.grid, &sys.fft, vx_r);
-        vx.mask(&sys.grid);
-        (vx, stats)
+        (Wavefunction::from_real_with(be, &sys.grid, vx_r), stats)
     }
 
     fn overlap(&mut self, a: &Wavefunction, b: &Wavefunction) -> CMat {
-        dist_overlap(self.comm, self.dist, a, b)
+        dist_overlap(self.comm, self.dist, self.grid, a, b)
     }
 
     fn rotate(&mut self, phi: &Wavefunction, q: &CMat) -> Wavefunction {
@@ -544,7 +547,7 @@ pub fn dist_ptim_step(
     }
 
     let eng = TdEngine::new(sys, laser.clone(), cfg.hybrid);
-    let mut space = Banded { comm, dist, cfg, fock: eng.fock_operator() };
+    let mut space = Banded { comm, dist, grid: &sys.grid, cfg, fock: eng.fock_operator() };
     let (anderson_depth, anderson_beta) = (ANDERSON_DEPTH, ANDERSON_BETA);
     let fp = PtimConfig { dt, max_scf, tol_rho, anderson_depth, anderson_beta };
     let prev = (&state.phi_local, &state.sigma);
@@ -599,15 +602,16 @@ mod tests {
 
     #[test]
     fn dist_overlap_matches_serial() {
-        let (_, st) = fixture();
+        let (sys, st) = fixture();
         let serial = st.phi.overlap(&st.phi);
         for p in [1, 2, 3, 4] {
             let sref = serial.clone();
             let st2 = st.clone();
+            let sys = &sys;
             let out = Cluster::ideal(p).run(move |c| {
                 let dist = BandDistribution::new(4, c.size());
                 let local = scatter_state(c, &st2, &dist);
-                let s = dist_overlap(c, &dist, &local.phi_local, &local.phi_local);
+                let s = dist_overlap(c, &dist, &sys.grid, &local.phi_local, &local.phi_local);
                 s.max_abs_diff(&sref)
             });
             for (d, _) in &out {
@@ -644,8 +648,8 @@ mod tests {
         let e = eigh(&st.sigma);
         let nat = st.phi.rotated(&e.vectors);
         let fock = FockOperator::new(&sys.grid, 0.2);
-        let nat_r = nat.to_real_all(&sys.fft);
-        let phi_r = st.phi.to_real_all(&sys.fft);
+        let nat_r = nat.to_real_all(&sys.grid);
+        let phi_r = st.phi.to_real_all(&sys.grid);
         let serial = fock.apply_diag(&nat_r, &e.values, &phi_r);
         let ng = sys.grid.len();
 
@@ -689,7 +693,7 @@ mod tests {
         let e = eigh(&st.sigma);
         let nat = st.phi.rotated(&e.vectors);
         let fock = FockOperator::new(&sys.grid, 0.2);
-        let nat_r = nat.to_real_all(&sys.fft);
+        let nat_r = nat.to_real_all(&sys.grid);
         let serial = fock.apply_pure(&nat_r, &e.values);
         let ng = sys.grid.len();
 
@@ -791,14 +795,14 @@ mod tests {
             let phi = scatter_state(c, &st, &dist).phi_local;
             let eng = TdEngine::new(&sys, LaserPulse::off(), hyb);
             let cfg = DistConfig { strategy: ExchangeStrategy::RingOverlap, hybrid: hyb, ..Default::default() };
-            let mut space = Banded { comm: c, dist: &dist, cfg: &cfg, fock: eng.fock_operator() };
+            let fock = eng.fock_operator();
+            let mut space = Banded { comm: c, dist: &dist, grid: &sys.grid, cfg: &cfg, fock };
             let ev = space.evaluate(&eng, &phi, &sigma, 0.0);
-            let psi_r = phi.to_real_all(&sys.fft);
+            let psi_r = phi.to_real_all(&sys.grid);
             let (want_r, _) =
                 dist_fock_apply(space.comm, &space.fock, &dist, &ev.nat_r, &ev.nat.occ, &psi_r, cfg.strategy);
             let (got, _) = space.exchange(&eng, ev, &phi);
-            let mut want = Wavefunction::from_real(&sys.grid, &sys.fft, want_r);
-            want.mask(&sys.grid);
+            let want = Wavefunction::from_real(&sys.grid, want_r);
             let scale = want.data.iter().map(|z| z.abs()).fold(0.0, f64::max);
             pwnum::cvec::max_abs_diff(&got.data, &want.data) / scale
         });
@@ -863,8 +867,8 @@ mod tests {
         };
         let e = eigh(&st.sigma);
         let nat = st.phi.rotated(&e.vectors);
-        let nat_r = nat.to_real_all(&sys.fft);
-        let phi_r = st.phi.to_real_all(&sys.fft);
+        let nat_r = nat.to_real_all(&sys.grid);
+        let phi_r = st.phi.to_real_all(&sys.grid);
         let ng = sys.grid.len();
 
         // A block's one solve (2 µs) covers part of its ≈ 5.5 µs transfer,

@@ -155,14 +155,14 @@ impl<'s> TdEngine<'s> {
         let _s = pwobs::span("grid.eval");
         let be = &*self.backend;
         let nat = natural_orbitals_with(be, phi, sigma);
-        let rho = density_from_natural_with(be, &self.sys.grid, &self.sys.fft, &nat);
+        let rho = density_from_natural_with(be, &self.sys.grid, &nat);
         self.point(nat, rho, t)
     }
 
     /// The evaluation point of natural orbitals with their density at
     /// time `t`: adds the real-space orbitals, potentials and energies.
     pub(crate) fn point(&self, nat: NaturalOrbitals, rho: Vec<f64>, t: f64) -> EvalPoint {
-        let nat_r = nat.phi.to_real_all_with(&*self.backend, &self.sys.fft);
+        let nat_r = nat.phi.to_real_all_with(&*self.backend, &self.sys.grid);
         let hxc = build_hxc_with(&*self.backend, &self.sys.grid, &self.sys.fft, &rho);
         let (vhxc, vext, e_hartree, e_xc) = (hxc.vhxc, self.vext_at(t), hxc.e_hartree, hxc.e_xc);
         EvalPoint { nat, nat_r, rho, vhxc, vext, e_hartree, e_xc }
@@ -212,7 +212,7 @@ impl<'s> TdEngine<'s> {
     }
 
     /// Full exchange images `W = VxΦ` for the state (used to build ACE).
-    /// Returns `(W, E_x)` with `W` masked to the cutoff sphere.
+    /// Returns `(W, E_x)` with `W` on the cutoff sphere.
     ///
     /// One pair-symmetric apply on the natural orbitals covers both
     /// outputs: `Vx Φ̃` gives `Ex` directly, and by linearity
@@ -234,11 +234,11 @@ impl<'s> TdEngine<'s> {
     ) -> (Wavefunction, f64, FockApplyStats) {
         let be = &*self.backend;
         let nat = natural_orbitals_with(be, phi, sigma);
-        let nat_r = nat.phi.to_real_all_with(be, &self.sys.fft);
+        let nat_r = nat.phi.to_real_all_with(be, &self.sys.grid);
         self.images(&nat, &nat_r)
     }
 
-    /// The masked images `W = VxΦ` of the block `Φ = Φ̃Qᴴ` whose natural
+    /// The images `W = VxΦ` of the block `Φ = Φ̃Qᴴ` whose natural
     /// orbitals are `nat` (`nat_r` in real space), with `E_x` and the
     /// apply's stats: one pair-symmetric apply on `Φ̃`, then one real-space
     /// rotation by `Qᴴ` (DESIGN.md §3).
@@ -255,8 +255,7 @@ impl<'s> TdEngine<'s> {
         // Rotate the images back to the original orbital gauge.
         let mut vx_r = vec![Complex64::ZERO; vx_nat.len()];
         be.rotate(&vx_nat, &nat.q.herm(), self.sys.grid.len(), &mut vx_r);
-        let mut w = Wavefunction::from_real_with(be, &self.sys.grid, &self.sys.fft, vx_r);
-        w.mask(&self.sys.grid);
+        let w = Wavefunction::from_real_with(be, &self.sys.grid, vx_r);
         (w, ex, stats)
     }
 

@@ -41,8 +41,10 @@ use pwnum::complex::Complex64;
 use std::path::{Path, PathBuf};
 
 /// On-disk checkpoint format version; bumped on any layout change, and
-/// checked at load so an old binary never misreads a new file.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// checked at load so an old binary never misreads a new file. Version 2
+/// stores Φ on the cutoff sphere (`ng` = plane waves per band); version-1
+/// files held the full FFT grid and load as stale.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// File magic of a checkpoint (`ckpt_NNNNNNNN.ptck`).
 const MAGIC: &[u8; 4] = b"PTCK";
@@ -726,6 +728,35 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         std::fs::write(&p20, &bytes).unwrap();
+        let ck = Checkpoint::load_latest(&dir, &st).unwrap().expect("fallback");
+        assert_eq!(ck.meta.step, 10);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn load_latest_skips_full_grid_version_1_files_as_stale() {
+        let (sys, st) = fixture();
+        let dir = tmpdir("v1");
+        let prop = Propagator::Ptim(PtimConfig::default());
+        Checkpoint::save(&dir, 10, &st, &prop, &LaserPulse::off()).unwrap();
+        let p20 = Checkpoint::save(&dir, 20, &st, &prop, &LaserPulse::off()).unwrap();
+        // Rewrite step 20 as version 1 wrote it: the same header with
+        // `ng` the FFT grid size, then Φ on the whole grid and σ.
+        let mut v1 = std::fs::read(&p20).unwrap()[..81].to_vec();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        v1[73..81].copy_from_slice(&(sys.grid.len() as u64).to_le_bytes());
+        let mut phi_g = vec![Complex64::ZERO; st.n_bands() * sys.grid.len()];
+        for (b, full) in phi_g.chunks_exact_mut(sys.grid.len()).enumerate() {
+            sys.grid.scatter(st.phi.band(b), full);
+        }
+        for z in phi_g.iter().chain(st.sigma.as_slice()) {
+            push_f64(&mut v1, z.re);
+            push_f64(&mut v1, z.im);
+        }
+        let sum = fnv1a64(&v1);
+        v1.extend_from_slice(&sum.to_le_bytes());
+        std::fs::write(&p20, &v1).unwrap();
+        assert!(matches!(Checkpoint::load(&p20, &st), Err(CheckpointError::Version(1))));
         let ck = Checkpoint::load_latest(&dir, &st).unwrap().expect("fallback");
         assert_eq!(ck.meta.step, 10);
         std::fs::remove_dir_all(&dir).unwrap();

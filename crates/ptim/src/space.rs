@@ -27,7 +27,7 @@ pub(crate) trait BandSpace {
     /// Natural orbitals, density and potentials at `(Φ, σ, t)` — split
     /// from the H apply so a converged iteration never pays for one.
     fn evaluate(&mut self, eng: &TdEngine, phi: &Wavefunction, sigma: &CMat, t: f64) -> EvalPoint;
-    /// The cutoff-masked exchange images `W = VxΦ` of the block `phi`
+    /// The exchange images `W = VxΦ` of the block `phi`
     /// that `ev` was evaluated at, with the apply's statistics — the
     /// exchange term of [`apply_h`].
     fn exchange(
@@ -82,9 +82,9 @@ impl BandSpace for Serial<'_> {
 pub(crate) type HApply<'a, S> =
     dyn Fn(&TdEngine, &mut S, EvalPoint, &Wavefunction, &mut StepStats) -> Wavefunction + 'a;
 
-/// The dense H apply `HΦ` at the point `ev` evaluated at `phi`,
-/// cutoff-masked: the local Hamiltonian, plus α·W from the space's
-/// [`BandSpace::exchange`], then the mask. The exchange counts one
+/// The dense H apply `HΦ` at the point `ev` evaluated at `phi`: the
+/// local Hamiltonian, plus α·W from the space's
+/// [`BandSpace::exchange`]. The exchange counts one
 /// `fock_applies` and its screened weight when α ≠ 0.
 pub(crate) fn apply_h<S: BandSpace>(
     eng: &TdEngine,
@@ -107,7 +107,6 @@ pub(crate) fn apply_h<S: BandSpace>(
     for (h, x) in hphi.data.iter_mut().zip(&w.data) {
         *h += x.scale(alpha);
     }
-    hphi.mask(&eng.sys.grid);
     hphi
 }
 

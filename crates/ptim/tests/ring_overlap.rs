@@ -40,8 +40,8 @@ fn fixture() -> Fixture {
     let nat = phi.rotated(&e.vectors);
     let psi = Wavefunction::random(&sys.grid, N_BANDS, 31);
     Fixture {
-        nat_r: nat.to_real_all(&sys.fft),
-        psi_r: psi.to_real_all(&sys.fft),
+        nat_r: nat.to_real_all(&sys.grid),
+        psi_r: psi.to_real_all(&sys.grid),
         occ: e.values.clone(),
         sys,
     }
@@ -247,9 +247,9 @@ fn overlap_hides_at_least_half_the_exchange_communication_at_16_ranks() {
     let n_bands = 32;
     let ng = sys.grid.len();
     let phi = Wavefunction::random(&sys.grid, n_bands, 5);
-    let nat_r = phi.to_real_all(&sys.fft);
+    let nat_r = phi.to_real_all(&sys.grid);
     let psi = Wavefunction::random(&sys.grid, n_bands, 6);
-    let psi_r = psi.to_real_all(&sys.fft);
+    let psi_r = psi.to_real_all(&sys.grid);
     let occ: Vec<f64> = (0..n_bands).map(|i| 1.0 / (1.0 + 0.1 * i as f64)).collect();
     let net = NetworkModel {
         topology: Topology::FullyConnected,

@@ -103,8 +103,9 @@ impl AceOperator {
     /// [`FockOptions`](crate::fock::FockOptions) (~half the Poisson
     /// solves, occupation-screened).
     ///
-    /// Returns the operator, the masked exchange images `W = VxΦ`, the
-    /// exchange energy `Ex`, and the scheduler stats.
+    /// Returns the operator, the exchange images `W = VxΦ` on the cutoff
+    /// sphere, the exchange energy `Ex`, and the scheduler stats. `fft`
+    /// is `grid`'s plan set.
     pub fn build_from_fock(
         fock: &FockOperator,
         grid: &PwGrid,
@@ -114,11 +115,12 @@ impl AceOperator {
     ) -> (AceOperator, Wavefunction, f64, FockApplyStats) {
         let backend = fock.backend().clone();
         let be = &*backend;
-        let phi_r = phi.to_real_all_with(be, fft);
+        let [n0, n1, n2] = grid.dims;
+        assert_eq!(fft.dims(), (n0, n1, n2), "fft must be the grid's plan set");
+        let phi_r = phi.to_real_all_with(be, grid);
         let (vx_r, stats) = fock.apply_pure_stats(&phi_r, occ);
         let ex = fock.exchange_energy(&phi_r, occ, &vx_r, grid.dv());
-        let mut w = Wavefunction::from_real_with(be, grid, fft, vx_r);
-        w.mask(grid);
+        let w = Wavefunction::from_real_with(be, grid, vx_r);
         let ace =
             Self::build_with_policy(backend, phi, &w, fock.options().precision.subspace_gemm);
         (ace, w, ex, stats)
@@ -217,7 +219,6 @@ mod tests {
     fn build_test_ace() -> (PwGrid, Wavefunction, Wavefunction, AceOperator, Vec<f64>) {
         let cell = Cell::silicon_supercell(1, 1, 1);
         let grid = PwGrid::with_dims(&cell, 2.0, [6, 6, 6]);
-        let fft = grid.fft();
         let phi = Wavefunction::random(&grid, 4, 91);
         // σ from Fermi-like occupations (diagonal for simplicity here).
         let h = pwnum::cmat::random_hermitian(4, {
@@ -245,17 +246,17 @@ mod tests {
         };
         let fock = FockOperator::new(&grid, 0.2);
         let nat = natural_orbitals(&phi, &sigma);
-        let nat_r = nat.phi.to_real_all(&fft);
-        let phi_r = phi.to_real_all(&fft);
+        let nat_r = nat.phi.to_real_all(&grid);
+        let phi_r = phi.to_real_all(&grid);
         let vx_r = fock.apply_diag(&nat_r, &nat.occ, &phi_r);
-        let w = Wavefunction::from_real(&grid, &fft, vx_r);
+        let w = Wavefunction::from_real(&grid, vx_r);
         let ace = AceOperator::build(&phi, &w);
         (grid, phi, w, ace, nat.occ)
     }
 
     #[test]
     fn build_from_fock_matches_manual_build() {
-        // The one-call rebuild (pair-symmetric apply + mask + compress)
+        // The one-call rebuild (pair-symmetric apply + compress)
         // equals the manual sequence scf_hybrid used to spell out.
         let cell = Cell::silicon_supercell(1, 1, 1);
         let grid = PwGrid::with_dims(&cell, 2.0, [6, 6, 6]);
@@ -270,11 +271,10 @@ mod tests {
         assert_eq!(stats.solves, 4 * 5 / 2);
         assert!(ex < 0.0);
 
-        let phi_r = phi.to_real_all(&fft);
+        let phi_r = phi.to_real_all(&grid);
         let psi_copy = phi_r.clone(); // force the asymmetric reference path
         let vx_r = fock.apply_diag(&phi_r, &occ, &psi_copy);
-        let mut w_ref = Wavefunction::from_real(&grid, &fft, vx_r);
-        w_ref.mask(&grid);
+        let w_ref = Wavefunction::from_real(&grid, vx_r);
         let scale = w_ref.data.iter().map(|z| z.abs()).fold(0.0f64, f64::max);
         assert!(w.max_abs_diff(&w_ref) < 1e-9 * scale.max(1.0));
 

@@ -68,12 +68,10 @@ pub fn davidson(
         // Precondition: t_i(G) = -r_i(G) / max(|G|²/2 - ε_i, floor).
         let mut t = resid;
         for (i, &ei) in eigs.iter().enumerate() {
-            let band = t.band_mut(i);
-            for (g, z) in band.iter_mut().enumerate() {
-                let denom = (0.5 * grid.g2[g] - ei).max(0.25);
+            for (z, g2) in t.band_mut(i).iter_mut().zip(&grid.sphere_g2) {
+                let denom = (0.5 * g2 - ei).max(0.25);
                 *z = z.scale(-1.0 / denom);
             }
-            grid.apply_mask(band);
         }
 
         // Normalize each direction first: residual norms shrink as the
@@ -181,9 +179,8 @@ mod tests {
         let h = Hamiltonian::new(&grid, &zeros, &zeros, &zeros, 0.0, Exchange::None, None);
         let phi0 = Wavefunction::random(&grid, 5, 3);
         let r = davidson(&h, &grid, phi0, 60, 1e-8);
-        // Exact: sorted |G|²/2 over masked G's.
-        let mut kin: Vec<f64> =
-            grid.g2.iter().zip(&grid.mask).filter(|(_, &m)| m).map(|(g, _)| 0.5 * g).collect();
+        // Exact: sorted |G|²/2 over the sphere.
+        let mut kin: Vec<f64> = grid.sphere_g2.iter().map(|g| 0.5 * g).collect();
         kin.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for (i, (e, k)) in r.eigs.iter().zip(&kin).take(5).enumerate() {
             assert!((e - k).abs() < 1e-6, "state {i}: {e} vs {k}");

@@ -13,7 +13,6 @@
 
 use crate::gvec::PwGrid;
 use crate::wavefunction::Wavefunction;
-use pwfft::Fft3;
 use pwnum::backend::{default_backend, Backend};
 use pwnum::bands;
 use pwnum::cmat::CMat;
@@ -24,27 +23,21 @@ use pwnum::eigh;
 pub const SPIN_FACTOR: f64 = 2.0;
 
 /// Baseline mixed-state density: explicit `Σ_ij σ_ij φ_i φ_j*` pair loop.
-pub fn density_mixed_baseline(
-    grid: &PwGrid,
-    fft: &Fft3,
-    phi: &Wavefunction,
-    sigma: &CMat,
-) -> Vec<f64> {
-    density_mixed_baseline_with(&**default_backend(), grid, fft, phi, sigma)
+pub fn density_mixed_baseline(grid: &PwGrid, phi: &Wavefunction, sigma: &CMat) -> Vec<f64> {
+    density_mixed_baseline_with(&**default_backend(), grid, phi, sigma)
 }
 
 /// [`density_mixed_baseline`] on an explicit compute backend.
 pub fn density_mixed_baseline_with(
     backend: &dyn Backend,
     grid: &PwGrid,
-    fft: &Fft3,
     phi: &Wavefunction,
     sigma: &CMat,
 ) -> Vec<f64> {
     let n = phi.n_bands;
     assert_eq!(sigma.rows(), n);
     assert_eq!(sigma.cols(), n);
-    let real = phi.to_real_all_with(backend, fft);
+    let real = phi.to_real_all_with(backend, grid);
     let ng = grid.len();
     let mut rho = vec![0.0f64; ng];
     // Diagonal terms + twice the real part of the upper triangle
@@ -105,40 +98,34 @@ pub fn natural_orbitals_with(
 }
 
 /// Density from natural orbitals: `ρ = 2 Σ_i d_i |φ̃_i|²`.
-pub fn density_from_natural(
-    grid: &PwGrid,
-    fft: &Fft3,
-    nat: &NaturalOrbitals,
-) -> Vec<f64> {
-    density_diag(grid, fft, &nat.phi, &nat.occ)
+pub fn density_from_natural(grid: &PwGrid, nat: &NaturalOrbitals) -> Vec<f64> {
+    density_diag(grid, &nat.phi, &nat.occ)
 }
 
 /// [`density_from_natural`] on an explicit compute backend.
 pub fn density_from_natural_with(
     backend: &dyn Backend,
     grid: &PwGrid,
-    fft: &Fft3,
     nat: &NaturalOrbitals,
 ) -> Vec<f64> {
-    density_diag_with(backend, grid, fft, &nat.phi, &nat.occ)
+    density_diag_with(backend, grid, &nat.phi, &nat.occ)
 }
 
 /// Density from orbitals with *diagonal* occupations (also used for the
 /// pure-state / ground-state case where σ is already diagonal).
-pub fn density_diag(grid: &PwGrid, fft: &Fft3, phi: &Wavefunction, occ: &[f64]) -> Vec<f64> {
-    density_diag_with(&**default_backend(), grid, fft, phi, occ)
+pub fn density_diag(grid: &PwGrid, phi: &Wavefunction, occ: &[f64]) -> Vec<f64> {
+    density_diag_with(&**default_backend(), grid, phi, occ)
 }
 
 /// [`density_diag`] on an explicit compute backend.
 pub fn density_diag_with(
     backend: &dyn Backend,
     grid: &PwGrid,
-    fft: &Fft3,
     phi: &Wavefunction,
     occ: &[f64],
 ) -> Vec<f64> {
     assert_eq!(occ.len(), phi.n_bands);
-    let real = phi.to_real_all_with(backend, fft);
+    let real = phi.to_real_all_with(backend, grid);
     let ng = grid.len();
     let mut rho = vec![0.0f64; ng];
     for (i, &d) in occ.iter().enumerate() {
@@ -167,12 +154,11 @@ mod tests {
     use crate::lattice::Cell;
     use pwnum::c64;
 
-    fn setup() -> (PwGrid, Fft3, Wavefunction) {
+    fn setup() -> (PwGrid, Wavefunction) {
         let cell = Cell::silicon_supercell(1, 1, 1);
         let grid = PwGrid::with_dims(&cell, 3.0, [8, 8, 8]);
-        let fft = grid.fft();
         let wf = Wavefunction::random(&grid, 5, 21);
-        (grid, fft, wf)
+        (grid, wf)
     }
 
     fn test_sigma(n: usize) -> CMat {
@@ -202,11 +188,11 @@ mod tests {
 
     #[test]
     fn baseline_equals_diagonalized() {
-        let (grid, fft, wf) = setup();
+        let (grid, wf) = setup();
         let sigma = test_sigma(5);
-        let rho_base = density_mixed_baseline(&grid, &fft, &wf, &sigma);
+        let rho_base = density_mixed_baseline(&grid, &wf, &sigma);
         let nat = natural_orbitals(&wf, &sigma);
-        let rho_diag = density_from_natural(&grid, &fft, &nat);
+        let rho_diag = density_from_natural(&grid, &nat);
         let max_diff = rho_base
             .iter()
             .zip(&rho_diag)
@@ -217,9 +203,9 @@ mod tests {
 
     #[test]
     fn electron_count_is_trace() {
-        let (grid, fft, wf) = setup();
+        let (grid, wf) = setup();
         let sigma = test_sigma(5);
-        let rho = density_mixed_baseline(&grid, &fft, &wf, &sigma);
+        let rho = density_mixed_baseline(&grid, &wf, &sigma);
         let ne = electron_count(&grid, &rho);
         let expect = SPIN_FACTOR * sigma.trace().re;
         assert!((ne - expect).abs() < 1e-8, "Ne={ne} vs 2 tr σ = {expect}");
@@ -227,9 +213,9 @@ mod tests {
 
     #[test]
     fn density_is_real_nonnegative_for_valid_sigma() {
-        let (grid, fft, wf) = setup();
+        let (grid, wf) = setup();
         let sigma = test_sigma(5);
-        let rho = density_mixed_baseline(&grid, &fft, &wf, &sigma);
+        let rho = density_mixed_baseline(&grid, &wf, &sigma);
         // σ has eigenvalues in (0,1) -> ρ ≥ 0 everywhere.
         let rmin = rho.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(rmin > -1e-12, "density must be nonnegative, min {rmin}");
@@ -237,11 +223,11 @@ mod tests {
 
     #[test]
     fn pure_state_identity_occupations() {
-        let (grid, fft, wf) = setup();
+        let (grid, wf) = setup();
         let occ = vec![1.0; 5];
         let sigma = CMat::identity(5);
-        let a = density_diag(&grid, &fft, &wf, &occ);
-        let b = density_mixed_baseline(&grid, &fft, &wf, &sigma);
+        let a = density_diag(&grid, &wf, &occ);
+        let b = density_mixed_baseline(&grid, &wf, &sigma);
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-10);
         }
@@ -249,7 +235,7 @@ mod tests {
 
     #[test]
     fn natural_occupations_preserve_trace() {
-        let (_, _, wf) = setup();
+        let (_, wf) = setup();
         let sigma = test_sigma(5);
         let nat = natural_orbitals(&wf, &sigma);
         let sum: f64 = nat.occ.iter().sum();
@@ -261,12 +247,12 @@ mod tests {
 
     #[test]
     fn off_diagonal_sigma_changes_density() {
-        let (grid, fft, wf) = setup();
+        let (grid, wf) = setup();
         let mut sigma = CMat::identity(5).scaled(c64(0.5, 0.0));
-        let rho0 = density_mixed_baseline(&grid, &fft, &wf, &sigma);
+        let rho0 = density_mixed_baseline(&grid, &wf, &sigma);
         sigma[(0, 1)] = c64(0.2, 0.1);
         sigma[(1, 0)] = c64(0.2, -0.1);
-        let rho1 = density_mixed_baseline(&grid, &fft, &wf, &sigma);
+        let rho1 = density_mixed_baseline(&grid, &wf, &sigma);
         let diff: f64 = rho0.iter().zip(&rho1).map(|(a, b)| (a - b).abs()).sum();
         assert!(diff > 1e-6, "off-diagonal σ must matter");
         // Trace unchanged -> same electron count.

@@ -678,12 +678,11 @@ mod tests {
         [Arc::new(pwnum::backend::Reference), Arc::new(pwnum::backend::Blocked::new())]
     }
 
-    fn setup(n_bands: usize) -> (PwGrid, Fft3, Wavefunction) {
+    fn setup(n_bands: usize) -> (PwGrid, Wavefunction) {
         let cell = Cell::silicon_supercell(1, 1, 1);
         let grid = PwGrid::with_dims(&cell, 2.0, [6, 6, 6]);
-        let fft = grid.fft();
         let wf = Wavefunction::random(&grid, n_bands, 31);
-        (grid, fft, wf)
+        (grid, wf)
     }
 
     fn test_sigma(n: usize, seed: u64) -> CMat {
@@ -735,18 +734,18 @@ mod tests {
     fn baseline_equals_diagonalized() {
         // The paper's central algebraic claim (Sec. IV-A1): Alg. 2 and the
         // σ-diagonalized form give identical VxΦ.
-        let (_, fft, wf) = setup(4);
+        let (_, wf) = setup(4);
         let grid_cell = Cell::silicon_supercell(1, 1, 1);
         let grid = PwGrid::with_dims(&grid_cell, 2.0, [6, 6, 6]);
         let fock = FockOperator::new(&grid, 0.2);
         let sigma = test_sigma(4, 3);
 
-        let phi_r = wf.to_real_all(&fft);
+        let phi_r = wf.to_real_all(&grid);
         let vx_base = fock.apply_mixed_baseline(&phi_r, &sigma);
 
         // Diagonalized path: rotate, apply, rotate back.
         let nat = natural_orbitals(&wf, &sigma);
-        let nat_r = nat.phi.to_real_all(&fft);
+        let nat_r = nat.phi.to_real_all(&grid);
         // Vx applied to the *original* orbitals ψ_j = Φ_j.
         let vx_diag = fock.apply_diag(&nat_r, &nat.occ, &phi_r);
 
@@ -758,10 +757,10 @@ mod tests {
     #[test]
     fn operator_is_hermitian() {
         // <a|Vx b> == <Vx a|b> for the diagonalized operator.
-        let (grid, fft, wf) = setup(3);
+        let (grid, wf) = setup(3);
         let fock = FockOperator::new(&grid, 0.15);
         let d = vec![1.0, 0.7, 0.2];
-        let phi_r = wf.to_real_all(&fft);
+        let phi_r = wf.to_real_all(&grid);
         let vx = fock.apply_diag(&phi_r, &d, &phi_r);
         let ng = grid.len();
         for a in 0..3 {
@@ -777,10 +776,10 @@ mod tests {
     fn pair_symmetric_matches_asymmetric_path() {
         // Aliased targets take the halved scheduler; a *copied* target
         // block forces the asymmetric path. Same math, ~half the solves.
-        let (grid, fft, wf) = setup(5);
+        let (grid, wf) = setup(5);
         let fock = FockOperator::new(&grid, 0.18);
         let d = vec![1.0, 0.9, 0.5, 0.5, 0.0];
-        let phi_r = wf.to_real_all(&fft);
+        let phi_r = wf.to_real_all(&grid);
         let psi_copy = phi_r.clone();
         let (sym, s_sym) = fock.apply_diag_stats(&phi_r, &d, &phi_r);
         let (asym, s_asym) = fock.apply_diag_stats(&phi_r, &d, &psi_copy);
@@ -798,12 +797,12 @@ mod tests {
     fn mixed_diag_matches_baseline() {
         // apply_mixed_diag (σ-diagonalized + pair-symmetric + rotate
         // back) reproduces Alg. 2 on the original orbitals.
-        let (_, fft, wf) = setup(4);
+        let (_, wf) = setup(4);
         let cell = Cell::silicon_supercell(1, 1, 1);
         let grid = PwGrid::with_dims(&cell, 2.0, [6, 6, 6]);
         let fock = FockOperator::new(&grid, 0.2);
         let sigma = test_sigma(4, 11);
-        let phi_r = wf.to_real_all(&fft);
+        let phi_r = wf.to_real_all(&grid);
         let base = fock.apply_mixed_baseline(&phi_r, &sigma);
         let (diag, stats) = fock.apply_mixed_diag(&phi_r, &sigma);
         assert!(stats.symmetric);
@@ -815,9 +814,8 @@ mod tests {
 
     #[test]
     fn screening_reports_skipped_weight() {
-        let (grid, fft, wf) = setup(4);
-        let fft_ = fft;
-        let phi_r = wf.to_real_all(&fft_);
+        let (grid, wf) = setup(4);
+        let phi_r = wf.to_real_all(&grid);
         let d = vec![1.0, 0.5, 1e-3, 1e-3];
         let be = pwnum::backend::default_backend().clone();
         let screened = FockOperator::with_options(
@@ -852,9 +850,9 @@ mod tests {
         // Poisson round trip → compensated fp64 accumulation) must track
         // the fp64 reference to fp32 accuracy on both scheduler paths,
         // and report its solves in the precision counters.
-        let (grid, fft, wf) = setup(5);
+        let (grid, wf) = setup(5);
         let d = vec![1.0, 0.9, 0.5, 0.2, 0.05];
-        let phi_r = wf.to_real_all(&fft);
+        let phi_r = wf.to_real_all(&grid);
         let be = pwnum::backend::default_backend().clone();
         let exact = FockOperator::with_options(&grid, 0.2, be.clone(), FockOptions::default());
         let mixed = FockOperator::with_options(
@@ -890,9 +888,9 @@ mod tests {
     fn compensated_and_plain_fp32_both_track_fp64() {
         // Fp32 vs Fp32Promoted: both stay within fp32 tolerance of the
         // fp64 result; the compensated variant must not be worse.
-        let (grid, fft, wf) = setup(4);
+        let (grid, wf) = setup(4);
         let d = vec![1.0, 0.8, 0.6, 0.3];
-        let phi_r = wf.to_real_all(&fft);
+        let phi_r = wf.to_real_all(&grid);
         let be = pwnum::backend::default_backend().clone();
         let exact = FockOperator::new(&grid, 0.2);
         let ve = exact.apply_pure(&phi_r, &d);
@@ -930,11 +928,11 @@ mod tests {
         // has (CI repeats this suite under `PWDFT_NUM_THREADS=3`; the
         // explicit worker-count matrix is `pwnum::backend`'s
         // `pair_pipeline_is_bitwise_identical_at_every_worker_count`).
-        let (grid, fft, wf) = setup(6);
+        let (grid, wf) = setup(6);
         let ng = grid.len();
         let d = [1.0, 0.9, 0.0, 0.2, 0.05, 0.4];
         let n = d.len();
-        let phi_r = wf.to_real_all(&fft);
+        let phi_r = wf.to_real_all(&grid);
         let psi = phi_r.clone();
         for be in oracle_and_product() {
             let name = be.name();
@@ -995,11 +993,11 @@ mod tests {
         // forward FFT → ×K(G) → inverse FFT → compensated promote-scatter
         // — in scheduler order. Exact: the fused convolve is
         // value-identical to the staged round trip on every backend.
-        let (grid, fft, wf) = setup(5);
+        let (grid, wf) = setup(5);
         let ng = grid.len();
         let d = [1.0, 0.9, 0.5, 0.2, 0.05];
         let n = d.len();
-        let phi_r = wf.to_real_all(&fft);
+        let phi_r = wf.to_real_all(&grid);
         let psi = phi_r.clone();
         let phi32 = precision::demote(&phi_r);
         let fft32 = grid.fft32();
@@ -1066,9 +1064,9 @@ mod tests {
         // the high-water mark must not grow with the number of bands.
         // 36 / 55 / 78 tasks are all beyond a wave, so this holds at every thread count (the bound in grids
         // is asserted next to the scheduler, in `pwnum::backend`).
-        let (grid, fft, wf) = setup(12);
+        let (grid, wf) = setup(12);
         let ng = grid.len();
-        let phi_r = wf.to_real_all(&fft);
+        let phi_r = wf.to_real_all(&grid);
         let peak = |n: usize| {
             let be: BackendHandle = Arc::new(pwnum::backend::Blocked::new());
             let op = FockOperator::with_backend(&grid, 0.2, be.clone());
@@ -1082,10 +1080,10 @@ mod tests {
 
     #[test]
     fn exchange_energy_negative() {
-        let (grid, fft, wf) = setup(3);
+        let (grid, wf) = setup(3);
         let fock = FockOperator::new(&grid, 0.106);
         let d = vec![1.0, 1.0, 0.5];
-        let phi_r = wf.to_real_all(&fft);
+        let phi_r = wf.to_real_all(&grid);
         let vx = fock.apply_diag(&phi_r, &d, &phi_r);
         let ex = fock.exchange_energy(&phi_r, &d, &vx, grid.dv());
         assert!(ex < 0.0, "exchange energy must be negative: {ex}");
@@ -1093,9 +1091,9 @@ mod tests {
 
     #[test]
     fn zero_occupation_gives_zero_operator() {
-        let (grid, fft, wf) = setup(2);
+        let (grid, wf) = setup(2);
         let fock = FockOperator::new(&grid, 0.106);
-        let phi_r = wf.to_real_all(&fft);
+        let phi_r = wf.to_real_all(&grid);
         let vx = fock.apply_diag(&phi_r, &[0.0, 0.0], &phi_r);
         assert!(vx.iter().all(|z| z.abs() < 1e-15));
     }
@@ -1105,9 +1103,9 @@ mod tests {
         // The kernel K(G) = 4π/G²(1 − e^{−G²/4ω²}) keeps only the
         // short-range part: larger ω truncates more of the interaction,
         // so |Ex| must shrink as ω grows (ω → 0 recovers bare Coulomb).
-        let (grid, fft, wf) = setup(2);
+        let (grid, wf) = setup(2);
         let d = vec![1.0, 1.0];
-        let phi_r = wf.to_real_all(&fft);
+        let phi_r = wf.to_real_all(&grid);
         let long_range = FockOperator::new(&grid, 0.05);
         let short_range = FockOperator::new(&grid, 0.5);
         let vl = long_range.apply_diag(&phi_r, &d, &phi_r);

@@ -1,11 +1,12 @@
 //! Plane-wave grids and G-vector machinery.
 //!
 //! A [`PwGrid`] couples a real-space grid to its reciprocal lattice: for
-//! each grid index it stores the folded G-vector, |G|², and the kinetic
-//! cutoff mask `|G|²/2 ≤ Ecut`. Wavefunctions are represented on the full
-//! grid with coefficients outside the mask held at zero (simple and
-//! FFT-friendly; the paper's sphere-packed layout is a storage
-//! optimization that does not change any numerics).
+//! each grid index it stores the folded G-vector and |G|², and it lists
+//! the cutoff sphere `|G|²/2 ≤ Ecut` — the plane waves a wavefunction
+//! keeps. A band stores only its sphere coefficients, in ascending grid
+//! order ([`PwGrid::sphere`]); [`PwGrid::scatter`] and [`PwGrid::gather`]
+//! move them on and off the FFT grid, which holds `+0.0` everywhere else
+//! (DESIGN.md §3).
 
 use crate::lattice::Cell;
 use pwfft::{Fft3, Fft32};
@@ -28,10 +29,11 @@ pub struct PwGrid {
     pub g2: Vec<f64>,
     /// Cartesian G components per grid point.
     pub gvec: Vec<[f64; 3]>,
-    /// Kinetic cutoff mask (true = plane wave kept).
-    pub mask: Vec<bool>,
-    /// Number of active plane waves.
-    pub n_pw: usize,
+    /// Grid indices of the cutoff sphere `|G|²/2 ≤ Ecut`, ascending: the
+    /// plane waves a band stores, in storage order.
+    pub sphere: Vec<usize>,
+    /// |G|² of each sphere point, in storage order.
+    pub sphere_g2: Vec<f64>,
     /// Kinetic cutoff (hartree).
     pub ecut: f64,
     /// Memoized grid-sized real kernels (e.g. the screened-exchange
@@ -87,9 +89,8 @@ impl PwGrid {
         let n = dims[0] * dims[1] * dims[2];
         let mut g2 = Vec::with_capacity(n);
         let mut gvec = Vec::with_capacity(n);
-        let mut mask = Vec::with_capacity(n);
+        let (mut sphere, mut sphere_g2) = (Vec::new(), Vec::new());
         let two_pi = 2.0 * std::f64::consts::PI;
-        let mut n_pw = 0usize;
         for i0 in 0..dims[0] {
             let m0 = fold(i0, dims[0]);
             let gx = two_pi * m0 as f64 / cell.lengths[0];
@@ -100,13 +101,12 @@ impl PwGrid {
                     let m2 = fold(i2, dims[2]);
                     let gz = two_pi * m2 as f64 / cell.lengths[2];
                     let gg = gx * gx + gy * gy + gz * gz;
-                    let keep = 0.5 * gg <= ecut;
-                    if keep {
-                        n_pw += 1;
+                    if 0.5 * gg <= ecut {
+                        sphere.push(g2.len());
+                        sphere_g2.push(gg);
                     }
                     g2.push(gg);
                     gvec.push([gx, gy, gz]);
-                    mask.push(keep);
                 }
             }
         }
@@ -115,8 +115,8 @@ impl PwGrid {
             lengths: cell.lengths,
             g2,
             gvec,
-            mask,
-            n_pw,
+            sphere,
+            sphere_g2,
             ecut,
             kernels: Arc::new(Mutex::new(HashMap::new())),
             plans: Arc::default(),
@@ -157,6 +157,20 @@ impl PwGrid {
     #[inline]
     pub fn len(&self) -> usize {
         self.g2.len()
+    }
+
+    /// Plane waves inside the cutoff sphere: the coefficients a band
+    /// stores.
+    #[inline]
+    pub fn n_pw(&self) -> usize {
+        self.sphere.len()
+    }
+
+    /// The sphere positions whose grid index lies in `grid_range`: a
+    /// contiguous run, since the sphere is sorted by grid index.
+    pub fn sphere_range(&self, grid_range: std::ops::Range<usize>) -> std::ops::Range<usize> {
+        let at = |g: usize| self.sphere.partition_point(|&i| i < g);
+        at(grid_range.start)..at(grid_range.end)
     }
 
     /// True for a degenerate single-point grid.
@@ -203,22 +217,34 @@ impl PwGrid {
         ]
     }
 
-    /// Zeroes all coefficients outside the kinetic cutoff mask (applied
-    /// after nonlinear grid operations to stay in the variational space).
-    pub fn apply_mask(&self, coeffs: &mut [Complex64]) {
-        assert_eq!(coeffs.len(), self.len());
-        for (c, &keep) in coeffs.iter_mut().zip(&self.mask) {
-            if !keep {
-                *c = Complex64::ZERO;
-            }
+    /// Writes one band's sphere coefficients at their points of the full
+    /// grid `full`, leaving every other point as it is: on a `+0.0` grid
+    /// this is the band on the FFT grid.
+    pub fn scatter(&self, compact: &[Complex64], full: &mut [Complex64]) {
+        assert_eq!(compact.len(), self.n_pw());
+        assert_eq!(full.len(), self.len());
+        for (&g, &c) in self.sphere.iter().zip(compact) {
+            full[g] = c;
         }
     }
 
-    /// Applies the kinetic operator in G-space: `out_G = |G|²/2 · c_G`.
+    /// Reads one band's sphere coefficients off the full grid `full`
+    /// (the inverse of [`Self::scatter`]; values outside the sphere are
+    /// dropped).
+    pub fn gather(&self, full: &[Complex64], compact: &mut [Complex64]) {
+        assert_eq!(compact.len(), self.n_pw());
+        assert_eq!(full.len(), self.len());
+        for (c, &g) in compact.iter_mut().zip(&self.sphere) {
+            *c = full[g];
+        }
+    }
+
+    /// Applies the kinetic operator to one band's sphere coefficients:
+    /// `out_G = |G|²/2 · c_G`.
     pub fn apply_kinetic(&self, coeffs: &[Complex64], out: &mut [Complex64]) {
-        assert_eq!(coeffs.len(), self.len());
-        assert_eq!(out.len(), self.len());
-        for ((o, c), g2) in out.iter_mut().zip(coeffs).zip(&self.g2) {
+        assert_eq!(coeffs.len(), self.n_pw());
+        assert_eq!(out.len(), self.n_pw());
+        for ((o, c), g2) in out.iter_mut().zip(coeffs).zip(&self.sphere_g2) {
             *o = c.scale(0.5 * g2);
         }
     }
@@ -261,10 +287,16 @@ mod tests {
     fn grid_counts_plane_waves() {
         let cell = Cell::silicon_supercell(1, 1, 1);
         let g = PwGrid::for_cell(&cell, 5.0);
-        assert!(g.n_pw > 0 && g.n_pw < g.len());
-        // The G=0 component is always inside the cutoff.
-        assert!(g.mask[0]);
-        assert_eq!(g.g2[0], 0.0);
+        assert!(g.n_pw() > 0 && g.n_pw() < g.len());
+        // The G=0 component is always inside the cutoff, and first.
+        assert_eq!(g.sphere[0], 0);
+        assert_eq!(g.sphere_g2[0], 0.0);
+        assert!(g.sphere.windows(2).all(|w| w[0] < w[1]), "sphere sorted by grid index");
+        for (&i, &gg) in g.sphere.iter().zip(&g.sphere_g2) {
+            assert_eq!(gg, g.g2[i]);
+        }
+        let inside = g.g2.iter().filter(|&&gg| 0.5 * gg <= g.ecut).count();
+        assert_eq!(inside, g.n_pw());
         // Number of PWs should approximate the cutoff sphere volume:
         // (Ω/(2π)³)·(4π/3)Gmax³.
         let gmax = (2.0f64 * 5.0).sqrt();
@@ -273,7 +305,7 @@ mod tests {
             / 3.0
             * std::f64::consts::PI
             * gmax.powi(3);
-        let ratio = g.n_pw as f64 / expect;
+        let ratio = g.n_pw() as f64 / expect;
         assert!(ratio > 0.8 && ratio < 1.3, "PW count ratio {ratio}");
     }
 
@@ -293,10 +325,10 @@ mod tests {
         let cell = Cell::silicon_supercell(1, 1, 1);
         let g = PwGrid::with_dims(&cell, 5.0, [6, 6, 6]);
         // Coefficient vector with a single G component set.
-        let mut c = vec![Complex64::ZERO; g.len()];
-        let idx = 1; // i2 = 1 -> G = 2π/L ẑ
-        c[idx] = Complex64::ONE;
-        let mut out = vec![Complex64::ZERO; g.len()];
+        let mut c = vec![Complex64::ZERO; g.n_pw()];
+        let idx = g.sphere.iter().position(|&i| i == 1).expect("i2 = 1 is kept");
+        c[idx] = Complex64::ONE; // i2 = 1 -> G = 2π/L ẑ
+        let mut out = vec![Complex64::ZERO; g.n_pw()];
         g.apply_kinetic(&c, &mut out);
         let gz = 2.0 * std::f64::consts::PI / cell.lengths[2];
         assert!((out[idx].re - 0.5 * gz * gz).abs() < 1e-12);
@@ -354,13 +386,21 @@ mod tests {
     }
 
     #[test]
-    fn mask_zeroes_high_g() {
+    fn scatter_gather_round_trip_through_the_sphere() {
         let cell = Cell::silicon_supercell(1, 1, 1);
         let g = PwGrid::with_dims(&cell, 0.5, [8, 8, 8]);
-        let mut c = vec![Complex64::ONE; g.len()];
-        g.apply_mask(&mut c);
-        let kept: usize = c.iter().filter(|z| z.re != 0.0).count();
-        assert_eq!(kept, g.n_pw);
-        assert!(kept < g.len());
+        assert!(g.n_pw() < g.len());
+        let c: Vec<Complex64> = (0..g.n_pw()).map(|k| Complex64::new(k as f64 + 1.0, -1.0)).collect();
+        let mut full = vec![Complex64::ZERO; g.len()];
+        g.scatter(&c, &mut full);
+        let kept = full.iter().filter(|z| **z != Complex64::ZERO).count();
+        assert_eq!(kept, g.n_pw());
+        let mut back = vec![Complex64::ZERO; g.n_pw()];
+        g.gather(&full, &mut back);
+        assert_eq!(back, c);
+        // The sphere positions of a grid-index range are contiguous.
+        let r = g.sphere_range(100..300);
+        assert!(g.sphere[r.clone()].iter().all(|i| (100..300).contains(i)));
+        assert_eq!(r.len(), g.sphere.iter().filter(|i| (100..300).contains(*i)).count());
     }
 }

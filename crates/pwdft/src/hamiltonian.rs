@@ -139,16 +139,16 @@ impl<'g> Hamiltonian<'g> {
         Hamiltonian { grid, fft: grid.fft(), vtot, alpha, exchange, fock, backend }
     }
 
-    /// Computes `H ψ` for a block of orbitals (G-space in, G-space out,
-    /// cutoff-masked).
+    /// Computes `H ψ` for a block of orbitals (sphere coefficients in,
+    /// sphere coefficients out).
     pub fn apply(&self, psi: &Wavefunction) -> Wavefunction {
-        let ng = self.grid.len();
-        assert_eq!(psi.ng, ng);
+        let (n, grid) = (self.grid.len(), self.grid);
+        assert_eq!(psi.ng, grid.n_pw());
         let be = &*self.backend;
         let mut out = Wavefunction::zeros_like(psi);
 
         // Real-space copies of the input bands (batched inverse FFT).
-        let psi_r = psi.to_real_all_with(be, &self.fft);
+        let psi_r = psi.to_real_all_with(be, grid);
 
         // Dense exchange acts on the real-space block as a whole.
         let vx_r: Option<Vec<Complex64>> = match &self.exchange {
@@ -164,24 +164,25 @@ impl<'g> Hamiltonian<'g> {
 
         // Potential part in real space, band-parallel: V_tot ψ (+ α·Vx).
         let mut work = be.take_buffer_copy(&psi_r);
-        par_chunks_mut(&mut work, ng, |b, wband| {
+        par_chunks_mut(&mut work, n, |b, wband| {
             for (w, &v) in wband.iter_mut().zip(&self.vtot) {
                 *w = w.scale(v);
             }
             if let Some(vx) = &vx_r {
-                cvec::axpy(Complex64::from_re(self.alpha), &vx[b * ng..(b + 1) * ng], wband);
+                cvec::axpy(Complex64::from_re(self.alpha), &vx[b * n..(b + 1) * n], wband);
             }
         });
         // Back to G-space as one batched forward FFT.
         self.fft.forward_many_with(be, &mut work, psi.n_bands);
-        // Kinetic + potential in G space, band-parallel.
+        // Kinetic + potential on the sphere, band-parallel.
+        let ng = psi.ng;
         par_chunks_mut(&mut out.data, ng, |b, ob| {
             let band_in = &psi.data[b * ng..(b + 1) * ng];
-            let wband = &work[b * ng..(b + 1) * ng];
-            for ((o, w), (&g2, c)) in
-                ob.iter_mut().zip(wband).zip(self.grid.g2.iter().zip(band_in))
+            let wband = &work[b * n..(b + 1) * n];
+            for ((o, &g), (&g2, c)) in
+                ob.iter_mut().zip(&grid.sphere).zip(grid.sphere_g2.iter().zip(band_in))
             {
-                *o = *w + c.scale(0.5 * g2);
+                *o = wband[g] + c.scale(0.5 * g2);
             }
         });
         be.recycle_buffer(work);
@@ -190,8 +191,6 @@ impl<'g> Hamiltonian<'g> {
         if let Exchange::Ace(ace) = &self.exchange {
             ace.apply_add(psi, self.alpha, &mut out.data);
         }
-
-        out.mask(self.grid);
         out
     }
 
@@ -321,16 +320,11 @@ mod tests {
         let zeros = vec![0.0; grid.len()];
         let h = Hamiltonian::new(&grid, &zeros, &zeros, &zeros, 0.0, Exchange::None, None);
         let mut psi = Wavefunction::zeros(&grid, 1);
-        // Pick a masked-in G index with nonzero |G|².
-        let idx = grid
-            .mask
-            .iter()
-            .enumerate()
-            .position(|(i, &m)| m && grid.g2[i] > 0.1)
-            .expect("grid has a usable G");
+        // Pick a sphere point with nonzero |G|².
+        let idx = grid.sphere_g2.iter().position(|&g2| g2 > 0.1).expect("grid has a usable G");
         psi.band_mut(0)[idx] = Complex64::ONE;
         let hpsi = h.apply(&psi);
-        let expect = 0.5 * grid.g2[idx];
+        let expect = 0.5 * grid.sphere_g2[idx];
         assert!((hpsi.band(0)[idx].re - expect).abs() < 1e-10);
         // All other components ~0.
         let leak: f64 = hpsi
@@ -346,11 +340,10 @@ mod tests {
     #[test]
     fn dense_and_ace_exchange_agree_on_span() {
         let (_, grid) = setup();
-        let fft = grid.fft();
         let zeros = vec![0.0; grid.len()];
         let phi = Wavefunction::random(&grid, 3, 55);
         let occ = vec![1.0, 0.8, 0.3];
-        let phi_r = phi.to_real_all(&fft);
+        let phi_r = phi.to_real_all(&grid);
 
         // Dense path.
         let fock = FockOperator::new(&grid, 0.2);
@@ -368,11 +361,8 @@ mod tests {
         // ACE path built from the same exchange.
         let fock2 = FockOperator::new(&grid, 0.2);
         let vx = fock2.apply_diag(&phi_r, &occ, &phi_r);
-        let w = Wavefunction::from_real(&grid, &fft, vx);
-        // ACE must be built on *masked* W to match the masked dense output.
-        let mut wm = w;
-        wm.mask(&grid);
-        let ace = AceOperator::build(&phi, &wm);
+        let w = Wavefunction::from_real(&grid, vx);
+        let ace = AceOperator::build(&phi, &w);
         let ha = Hamiltonian::new(
             &grid,
             &zeros,

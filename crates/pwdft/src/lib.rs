@@ -5,7 +5,7 @@
 //! electronic structure on a plane-wave grid.
 //!
 //! * [`lattice`] — silicon supercells (the paper's 48–3072-atom systems).
-//! * [`gvec`] — plane-wave grids, cutoff masks, kinetic operator.
+//! * [`gvec`] — plane-wave grids, cutoff spheres, kinetic operator.
 //! * [`pseudo`] — analytic local pseudopotential (ONCV substitute).
 //! * [`ewald`] — ion–ion Ewald summation.
 //! * [`xc`] — LDA exchange-correlation (Slater + PZ81).

@@ -172,7 +172,7 @@ pub fn scf_lda(sys: &DftSystem, cfg: &ScfConfig) -> GroundState {
         mu = mu_new;
         occ = occ_new;
 
-        let rho_out = density_diag(&sys.grid, &sys.fft, &phi, &occ);
+        let rho_out = density_diag(&sys.grid, &phi, &occ);
         // Relative L1 density change: ∫|Δρ| dV / Ne (paper's 1e-6 criterion).
         residual = rho.iter().zip(&rho_out).map(|(a, b)| (a - b).abs()).sum::<f64>()
             * sys.grid.dv()
@@ -267,7 +267,7 @@ pub fn scf_hybrid(
             let (mu_new, occ_new) = occupations(&gs.eigs, ne, kt);
             gs.mu = mu_new;
             gs.occ = occ_new;
-            let rho_out = density_diag(&sys.grid, &sys.fft, &gs.phi, &gs.occ);
+            let rho_out = density_diag(&sys.grid, &gs.phi, &gs.occ);
             let res = rho.iter().zip(&rho_out).map(|(a, b)| (a - b).abs()).sum::<f64>()
                 * sys.grid.dv()
                 / ne;

@@ -1,14 +1,16 @@
 //! Wavefunction blocks: N bands of plane-wave coefficients.
 //!
-//! Storage convention: **G-space, band-major** — band `i` occupies the
-//! contiguous slice `[i*ng, (i+1)*ng)` of the buffer, holding the
-//! *unnormalized forward FFT* of the real-space orbital. With the pwfft
+//! Storage convention: **G-space on the cutoff sphere, band-major** —
+//! band `i` occupies the contiguous slice `[i*ng, (i+1)*ng)` of the
+//! buffer, where `ng` is the sphere's plane-wave count, holding the
+//! *unnormalized forward FFT* of the real-space orbital at the sphere's
+//! grid points ([`PwGrid::sphere`], ascending). With the pwfft
 //! conventions (`forward` unnormalized, `inverse` 1/n-normalized) this
-//! makes `to_real` a single `inverse` call and the inner product
-//! `<a|b> = (Ω/Ng²) Σ_G ã* b̃`.
+//! makes `to_real` a scatter onto the grid plus one `inverse` call, and
+//! the inner product `<a|b> = (Ω/N²) Σ_G ã* b̃` with N the FFT grid size.
+//! Nothing outside the sphere is stored, so nothing there can be nonzero.
 
 use crate::gvec::PwGrid;
-use pwfft::Fft3;
 use pwnum::backend::{default_backend, Backend};
 use pwnum::bands;
 use pwnum::chol::{cholesky, invert_lower};
@@ -23,42 +25,45 @@ use rand::{Rng, SeedableRng};
 pub struct Wavefunction {
     /// Number of bands (orbitals).
     pub n_bands: usize,
-    /// Grid size Ng.
+    /// Plane waves per band: the cutoff sphere's count
+    /// ([`PwGrid::n_pw`]), not the FFT grid size.
     pub ng: usize,
-    /// `<a|b>` scale factor `Ω/Ng²`.
+    /// `<a|b>` scale factor `Ω/N²`, N the FFT grid size.
     pub ip_scale: f64,
-    /// Band-major G-space coefficients.
+    /// Band-major sphere coefficients.
     pub data: Vec<Complex64>,
 }
 
 impl Wavefunction {
     /// Zero-initialized block.
     pub fn zeros(grid: &PwGrid, n_bands: usize) -> Self {
-        let ng = grid.len();
-        Wavefunction {
-            n_bands,
-            ng,
-            ip_scale: grid.volume() / (ng as f64 * ng as f64),
-            data: vec![Complex64::ZERO; n_bands * ng],
-        }
+        let (ng, n) = (grid.n_pw(), grid.len() as f64);
+        let data = vec![Complex64::ZERO; n_bands * ng];
+        Wavefunction { n_bands, ng, ip_scale: grid.volume() / (n * n), data }
     }
 
-    /// Randomized, cutoff-masked, orthonormalized block — the standard
-    /// starting guess for the ground-state solver.
+    /// Randomized, orthonormalized block on the cutoff sphere — the
+    /// standard starting guess for the ground-state solver.
+    ///
+    /// # Panics
+    /// When `n_bands` exceeds the sphere's plane-wave count: no basis of
+    /// that size holds that many orthonormal bands.
     pub fn random(grid: &PwGrid, n_bands: usize, seed: u64) -> Self {
+        assert!(
+            n_bands <= grid.n_pw(),
+            "{n_bands} bands requested, but the cutoff sphere holds only {} plane waves",
+            grid.n_pw()
+        );
         let mut wf = Self::zeros(grid, n_bands);
         let mut rng = StdRng::seed_from_u64(seed);
         for b in 0..n_bands {
-            let band = wf.band_mut(b);
-            for (g, z) in band.iter_mut().enumerate() {
-                if grid.mask[g] {
-                    // Decay with |G|² for smoother starting vectors.
-                    let damp = 1.0 / (1.0 + grid.g2[g]);
-                    *z = Complex64::new(
-                        rng.gen_range(-1.0..1.0) * damp,
-                        rng.gen_range(-1.0..1.0) * damp,
-                    );
-                }
+            for (z, g2) in wf.band_mut(b).iter_mut().zip(&grid.sphere_g2) {
+                // Decay with |G|² for smoother starting vectors.
+                let damp = 1.0 / (1.0 + g2);
+                *z = Complex64::new(
+                    rng.gen_range(-1.0..1.0) * damp,
+                    rng.gen_range(-1.0..1.0) * damp,
+                );
             }
         }
         wf.orthonormalize_cholesky();
@@ -161,56 +166,50 @@ impl Wavefunction {
         self.data = out;
     }
 
-    /// Transforms band `i` to real space into `out` (length Ng).
-    pub fn to_real(&self, fft: &Fft3, i: usize, out: &mut [Complex64]) {
-        out.copy_from_slice(self.band(i));
-        fft.inverse(out);
+    /// Transforms band `i` to real space into `out` (length N, the FFT
+    /// grid of `grid`).
+    pub fn to_real(&self, grid: &PwGrid, i: usize, out: &mut [Complex64]) {
+        out.fill(Complex64::ZERO);
+        grid.scatter(self.band(i), out);
+        grid.fft().inverse(out);
     }
 
     /// Transforms all bands to real space (band-major buffer, parallel),
     /// on the process default backend.
-    pub fn to_real_all(&self, fft: &Fft3) -> Vec<Complex64> {
-        self.to_real_all_with(&**default_backend(), fft)
+    pub fn to_real_all(&self, grid: &PwGrid) -> Vec<Complex64> {
+        self.to_real_all_with(&**default_backend(), grid)
     }
 
     /// [`Self::to_real_all`] on an explicit compute backend (the backend
-    /// owns the batched-FFT strategy).
-    pub fn to_real_all_with(&self, backend: &dyn Backend, fft: &Fft3) -> Vec<Complex64> {
-        let mut out = self.data.clone();
-        fft.inverse_many_with(backend, &mut out, self.n_bands);
+    /// owns the batched-FFT strategy): every band scattered onto the
+    /// grid, then one batched inverse FFT.
+    pub fn to_real_all_with(&self, backend: &dyn Backend, grid: &PwGrid) -> Vec<Complex64> {
+        let n = grid.len();
+        let mut out = vec![Complex64::ZERO; self.n_bands * n];
+        for (b, full) in out.chunks_exact_mut(n).enumerate() {
+            grid.scatter(self.band(b), full);
+        }
+        grid.fft().inverse_many_with(backend, &mut out, self.n_bands);
         out
     }
 
-    /// Builds a block from band-major real-space values.
-    pub fn from_real(grid: &PwGrid, fft: &Fft3, real: Vec<Complex64>) -> Self {
-        Self::from_real_with(&**default_backend(), grid, fft, real)
+    /// Builds a block from band-major real-space values: one batched
+    /// forward FFT, then each band's sphere coefficients.
+    pub fn from_real(grid: &PwGrid, real: Vec<Complex64>) -> Self {
+        Self::from_real_with(&**default_backend(), grid, real)
     }
 
     /// [`Self::from_real`] on an explicit compute backend.
-    pub fn from_real_with(
-        backend: &dyn Backend,
-        grid: &PwGrid,
-        fft: &Fft3,
-        mut real: Vec<Complex64>,
-    ) -> Self {
-        let ng = grid.len();
-        assert_eq!(real.len() % ng, 0);
-        let n_bands = real.len() / ng;
-        fft.forward_many_with(backend, &mut real, n_bands);
-        Wavefunction {
-            n_bands,
-            ng,
-            ip_scale: grid.volume() / (ng as f64 * ng as f64),
-            data: real,
+    pub fn from_real_with(backend: &dyn Backend, grid: &PwGrid, mut real: Vec<Complex64>) -> Self {
+        let n = grid.len();
+        assert_eq!(real.len() % n, 0);
+        let n_bands = real.len() / n;
+        grid.fft().forward_many_with(backend, &mut real, n_bands);
+        let mut wf = Self::zeros(grid, n_bands);
+        for (b, full) in real.chunks_exact(n).enumerate() {
+            grid.gather(full, wf.band_mut(b));
         }
-    }
-
-    /// Applies the cutoff mask to every band.
-    pub fn mask(&mut self, grid: &PwGrid) {
-        for b in 0..self.n_bands {
-            let band = bands::band_mut(&mut self.data, self.ng, b);
-            grid.apply_mask(band);
-        }
+        wf
     }
 
     /// Max |coefficient| difference against another block.
@@ -238,25 +237,31 @@ mod tests {
     }
 
     #[test]
-    fn random_block_respects_mask() {
+    fn block_stores_the_cutoff_sphere() {
         let grid = test_grid();
         let wf = Wavefunction::random(&grid, 3, 1);
-        for b in 0..3 {
-            for (g, z) in wf.band(b).iter().enumerate() {
-                if !grid.mask[g] {
-                    assert_eq!(*z, Complex64::ZERO);
-                }
-            }
-        }
+        assert_eq!(wf.ng, grid.n_pw());
+        assert!(wf.ng < grid.len());
+        assert_eq!(wf.data.len(), 3 * grid.n_pw());
+        let n = grid.len() as f64;
+        assert_eq!(wf.ip_scale, grid.volume() / (n * n));
+    }
+
+    #[test]
+    #[should_panic(expected = "148 bands requested, but the cutoff sphere holds only 147 plane waves")]
+    fn more_bands_than_plane_waves_fail_before_the_cholesky() {
+        let cell = Cell::silicon_supercell(1, 1, 1);
+        let grid = PwGrid::with_dims(&cell, 2.0, [8, 8, 8]);
+        assert_eq!(grid.n_pw(), 147);
+        let _ = Wavefunction::random(&grid, 148, 7);
     }
 
     #[test]
     fn real_space_normalization() {
         let grid = test_grid();
-        let fft = grid.fft();
         let wf = Wavefunction::random(&grid, 2, 7);
         let mut r = vec![Complex64::ZERO; grid.len()];
-        wf.to_real(&fft, 0, &mut r);
+        wf.to_real(&grid, 0, &mut r);
         let norm: f64 = r.iter().map(|z| z.norm_sqr()).sum::<f64>() * grid.dv();
         assert!((norm - 1.0).abs() < 1e-10, "real-space norm {norm}");
     }
@@ -264,10 +269,9 @@ mod tests {
     #[test]
     fn roundtrip_real_gspace() {
         let grid = test_grid();
-        let fft = grid.fft();
         let wf = Wavefunction::random(&grid, 3, 3);
-        let real = wf.to_real_all(&fft);
-        let back = Wavefunction::from_real(&grid, &fft, real);
+        let real = wf.to_real_all(&grid);
+        let back = Wavefunction::from_real(&grid, real);
         assert!(wf.max_abs_diff(&back) < 1e-10);
     }
 

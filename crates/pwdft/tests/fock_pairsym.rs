@@ -187,7 +187,6 @@ fn rel_diff(a: &[Complex64], b: &[Complex64]) -> f64 {
 #[test]
 fn pair_symmetric_agrees_with_asymmetric_on_mixed_states() {
     let grid = smooth_grid();
-    let fft = grid.fft();
     let occupation_sets: [Vec<f64>; 4] = [
         lcg_occ(6, 7),                          // random mixed
         vec![1.0, 1.0, 0.5, 0.5, 0.5, 0.25],    // degenerate
@@ -200,7 +199,7 @@ fn pair_symmetric_agrees_with_asymmetric_on_mixed_states() {
         let fock = FockOperator::with_backend(&grid, 0.2, be.clone());
         for (k, occ) in occupation_sets.iter().enumerate() {
             let wf = Wavefunction::random(&grid, occ.len(), 100 + k as u64);
-            let phi_r = wf.to_real_all(&fft);
+            let phi_r = wf.to_real_all(&grid);
             let psi_copy = phi_r.clone(); // distinct pointer → asymmetric path
             let (sym, s_sym) = fock.apply_diag_stats(&phi_r, occ, &phi_r);
             let (asym, s_asym) = fock.apply_diag_stats(&phi_r, occ, &psi_copy);
@@ -220,10 +219,9 @@ fn pair_symmetric_agrees_with_asymmetric_on_mixed_states() {
 #[test]
 fn backends_agree_on_pair_symmetric_apply() {
     let grid = smooth_grid();
-    let fft = grid.fft();
     let occ = vec![1.0, 1.0, 0.7, 0.3, 0.0];
     let wf = Wavefunction::random(&grid, occ.len(), 41);
-    let phi_r = wf.to_real_all(&fft);
+    let phi_r = wf.to_real_all(&grid);
     let f_ref = FockOperator::with_backend(&grid, 0.15, Arc::new(Reference));
     let f_blk = FockOperator::with_backend(&grid, 0.15, Arc::new(Blocked::new()));
     let a = f_ref.apply_pure(&phi_r, &occ);
@@ -235,11 +233,10 @@ fn backends_agree_on_pair_symmetric_apply() {
 #[test]
 fn zero_cutoff_is_bitwise_identical_to_no_screening() {
     let grid = smooth_grid();
-    let fft = grid.fft();
     // Zero tail: these are the pairs screening would drop.
     let occ = vec![1.0, 0.6, 0.0, 0.0];
     let wf = Wavefunction::random(&grid, occ.len(), 55);
-    let phi_r = wf.to_real_all(&fft);
+    let phi_r = wf.to_real_all(&grid);
     let be: BackendHandle = Arc::new(Reference);
     let mk = |cutoff: f64| {
         FockOperator::with_options(
@@ -272,11 +269,10 @@ fn symmetric_apply_fft_volume_is_halved() {
     // pair, no padding volume.
     let cell = Cell::silicon_supercell(1, 1, 1);
     let grid = PwGrid::with_dims(&cell, 2.0, [6, 6, 6]);
-    let fft = grid.fft();
     let n = 6;
     let occ = vec![1.0, 0.9, 0.8, 0.7, 0.6, 0.5]; // all occupied
     let wf = Wavefunction::random(&grid, n, 9);
-    let phi_r = wf.to_real_all(&fft);
+    let phi_r = wf.to_real_all(&grid);
     let pairs = n * (n + 1) / 2;
     let counter = CountingBackend::new(Arc::new(Reference));
     let be: BackendHandle = counter.clone();

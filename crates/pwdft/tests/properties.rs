@@ -57,12 +57,11 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let g = grid();
-        let fft = g.fft();
         let wf = Wavefunction::random(&g, 4, seed);
         let sigma = make_sigma(4, &raw);
-        let a = density_mixed_baseline(&g, &fft, &wf, &sigma);
+        let a = density_mixed_baseline(&g, &wf, &sigma);
         let nat = natural_orbitals(&wf, &sigma);
-        let b = density_from_natural(&g, &fft, &nat);
+        let b = density_from_natural(&g, &nat);
         for (x, y) in a.iter().zip(&b) {
             prop_assert!((x - y).abs() < 1e-9);
         }
@@ -78,14 +77,13 @@ proptest! {
         seed in 0u64..100,
     ) {
         let g = grid();
-        let fft = g.fft();
         let wf = Wavefunction::random(&g, 3, seed);
         let sigma = make_sigma(3, &raw);
         let fock = FockOperator::new(&g, 0.2);
-        let phi_r = wf.to_real_all(&fft);
+        let phi_r = wf.to_real_all(&g);
         let base = fock.apply_mixed_baseline(&phi_r, &sigma);
         let nat = natural_orbitals(&wf, &sigma);
-        let nat_r = nat.phi.to_real_all(&fft);
+        let nat_r = nat.phi.to_real_all(&g);
         let diag = fock.apply_diag(&nat_r, &nat.occ, &phi_r);
         let scale = base.iter().map(|z| z.abs()).fold(0.0f64, f64::max).max(1e-10);
         let diff = pwnum::cvec::max_abs_diff(&base, &diag);

@@ -752,8 +752,7 @@ impl Backend for Blocked {
         let na = bands::n_bands(a, band_len);
         assert_eq!(q.rows(), na, "rotate: Q row count must match band count");
         assert_eq!(out.len(), band_len * q.cols(), "rotate: bad output size");
-        cvec::zero_fill(out);
-        tiled::rotate(&self.pack, a, band_len, |i, j| q[(i, j)], out);
+        tiled::rotate(&self.pack, a, band_len, |i, j| q[(i, j)], false, out);
     }
 
     fn rotate_acc(
@@ -768,7 +767,7 @@ impl Backend for Blocked {
         let na = bands::n_bands(a, band_len);
         assert_eq!(q.rows(), na, "rotate_acc: Q row count must match band count");
         assert_eq!(out.len(), band_len * q.cols(), "rotate_acc: bad output size");
-        tiled::rotate(&self.pack, a, band_len, |i, j| alpha * q[(i, j)], out);
+        tiled::rotate(&self.pack, a, band_len, |i, j| alpha * q[(i, j)], true, out);
     }
 
     fn transform_batch(&self, pass: &dyn GridTransform, data: &mut [Complex64], count: usize) {
@@ -861,7 +860,7 @@ impl Backend for Blocked {
         let na = n_bands32(a, band_len);
         assert_eq!(q.rows(), na, "rotate_acc32: Q row count must match band count");
         assert_eq!(out.len(), band_len * q.cols(), "rotate_acc32: bad output size");
-        tiled::rotate(&self.pack32, a, band_len, |i, j| alpha * q[(i, j)], out);
+        tiled::rotate(&self.pack32, a, band_len, |i, j| alpha * q[(i, j)], true, out);
     }
 
     fn take_scratch32(&self, len: usize) -> Vec<Complex32> {

@@ -246,17 +246,25 @@ fn store<R: Lane>(tile: &mut [R], t: Tile<R>) {
 
 /// `out_j += Σ_i a_i · w(i, j)` over band-major blocks of `band_len`
 /// points (`na` source bands in `a`, `out.len() / band_len` output
-/// bands), each chain over `i` ascending from the value in `out`, a zero
+/// bands), each chain over `i` ascending from the value in `out` — or,
+/// when `acc` is false, from `+0.0`, without reading `out` — a zero
 /// `w(i, j)` skipping its step.
 pub(crate) fn rotate<R: Lane>(
     pool: &BufferPool<R>,
     a: &[R::Cx],
     band_len: usize,
     w: impl Fn(usize, usize) -> R::Cx,
+    acc: bool,
     out: &mut [R::Cx],
 ) {
     let (na, ncols) = (a.len() / band_len, out.len() / band_len);
-    if na == 0 || ncols == 0 {
+    if ncols == 0 {
+        return;
+    }
+    if na == 0 {
+        if !acc {
+            out.fill(R::cx(R::default(), R::default()));
+        }
         return;
     }
     let blocks = ncols.div_ceil(NR);
@@ -317,9 +325,11 @@ pub(crate) fn rotate<R: Lane>(
             for (b, (panel, mode)) in panels.enumerate() {
                 let (j0, width) = (b * NR, NR.min(ncols - b * NR));
                 let mut t = Tile { re: [[R::default(); NR]; MR], im: [[R::default(); NR]; MR] };
-                for c in 0..width {
-                    for r in 0..height {
-                        (t.re[r][c], t.im[r][c]) = R::parts(cols[j0 + c][t0 + r]);
+                if acc {
+                    for c in 0..width {
+                        for r in 0..height {
+                            (t.re[r][c], t.im[r][c]) = R::parts(cols[j0 + c][t0 + r]);
+                        }
                     }
                 }
                 t = advance(t, panel, Some(mode), |i| {

@@ -27,16 +27,14 @@ fn main() {
     let x = sawtooth_x(&sys.grid);
     let mut state = TdState::from_ground_state(&gs);
     {
-        let fft = &sys.fft;
         let ng = sys.grid.len();
-        let mut real = state.phi.to_real_all(fft);
+        let mut real = state.phi.to_real_all(&sys.grid);
         for band in real.chunks_mut(ng) {
             for (z, &xi) in band.iter_mut().zip(&x) {
                 *z *= Complex64::cis(kick * xi);
             }
         }
-        state.phi = pwdft_repro::pwdft::Wavefunction::from_real(&sys.grid, fft, real);
-        state.phi.mask(&sys.grid);
+        state.phi = pwdft_repro::pwdft::Wavefunction::from_real(&sys.grid, real);
         state.phi.orthonormalize_lowdin();
     }
 

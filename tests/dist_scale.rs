@@ -28,9 +28,9 @@ fn ring_overlap_fock_matches_serial_at_128_ranks() {
     let ng = sys.grid.len();
     let n_bands = 32;
     let phi = Wavefunction::random(&sys.grid, n_bands, 11);
-    let nat_r = phi.to_real_all(&sys.fft);
+    let nat_r = phi.to_real_all(&sys.grid);
     let psi = Wavefunction::random(&sys.grid, n_bands, 12);
-    let psi_r = psi.to_real_all(&sys.fft);
+    let psi_r = psi.to_real_all(&sys.grid);
     let occ: Vec<f64> = (0..n_bands).map(|i| 1.0 / (1.0 + 0.2 * i as f64)).collect();
     let fock = FockOperator::new(&sys.grid, 0.2);
     let serial = fock.apply_diag(&nat_r, &occ, &psi_r);

@@ -222,8 +222,8 @@ fn ring_exchange_reports_the_serial_screened_weight() {
     let (sys, st) = fixture();
     let fock_opts = FockOptions { occ_cutoff: 0.1, ..Default::default() };
     let e = eigh(&st.sigma);
-    let nat_r = st.phi.rotated(&e.vectors).to_real_all(&sys.fft);
-    let psi_r = st.phi.to_real_all(&sys.fft);
+    let nat_r = st.phi.rotated(&e.vectors).to_real_all(&sys.grid);
+    let psi_r = st.phi.to_real_all(&sys.grid);
     let ng = sys.grid.len();
     let fock = || FockOperator::with_options(&sys.grid, 0.2, default_backend().clone(), fock_opts);
     let (_, serial) = fock().apply_diag_stats(&nat_r, &e.values, &psi_r);

@@ -179,9 +179,9 @@ fn overlap_schedule_prediction_tracks_measured_ring_overlap_step() {
     let ng = sys.grid.len();
     let n_bands = 16;
     let phi = Wavefunction::random(&sys.grid, n_bands, 3);
-    let nat_r = phi.to_real_all(&sys.fft);
+    let nat_r = phi.to_real_all(&sys.grid);
     let psi = Wavefunction::random(&sys.grid, n_bands, 4);
-    let psi_r = psi.to_real_all(&sys.fft);
+    let psi_r = psi.to_real_all(&sys.grid);
     let occ = vec![1.0f64; n_bands];
     let solve_cost = 2e-5;
 

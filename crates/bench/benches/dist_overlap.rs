@@ -1,6 +1,7 @@
 //! Distributed-exchange overlap bench: the blocking ring (`Ring`) vs the
-//! ring-pipelined overlapped exchange (`RingOverlap`) at 4/8/16 simulated
-//! ranks on a Tofu-like network, with the pair Poisson solves charged to
+//! ring-pipelined overlapped exchange (`RingOverlap`), both on the
+//! distributed step's self-applied half ring, at 4/8/16 simulated ranks
+//! on a Tofu-like network, with the pair Poisson solves charged to
 //! the virtual clock at a roofline-derived per-solve cost. Reports the
 //! simulated exchange step time per strategy, the speedup, and the
 //! measured overlap efficiency (hidden / total wire time).
@@ -10,7 +11,7 @@
 //! exchange is less than 1.25× the blocking ring at 16 ranks).
 
 use mpisim::{Cluster, NetworkModel, Topology};
-use ptim::distributed::{dist_fock_apply, BandDistribution, ExchangePlan, ExchangeStrategy};
+use ptim::distributed::{dist_fock_apply_pure, BandDistribution, ExchangePlan, ExchangeStrategy};
 use pwdft::{Cell, DftSystem, FockOperator, Wavefunction};
 
 struct Row {
@@ -27,8 +28,6 @@ fn main() {
     let n_bands = 32;
     let phi = Wavefunction::random(&sys.grid, n_bands, 11);
     let nat_r = phi.to_real_all(&sys.grid);
-    let psi = Wavefunction::random(&sys.grid, n_bands, 12);
-    let psi_r = psi.to_real_all(&sys.grid);
     let occ: Vec<f64> = (0..n_bands).map(|i| 1.0 / (1.0 + 0.05 * i as f64)).collect();
 
     // Tofu-like link (ring exchanges are single-hop on the torus); the
@@ -51,10 +50,9 @@ fn main() {
             let dist = BandDistribution::new(n_bands, c.size());
             let my = dist.range(c.rank());
             let fock = FockOperator::new(&sys.grid, 0.106);
-            let nat_local = nat_r[my.start * ng..my.end * ng].to_vec();
-            let psi_local = psi_r[my.start * ng..my.end * ng].to_vec();
+            let nat_local = &nat_r[my.start * ng..my.end * ng];
             let plan = ExchangePlan { strategy, solve_cost_s: solve_cost };
-            let _ = dist_fock_apply(c, &fock, &dist, &nat_local, &occ, &psi_local, plan);
+            let _ = dist_fock_apply_pure(c, &fock, &dist, nat_local, &occ, plan);
             (c.now(), c.stats.overlap_efficiency())
         });
         let step = out.iter().map(|((t, _), _)| *t).fold(0.0f64, f64::max);

@@ -20,8 +20,8 @@
 //!   16 ranks, hiding ≥ 50% of the exchange wire time (these are
 //!   virtual-clock measurements, so the gate is deterministic).
 //! * `BENCH_dist_scale.json` — the two-level closed form must track the
-//!   real `dist_ptim_step` virtual-clock time within 25% at 128/256/512
-//!   ranks in both the strong (64 bands) and weak (ranks/8 bands)
+//!   real `dist_ptim_step` virtual-clock time within 25% at 16/32/64/128
+//!   ranks in both the strong (128 bands) and weak (one band per rank)
 //!   series. Rows whose `source` is `model` (from `--model-only` runs)
 //!   are rejected: the gate demands simulator-measured rows.
 //! * `BENCH_resilience.json` — checkpointing every 10 steps must cost
@@ -133,37 +133,16 @@ fn gates_for(basename: &str) -> Option<Vec<MetricGate>> {
                     max: Some(1.33),
                 }
             }
+            let (strong, weak) = ("\"series\": \"strong\"", "\"series\": \"weak\"");
             Some(vec![
-                dist_scale_gate(
-                    "strong-series step/model ratio at 128 ranks",
-                    "\"series\": \"strong\"",
-                    128.0,
-                ),
-                dist_scale_gate(
-                    "strong-series step/model ratio at 256 ranks",
-                    "\"series\": \"strong\"",
-                    256.0,
-                ),
-                dist_scale_gate(
-                    "strong-series step/model ratio at 512 ranks",
-                    "\"series\": \"strong\"",
-                    512.0,
-                ),
-                dist_scale_gate(
-                    "weak-series step/model ratio at 128 ranks",
-                    "\"series\": \"weak\"",
-                    128.0,
-                ),
-                dist_scale_gate(
-                    "weak-series step/model ratio at 256 ranks",
-                    "\"series\": \"weak\"",
-                    256.0,
-                ),
-                dist_scale_gate(
-                    "weak-series step/model ratio at 512 ranks",
-                    "\"series\": \"weak\"",
-                    512.0,
-                ),
+                dist_scale_gate("strong-series step/model ratio at 16 ranks", strong, 16.0),
+                dist_scale_gate("strong-series step/model ratio at 32 ranks", strong, 32.0),
+                dist_scale_gate("strong-series step/model ratio at 64 ranks", strong, 64.0),
+                dist_scale_gate("strong-series step/model ratio at 128 ranks", strong, 128.0),
+                dist_scale_gate("weak-series step/model ratio at 16 ranks", weak, 16.0),
+                dist_scale_gate("weak-series step/model ratio at 32 ranks", weak, 32.0),
+                dist_scale_gate("weak-series step/model ratio at 64 ranks", weak, 64.0),
+                dist_scale_gate("weak-series step/model ratio at 128 ranks", weak, 128.0),
             ])
         }
         "BENCH_resilience.json" => Some(vec![

@@ -2,10 +2,12 @@
 //! (a) 768-atom silicon on the ARM platform (15 → 480 nodes),
 //! (b) 1536-atom silicon on the GPU platform (12 → 192 nodes),
 //! (c) the *real* `dist_ptim_step` executed on the mpisim virtual clock
-//!     at 128/256/512 simulated ranks (RingOverlap exchange, SHM σ,
-//!     hierarchical collectives), next to the two-level closed-form
-//!     prediction. Section (c) writes the `strong` series of
-//!     `BENCH_dist_scale.json` (gated by `bin/compare.rs`).
+//!     with 128 bands on 16/32/64/128 simulated ranks — 8 down to 1 band
+//!     per rank, as the paper's largest ARM points hold one orbital per
+//!     rank (RingOverlap exchange, SHM σ, hierarchical collectives), next
+//!     to the two-level closed-form prediction and the 16→128 parallel
+//!     efficiency beside the paper's. Section (c) writes the `strong`
+//!     series of `BENCH_dist_scale.json` (gated by `bin/compare.rs`).
 //!
 //! The "ideal" column scales as `1/nodes` from the first point, matching
 //! the paper's ideal-scaling line. Pass `--model-only` to skip the
@@ -66,11 +68,11 @@ fn main() {
     );
     run(&Platform::gpu_a100(), 1536, &[12, 24, 48, 96, 192], 0.229, 3.67);
 
-    // (c) Paper-scale rank counts through the real distributed step.
-    let n_bands = 64;
+    // (c) The real distributed step down to one band per rank.
+    let n_bands = 128;
     let stats_path = "target/pwobs/fig10_rank_stats.jsonl";
     truncate_rank_stats(stats_path);
-    let points: Vec<_> = [128usize, 256, 512]
+    let points: Vec<_> = [16usize, 32, 64, 128]
         .iter()
         .map(|&p| {
             let (pt, reports) = dist_scale_point_stats(p, n_bands, model_only);
@@ -85,6 +87,7 @@ fn main() {
             vec![
                 pt.ranks.to_string(),
                 pt.n_bands.to_string(),
+                (pt.n_bands / pt.ranks).to_string(),
                 format!("{:.6}", pt.step_s),
                 format!("{:.6}", pt.model_s),
                 format!("{:.3}", pt.ratio()),
@@ -97,8 +100,17 @@ fn main() {
             "Fig. 10(c) — real dist_ptim_step on the virtual clock, {} bands (strong)",
             n_bands
         ),
-        &["ranks", "bands", "step (s)", "model (s)", "ratio", "source"],
+        &["ranks", "bands", "bands/rank", "step (s)", "model (s)", "ratio", "source"],
         &rows,
+    );
+    let (first, last) = (&points[0], points.last().unwrap());
+    let eff = first.step_s * first.ranks as f64 / (last.step_s * last.ranks as f64);
+    println!(
+        "{}→{} ranks: parallel efficiency {:.1}% (paper: 36.8% ARM 15→480 nodes, \
+         22.9% GPU 12→192 nodes)",
+        first.ranks,
+        last.ranks,
+        100.0 * eff
     );
     let path = write_dist_scale_json("strong", &points);
     println!("wrote strong series to {path}");

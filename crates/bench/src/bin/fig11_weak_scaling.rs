@@ -8,7 +8,7 @@
 //! 40 GB/GPU).
 //!
 //! The final section drives the *real* `dist_ptim_step` on the mpisim
-//! virtual clock with bands ∝ ranks (128/256/512 ranks at p/8 bands) and
+//! virtual clock with one band per rank (16/32/64/128 ranks) and
 //! merges the `weak` series into `BENCH_dist_scale.json` next to fig10's
 //! `strong` rows. Pass `--model-only` to emit closed-form rows instead
 //! (rejected by the CI gate; local iteration only).
@@ -89,14 +89,14 @@ fn main() {
         t3072 * 20.0 / 3600.0
     );
 
-    // Weak scaling through the real distributed step: bands ∝ ranks.
+    // Weak scaling through the real distributed step: one band per rank.
     let model_only = std::env::args().any(|a| a == "--model-only");
     let stats_path = "target/pwobs/fig11_rank_stats.jsonl";
     truncate_rank_stats(stats_path);
-    let points: Vec<_> = [128usize, 256, 512]
+    let points: Vec<_> = [16usize, 32, 64, 128]
         .iter()
         .map(|&p| {
-            let (pt, reports) = dist_scale_point_stats(p, p / 8, model_only);
+            let (pt, reports) = dist_scale_point_stats(p, p, model_only);
             write_rank_stats_jsonl(stats_path, &format!("weak_p{p}"), &reports)
                 .expect("rank stats jsonl");
             pt
@@ -116,7 +116,7 @@ fn main() {
         })
         .collect();
     print_table(
-        "Fig. 11(c) — real dist_ptim_step on the virtual clock, bands = ranks/8 (weak)",
+        "Fig. 11(c) — real dist_ptim_step on the virtual clock, bands = ranks (weak)",
         &["ranks", "bands", "step (s)", "model (s)", "ratio", "source"],
         &rows,
     );

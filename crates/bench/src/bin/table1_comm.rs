@@ -6,13 +6,14 @@
 //! 1. the calibrated model at paper scale, printed next to the paper's
 //!    measured values;
 //! 2. a *measured* cross-check at small scale: the same three exchange
-//!    strategies executed for real on the `mpisim` runtime (8 ranks,
-//!    scaled network), demonstrating the category shifts
-//!    (Bcast → Sendrecv → Wait) emerge from execution, not the model.
+//!    strategies executed for real on the `mpisim` runtime (the
+//!    distributed step's half-ring exchange, 8 ranks, scaled network),
+//!    demonstrating the category shifts (Bcast → Sendrecv → Wait) emerge
+//!    from execution, not the model.
 
 use mpisim::{Category, Cluster, NetworkModel, Topology};
 use perfmodel::{step_time, Platform, Variant, Workload};
-use ptim::distributed::{dist_fock_apply, BandDistribution, ExchangeStrategy};
+use ptim::distributed::{dist_fock_apply_pure, BandDistribution, ExchangeStrategy};
 use pwdft::{Cell, DftSystem, FockOperator, Wavefunction};
 use pwdft_bench::{fmt_s, print_table};
 use pwnum::cmat::CMat;
@@ -89,7 +90,6 @@ fn measured_cross_check() {
     let e = eigh(&sigma);
     let nat = phi.rotated(&e.vectors);
     let nat_r = nat.to_real_all(&sys.grid);
-    let phi_r = phi.to_real_all(&sys.grid);
     let ng = sys.grid.len();
 
     let net = NetworkModel {
@@ -106,16 +106,14 @@ fn measured_cross_check() {
         [ExchangeStrategy::Bcast, ExchangeStrategy::Ring, ExchangeStrategy::AsyncRing]
     {
         let nat_r = nat_r.clone();
-        let phi_r = phi_r.clone();
         let values = e.values.clone();
         let sys_ref = &sys;
         let out = Cluster::new(8, 4, net.clone()).run(move |c| {
             let dist = BandDistribution::new(n_bands, c.size());
             let my = dist.range(c.rank());
             let fock = FockOperator::new(&sys_ref.grid, 0.2);
-            let nat_local = nat_r[my.start * ng..my.end * ng].to_vec();
-            let psi_local = phi_r[my.start * ng..my.end * ng].to_vec();
-            let _ = dist_fock_apply(c, &fock, &dist, &nat_local, &values, &psi_local, strategy);
+            let nat_local = &nat_r[my.start * ng..my.end * ng];
+            let _ = dist_fock_apply_pure(c, &fock, &dist, nat_local, &values, strategy);
             (
                 c.stats.time(Category::Bcast),
                 c.stats.time(Category::Sendrecv),

@@ -77,7 +77,8 @@ pub fn precision_for_platform(platform: &Platform) -> PrecisionPolicy {
 }
 
 // ---------------------------------------------------------------------------
-// Paper-scale distributed runs (Fig. 10/11 at 128–512 simulated ranks).
+// Paper-shaped distributed runs (Fig. 10/11 at 16–128 simulated ranks,
+// at least one band on every rank).
 //
 // One canonical configuration shared by the fig10/fig11 binaries and the
 // root integration tests: the *real* `dist_ptim_step` (RingOverlap

@@ -200,31 +200,16 @@ pub fn hier_ring_time(pf: &Platform, p: usize, block_bytes: f64) -> f64 {
     (p - 1) as f64 * ring_edge_time(pf, p, block_bytes)
 }
 
-/// Node-contiguous overlapped ring: `p` compute phases of
-/// `compute_per_block`, each hiding the next block's transfer; only the
-/// excess of the mixed intra/inter edge cost over its covering phase
-/// stays visible (topology-aware refinement of [`ring_overlap_time`]).
-pub fn hier_ring_overlap_time(
-    pf: &Platform,
-    p: usize,
-    block_bytes: f64,
-    compute_per_block: f64,
-) -> f64 {
-    if p <= 1 {
-        return compute_per_block;
-    }
-    let edge = ring_edge_time(pf, p, block_bytes);
-    p as f64 * compute_per_block + (p - 1) as f64 * (edge - compute_per_block).max(0.0)
-}
-
-/// Node-contiguous *half* ring: the self-applied exchange, where each
-/// unordered pair of the `p` band blocks is met once. The owner's
-/// diagonal phase and `⌊p/2⌋` visiting-block phases share `compute`
-/// seconds of solves; each hop's block transfer hides behind its phase
-/// as in [`hier_ring_overlap_time`], and so does each partial image,
-/// which follows its block one hop behind. The last image returns to its
-/// owner, `⌊p/2⌋` ranks away, behind the second half of the owner's
-/// diagonal phase; only the excess stays visible.
+/// Node-contiguous overlapped *half* ring: the self-applied exchange,
+/// where each unordered pair of the `p` band blocks is met once. The
+/// owner's diagonal phase and `⌊p/2⌋` visiting-block phases share
+/// `compute` seconds of solves. Each hop's transfer of a `block_bytes`
+/// block is posted before its phase and hides behind it, at the mixed
+/// intra/inter-node edge cost of [`ring_edge_time`]; only the excess of
+/// the edge over the phase stays visible. Each partial image follows its
+/// block one hop behind, hidden the same way. The last image returns to
+/// its owner, `⌊p/2⌋` ranks away, behind the second half of the owner's
+/// diagonal phase; again only the excess stays visible.
 pub fn hier_half_ring_overlap_time(
     pf: &Platform,
     p: usize,
@@ -360,17 +345,20 @@ mod tests {
     }
 
     #[test]
-    fn hier_ring_overlap_hides_compute_covered_edges() {
+    fn hier_half_ring_overlap_hides_compute_covered_edges() {
         let pf = pf();
         let p = 64;
         let bytes = 1e6;
-        let edge = ring_edge_time(&pf, p, bytes);
-        // Compute-dominated: only the compute phases remain.
-        let t = hier_ring_overlap_time(&pf, p, bytes, 10.0 * edge);
-        assert!((t - p as f64 * 10.0 * edge).abs() < 1e-9);
-        // Communication-dominated: degenerates to the blocking ring.
-        let t = hier_ring_overlap_time(&pf, p, bytes, 0.0);
-        assert!((t - hier_ring_time(&pf, p, bytes)).abs() < 1e-12);
+        let (edge, hops) = (ring_edge_time(&pf, p, bytes), (p / 2) as f64);
+        // Compute-dominated (ten edges per phase): only the compute
+        // remains; the image return hides behind half a phase.
+        let compute = 10.0 * edge * (hops + 1.0);
+        let t = hier_half_ring_overlap_time(&pf, p, bytes, compute);
+        assert!((t - compute).abs() < 1e-12 * compute, "{t} vs {compute}");
+        // Communication-dominated: ⌊p/2⌋ blocking edges and the return.
+        let t = hier_half_ring_overlap_time(&pf, p, bytes, 0.0);
+        let blocking = hops * edge + image_return_time(&pf, p, bytes);
+        assert!((t - blocking).abs() < 1e-12, "{t} vs {blocking}");
     }
 
     #[test]

@@ -25,11 +25,13 @@
 //! * [`ExchangeStrategy::RingOverlap`] — the ring-pipelined overlapped
 //!   exchange: the `AsyncRing` schedule, bit for bit.
 //!
-//! Every strategy runs the same block kernels — the target-major apply
-//! of [`dist_fock_apply`], or the pair-symmetric half ring of
-//! [`dist_fock_apply_pure`] that the step's H apply runs on its own
-//! natural orbitals when every rank holds a band (precision policy
-//! honored either way) — so all
+//! Every rank holds at least one band ([`BandDistribution::new`] panics
+//! otherwise), as on the paper's platforms, where Fig. 10's largest
+//! points give each rank 1 (ARM) or 5 (GPU) orbitals. So there is one
+//! distributed exchange, [`dist_fock_apply_pure`]: the operator applied
+//! to this rank's own natural orbitals on the pair-symmetric half ring,
+//! which the step's H apply rotates back to the block's gauge. Every
+//! strategy runs the same block kernels (precision policy honored), so all
 //! produce the same physics (unit-tested against the serial code) and
 //! differ only in which timing category the virtual clock charges —
 //! exactly Table I.
@@ -40,7 +42,7 @@
 //! footprint to `1/ranks-per-node`.
 
 use crate::engine::{EvalPoint, HybridParams, TdEngine};
-use crate::grid2d::{circulate, half_ring_fock_apply, ring_fock_apply, Transport};
+use crate::grid2d::{circulate, half_ring_fock_apply, Transport};
 use crate::laser::LaserPulse;
 use crate::propagate::StepStats;
 use crate::ptim::PtimConfig;
@@ -102,7 +104,7 @@ impl From<ExchangeStrategy> for ExchangePlan {
     }
 }
 
-/// Contiguous band distribution over ranks.
+/// Contiguous band distribution over ranks, at least one band on each.
 #[derive(Clone, Debug)]
 pub struct BandDistribution {
     /// Total bands N.
@@ -112,9 +114,14 @@ pub struct BandDistribution {
 }
 
 impl BandDistribution {
-    /// Creates the distribution.
+    /// Creates the distribution. Panics unless `0 < n_ranks ≤ n_bands`:
+    /// the distributed exchange has no schedule for a rank without bands.
     pub fn new(n_bands: usize, n_ranks: usize) -> Self {
         assert!(n_ranks > 0);
+        assert!(
+            n_bands >= n_ranks,
+            "{n_bands} bands on {n_ranks} ranks: every rank must hold at least one band"
+        );
         BandDistribution { n_bands, n_ranks }
     }
 
@@ -293,12 +300,9 @@ fn rotate_bands(
         // Accumulate this block's bands into every local target at once:
         // one blocked accumulate with the `src_range × my` block of Q
         // (per target, sources still add in ascending band order).
-        if !src_range.is_empty() && n_out > 0 {
-            let q_blk = CMat::from_fn(src_range.len(), n_out, |i, j| {
-                q[(src_range.start + i, my.start + j)]
-            });
-            default_backend().rotate_acc(Complex64::ONE, block, &q_blk, len, &mut out);
-        }
+        let q_blk =
+            CMat::from_fn(src_range.len(), n_out, |i, j| q[(src_range.start + i, my.start + j)]);
+        default_backend().rotate_acc(Complex64::ONE, block, &q_blk, len, &mut out);
     });
     out
 }
@@ -321,44 +325,10 @@ pub fn dist_density(
     }
 }
 
-/// Distributed Fock exchange `VxΨ` on the local target bands, circulating
-/// the (natural-orbital) source bands with the chosen strategy. Returns
-/// the result in real space and this rank's [`FockApplyStats`], summed
-/// over the blocks it processed: summed over ranks, the solve, screening
-/// and skipped-weight counts are the serial apply's.
-///
-/// Every strategy runs the same block kernel on each arriving source
-/// block: one batched target-major apply of `fock` against the local
-/// targets (`n²` solves summed over ranks), so occupation screening and
-/// the operator's precision policy ([`FockOptions`](pwdft::FockOptions))
-/// hold on every strategy. The targets are another block than the
-/// sources even when the slices alias; the operator applied to its own
-/// sources is [`dist_fock_apply_pure`].
-///
-/// `plan` is the strategy plus the modeled per-solve compute cost (a
-/// bare [`ExchangeStrategy`] still works and charges nothing); with a
-/// nonzero cost the virtual clock advances by each block's solves before
-/// the next transfer completes, which is what lets the nonblocking
-/// strategies hide wire time. The charge is the same on every strategy,
-/// so simulated strategy comparisons stay apples-to-apples.
-pub fn dist_fock_apply(
-    comm: &mut Comm,
-    fock: &FockOperator,
-    dist: &BandDistribution,
-    nat_r_local: &[Complex64],
-    occ: &[f64],
-    psi_r_local: &[Complex64],
-    plan: impl Into<ExchangePlan>,
-) -> (Vec<Complex64>, FockApplyStats) {
-    let plan: ExchangePlan = plan.into();
-    let (transport, cost) = (plan.strategy.transport(), plan.solve_cost_s);
-    ring_fock_apply(comm, fock, dist, nat_r_local, occ, psi_r_local, transport, cost)
-}
-
 /// The distributed [`FockOperator::apply_pure`]: `VxΦ̃` of this rank's
 /// own natural orbitals `nat_r_local` (real space, band-major; `occ` the
 /// global occupations), with this rank's [`FockApplyStats`] — what
-/// [`dist_ptim_step`]'s H apply runs when every rank holds a band.
+/// [`dist_ptim_step`]'s H apply runs.
 ///
 /// The targets are the sources, so the apply runs on the half ring: each
 /// source block travels `⌈(p−1)/2⌉` hops instead of `p − 1`, and each
@@ -367,8 +337,14 @@ pub fn dist_fock_apply(
 /// block, which goes back to its owner. Summed over ranks the solves,
 /// screened pairs and screened weight are the serial `apply_pure`'s
 /// `n(n+1)/2` (the weight to rounding); the three ring strategies return
-/// the same bits, `Bcast` the same values to rounding. `plan` as in
-/// [`dist_fock_apply`].
+/// the same bits, `Bcast` the same values to rounding.
+///
+/// `plan` is the strategy plus the modeled per-solve compute cost (a
+/// bare [`ExchangeStrategy`] still works and charges nothing); with a
+/// nonzero cost the virtual clock advances by each block's solves before
+/// the next transfer completes, which is what lets the nonblocking
+/// strategies hide wire time. The charge is the same on every strategy,
+/// so simulated strategy comparisons stay apples-to-apples.
 pub fn dist_fock_apply_pure(
     comm: &mut Comm,
     fock: &FockOperator,
@@ -408,19 +384,6 @@ fn natural_inverse(comm: &mut Comm, dist: &BandDistribution, q: &CMat) -> CMat {
     solve_hpd(&q_hat_h.matmul(&q_hat), &q_hat_h).unwrap_or_else(|_| q.herm())
 }
 
-/// Whether the step's H apply runs self-applied on the half ring
-/// ([`dist_fock_apply_pure`]) or target-major on the full ring
-/// ([`dist_fock_apply`]): the half ring when every rank holds a band.
-/// With band-less ranks the far half of the half ring carries few bands,
-/// so the busiest rank's solves shrink little (not at all from `p = 2n`),
-/// while the image return, the `Q̂` gather and the rotation back still
-/// cost every hop's latency: on the simulated Fugaku net the half ring
-/// wins at every measured `p ≤ 1.5n` and loses at every measured
-/// `p ≥ 1.9n` (DESIGN.md §9).
-fn self_applied(dist: &BandDistribution) -> bool {
-    dist.n_bands >= dist.n_ranks
-}
-
 /// Anderson history depth of the distributed step's mixer.
 const ANDERSON_DEPTH: usize = 10;
 /// Anderson damping of the distributed step's mixer.
@@ -447,41 +410,27 @@ impl BandSpace for Banded<'_, '_> {
         eng.point(NaturalOrbitals { phi: nat, occ: e.values, q: e.vectors }, rho, t)
     }
 
-    fn exchange(
-        &mut self,
-        eng: &TdEngine,
-        mut ev: EvalPoint,
-        phi: &Wavefunction,
-    ) -> (Wavefunction, FockApplyStats) {
-        let (sys, be, cfg) = (eng.sys, &*eng.backend, self.cfg);
-        let (vx_r, stats) = if self_applied(self.dist) {
-            // The images of this rank's own natural orbitals on the half
-            // ring (which takes the real-space orbitals over as its
-            // buffer), rotated back to the block's gauge around the ring:
-            // VxΦ = (VxΦ̃)Q̂⁻¹, Q̂⁻¹ = Qᴴ wherever σ is one matrix.
-            let nat_r = std::mem::take(&mut ev.nat_r);
-            let (vx_nat, stats) = half_ring_fock_apply(
-                self.comm,
-                &self.fock,
-                self.dist,
-                nat_r,
-                &ev.nat.occ,
-                cfg.strategy.transport(),
-                cfg.solve_cost_s,
-            );
-            let back = natural_inverse(self.comm, self.dist, &ev.nat.q);
-            drop(ev);
-            (rotate_bands(self.comm, self.dist, &vx_nat, sys.grid.len(), &back), stats)
-        } else {
-            // The local targets against the circulating natural orbitals.
-            let psi_r = phi.to_real_all_with(be, &sys.grid);
-            let plan = ExchangePlan { strategy: cfg.strategy, solve_cost_s: cfg.solve_cost_s };
-            let out =
-                dist_fock_apply(self.comm, &self.fock, self.dist, &ev.nat_r, &ev.nat.occ, &psi_r, plan);
-            drop((ev, psi_r));
-            out
-        };
-        (Wavefunction::from_real_with(be, &sys.grid, vx_r), stats)
+    fn exchange(&mut self, eng: &TdEngine, mut ev: EvalPoint) -> (Wavefunction, FockApplyStats) {
+        // The images of this rank's own natural orbitals on the half ring
+        // (which takes the real-space orbitals over as its buffer),
+        // rotated back to the block's gauge around the ring:
+        // VxΦ = (VxΦ̃)Q̂⁻¹, Q̂⁻¹ = Qᴴ wherever σ is one matrix.
+        let (sys, cfg) = (eng.sys, self.cfg);
+        let nat_r = std::mem::take(&mut ev.nat_r);
+        let (vx_nat, stats) = half_ring_fock_apply(
+            self.comm,
+            &self.fock,
+            self.dist,
+            nat_r,
+            &ev.nat.occ,
+            cfg.strategy.transport(),
+            cfg.solve_cost_s,
+        );
+        let back = natural_inverse(self.comm, self.dist, &ev.nat.q);
+        drop(ev);
+        let vx_r = rotate_bands(self.comm, self.dist, &vx_nat, sys.grid.len(), &back);
+        drop(vx_nat);
+        (Wavefunction::from_real_with(&*eng.backend, &sys.grid, vx_r), stats)
     }
 
     fn overlap(&mut self, a: &Wavefunction, b: &Wavefunction) -> CMat {
@@ -643,14 +592,15 @@ mod tests {
 
     #[test]
     fn all_strategies_match_serial_fock() {
+        // One band per rank, as at the paper's largest ARM points: the
+        // half ring's images are the serial target-major apply of the
+        // natural orbitals to themselves, on every strategy.
         let (sys, st) = fixture();
-        // Serial reference (diagonalized).
         let e = eigh(&st.sigma);
         let nat = st.phi.rotated(&e.vectors);
         let fock = FockOperator::new(&sys.grid, 0.2);
         let nat_r = nat.to_real_all(&sys.grid);
-        let phi_r = st.phi.to_real_all(&sys.grid);
-        let serial = fock.apply_diag(&nat_r, &e.values, &phi_r);
+        let serial = fock.apply_diag(&nat_r, &e.values, &nat_r);
         let ng = sys.grid.len();
 
         for strategy in [
@@ -659,21 +609,13 @@ mod tests {
             ExchangeStrategy::AsyncRing,
             ExchangeStrategy::RingOverlap,
         ] {
-            let out = Cluster::ideal(2).run(|c| {
+            let out = Cluster::ideal(4).run(|c| {
                 let dist = BandDistribution::new(4, c.size());
                 let my = dist.range(c.rank());
                 let fock = FockOperator::new(&sys.grid, 0.2);
-                let nat_local_r = nat_r[my.start * ng..my.end * ng].to_vec();
-                let psi_local_r = phi_r[my.start * ng..my.end * ng].to_vec();
-                let (vx, _) = dist_fock_apply(
-                    c,
-                    &fock,
-                    &dist,
-                    &nat_local_r,
-                    &e.values,
-                    &psi_local_r,
-                    strategy,
-                );
+                let nat_local_r = &nat_r[my.start * ng..my.end * ng];
+                let (vx, _) =
+                    dist_fock_apply_pure(c, &fock, &dist, nat_local_r, &e.values, strategy);
                 // Compare against the serial slice.
                 let want = &serial[my.start * ng..my.end * ng];
                 pwnum::cvec::max_abs_diff(&vx, want)
@@ -777,38 +719,64 @@ mod tests {
         // Each rank mixes its own σ copy, so mid-step the copies differ and
         // so do the eigenvector columns each rank rotates its block by
         // (together Q̂). With σ_r = V_r σ V_rᴴ on rank r (one spectrum,
-        // rotations 1e-6·r apart) the half-ring exchange must still be VxΦ:
-        // the target-major apply of the same natural orbitals to Φ itself.
-        // Rotating back by Q̂⁻¹ gets there; any one rank's Qᴴ is ≈ 1e-6 off.
+        // rotations 1e-6·r apart) the half-ring exchange must still be VxΦ
+        // for the operator the circulated orbitals Φ̃ = ΦQ̂ build: the
+        // serial images of Φ at σ̂ = Q̂ΛQ̂ᴴ, whose density matrix ΦσΦᴴ
+        // is Φ̃ΛΦ̃ᴴ. Rotating back by Q̂⁻¹ gets there; any one rank's Qᴴ is
+        // ≈ 1e-6 off.
         let (sys, st) = fixture();
         let hyb = HybridParams { alpha: 0.25, omega: 0.2, ..Default::default() };
         let k = eigh(&CMat::from_fn(4, 4, |i, j| c64((i + j) as f64, i as f64 - j as f64)));
-        let out = Cluster::ideal(3).run(|c| {
-            let eps = 1e-6 * c.rank() as f64;
+        let sigma_of = |rank: usize| {
+            let eps = 1e-6 * rank as f64;
             let phase: Vec<Complex64> = k.values.iter().map(|l| c64((eps * l).cos(), (eps * l).sin())).collect();
             let v = CMat::from_fn(4, 4, |i, j| {
                 (0..4).fold(Complex64::ZERO, |acc, m| acc + k.vectors[(i, m)] * phase[m] * k.vectors[(j, m)].conj())
             });
-            let sigma = v.matmul(&st.sigma).matmul(&v.herm());
-            let dist = BandDistribution::new(4, c.size());
-            assert!(self_applied(&dist));
+            v.matmul(&st.sigma).matmul(&v.herm())
+        };
+        let p = 3;
+        let dist = BandDistribution::new(4, p);
+        let eigs: Vec<_> = (0..p).map(|r| eigh(&sigma_of(r))).collect();
+        // Column j of Q̂ is an eigenvector of its owner's σ copy.
+        let owner = |j: usize| (0..p).find(|&r| dist.range(r).contains(&j)).unwrap();
+        let q_hat = CMat::from_fn(4, 4, |i, j| eigs[owner(j)].vectors[(i, j)]);
+        let lambda = CMat::from_real_diag(&eigs[0].values);
+        let sigma_hat = q_hat.matmul(&lambda).matmul(&q_hat.herm());
+        let serial = TdEngine::new(&sys, LaserPulse::off(), hyb);
+        let (want, _) = serial.exchange_images(&st.phi, &sigma_hat);
+        let scale = want.data.iter().map(|z| z.abs()).fold(0.0, f64::max);
+        let ng = want.ng;
+        let out = Cluster::ideal(p).run(|c| {
             let phi = scatter_state(c, &st, &dist).phi_local;
             let eng = TdEngine::new(&sys, LaserPulse::off(), hyb);
             let cfg = DistConfig { strategy: ExchangeStrategy::RingOverlap, hybrid: hyb, ..Default::default() };
             let fock = eng.fock_operator();
             let mut space = Banded { comm: c, dist: &dist, grid: &sys.grid, cfg: &cfg, fock };
-            let ev = space.evaluate(&eng, &phi, &sigma, 0.0);
-            let psi_r = phi.to_real_all(&sys.grid);
-            let (want_r, _) =
-                dist_fock_apply(space.comm, &space.fock, &dist, &ev.nat_r, &ev.nat.occ, &psi_r, cfg.strategy);
-            let (got, _) = space.exchange(&eng, ev, &phi);
-            let want = Wavefunction::from_real(&sys.grid, want_r);
-            let scale = want.data.iter().map(|z| z.abs()).fold(0.0, f64::max);
-            pwnum::cvec::max_abs_diff(&got.data, &want.data) / scale
+            let ev = space.evaluate(&eng, &phi, &sigma_of(space.comm.rank()), 0.0);
+            let (got, _) = space.exchange(&eng, ev);
+            let my = dist.range(space.comm.rank());
+            pwnum::cvec::max_abs_diff(&got.data, &want.data[my.start * ng..my.end * ng]) / scale
         });
         for (rank, (rel, _)) in out.iter().enumerate() {
             assert!(*rel < 1e-10, "rank {rank}: VxΦ off by {rel:e}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "6 bands on 8 ranks")]
+    fn dist_ptim_step_needs_a_band_on_every_rank() {
+        let sys = DftSystem::with_dims(Cell::silicon_supercell(1, 1, 1), 2.0, [6, 6, 6]);
+        let mut phi = Wavefunction::random(&sys.grid, 6, 77);
+        phi.orthonormalize_lowdin();
+        let sigma = CMat::from_real_diag(&[1.0, 0.9, 0.7, 0.5, 0.2, 0.1]);
+        let st = TdState { phi, sigma, time: 0.0 };
+        Cluster::ideal(8).run(|c| {
+            let dist = BandDistribution::new(6, c.size());
+            let local = scatter_state(c, &st, &dist);
+            let cfg = DistConfig::default();
+            dist_ptim_step(c, &sys, &LaserPulse::off(), &cfg, &dist, &local, 0.2, 4, 1e-9)
+        });
     }
 
     #[test]
@@ -868,29 +836,21 @@ mod tests {
         let e = eigh(&st.sigma);
         let nat = st.phi.rotated(&e.vectors);
         let nat_r = nat.to_real_all(&sys.grid);
-        let phi_r = st.phi.to_real_all(&sys.grid);
         let ng = sys.grid.len();
 
         // A block's one solve (2 µs) covers part of its ≈ 5.5 µs transfer,
-        // so the nonblocking strategies both hide and wait; the same holds
-        // for the operator on its own sources (`pure`), on the half ring.
-        let run = |strategy: ExchangeStrategy, pure: bool| {
+        // so the nonblocking strategies both hide and wait.
+        let run = |strategy: ExchangeStrategy| {
             let nat_r = nat_r.clone();
-            let phi_r = phi_r.clone();
             let e_values = e.values.clone();
             let sys_ref = &sys;
             let out = Cluster::new(4, 1, net.clone()).run(move |c| {
                 let dist = BandDistribution::new(4, c.size());
                 let my = dist.range(c.rank());
                 let fock = FockOperator::new(&sys_ref.grid, 0.2);
-                let nat_local = nat_r[my.start * ng..my.end * ng].to_vec();
-                let psi_local = phi_r[my.start * ng..my.end * ng].to_vec();
+                let nat_local = &nat_r[my.start * ng..my.end * ng];
                 let plan = ExchangePlan { strategy, solve_cost_s: 2e-6 };
-                let _ = if pure {
-                    dist_fock_apply_pure(c, &fock, &dist, &nat_local, &e_values, plan)
-                } else {
-                    dist_fock_apply(c, &fock, &dist, &nat_local, &e_values, &psi_local, plan)
-                };
+                let _ = dist_fock_apply_pure(c, &fock, &dist, nat_local, &e_values, plan);
                 let (s, wait) = (&c.stats, c.stats.time(Category::Wait));
                 let categories = (s.time(Category::Bcast), s.time(Category::Sendrecv), wait);
                 (categories, [c.now(), wait, s.overlap_hidden_s, s.overlap_total_s])
@@ -898,23 +858,21 @@ mod tests {
             out.into_iter().map(|(t, _)| t).collect::<Vec<_>>()
         };
 
-        for pure in [false, true] {
-            let bcast = run(ExchangeStrategy::Bcast, pure);
-            assert!(bcast.iter().any(|((b, s, w), _)| *b > 0.0 && *s == 0.0 && *w == 0.0));
-            let ring = run(ExchangeStrategy::Ring, pure);
-            assert!(ring.iter().all(|((b, s, _), _)| *b == 0.0 && *s > 0.0));
-            let async_ring = run(ExchangeStrategy::AsyncRing, pure);
-            assert!(async_ring.iter().all(|((b, s, w), _)| *b == 0.0 && *s == 0.0 && *w > 0.0));
-            assert!(async_ring.iter().all(|(_, [.., hidden, _])| *hidden > 0.0));
-            // On the flat ring RingOverlap is AsyncRing's schedule: the
-            // same categories and, per rank, the same clock, Wait and
-            // overlap split to the bit.
-            let ring_overlap = run(ExchangeStrategy::RingOverlap, pure);
-            for (rank, (a, o)) in async_ring.iter().zip(&ring_overlap).enumerate() {
-                assert_eq!(o.0, a.0, "pure {pure} rank {rank}: timing categories");
-                let bits = |t: [f64; 4]| t.map(f64::to_bits);
-                assert_eq!(bits(o.1), bits(a.1), "pure {pure} rank {rank}: {:?}", o.1);
-            }
+        let bcast = run(ExchangeStrategy::Bcast);
+        assert!(bcast.iter().any(|((b, s, w), _)| *b > 0.0 && *s == 0.0 && *w == 0.0));
+        let ring = run(ExchangeStrategy::Ring);
+        assert!(ring.iter().all(|((b, s, _), _)| *b == 0.0 && *s > 0.0));
+        let async_ring = run(ExchangeStrategy::AsyncRing);
+        assert!(async_ring.iter().all(|((b, s, w), _)| *b == 0.0 && *s == 0.0 && *w > 0.0));
+        assert!(async_ring.iter().all(|(_, [.., hidden, _])| *hidden > 0.0));
+        // On the flat ring RingOverlap is AsyncRing's schedule: the same
+        // categories and, per rank, the same clock, Wait and overlap split
+        // to the bit.
+        let ring_overlap = run(ExchangeStrategy::RingOverlap);
+        for (rank, (a, o)) in async_ring.iter().zip(&ring_overlap).enumerate() {
+            assert_eq!(o.0, a.0, "rank {rank}: timing categories");
+            let bits = |t: [f64; 4]| t.map(f64::to_bits);
+            assert_eq!(bits(o.1), bits(a.1), "rank {rank}: {:?}", o.1);
         }
     }
 

@@ -19,16 +19,15 @@
 //! [`ExchangeStrategy`](crate::distributed::ExchangeStrategy) run on it;
 //! `AsyncRing` and `RingOverlap` are the same schedule.
 //!
-//! **Two exchanges on it.** Applied to a distinct target block, every
-//! source block runs one batched target-major apply of [`FockOperator`]
-//! against the local targets (`n²` solves summed over ranks). Applied to
-//! its own sources — the distributed step's H apply when every rank
-//! holds a band — the exchange runs on the half ring (`half_ring`):
-//! each unordered pair of blocks is met
-//! once, ⌈(p−1)/2⌉ hops from one of its owners, and every pair of bands
-//! is solved once by [`FockOperator::apply_pairs_stats`] and scattered
-//! into both owners' images (`n(n+1)/2` solves). Occupation screening
-//! and the [`pwnum::precision::PrecisionPolicy`] apply unchanged on both.
+//! **One exchange on it.** The distributed exchange applies the Fock
+//! operator to its own sources — the distributed step's H apply on its
+//! natural orbitals, with at least one band on every rank — on the half
+//! ring (`half_ring`): each unordered pair of blocks is met once,
+//! ⌈(p−1)/2⌉ hops from one of its owners, and every pair of bands is
+//! solved once by [`FockOperator::apply_pairs_stats`] and scattered into
+//! both owners' images (`n(n+1)/2` solves summed over ranks). Occupation
+//! screening and the [`pwnum::precision::PrecisionPolicy`] apply
+//! unchanged.
 
 use crate::distributed::BandDistribution;
 use mpisim::{Comm, Tag};
@@ -257,44 +256,6 @@ fn charge(comm: &mut Comm, solve_cost_s: f64, st: &FockApplyStats) {
     }
 }
 
-/// The distributed Fock exchange `VxΨ` of distinct local targets on the
-/// band-block ring, with its [`FockApplyStats`] summed over the blocks
-/// this rank processed.
-///
-/// `nat_local` holds this rank's natural orbitals in real space
-/// (band-major), `occ` the *global* occupations, and `psi_local` the
-/// targets in the same layout. Every arriving source block runs the
-/// target-major apply against the local targets: `n_src × n_tgt` solves
-/// summed over ranks. `solve_cost_s` is the modeled compute seconds
-/// charged to the virtual clock per pair solve.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ring_fock_apply(
-    comm: &mut Comm,
-    fock: &FockOperator,
-    bands: &BandDistribution,
-    nat_local: &[Complex64],
-    occ: &[f64],
-    psi_local: &[Complex64],
-    transport: Transport,
-    solve_cost_s: f64,
-) -> (Vec<Complex64>, FockApplyStats) {
-    let _s = pwobs::span("xch.ring");
-    assert_eq!(bands.n_ranks, comm.size(), "band distribution must span the communicator");
-    let mut out = vec![Complex64::ZERO; psi_local.len()];
-    let mut stats = FockApplyStats::default();
-    let hops = comm.size() - 1;
-    let local = Arc::from(nat_local);
-    circulate(comm, local, transport, EXCHANGE_TAG, hops, |comm, src, block| {
-        let (vx, st) = fock.apply_diag_stats(block, &occ[bands.range(src)], psi_local);
-        for (o, v) in out.iter_mut().zip(&vx) {
-            *o += *v;
-        }
-        stats += st;
-        charge(comm, solve_cost_s, &st);
-    });
-    (out, stats)
-}
-
 /// The self-applied distributed Fock exchange `VxΦ̃` of this rank's own
 /// natural orbitals `nat_local` on the [`half_ring`], with this rank's
 /// [`FockApplyStats`]: the own block's Hermitian `i ≤ j` pairs (half
@@ -303,9 +264,13 @@ pub(crate) fn ring_fock_apply(
 /// rank's images and the visiting block's partial image, and last the
 /// returned partial images of this rank's block — the serial
 /// `apply_pure`'s `n(n+1)/2` solves summed over ranks, every pair through
-/// [`FockOperator::apply_pairs_stats`]. Arguments as [`ring_fock_apply`];
-/// `nat_local` becomes the own part of the `[own | visiting]` buffer, so
-/// the rank holds its block once.
+/// [`FockOperator::apply_pairs_stats`].
+///
+/// `nat_local` holds this rank's natural orbitals in real space
+/// (band-major) and becomes the own part of the `[own | visiting]`
+/// buffer, so the rank holds its block once; `occ` holds the *global*
+/// occupations. `solve_cost_s` is the modeled compute seconds charged to
+/// the virtual clock per pair solve.
 pub(crate) fn half_ring_fock_apply(
     comm: &mut Comm,
     fock: &FockOperator,

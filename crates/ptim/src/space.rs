@@ -27,15 +27,10 @@ pub(crate) trait BandSpace {
     /// Natural orbitals, density and potentials at `(Φ, σ, t)` — split
     /// from the H apply so a converged iteration never pays for one.
     fn evaluate(&mut self, eng: &TdEngine, phi: &Wavefunction, sigma: &CMat, t: f64) -> EvalPoint;
-    /// The exchange images `W = VxΦ` of the block `phi`
-    /// that `ev` was evaluated at, with the apply's statistics — the
-    /// exchange term of [`apply_h`].
-    fn exchange(
-        &mut self,
-        eng: &TdEngine,
-        ev: EvalPoint,
-        phi: &Wavefunction,
-    ) -> (Wavefunction, FockApplyStats);
+    /// The exchange images `W = VxΦ` of the block Φ that `ev` was
+    /// evaluated at, from its natural orbitals alone, with the apply's
+    /// statistics — the exchange term of [`apply_h`].
+    fn exchange(&mut self, eng: &TdEngine, ev: EvalPoint) -> (Wavefunction, FockApplyStats);
     /// `AᴴB` over every band of the space.
     fn overlap(&mut self, a: &Wavefunction, b: &Wavefunction) -> CMat;
     /// `ΦQ`.
@@ -52,14 +47,9 @@ impl BandSpace for Serial<'_> {
         eng.eval(phi, sigma, t)
     }
 
-    fn exchange(
-        &mut self,
-        eng: &TdEngine,
-        ev: EvalPoint,
-        _phi: &Wavefunction,
-    ) -> (Wavefunction, FockApplyStats) {
-        // `phi` is the block `ev` was evaluated at, so Φ = Φ̃Qᴴ and
-        // VxΦ = (VxΦ̃)Qᴴ: the images of its own natural orbitals.
+    fn exchange(&mut self, eng: &TdEngine, ev: EvalPoint) -> (Wavefunction, FockApplyStats) {
+        // Φ = Φ̃Qᴴ, so VxΦ = (VxΦ̃)Qᴴ: the images of its own natural
+        // orbitals.
         let (w, _, stats) = eng.images(&ev.nat, &ev.nat_r);
         (w, stats)
     }
@@ -101,7 +91,7 @@ pub(crate) fn apply_h<S: BandSpace>(
     if alpha == 0.0 {
         return hphi;
     }
-    let (w, fstats) = space.exchange(eng, ev, phi);
+    let (w, fstats) = space.exchange(eng, ev);
     stats.fock_applies += 1;
     stats.fock_skipped_weight += fstats.skipped_weight;
     for (h, x) in hphi.data.iter_mut().zip(&w.data) {

@@ -1,15 +1,13 @@
 //! Correctness and overlap acceptance for the ring-pipelined overlapped
-//! exchange: `RingOverlap` must match the serial Fock operator to
-//! ≤ 1e-10 on both backends, under the fp32 precision policy (as must
-//! every other strategy) and at non-power-of-two rank counts — with its
-//! solve counts pinned, and on the self-applied half ring the serial
-//! pair-symmetric apply's statistics — and hide ≥ 50% of the exchange
+//! exchange on the self-applied half ring: `RingOverlap` must match the
+//! serial Fock operator to ≤ 1e-10 on both backends, under the fp32
+//! precision policy (as must every other strategy) and at
+//! non-power-of-two rank counts — with the serial pair-symmetric apply's
+//! solve counts and statistics — and hide ≥ 50% of the exchange
 //! communication at 16 simulated ranks.
 
 use mpisim::{Cluster, NetworkModel, Topology};
-use ptim::distributed::{
-    dist_fock_apply, dist_fock_apply_pure, BandDistribution, ExchangePlan, ExchangeStrategy,
-};
+use ptim::distributed::{dist_fock_apply_pure, BandDistribution, ExchangePlan, ExchangeStrategy};
 use pwdft::fock::FockOptions;
 use pwdft::{Cell, DftSystem, FockApplyStats, FockOperator, Wavefunction};
 use pwnum::backend::{BackendHandle, Blocked, Reference};
@@ -25,7 +23,6 @@ const N_BANDS: usize = 6;
 struct Fixture {
     sys: DftSystem,
     nat_r: Vec<pwnum::complex::Complex64>,
-    psi_r: Vec<pwnum::complex::Complex64>,
     occ: Vec<f64>,
 }
 
@@ -38,10 +35,8 @@ fn fixture() -> Fixture {
     sigma[(1, 0)] = c64(0.05, -0.02);
     let e = eigh(&sigma);
     let nat = phi.rotated(&e.vectors);
-    let psi = Wavefunction::random(&sys.grid, N_BANDS, 31);
     Fixture {
         nat_r: nat.to_real_all(&sys.grid),
-        psi_r: psi.to_real_all(&sys.grid),
         occ: e.values.clone(),
         sys,
     }
@@ -53,28 +48,22 @@ fn backends() -> [BackendHandle; 2] {
 
 #[test]
 fn ring_overlap_matches_serial_asymmetric_on_both_backends() {
+    // The half ring computes the operator of the serial asymmetric
+    // (target-major) apply of the natural orbitals to themselves.
     let f = fixture();
     let ng = f.sys.grid.len();
     for be in backends() {
         let fock = FockOperator::with_backend(&f.sys.grid, 0.2, be.clone());
-        let serial = fock.apply_diag(&f.nat_r, &f.occ, &f.psi_r);
+        let serial = fock.apply_diag(&f.nat_r, &f.occ, &f.nat_r);
         // p = 3 is the non-power-of-two count; p = 2 and 4 for coverage.
         for p in [2usize, 3, 4] {
             let out = Cluster::ideal(p).run(|c| {
                 let dist = BandDistribution::new(N_BANDS, c.size());
                 let my = dist.range(c.rank());
                 let fock = FockOperator::with_backend(&f.sys.grid, 0.2, be.clone());
-                let nat_local = f.nat_r[my.start * ng..my.end * ng].to_vec();
-                let psi_local = f.psi_r[my.start * ng..my.end * ng].to_vec();
-                let (vx, _) = dist_fock_apply(
-                    c,
-                    &fock,
-                    &dist,
-                    &nat_local,
-                    &f.occ,
-                    &psi_local,
-                    ExchangeStrategy::RingOverlap,
-                );
+                let nat_local = &f.nat_r[my.start * ng..my.end * ng];
+                let (vx, _) =
+                    dist_fock_apply_pure(c, &fock, &dist, nat_local, &f.occ, ExchangeStrategy::RingOverlap);
                 let want = &serial[my.start * ng..my.end * ng];
                 max_abs_diff(&vx, want)
             });
@@ -91,7 +80,7 @@ fn ring_overlap_symmetric_halving_matches_apply_pure_with_solve_counts() {
     // solves, screens and counts exactly the serial pair-symmetric apply's
     // pairs (n(n+1)/2 solves unscreened), and its images are the serial
     // ones — on every strategy, at odd, even and ragged rank counts and
-    // with band-less ranks (p > n), with and without screening, at both
+    // with one band per rank (p = n), with and without screening, at both
     // precisions on both backends. The three ring strategies agree to the
     // bit.
     let f = fixture();
@@ -110,7 +99,7 @@ fn ring_overlap_symmetric_halving_matches_apply_pure_with_solve_counts() {
                     assert!(want.skipped_pairs > 0 && want.skipped_weight > 0.0, "{want:?}");
                 }
                 let scale = max_abs(&serial);
-                for p in [1usize, 2, 3, 4, 5, 16] {
+                for p in [1usize, 2, 3, 4, 5, 6] {
                     let mut ring_bits: Option<Vec<Vec<u64>>> = None;
                     for strategy in [
                         ExchangeStrategy::Bcast,
@@ -164,63 +153,32 @@ fn ring_overlap_honors_fp32_precision_policy() {
     let f = fixture();
     let ng = f.sys.grid.len();
     let opts = FockOptions { precision: PrecisionPolicy::mixed(), ..Default::default() };
+    let pairs = N_BANDS * (N_BANDS + 1) / 2;
     for be in backends() {
         let fock = FockOperator::with_options(&f.sys.grid, 0.2, be.clone(), opts);
         // Serial reference under the SAME policy: the distributed path
         // must reproduce the fp32 pipeline, not silently run fp64.
-        let serial = fock.apply_diag(&f.nat_r, &f.occ, &f.psi_r);
-        for p in [2usize, 3] {
-            let out = Cluster::ideal(p).run(|c| {
-                let dist = BandDistribution::new(N_BANDS, c.size());
-                let my = dist.range(c.rank());
-                let fock = FockOperator::with_options(&f.sys.grid, 0.2, be.clone(), opts);
-                let nat_local = f.nat_r[my.start * ng..my.end * ng].to_vec();
-                let psi_local = f.psi_r[my.start * ng..my.end * ng].to_vec();
-                let (vx, stats) = dist_fock_apply(
-                    c,
-                    &fock,
-                    &dist,
-                    &nat_local,
-                    &f.occ,
-                    &psi_local,
-                    ExchangeStrategy::RingOverlap,
-                );
-                let want = &serial[my.start * ng..my.end * ng];
-                (max_abs_diff(&vx, want), stats.solves, stats.solves_fp32)
-            });
-            for (rank, ((d, solves, solves32), _)) in out.iter().enumerate() {
-                assert!(
-                    *d < 1e-10,
-                    "{} p={p} rank={rank}: fp32-policy mismatch {d}",
-                    be.name()
-                );
-                assert_eq!(
-                    solves, solves32,
-                    "{} p={p} rank={rank}: every solve must run fp32",
-                    be.name()
-                );
-                assert_eq!(*solves, N_BANDS * dist_count(N_BANDS, p, rank));
-            }
-            // Every strategy through the step's entry point runs the same
-            // policy-aware block kernel: none may fall back to fp64.
-            for strategy in STRATEGIES {
+        let serial = fock.apply_pure(&f.nat_r, &f.occ);
+        // Every strategy runs the same policy-aware block kernel: none may
+        // fall back to fp64.
+        for strategy in STRATEGIES {
+            for p in [2usize, 3] {
                 let out = Cluster::ideal(p).run(|c| {
                     let dist = BandDistribution::new(N_BANDS, c.size());
                     let my = dist.range(c.rank());
                     let fock = FockOperator::with_options(&f.sys.grid, 0.2, be.clone(), opts);
-                    let nat_local = f.nat_r[my.start * ng..my.end * ng].to_vec();
-                    let psi_local = f.psi_r[my.start * ng..my.end * ng].to_vec();
-                    let (vx, _) =
-                        dist_fock_apply(c, &fock, &dist, &nat_local, &f.occ, &psi_local, strategy);
-                    max_abs_diff(&vx, &serial[my.start * ng..my.end * ng])
+                    let nat_local = &f.nat_r[my.start * ng..my.end * ng];
+                    let (vx, stats) = dist_fock_apply_pure(c, &fock, &dist, nat_local, &f.occ, strategy);
+                    let want = &serial[my.start * ng..my.end * ng];
+                    (max_abs_diff(&vx, want), stats.solves, stats.solves_fp32)
                 });
-                for (rank, (d, _)) in out.iter().enumerate() {
-                    assert!(
-                        *d < 1e-10,
-                        "{} {strategy:?} p={p} rank={rank}: fp32-policy mismatch {d}",
-                        be.name()
-                    );
+                let case = format!("{} {strategy:?} p={p}", be.name());
+                for (rank, ((d, solves, solves32), _)) in out.iter().enumerate() {
+                    assert!(*d < 1e-10, "{case} rank={rank}: fp32-policy mismatch {d}");
+                    assert_eq!(solves, solves32, "{case} rank={rank}: every solve must run fp32");
                 }
+                let total: usize = out.iter().map(|((_, solves, _), _)| solves).sum();
+                assert_eq!(total, pairs, "{case}: solve count");
             }
         }
     }
@@ -233,10 +191,6 @@ const STRATEGIES: [ExchangeStrategy; 4] = [
     ExchangeStrategy::RingOverlap,
 ];
 
-fn dist_count(n: usize, p: usize, rank: usize) -> usize {
-    BandDistribution::new(n, p).count(rank)
-}
-
 #[test]
 fn overlap_hides_at_least_half_the_exchange_communication_at_16_ranks() {
     // The acceptance bar: at 16 simulated ranks, with the pair solves
@@ -248,8 +202,6 @@ fn overlap_hides_at_least_half_the_exchange_communication_at_16_ranks() {
     let ng = sys.grid.len();
     let phi = Wavefunction::random(&sys.grid, n_bands, 5);
     let nat_r = phi.to_real_all(&sys.grid);
-    let psi = Wavefunction::random(&sys.grid, n_bands, 6);
-    let psi_r = psi.to_real_all(&sys.grid);
     let occ: Vec<f64> = (0..n_bands).map(|i| 1.0 / (1.0 + 0.1 * i as f64)).collect();
     let net = NetworkModel {
         topology: Topology::FullyConnected,
@@ -260,21 +212,20 @@ fn overlap_hides_at_least_half_the_exchange_communication_at_16_ranks() {
         shm_latency: 1e-6,
     };
     let p = 16;
-    // Block transfer ≈ 2 bands · 8192 pts · 16 B / 1 GB/s ≈ 262 µs;
-    // block compute = 2·2 solves · 100 µs = 400 µs ≥ transfer, so the
-    // pipeline can hide (nearly) all of it.
+    // Block transfer ≈ 2 bands · 512 pts · 16 B / 1 GB/s ≈ 17 µs; a
+    // visiting block's compute = 2·2 solves · 100 µs = 400 µs ≥ transfer,
+    // so the pipeline can hide (nearly) all of it.
     let solve_cost = 1e-4;
     let out = Cluster::new(p, 4, net).run(|c| {
         let dist = BandDistribution::new(n_bands, c.size());
         let my = dist.range(c.rank());
         let fock = FockOperator::new(&sys.grid, 0.2);
-        let nat_local = nat_r[my.start * ng..my.end * ng].to_vec();
-        let psi_local = psi_r[my.start * ng..my.end * ng].to_vec();
+        let nat_local = &nat_r[my.start * ng..my.end * ng];
         let plan = ExchangePlan {
             strategy: ExchangeStrategy::RingOverlap,
             solve_cost_s: solve_cost,
         };
-        let _ = dist_fock_apply(c, &fock, &dist, &nat_local, &occ, &psi_local, plan);
+        let _ = dist_fock_apply_pure(c, &fock, &dist, nat_local, &occ, plan);
         (c.stats.overlap_efficiency(), c.stats.overlap_total_s)
     });
     for (rank, ((eff, total), _)) in out.iter().enumerate() {
@@ -304,17 +255,8 @@ fn ring_overlap_populates_wait_not_sendrecv() {
         let dist = BandDistribution::new(N_BANDS, c.size());
         let my = dist.range(c.rank());
         let fock = FockOperator::new(&f.sys.grid, 0.2);
-        let nat_local = f.nat_r[my.start * ng..my.end * ng].to_vec();
-        let psi_local = f.psi_r[my.start * ng..my.end * ng].to_vec();
-        let _ = dist_fock_apply(
-            c,
-            &fock,
-            &dist,
-            &nat_local,
-            &f.occ,
-            &psi_local,
-            ExchangeStrategy::RingOverlap,
-        );
+        let nat_local = &f.nat_r[my.start * ng..my.end * ng];
+        let _ = dist_fock_apply_pure(c, &fock, &dist, nat_local, &f.occ, ExchangeStrategy::RingOverlap);
         (
             c.stats.time(mpisim::Category::Sendrecv),
             c.stats.time(mpisim::Category::Wait),

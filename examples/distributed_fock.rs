@@ -1,12 +1,13 @@
 //! Distributed Fock exchange demo: the wavefunction exchange strategies
 //! (Bcast / Ring / AsyncRing / the ring-pipelined RingOverlap) running for
 //! real on the mpisim runtime, with identical physics and different
-//! communication profiles — first applied to a distinct target block
-//! (n² pair solves), then to the sources themselves on the half ring
-//! (n(n+1)/2). A modeled per-solve compute cost is charged to
-//! the virtual clock so the nonblocking strategies have work to hide
-//! their transfers behind — the Wait column shrinks and the overlap
-//! column reports how much wire time vanished.
+//! communication profiles. The exchange is the distributed step's: the
+//! operator applied to the natural orbitals themselves on the half ring,
+//! n(n+1)/2 pair solves summed over ranks, each source block travelling
+//! ⌈(p−1)/2⌉ hops. A modeled per-solve compute cost is charged to the
+//! virtual clock so the nonblocking strategies have work to hide their
+//! transfers behind — the Wait column shrinks and the overlap column
+//! reports how much wire time vanished.
 //!
 //! ```bash
 //! cargo run --release --example distributed_fock
@@ -16,7 +17,7 @@
 
 use pwdft_repro::mpisim::{Category, Cluster, NetworkModel, Topology};
 use pwdft_repro::ptim::distributed::{
-    dist_fock_apply, dist_fock_apply_pure, BandDistribution, ExchangePlan, ExchangeStrategy,
+    dist_fock_apply_pure, BandDistribution, ExchangePlan, ExchangeStrategy,
 };
 use pwdft_repro::pwdft::{Cell, DftSystem, FockOperator, Wavefunction};
 use pwdft_repro::pwnum::cmat::CMat;
@@ -45,12 +46,11 @@ fn main() {
     let e = eigh(&sigma);
     let nat = phi.rotated(&e.vectors);
     let nat_r = nat.to_real_all(&sys.grid);
-    let phi_r = phi.to_real_all(&sys.grid);
     let ng = sys.grid.len();
 
     // Serial reference.
     let fock = FockOperator::new(&sys.grid, 0.106);
-    let serial = fock.apply_diag(&nat_r, &e.values, &phi_r);
+    let serial = fock.apply_pure(&nat_r, &e.values);
 
     // A deliberately slow network so the strategy differences are visible.
     let net = NetworkModel {
@@ -64,10 +64,20 @@ fn main() {
 
     // Modeled cost of one pair Poisson solve, so overlap is visible.
     let solve_cost = 2.0e-5;
-    println!("distributed VxΦ on {p} ranks ({n_bands} bands, {ng} grid points):\n");
     println!(
-        "{:<12} {:>11} {:>12} {:>10} {:>10} {:>9} {:>16}",
-        "strategy", "Bcast(ms)", "Sendrecv(ms)", "Wait(ms)", "total(ms)", "overlap", "max|Δ| vs serial"
+        "distributed VxΦ̃ (half ring) on {p} ranks ({n_bands} bands, {} pairs, {ng} grid points):\n",
+        n_bands * (n_bands + 1) / 2
+    );
+    println!(
+        "{:<12} {:>11} {:>12} {:>10} {:>10} {:>9} {:>7} {:>16}",
+        "strategy",
+        "Bcast(ms)",
+        "Sendrecv(ms)",
+        "Wait(ms)",
+        "total(ms)",
+        "overlap",
+        "solves",
+        "max|Δ| vs serial"
     );
     for strategy in [
         ExchangeStrategy::Bcast,
@@ -75,67 +85,7 @@ fn main() {
         ExchangeStrategy::AsyncRing,
         ExchangeStrategy::RingOverlap,
     ] {
-        let serial_ref = serial.clone();
-        let nat_r = nat_r.clone();
-        let phi_r = phi_r.clone();
-        let values = e.values.clone();
-        let sys_ref = &sys;
-        let out = Cluster::new(p, 4, net.clone()).run(move |c| {
-            let dist = BandDistribution::new(n_bands, c.size());
-            let my = dist.range(c.rank());
-            let fock = FockOperator::new(&sys_ref.grid, 0.106);
-            let nat_local = nat_r[my.start * ng..my.end * ng].to_vec();
-            let psi_local = phi_r[my.start * ng..my.end * ng].to_vec();
-            let plan = ExchangePlan { strategy, solve_cost_s: solve_cost };
-            let (vx, _) =
-                dist_fock_apply(c, &fock, &dist, &nat_local, &values, &psi_local, plan);
-            let want = &serial_ref[my.start * ng..my.end * ng];
-            let err = pwdft_repro::pwnum::cvec::max_abs_diff(&vx, want);
-            (
-                c.stats.time(Category::Bcast) * 1e3,
-                c.stats.time(Category::Sendrecv) * 1e3,
-                c.stats.time(Category::Wait) * 1e3,
-                c.now() * 1e3,
-                c.stats.overlap_efficiency(),
-                err,
-            )
-        });
-        if let Some(p) = &stats_path {
-            let reports: Vec<_> = out.iter().map(|(_, r)| r.clone()).collect();
-            pwdft_bench::write_rank_stats_jsonl(p, &format!("{strategy:?}"), &reports)
-                .expect("rank stats jsonl");
-        }
-        let agg = out.iter().fold(
-            (0.0f64, 0.0f64, 0.0f64, 0.0f64, 1.0f64, 0.0f64),
-            |a, ((b, s, w, t, o, e), _)| {
-                (a.0.max(*b), a.1.max(*s), a.2.max(*w), a.3.max(*t), a.4.min(*o), a.5.max(*e))
-            },
-        );
-        println!(
-            "{:<12} {:>11.3} {:>12.3} {:>10.3} {:>10.3} {:>8.0}% {:>16.2e}",
-            format!("{strategy:?}"),
-            agg.0,
-            agg.1,
-            agg.2,
-            agg.3,
-            agg.4 * 100.0,
-            agg.5
-        );
-    }
-
-    // The operator on its own sources — the distributed step's H apply —
-    // runs on the half ring: n(n+1)/2 pair solves summed over ranks
-    // instead of n², each source block travelling ⌈(p−1)/2⌉ hops.
-    let serial_pure = fock.apply_pure(&nat_r, &e.values);
-    println!("\nself-applied VxΦ̃ (half ring) on {p} ranks, {} pairs:\n", n_bands * (n_bands + 1) / 2);
-    println!("{:<12} {:>7} {:>10} {:>16}", "strategy", "solves", "total(ms)", "max|Δ| vs serial");
-    for strategy in [
-        ExchangeStrategy::Bcast,
-        ExchangeStrategy::Ring,
-        ExchangeStrategy::AsyncRing,
-        ExchangeStrategy::RingOverlap,
-    ] {
-        let (nat_r, values, serial_ref) = (&nat_r, &e.values, &serial_pure);
+        let (nat_r, values, serial_ref) = (&nat_r, &e.values, &serial);
         let sys_ref = &sys;
         let out = Cluster::new(p, 4, net.clone()).run(move |c| {
             let dist = BandDistribution::new(n_bands, c.size());
@@ -145,13 +95,41 @@ fn main() {
             let plan = ExchangePlan { strategy, solve_cost_s: solve_cost };
             let (vx, stats) = dist_fock_apply_pure(c, &fock, &dist, nat_local, values, plan);
             let want = &serial_ref[my.start * ng..my.end * ng];
-            (stats.solves, c.now() * 1e3, pwdft_repro::pwnum::cvec::max_abs_diff(&vx, want))
+            let err = pwdft_repro::pwnum::cvec::max_abs_diff(&vx, want);
+            (
+                c.stats.time(Category::Bcast) * 1e3,
+                c.stats.time(Category::Sendrecv) * 1e3,
+                c.stats.time(Category::Wait) * 1e3,
+                c.now() * 1e3,
+                c.stats.overlap_efficiency(),
+                (stats.solves, err),
+            )
         });
-        let solves: usize = out.iter().map(|((s, _, _), _)| s).sum();
-        let total = out.iter().map(|((_, t, _), _)| *t).fold(0.0, f64::max);
-        let err = out.iter().map(|((_, _, e), _)| *e).fold(0.0, f64::max);
-        println!("{:<12} {:>7} {:>10.3} {:>16.2e}", format!("{strategy:?}"), solves, total, err);
+        if let Some(p) = &stats_path {
+            let reports: Vec<_> = out.iter().map(|(_, r)| r.clone()).collect();
+            pwdft_bench::write_rank_stats_jsonl(p, &format!("{strategy:?}"), &reports)
+                .expect("rank stats jsonl");
+        }
+        let agg = out.iter().fold(
+            (0.0f64, 0.0f64, 0.0f64, 0.0f64, 1.0f64, 0usize, 0.0f64),
+            |a, ((b, s, w, t, o, (n, e)), _)| {
+                let (b, s, w, t) = (a.0.max(*b), a.1.max(*s), a.2.max(*w), a.3.max(*t));
+                (b, s, w, t, a.4.min(*o), a.5 + n, a.6.max(*e))
+            },
+        );
+        println!(
+            "{:<12} {:>11.3} {:>12.3} {:>10.3} {:>10.3} {:>8.0}% {:>7} {:>16.2e}",
+            format!("{strategy:?}"),
+            agg.0,
+            agg.1,
+            agg.2,
+            agg.3,
+            agg.4 * 100.0,
+            agg.5,
+            agg.6
+        );
     }
+
     if let Some(p) = &stats_path {
         println!("\nwrote per-rank communication profiles to {p}");
     }

@@ -1,14 +1,16 @@
-//! Paper-scale distributed correctness: the real distributed code paths
-//! — RingOverlap Fock exchange and the full `dist_ptim_step` — executed
-//! at 128 simulated ranks (32 Fugaku-like nodes at 4 ranks/node, torus
-//! network, hierarchical collectives), validated against the serial
-//! reference. The O(active-ranks) event loop is what makes these rank
-//! counts cheap enough for the tier-1 suite.
+//! Paper-shaped distributed correctness: the real distributed code paths
+//! — the RingOverlap half-ring Fock exchange and the full
+//! `dist_ptim_step` — executed with one band on each of 128 simulated
+//! ranks (32 Fugaku-like nodes at 4 ranks/node, torus network,
+//! hierarchical collectives), as the paper's largest ARM points hold one
+//! orbital per rank, validated against the serial reference. The
+//! O(active-ranks) event loop is what makes these rank counts cheap
+//! enough for the tier-1 suite.
 
 use pwdft_repro::mpisim::{Cluster, NetworkModel};
 use pwdft_repro::ptim::distributed::{
-    dist_fock_apply, dist_ptim_step, gather_state, scatter_state, BandDistribution, DistConfig,
-    ExchangeStrategy,
+    dist_fock_apply_pure, dist_ptim_step, gather_state, scatter_state, BandDistribution,
+    DistConfig, ExchangeStrategy,
 };
 use pwdft_repro::ptim::engine::HybridParams;
 use pwdft_repro::ptim::laser::LaserPulse;
@@ -26,36 +28,25 @@ fn fugaku_net(p: usize) -> NetworkModel {
 fn ring_overlap_fock_matches_serial_at_128_ranks() {
     let sys = DftSystem::with_dims(Cell::silicon_supercell(1, 1, 1), 2.0, [8, 8, 8]);
     let ng = sys.grid.len();
-    let n_bands = 32;
+    let n_bands = 128;
     let phi = Wavefunction::random(&sys.grid, n_bands, 11);
     let nat_r = phi.to_real_all(&sys.grid);
-    let psi = Wavefunction::random(&sys.grid, n_bands, 12);
-    let psi_r = psi.to_real_all(&sys.grid);
     let occ: Vec<f64> = (0..n_bands).map(|i| 1.0 / (1.0 + 0.2 * i as f64)).collect();
     let fock = FockOperator::new(&sys.grid, 0.2);
-    let serial = fock.apply_diag(&nat_r, &occ, &psi_r);
+    let serial = fock.apply_pure(&nat_r, &occ);
 
     let p = 128;
     let sys_ref = &sys;
     let nat_ref = &nat_r;
-    let psi_ref = &psi_r;
     let occ_ref = &occ;
     let serial_ref = &serial;
     let out = Cluster::new(p, RPN, fugaku_net(p)).run(move |c| {
         let dist = BandDistribution::new(n_bands, c.size());
         let my = dist.range(c.rank());
         let fock = FockOperator::new(&sys_ref.grid, 0.2);
-        let nat_local = nat_ref[my.start * ng..my.end * ng].to_vec();
-        let psi_local = psi_ref[my.start * ng..my.end * ng].to_vec();
-        let (vx, _) = dist_fock_apply(
-            c,
-            &fock,
-            &dist,
-            &nat_local,
-            occ_ref,
-            &psi_local,
-            ExchangeStrategy::RingOverlap,
-        );
+        let nat_local = &nat_ref[my.start * ng..my.end * ng];
+        let (vx, _) =
+            dist_fock_apply_pure(c, &fock, &dist, nat_local, occ_ref, ExchangeStrategy::RingOverlap);
         let want = &serial_ref[my.start * ng..my.end * ng];
         pwdft_repro::pwnum::cvec::max_abs_diff(&vx, want)
     });
@@ -67,7 +58,7 @@ fn ring_overlap_fock_matches_serial_at_128_ranks() {
 #[test]
 fn real_dist_step_at_128_ranks_matches_serial_ptim() {
     let sys = DftSystem::with_dims(Cell::silicon_supercell(1, 1, 1), 2.0, [8, 8, 8]);
-    let n_bands = 32;
+    let n_bands = 128;
     let mut phi = Wavefunction::random(&sys.grid, n_bands, 7);
     phi.orthonormalize_lowdin();
     let occ: Vec<f64> = (0..n_bands).map(|i| 1.0 / (1.0 + 0.2 * i as f64)).collect();

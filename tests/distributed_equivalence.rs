@@ -10,8 +10,8 @@
 
 use pwdft_repro::mpisim::{Cluster, NetworkModel};
 use pwdft_repro::ptim::distributed::{
-    dist_fock_apply, dist_ptim_step, gather_state, scatter_state, BandDistribution, DistConfig,
-    ExchangeStrategy,
+    dist_fock_apply_pure, dist_ptim_step, gather_state, scatter_state, BandDistribution,
+    DistConfig, ExchangeStrategy,
 };
 use pwdft_repro::ptim::{ptim_step, HybridParams, LaserPulse, PtimConfig, TdEngine, TdState};
 use pwdft_repro::pwdft::fock::FockOptions;
@@ -116,22 +116,20 @@ fn hybrid_distributed_matches_serial() {
 
 #[test]
 fn distributed_step_matches_serial_at_4_and_16_ranks_both_precisions() {
-    // The exchange through the full hybrid time step. With a band on
-    // every rank (6 bands on 4 ranks, 16 on 16) it runs on the half ring,
-    // each cross pair solved in the serial orientation; with band-less
-    // ranks (6 bands on 16) target-major on the full ring. fp64 agrees to
-    // 1e-10 everywhere. The mixed pipeline demotes the natural orbitals to
-    // fp32, and the ring-ordered rotation that builds them rounds apart
-    // from the serial GEMM in the last fp64 bit, which flips a few fp32
-    // roundings: 4e-12 at 4 ranks, 1.1e-10 at 16 (half ring), 9.5e-10 on
-    // the full ring, whose fp32 solves also take the other orientation.
+    // The exchange through the full hybrid time step, on the half ring
+    // (6 bands on 4 ranks, 16 on 16), each cross pair solved in the
+    // serial orientation. fp64 agrees to 1e-10 everywhere. The mixed
+    // pipeline demotes the natural orbitals to fp32, and the ring-ordered
+    // rotation that builds them rounds apart from the serial GEMM in the
+    // last fp64 bit, which flips a few fp32 roundings: 4e-12 at 4 ranks,
+    // 1.1e-10 at 16.
     let (sys, six) = fixture();
     let sixteen = fixture_with_bands(&sys, 16);
     let dt = 0.3;
     for precision in [PrecisionPolicy::fp64(), PrecisionPolicy::mixed()] {
         let fock = FockOptions::default().with_precision(precision);
         let hyb = HybridParams { alpha: 0.25, omega: 0.2, fock };
-        for (st, ranks, mixed_tol) in [(&six, (4, 2), 1e-10), (&sixteen, (16, 4), 2e-9), (&six, (16, 4), 2e-9)] {
+        for (st, ranks, mixed_tol) in [(&six, (4, 2), 1e-10), (&sixteen, (16, 4), 2e-9)] {
             let case = format!("{precision:?} {} bands {ranks:?}", st.phi.n_bands);
             let tol = if precision == PrecisionPolicy::fp64() { 1e-10 } else { mixed_tol };
             let (rho_ref, sigma_ref) = serial_reference(&sys, st, hyb, dt);
@@ -217,16 +215,16 @@ fn sigma_spectrum_stays_physical_distributed() {
 #[test]
 fn ring_exchange_reports_the_serial_screened_weight() {
     // A cutoff between the two smallest occupations (0.2, ≈ 0.05) screens
-    // the tail of the finite-T state. Summed over ranks, the ring's
-    // per-rank stats must be the serial apply's, on every strategy.
+    // the tail of the finite-T state. Summed over ranks, the half ring's
+    // per-rank stats must be the serial pair-symmetric apply's, on every
+    // strategy.
     let (sys, st) = fixture();
     let fock_opts = FockOptions { occ_cutoff: 0.1, ..Default::default() };
     let e = eigh(&st.sigma);
     let nat_r = st.phi.rotated(&e.vectors).to_real_all(&sys.grid);
-    let psi_r = st.phi.to_real_all(&sys.grid);
     let ng = sys.grid.len();
     let fock = || FockOperator::with_options(&sys.grid, 0.2, default_backend().clone(), fock_opts);
-    let (_, serial) = fock().apply_diag_stats(&nat_r, &e.values, &psi_r);
+    let (_, serial) = fock().apply_pure_stats(&nat_r, &e.values);
     assert!(serial.skipped_pairs > 0 && serial.skipped_weight > 0.0, "{serial:?}");
     for strategy in [
         ExchangeStrategy::Bcast,
@@ -238,9 +236,8 @@ fn ring_exchange_reports_the_serial_screened_weight() {
             let out = Cluster::ideal(p).run(|c| {
                 let dist = BandDistribution::new(6, c.size());
                 let my = dist.range(c.rank());
-                let local = my.start * ng..my.end * ng;
-                let (nat, psi) = (&nat_r[local.clone()], &psi_r[local]);
-                dist_fock_apply(c, &fock(), &dist, nat, &e.values, psi, strategy).1
+                let nat = &nat_r[my.start * ng..my.end * ng];
+                dist_fock_apply_pure(c, &fock(), &dist, nat, &e.values, strategy).1
             });
             let sum = out.iter().fold(FockApplyStats::default(), |mut acc, (st, _)| {
                 acc.solves += st.solves;
@@ -256,8 +253,7 @@ fn ring_exchange_reports_the_serial_screened_weight() {
     }
 
     // The distributed step carries the ring's weight into its StepStats,
-    // each rank its share: summed over ranks it is the serial step's, with
-    // a band on every rank (p = 3) and with band-less ranks (p = 8).
+    // each rank its share: summed over ranks it is the serial step's.
     // The predictor and one corrector: later iterates differ by the
     // per-rank mixing (≈ 1e-6), and so would their screened weights.
     let hybrid = HybridParams { alpha: 0.25, omega: 0.2, fock: fock_opts };
@@ -267,30 +263,27 @@ fn ring_exchange_reports_the_serial_screened_weight() {
     assert!(serial.fock_applies == 2 && serial.fock_skipped_weight > 0.0, "{serial:?}");
     let cfg = DistConfig { strategy: ExchangeStrategy::RingOverlap, hybrid, ..Default::default() };
     let laser = LaserPulse::off();
-    for p in [3usize, 8] {
-        let out = Cluster::ideal(p).run(|c| {
-            let dist = BandDistribution::new(6, c.size());
-            let local = scatter_state(c, &st, &dist);
-            dist_ptim_step(c, &sys, &laser, &cfg, &dist, &local, fp.dt, fp.max_scf, fp.tol_rho).1
-        });
-        assert!(out.iter().all(|(stats, _)| stats.fock_applies == serial.fock_applies), "p={p}");
-        let weight: f64 = out.iter().map(|(stats, _)| stats.fock_skipped_weight).sum();
-        let rel = (weight - serial.fock_skipped_weight).abs() / serial.fock_skipped_weight;
-        assert!(rel <= 1e-12, "p={p}: step's screened weight off by {rel:e}");
-    }
+    let out = Cluster::ideal(3).run(|c| {
+        let dist = BandDistribution::new(6, c.size());
+        let local = scatter_state(c, &st, &dist);
+        dist_ptim_step(c, &sys, &laser, &cfg, &dist, &local, fp.dt, fp.max_scf, fp.tol_rho).1
+    });
+    assert!(out.iter().all(|(stats, _)| stats.fock_applies == serial.fock_applies));
+    let weight: f64 = out.iter().map(|(stats, _)| stats.fock_skipped_weight).sum();
+    let rel = (weight - serial.fock_skipped_weight).abs() / serial.fock_skipped_weight;
+    assert!(rel <= 1e-12, "step's screened weight off by {rel:e}");
 }
 
 #[test]
 fn dist_ptim_step_solves_each_pair_once_per_apply() {
     // Summed over ranks, every dense apply of the distributed step solves
-    // the serial pair-symmetric n(n+1)/2 pairs on the half ring (a band on
-    // every rank) and n² on the full ring (band-less ranks), on every
+    // the serial pair-symmetric n(n+1)/2 pairs on the half ring, on every
     // strategy, and the step reports them.
     let (sys, st) = fixture();
     let laser = LaserPulse::off();
     let hybrid = HybridParams { alpha: 0.25, omega: 0.2, ..Default::default() };
     for strategy in [ExchangeStrategy::Bcast, ExchangeStrategy::Ring, ExchangeStrategy::RingOverlap] {
-        for p in [2usize, 4, 16] {
+        for p in [2usize, 4] {
             let cfg = DistConfig { strategy, hybrid, ..Default::default() };
             let out = Cluster::ideal(p).run(|c| {
                 let dist = BandDistribution::new(6, c.size());
@@ -300,8 +293,7 @@ fn dist_ptim_step_solves_each_pair_once_per_apply() {
             let applies = out[0].0.fock_applies;
             assert_eq!(applies, 4, "{strategy:?} p={p}: predictor + 3 correctors");
             let solves: usize = out.iter().map(|(stats, _)| stats.fock_solves_fp64).sum();
-            let per_apply = if p <= 6 { 6 * 7 / 2 } else { 6 * 6 };
-            assert_eq!(solves, applies * per_apply, "{strategy:?} p={p}");
+            assert_eq!(solves, applies * 6 * 7 / 2, "{strategy:?} p={p}");
             assert!(out.iter().all(|(stats, _)| stats.fock_solves_fp32 == 0));
         }
     }

@@ -164,12 +164,14 @@ fn async_ring_overlap_reduces_visible_time() {
 #[test]
 fn overlap_schedule_prediction_tracks_measured_ring_overlap_step() {
     // Calibration gate for the ring-pipelined exchange: the overlap-aware
-    // closed form (`perfmodel::comm::ring_overlap_time`) must predict the
+    // half-ring closed form (`perfmodel::comm::hier_half_ring_overlap_time`,
+    // paced by the busiest rank's pair solves) must predict the
     // mpisim-measured RingOverlap exchange time on the bench topology
     // (the `dist_overlap` bench network) within 20%, at every bench rank
     // count.
+    use pwdft_repro::perfmodel::schedule::half_ring_solves;
     use pwdft_repro::ptim::distributed::{
-        dist_fock_apply, BandDistribution, ExchangePlan, ExchangeStrategy,
+        dist_fock_apply_pure, BandDistribution, ExchangePlan, ExchangeStrategy,
     };
     use pwdft_repro::pwdft::{Cell, DftSystem, FockOperator, Wavefunction};
 
@@ -180,32 +182,27 @@ fn overlap_schedule_prediction_tracks_measured_ring_overlap_step() {
     let n_bands = 16;
     let phi = Wavefunction::random(&sys.grid, n_bands, 3);
     let nat_r = phi.to_real_all(&sys.grid);
-    let psi = Wavefunction::random(&sys.grid, n_bands, 4);
-    let psi_r = psi.to_real_all(&sys.grid);
     let occ = vec![1.0f64; n_bands];
     let solve_cost = 2e-5;
 
     for p in [4usize, 8, 16] {
-        let nb = n_bands / p;
         let out = Cluster::new(p, 1, net.clone()).run(|c| {
             let dist = BandDistribution::new(n_bands, c.size());
             let my = dist.range(c.rank());
             let fock = FockOperator::new(&sys.grid, 0.2);
-            let nat_local = nat_r[my.start * ng..my.end * ng].to_vec();
-            let psi_local = psi_r[my.start * ng..my.end * ng].to_vec();
+            let nat_local = &nat_r[my.start * ng..my.end * ng];
             let plan = ExchangePlan {
                 strategy: ExchangeStrategy::RingOverlap,
                 solve_cost_s: solve_cost,
             };
-            let _ = dist_fock_apply(c, &fock, &dist, &nat_local, &occ, &psi_local, plan);
+            let _ = dist_fock_apply_pure(c, &fock, &dist, nat_local, &occ, plan);
             c.now()
         });
         let measured = out.iter().map(|(t, _)| *t).fold(0.0f64, f64::max);
-        // One block: nb source bands × nb local targets solves; wire
-        // block: nb real-space bands.
-        let compute_per_block = (nb * nb) as f64 * solve_cost;
-        let block_bytes = (nb * ng * 16) as f64;
-        let predicted = comm::ring_overlap_time(&pf, p, block_bytes, compute_per_block);
+        // The busiest rank's solves; wire block: nb real-space bands.
+        let solves = (0..p).map(|r| half_ring_solves(n_bands, p, r)).fold(0.0, f64::max);
+        let block_bytes = (n_bands / p * ng * 16) as f64;
+        let predicted = comm::hier_half_ring_overlap_time(&pf, p, block_bytes, solves * solve_cost);
         let ratio = measured / predicted;
         assert!(
             (0.8..1.25).contains(&ratio),
@@ -218,16 +215,20 @@ fn overlap_schedule_prediction_tracks_measured_ring_overlap_step() {
 fn dist_step_model_tracks_simulator_at_scale() {
     // The Fig. 10/11 agreement gate: the two-level closed form
     // (`perfmodel::dist_step_sim_time`) must predict the virtual-clock
-    // time of the *real* `dist_ptim_step` within 25% at every paper-scale
-    // point — both the strong series (fixed 64 bands) and the weak series
-    // (bands = ranks/8). Both sides come from the bench crate's canonical
+    // time of the *real* `dist_ptim_step` within 25% at every scaling
+    // point — the strong series (128 bands on 16–128 ranks, down to one
+    // band per rank) and the weak series (one band per rank; its 128-rank
+    // point is the strong series' last) — and the strong series must fall
+    // monotonically. Both sides come from the bench crate's canonical
     // dist-scale config (si8, 8x8x8 grid, 4 ranks/node, Fugaku torus,
     // RingOverlap + SHM), so this test gates exactly what the figure
     // binaries emit into BENCH_dist_scale.json.
     use pwdft_bench::{dist_scale_model_s, measure_dist_step};
 
-    let points = [(128usize, 64usize), (256, 64), (512, 64), (128, 16), (256, 32)];
-    for (p, n_bands) in points {
+    let strong = [(16usize, 128usize), (32, 128), (64, 128), (128, 128)];
+    let weak = [(16usize, 16usize), (32, 32), (64, 64)];
+    let mut strong_s = Vec::new();
+    for (p, n_bands) in strong.into_iter().chain(weak) {
         let measured = measure_dist_step(p, n_bands);
         let model = dist_scale_model_s(p, n_bands);
         let ratio = measured / model;
@@ -235,6 +236,19 @@ fn dist_step_model_tracks_simulator_at_scale() {
             (0.75..1.25).contains(&ratio),
             "p={p}, bands={n_bands}: measured {measured:.6} vs model {model:.6} \
              (ratio {ratio:.3} outside the 25% gate)"
+        );
+        if n_bands == 128 {
+            strong_s.push(measured);
+        }
+    }
+    for (pair, ranks) in strong_s.windows(2).zip(strong.windows(2)) {
+        assert!(
+            pair[1] < pair[0],
+            "strong series rises from {} to {} ranks: {:.6} -> {:.6}",
+            ranks[0].0,
+            ranks[1].0,
+            pair[0],
+            pair[1]
         );
     }
 }

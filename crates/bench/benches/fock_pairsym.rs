@@ -11,7 +11,6 @@ use pwdft::fock::FockOptions;
 use pwdft::smearing::{occupations, KB_HARTREE};
 use pwdft::{Cell, FockOperator, PwGrid, Wavefunction};
 use pwdft_bench::median_secs;
-use pwnum::backend::default_backend;
 use std::hint::black_box;
 
 struct Row {
@@ -35,7 +34,7 @@ fn measure(grid: &PwGrid, n: usize, spacing: f64, opts: FockOptions, iters: usiz
     let wf = Wavefunction::random(grid, n, 3);
     let phi_r = wf.to_real_all(grid);
     let psi_copy = phi_r.clone(); // distinct pointer → asymmetric baseline
-    let fock = FockOperator::with_options(grid, 0.106, default_backend().clone(), opts);
+    let fock = FockOperator::with_options(grid, 0.106, opts);
 
     let (_, s_base) = fock.apply_diag_stats(&phi_r, &occ, &psi_copy);
     let (_, s_sym) = fock.apply_pure_stats(&phi_r, &occ);
@@ -98,10 +97,9 @@ fn main() {
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
-    json.push_str(&format!(
-        "  ],\n  \"backend\": \"{}\", \"grid\": \"12x12x12\", \"temperature_k\": 8000\n}}\n",
-        default_backend().name()
-    ));
+    json.push_str(
+        "  ],\n  \"backend\": \"blocked\", \"grid\": \"12x12x12\", \"temperature_k\": 8000\n}\n",
+    );
     std::fs::write("BENCH_fock_pairsym.json", &json).expect("write BENCH_fock_pairsym.json");
     println!("wrote BENCH_fock_pairsym.json:\n{json}");
 }

@@ -1,7 +1,7 @@
 //! Mixed-precision exchange bench: the all-fp64 Fock `apply_diag`
 //! pipeline vs the fp32 pipeline (fp32 pair densities + fp32 Poisson
-//! round trips + two-sum-compensated fp64 accumulation) on the Blocked
-//! backend, at N ∈ {32, 64} bands with Fermi–Dirac occupations at the
+//! round trips + two-sum-compensated fp64 accumulation) on the product
+//! kernels, at N ∈ {32, 64} bands with Fermi–Dirac occupations at the
 //! paper's 8000 K — plus the accuracy half of the story: the max
 //! apply-level deviation, and the dipole-trace / energy deviation of a
 //! 20-step hybrid RT-TDDFT run under the mixed policy vs the all-fp64
@@ -20,7 +20,6 @@ use pwdft::fock::FockOptions;
 use pwdft::smearing::{occupations, KB_HARTREE};
 use pwdft::{Cell, DftSystem, FockOperator, PwGrid, Wavefunction};
 use pwdft_bench::{median_secs, precision_for_platform};
-use pwnum::backend::default_backend;
 use pwnum::cmat::CMat;
 use pwnum::precision::PrecisionPolicy;
 use std::hint::black_box;
@@ -35,28 +34,21 @@ struct SpeedRow {
     apply_err: f64,
 }
 
-/// One head-to-head `apply_pure` measurement at `n` bands on the
-/// Blocked backend (the accelerator path the mixed policy targets).
+/// One head-to-head `apply_pure` measurement at `n` bands.
 fn measure(grid: &PwGrid, n: usize, iters: usize) -> SpeedRow {
     let kt = KB_HARTREE * 8000.0;
     let eigs: Vec<f64> = (0..n).map(|i| -0.0025 * n as f64 + 0.005 * i as f64).collect();
     let (_, occ) = occupations(&eigs, n as f64, kt);
     let wf = Wavefunction::random(grid, n, 3);
     let phi_r = wf.to_real_all(grid);
-    // The product backend under the accelerator platform's mixed
-    // policy (fp32 exchange); the fp64 side runs the same backend so the
-    // ratio isolates precision.
+    // The accelerator platform's mixed policy (fp32 exchange) against
+    // all-fp64 on the same kernels, so the ratio isolates precision.
     let gpu = Platform::gpu_a100();
-    let be = default_backend().clone();
     let policy = precision_for_platform(&gpu);
     assert!(policy.exchange.reduced(), "GPU platform default must reduce exchange");
-    let fp64 = FockOperator::with_backend(grid, 0.106, be.clone());
-    let mixed = FockOperator::with_options(
-        grid,
-        0.106,
-        be,
-        FockOptions::default().with_precision(policy),
-    );
+    let fp64 = FockOperator::new(grid, 0.106);
+    let mixed =
+        FockOperator::with_options(grid, 0.106, FockOptions::default().with_precision(policy));
 
     let (v64, s64) = fp64.apply_pure_stats(&phi_r, &occ);
     let (v32, s32) = mixed.apply_pure_stats(&phi_r, &occ);

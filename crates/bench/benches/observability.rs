@@ -1,9 +1,8 @@
 //! Observability overhead bench: the `pwobs` recorder must be free when
 //! disabled and near-free when enabled (DESIGN.md §13 overhead budget).
 //!
-//! Measures, on a hybrid PT-IM step (the process default `Blocked`
-//! backend, whose primitives open their own spans; 8³ grid, dense
-//! exchange):
+//! Measures, on a hybrid PT-IM step (the `pwnum::backend` kernels,
+//! which open their own spans; 8³ grid, dense exchange):
 //!
 //! * `enabled_overhead_frac` — the relative step-time cost of running
 //!   with the recorder enabled. Disabled and enabled samples are

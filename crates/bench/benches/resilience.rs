@@ -1,7 +1,7 @@
 //! Resilience bench: checkpoint overhead and restart fidelity for the
 //! `ptim::resilience` run driver (DESIGN.md §12).
 //!
-//! Measures, on a hybrid PT-IM run (Blocked backend, 8³ grid, dense
+//! Measures, on a hybrid PT-IM run (product kernels, 8³ grid, dense
 //! exchange):
 //!
 //! * the per-step cost of the checkpoint cadence — one atomic

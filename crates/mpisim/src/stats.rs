@@ -5,8 +5,6 @@
 //! print the same columns (Alltoallv / Sendrecv / Wait / Allgatherv /
 //! Allreduce / Bcast).
 
-use std::collections::HashMap;
-
 /// Classification of communication operations, matching Table I.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Category {
@@ -57,6 +55,11 @@ impl Category {
         Category::Compute,
     ];
 
+    /// Position in [`Category::ALL`] (the declaration order).
+    fn index(self) -> usize {
+        self as usize
+    }
+
     /// Lowercase identifier used as a JSON / metrics key.
     pub fn key(self) -> &'static str {
         match self {
@@ -83,8 +86,10 @@ impl std::fmt::Display for Category {
 /// Mutable per-rank statistics collected during a run.
 #[derive(Clone, Debug, Default)]
 pub struct Stats {
-    time: HashMap<Category, f64>,
-    count: HashMap<Category, u64>,
+    /// Virtual seconds per category, indexed by [`Category::index`].
+    time: [f64; 10],
+    /// Operations per category, indexed like `time`.
+    count: [u64; 10],
     /// Total bytes moved through point-to-point messages this rank sent.
     pub bytes_sent: u64,
     /// Bytes this rank sent to ranks on its own node (the intra-node
@@ -143,18 +148,18 @@ impl Stats {
     /// Adds `dt` seconds to a category.
     pub fn add_time(&mut self, cat: Category, dt: f64) {
         debug_assert!(dt >= -1e-12, "negative time increment {dt} for {cat}");
-        *self.time.entry(cat).or_insert(0.0) += dt.max(0.0);
-        *self.count.entry(cat).or_insert(0) += 1;
+        self.time[cat.index()] += dt.max(0.0);
+        self.count[cat.index()] += 1;
     }
 
     /// Accumulated time for a category.
     pub fn time(&self, cat: Category) -> f64 {
-        self.time.get(&cat).copied().unwrap_or(0.0)
+        self.time[cat.index()]
     }
 
     /// Number of operations recorded in a category.
     pub fn count(&self, cat: Category) -> u64 {
-        self.count.get(&cat).copied().unwrap_or(0)
+        self.count[cat.index()]
     }
 
     /// Fraction of nonblocking transfer time hidden behind computation:
@@ -171,12 +176,15 @@ impl Stats {
         }
     }
 
-    /// Total communication time (everything except `Compute`).
+    /// Total communication time (everything except `Compute`): the sum
+    /// over the categories that recorded an operation, taken in
+    /// [`Category::ALL`] order so it repeats to the bit (`-0.0` when
+    /// there are none, as `f64`'s empty sum).
     pub fn comm_time(&self) -> f64 {
-        self.time
+        Category::ALL
             .iter()
-            .filter(|(c, _)| **c != Category::Compute)
-            .map(|(_, t)| *t)
+            .filter(|&&c| c != Category::Compute && self.count(c) > 0)
+            .map(|&c| self.time(c))
             .sum()
     }
 
@@ -311,6 +319,27 @@ mod tests {
         assert!((s.time(Category::Bcast) - 2.0).abs() < 1e-15);
         assert_eq!(s.count(Category::Bcast), 2);
         assert!((s.comm_time() - 4.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn comm_time_is_the_category_ordered_fold() {
+        // Magnitudes whose sum depends on the order it is taken in: the
+        // total is the left fold over `Category::ALL` (Compute skipped),
+        // bit for bit, however the times were recorded.
+        let times = [3.0e-3, 1.1e-19, 7.0e-17, 2.5e-3, 1.0e-16, 9.0, 4.0e-17, 1.3e-3, 6.0e-18];
+        let mut s = Stats::default();
+        for (&cat, &t) in Category::ALL.iter().rev().zip(times.iter().cycle()) {
+            s.add_time(cat, t);
+        }
+        for (i, cat) in Category::ALL.into_iter().enumerate() {
+            assert_eq!(cat.index(), i, "{cat}");
+        }
+        let fold = Category::ALL
+            .iter()
+            .filter(|&&c| c != Category::Compute)
+            .fold(-0.0f64, |acc, &c| acc + s.time(c));
+        assert_eq!(s.comm_time().to_bits(), fold.to_bits());
+        assert_eq!(Stats::default().comm_time().to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

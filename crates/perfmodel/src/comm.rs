@@ -39,28 +39,6 @@ pub fn ring_time(pf: &Platform, p: usize, block_bytes: f64) -> f64 {
     (p - 1) as f64 * (pf.net_latency + block_bytes / pf.net_bw)
 }
 
-/// Full ring-pipelined overlapped exchange: `p` block-processing phases
-/// of `compute_per_block` seconds each, with every one of the `p-1`
-/// neighbor transfers posted nonblocking before the phase it overlaps —
-/// only the excess of a transfer over its covering compute phase stays
-/// visible. This is the closed form of the virtual-clock recurrence the
-/// `mpisim` RingOverlap exchange executes
-/// (`t_{k+1} = t_k + max(compute, transfer)`), so the model can be
-/// validated against simulator measurement directly.
-pub fn ring_overlap_time(
-    pf: &Platform,
-    p: usize,
-    block_bytes: f64,
-    compute_per_block: f64,
-) -> f64 {
-    if p <= 1 {
-        return compute_per_block;
-    }
-    let step_transfer = pf.net_latency + block_bytes / pf.net_bw;
-    p as f64 * compute_per_block
-        + (p - 1) as f64 * (step_transfer - compute_per_block).max(0.0)
-}
-
 /// All-reduce of `bytes` (reduce-scatter + allgather).
 pub fn allreduce_time(pf: &Platform, p: usize, bytes: f64) -> f64 {
     if p <= 1 {
@@ -359,25 +337,5 @@ mod tests {
         let t = hier_half_ring_overlap_time(&pf, p, bytes, 0.0);
         let blocking = hops * edge + image_return_time(&pf, p, bytes);
         assert!((t - blocking).abs() < 1e-12, "{t} vs {blocking}");
-    }
-
-    #[test]
-    fn ring_overlap_bounded_by_compute_and_blocking_ring() {
-        let p = 16;
-        let bytes = 1e8;
-        for compute in [0.0, 1e-3, 1e-1, 10.0] {
-            let overlapped = ring_overlap_time(&pf(), p, bytes, compute);
-            let blocking = p as f64 * compute + ring_time(&pf(), p, bytes);
-            // Never slower than the blocking schedule, never faster than
-            // the compute-only lower bound.
-            assert!(overlapped <= blocking + 1e-12, "compute={compute}");
-            assert!(overlapped >= p as f64 * compute, "compute={compute}");
-        }
-        // Compute-dominated: communication fully hidden.
-        let t = ring_overlap_time(&pf(), p, 1e3, 1.0);
-        assert!((t - 16.0).abs() < 1e-6);
-        // Communication-dominated: degenerates to the blocking ring.
-        let t = ring_overlap_time(&pf(), p, 1e9, 0.0);
-        assert!((t - ring_time(&pf(), p, 1e9)).abs() < 1e-9);
     }
 }

@@ -41,7 +41,7 @@ pub struct Platform {
     pub bcast_penalty: f64,
     /// Whether ranks execute accelerator-style (batched device kernels,
     /// as on the GPU platform) rather than per-call host threading —
-    /// the attribute compute-backend selection keys off.
+    /// the attribute the platform's precision policy keys off.
     pub accelerator: bool,
     /// MPI ranks per node.
     pub ranks_per_node: usize,

@@ -268,8 +268,10 @@ pub fn step_time(pf: &Platform, w: &Workload, nodes: usize, variant: Variant) ->
                     // progresses behind the solves on its own (as on the
                     // simulator's virtual clock): the async-progress
                     // visibility floor (WAIT_VISIBLE_FRACTION) is gone;
-                    // the visible wait is exactly the closed-form
-                    // excess of crate::comm::ring_overlap_time.
+                    // each step's visible wait is exactly its transfer's
+                    // excess over the covering solves, the closed form
+                    // of the virtual-clock recurrence
+                    // `t_{k+1} = t_k + max(compute, transfer)`.
                     let steps = (p.max(2) - 1) as f64;
                     let per_step_comm = t_exch_ring / steps;
                     let per_step_comp = t_vx_pairs / p as f64;

@@ -51,7 +51,7 @@ use crate::state::TdState;
 use mpisim::{Comm, Tag};
 use pwdft::density::{density_diag, NaturalOrbitals};
 use pwdft::{DftSystem, FockApplyStats, FockOperator, PwGrid, Wavefunction};
-use pwnum::backend::default_backend;
+use pwnum::backend;
 use pwnum::chol::solve_hpd;
 use pwnum::cmat::CMat;
 use pwnum::complex::Complex64;
@@ -259,7 +259,7 @@ pub fn dist_overlap(
     let partial = if glen > 0 {
         let a_g = assemble(&a_t);
         let b_g = assemble(&b_t);
-        default_backend().overlap(&a_g, &b_g, glen, a_local.ip_scale)
+        backend::overlap(&a_g, &b_g, glen, a_local.ip_scale)
     } else {
         CMat::zeros(n, n)
     };
@@ -302,7 +302,7 @@ fn rotate_bands(
         // (per target, sources still add in ascending band order).
         let q_blk =
             CMat::from_fn(src_range.len(), n_out, |i, j| q[(src_range.start + i, my.start + j)]);
-        default_backend().rotate_acc(Complex64::ONE, block, &q_blk, len, &mut out);
+        backend::rotate_acc(Complex64::ONE, block, &q_blk, len, &mut out);
     });
     out
 }
@@ -430,7 +430,7 @@ impl BandSpace for Banded<'_, '_> {
         drop(ev);
         let vx_r = rotate_bands(self.comm, self.dist, &vx_nat, sys.grid.len(), &back);
         drop(vx_nat);
-        (Wavefunction::from_real_with(&*eng.backend, &sys.grid, vx_r), stats)
+        (Wavefunction::from_real(&sys.grid, vx_r), stats)
     }
 
     fn overlap(&mut self, a: &Wavefunction, b: &Wavefunction) -> CMat {

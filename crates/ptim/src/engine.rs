@@ -3,12 +3,12 @@
 
 use crate::laser::{external_potential, sawtooth_x, LaserPulse};
 use crate::state::TdState;
-use pwdft::density::{density_from_natural_with, natural_orbitals_with, NaturalOrbitals};
+use pwdft::density::{density_from_natural, natural_orbitals, NaturalOrbitals};
 use pwdft::energy::{external_energy, kinetic_energy, EnergyBreakdown};
 use pwdft::fock::SolveCounters;
-use pwdft::hamiltonian::{build_hxc_with, Exchange, Hamiltonian};
+use pwdft::hamiltonian::{build_hxc, Exchange, Hamiltonian};
 use pwdft::{DftSystem, FockApplyStats, FockOperator, FockOptions, Wavefunction};
-use pwnum::backend::{default_backend, BackendHandle};
+use pwnum::backend;
 use pwnum::cmat::CMat;
 use pwnum::Complex64;
 use std::sync::Arc;
@@ -44,9 +44,6 @@ pub struct TdEngine<'s> {
     pub laser: LaserPulse,
     /// Hybrid parameters.
     pub hybrid: HybridParams,
-    /// Compute backend every hot primitive of the propagators routes
-    /// through (FFT batches, Fock solves, band ops, subspace GEMMs).
-    pub backend: BackendHandle,
     /// Shared precision counters: every Fock operator the engine
     /// constructs records its fp64/fp32 Poisson solves here, and the
     /// propagators snapshot the totals around each step to fill
@@ -81,25 +78,13 @@ pub struct EvalPoint {
 }
 
 impl<'s> TdEngine<'s> {
-    /// Creates the engine on the process default backend.
+    /// Creates the engine.
     pub fn new(sys: &'s DftSystem, laser: LaserPulse, hybrid: HybridParams) -> Self {
-        Self::with_backend(sys, laser, hybrid, default_backend().clone())
-    }
-
-    /// Creates the engine on an explicit compute backend (the paper's
-    /// ARM-vs-GPU split: pick per `perfmodel::platform`).
-    pub fn with_backend(
-        sys: &'s DftSystem,
-        laser: LaserPulse,
-        hybrid: HybridParams,
-        backend: BackendHandle,
-    ) -> Self {
         let x_saw = sawtooth_x(&sys.grid);
         TdEngine {
             sys,
             laser,
             hybrid,
-            backend,
             counters: Arc::new(SolveCounters::default()),
             checkpoints: None,
             x_saw,
@@ -113,22 +98,17 @@ impl<'s> TdEngine<'s> {
         self
     }
 
-    /// A Fock operator on the engine's grid, backend, and scheduler
-    /// options — the one construction every exchange evaluation shares.
-    /// Solve counts route into the engine's shared [`SolveCounters`].
+    /// A Fock operator on the engine's grid and scheduler options — the
+    /// one construction every exchange evaluation shares. Solve counts
+    /// route into the engine's shared [`SolveCounters`].
     pub fn fock_operator(&self) -> FockOperator<'s> {
-        FockOperator::with_options(
-            &self.sys.grid,
-            self.hybrid.omega,
-            self.backend.clone(),
-            self.hybrid.fock,
-        )
-        .with_counters(self.counters.clone())
+        FockOperator::with_options(&self.sys.grid, self.hybrid.omega, self.hybrid.fock)
+            .with_counters(self.counters.clone())
     }
 
     /// The same engine with the precision policy promoted to all-fp64 —
     /// what the drift monitor reruns a tripped step on. Shares the
-    /// counters (and the backend) so cost accounting stays unified.
+    /// counters so cost accounting stays unified.
     pub fn promoted(&self) -> TdEngine<'s> {
         let mut hybrid = self.hybrid;
         hybrid.fock.precision = hybrid.fock.precision.promoted();
@@ -136,7 +116,6 @@ impl<'s> TdEngine<'s> {
             sys: self.sys,
             laser: self.laser.clone(),
             hybrid,
-            backend: self.backend.clone(),
             counters: self.counters.clone(),
             checkpoints: self.checkpoints.clone(),
             x_saw: self.x_saw.clone(),
@@ -153,17 +132,16 @@ impl<'s> TdEngine<'s> {
     /// Evaluates density, potentials and natural orbitals at `(Φ, σ, t)`.
     pub fn eval(&self, phi: &Wavefunction, sigma: &CMat, t: f64) -> EvalPoint {
         let _s = pwobs::span("grid.eval");
-        let be = &*self.backend;
-        let nat = natural_orbitals_with(be, phi, sigma);
-        let rho = density_from_natural_with(be, &self.sys.grid, &nat);
+        let nat = natural_orbitals(phi, sigma);
+        let rho = density_from_natural(&self.sys.grid, &nat);
         self.point(nat, rho, t)
     }
 
     /// The evaluation point of natural orbitals with their density at
     /// time `t`: adds the real-space orbitals, potentials and energies.
     pub(crate) fn point(&self, nat: NaturalOrbitals, rho: Vec<f64>, t: f64) -> EvalPoint {
-        let nat_r = nat.phi.to_real_all_with(&*self.backend, &self.sys.grid);
-        let hxc = build_hxc_with(&*self.backend, &self.sys.grid, &self.sys.fft, &rho);
+        let nat_r = nat.phi.to_real_all(&self.sys.grid);
+        let hxc = build_hxc(&self.sys.grid, &self.sys.fft, &rho);
         let (vhxc, vext, e_hartree, e_xc) = (hxc.vhxc, self.vext_at(t), hxc.e_hartree, hxc.e_xc);
         EvalPoint { nat, nat_r, rho, vhxc, vext, e_hartree, e_xc }
     }
@@ -172,16 +150,7 @@ impl<'s> TdEngine<'s> {
     /// exchange term; a dense term brings the engine's Fock operator.
     pub(crate) fn hamiltonian(&self, vhxc: &[f64], vext: &[f64], x: Exchange) -> Hamiltonian<'s> {
         let fock = matches!(x, Exchange::Dense { .. }).then(|| self.fock_operator());
-        Hamiltonian::with_backend(
-            &self.sys.grid,
-            &self.sys.vloc,
-            vhxc,
-            vext,
-            self.hybrid.alpha,
-            x,
-            fock,
-            self.backend.clone(),
-        )
+        Hamiltonian::new(&self.sys.grid, &self.sys.vloc, vhxc, vext, self.hybrid.alpha, x, fock)
     }
 
     /// Builds the dense-exchange Hamiltonian at an evaluation point.
@@ -232,9 +201,8 @@ impl<'s> TdEngine<'s> {
         phi: &Wavefunction,
         sigma: &CMat,
     ) -> (Wavefunction, f64, FockApplyStats) {
-        let be = &*self.backend;
-        let nat = natural_orbitals_with(be, phi, sigma);
-        let nat_r = nat.phi.to_real_all_with(be, &self.sys.grid);
+        let nat = natural_orbitals(phi, sigma);
+        let nat_r = nat.phi.to_real_all(&self.sys.grid);
         self.images(&nat, &nat_r)
     }
 
@@ -247,15 +215,14 @@ impl<'s> TdEngine<'s> {
         nat: &NaturalOrbitals,
         nat_r: &[Complex64],
     ) -> (Wavefunction, f64, FockApplyStats) {
-        let be = &*self.backend;
         let fock = self.fock_operator();
         let (vx_nat, stats) = fock.apply_pure_stats(nat_r, &nat.occ);
         // Exchange energy in the natural basis: Ex = Σ d_i <φ̃_i|Vx|φ̃_i>.
         let ex = fock.exchange_energy(nat_r, &nat.occ, &vx_nat, self.sys.grid.dv());
         // Rotate the images back to the original orbital gauge.
         let mut vx_r = vec![Complex64::ZERO; vx_nat.len()];
-        be.rotate(&vx_nat, &nat.q.herm(), self.sys.grid.len(), &mut vx_r);
-        let w = Wavefunction::from_real_with(be, &self.sys.grid, vx_r);
+        backend::rotate(&vx_nat, &nat.q.herm(), self.sys.grid.len(), &mut vx_r);
+        let w = Wavefunction::from_real(&self.sys.grid, vx_r);
         (w, ex, stats)
     }
 

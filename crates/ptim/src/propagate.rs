@@ -64,11 +64,11 @@ pub struct StepStats {
     /// [`resilience::run`](crate::resilience::run) driver (the step that
     /// finally succeeded after a restore carries the count).
     pub recovery_restores: usize,
-    /// High-water mark of the backend buffer pools (fp64 + fp32 arenas,
-    /// bytes) as of the end of this step — the engine-lifetime peak from
-    /// [`Backend::pool_stats`](pwnum::backend::Backend::pool_stats), not
-    /// a per-step delta (pools only grow, so the last step's value is
-    /// the run's working-set peak).
+    /// High-water mark of the process's buffer pools (fp64 + fp32
+    /// arenas, bytes) as of the end of this step — the process-lifetime
+    /// peak from [`pool_stats`](pwnum::backend::pool_stats), not a
+    /// per-step delta (pools only grow, so the last step's value is the
+    /// run's working-set peak).
     pub pool_peak_bytes: usize,
 }
 
@@ -100,7 +100,7 @@ pub(crate) fn step_envelope<'s>(
         let start_err = monitors(eng).then(|| state.orthonormality_error());
         let (next, mut stats) = body(eng, start_err);
         (stats.fock_solves_fp64, stats.fock_solves_fp32) = eng.counters.since(solve_snap);
-        let ps = eng.backend.pool_stats();
+        let ps = pwnum::backend::pool_stats();
         stats.pool_peak_bytes = ps.fp64.peak_bytes + ps.fp32.peak_bytes;
         (next, stats)
     };
@@ -160,9 +160,8 @@ pub fn pt_update(
     dt: f64,
 ) -> (Wavefunction, CMat) {
     let _s = pwobs::span("gemm.pt_update");
-    let be = &*h.backend;
     let prev = (&prev.phi, &prev.sigma);
-    let map = pt_map(&mut Serial(be), prev, (phi_mid, sigma_mid), h.apply(phi_mid), dt);
+    let map = pt_map(&mut Serial, prev, (phi_mid, sigma_mid), h.apply(phi_mid), dt);
     map.unwrap_or_else(|| {
         let (nan, _) = failed(prev, f64::NAN, StepStats::default());
         (nan.phi, nan.sigma)

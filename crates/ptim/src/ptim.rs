@@ -43,7 +43,7 @@ impl Default for PtimConfig {
 pub fn ptim_step(eng: &TdEngine, state: &TdState, cfg: &PtimConfig) -> (TdState, StepStats) {
     step_envelope(eng, state, cfg.dt, "step.ptim", |eng, start_err| {
         let prev = (&state.phi, &state.sigma);
-        ptim_body(eng, &mut Serial(&*eng.backend), prev, state.time, cfg, start_err)
+        ptim_body(eng, &mut Serial, prev, state.time, cfg, start_err)
     })
 }
 

@@ -64,8 +64,8 @@ pub fn ptim_ace_step(
         let (dt, max_scf, tol_rho) = (cfg.dt, cfg.max_inner, cfg.tol_rho);
         let (anderson_depth, anderson_beta) = (cfg.anderson_depth, cfg.anderson_beta);
         let inner = PtimConfig { dt, max_scf, tol_rho, anderson_depth, anderson_beta };
-        let (be, prev, time) = (&*eng.backend, (&state.phi, &state.sigma), state.time);
-        let (space, stats) = (&mut Serial(be), StepStats::default());
+        let (prev, time) = ((&state.phi, &state.sigma), state.time);
+        let (space, stats) = (&mut Serial, StepStats::default());
         let mut step = Midpoint { eng, space, prev, time, cfg: &inner, stats };
 
         // The predictor on the t_n ACE: its exchange images are freed
@@ -100,16 +100,16 @@ pub fn ptim_ace_step(
 /// One Fock build (counted in `fock_applies`): the exchange images of
 /// `(Φ, σ)` compressed into ACE, returned as the frozen H apply — two
 /// thin GEMMs per `HΦ` — with the exchange energy.
-fn frozen_ace<'b>(
+fn frozen_ace(
     eng: &TdEngine,
     (phi, sigma): (&Wavefunction, &CMat),
     stats: &mut StepStats,
-) -> (Box<HApply<'static, Serial<'b>>>, f64) {
+) -> (Box<HApply<'static, Serial>>, f64) {
     let (w, ex, fstats) = eng.exchange_images_stats(phi, sigma);
     stats.fock_applies += 1;
     stats.fock_skipped_weight += fstats.skipped_weight;
     let gemm_stage = eng.hybrid.fock.precision.subspace_gemm;
-    let ace = Arc::new(AceOperator::build_with_policy(eng.backend.clone(), phi, &w, gemm_stage));
+    let ace = Arc::new(AceOperator::build_with_policy(phi, &w, gemm_stage));
     (Box::new(move |eng, _, ev, phi, _| eng.hamiltonian_ace(&ev, Arc::clone(&ace)).apply(phi)), ex)
 }
 

@@ -539,7 +539,7 @@ pub struct RunReport {
     pub checkpoint_write_s: f64,
     /// Wall time spent restoring from checkpoints, seconds.
     pub restore_s: f64,
-    /// High-water mark of the backend buffer pools over the surviving
+    /// High-water mark of the process's buffer pools over the surviving
     /// step history (max of [`StepStats::pool_peak_bytes`]).
     pub pool_peak_bytes: usize,
 }

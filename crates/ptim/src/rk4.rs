@@ -30,7 +30,7 @@ fn derivative(
     t: f64,
     stats: &mut StepStats,
 ) -> Wavefunction {
-    let space = &mut Serial(&*eng.backend);
+    let space = &mut Serial;
     let ev = space.evaluate(eng, phi, &state.sigma, t);
     let mut hphi = apply_h(eng, space, ev, phi, stats);
     for z in hphi.data.iter_mut() {

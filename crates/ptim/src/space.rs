@@ -13,7 +13,7 @@ use pwdft::density::SPIN_FACTOR;
 use pwdft::hamiltonian::Exchange;
 use pwdft::mixing::AndersonMixer;
 use pwdft::{FockApplyStats, Wavefunction};
-use pwnum::backend::Backend;
+use pwnum::backend;
 use pwnum::bands;
 use pwnum::chol::solve_hpd;
 use pwnum::cmat::CMat;
@@ -39,10 +39,10 @@ pub(crate) trait BandSpace {
     fn rotate_sub(&mut self, phi: &Wavefunction, q: &CMat, out: &mut Wavefunction);
 }
 
-/// The whole block on one process, on one compute backend.
-pub(crate) struct Serial<'b>(pub(crate) &'b dyn Backend);
+/// The whole block on one process.
+pub(crate) struct Serial;
 
-impl BandSpace for Serial<'_> {
+impl BandSpace for Serial {
     fn evaluate(&mut self, eng: &TdEngine, phi: &Wavefunction, sigma: &CMat, t: f64) -> EvalPoint {
         eng.eval(phi, sigma, t)
     }
@@ -55,15 +55,15 @@ impl BandSpace for Serial<'_> {
     }
 
     fn overlap(&mut self, a: &Wavefunction, b: &Wavefunction) -> CMat {
-        a.overlap_with(self.0, b)
+        a.overlap(b)
     }
 
     fn rotate(&mut self, phi: &Wavefunction, q: &CMat) -> Wavefunction {
-        phi.rotated_with(self.0, q)
+        phi.rotated(q)
     }
 
     fn rotate_sub(&mut self, phi: &Wavefunction, q: &CMat, out: &mut Wavefunction) {
-        self.0.rotate_acc(Complex64::from_re(-1.0), &phi.data, q, phi.ng, &mut out.data);
+        backend::rotate_acc(Complex64::from_re(-1.0), &phi.data, q, phi.ng, &mut out.data);
     }
 }
 
@@ -207,7 +207,7 @@ impl<S: BandSpace> Midpoint<'_, '_, S> {
     pub(crate) fn end(mut self, next: Option<TdState>, err0: Option<f64>) -> (TdState, StepStats) {
         let (prev, time) = (self.prev, self.time + self.cfg.dt);
         let Some(mut next) = next else { return failed(prev, time, self.stats) };
-        finish(self.space, &*self.eng.backend, &mut next, err0, &mut self.stats);
+        finish(self.space, &mut next, err0, &mut self.stats);
         (next, self.stats)
     }
 
@@ -251,7 +251,6 @@ pub(crate) fn ptim_body<S: BandSpace>(
 /// the step started from, when the precision monitor is on).
 pub(crate) fn finish<S: BandSpace>(
     space: &mut S,
-    be: &dyn Backend,
     next: &mut TdState,
     start_err: Option<f64>,
     stats: &mut StepStats,
@@ -269,8 +268,8 @@ pub(crate) fn finish<S: BandSpace>(
     );
     let n = es.values.len();
     let m = CMat::from_fn(n, n, |r, i| es.vectors[(r, i)].scale(1.0 / es.values[i].sqrt()));
-    let q =
-        be.gemm(Complex64::ONE, &m, Op::None, &es.vectors, Op::ConjTrans, Complex64::ZERO, None);
+    let (one, zero) = (Complex64::ONE, Complex64::ZERO);
+    let q = backend::gemm(one, &m, Op::None, &es.vectors, Op::ConjTrans, zero, None);
     next.phi = space.rotate(&next.phi, &q);
     next.sigma = next.sigma.hermitian_part();
 }
@@ -283,8 +282,6 @@ mod tests {
     use crate::ptim::ptim_step;
     use crate::rk4::{rk4_step, Rk4Config};
     use pwdft::{Cell, DftSystem, FockOptions};
-    use pwnum::backend::{BackendHandle, Blocked, Reference};
-    use std::sync::Arc;
     use pwnum::precision::PrecisionPolicy;
 
     fn fixture(occ: &[f64]) -> (DftSystem, TdState) {
@@ -312,21 +309,17 @@ mod tests {
         }
         let laser = LaserPulse { e0: 0.05, omega: 0.15, t_center: 0.3, t_width: 0.5 };
         for (policy, tol) in [(PrecisionPolicy::fp64(), 1e-12), (PrecisionPolicy::mixed(), 1e-6)] {
-            let backends: [BackendHandle; 2] = [Arc::new(Reference), Arc::new(Blocked::new())];
-            for be in backends {
-                let name = be.name();
-                let fock = FockOptions::default().with_precision(policy);
-                let eng = TdEngine::with_backend(&sys, laser.clone(), hybrid(fock), be);
-                let ev = eng.eval(&st.phi, &st.sigma, 0.3);
-                assert!(ev.nat.q.max_abs_diff(&CMat::identity(4)) > 0.1, "Q is the identity");
-                let generic = eng.hamiltonian_dense(&ev).apply(&st.phi);
-                let mut stats = StepStats::default();
-                let own = apply_h(&eng, &mut Serial(&*eng.backend), ev, &st.phi, &mut stats);
-                let scale = generic.data.iter().map(|z| z.abs()).fold(0.0, f64::max);
-                let rel = own.max_abs_diff(&generic) / scale;
-                assert!(rel <= tol, "{name} {policy:?}: relative difference {rel:e} > {tol:e}");
-                assert_eq!(stats.fock_applies, 1);
-            }
+            let fock = FockOptions::default().with_precision(policy);
+            let eng = TdEngine::new(&sys, laser.clone(), hybrid(fock));
+            let ev = eng.eval(&st.phi, &st.sigma, 0.3);
+            assert!(ev.nat.q.max_abs_diff(&CMat::identity(4)) > 0.1, "Q is the identity");
+            let generic = eng.hamiltonian_dense(&ev).apply(&st.phi);
+            let mut stats = StepStats::default();
+            let own = apply_h(&eng, &mut Serial, ev, &st.phi, &mut stats);
+            let scale = generic.data.iter().map(|z| z.abs()).fold(0.0, f64::max);
+            let rel = own.max_abs_diff(&generic) / scale;
+            assert!(rel <= tol, "{policy:?}: relative difference {rel:e} > {tol:e}");
+            assert_eq!(stats.fock_applies, 1);
         }
     }
 

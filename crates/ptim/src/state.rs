@@ -134,9 +134,8 @@ mod tests {
         pwnum::cvec::axpy(c64(0.1, -0.05), &b0, s.phi.band_mut(1));
         assert!(s.orthonormality_error() > 1e-3);
         assert!(s.sigma_hermiticity_error() > 1e-3);
-        let be = pwnum::backend::default_backend();
         let mut stats = crate::StepStats::default();
-        crate::space::finish(&mut crate::space::Serial(&**be), &**be, &mut s, None, &mut stats);
+        crate::space::finish(&mut crate::space::Serial, &mut s, None, &mut stats);
         assert!(s.orthonormality_error() < 1e-9);
         assert!(s.sigma_hermiticity_error() < 1e-15);
     }

@@ -1,6 +1,6 @@
 //! Correctness and overlap acceptance for the ring-pipelined overlapped
 //! exchange on the self-applied half ring: `RingOverlap` must match the
-//! serial Fock operator to ≤ 1e-10 on both backends, under the fp32
+//! serial Fock operator to ≤ 1e-10, under the fp32
 //! precision policy (as must every other strategy) and at
 //! non-power-of-two rank counts — with the serial pair-symmetric apply's
 //! solve counts and statistics — and hide ≥ 50% of the exchange
@@ -10,13 +10,11 @@ use mpisim::{Cluster, NetworkModel, Topology};
 use ptim::distributed::{dist_fock_apply_pure, BandDistribution, ExchangePlan, ExchangeStrategy};
 use pwdft::fock::FockOptions;
 use pwdft::{Cell, DftSystem, FockApplyStats, FockOperator, Wavefunction};
-use pwnum::backend::{BackendHandle, Blocked, Reference};
 use pwnum::cmat::CMat;
 use pwnum::complex::{c64, Complex64};
 use pwnum::cvec::max_abs_diff;
 use pwnum::eigh;
 use pwnum::precision::PrecisionPolicy;
-use std::sync::Arc;
 
 const N_BANDS: usize = 6;
 
@@ -42,34 +40,28 @@ fn fixture() -> Fixture {
     }
 }
 
-fn backends() -> [BackendHandle; 2] {
-    [Arc::new(Reference), Arc::new(Blocked::new())]
-}
-
 #[test]
 fn ring_overlap_matches_serial_asymmetric_on_both_backends() {
     // The half ring computes the operator of the serial asymmetric
     // (target-major) apply of the natural orbitals to themselves.
     let f = fixture();
     let ng = f.sys.grid.len();
-    for be in backends() {
-        let fock = FockOperator::with_backend(&f.sys.grid, 0.2, be.clone());
-        let serial = fock.apply_diag(&f.nat_r, &f.occ, &f.nat_r);
-        // p = 3 is the non-power-of-two count; p = 2 and 4 for coverage.
-        for p in [2usize, 3, 4] {
-            let out = Cluster::ideal(p).run(|c| {
-                let dist = BandDistribution::new(N_BANDS, c.size());
-                let my = dist.range(c.rank());
-                let fock = FockOperator::with_backend(&f.sys.grid, 0.2, be.clone());
-                let nat_local = &f.nat_r[my.start * ng..my.end * ng];
-                let (vx, _) =
-                    dist_fock_apply_pure(c, &fock, &dist, nat_local, &f.occ, ExchangeStrategy::RingOverlap);
-                let want = &serial[my.start * ng..my.end * ng];
-                max_abs_diff(&vx, want)
-            });
-            for (rank, (d, _)) in out.iter().enumerate() {
-                assert!(*d < 1e-10, "{} p={p} rank={rank}: mismatch {d}", be.name());
-            }
+    let fock = FockOperator::new(&f.sys.grid, 0.2);
+    let serial = fock.apply_diag(&f.nat_r, &f.occ, &f.nat_r);
+    // p = 3 is the non-power-of-two count; p = 2 and 4 for coverage.
+    for p in [2usize, 3, 4] {
+        let out = Cluster::ideal(p).run(|c| {
+            let dist = BandDistribution::new(N_BANDS, c.size());
+            let my = dist.range(c.rank());
+            let fock = FockOperator::new(&f.sys.grid, 0.2);
+            let nat_local = &f.nat_r[my.start * ng..my.end * ng];
+            let (vx, _) =
+                dist_fock_apply_pure(c, &fock, &dist, nat_local, &f.occ, ExchangeStrategy::RingOverlap);
+            let want = &serial[my.start * ng..my.end * ng];
+            max_abs_diff(&vx, want)
+        });
+        for (rank, (d, _)) in out.iter().enumerate() {
+            assert!(*d < 1e-10, "p={p} rank={rank}: mismatch {d}");
         }
     }
 }
@@ -81,66 +73,60 @@ fn ring_overlap_symmetric_halving_matches_apply_pure_with_solve_counts() {
     // pairs (n(n+1)/2 solves unscreened), and its images are the serial
     // ones — on every strategy, at odd, even and ragged rank counts and
     // with one band per rank (p = n), with and without screening, at both
-    // precisions on both backends. The three ring strategies agree to the
-    // bit.
+    // precisions. The three ring strategies agree to the bit.
     let f = fixture();
     let ng = f.sys.grid.len();
     let max_abs = |v: &[Complex64]| v.iter().map(|z| z.abs()).fold(0.0, f64::max);
     for (precision, tol) in [(PrecisionPolicy::fp64(), 1e-12), (PrecisionPolicy::mixed(), 1e-6)] {
-        for be in backends() {
-            // 0.15 screens the band of occupation 0.1.
-            for occ_cutoff in [0.0, 0.15] {
-                let opts = FockOptions { occ_cutoff, precision };
-                let fock = || FockOperator::with_options(&f.sys.grid, 0.2, be.clone(), opts);
-                let (serial, want) = fock().apply_pure_stats(&f.nat_r, &f.occ);
-                if occ_cutoff == 0.0 {
-                    assert_eq!(want.solves, N_BANDS * (N_BANDS + 1) / 2, "{want:?}");
-                } else {
-                    assert!(want.skipped_pairs > 0 && want.skipped_weight > 0.0, "{want:?}");
-                }
-                let scale = max_abs(&serial);
-                for p in [1usize, 2, 3, 4, 5, 6] {
-                    let mut ring_bits: Option<Vec<Vec<u64>>> = None;
-                    for strategy in [
-                        ExchangeStrategy::Bcast,
-                        ExchangeStrategy::Ring,
-                        ExchangeStrategy::AsyncRing,
-                        ExchangeStrategy::RingOverlap,
-                    ] {
-                        let case = format!(
-                            "{precision:?} {} cutoff {occ_cutoff} {strategy:?} p={p}",
-                            be.name()
-                        );
-                        let out = Cluster::ideal(p).run(|c| {
-                            let dist = BandDistribution::new(N_BANDS, c.size());
-                            let my = dist.range(c.rank());
-                            let nat_local = &f.nat_r[my.start * ng..my.end * ng];
-                            let (vx, stats) =
-                                dist_fock_apply_pure(c, &fock(), &dist, nat_local, &f.occ, strategy);
-                            let d = max_abs_diff(&vx, &serial[my.start * ng..my.end * ng]);
-                            let bits = vx.iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()]);
-                            (d, stats, bits.collect::<Vec<u64>>())
-                        });
-                        let mut sum = FockApplyStats::default();
-                        for (rank, ((d, stats, _), _)) in out.iter().enumerate() {
-                            assert!(*d <= tol * scale, "{case} rank={rank}: mismatch {d}");
-                            if precision == PrecisionPolicy::fp64() {
-                                assert!(*d < 1e-10, "{case} rank={rank}: symmetric mismatch {d}");
-                            }
-                            sum += *stats;
+        // 0.15 screens the band of occupation 0.1.
+        for occ_cutoff in [0.0, 0.15] {
+            let opts = FockOptions { occ_cutoff, precision };
+            let fock = || FockOperator::with_options(&f.sys.grid, 0.2, opts);
+            let (serial, want) = fock().apply_pure_stats(&f.nat_r, &f.occ);
+            if occ_cutoff == 0.0 {
+                assert_eq!(want.solves, N_BANDS * (N_BANDS + 1) / 2, "{want:?}");
+            } else {
+                assert!(want.skipped_pairs > 0 && want.skipped_weight > 0.0, "{want:?}");
+            }
+            let scale = max_abs(&serial);
+            for p in [1usize, 2, 3, 4, 5, 6] {
+                let mut ring_bits: Option<Vec<Vec<u64>>> = None;
+                for strategy in [
+                    ExchangeStrategy::Bcast,
+                    ExchangeStrategy::Ring,
+                    ExchangeStrategy::AsyncRing,
+                    ExchangeStrategy::RingOverlap,
+                ] {
+                    let case = format!("{precision:?} cutoff {occ_cutoff} {strategy:?} p={p}");
+                    let out = Cluster::ideal(p).run(|c| {
+                        let dist = BandDistribution::new(N_BANDS, c.size());
+                        let my = dist.range(c.rank());
+                        let nat_local = &f.nat_r[my.start * ng..my.end * ng];
+                        let (vx, stats) =
+                            dist_fock_apply_pure(c, &fock(), &dist, nat_local, &f.occ, strategy);
+                        let d = max_abs_diff(&vx, &serial[my.start * ng..my.end * ng]);
+                        let bits = vx.iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()]);
+                        (d, stats, bits.collect::<Vec<u64>>())
+                    });
+                    let mut sum = FockApplyStats::default();
+                    for (rank, ((d, stats, _), _)) in out.iter().enumerate() {
+                        assert!(*d <= tol * scale, "{case} rank={rank}: mismatch {d}");
+                        if precision == PrecisionPolicy::fp64() {
+                            assert!(*d < 1e-10, "{case} rank={rank}: symmetric mismatch {d}");
                         }
-                        assert_eq!(sum.solves, want.solves, "{case}: solve count");
-                        assert_eq!(sum.solves_fp32, want.solves_fp32, "{case}");
-                        assert_eq!(sum.skipped_pairs, want.skipped_pairs, "{case}");
-                        assert_eq!(sum.contributions, want.contributions, "{case}");
-                        let rel = (sum.skipped_weight - want.skipped_weight).abs()
-                            / want.skipped_weight.max(f64::MIN_POSITIVE);
-                        assert!(rel <= 1e-12, "{case}: skipped weight off by {rel:e}");
-                        if strategy != ExchangeStrategy::Bcast {
-                            let bits: Vec<Vec<u64>> = out.into_iter().map(|((_, _, b), _)| b).collect();
-                            let first = ring_bits.get_or_insert_with(|| bits.clone());
-                            assert!(*first == bits, "{case}: images differ from Ring's bits");
-                        }
+                        sum += *stats;
+                    }
+                    assert_eq!(sum.solves, want.solves, "{case}: solve count");
+                    assert_eq!(sum.solves_fp32, want.solves_fp32, "{case}");
+                    assert_eq!(sum.skipped_pairs, want.skipped_pairs, "{case}");
+                    assert_eq!(sum.contributions, want.contributions, "{case}");
+                    let rel = (sum.skipped_weight - want.skipped_weight).abs()
+                        / want.skipped_weight.max(f64::MIN_POSITIVE);
+                    assert!(rel <= 1e-12, "{case}: skipped weight off by {rel:e}");
+                    if strategy != ExchangeStrategy::Bcast {
+                        let bits: Vec<Vec<u64>> = out.into_iter().map(|((_, _, b), _)| b).collect();
+                        let first = ring_bits.get_or_insert_with(|| bits.clone());
+                        assert!(*first == bits, "{case}: images differ from Ring's bits");
                     }
                 }
             }
@@ -154,32 +140,30 @@ fn ring_overlap_honors_fp32_precision_policy() {
     let ng = f.sys.grid.len();
     let opts = FockOptions { precision: PrecisionPolicy::mixed(), ..Default::default() };
     let pairs = N_BANDS * (N_BANDS + 1) / 2;
-    for be in backends() {
-        let fock = FockOperator::with_options(&f.sys.grid, 0.2, be.clone(), opts);
-        // Serial reference under the SAME policy: the distributed path
-        // must reproduce the fp32 pipeline, not silently run fp64.
-        let serial = fock.apply_pure(&f.nat_r, &f.occ);
-        // Every strategy runs the same policy-aware block kernel: none may
-        // fall back to fp64.
-        for strategy in STRATEGIES {
-            for p in [2usize, 3] {
-                let out = Cluster::ideal(p).run(|c| {
-                    let dist = BandDistribution::new(N_BANDS, c.size());
-                    let my = dist.range(c.rank());
-                    let fock = FockOperator::with_options(&f.sys.grid, 0.2, be.clone(), opts);
-                    let nat_local = &f.nat_r[my.start * ng..my.end * ng];
-                    let (vx, stats) = dist_fock_apply_pure(c, &fock, &dist, nat_local, &f.occ, strategy);
-                    let want = &serial[my.start * ng..my.end * ng];
-                    (max_abs_diff(&vx, want), stats.solves, stats.solves_fp32)
-                });
-                let case = format!("{} {strategy:?} p={p}", be.name());
-                for (rank, ((d, solves, solves32), _)) in out.iter().enumerate() {
-                    assert!(*d < 1e-10, "{case} rank={rank}: fp32-policy mismatch {d}");
-                    assert_eq!(solves, solves32, "{case} rank={rank}: every solve must run fp32");
-                }
-                let total: usize = out.iter().map(|((_, solves, _), _)| solves).sum();
-                assert_eq!(total, pairs, "{case}: solve count");
+    let fock = FockOperator::with_options(&f.sys.grid, 0.2, opts);
+    // Serial reference under the SAME policy: the distributed path
+    // must reproduce the fp32 pipeline, not silently run fp64.
+    let serial = fock.apply_pure(&f.nat_r, &f.occ);
+    // Every strategy runs the same policy-aware block kernel: none may
+    // fall back to fp64.
+    for strategy in STRATEGIES {
+        for p in [2usize, 3] {
+            let out = Cluster::ideal(p).run(|c| {
+                let dist = BandDistribution::new(N_BANDS, c.size());
+                let my = dist.range(c.rank());
+                let fock = FockOperator::with_options(&f.sys.grid, 0.2, opts);
+                let nat_local = &f.nat_r[my.start * ng..my.end * ng];
+                let (vx, stats) = dist_fock_apply_pure(c, &fock, &dist, nat_local, &f.occ, strategy);
+                let want = &serial[my.start * ng..my.end * ng];
+                (max_abs_diff(&vx, want), stats.solves, stats.solves_fp32)
+            });
+            let case = format!("{strategy:?} p={p}");
+            for (rank, ((d, solves, solves32), _)) in out.iter().enumerate() {
+                assert!(*d < 1e-10, "{case} rank={rank}: fp32-policy mismatch {d}");
+                assert_eq!(solves, solves32, "{case} rank={rank}: every solve must run fp32");
             }
+            let total: usize = out.iter().map(|((_, solves, _), _)| solves).sum();
+            assert_eq!(total, pairs, "{case}: solve count");
         }
     }
 }

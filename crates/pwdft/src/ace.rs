@@ -19,7 +19,7 @@ use crate::fock::{FockApplyStats, FockOperator};
 use crate::gvec::PwGrid;
 use crate::wavefunction::Wavefunction;
 use pwfft::Fft3;
-use pwnum::backend::{default_backend, BackendHandle};
+use pwnum::backend;
 use pwnum::chol::{cholesky, invert_lower};
 use pwnum::cmat::CMat;
 use pwnum::complex::Complex64;
@@ -27,8 +27,7 @@ use pwnum::precision::{self, Complex32, CVec32, StagePrecision};
 
 /// The compressed exchange operator `V_ACE = -ξ ξ^H`.
 ///
-/// Carries the compute backend it was built on; both GEMMs of every
-/// application route through it. Under a reduced subspace-GEMM precision
+/// Under a reduced subspace-GEMM precision
 /// stage (see [`PrecisionPolicy`](pwnum::precision::PrecisionPolicy)) a
 /// demoted copy of ξ is cached at build time and every apply runs the
 /// overlap/rotation pair in fp32, promoting the result into the fp64
@@ -42,36 +41,24 @@ pub struct AceOperator {
     xi32: Option<CVec32>,
     /// Precision of the apply-side subspace GEMMs.
     gemm_stage: StagePrecision,
-    /// Compute backend for the overlap/rotation pair of each apply.
-    backend: BackendHandle,
 }
 
 impl AceOperator {
     /// Builds the operator from the orbital block `phi` and the
-    /// *precomputed* exchange images `w = Vx Φ` (both G-space), on the
-    /// process default backend.
+    /// *precomputed* exchange images `w = Vx Φ` (both G-space), with
+    /// fp64 applies.
     ///
     /// A small diagonal shift is added before the Cholesky factorization
     /// to tolerate exactly-zero exchange on empty bands.
     pub fn build(phi: &Wavefunction, w: &Wavefunction) -> AceOperator {
-        Self::build_with(default_backend().clone(), phi, w)
+        Self::build_with_policy(phi, w, StagePrecision::Fp64)
     }
 
-    /// [`Self::build`] on an explicit compute backend (fp64 applies).
-    pub fn build_with(
-        backend: BackendHandle,
-        phi: &Wavefunction,
-        w: &Wavefunction,
-    ) -> AceOperator {
-        Self::build_with_policy(backend, phi, w, StagePrecision::Fp64)
-    }
-
-    /// [`Self::build_with`] with an explicit apply-side subspace-GEMM
+    /// [`Self::build`] with an explicit apply-side subspace-GEMM
     /// precision stage. The compression itself (overlap, Cholesky,
     /// rotation) always runs in fp64 — only the per-apply GEMM pair is
     /// reduced, and only when `gemm_stage` is.
     pub fn build_with_policy(
-        backend: BackendHandle,
         phi: &Wavefunction,
         w: &Wavefunction,
         gemm_stage: StagePrecision,
@@ -79,7 +66,7 @@ impl AceOperator {
         let _s = pwobs::span("xch.ace_build");
         assert_eq!(phi.n_bands, w.n_bands);
         assert_eq!(phi.ng, w.ng);
-        let m = phi.overlap_with(&*backend, w); // M = Φ^H W
+        let m = phi.overlap(w); // M = Φ^H W
         // -M should be HPD (up to noise); regularize relative to its scale.
         let n = m.rows();
         let mut neg_m = m.scaled(Complex64::from_re(-1.0)).hermitian_part();
@@ -90,9 +77,9 @@ impl AceOperator {
         let l = cholesky(&neg_m).expect("ACE: -Φ^H VxΦ not positive definite");
         // ξ = W L^{-H}: Q = (L^{-1})^H.
         let q = invert_lower(&l).herm();
-        let xi = w.rotated_with(&*backend, &q);
+        let xi = w.rotated(&q);
         let xi32 = gemm_stage.reduced().then(|| precision::demote(&xi.data));
-        AceOperator { xi, xi32, gemm_stage, backend }
+        AceOperator { xi, xi32, gemm_stage }
     }
 
     /// Builds the operator directly from a [`FockOperator`] and the
@@ -113,16 +100,13 @@ impl AceOperator {
         phi: &Wavefunction,
         occ: &[f64],
     ) -> (AceOperator, Wavefunction, f64, FockApplyStats) {
-        let backend = fock.backend().clone();
-        let be = &*backend;
         let [n0, n1, n2] = grid.dims;
         assert_eq!(fft.dims(), (n0, n1, n2), "fft must be the grid's plan set");
-        let phi_r = phi.to_real_all_with(be, grid);
+        let phi_r = phi.to_real_all(grid);
         let (vx_r, stats) = fock.apply_pure_stats(&phi_r, occ);
         let ex = fock.exchange_energy(&phi_r, occ, &vx_r, grid.dv());
-        let w = Wavefunction::from_real_with(be, grid, vx_r);
-        let ace =
-            Self::build_with_policy(backend, phi, &w, fock.options().precision.subspace_gemm);
+        let w = Wavefunction::from_real(grid, vx_r);
+        let ace = Self::build_with_policy(phi, &w, fock.options().precision.subspace_gemm);
         (ace, w, ex, stats)
     }
 
@@ -138,17 +122,16 @@ impl AceOperator {
             // Reduced subspace-GEMM stage: both GEMMs run in fp32 on the
             // cached demoted ξ, and the fp32 result block is promoted
             // into the fp64 output in one pass. Scratch comes from the
-            // backend's fp32 pool so this hot per-apply path stays
+            // fp32 pool so this hot per-apply path stays
             // allocation-free in steady state.
             let xi32 = self.xi32.as_ref().expect("reduced gemm stage caches demoted ξ");
-            let be = &*self.backend;
             let ng = self.xi.ng;
-            let mut psi32 = be.take_scratch32(psi.data.len());
+            let mut psi32 = backend::take_scratch32(psi.data.len());
             precision::demote_into(&psi.data, &mut psi32);
-            let c32 = be.overlap32(xi32, &psi32, ng, self.xi.ip_scale as f32);
-            let mut acc32 = be.take_scratch32(out.len());
+            let c32 = backend::overlap32(xi32, &psi32, ng, self.xi.ip_scale as f32);
+            let mut acc32 = backend::take_scratch32(out.len());
             acc32.fill(Complex32::ZERO);
-            be.rotate_acc32(
+            backend::rotate_acc32(
                 Complex32::from_re(-scale as f32),
                 xi32,
                 &c32,
@@ -156,13 +139,13 @@ impl AceOperator {
                 &mut acc32,
             );
             precision::promote_acc(&acc32, out);
-            be.recycle_buffer32(psi32);
-            be.recycle_buffer32(acc32);
+            backend::recycle_buffer32(psi32);
+            backend::recycle_buffer32(acc32);
             return;
         }
         // C[k][j] = <ξ_k | ψ_j>
-        let c = self.xi.overlap_with(&*self.backend, psi);
-        self.backend.rotate_acc(
+        let c = self.xi.overlap(psi);
+        backend::rotate_acc(
             Complex64::from_re(-scale),
             &self.xi.data,
             &c,
@@ -175,7 +158,7 @@ impl AceOperator {
     /// = `-Σ_j d_j Σ_k |<ξ_k|ψ_j>|²`.
     pub fn exchange_energy(&self, psi: &Wavefunction, occ: &[f64]) -> f64 {
         assert_eq!(occ.len(), psi.n_bands);
-        let c = self.xi.overlap_with(&*self.backend, psi);
+        let c = self.xi.overlap(psi);
         let mut e = 0.0;
         for j in 0..psi.n_bands {
             if occ[j].abs() < crate::fock::DEFAULT_OCC_CUTOFF {
@@ -192,9 +175,9 @@ impl AceOperator {
 
     /// Matrix elements `A[i][j] = <ψ_i|V_ACE|ψ_j>` (for σ dynamics).
     pub fn matrix_elements(&self, psi: &Wavefunction) -> CMat {
-        let c = self.xi.overlap_with(&*self.backend, psi); // k×j
+        let c = self.xi.overlap(psi); // k×j
         // A = -C^H C.
-        self.backend.gemm(
+        backend::gemm(
             Complex64::from_re(-1.0),
             &c,
             pwnum::gemm::Op::ConjTrans,
@@ -293,10 +276,9 @@ mod tests {
         // nonzero accumulation target and through build_from_fock with a
         // reduced subspace_gemm stage.
         let (grid, phi, w, _, _) = build_test_ace();
-        let be = pwnum::backend::default_backend().clone();
         for stage in [StagePrecision::Fp32, StagePrecision::Fp32Promoted] {
-            let ace64 = AceOperator::build_with(be.clone(), &phi, &w);
-            let ace32 = AceOperator::build_with_policy(be.clone(), &phi, &w, stage);
+            let ace64 = AceOperator::build(&phi, &w);
+            let ace32 = AceOperator::build_with_policy(&phi, &w, stage);
             let seed: Vec<Complex64> = (0..phi.data.len())
                 .map(|k| Complex64::new((k as f64 * 0.1).sin(), (k as f64 * 0.2).cos()))
                 .collect();
@@ -315,7 +297,6 @@ mod tests {
         let fock = FockOperator::with_options(
             &grid,
             0.2,
-            be,
             crate::fock::FockOptions {
                 precision: pwnum::precision::PrecisionPolicy {
                     subspace_gemm: StagePrecision::Fp32Promoted,

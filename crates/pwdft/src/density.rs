@@ -13,7 +13,6 @@
 
 use crate::gvec::PwGrid;
 use crate::wavefunction::Wavefunction;
-use pwnum::backend::{default_backend, Backend};
 use pwnum::bands;
 use pwnum::cmat::CMat;
 use pwnum::complex::Complex64;
@@ -24,20 +23,10 @@ pub const SPIN_FACTOR: f64 = 2.0;
 
 /// Baseline mixed-state density: explicit `Σ_ij σ_ij φ_i φ_j*` pair loop.
 pub fn density_mixed_baseline(grid: &PwGrid, phi: &Wavefunction, sigma: &CMat) -> Vec<f64> {
-    density_mixed_baseline_with(&**default_backend(), grid, phi, sigma)
-}
-
-/// [`density_mixed_baseline`] on an explicit compute backend.
-pub fn density_mixed_baseline_with(
-    backend: &dyn Backend,
-    grid: &PwGrid,
-    phi: &Wavefunction,
-    sigma: &CMat,
-) -> Vec<f64> {
     let n = phi.n_bands;
     assert_eq!(sigma.rows(), n);
     assert_eq!(sigma.cols(), n);
-    let real = phi.to_real_all_with(backend, grid);
+    let real = phi.to_real_all(grid);
     let ng = grid.len();
     let mut rho = vec![0.0f64; ng];
     // Diagonal terms + twice the real part of the upper triangle
@@ -79,21 +68,12 @@ pub struct NaturalOrbitals {
     pub q: CMat,
 }
 
-/// Diagonalizes σ and rotates the orbitals (paper Eq. 11–12).
+/// Diagonalizes σ and rotates the orbitals (paper Eq. 11–12); the
+/// rotation `Φ Q` is the band-op hot path of the σ-diagonalization.
 pub fn natural_orbitals(phi: &Wavefunction, sigma: &CMat) -> NaturalOrbitals {
-    natural_orbitals_with(&**default_backend(), phi, sigma)
-}
-
-/// [`natural_orbitals`] on an explicit compute backend (the rotation
-/// `Φ Q` is the band-op hot path of the σ-diagonalization).
-pub fn natural_orbitals_with(
-    backend: &dyn Backend,
-    phi: &Wavefunction,
-    sigma: &CMat,
-) -> NaturalOrbitals {
     let _s = pwobs::span("gemm.natural_orbitals");
     let e = eigh(sigma);
-    let rotated = phi.rotated_with(backend, &e.vectors);
+    let rotated = phi.rotated(&e.vectors);
     NaturalOrbitals { phi: rotated, occ: e.values, q: e.vectors }
 }
 
@@ -102,30 +82,11 @@ pub fn density_from_natural(grid: &PwGrid, nat: &NaturalOrbitals) -> Vec<f64> {
     density_diag(grid, &nat.phi, &nat.occ)
 }
 
-/// [`density_from_natural`] on an explicit compute backend.
-pub fn density_from_natural_with(
-    backend: &dyn Backend,
-    grid: &PwGrid,
-    nat: &NaturalOrbitals,
-) -> Vec<f64> {
-    density_diag_with(backend, grid, &nat.phi, &nat.occ)
-}
-
 /// Density from orbitals with *diagonal* occupations (also used for the
 /// pure-state / ground-state case where σ is already diagonal).
 pub fn density_diag(grid: &PwGrid, phi: &Wavefunction, occ: &[f64]) -> Vec<f64> {
-    density_diag_with(&**default_backend(), grid, phi, occ)
-}
-
-/// [`density_diag`] on an explicit compute backend.
-pub fn density_diag_with(
-    backend: &dyn Backend,
-    grid: &PwGrid,
-    phi: &Wavefunction,
-    occ: &[f64],
-) -> Vec<f64> {
     assert_eq!(occ.len(), phi.n_bands);
-    let real = phi.to_real_all_with(backend, grid);
+    let real = phi.to_real_all(grid);
     let ng = grid.len();
     let mut rho = vec![0.0f64; ng];
     for (i, &d) in occ.iter().enumerate() {

@@ -30,7 +30,7 @@
 
 use crate::gvec::PwGrid;
 use pwfft::{Fft3, Fft32};
-use pwnum::backend::{default_backend, BackendHandle, PairTask};
+use pwnum::backend::{self, PairTask};
 use pwnum::bands;
 use pwnum::cmat::CMat;
 use pwnum::complex::Complex64;
@@ -188,14 +188,12 @@ impl ScreenedKernel {
 
 /// The Fock exchange operator bound to a grid + kernel.
 ///
-/// Every FFT, elementwise product and band operation inside goes through
-/// the operator's compute [`Backend`](pwnum::backend::Backend) — swap the
-/// handle to retarget the paper's dominant cost to another device model.
+/// Every FFT, pair solve and band operation inside runs on the
+/// [`pwnum::backend`] kernels.
 pub struct FockOperator<'g> {
     grid: &'g PwGrid,
     fft: Fft3,
     kernel: ScreenedKernel,
-    backend: BackendHandle,
     opts: FockOptions,
     /// fp32 solve machinery (plans + demoted kernel), built once when
     /// the policy's exchange stage is reduced.
@@ -213,24 +211,13 @@ struct Fp32Kit {
 
 impl<'g> FockOperator<'g> {
     /// Creates the operator with an HSE-type kernel of parameter `omega`
-    /// on the process default backend and default [`FockOptions`].
+    /// and default [`FockOptions`].
     pub fn new(grid: &'g PwGrid, omega: f64) -> Self {
-        Self::with_backend(grid, omega, default_backend().clone())
+        Self::with_options(grid, omega, FockOptions::default())
     }
 
-    /// Creates the operator on an explicit compute backend with default
-    /// [`FockOptions`].
-    pub fn with_backend(grid: &'g PwGrid, omega: f64, backend: BackendHandle) -> Self {
-        Self::with_options(grid, omega, backend, FockOptions::default())
-    }
-
-    /// Creates the operator with explicit backend and scheduler options.
-    pub fn with_options(
-        grid: &'g PwGrid,
-        omega: f64,
-        backend: BackendHandle,
-        opts: FockOptions,
-    ) -> Self {
+    /// Creates the operator with explicit scheduler options.
+    pub fn with_options(grid: &'g PwGrid, omega: f64, opts: FockOptions) -> Self {
         let fft = grid.fft();
         let kernel = ScreenedKernel::hse(grid, omega);
         let fp32 = opts
@@ -242,7 +229,6 @@ impl<'g> FockOperator<'g> {
             grid,
             fft,
             kernel,
-            backend,
             opts,
             fp32,
             counters: Arc::new(SolveCounters::default()),
@@ -269,12 +255,6 @@ impl<'g> FockOperator<'g> {
         self.grid.len()
     }
 
-    /// The operator's compute backend.
-    #[inline]
-    pub fn backend(&self) -> &BackendHandle {
-        &self.backend
-    }
-
     /// The scheduler options the operator was built with.
     #[inline]
     pub fn options(&self) -> &FockOptions {
@@ -297,7 +277,7 @@ impl<'g> FockOperator<'g> {
     /// per-pair oracle) solve through this; the batched schedulers go
     /// through [`Self::run_tasks`].
     fn poisson_batch(&self, pairs: &mut [Complex64], count: usize) {
-        self.fft.convolve_many_with(&*self.backend, pairs, count, &self.kernel.kg);
+        self.fft.convolve_many(pairs, count, &self.kernel.kg);
         self.counters.add_fp64(count);
     }
 
@@ -311,11 +291,10 @@ impl<'g> FockOperator<'g> {
         let ng = self.ng();
         let n = bands::n_bands(phi_r, ng);
         assert_eq!(sigma.rows(), n);
-        let be = &*self.backend;
         let mut out = vec![Complex64::ZERO; n * ng];
         // Scratch contents are unspecified: hadamard_conj overwrites the
         // whole pair grid before any read.
-        let mut pair = be.take_scratch(ng);
+        let mut pair = backend::take_scratch(ng);
         for k in 0..n {
             let pk = bands::band(phi_r, ng, k);
             for i in 0..n {
@@ -334,7 +313,7 @@ impl<'g> FockOperator<'g> {
                 }
             }
         }
-        be.recycle_buffer(pair);
+        backend::recycle_buffer(pair);
         out
     }
 
@@ -350,7 +329,7 @@ impl<'g> FockOperator<'g> {
     /// [`FockOptions::occ_cutoff`] and differ only in which pairs they
     /// enumerate: every surviving pair runs density → Poisson round trip
     /// → scatter over pooled grids, on every worker the region is worth
-    /// ([`pwnum::backend::Backend::fused_pair_solve`]).
+    /// ([`pwnum::backend::fused_pair_solve`]).
     pub fn apply_diag(
         &self,
         phi_r: &[Complex64],
@@ -507,7 +486,7 @@ impl<'g> FockOperator<'g> {
     }
 
     /// The one pair pipeline behind both enumerators: `tasks` go through
-    /// the backend's fused pair solve — per pair, density → Poisson round
+    /// the fused pair solve — per pair, density → Poisson round
     /// trip → scatter over pooled grids, with the result of running them
     /// strictly in order at any thread count — at the policy's
     /// `exchange` precision. Reduced: the blocks
@@ -527,19 +506,18 @@ impl<'g> FockOperator<'g> {
             return;
         }
         let ng = self.ng();
-        let be = &*self.backend;
         stats.solves += tasks.len();
         let Some(kit) = &self.fp32 else {
             let solve = self.fft.convolve_pass(&self.kernel.kg);
-            be.fused_pair_solve(&solve, phi_r, psi_r, ng, tasks, out);
+            backend::fused_pair_solve(&solve, phi_r, psi_r, ng, tasks, out);
             self.counters.add_fp64(tasks.len());
             return;
         };
         let phi32 = precision::demote(phi_r);
         let psi32 = (!std::ptr::eq(phi_r, psi_r)).then(|| precision::demote(psi_r));
         let mut comp =
-            self.opts.precision.exchange.compensated().then(|| be.take_buffer(out.len()));
-        be.fused_pair_solve32(
+            self.opts.precision.exchange.compensated().then(|| backend::take_buffer(out.len()));
+        backend::fused_pair_solve32(
             &kit.fft.convolve_pass(&kit.kg),
             &phi32,
             psi32.as_deref().unwrap_or(&phi32),
@@ -551,7 +529,7 @@ impl<'g> FockOperator<'g> {
         stats.solves_fp32 += tasks.len();
         self.counters.add_fp32(tasks.len());
         if let Some(c) = comp {
-            be.recycle_buffer(c);
+            backend::recycle_buffer(c);
         }
     }
 
@@ -585,14 +563,13 @@ impl<'g> FockOperator<'g> {
         let ng = self.ng();
         let n = bands::n_bands(phi_r, ng);
         assert_eq!(sigma.rows(), n);
-        let be = &*self.backend;
         let e = pwnum::eigh(sigma);
-        let mut nat_r = be.take_scratch(n * ng);
-        be.rotate(phi_r, &e.vectors, ng, &mut nat_r);
+        let mut nat_r = backend::take_scratch(n * ng);
+        backend::rotate(phi_r, &e.vectors, ng, &mut nat_r);
         let (vx_nat, stats) = self.apply_pure_stats(&nat_r, &e.values);
         let mut out = vec![Complex64::ZERO; n * ng];
-        be.rotate(&vx_nat, &e.vectors.herm(), ng, &mut out);
-        be.recycle_buffer(nat_r);
+        backend::rotate(&vx_nat, &e.vectors.herm(), ng, &mut out);
+        backend::recycle_buffer(nat_r);
         (out, stats)
     }
 
@@ -672,11 +649,6 @@ mod tests {
     use crate::wavefunction::Wavefunction;
     use pwnum::eigh;
     use pwnum::precision::Complex32;
-
-    /// The oracle backend and the product backend, bare.
-    fn oracle_and_product() -> [BackendHandle; 2] {
-        [Arc::new(pwnum::backend::Reference), Arc::new(pwnum::backend::Blocked::new())]
-    }
 
     fn setup(n_bands: usize) -> (PwGrid, Wavefunction) {
         let cell = Cell::silicon_supercell(1, 1, 1);
@@ -817,19 +789,10 @@ mod tests {
         let (grid, wf) = setup(4);
         let phi_r = wf.to_real_all(&grid);
         let d = vec![1.0, 0.5, 1e-3, 1e-3];
-        let be = pwnum::backend::default_backend().clone();
-        let screened = FockOperator::with_options(
-            &grid,
-            0.2,
-            be.clone(),
-            FockOptions::default().with_occ_cutoff(1e-2),
-        );
-        let exact = FockOperator::with_options(
-            &grid,
-            0.2,
-            be,
-            FockOptions::default().with_occ_cutoff(0.0),
-        );
+        let screened =
+            FockOperator::with_options(&grid, 0.2, FockOptions::default().with_occ_cutoff(1e-2));
+        let exact =
+            FockOperator::with_options(&grid, 0.2, FockOptions::default().with_occ_cutoff(0.0));
         let (vs, ss) = screened.apply_pure_stats(&phi_r, &d);
         let (ve, se) = exact.apply_pure_stats(&phi_r, &d);
         // Pairs among the two screened bands are skipped entirely.
@@ -853,12 +816,10 @@ mod tests {
         let (grid, wf) = setup(5);
         let d = vec![1.0, 0.9, 0.5, 0.2, 0.05];
         let phi_r = wf.to_real_all(&grid);
-        let be = pwnum::backend::default_backend().clone();
-        let exact = FockOperator::with_options(&grid, 0.2, be.clone(), FockOptions::default());
+        let exact = FockOperator::with_options(&grid, 0.2, FockOptions::default());
         let mixed = FockOperator::with_options(
             &grid,
             0.2,
-            be,
             FockOptions { precision: PrecisionPolicy::mixed(), ..Default::default() },
         );
         // Symmetric path.
@@ -891,7 +852,6 @@ mod tests {
         let (grid, wf) = setup(4);
         let d = vec![1.0, 0.8, 0.6, 0.3];
         let phi_r = wf.to_real_all(&grid);
-        let be = pwnum::backend::default_backend().clone();
         let exact = FockOperator::new(&grid, 0.2);
         let ve = exact.apply_pure(&phi_r, &d);
         let scale = ve.iter().map(|z| z.abs()).fold(0.0f64, f64::max);
@@ -905,7 +865,6 @@ mod tests {
             let op = FockOperator::with_options(
                 &grid,
                 0.2,
-                be.clone(),
                 FockOptions { precision: policy, ..Default::default() },
             );
             let v = op.apply_pure(&phi_r, &d);
@@ -920,7 +879,7 @@ mod tests {
         // The per-pair staged round trip (`accumulate_pair{,_sym}`),
         // looped in scheduler order, is the oracle of the batched
         // applies: same elementwise kernels,
-        // same scatter order, and the backends' fused convolve is exact
+        // same scatter order, and the fused convolve is exact
         // against the staged one — so a reordered, dropped or doubled
         // pair shows as a nonzero difference. Six bands put both task
         // lists (20 and 30 solves of 216 points) above the inline
@@ -934,56 +893,53 @@ mod tests {
         let n = d.len();
         let phi_r = wf.to_real_all(&grid);
         let psi = phi_r.clone();
-        for be in oracle_and_product() {
-            let name = be.name();
-            let fock = FockOperator::with_backend(&grid, 0.2, be);
-            let mut pair = vec![Complex64::ZERO; ng];
+        let fock = FockOperator::new(&grid, 0.2);
+        let mut pair = vec![Complex64::ZERO; ng];
 
-            // Symmetric: i ≤ j, one solve scattered into both targets.
-            let mut want = vec![Complex64::ZERO; n * ng];
-            let mut solves = 0;
-            for i in 0..n {
-                for j in i..n {
-                    if d[i] == 0.0 && d[j] == 0.0 {
-                        continue;
-                    }
-                    solves += 1;
-                    let (pi, pj) = (bands::band(&phi_r, ng, i), bands::band(&phi_r, ng, j));
-                    if i == j {
-                        let oi = bands::band_mut(&mut want, ng, i);
-                        fock.accumulate_pair(pi, pi, d[i], oi, &mut pair);
-                    } else {
-                        let (lo, hi) = want.split_at_mut(j * ng);
-                        let (oi, oj) = (bands::band_mut(lo, ng, i), &mut hi[..ng]);
-                        fock.accumulate_pair_sym(pi, pj, d[i], d[j], oj, oi, &mut pair);
-                    }
+        // Symmetric: i ≤ j, one solve scattered into both targets.
+        let mut want = vec![Complex64::ZERO; n * ng];
+        let mut solves = 0;
+        for i in 0..n {
+            for j in i..n {
+                if d[i] == 0.0 && d[j] == 0.0 {
+                    continue;
+                }
+                solves += 1;
+                let (pi, pj) = (bands::band(&phi_r, ng, i), bands::band(&phi_r, ng, j));
+                if i == j {
+                    let oi = bands::band_mut(&mut want, ng, i);
+                    fock.accumulate_pair(pi, pi, d[i], oi, &mut pair);
+                } else {
+                    let (lo, hi) = want.split_at_mut(j * ng);
+                    let (oi, oj) = (bands::band_mut(lo, ng, i), &mut hi[..ng]);
+                    fock.accumulate_pair_sym(pi, pj, d[i], d[j], oj, oi, &mut pair);
                 }
             }
-            let (got, st) = fock.apply_pure_stats(&phi_r, &d);
-            assert!(st.symmetric);
-            assert_eq!(st.solves, solves, "{name} symmetric solves");
-            assert_eq!(pwnum::cvec::max_abs_diff(&got, &want), 0.0, "{name} symmetric");
-
-            // Asymmetric: target-major, occupied sources ascending.
-            let mut want = vec![Complex64::ZERO; n * ng];
-            let mut solves = 0;
-            for j in 0..n {
-                for i in (0..n).filter(|&i| d[i] != 0.0) {
-                    solves += 1;
-                    fock.accumulate_pair(
-                        bands::band(&phi_r, ng, i),
-                        bands::band(&psi, ng, j),
-                        d[i],
-                        bands::band_mut(&mut want, ng, j),
-                        &mut pair,
-                    );
-                }
-            }
-            let (got, st) = fock.apply_diag_stats(&phi_r, &d, &psi);
-            assert!(!st.symmetric);
-            assert_eq!((st.solves, st.contributions), (solves, solves), "{name} asymmetric");
-            assert_eq!(pwnum::cvec::max_abs_diff(&got, &want), 0.0, "{name} asymmetric");
         }
+        let (got, st) = fock.apply_pure_stats(&phi_r, &d);
+        assert!(st.symmetric);
+        assert_eq!(st.solves, solves, "symmetric solves");
+        assert_eq!(pwnum::cvec::max_abs_diff(&got, &want), 0.0, "symmetric");
+
+        // Asymmetric: target-major, occupied sources ascending.
+        let mut want = vec![Complex64::ZERO; n * ng];
+        let mut solves = 0;
+        for j in 0..n {
+            for i in (0..n).filter(|&i| d[i] != 0.0) {
+                solves += 1;
+                fock.accumulate_pair(
+                    bands::band(&phi_r, ng, i),
+                    bands::band(&psi, ng, j),
+                    d[i],
+                    bands::band_mut(&mut want, ng, j),
+                    &mut pair,
+                );
+            }
+        }
+        let (got, st) = fock.apply_diag_stats(&phi_r, &d, &psi);
+        assert!(!st.symmetric);
+        assert_eq!((st.solves, st.contributions), (solves, solves), "asymmetric");
+        assert_eq!(pwnum::cvec::max_abs_diff(&got, &want), 0.0, "asymmetric");
     }
 
     #[test]
@@ -992,7 +948,7 @@ mod tests {
         // fp32 pipeline — demote once, then per pair: fp32 density →
         // forward FFT → ×K(G) → inverse FFT → compensated promote-scatter
         // — in scheduler order. Exact: the fused convolve is
-        // value-identical to the staged round trip on every backend.
+        // value-identical to the staged round trip.
         let (grid, wf) = setup(5);
         let ng = grid.len();
         let d = [1.0, 0.9, 0.5, 0.2, 0.05];
@@ -1002,80 +958,55 @@ mod tests {
         let phi32 = precision::demote(&phi_r);
         let fft32 = grid.fft32();
         let band32 = |i: usize| &phi32[i * ng..(i + 1) * ng];
-        for be in oracle_and_product() {
-            let name = be.name();
-            let mixed = FockOperator::with_options(
-                &grid,
-                0.2,
-                be.clone(),
-                FockOptions::default().with_precision(PrecisionPolicy::mixed()),
-            );
-            let kg32 = precision::demote_real(mixed.kernel_table());
-            let mut pair = vec![Complex32::ZERO; ng];
-            let solve = |i: usize, j: usize, pair: &mut [Complex32]| {
-                precision::hadamard_conj32(band32(i), band32(j), pair);
-                fft32.transform_fused(pair, false);
-                for (z, &k) in pair.iter_mut().zip(&kg32) {
-                    *z = z.scale(k);
-                }
-                fft32.transform_fused(pair, true);
-            };
-
-            let mut want = vec![Complex64::ZERO; n * ng];
-            let mut comp = vec![Complex64::ZERO; n * ng];
-            for i in 0..n {
-                for j in i..n {
-                    solve(i, j, &mut pair);
-                    let (oj, cj) =
-                        (bands::band_mut(&mut want, ng, j), bands::band_mut(&mut comp, ng, j));
-                    precision::hadamard_acc_promote(-d[i], &pair, band32(i), oj, Some(cj));
-                    if i != j {
-                        let (oi, ci) =
-                            (bands::band_mut(&mut want, ng, i), bands::band_mut(&mut comp, ng, i));
-                        precision::hadamard_acc_promote_conj(-d[j], &pair, band32(j), oi, Some(ci));
-                    }
-                }
+        let mixed = FockOperator::with_options(
+            &grid,
+            0.2,
+            FockOptions::default().with_precision(PrecisionPolicy::mixed()),
+        );
+        let kg32 = precision::demote_real(mixed.kernel_table());
+        let mut pair = vec![Complex32::ZERO; ng];
+        let solve = |i: usize, j: usize, pair: &mut [Complex32]| {
+            precision::hadamard_conj32(band32(i), band32(j), pair);
+            fft32.transform_fused(pair, false);
+            for (z, &k) in pair.iter_mut().zip(&kg32) {
+                *z = z.scale(k);
             }
-            let (got, st) = mixed.apply_pure_stats(&phi_r, &d);
-            assert_eq!((st.solves, st.solves_fp32), (n * (n + 1) / 2, n * (n + 1) / 2));
-            assert_eq!(pwnum::cvec::max_abs_diff(&got, &want), 0.0, "{name} fp32 symmetric");
+            fft32.transform_fused(pair, true);
+        };
 
-            // Asymmetric (copied target block: demotes to the same values).
-            let mut want = vec![Complex64::ZERO; n * ng];
-            let mut comp = vec![Complex64::ZERO; n * ng];
-            for j in 0..n {
+        let mut want = vec![Complex64::ZERO; n * ng];
+        let mut comp = vec![Complex64::ZERO; n * ng];
+        for i in 0..n {
+            for j in i..n {
+                solve(i, j, &mut pair);
                 let (oj, cj) =
                     (bands::band_mut(&mut want, ng, j), bands::band_mut(&mut comp, ng, j));
-                for (i, &di) in d.iter().enumerate() {
-                    solve(i, j, &mut pair);
-                    precision::hadamard_acc_promote(-di, &pair, band32(i), oj, Some(&mut *cj));
+                precision::hadamard_acc_promote(-d[i], &pair, band32(i), oj, Some(cj));
+                if i != j {
+                    let (oi, ci) =
+                        (bands::band_mut(&mut want, ng, i), bands::band_mut(&mut comp, ng, i));
+                    precision::hadamard_acc_promote_conj(-d[j], &pair, band32(j), oi, Some(ci));
                 }
             }
-            let (got, st) = mixed.apply_diag_stats(&phi_r, &d, &psi);
-            assert_eq!((st.solves, st.solves_fp32), (n * n, n * n));
-            assert_eq!(pwnum::cvec::max_abs_diff(&got, &want), 0.0, "{name} fp32 asymmetric");
         }
-    }
+        let (got, st) = mixed.apply_pure_stats(&phi_r, &d);
+        assert_eq!((st.solves, st.solves_fp32), (n * (n + 1) / 2, n * (n + 1) / 2));
+        assert_eq!(pwnum::cvec::max_abs_diff(&got, &want), 0.0, "fp32 symmetric");
 
-    #[test]
-    fn pool_peak_is_independent_of_band_count() {
-        // The pipeline holds one wave of pooled pair grids (one grid on
-        // one worker) for the whole task list: on a fresh pooled backend
-        // the high-water mark must not grow with the number of bands.
-        // 36 / 55 / 78 tasks are all beyond a wave, so this holds at every thread count (the bound in grids
-        // is asserted next to the scheduler, in `pwnum::backend`).
-        let (grid, wf) = setup(12);
-        let ng = grid.len();
-        let phi_r = wf.to_real_all(&grid);
-        let peak = |n: usize| {
-            let be: BackendHandle = Arc::new(pwnum::backend::Blocked::new());
-            let op = FockOperator::with_backend(&grid, 0.2, be.clone());
-            op.apply_pure(&phi_r[..n * ng], &vec![1.0; n]);
-            be.pool_stats().fp64.peak_bytes
-        };
-        let (p8, p10, p12) = (peak(8), peak(10), peak(12));
-        assert!(p8 > 0, "pool accounting must see the pair grids");
-        assert_eq!((p8, p8), (p10, p12), "pool peak grew with the band count");
+        // Asymmetric (copied target block: demotes to the same values).
+        let mut want = vec![Complex64::ZERO; n * ng];
+        let mut comp = vec![Complex64::ZERO; n * ng];
+        for j in 0..n {
+            let (oj, cj) =
+                (bands::band_mut(&mut want, ng, j), bands::band_mut(&mut comp, ng, j));
+            for (i, &di) in d.iter().enumerate() {
+                solve(i, j, &mut pair);
+                precision::hadamard_acc_promote(-di, &pair, band32(i), oj, Some(&mut *cj));
+            }
+        }
+        let (got, st) = mixed.apply_diag_stats(&phi_r, &d, &psi);
+        assert_eq!((st.solves, st.solves_fp32), (n * n, n * n));
+        assert_eq!(pwnum::cvec::max_abs_diff(&got, &want), 0.0, "fp32 asymmetric");
     }
 
     #[test]

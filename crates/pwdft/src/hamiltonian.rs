@@ -11,7 +11,7 @@ use crate::gvec::PwGrid;
 use crate::wavefunction::Wavefunction;
 use crate::xc;
 use pwfft::Fft3;
-use pwnum::backend::{default_backend, Backend, BackendHandle};
+use pwnum::backend;
 use pwnum::cmat::CMat;
 use pwnum::complex::Complex64;
 use pwnum::cvec;
@@ -38,20 +38,10 @@ pub enum Exchange {
 /// Hartree potential and energy from the density:
 /// `V_H(G) = 4π ρ_G / G²` (G ≠ 0), `E_H = ½ ∫ V_H ρ dV`.
 pub fn hartree_potential(grid: &PwGrid, fft: &Fft3, rho: &[f64]) -> (Vec<f64>, f64) {
-    hartree_potential_with(&**default_backend(), grid, fft, rho)
-}
-
-/// [`hartree_potential`] on an explicit compute backend.
-pub fn hartree_potential_with(
-    backend: &dyn Backend,
-    grid: &PwGrid,
-    fft: &Fft3,
-    rho: &[f64],
-) -> (Vec<f64>, f64) {
     let ng = grid.len();
     assert_eq!(rho.len(), ng);
     let mut work: Vec<Complex64> = rho.iter().map(|&r| Complex64::from_re(r)).collect();
-    fft.forward_many_with(backend, &mut work, 1);
+    fft.forward_many(&mut work, 1);
     // 4π/G² with the jellium convention at G = 0. Applied inline: the
     // kernel is a pure function of the grid, and materializing it per
     // call would cost an ng-sized allocation every SCF iteration.
@@ -63,7 +53,7 @@ pub fn hartree_potential_with(
             *w = w.scale(four_pi / g2);
         }
     }
-    fft.inverse_many_with(backend, &mut work, 1);
+    fft.inverse_many(&mut work, 1);
     let vh: Vec<f64> = work.iter().map(|z| z.re).collect();
     let eh = 0.5 * vh.iter().zip(rho).map(|(v, r)| v * r).sum::<f64>() * grid.dv();
     (vh, eh)
@@ -84,8 +74,6 @@ pub struct Hamiltonian<'g> {
     /// Dense Fock machinery (kernel + plans), needed for `Exchange::Dense`
     /// and for building ACE operators.
     pub fock: Option<FockOperator<'g>>,
-    /// Compute backend every FFT/band primitive of `apply` routes through.
-    pub backend: BackendHandle,
 }
 
 impl<'g> Hamiltonian<'g> {
@@ -101,42 +89,12 @@ impl<'g> Hamiltonian<'g> {
         exchange: Exchange,
         fock: Option<FockOperator<'g>>,
     ) -> Self {
-        // Inherit the Fock operator's backend when present so the dense
-        // exchange and the local parts run on the same device model.
-        let backend = fock
-            .as_ref()
-            .map(|f| f.backend().clone())
-            .unwrap_or_else(|| default_backend().clone());
-        Self::with_backend(grid, vloc, vhxc, vext, alpha, exchange, fock, backend)
-    }
-
-    /// [`Self::new`] with an explicit compute backend. When a
-    /// [`FockOperator`] is supplied it must share the same backend so
-    /// one `apply` never splits across two device models.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_backend(
-        grid: &'g PwGrid,
-        vloc: &[f64],
-        vhxc: &[f64],
-        vext: &[f64],
-        alpha: f64,
-        exchange: Exchange,
-        fock: Option<FockOperator<'g>>,
-        backend: BackendHandle,
-    ) -> Self {
         assert_eq!(vloc.len(), grid.len());
         assert_eq!(vhxc.len(), grid.len());
         assert_eq!(vext.len(), grid.len());
-        if let Some(f) = &fock {
-            assert_eq!(
-                f.backend().name(),
-                backend.name(),
-                "Hamiltonian and its FockOperator must share one backend kind"
-            );
-        }
         let vtot: Vec<f64> =
             vloc.iter().zip(vhxc).zip(vext).map(|((a, b), c)| a + b + c).collect();
-        Hamiltonian { grid, fft: grid.fft(), vtot, alpha, exchange, fock, backend }
+        Hamiltonian { grid, fft: grid.fft(), vtot, alpha, exchange, fock }
     }
 
     /// Computes `H ψ` for a block of orbitals (sphere coefficients in,
@@ -144,11 +102,10 @@ impl<'g> Hamiltonian<'g> {
     pub fn apply(&self, psi: &Wavefunction) -> Wavefunction {
         let (n, grid) = (self.grid.len(), self.grid);
         assert_eq!(psi.ng, grid.n_pw());
-        let be = &*self.backend;
         let mut out = Wavefunction::zeros_like(psi);
 
         // Real-space copies of the input bands (batched inverse FFT).
-        let psi_r = psi.to_real_all_with(be, grid);
+        let psi_r = psi.to_real_all(grid);
 
         // Dense exchange acts on the real-space block as a whole.
         let vx_r: Option<Vec<Complex64>> = match &self.exchange {
@@ -163,7 +120,7 @@ impl<'g> Hamiltonian<'g> {
         };
 
         // Potential part in real space, band-parallel: V_tot ψ (+ α·Vx).
-        let mut work = be.take_buffer_copy(&psi_r);
+        let mut work = backend::take_buffer_copy(&psi_r);
         par_chunks_mut(&mut work, n, |b, wband| {
             for (w, &v) in wband.iter_mut().zip(&self.vtot) {
                 *w = w.scale(v);
@@ -173,7 +130,7 @@ impl<'g> Hamiltonian<'g> {
             }
         });
         // Back to G-space as one batched forward FFT.
-        self.fft.forward_many_with(be, &mut work, psi.n_bands);
+        self.fft.forward_many(&mut work, psi.n_bands);
         // Kinetic + potential on the sphere, band-parallel.
         let ng = psi.ng;
         par_chunks_mut(&mut out.data, ng, |b, ob| {
@@ -185,7 +142,7 @@ impl<'g> Hamiltonian<'g> {
                 *o = wband[g] + c.scale(0.5 * g2);
             }
         });
-        be.recycle_buffer(work);
+        backend::recycle_buffer(work);
 
         // ACE exchange acts in G-space on the whole block.
         if let Exchange::Ace(ace) = &self.exchange {
@@ -198,7 +155,7 @@ impl<'g> Hamiltonian<'g> {
     /// dynamics, Eq. 6).
     pub fn matrix_elements(&self, psi: &Wavefunction) -> CMat {
         let hpsi = self.apply(psi);
-        psi.overlap_with(&*self.backend, &hpsi).hermitian_part()
+        psi.overlap(&hpsi).hermitian_part()
     }
 }
 
@@ -226,17 +183,7 @@ pub struct HxcResult {
 
 /// Builds `V_H + V_xc` and the corresponding energies from a density.
 pub fn build_hxc(grid: &PwGrid, fft: &Fft3, rho: &[f64]) -> HxcResult {
-    build_hxc_with(&**default_backend(), grid, fft, rho)
-}
-
-/// [`build_hxc`] on an explicit compute backend.
-pub fn build_hxc_with(
-    backend: &dyn Backend,
-    grid: &PwGrid,
-    fft: &Fft3,
-    rho: &[f64],
-) -> HxcResult {
-    let (vh, e_hartree) = hartree_potential_with(backend, grid, fft, rho);
+    let (vh, e_hartree) = hartree_potential(grid, fft, rho);
     let mut vxc = vec![0.0; grid.len()];
     let e_xc = xc::xc_energy_potential(rho, grid.dv(), &mut vxc);
     let vhxc: Vec<f64> = vh.iter().zip(&vxc).map(|(a, b)| a + b).collect();

@@ -227,12 +227,7 @@ pub fn scf_hybrid(
     let kt = KB_HARTREE * cfg.temperature_k;
     let ne = sys.n_electrons();
     let zeros = vec![0.0; sys.grid.len()];
-    let fock = FockOperator::with_options(
-        &sys.grid,
-        hyb.omega,
-        pwnum::backend::default_backend().clone(),
-        hyb.fock,
-    );
+    let fock = FockOperator::with_options(&sys.grid, hyb.omega, hyb.fock);
 
     let mut gs = start;
     let mut last_ex = 0.0;

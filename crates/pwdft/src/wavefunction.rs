@@ -11,7 +11,7 @@
 //! Nothing outside the sphere is stored, so nothing there can be nonzero.
 
 use crate::gvec::PwGrid;
-use pwnum::backend::{default_backend, Backend};
+use pwnum::backend;
 use pwnum::bands;
 use pwnum::chol::{cholesky, invert_lower};
 use pwnum::cmat::CMat;
@@ -82,16 +82,10 @@ impl Wavefunction {
         bands::band_mut(&mut self.data, self.ng, i)
     }
 
-    /// Overlap matrix `S[i][j] = <self_i | other_j>`, computed on the
-    /// process default backend.
+    /// Overlap matrix `S[i][j] = <self_i | other_j>`.
     pub fn overlap(&self, other: &Wavefunction) -> CMat {
-        self.overlap_with(&**default_backend(), other)
-    }
-
-    /// [`Self::overlap`] on an explicit compute backend.
-    pub fn overlap_with(&self, backend: &dyn Backend, other: &Wavefunction) -> CMat {
         assert_eq!(self.ng, other.ng);
-        backend.overlap(&self.data, &other.data, self.ng, self.ip_scale)
+        backend::overlap(&self.data, &other.data, self.ng, self.ip_scale)
     }
 
     /// Inner product of two single bands.
@@ -99,33 +93,26 @@ impl Wavefunction {
         pwnum::cvec::dotc(self.band(i), other.band(j)).scale(self.ip_scale)
     }
 
-    /// Returns `self * Q` (subspace rotation; Q is `n_bands x n_out`),
-    /// computed on the process default backend.
+    /// Returns `self * Q` (subspace rotation; Q is `n_bands x n_out`).
     pub fn rotated(&self, q: &CMat) -> Wavefunction {
-        self.rotated_with(&**default_backend(), q)
-    }
-
-    /// [`Self::rotated`] on an explicit compute backend.
-    pub fn rotated_with(&self, backend: &dyn Backend, q: &CMat) -> Wavefunction {
         let mut out = Wavefunction {
             n_bands: q.cols(),
             ng: self.ng,
             ip_scale: self.ip_scale,
             data: vec![Complex64::ZERO; q.cols() * self.ng],
         };
-        backend.rotate(&self.data, q, self.ng, &mut out.data);
+        backend::rotate(&self.data, q, self.ng, &mut out.data);
         out
     }
 
     /// Cholesky-QR orthonormalization: `Φ ← Φ L^{-H}` with `Φ^HΦ = LL^H`.
     /// Fast; requires a numerically full-rank block.
     pub fn orthonormalize_cholesky(&mut self) {
-        let backend = &**default_backend();
-        let s = self.overlap_with(backend, self);
+        let s = self.overlap(self);
         let l = cholesky(&s).expect("orthonormalize: rank-deficient wavefunction block");
         let q = invert_lower(&l).herm();
         let mut out = vec![Complex64::ZERO; self.data.len()];
-        backend.rotate(&self.data, &q, self.ng, &mut out);
+        backend::rotate(&self.data, &q, self.ng, &mut out);
         self.data = out;
     }
 
@@ -151,8 +138,7 @@ impl Wavefunction {
                 m[(r, i)] = e.vectors[(r, i)].scale(w);
             }
         }
-        let backend = &**default_backend();
-        let q = backend.gemm(
+        let q = backend::gemm(
             Complex64::ONE,
             &m,
             pwnum::gemm::Op::None,
@@ -162,7 +148,7 @@ impl Wavefunction {
             None,
         );
         let mut out = vec![Complex64::ZERO; self.data.len()];
-        backend.rotate(&self.data, &q, self.ng, &mut out);
+        backend::rotate(&self.data, &q, self.ng, &mut out);
         self.data = out;
     }
 
@@ -174,37 +160,25 @@ impl Wavefunction {
         grid.fft().inverse(out);
     }
 
-    /// Transforms all bands to real space (band-major buffer, parallel),
-    /// on the process default backend.
+    /// Transforms all bands to real space (band-major buffer): every
+    /// band scattered onto the grid, then one batched inverse FFT.
     pub fn to_real_all(&self, grid: &PwGrid) -> Vec<Complex64> {
-        self.to_real_all_with(&**default_backend(), grid)
-    }
-
-    /// [`Self::to_real_all`] on an explicit compute backend (the backend
-    /// owns the batched-FFT strategy): every band scattered onto the
-    /// grid, then one batched inverse FFT.
-    pub fn to_real_all_with(&self, backend: &dyn Backend, grid: &PwGrid) -> Vec<Complex64> {
         let n = grid.len();
         let mut out = vec![Complex64::ZERO; self.n_bands * n];
         for (b, full) in out.chunks_exact_mut(n).enumerate() {
             grid.scatter(self.band(b), full);
         }
-        grid.fft().inverse_many_with(backend, &mut out, self.n_bands);
+        grid.fft().inverse_many(&mut out, self.n_bands);
         out
     }
 
     /// Builds a block from band-major real-space values: one batched
     /// forward FFT, then each band's sphere coefficients.
-    pub fn from_real(grid: &PwGrid, real: Vec<Complex64>) -> Self {
-        Self::from_real_with(&**default_backend(), grid, real)
-    }
-
-    /// [`Self::from_real`] on an explicit compute backend.
-    pub fn from_real_with(backend: &dyn Backend, grid: &PwGrid, mut real: Vec<Complex64>) -> Self {
+    pub fn from_real(grid: &PwGrid, mut real: Vec<Complex64>) -> Self {
         let n = grid.len();
         assert_eq!(real.len() % n, 0);
         let n_bands = real.len() / n;
-        grid.fft().forward_many_with(backend, &mut real, n_bands);
+        grid.fft().forward_many(&mut real, n_bands);
         let mut wf = Self::zeros(grid, n_bands);
         for (b, full) in real.chunks_exact(n).enumerate() {
             grid.gather(full, wf.band_mut(b));

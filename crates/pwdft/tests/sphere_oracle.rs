@@ -16,7 +16,7 @@
 
 use pwdft::mixing::AndersonMixer;
 use pwdft::{AceOperator, Cell, DftSystem, Exchange, FockOperator, Hamiltonian, PwGrid, Wavefunction};
-use pwnum::backend::default_backend;
+use pwnum::backend;
 use pwnum::bands;
 use pwnum::cmat::CMat;
 use pwnum::complex::{c64, Complex64};
@@ -95,9 +95,9 @@ fn assert_bits32(what: &str, a: &[Complex32], b: &[Complex32]) {
 /// over every grid point, the ACE term on full-grid ξ, then the cutoff
 /// mask.
 fn full_grid_apply(h: &Hamiltonian, ace_full: Option<&AceOperator>, psi: &Wavefunction) -> Vec<Complex64> {
-    let (grid, be, n) = (h.grid, &*h.backend, h.grid.len());
+    let (grid, n) = (h.grid, h.grid.len());
     let mut psi_r = psi.data.clone();
-    h.fft.inverse_many_with(be, &mut psi_r, psi.n_bands);
+    h.fft.inverse_many(&mut psi_r, psi.n_bands);
     let vx_r = match &h.exchange {
         Exchange::Dense { nat_r, occ } => {
             Some(h.fock.as_ref().expect("dense exchange").apply_diag(nat_r, occ, &psi_r))
@@ -113,7 +113,7 @@ fn full_grid_apply(h: &Hamiltonian, ace_full: Option<&AceOperator>, psi: &Wavefu
             cvec::axpy(Complex64::from_re(h.alpha), &vx[b * n..(b + 1) * n], wband);
         }
     }
-    h.fft.forward_many_with(be, &mut work, psi.n_bands);
+    h.fft.forward_many(&mut work, psi.n_bands);
     let mut out: Vec<Complex64> = work
         .iter()
         .zip(&psi.data)
@@ -142,7 +142,6 @@ fn check_compact_against_full_grid() {
     let grid = &sys.grid;
     let (n, ng, nb) = (grid.len(), grid.n_pw(), 24);
     assert!(ng < n);
-    let be = default_backend().clone();
     let scale = grid.volume() / (n as f64 * n as f64);
 
     let a = random_compact(grid, nb, 1);
@@ -150,13 +149,13 @@ fn check_compact_against_full_grid() {
     let (a_full, b_full) = (expand(grid, &a), expand(grid, &b));
 
     // overlap (fp64, fp32).
-    let s = be.overlap(&a, &b, ng, scale);
-    let s_full = be.overlap(&a_full, &b_full, n, scale);
+    let s = backend::overlap(&a, &b, ng, scale);
+    let s_full = backend::overlap(&a_full, &b_full, n, scale);
     assert_bits("overlap", s.as_slice(), s_full.as_slice());
     let (a32, b32) = (precision::demote(&a), precision::demote(&b));
     let (a32_full, b32_full) = (precision::demote(&a_full), precision::demote(&b_full));
-    let s32: CMat32 = be.overlap32(&a32, &b32, ng, scale as f32);
-    let s32_full = be.overlap32(&a32_full, &b32_full, n, scale as f32);
+    let s32: CMat32 = backend::overlap32(&a32, &b32, ng, scale as f32);
+    let s32_full = backend::overlap32(&a32_full, &b32_full, n, scale as f32);
     assert_bits32("overlap32", s32.as_slice(), s32_full.as_slice());
 
     // rotate, rotate_acc (fp64, fp32). A zero weight takes the kernel's
@@ -165,21 +164,21 @@ fn check_compact_against_full_grid() {
     q[(2, 1)] = Complex64::ZERO;
     let mut rot = vec![Complex64::ZERO; (nb - 3) * ng];
     let mut rot_full = vec![Complex64::ZERO; (nb - 3) * n];
-    be.rotate(&a, &q, ng, &mut rot);
-    be.rotate(&a_full, &q, n, &mut rot_full);
+    backend::rotate(&a, &q, ng, &mut rot);
+    backend::rotate(&a_full, &q, n, &mut rot_full);
     assert_bits("rotate", &expand(grid, &rot), &rot_full);
     let alpha = c64(-0.75, 0.25);
     let mut acc = b[..(nb - 3) * ng].to_vec();
     let mut acc_full = expand(grid, &acc);
-    be.rotate_acc(alpha, &a, &q, ng, &mut acc);
-    be.rotate_acc(alpha, &a_full, &q, n, &mut acc_full);
+    backend::rotate_acc(alpha, &a, &q, ng, &mut acc);
+    backend::rotate_acc(alpha, &a_full, &q, n, &mut acc_full);
     assert_bits("rotate_acc", &acc, &compress(grid, &acc_full));
     let q32 = CMat32::from_fn(nb, nb - 3, |i, j| Complex32::from_c64(q[(i, j)]));
     let mut acc32 = precision::demote(&b[..(nb - 3) * ng]);
     let mut acc32_full = precision::demote(&expand(grid, &b[..(nb - 3) * ng]));
     let alpha32 = Complex32::from_c64(alpha);
-    be.rotate_acc32(alpha32, &a32, &q32, ng, &mut acc32);
-    be.rotate_acc32(alpha32, &a32_full, &q32, n, &mut acc32_full);
+    backend::rotate_acc32(alpha32, &a32, &q32, ng, &mut acc32);
+    backend::rotate_acc32(alpha32, &a32_full, &q32, n, &mut acc32_full);
     let acc32_back = precision::demote(&compress(grid, &precision::promote(&acc32_full)));
     assert_bits32("rotate_acc32", &acc32, &acc32_back);
 
@@ -217,14 +216,14 @@ fn check_compact_against_full_grid() {
     phi.orthonormalize_lowdin();
     let real = phi.to_real_all(grid);
     let mut real_full = expand(grid, &phi.data);
-    sys.fft.inverse_many_with(&*be, &mut real_full, phi.n_bands);
+    sys.fft.inverse_many(&mut real_full, phi.n_bands);
     assert_bits("to_real_all", &real, &real_full);
     let mut one = vec![Complex64::ZERO; n];
     phi.to_real(grid, 3, &mut one);
     assert_bits("to_real", &one, &real_full[3 * n..4 * n]);
     let back = Wavefunction::from_real(grid, real.clone());
     let mut fwd = real;
-    sys.fft.forward_many_with(&*be, &mut fwd, phi.n_bands);
+    sys.fft.forward_many(&mut fwd, phi.n_bands);
     assert_bits("from_real", &back.data, &compress(grid, &fwd));
     assert!(back.max_abs_diff(&phi) < 1e-12, "round trip");
 
@@ -246,8 +245,8 @@ fn check_compact_against_full_grid() {
     let w = Wavefunction::from_real(grid, vx);
     let (phi_full, w_full) = (full_block(grid, &phi), full_block(grid, &w));
     for stage in [StagePrecision::Fp64, StagePrecision::Fp32Promoted] {
-        let ace = AceOperator::build_with_policy(be.clone(), &phi, &w, stage);
-        let ace_full = AceOperator::build_with_policy(be.clone(), &phi_full, &w_full, stage);
+        let ace = AceOperator::build_with_policy(&phi, &w, stage);
+        let ace_full = AceOperator::build_with_policy(&phi_full, &w_full, stage);
         assert_bits(&format!("ACE ξ ({stage:?})"), &ace.xi.data, &compress(grid, &ace_full.xi.data));
         let h = Hamiltonian::new(grid, &sys.vloc, &vhxc, &vext, 0.25, Exchange::Ace(Arc::new(ace)), None);
         let full = full_grid_apply(&h, Some(&ace_full), &psi_full);

@@ -4,7 +4,7 @@
 //! fastest). Wavefunctions and densities in `pwdft` live on such grids;
 //! the Fock exchange operator performs two 3D transforms per orbital pair,
 //! which makes [`Fft3::convolve_pass`] (one screened-Poisson round trip,
-//! batched over pairs by [`Backend::fused_pair_solve`]) the hottest path
+//! batched over pairs by [`backend::fused_pair_solve`]) the hottest path
 //! in the whole code — the Rust analog of the paper's multi-batch cuFFT
 //! strategy (Sec. III-B b).
 //!
@@ -17,7 +17,7 @@
 
 use crate::plan::Plan;
 use crate::tile;
-use pwnum::backend::{Backend, GridTransform};
+use pwnum::backend::{self, DefaultBackend, GridTransform};
 use pwnum::complex::Complex64;
 use std::sync::Arc;
 
@@ -85,22 +85,22 @@ impl Fft3 {
     }
 
     /// One direction of the transform as a [`GridTransform`] pass, ready
-    /// to hand to [`Backend::transform_batch`].
+    /// to hand to [`backend::transform_batch`].
     #[inline]
     pub fn pass(&self, inverse: bool) -> FftPass<'_> {
         FftPass { fft: self, inverse }
     }
 
-    /// Batched forward transform of `count` consecutive grids, routed
-    /// through a compute [`Backend`] (the backend owns the slab
-    /// decomposition and thread count).
-    pub fn forward_many_with(&self, backend: &dyn Backend, data: &mut [Complex64], count: usize) {
-        backend.transform_batch(&self.pass(false), data, count);
+    /// Batched forward transform of `count` consecutive grids
+    /// ([`backend::transform_batch`] owns the slab decomposition and
+    /// thread count).
+    pub fn forward_many(&self, data: &mut [Complex64], count: usize) {
+        backend::transform_batch(&self.pass(false), data, count);
     }
 
-    /// Batched inverse transform routed through a compute [`Backend`].
-    pub fn inverse_many_with(&self, backend: &dyn Backend, data: &mut [Complex64], count: usize) {
-        backend.transform_batch(&self.pass(true), data, count);
+    /// Batched inverse transform of `count` consecutive grids.
+    pub fn inverse_many(&self, data: &mut [Complex64], count: usize) {
+        backend::transform_batch(&self.pass(true), data, count);
     }
 
     /// Batched filtered round trip over `count` consecutive grids:
@@ -112,21 +112,15 @@ impl Fft3 {
     /// grid, so the whole round trip reuses a single buffer
     /// with no intermediate copies (the batched schedulers use
     /// [`Self::convolve_pass`] instead).
-    pub fn convolve_many_with(
-        &self,
-        backend: &dyn Backend,
-        data: &mut [Complex64],
-        count: usize,
-        kernel: &[f64],
-    ) {
+    pub fn convolve_many(&self, data: &mut [Complex64], count: usize, kernel: &[f64]) {
         assert_eq!(kernel.len(), self.len(), "convolve kernel/grid length mismatch");
         assert_eq!(data.len(), count * self.len(), "FFT3 batch length mismatch");
         if count == 0 {
             return;
         }
-        self.forward_many_with(backend, data, count);
+        self.forward_many(data, count);
         pwnum::cvec::scale_by_real(kernel, data);
-        self.inverse_many_with(backend, data, count);
+        self.inverse_many(data, count);
     }
 
     /// The whole screened-Poisson round trip — forward 3-D FFT, `K(G)`
@@ -145,8 +139,8 @@ impl Fft3 {
 
     /// The filtered round trip ([`Self::convolve_grid_fused`]) as one
     /// [`GridTransform`]: the `solve` operator of
-    /// [`Backend::fused_pair_solve`] — bitwise identical to
-    /// `convolve_many_with`.
+    /// [`backend::fused_pair_solve`] — bitwise identical to
+    /// [`Self::convolve_many`].
     #[inline]
     pub fn convolve_pass<'f>(&'f self, kernel: &'f [f64]) -> ConvolvePass<'f> {
         assert_eq!(kernel.len(), self.len(), "convolve kernel/grid length mismatch");
@@ -181,9 +175,34 @@ impl Fft3 {
     }
 }
 
+/// Source compatibility for the repo benchmark's frozen harness (see
+/// `pwnum::backend::compat`): forwarders only.
+impl Fft3 {
+    /// [`Self::forward_many`].
+    pub fn forward_many_with(&self, _: &DefaultBackend, data: &mut [Complex64], count: usize) {
+        self.forward_many(data, count)
+    }
+
+    /// [`Self::inverse_many`].
+    pub fn inverse_many_with(&self, _: &DefaultBackend, data: &mut [Complex64], count: usize) {
+        self.inverse_many(data, count)
+    }
+
+    /// [`Self::convolve_many`].
+    pub fn convolve_many_with(
+        &self,
+        _: &DefaultBackend,
+        data: &mut [Complex64],
+        count: usize,
+        kernel: &[f64],
+    ) {
+        self.convolve_many(data, count, kernel)
+    }
+}
+
 /// The screened-Poisson round trip (forward FFT → `K(G)` → inverse FFT)
 /// as a single [`GridTransform`] — what the fused pair-solve pipeline
-/// hands to [`Backend::fused_pair_solve`].
+/// hands to [`backend::fused_pair_solve`].
 #[derive(Clone, Copy, Debug)]
 pub struct ConvolvePass<'f> {
     fft: &'f Fft3,
@@ -201,7 +220,7 @@ impl GridTransform for ConvolvePass<'_> {
 }
 
 /// One direction of a [`Fft3`] as a batched-transform pass: the bridge
-/// between the FFT plans and the [`Backend`] batching strategies.
+/// between the FFT plans and [`backend::transform_batch`].
 #[derive(Clone, Copy, Debug)]
 pub struct FftPass<'f> {
     fft: &'f Fft3,
@@ -221,12 +240,7 @@ impl GridTransform for FftPass<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pwnum::backend::{BackendHandle, Blocked, Reference};
     use pwnum::complex::c64;
-
-    fn backends() -> [BackendHandle; 2] {
-        [Arc::new(Reference), Arc::new(Blocked::new())]
-    }
 
     fn bits_eq(a: &[Complex64], b: &[Complex64]) -> bool {
         a.len() == b.len()
@@ -340,7 +354,7 @@ mod tests {
     #[test]
     fn convolve_matches_manual_roundtrip() {
         // The filtered round trip equals forward → kernel multiply →
-        // inverse done by hand, per grid, on both backends — and the
+        // inverse done by hand, per grid — and the
         // conjugate symmetry the pair scheduler relies on holds: a real
         // kernel gives convolve(conj f) = conj(convolve f).
         let fft = Fft3::new(4, 6, 5);
@@ -362,26 +376,24 @@ mod tests {
             }
         }
         let base = signal(n * count, 0.7);
-        for be in backends() {
-            let mut got = base.clone();
-            fft.convolve_many_with(&*be, &mut got, count, &kernel);
-            let mut want = base.clone();
-            for grid in want.chunks_mut(n) {
-                fft.forward(grid);
-                for (z, &k) in grid.iter_mut().zip(&kernel) {
-                    *z = z.scale(k);
-                }
-                fft.inverse(grid);
+        let mut got = base.clone();
+        fft.convolve_many(&mut got, count, &kernel);
+        let mut want = base.clone();
+        for grid in want.chunks_mut(n) {
+            fft.forward(grid);
+            for (z, &k) in grid.iter_mut().zip(&kernel) {
+                *z = z.scale(k);
             }
-            for (a, b) in got.iter().zip(&want) {
-                assert!((*a - *b).abs() < 1e-10, "{}: convolve mismatch", be.name());
-            }
-            // Conjugate symmetry.
-            let mut conj_in: Vec<Complex64> = base[..n].iter().map(|z| z.conj()).collect();
-            fft.convolve_many_with(&*be, &mut conj_in, 1, &kernel);
-            for (a, b) in conj_in.iter().zip(&got[..n]) {
-                assert!((*a - b.conj()).abs() < 1e-9, "{}: W_ji != conj(W_ij)", be.name());
-            }
+            fft.inverse(grid);
+        }
+        for (a, b) in got.iter().zip(&want) {
+            assert!((*a - *b).abs() < 1e-10, "convolve mismatch");
+        }
+        // Conjugate symmetry.
+        let mut conj_in: Vec<Complex64> = base[..n].iter().map(|z| z.conj()).collect();
+        fft.convolve_many(&mut conj_in, 1, &kernel);
+        for (a, b) in conj_in.iter().zip(&got[..n]) {
+            assert!((*a - b.conj()).abs() < 1e-9, "W_ji != conj(W_ij)");
         }
     }
 
@@ -442,8 +454,8 @@ mod tests {
     #[test]
     fn convolve_pass_is_bitwise_with_staged_per_backend() {
         // Through the GridTransform seam: running the ConvolvePass must
-        // reproduce each backend's convolve_many_with bitwise — the
-        // property the fused pair-solve scheduler relies on.
+        // reproduce the batched convolve_many bitwise — the property the
+        // fused pair-solve scheduler relies on.
         let fft = Fft3::new(12, 12, 12);
         let n = fft.len();
         let kernel: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();
@@ -451,32 +463,28 @@ mod tests {
         let pass = fft.convolve_pass(&kernel);
         let mut fused = base.clone();
         fused.chunks_mut(n).for_each(|grid| pass.run(grid));
-        for be in backends() {
-            let mut staged = base.clone();
-            fft.convolve_many_with(&*be, &mut staged, 2, &kernel);
-            assert!(bits_eq(&fused, &staged), "{}: ConvolvePass != staged convolve", be.name());
-        }
+        let mut staged = base.clone();
+        fft.convolve_many(&mut staged, 2, &kernel);
+        assert!(bits_eq(&fused, &staged), "ConvolvePass != staged convolve");
     }
 
     #[test]
     fn batched_matches_sequential() {
         // Bitwise at any thread count: 7 grids of 1800 points are above
-        // the parallel threshold, so the backends split the batch over
-        // every worker the process has.
+        // the parallel threshold, so the batch splits over every worker
+        // the process has.
         let fft = Fft3::new(10, 12, 15);
         let count = 7;
         let orig = signal(fft.len() * count, 0.2);
         let mut seq = orig.clone();
         seq.chunks_mut(fft.len()).for_each(|grid| fft.forward(grid));
-        for be in backends() {
-            let mut batch = orig.clone();
-            fft.forward_many_with(&*be, &mut batch, count);
-            assert!(bits_eq(&batch, &seq), "{}: batched forward", be.name());
-            // Inverse batch returns to the start.
-            fft.inverse_many_with(&*be, &mut batch, count);
-            for (a, b) in batch.iter().zip(&orig) {
-                assert!((*a - *b).abs() < 1e-10);
-            }
+        let mut batch = orig.clone();
+        fft.forward_many(&mut batch, count);
+        assert!(bits_eq(&batch, &seq), "batched forward");
+        // Inverse batch returns to the start.
+        fft.inverse_many(&mut batch, count);
+        for (a, b) in batch.iter().zip(&orig) {
+            assert!((*a - *b).abs() < 1e-10);
         }
     }
 }

@@ -5,9 +5,9 @@
 //! every pass runs through the same tile kernel (module `tile`) the fp64
 //! grids use, instantiated at `f32`. The one consumer is the exchange
 //! pair solve: [`Fft32::convolve_pass`] hands the whole round trip to
-//! [`Backend::fused_pair_solve32`] as a single [`GridTransform32`].
+//! [`fused_pair_solve32`] as a single [`GridTransform32`].
 //!
-//! [`Backend::fused_pair_solve32`]: pwnum::backend::Backend::fused_pair_solve32
+//! [`fused_pair_solve32`]: pwnum::backend::fused_pair_solve32
 
 use crate::plan32::Plan32;
 use crate::tile;
@@ -82,7 +82,7 @@ impl Fft32 {
 
     /// The fp32 filtered round trip ([`Self::convolve_grid_fused`]) as
     /// one [`GridTransform32`] — the `solve` operator of
-    /// `Backend::fused_pair_solve32`.
+    /// `backend::fused_pair_solve32`.
     #[inline]
     pub fn convolve_pass<'f>(&'f self, kernel: &'f [f32]) -> ConvolvePass32<'f> {
         assert_eq!(kernel.len(), self.len(), "convolve kernel/grid length mismatch");
@@ -119,7 +119,7 @@ impl Fft32 {
 
 /// The fp32 screened-Poisson round trip as a single [`GridTransform32`]
 /// — what the fused fp32 pair-solve pipeline hands to
-/// `Backend::fused_pair_solve32`.
+/// `backend::fused_pair_solve32`.
 #[derive(Clone, Copy, Debug)]
 pub struct ConvolvePass32<'f> {
     fft: &'f Fft32,
@@ -140,7 +140,6 @@ impl GridTransform32 for ConvolvePass32<'_> {
 mod tests {
     use super::*;
     use crate::fft3::Fft3;
-    use pwnum::backend::{BackendHandle, Blocked, Reference};
     use pwnum::precision::{demote, demote_real, max_abs_diff32, promote};
 
     fn signal64(len: usize, seed: f64) -> Vec<pwnum::Complex64> {
@@ -193,18 +192,11 @@ mod tests {
         let pass = fft32.convolve_pass(&kernel32);
         got.chunks_mut(n).for_each(|grid| pass.run(grid));
         let up = promote(&got);
-        let backends: [BackendHandle; 2] = [Arc::new(Reference), Arc::new(Blocked::new())];
-        for be in backends {
-            let mut want = base.clone();
-            fft64.convolve_many_with(&*be, &mut want, count, &kernel64);
-            let scale = want.iter().map(|z| z.abs()).fold(0.0f64, f64::max);
-            for (a, b) in want.iter().zip(&up) {
-                assert!(
-                    (*a - *b).abs() < 1e-5 * scale.max(1.0),
-                    "{}: fp32 convolve drift",
-                    be.name()
-                );
-            }
+        let mut want = base.clone();
+        fft64.convolve_many(&mut want, count, &kernel64);
+        let scale = want.iter().map(|z| z.abs()).fold(0.0f64, f64::max);
+        for (a, b) in want.iter().zip(&up) {
+            assert!((*a - *b).abs() < 1e-5 * scale.max(1.0), "fp32 convolve drift");
         }
     }
 

@@ -7,15 +7,15 @@
 //!   unnormalized forward / `1/n`-normalized inverse, allocation-free
 //!   `_with` entry points for hot loops.
 //! * [`fft3`] — in-place 3D transforms over row-major grids with
-//!   backend-routed batched entry points
-//!   ([`fft3::Fft3::forward_many_with`]) mirroring the paper's
-//!   multi-batch cuFFT strategy: a [`pwnum::backend::Backend`] owns the
-//!   slab decomposition and thread count (DESIGN.md §3).
+//!   batched entry points ([`fft3::Fft3::forward_many`]) mirroring the
+//!   paper's multi-batch cuFFT strategy:
+//!   [`pwnum::backend::transform_batch`] owns the slab decomposition and
+//!   thread count (DESIGN.md §3).
 //!
 //! * [`plan32`] / [`fft32`] — the single-precision twins ([`Plan32`],
 //!   [`Fft32`]): fp32 twiddles and butterflies with the same mixed-radix
 //!   structure, feeding the mixed-precision exchange pipeline through
-//!   [`pwnum::backend::Backend::fused_pair_solve32`] at half the memory
+//!   [`pwnum::backend::fused_pair_solve32`] at half the memory
 //!   traffic and twice the SIMD width.
 //!
 //! * `tile` (private) — the one kernel behind every 3-D pass of both

@@ -9,8 +9,8 @@
 //! unnormalized `forward`, `1/n`-scaled `inverse`.
 //!
 //! The per-line recursion here and the tile kernel (module `tile`)
-//! perform the same arithmetic per line, so the fused passes the
-//! `Blocked` backend prefers are value-identical to the per-line passes.
+//! perform the same arithmetic per line, so the fused passes every
+//! batched transform runs are value-identical to the per-line passes.
 
 use crate::plan::factorize;
 use crate::tile::Schedule;

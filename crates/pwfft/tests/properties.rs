@@ -1,14 +1,12 @@
-//! Property-based tests for the FFT plans and the backend-routed
-//! batched transforms.
+//! Property-based tests for the FFT plans and the batched transforms.
 
 use proptest::prelude::*;
 use pwfft::{Fft3, Plan};
-use pwnum::backend::{BackendHandle, Blocked, Reference};
 use pwnum::complex::{c64, Complex64};
-use std::sync::Arc;
 
-fn backend_pair() -> (BackendHandle, BackendHandle) {
-    (Arc::new(Reference), Arc::new(Blocked::new()))
+/// The one-grid-at-a-time oracle of a batched transform.
+fn per_grid(fft: &Fft3, data: &mut [Complex64], inverse: bool) {
+    data.chunks_mut(fft.len()).for_each(|grid| fft.transform_fused(grid, inverse));
 }
 
 /// Every element's IEEE bits, so equality tells −0.0 from +0.0.
@@ -108,7 +106,6 @@ proptest! {
         const SHAPES: [(usize, usize, usize); 5] =
             [(6, 10, 15), (9, 12, 5), (10, 18, 12), (15, 4, 9), (20, 6, 10)];
         let dims = SHAPES[shape_idx];
-        let (reference, blocked) = backend_pair();
         let fft = Fft3::new(dims.0, dims.1, dims.2);
         let x: Vec<Complex64> = (0..fft.len() * count)
             .map(|j| c64(
@@ -116,15 +113,16 @@ proptest! {
                 ((j as u64 * 3 + seed) as f64 * 0.13).cos(),
             ))
             .collect();
-        // Both backends batch the same tile-kernel pass, so forward and
-        // inverse agree bit for bit; both round-trip to the input.
+        // The slab batch runs the same tile-kernel pass per grid, so
+        // forward and inverse agree bit for bit with the per-grid loop;
+        // both round-trip to the input.
         let mut fr = x.clone();
         let mut fb = x.clone();
-        fft.forward_many_with(&*reference, &mut fr, count);
-        fft.forward_many_with(&*blocked, &mut fb, count);
+        per_grid(&fft, &mut fr, false);
+        fft.forward_many(&mut fb, count);
         prop_assert_eq!(bits(&fr), bits(&fb));
-        fft.inverse_many_with(&*reference, &mut fr, count);
-        fft.inverse_many_with(&*blocked, &mut fb, count);
+        per_grid(&fft, &mut fr, true);
+        fft.inverse_many(&mut fb, count);
         prop_assert_eq!(bits(&fr), bits(&fb));
         prop_assert!(pwnum::cvec::max_abs_diff(&fr, &x) < 1e-9);
         prop_assert!(pwnum::cvec::max_abs_diff(&fb, &x) < 1e-9);
@@ -132,22 +130,21 @@ proptest! {
 }
 
 /// The paper's 1536-atom production grid shape: one 60×90×120 slab
-/// through both backends — bitwise forward agreement and the round
+/// batched and per grid — bitwise forward agreement and the round
 /// trip. (The tile kernel against the per-line oracle on this shape is
 /// `fft3`'s `fused_convolve_matches_staged_roundtrip_bitwise`.)
 #[test]
 fn backends_agree_on_paper_grid_60_90_120() {
-    let (reference, blocked) = backend_pair();
     let fft = Fft3::new(60, 90, 120);
     let x: Vec<Complex64> = (0..fft.len())
         .map(|j| c64((j as f64 * 0.37).sin(), (j as f64 * 0.17).cos()))
         .collect();
     let mut fr = x.clone();
     let mut fb = x.clone();
-    fft.forward_many_with(&*reference, &mut fr, 1);
-    fft.forward_many_with(&*blocked, &mut fb, 1);
-    // Both backends batch the same pass: agreement is exact.
+    per_grid(&fft, &mut fr, false);
+    fft.forward_many(&mut fb, 1);
+    // The batch runs the same pass: agreement is exact.
     assert_eq!(bits(&fr), bits(&fb), "batched passes must be bitwise equal");
-    fft.inverse_many_with(&*blocked, &mut fb, 1);
+    fft.inverse_many(&mut fb, 1);
     assert!(pwnum::cvec::max_abs_diff(&fb, &x) < 1e-9, "60x90x120 round-trip");
 }

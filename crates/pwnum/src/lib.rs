@@ -19,16 +19,12 @@
 //!   regularized normal equations).
 //! * [`parallel`] — scoped-thread `parallel for` helpers (the OpenMP
 //!   analog of the paper's node-level parallelism).
-//! * [`backend`] — the pluggable compute-backend layer: a [`Backend`]
-//!   trait owning the hot primitives whose schedule is platform-specific
-//!   (GEMM, band overlap/rotations, batched grid transforms, the fused
-//!   exchange pair pipelines, buffer pool) with two implementations:
-//!   [`backend::Blocked`], the product backend (cache-blocked,
-//!   accelerator-style, its GEMM and band ops one register-tiled
-//!   micro-kernel in the private `tiled` module; it opens the `gemm.*`
-//!   and `fft.*` spans), and [`backend::Reference`], the oracle the
-//!   tests compare it against (the scalar/threaded kernels above) — the
-//!   swap-in seam for SIMD/GPU ports.
+//! * [`backend`] — the hot kernels, one implementation each: GEMM,
+//!   band overlap/rotations (one register-tiled micro-kernel in the
+//!   private `tiled` module, bit for bit the scalar kernels above),
+//!   batched grid transforms, the fused exchange pair pipelines, and the
+//!   process-wide buffer pool; each opens its `gemm.*` / `fft.*` /
+//!   `xch.*` span.
 //! * [`precision`] — the mixed-precision subsystem: the `Complex32`
 //!   scalar with `CVec32`/`CMat32` storage, demote/promote conversion
 //!   kernels, two-sum-compensated fp64 accumulation, and the
@@ -52,7 +48,7 @@ pub mod precision;
 mod tiled;
 mod waves;
 
-pub use backend::{Backend, BackendHandle, PairTask};
+pub use backend::PairTask;
 pub use cmat::CMat;
 pub use complex::{c64, Complex64};
 pub use eig::{eigh, EigH};

@@ -25,10 +25,10 @@
 //!   trips on.
 //!
 //! The elementwise kernels here are the stages of the fused fp32 pair
-//! pipeline ([`Backend::fused_pair_solve32`](crate::backend::Backend::fused_pair_solve32)),
-//! called directly on every backend; the fp32 GEMM, overlap and
-//! rotation are `Backend` methods whose `Reference` and `Blocked`
-//! bodies must agree bitwise (same per-element arithmetic order).
+//! pipeline ([`fused_pair_solve32`](crate::backend::fused_pair_solve32));
+//! the fp32 GEMM, overlap and rotation are [`crate::backend`] kernels
+//! that equal their scalar test oracles bitwise (same per-element
+//! arithmetic order).
 
 use crate::complex::Complex64;
 use std::fmt;
@@ -93,8 +93,8 @@ impl Complex32 {
     }
 
     /// `z * w + acc` fused form used by the fp32 micro-kernels. The
-    /// arithmetic order matches [`Complex64::mul_add`] so the Blocked
-    /// and Reference backends stay bitwise identical.
+    /// arithmetic order matches [`Complex64::mul_add`] so the tiled
+    /// kernels and their scalar oracles stay bitwise identical.
     #[inline(always)]
     pub fn mul_add(self, w: Complex32, acc: Complex32) -> Complex32 {
         c32(
@@ -362,7 +362,7 @@ pub fn max_abs_diff32(a: &[Complex32], b: &[Complex32]) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// fp32 elementwise kernels (the stages of `Backend::fused_pair_solve32`)
+// fp32 elementwise kernels (the stages of `backend::fused_pair_solve32`)
 // ---------------------------------------------------------------------
 
 /// Elementwise conjugated product `out = conj(a) ⊙ b` in fp32 — the

@@ -1,4 +1,4 @@
-//! The register-tiled subspace kernel behind [`Blocked`]'s overlap,
+//! The register-tiled subspace kernel behind the [`backend`] overlap,
 //! rotation and GEMM, one generic body for both precisions.
 //!
 //! All three products have one shape: every output is a chain
@@ -16,7 +16,7 @@
 //!   [`NR`] column operands.
 //! * **Packing.** The column operand is packed into split re/im panels
 //!   of at most [`KC`] steps × [`NR`] lanes, one panel per worker from
-//!   the backend's pool. The rotation packs its `na × ncols` weights once
+//!   caller's pool. The rotation packs its `na × ncols` weights once
 //!   per call, and per tile the `na` source values at the tile's [`MR`]
 //!   grid points: read in place, they sit a band length apart and
 //!   contend for one cache set. No copy of a band block is made.
@@ -30,14 +30,15 @@
 //!   − x.im·y.im` and `(acc.im + x.re·y.im) + x.im·y.re`, unfused — and
 //!   a chain that spans panels is carried through its stored partial.
 //!   Tiling only decides which chains advance together, so every output
-//!   equals the [`Reference`] loop's `to_bits`, on any ISA and at any
+//!   equals the scalar loop's `to_bits` ([`bands::overlap`] and its
+//!   kin), on any ISA and at any
 //!   worker count.
 //! * **Zero weights.** The rotation skips the step of a chain whose
 //!   weight is exactly zero, per output column, as the reference does:
 //!   a NaN source band with weight 0 leaves that column untouched.
 //!
-//! [`Blocked`]: crate::backend::Blocked
-//! [`Reference`]: crate::backend::Reference
+//! [`backend`]: crate::backend
+//! [`bands::overlap`]: crate::bands::overlap
 
 use crate::backend::BufferPool;
 use crate::complex::{c64, Complex64};

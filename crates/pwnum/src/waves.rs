@@ -1,5 +1,5 @@
 //! The wave scheduler of the exchange pair pipeline
-//! ([`crate::backend::Backend::fused_pair_solve`] and its fp32 twin are
+//! ([`crate::backend::fused_pair_solve`] and its fp32 twin are
 //! both this one function; they differ in the four closures they pass).
 //!
 //! A task list runs in fixed-size *waves*, each in two phases:
@@ -167,7 +167,7 @@ impl Drop for PoisonOnPanic<'_> {
 /// Runs `tasks` through the wave scheduler on `workers` workers (the
 /// calling thread is one of them).
 ///
-/// * `take(len)` / `put(buf)` — the backend's scratch pool; called on
+/// * `take(len)` / `put(buf)` — the scratch pool; called on
 ///   the calling thread only. The run holds `min(wave, tasks)` pair
 ///   grids of `ng` elements.
 /// * `solve(task, pair)` — fills `pair` with the solved pair grid of

@@ -1,23 +1,21 @@
-//! Backend-equivalence property suite: the `Reference` and `Blocked`
-//! compute backends must agree to ≤ 1e-10 on every primitive of the
-//! [`pwnum::backend::Backend`] trait, for arbitrary shapes and operand
-//! ops — the contract that makes the backend seam safe to swap. The
-//! elementwise kernels both backends share (`bands::lincomb`, the
-//! `cvec` / `precision` Hadamard kernels, `cvec::scale_by_real`) are
-//! free functions; their identities are checked here too.
+//! Kernel-equivalence property suite: the tiled kernels of
+//! [`pwnum::backend`] must agree to ≤ 1e-10 with the plain scalar
+//! kernels (`gemm::gemm`, `bands::{overlap, rotate, rotate_acc}`) and
+//! the batched transform with the one-grid-at-a-time loop, for
+//! arbitrary shapes and operand ops (the unit tests pin `to_bits` on
+//! every tile edge, and the fp32 kernels against their scalar oracles).
+//! The identities of the elementwise kernels (`cvec` / `precision`
+//! Hadamard kernels) and the pool's zeroing are checked here too.
 
 use proptest::prelude::*;
-use pwnum::backend::{BackendHandle, Blocked, GridTransform, Reference};
+use pwnum::backend::{self, GridTransform};
+use pwnum::bands;
 use pwnum::cmat::CMat;
 use pwnum::complex::{c64, Complex64};
 use pwnum::cvec;
 use pwnum::gemm::Op;
-use pwnum::precision::{self, c32, CMat32};
-use std::sync::Arc;
-
-fn pair() -> (BackendHandle, BackendHandle) {
-    (Arc::new(Reference), Arc::new(Blocked::new()))
-}
+use pwnum::gemm::gemm;
+use pwnum::precision;
 
 fn cmat_strategy(rows: usize, cols: usize) -> impl Strategy<Value = CMat> {
     proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), rows * cols).prop_map(move |v| {
@@ -59,13 +57,12 @@ proptest! {
         alpha in (-2.0f64..2.0, -2.0f64..2.0),
         beta in (-2.0f64..2.0, -2.0f64..2.0),
     ) {
-        let (r, bl) = pair();
         let alpha = c64(alpha.0, alpha.1);
         let beta = c64(beta.0, beta.1);
         for (op_a, aa) in [(Op::None, &a), (Op::Trans, &at), (Op::ConjTrans, &at)] {
             for (op_b, bb) in [(Op::None, &b), (Op::Trans, &bt), (Op::ConjTrans, &bt)] {
-                let want = r.gemm(alpha, aa, op_a, bb, op_b, beta, Some(&c0));
-                let got = bl.gemm(alpha, aa, op_a, bb, op_b, beta, Some(&c0));
+                let want = gemm(alpha, aa, op_a, bb, op_b, beta, Some(&c0));
+                let got = backend::gemm(alpha, aa, op_a, bb, op_b, beta, Some(&c0));
                 prop_assert!(
                     want.max_abs_diff(&got) < 1e-10,
                     "gemm {op_a:?}/{op_b:?}: {}",
@@ -81,9 +78,8 @@ proptest! {
         b in block_strategy(5 * 33),
         scale in 0.1f64..3.0,
     ) {
-        let (r, bl) = pair();
-        let sr = r.overlap(&a, &b, 33, scale);
-        let sb = bl.overlap(&a, &b, 33, scale);
+        let sr = bands::overlap(&a, &b, 33, scale);
+        let sb = backend::overlap(&a, &b, 33, scale);
         prop_assert!(sr.max_abs_diff(&sb) < 1e-10);
     }
 
@@ -94,19 +90,18 @@ proptest! {
         alpha in (-2.0f64..2.0, -2.0f64..2.0),
         seed in block_strategy(6 * 21),
     ) {
-        let (r, bl) = pair();
         let mut out_r = vec![Complex64::ZERO; 6 * 21];
         let mut out_b = out_r.clone();
-        r.rotate(&a, &q, 21, &mut out_r);
-        bl.rotate(&a, &q, 21, &mut out_b);
+        bands::rotate(&a, &q, 21, &mut out_r);
+        backend::rotate(&a, &q, 21, &mut out_b);
         prop_assert!(pwnum::cvec::max_abs_diff(&out_r, &out_b) < 1e-10);
 
         // Accumulating variant from a shared nonzero starting point.
         let alpha = c64(alpha.0, alpha.1);
         let mut acc_r = seed.clone();
         let mut acc_b = seed;
-        r.rotate_acc(alpha, &a, &q, 21, &mut acc_r);
-        bl.rotate_acc(alpha, &a, &q, 21, &mut acc_b);
+        bands::rotate_acc(alpha, &a, &q, 21, &mut acc_r);
+        backend::rotate_acc(alpha, &a, &q, 21, &mut acc_b);
         prop_assert!(pwnum::cvec::max_abs_diff(&acc_r, &acc_b) < 1e-10);
     }
 
@@ -130,20 +125,19 @@ proptest! {
 
     #[test]
     fn transform_batch_agrees(data in block_strategy(11 * 13)) {
-        let (r, bl) = pair();
         let pass = ShiftPass { n: 13 };
         let mut dr = data.clone();
         let mut db = data;
-        r.transform_batch(&pass, &mut dr, 11);
-        bl.transform_batch(&pass, &mut db, 11);
+        dr.chunks_mut(13).for_each(|grid| pass.run(grid));
+        backend::transform_batch(&pass, &mut db, 11);
         prop_assert!(pwnum::cvec::max_abs_diff(&dr, &db) < 1e-14);
     }
 
     // ------------------------------------------------------------------
     // fp32 / mixed-precision primitives: demote/promote roundtrip error
-    // bounds, and *exact* Reference-vs-Blocked agreement on every fp32
-    // kernel (reduced precision must not compound with backend
-    // summation-order differences).
+    // bounds and the promote kernels' identities (the fp32 GEMM and band
+    // kernels are pinned exactly against their scalar oracles by the
+    // unit tests of `pwnum::backend`).
     // ------------------------------------------------------------------
 
     #[test]
@@ -157,60 +151,6 @@ proptest! {
             prop_assert!((a.im - b.im).abs() <= a.im.abs() * 2f64.powi(-24));
         }
         prop_assert!(precision::demote(&up) == down, "fp32->fp64->fp32 must be lossless");
-    }
-
-    #[test]
-    fn gemm32_agrees_exactly_all_ops(
-        a in cmat_strategy(6, 4),
-        b in cmat_strategy(4, 7),
-        at in cmat_strategy(4, 6),
-        bt in cmat_strategy(7, 4),
-        alpha in (-2.0f64..2.0, -2.0f64..2.0),
-    ) {
-        let (r, bl) = pair();
-        let a = CMat32::from_c64(&a);
-        let b = CMat32::from_c64(&b);
-        let at = CMat32::from_c64(&at);
-        let bt = CMat32::from_c64(&bt);
-        let alpha = c32(alpha.0 as f32, alpha.1 as f32);
-        for (op_a, aa) in [(Op::None, &a), (Op::Trans, &at), (Op::ConjTrans, &at)] {
-            for (op_b, bb) in [(Op::None, &b), (Op::Trans, &bt), (Op::ConjTrans, &bt)] {
-                let want = r.gemm32(alpha, aa, op_a, bb, op_b);
-                let got = bl.gemm32(alpha, aa, op_a, bb, op_b);
-                prop_assert!(
-                    want.max_abs_diff(&got) == 0.0,
-                    "gemm32 {:?}/{:?}", op_a, op_b
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn band_ops32_agree_exactly(
-        a in block_strategy(7 * 33),
-        b in block_strategy(5 * 33),
-        q in cmat_strategy(7, 6),
-        seed in block_strategy(6 * 33),
-        scale in 0.1f64..3.0,
-        alpha in (-2.0f64..2.0, -2.0f64..2.0),
-    ) {
-        let (r, bl) = pair();
-        let a32 = precision::demote(&a);
-        let b32 = precision::demote(&b);
-        let q32 = CMat32::from_c64(&q);
-        let sr = r.overlap32(&a32, &b32, 33, scale as f32);
-        let sb = bl.overlap32(&a32, &b32, 33, scale as f32);
-        prop_assert!(sr.max_abs_diff(&sb) == 0.0, "overlap32");
-
-        let alpha = c32(alpha.0 as f32, alpha.1 as f32);
-        let mut acc_r = precision::demote(&seed);
-        let mut acc_b = acc_r.clone();
-        r.rotate_acc32(alpha, &a32, &q32, 33, &mut acc_r);
-        bl.rotate_acc32(alpha, &a32, &q32, 33, &mut acc_b);
-        prop_assert!(
-            precision::max_abs_diff32(&acc_r, &acc_b) == 0.0,
-            "rotate_acc32"
-        );
     }
 
     #[test]
@@ -236,13 +176,11 @@ proptest! {
 
 #[test]
 fn buffer_pool_roundtrip_is_zeroed() {
-    let (r, bl) = pair();
-    for be in [&r, &bl] {
-        let mut buf = be.take_buffer(128);
-        assert!(buf.iter().all(|z| *z == Complex64::ZERO));
-        buf[5] = c64(3.0, -4.0);
-        be.recycle_buffer(buf);
-        let again = be.take_buffer(64);
-        assert!(again.iter().all(|z| *z == Complex64::ZERO));
-    }
+    let mut buf = backend::take_buffer(128);
+    assert!(buf.iter().all(|z| *z == Complex64::ZERO));
+    buf[5] = c64(3.0, -4.0);
+    backend::recycle_buffer(buf);
+    let again = backend::take_buffer(64);
+    assert!(again.iter().all(|z| *z == Complex64::ZERO));
+    backend::recycle_buffer(again);
 }

@@ -1,12 +1,12 @@
 //! Span taxonomy of the compute layer: with the `pwobs` recorder on,
-//! each spanned primitive of the process-wide backend (and the two free
+//! each spanned kernel of `pwnum::backend` (and the two elementwise
 //! kernels that carry spans) records exactly its own span name, the
 //! fused pair pipelines count their tasks, and a fused solve is one
 //! `xch.*` span with no `grid.*` child.
 //!
 //! One test in this binary: it owns the process-wide recorder.
 
-use pwnum::backend::{default_backend, GridTransform, GridTransform32, PairTask};
+use pwnum::backend::{self, GridTransform, GridTransform32, PairTask};
 use pwnum::bands;
 use pwnum::cmat::CMat;
 use pwnum::complex::{c64, Complex64};
@@ -51,7 +51,6 @@ fn recorded() -> Vec<(&'static str, u64)> {
 #[test]
 fn spans_open_where_the_work_is() {
     let (nb, ng) = (3, 8);
-    let be = default_backend();
     let (a, b) = (block(nb * ng, 0.2), block(nb * ng, 1.4));
     let (a32, b32) = (precision::demote(&a), precision::demote(&b));
     let m = CMat::from_fn(nb, nb, |i, j| c64(i as f64 + 0.5, j as f64 - 0.25));
@@ -65,29 +64,29 @@ fn spans_open_where_the_work_is() {
     pwobs::set_enabled(true);
     pwobs::reset();
     let mut out = vec![Complex64::ZERO; nb * ng];
-    be.gemm(Complex64::ONE, &m, Op::None, &m, Op::ConjTrans, Complex64::ZERO, None);
-    be.overlap(&a, &b, ng, 1.0);
-    be.rotate(&a, &m, ng, &mut out);
-    be.rotate_acc(Complex64::ONE, &a, &m, ng, &mut out);
-    be.transform_batch(&pass, &mut out, nb);
-    be.gemm32(Complex32::ONE, &m32, Op::None, &m32, Op::None);
-    be.overlap32(&a32, &b32, ng, 1.0);
+    backend::gemm(Complex64::ONE, &m, Op::None, &m, Op::ConjTrans, Complex64::ZERO, None);
+    backend::overlap(&a, &b, ng, 1.0);
+    backend::rotate(&a, &m, ng, &mut out);
+    backend::rotate_acc(Complex64::ONE, &a, &m, ng, &mut out);
+    backend::transform_batch(&pass, &mut out, nb);
+    backend::gemm32(Complex32::ONE, &m32, Op::None, &m32, Op::None);
+    backend::overlap32(&a32, &b32, ng, 1.0);
     let mut out32 = precision::demote(&out);
-    be.rotate_acc32(Complex32::ONE, &a32, &m32, ng, &mut out32);
-    be.fused_pair_solve(&pass, &a, &b, ng, &tasks, &mut out);
-    be.fused_pair_solve32(&pass, &a32, &b32, ng, &tasks[..1], &mut out, None);
+    backend::rotate_acc32(Complex32::ONE, &a32, &m32, ng, &mut out32);
+    backend::fused_pair_solve(&pass, &a, &b, ng, &tasks, &mut out);
+    backend::fused_pair_solve32(&pass, &a32, &b32, ng, &tasks[..1], &mut out, None);
     bands::lincomb(Complex64::ONE, &a, Complex64::ONE, &b, &mut out);
     cvec::scale_by_real(&[2.0; 8], &mut out);
     // Pool plumbing is O(1) and carries no span.
-    let buf = be.take_buffer(ng);
-    be.recycle_buffer(buf);
+    let buf = backend::take_buffer(ng);
+    backend::recycle_buffer(buf);
     let spans = recorded();
     let rec = pwobs::global();
     let counts = (rec.counter("xch.pair_tasks"), rec.counter("xch.pair_tasks_fp32"));
 
     // A fused solve alone: one span, all of it self time.
     pwobs::reset();
-    be.fused_pair_solve(&pass, &a, &a, ng, &tasks, &mut out);
+    backend::fused_pair_solve(&pass, &a, &a, ng, &tasks, &mut out);
     let fused = recorded();
     let stat = rec.span_stat("xch.fused_pair_solve").expect("fused span");
     pwobs::set_enabled(false);

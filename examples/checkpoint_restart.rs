@@ -36,7 +36,7 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("ckpt_demo_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Reference: the uninterrupted trajectory.
+    // Baseline: the uninterrupted trajectory.
     let eng = TdEngine::new(&sys, laser.clone(), hyb);
     let reference = run(&eng, &st, 0, STEPS, &prop, &recovery).expect("reference run");
     println!("uninterrupted run: {} steps, final t = {:.3} a.u.", STEPS, reference.state.time);

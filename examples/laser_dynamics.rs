@@ -54,8 +54,8 @@ fn run_temperature(sys: &DftSystem, temp_k: f64, trace: &mut Option<Trace>) -> (
 
     let e_start = eng.total_energy(&state).total();
     let n_steps = 12;
-    // Record only the stepping loop: the ground-state prep above shares
-    // the instrumented backend, and letting it into the recorder would
+    // Record only the stepping loop: the ground-state prep above runs
+    // the same instrumented kernels, and letting it into the recorder would
     // inflate the phase rows past the stepping-wall denominator.
     if trace.is_some() {
         pwobs::set_enabled(true);

@@ -6,13 +6,12 @@
 //!
 //! The workspace implements, from scratch:
 //!
-//! * [`pwnum`] — complex arithmetic, dense linear algebra, and the
-//!   pluggable compute-backend layer ([`pwnum::backend`]) every hot
-//!   primitive dispatches through (the product runs the
-//!   accelerator-style `Blocked`; the scalar/threaded `Reference` is
-//!   the test oracle),
+//! * [`pwnum`] — complex arithmetic, dense linear algebra, and the one
+//!   set of hot kernels ([`pwnum::backend`]: register-tiled GEMM and
+//!   band ops, batched transforms, the fused exchange pair pipeline,
+//!   the process-wide buffer pool) every layer calls directly,
 //! * [`pwfft`] — mixed-radix FFTs over plane-wave grids, every 3-D
-//!   pass one L1-tiled kernel, with backend-routed batched transforms,
+//!   pass one L1-tiled kernel, with slab-batched transforms,
 //! * [`mpisim`] — a thread-backed MPI-like runtime with a virtual-clock
 //!   network model,
 //! * [`pwdft`] — the plane-wave Kohn–Sham DFT substrate (Hamiltonian,

@@ -1,7 +1,7 @@
 //! Checkpoint/restart fidelity (DESIGN.md §12): a run interrupted at a
 //! checkpoint and restored from disk must continue **bitwise identical**
-//! to the uninterrupted run — across both compute backends, under the
-//! mixed-precision policy, and for all three propagators — and the loader
+//! to the uninterrupted run — under the fp64 and the mixed-precision
+//! policy, and for all three propagators — and the loader
 //! must reject corrupt, truncated, version-bumped, and wrong-shape files.
 
 use pwdft_repro::ptim::resilience::{
@@ -12,11 +12,9 @@ use pwdft_repro::ptim::{
     HybridParams, LaserPulse, PtimAceConfig, PtimConfig, Rk4Config, TdEngine, TdState,
 };
 use pwdft_repro::pwdft::{Cell, DftSystem, Wavefunction};
-use pwdft_repro::pwnum::backend::{BackendHandle, Blocked, Reference};
 use pwdft_repro::pwnum::cmat::CMat;
 use pwdft_repro::pwnum::precision::PrecisionPolicy;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 const STEPS: u64 = 4;
 const INTERVAL: u64 = 2;
@@ -48,16 +46,16 @@ fn state_diff(a: &TdState, b: &TdState) -> f64 {
 /// Runs `prop` for [`STEPS`] uninterrupted, then again with an
 /// interruption right after the first checkpoint and a restore from
 /// disk; asserts the two final states agree bitwise.
-fn assert_bitwise_restart(be: BackendHandle, hyb: HybridParams, prop: &Propagator, tag: &str) {
+fn assert_bitwise_restart(hyb: HybridParams, prop: &Propagator, tag: &str) {
     let (sys, st) = fixture();
     let laser = LaserPulse { e0: 0.02, omega: 0.15, t_center: 2.0, t_width: 1.0 };
     let recovery = RecoveryPolicy::default();
 
-    let eng = TdEngine::with_backend(&sys, laser.clone(), hyb, be.clone());
+    let eng = TdEngine::new(&sys, laser.clone(), hyb);
     let baseline = run(&eng, &st, 0, STEPS, prop, &recovery).expect("baseline run");
 
     let dir = tmpdir(tag);
-    let eng_ck = TdEngine::with_backend(&sys, laser, hyb, be)
+    let eng_ck = TdEngine::new(&sys, laser, hyb)
         .with_checkpoints(CheckpointPolicy::new(&dir, INTERVAL));
     // "Crash" one step past the first checkpoint...
     let _ = run(&eng_ck, &st, 0, INTERVAL + 1, prop, &recovery).expect("partial run");
@@ -96,12 +94,8 @@ fn restart_is_bitwise_for_all_propagators_on_both_backends() {
         ),
         (Propagator::Rk4(Rk4Config { dt: 0.05 }), "rk4"),
     ];
-    let backends: [BackendHandle; 2] = [Arc::new(Reference), Arc::new(Blocked::new())];
-    for be in backends {
-        for (prop, name) in &props {
-            let tag = format!("{}_{name}", be.name());
-            assert_bitwise_restart(be.clone(), hyb, prop, &tag);
-        }
+    for (prop, name) in &props {
+        assert_bitwise_restart(hyb, prop, name);
     }
 }
 
@@ -117,7 +111,7 @@ fn restart_is_bitwise_under_mixed_precision() {
         tol_rho: 1e-8,
         ..Default::default()
     });
-    assert_bitwise_restart(Arc::new(Blocked::new()), hyb, &prop, "blocked_mixed");
+    assert_bitwise_restart(hyb, &prop, "mixed");
 }
 
 #[test]

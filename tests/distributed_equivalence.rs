@@ -16,7 +16,6 @@ use pwdft_repro::ptim::distributed::{
 use pwdft_repro::ptim::{ptim_step, HybridParams, LaserPulse, PtimConfig, TdEngine, TdState};
 use pwdft_repro::pwdft::fock::FockOptions;
 use pwdft_repro::pwdft::{Cell, DftSystem, FockApplyStats, FockOperator, Wavefunction};
-use pwdft_repro::pwnum::backend::default_backend;
 use pwdft_repro::pwnum::cmat::CMat;
 use pwdft_repro::pwnum::precision::PrecisionPolicy;
 use pwdft_repro::pwnum::{c64, eigh};
@@ -223,7 +222,7 @@ fn ring_exchange_reports_the_serial_screened_weight() {
     let e = eigh(&st.sigma);
     let nat_r = st.phi.rotated(&e.vectors).to_real_all(&sys.grid);
     let ng = sys.grid.len();
-    let fock = || FockOperator::with_options(&sys.grid, 0.2, default_backend().clone(), fock_opts);
+    let fock = || FockOperator::with_options(&sys.grid, 0.2, fock_opts);
     let (_, serial) = fock().apply_pure_stats(&nat_r, &e.values);
     assert!(serial.skipped_pairs > 0 && serial.skipped_weight > 0.0, "{serial:?}");
     for strategy in [

@@ -50,9 +50,9 @@ fn instrumented_hybrid_run_accounts_for_the_wall_time() {
             .b("converged", stats.converged)
             .u("pool_peak_bytes", stats.pool_peak_bytes as u64);
         stream.emit(&rec).expect("Vec<u8> sink cannot fail");
-        // Satellite: the pool high-water mark must surface per step (the
-        // Blocked default backend allocates exchange/FFT buffers from
-        // its arenas, so a hybrid step always has a nonzero peak).
+        // The pool high-water mark must surface per step (the exchange
+        // and FFT kernels draw their buffers from the process's pool, so
+        // a hybrid step always has a nonzero peak).
         assert!(stats.pool_peak_bytes > 0, "pool peak missing from StepStats");
     }
     pwobs::set_enabled(false);

@@ -11,7 +11,6 @@ use crate::gvec::PwGrid;
 use crate::wavefunction::Wavefunction;
 use crate::xc;
 use pwfft::Fft3;
-use pwnum::backend;
 use pwnum::cmat::CMat;
 use pwnum::complex::Complex64;
 use pwnum::cvec;
@@ -105,7 +104,7 @@ impl<'g> Hamiltonian<'g> {
         let mut out = Wavefunction::zeros_like(psi);
 
         // Real-space copies of the input bands (batched inverse FFT).
-        let psi_r = psi.to_real_all(grid);
+        let mut psi_r = psi.to_real_all(grid);
 
         // Dense exchange acts on the real-space block as a whole.
         let vx_r: Option<Vec<Complex64>> = match &self.exchange {
@@ -119,9 +118,9 @@ impl<'g> Hamiltonian<'g> {
             _ => None,
         };
 
-        // Potential part in real space, band-parallel: V_tot ψ (+ α·Vx).
-        let mut work = backend::take_buffer_copy(&psi_r);
-        par_chunks_mut(&mut work, n, |b, wband| {
+        // Potential part in real space, band-parallel: V_tot ψ (+ α·Vx),
+        // in place (the exchange above was the last reader of ψ(r)).
+        par_chunks_mut(&mut psi_r, n, |b, wband| {
             for (w, &v) in wband.iter_mut().zip(&self.vtot) {
                 *w = w.scale(v);
             }
@@ -130,19 +129,18 @@ impl<'g> Hamiltonian<'g> {
             }
         });
         // Back to G-space as one batched forward FFT.
-        self.fft.forward_many(&mut work, psi.n_bands);
+        self.fft.forward_many(&mut psi_r, psi.n_bands);
         // Kinetic + potential on the sphere, band-parallel.
         let ng = psi.ng;
         par_chunks_mut(&mut out.data, ng, |b, ob| {
             let band_in = &psi.data[b * ng..(b + 1) * ng];
-            let wband = &work[b * n..(b + 1) * n];
+            let wband = &psi_r[b * n..(b + 1) * n];
             for ((o, &g), (&g2, c)) in
                 ob.iter_mut().zip(&grid.sphere).zip(grid.sphere_g2.iter().zip(band_in))
             {
                 *o = wband[g] + c.scale(0.5 * g2);
             }
         });
-        backend::recycle_buffer(work);
 
         // ACE exchange acts in G-space on the whole block.
         if let Exchange::Ace(ace) = &self.exchange {

@@ -6,11 +6,15 @@
 //! recursion plus, per level, the twiddle factors in the order the
 //! butterflies consume them (forward and conjugated, so the hot loops
 //! carry no `% n`, no direction branch and no recursion). The kernel
-//! gathers up to [`LANES`] independent lines from a strided grid into an
+//! gathers up to [`LANES`] independent lines from a grid into an
 //! L1-resident tile (split re/im, one row of lanes per line element),
 //! runs every level in place there with the lane index innermost, and
 //! stores the result back through an [`Epilogue`]. For a 3-D grid the
 //! gather *is* the transpose: no pass moves the grid anywhere else.
+//! Lines whose lanes are contiguous (the columns of axes 0 and 1) move
+//! one tile row at a time; lines that are contiguous rows (axis 2) move
+//! one tile column at a time, each row read and written whole, so no
+//! pass walks the grid at a stride across lines.
 //!
 //! **Bit-identity contract.** Per lane the floating-point operation
 //! sequence is that of the per-line recursion in [`crate::plan`]: a
@@ -269,8 +273,9 @@ impl<T: Real> Schedule<T> {
     }
 
     /// Transforms every line of `lines` in place, [`LANES`] at a time.
-    /// `tile` has at least [`Self::tile_len`] elements and may hold
-    /// garbage.
+    /// The lines are contiguous rows (`elem == 1`) or their lanes are
+    /// (`lane == 1`). `tile` has at least [`Self::tile_len`] elements and
+    /// may hold garbage.
     pub fn run(
         &self,
         grid: &mut [T::Cx],
@@ -279,6 +284,7 @@ impl<T: Real> Schedule<T> {
         epi: Epilogue<'_, T>,
         tile: &mut [T],
     ) {
+        assert!(lines.elem == 1 || lines.lane == 1, "tile lines need a unit stride: {lines:?}");
         let t = if inverse { &self.inv } else { &self.fwd };
         let (re, rest) = tile.split_at_mut(self.n * LANES);
         let (im, rest) = rest.split_at_mut(self.n * LANES);
@@ -289,18 +295,32 @@ impl<T: Real> Schedule<T> {
             let used = nl.next_multiple_of(W);
 
             // Gather, permuted: tile row p <- element perm[p] of each line.
-            let rows = re.chunks_exact_mut(LANES).zip(im.chunks_exact_mut(LANES));
-            for ((re, im), &j) in rows.zip(&self.perm) {
-                let at = base + j * lines.elem;
-                if lines.lane == 1 {
-                    split_row::<T>(grid[at..at + nl].iter(), re, im);
-                } else {
-                    split_row::<T>(grid[at..].iter().step_by(lines.lane).take(nl), re, im);
+            if lines.elem == 1 {
+                // Rows: each line is read whole into its tile column.
+                for l in 0..nl {
+                    let line = &grid[base + l * lines.lane..][..self.n];
+                    let rows = re.chunks_exact_mut(LANES).zip(im.chunks_exact_mut(LANES));
+                    for ((re, im), &j) in rows.zip(&self.perm) {
+                        (re[l], im[l]) = T::parts(line[j]);
+                    }
                 }
-                // The butterflies run on whole W-lane blocks: keep the
-                // padding lanes of the last one finite.
-                re[nl..used].fill(T::ZERO);
-                im[nl..used].fill(T::ZERO);
+            } else {
+                // Columns: each element is one contiguous run of lanes.
+                let rows = re.chunks_exact_mut(LANES).zip(im.chunks_exact_mut(LANES));
+                for ((re, im), &j) in rows.zip(&self.perm) {
+                    let at = base + j * lines.elem;
+                    for ((r, i), &z) in re.iter_mut().zip(im).zip(&grid[at..at + nl]) {
+                        (*r, *i) = T::parts(z);
+                    }
+                }
+            }
+            // The butterflies run on whole W-lane blocks: keep the padding
+            // lanes of the last one finite.
+            if nl < used {
+                for (re, im) in re.chunks_exact_mut(LANES).zip(im.chunks_exact_mut(LANES)) {
+                    re[nl..used].fill(T::ZERO);
+                    im[nl..used].fill(T::ZERO);
+                }
             }
 
             for lv in &self.levels {
@@ -321,43 +341,47 @@ impl<T: Real> Schedule<T> {
             }
 
             // Store: tile row j, times the epilogue factor -> element j.
-            let rows = re.chunks_exact(LANES).zip(im.chunks_exact(LANES));
-            for (j, (re, im)) in rows.enumerate() {
-                let at = base + j * lines.elem;
-                match (epi, lines.lane) {
-                    (Epilogue::Scale(s), 1) => {
-                        join_row::<T>(grid[at..at + nl].iter_mut().map(|z| (z, s)), re, im)
-                    }
-                    (Epilogue::Kernel(k), 1) => {
-                        let k = k[at..at + nl].iter().copied();
-                        join_row::<T>(grid[at..at + nl].iter_mut().zip(k), re, im)
-                    }
-                    (Epilogue::Scale(s), lane) => {
-                        let dst = grid[at..].iter_mut().step_by(lane).take(nl);
-                        join_row::<T>(dst.map(|z| (z, s)), re, im)
-                    }
-                    (Epilogue::Kernel(k), lane) => {
-                        let k = k[at..].iter().copied();
-                        join_row::<T>(grid[at..].iter_mut().zip(k).step_by(lane).take(nl), re, im)
-                    }
+            if lines.elem == 1 {
+                // Rows: each tile column is written back as one run.
+                for l in 0..nl {
+                    let at = base + l * lines.lane;
+                    let rows = re.chunks_exact(LANES).zip(im.chunks_exact(LANES));
+                    let col = rows.map(|(re, im)| (re[l], im[l]));
+                    store(&mut grid[at..at + self.n], epi, at, col);
+                }
+            } else {
+                let rows = re.chunks_exact(LANES).zip(im.chunks_exact(LANES));
+                for (j, (re, im)) in rows.enumerate() {
+                    let at = base + j * lines.elem;
+                    let row = re[..nl].iter().copied().zip(im[..nl].iter().copied());
+                    store(&mut grid[at..at + nl], epi, at, row);
                 }
             }
         }
     }
 }
 
+/// Writes the `(re, im)` values of `src` to the contiguous run `dst`,
+/// which starts at grid index `at`, times the epilogue factor.
 #[inline(always)]
-fn split_row<'a, T: Real>(src: impl Iterator<Item = &'a T::Cx>, re: &mut [T], im: &mut [T]) {
-    for ((r, i), &z) in re.iter_mut().zip(im).zip(src) {
-        (*r, *i) = T::parts(z);
-    }
-}
-
-/// Writes one tile row to the `(destination, factor)` pairs of `dst`.
-#[inline(always)]
-fn join_row<'a, T: Real>(dst: impl Iterator<Item = (&'a mut T::Cx, T)>, re: &[T], im: &[T]) {
-    for (((z, f), &r), &i) in dst.zip(re).zip(im) {
-        *z = T::cx(r * f, i * f);
+fn store<T: Real>(
+    dst: &mut [T::Cx],
+    epi: Epilogue<'_, T>,
+    at: usize,
+    src: impl Iterator<Item = (T, T)>,
+) {
+    match epi {
+        Epilogue::Scale(s) => {
+            for (z, (r, i)) in dst.iter_mut().zip(src) {
+                *z = T::cx(r * s, i * s);
+            }
+        }
+        Epilogue::Kernel(k) => {
+            let k = &k[at..at + dst.len()];
+            for ((z, &f), (r, i)) in dst.iter_mut().zip(k).zip(src) {
+                *z = T::cx(r * f, i * f);
+            }
+        }
     }
 }
 
@@ -538,10 +562,11 @@ mod tests {
     use super::*;
     use crate::{Plan, Plan32};
 
-    /// Runs `sched` over `count` lines laid out both ways — lines
-    /// contiguous (`elem = 1`) and lanes contiguous (`lane = 1`) — and
-    /// compares every output bit with `oracle` (the per-line transform
-    /// of the same direction) applied line by line.
+    /// Runs `sched` over `count` lines laid out three ways — lines
+    /// contiguous and gapless (`elem = 1, lane = n`, `transform3`'s axis
+    /// 2), lines contiguous with gaps, and lanes contiguous (`lane = 1`)
+    /// — and compares every output bit with `oracle` (the per-line
+    /// transform of the same direction) applied line by line.
     fn check<T: Real + std::fmt::Debug>(
         sched: &Schedule<T>,
         n: usize,
@@ -556,9 +581,9 @@ mod tests {
         };
         let one = T::from_f64(1.0);
         let mut tile = vec![T::ZERO; sched.tile_len()];
-        // A base offset and a gap after each line/row keep neighbours
-        // from hiding a misplaced store.
-        for (elem, lane) in [(1, n + 3), (count + 2, 1)] {
+        // A base offset, and in two layouts a gap after each line/row,
+        // keep neighbours from hiding a misplaced store.
+        for (elem, lane) in [(1, n), (1, n + 3), (count + 2, 1)] {
             let at = |l: usize, j: usize| 5 + l * lane + j * elem;
             let len = at(count - 1, n - 1) + 1;
             let kernel: Vec<T> =
@@ -600,13 +625,71 @@ mod tests {
         }
     }
 
+    /// Single-thread cost of each axis pass of [`transform3`] and of one
+    /// kernel round trip, in µs per grid (median of 15 rounds). Each
+    /// pass runs forward then inverse (a unit kernel in the round trip),
+    /// so the grid keeps its scale from round to round. A timing probe,
+    /// not a check: `cargo test --release -p pwfft axis_pass_times --
+    /// --ignored --nocapture`.
+    #[test]
+    #[ignore]
+    fn axis_pass_times() {
+        use std::time::Instant;
+        for n in [12, 16] {
+            let plans = [Plan::new(n), Plan::new(n), Plan::new(n)];
+            let [s0, s1, s2] = plans.each_ref().map(|p| &p.tile);
+            let (plane, len) = (n * n, n * n * n);
+            let mut grid: Vec<pwnum::Complex64> =
+                (0..len).map(|i| pwnum::complex::c64((0.3 * i as f64).sin(), 0.1)).collect();
+            let mut tile = vec![0.0; s0.tile_len()];
+            let reps = 100_000 / n;
+            let mut time = |f: &mut dyn FnMut(&mut [pwnum::Complex64], &mut [f64])| {
+                let mut rounds: Vec<f64> = (0..15)
+                    .map(|_| {
+                        let t = Instant::now();
+                        for _ in 0..reps {
+                            f(std::hint::black_box(&mut grid), &mut tile);
+                        }
+                        t.elapsed().as_secs_f64() * 1e6 / (2 * reps) as f64
+                    })
+                    .collect();
+                rounds.sort_by(f64::total_cmp);
+                rounds[7]
+            };
+            let mut axis = |s: &Schedule<f64>, lines: &[Lines]| {
+                let inv = Epilogue::Scale(1.0 / n as f64);
+                time(&mut |g, t| {
+                    for &l in lines {
+                        s.run(g, l, false, Epilogue::Scale(1.0), t);
+                        s.run(g, l, true, inv, t);
+                    }
+                })
+            };
+            let axis2 = axis(s2, &[Lines { base: 0, elem: 1, lane: n, count: plane }]);
+            let cols: Vec<_> =
+                (0..n).map(|i0| Lines { base: i0 * plane, elem: n, lane: 1, count: n }).collect();
+            let axis1 = axis(s1, &cols);
+            let axis0 = axis(s0, &[Lines { base: 0, elem: plane, lane: 1, count: plane }]);
+            let ones = vec![1.0; len];
+            let round_trip = 2.0
+                * time(&mut |g, _| {
+                    transform3([s0, s1, s2], g, false, Some(&ones));
+                    transform3([s0, s1, s2], g, true, None);
+                });
+            println!(
+                "{n}^3 fp64, µs per grid: axis 2 {axis2:.2}, axis 1 {axis1:.2}, axis 0 {axis0:.2}, \
+                 kernel round trip {round_trip:.2}"
+            );
+        }
+    }
+
     #[test]
     fn tile_kernel_is_bitwise_the_per_line_recursion() {
         for n in [1, 2, 3, 4, 5, 7, 12, 15, 16, 17, 49, 60, 120] {
             let (p64, p32) = (Plan::new(n), Plan32::new(n));
             let mut s64 = vec![pwnum::Complex64::ZERO; p64.scratch_len()];
             let mut s32 = vec![pwnum::precision::Complex32::ZERO; p32.scratch_len()];
-            for count in [1, LANES - 1, LANES, LANES + 1, 3 * LANES + 2] {
+            for count in [1, 3, 7, LANES - 1, LANES, LANES + 1, 3 * LANES + 2] {
                 check::<f64>(&p64.tile, n, count, false, &mut |x| p64.forward_with(x, &mut s64), &f64::to_bits);
                 check::<f64>(&p64.tile, n, count, true, &mut |x| p64.inverse_with(x, &mut s64), &f64::to_bits);
                 let bits32 = |x: f32| x.to_bits() as u64;

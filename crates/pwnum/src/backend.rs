@@ -98,9 +98,12 @@ pub struct PairTask {
 }
 
 /// High-water-mark accounting of one buffer pool (per element type).
+/// A checkout is charged the bytes it asked for, not the capacity of the
+/// recycled buffer that served it, so the peak of a call does not depend
+/// on what earlier calls left in the pool.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolTypeStats {
-    /// Bytes currently checked out of the pool.
+    /// Bytes asked for by the checkouts not yet returned.
     pub outstanding_bytes: usize,
     /// Peak bytes simultaneously checked out since construction (or the
     /// last [`reset_pool_peak`]).
@@ -123,11 +126,12 @@ pub struct PoolStats {
 /// `take` is best-fit: it hands out the *smallest* pooled buffer that
 /// satisfies the request, so a batch-sized arena is not wasted on a
 /// line-sized ask; `put` drops buffers beyond the count and byte caps
-/// rather than growing without bound.
+/// rather than growing without bound. A buffer is charged its length, so
+/// it goes back at the length it was handed out with.
 #[derive(Debug)]
 pub(crate) struct BufferPool<T> {
     slots: Mutex<Vec<Vec<T>>>,
-    /// Bytes currently checked out (taken but not yet `put` back).
+    /// Bytes asked for by the buffers taken but not yet `put` back.
     outstanding_bytes: AtomicUsize,
     /// Peak of `outstanding_bytes` since construction / last reset —
     /// the high-water mark the pair-pipeline scratch tests assert on.
@@ -154,8 +158,8 @@ const POOL_CAP_BYTES: usize = 1 << 30;
 
 impl<T: Copy + Default> BufferPool<T> {
     pub(crate) fn take(&self, len: usize) -> Vec<T> {
-        let mut buf = self.take_empty(len);
-        buf.resize(len, T::default());
+        let mut buf = self.take_garbage(len);
+        buf.fill(T::default());
         buf
     }
 
@@ -164,7 +168,7 @@ impl<T: Copy + Default> BufferPool<T> {
     /// before being read, avoiding the O(len) zero fill per checkout.
     pub(crate) fn take_garbage(&self, len: usize) -> Vec<T> {
         let mut buf = self.lookup(len).unwrap_or_else(|| Vec::with_capacity(len));
-        self.note_checkout(&buf);
+        self.note_checkout(len);
         if buf.len() < len {
             // resize only writes the tail beyond the current length.
             buf.resize(len, T::default());
@@ -174,19 +178,10 @@ impl<T: Copy + Default> BufferPool<T> {
         buf
     }
 
-    /// Best-fit lookup returning a *cleared* buffer with at least `len`
-    /// capacity (no fill — for callers that overwrite every element).
-    fn take_empty(&self, len: usize) -> Vec<T> {
-        let mut buf = self.lookup(len).unwrap_or_else(|| Vec::with_capacity(len));
-        self.note_checkout(&buf);
-        buf.clear();
-        buf
-    }
-
-    /// Charges a freshly checked-out buffer against the outstanding and
+    /// Charges a checkout of `len` elements against the outstanding and
     /// peak counters.
-    fn note_checkout(&self, buf: &Vec<T>) {
-        let bytes = buf.capacity() * std::mem::size_of::<T>();
+    fn note_checkout(&self, len: usize) {
+        let bytes = len * std::mem::size_of::<T>();
         let now = self.outstanding_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
         self.peak_bytes.fetch_max(now, Ordering::Relaxed);
     }
@@ -226,7 +221,7 @@ impl<T: Copy + Default> BufferPool<T> {
         // The buffer is no longer outstanding whether or not the caps
         // let us retain it. Saturating: a caller may return a buffer
         // that grew (or was allocated) outside the pool.
-        let bytes = buf.capacity() * std::mem::size_of::<T>();
+        let bytes = buf.len() * std::mem::size_of::<T>();
         let _ = self
             .outstanding_bytes
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(bytes)));
@@ -420,15 +415,6 @@ pub fn fused_pair_solve(
 /// allocation-free in steady state.
 pub fn take_buffer(len: usize) -> Vec<Complex64> {
     POOLS.c64.take(len)
-}
-
-/// A pooled buffer initialized to a copy of `src` — like
-/// [`take_buffer`] + `copy_from_slice`, but without the redundant zero
-/// fill when every element is overwritten anyway.
-pub fn take_buffer_copy(src: &[Complex64]) -> Vec<Complex64> {
-    let mut buf = POOLS.c64.take_empty(src.len());
-    buf.extend_from_slice(src);
-    buf
 }
 
 /// A pooled buffer of `len` elements with *unspecified contents*
@@ -996,19 +982,25 @@ mod tests {
         let sz = std::mem::size_of::<Complex64>();
         let b1 = pool.take(100);
         let b2 = pool.take_garbage(50);
-        let peak_cap = (b1.capacity() + b2.capacity()) * sz;
+        let peak = 150 * sz;
         let stats = pool.stats();
-        assert_eq!(stats.outstanding_bytes, peak_cap);
-        assert_eq!(stats.peak_bytes, peak_cap);
+        assert_eq!(stats.outstanding_bytes, peak);
+        assert_eq!(stats.peak_bytes, peak);
         pool.put(b1);
         pool.put(b2);
         let stats = pool.stats();
         // Everything returned; the high-water mark survives...
         assert_eq!(stats.outstanding_bytes, 0);
-        assert_eq!(stats.peak_bytes, peak_cap);
+        assert_eq!(stats.peak_bytes, peak);
         // ...until explicitly reset.
         pool.reset_peak();
         assert_eq!(pool.stats().peak_bytes, 0);
+        // A recycled buffer larger than the ask is charged the ask.
+        let b3 = pool.take(60);
+        assert_eq!(b3.capacity(), 100, "best fit reuses the 100-element buffer");
+        assert_eq!(pool.stats().outstanding_bytes, 60 * sz);
+        pool.put(b3);
+        assert_eq!(pool.stats().outstanding_bytes, 0);
     }
 
     /// The staged per-pair schedule of `tasks` — pair density, solve,
@@ -1141,31 +1133,54 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pair_pipeline_pool_peak_is_one_wave_of_grids() {
-        // Measured on the process's pool from its level before the run
-        // (a panicking test may have left grids checked out), on a grid
-        // size no other test here uses: the pool hands out any recycled
-        // buffer of up to twice the asked length, so grids of its own
-        // are the only ones it can reuse.
-        let _pool = c64_pool_lock();
-        let (ng, nb) = (101, 12);
+    /// Runs the pair pipeline on `nb` bands of `ng`-point grids at each
+    /// worker count and returns the fp64 pool peak each run added to the
+    /// pool's level before it (a panicking test may have left grids
+    /// checked out).
+    fn pair_pipeline_pool_peaks(ng: usize, nb: usize) -> Vec<usize> {
         let phi = test_block(nb, ng, 0.3);
         let pass = ReversePass { n: ng };
         let tasks = enumerate_tasks(&vec![1.0; nb], true);
         assert!(tasks.len() > 2 * waves::WAVE);
+        [1, 2, 3, 5]
+            .into_iter()
+            .map(|workers| {
+                reset_pool_peak();
+                let before = pool_stats().fp64.outstanding_bytes;
+                let mut out = vec![Complex64::ZERO; nb * ng];
+                with_workers(workers, || fused_pair_solve(&pass, &phi, &phi, ng, &tasks, &mut out));
+                let stats = pool_stats().fp64;
+                assert_eq!(stats.outstanding_bytes, before, "everything went back to the pool");
+                stats.peak_bytes - before
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pair_pipeline_pool_peak_is_one_wave_of_grids() {
+        let _pool = c64_pool_lock();
+        let ng = 24;
         let grid_bytes = ng * std::mem::size_of::<Complex64>();
-        for workers in [1, 2, 3, 5] {
-            reset_pool_peak();
-            let before = pool_stats().fp64.outstanding_bytes;
-            let mut out = vec![Complex64::ZERO; nb * ng];
-            with_workers(workers, || fused_pair_solve(&pass, &phi, &phi, ng, &tasks, &mut out));
-            let stats = pool_stats().fp64;
-            assert_eq!(stats.outstanding_bytes, before, "everything went back to the pool");
-            // One worker is the serial loop over one pair grid.
-            let grids = if workers == 1 { 1 } else { waves::WAVE };
-            assert_eq!(stats.peak_bytes - before, grids * grid_bytes, "workers={workers}");
-        }
+        // One worker is the serial loop over one pair grid.
+        let want = [1, waves::WAVE, waves::WAVE, waves::WAVE].map(|grids| grids * grid_bytes);
+        assert_eq!(pair_pipeline_pool_peaks(ng, 12), want, "workers 1, 2, 3, 5");
+    }
+
+    #[test]
+    fn pool_peak_does_not_depend_on_what_the_pool_holds() {
+        // A 24-point ask may be served by any pooled buffer of 24 to 48
+        // points. Holding POOL_CAP such asks empties the pool of them, so
+        // the first run allocates its grids and the second, after the
+        // first run's grids are held too, gets 37-point ones.
+        let _pool = c64_pool_lock();
+        let hold = || (0..POOL_CAP).map(|_| take_buffer(24)).collect::<Vec<_>>();
+        let mut held = hold();
+        let fresh = pair_pipeline_pool_peaks(24, 12);
+        held.extend(hold());
+        let big: Vec<_> = (0..2 * waves::WAVE).map(|_| take_buffer(37)).collect();
+        big.into_iter().for_each(recycle_buffer);
+        assert_eq!(pair_pipeline_pool_peaks(24, 12), fresh);
+        held.into_iter().for_each(recycle_buffer);
     }
 
     /// Panics on its `at`-th run (counted across workers).
